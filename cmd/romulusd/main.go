@@ -100,6 +100,18 @@ func main() {
 	})
 	exitOn(err)
 
+	// What reopening each shard's image found and repaired (nothing to say
+	// about a freshly formatted one).
+	for i := 0; i < st.NumShards(); i++ {
+		eng := st.Engine(i)
+		if eng == nil {
+			continue // quarantined at open
+		}
+		if rs := eng.RecoveryStats(); rs.State != 0 || rs.Compared > 0 {
+			fmt.Printf("romulusd: shard %d recovery: %s\n", i, rs)
+		}
+	}
+
 	// A prior run's flight data, replayed from the reserved tails: what was
 	// in flight when that run ended (or crashed).
 	for _, rep := range st.FlightReports() {

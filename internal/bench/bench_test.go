@@ -107,8 +107,12 @@ func TestMeasureRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Duration <= 0 || res.Watermark <= 0 {
+	if res.FullCopy <= 0 || res.DiffCopy <= 0 || res.Watermark <= 0 {
 		t.Errorf("recovery result: %+v", res)
+	}
+	// One interrupted Put damages a handful of lines, whatever the population.
+	if r := res.Repaired; r.State != 1 || r.Lines == 0 || r.Lines > 16 || r.Compared != uint64(res.Watermark) {
+		t.Errorf("diff copy repaired %+v of a %d-byte prefix", r, res.Watermark)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // range log. replicate() copies exactly these lines to back — collapsing
 // the basic algorithm's back-copy from O(heap watermark) to O(dirty) — and
 // rollback restores exactly these lines from back. Recovery never consults
-// it: after a crash the full-prefix copy of Algorithm 1 still runs, so the
-// crash-safety argument is unchanged (see DESIGN.md).
+// it: after a crash the twins are reconciled over the full prefix, as in
+// Algorithm 1, so the crash-safety argument is unchanged (see DESIGN.md).
 //
 // Like pmem.FlushSet, membership is an epoch-stamped array: reset is O(1)
 // and add never allocates once the line buffer has grown to the working-set

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/crwwp"
@@ -65,12 +68,13 @@ type Config struct {
 	// the default is a deduplicated per-batch flush set that write-backs
 	// each dirty line exactly once before the commit fence).
 	EagerPwb bool
-	// FullReplicate restores the basic algorithm's original commit path:
-	// replicate (and roll back) the entire watermark prefix instead of only
-	// the round's dirty cache lines (ablation; Rom only — the log variants
-	// already replicate logged ranges). The dirty-range equivalence
-	// property test and §4.7's replication-volume contrast measure against
-	// this path.
+	// FullReplicate restores the paper's whole-prefix copies at commit and
+	// at recovery (ablation). At commit — Rom only, the log variants already
+	// replicate logged ranges — replicate and rollback copy the entire
+	// watermark prefix instead of the round's dirty cache lines; at recovery,
+	// every variant copies and writes back the whole prefix instead of only
+	// the lines the crash left different. The equivalence property tests and
+	// the §4.7 replication-volume and §6.5 recovery contrasts measure against it.
 	FullReplicate bool
 	// DisableFlatCombining serializes writers with a plain spin lock
 	// instead of combining announced operations (ablation).
@@ -154,6 +158,9 @@ type Engine struct {
 	// aud receives durability-protocol markers when non-nil. Set at Open
 	// (Config.Audit) or at a quiescent point (SetAuditor).
 	aud ptm.Auditor
+
+	// rec is what this engine's Open found and repaired; fixed after Open.
+	rec ptm.RecoveryStats
 }
 
 var _ ptm.PTM = (*Engine)(nil)
@@ -290,6 +297,8 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		if a := e.aud; a != nil {
 			a.TxBegin(e.Name(), "recovery")
 		}
+		t0 := time.Now()
+		e.rec.State = state
 		e.recover()
 		if a := e.aud; a != nil {
 			a.DurablePoint("recovery")
@@ -303,11 +312,13 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		// twin-copy design: rot anywhere in either copy is detectable with
 		// no extra checksums.
 		if state == stateIDL && !cfg.DisableOpenVerify {
+			e.rec.Compared = uint64(e.prefix())
 			if off := e.Verify(); off >= 0 {
 				return nil, fmt.Errorf("core: twin copies diverge at main offset %d at quiescent open: %w",
 					off, ErrCorruptPayload)
 			}
 		}
+		e.rec.Ns = uint64(time.Since(t0))
 	}
 	if dev.FaultsTripped() != openTrips {
 		return nil, fmt.Errorf("core: media fault during open: %w", dev.FaultError())
@@ -357,27 +368,90 @@ func (e *Engine) format() error {
 // belonged to, rather than silently skipping reconciliation.
 func (e *Engine) recover() {
 	d := e.dev
-	wm := int(d.Load64(offWatermark))
-	if wm > e.regionSize {
-		wm = e.regionSize
-	}
+	dst, src := e.mainBase, e.backBase
 	switch d.Load64(offState) {
 	case stateIDL:
 		return
 	case stateCPY:
-		d.CopyWithin(e.backBase, e.mainBase, wm)
-		d.PwbRange(e.backBase, wm)
-	case stateMUT:
-		d.CopyWithin(e.mainBase, e.backBase, wm)
-		d.PwbRange(e.mainBase, wm)
-	default:
-		d.CopyWithin(e.mainBase, e.backBase, wm)
-		d.PwbRange(e.mainBase, wm)
+		dst, src = src, dst
 	}
-	d.Pfence()
+	wm := e.prefix()
+	if e.cfg.FullReplicate {
+		d.CopyWithin(dst, src, wm)
+		d.PwbRange(dst, wm)
+		e.rec.Lines, e.rec.Extents = uint64(wm+pmem.LineSize-1)/pmem.LineSize, 1
+	} else {
+		e.syncCopy(dst, src, wm)
+	}
+	if d.NeedsFence() { // nothing queued when the twins already agreed
+		d.Pfence()
+	}
 	d.Store64(offState, stateIDL)
 	d.Pwb(offState)
 	d.Pfence()
+}
+
+// prefix returns the watermark — the bytes of each twin in use — clamped to
+// the region size, so a rotted one cannot push a copy or compare out of bounds.
+func (e *Engine) prefix() int {
+	return min(int(e.dev.Load64(offWatermark)), e.regionSize)
+}
+
+// diffChunk is the unit of the twin comparison's fast path: bytes.Equal over
+// a chunk runs at memcmp speed; only a mismatching chunk is looked at closer.
+const diffChunk = 4096
+
+// syncCopy makes dst[:wm] equal src[:wm] on the media at a cost proportional
+// to what differs rather than to wm: the twins are compared chunk by chunk,
+// a mismatching chunk line by line, and only runs of lines that need it are
+// copied and written back. A line needs it unless its bytes already match
+// AND the device holds no unpersisted store to it (Pending): right after a
+// restart the volatile view is the media, so an equal line is equal on the
+// media; on any other device state an equal-but-dirty line is still written
+// back. The caller fences. A crash in here is as safe as in the whole-prefix
+// copy: the state word is untouched, src is never written, dst only nears src.
+func (e *Engine) syncCopy(dst, src, wm int) {
+	d := e.dev
+	from, to := d.Bytes(src, wm), d.Bytes(dst, wm)
+	same := func(lo, hi int) bool {
+		return bytes.Equal(from[lo:hi], to[lo:hi]) && !d.Pending(dst+lo, hi-lo)
+	}
+	run := -1 // start of the open run of lines to repair, -1 when none
+	closeRun := func(end int) {
+		if run >= 0 {
+			d.CopyWithin(dst+run, src+run, end-run)
+			d.PwbRange(dst+run, end-run)
+			e.rec.Extents++
+			run = -1
+		}
+	}
+	for c := 0; c < wm; c += diffChunk {
+		cend := min(c+diffChunk, wm)
+		if same(c, cend) {
+			closeRun(c)
+			continue
+		}
+		for l := c; l < cend; l += pmem.LineSize {
+			if same(l, min(l+pmem.LineSize, cend)) {
+				closeRun(l)
+			} else {
+				if run < 0 {
+					run = l
+				}
+				e.rec.Lines++
+			}
+		}
+	}
+	closeRun(wm)
+	e.rec.Compared = uint64(wm)
+}
+
+// imageState returns the state word of a formatted media image, if it is one.
+func imageState(img []byte) (uint64, bool) {
+	if len(img) < headSize || binary.LittleEndian.Uint64(img[offMagic:]) != magicValue {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(img[offState:]), true
 }
 
 // RecoveryPending reports whether opening a device with these media
@@ -386,17 +460,8 @@ func (e *Engine) recover() {
 // use it to tell crashes that landed inside recover() from crashes whose
 // reopen was a no-op.
 func RecoveryPending(img []byte) bool {
-	if len(img) < headSize {
-		return false
-	}
-	load := func(off int) uint64 {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(img[off+i])
-		}
-		return v
-	}
-	return load(offMagic) == magicValue && load(offState) != stateIDL
+	st, ok := imageState(img)
+	return ok && st != stateIDL
 }
 
 // ReplicationPending reports whether the image crashed between a commit's
@@ -406,17 +471,8 @@ func RecoveryPending(img []byte) bool {
 // which captures actually landed mid-replicate rather than elsewhere in the
 // round.
 func ReplicationPending(img []byte) bool {
-	if len(img) < headSize {
-		return false
-	}
-	load := func(off int) uint64 {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(img[off+i])
-		}
-		return v
-	}
-	return load(offMagic) == magicValue && load(offState) == stateCPY
+	st, ok := imageState(img)
+	return ok && st == stateCPY
 }
 
 // wireConcurrency installs the variant-specific writer hooks and creates
@@ -783,7 +839,7 @@ func (e *Engine) RegionSize() int { return e.regionSize }
 func (e *Engine) DataOffsets() []int { return []int{e.mainBase, e.backBase} }
 
 // Watermark returns the persistent high-water mark: the number of bytes of
-// main that replication and recovery must copy.
+// each twin in use, which bounds every copy and comparison between them.
 func (e *Engine) Watermark() int { return int(e.dev.Load64(offWatermark)) }
 
 // ReservedTail returns the device range past both region copies — bytes the
@@ -834,23 +890,30 @@ func (e *Engine) ResetPwbHistogram() { e.pwbHist = hist.Histogram{} }
 
 // Verify checks the twin-copy invariant at a quiescent point: outside any
 // transaction both copies must hold identical bytes up to the watermark.
-// Returns the offset of the first divergence, or -1 when consistent. The
-// watermark is clamped to the region size, like in recovery, so a rotted
-// watermark cannot push the comparison out of bounds.
+// Returns the offset of the first divergence, or -1 when consistent. Equal
+// chunks are passed over at memcmp speed; only the first mismatching one is
+// searched byte by byte.
 func (e *Engine) Verify() int {
-	wm := int(e.dev.Load64(offWatermark))
-	if wm > e.regionSize {
-		wm = e.regionSize
-	}
+	wm := e.prefix()
 	main := e.dev.Bytes(e.mainBase, wm)
 	back := e.dev.Bytes(e.backBase, wm)
-	for i := range main {
-		if main[i] != back[i] {
-			return i
+	for c := 0; c < wm; c += diffChunk {
+		cend := min(c+diffChunk, wm)
+		if bytes.Equal(main[c:cend], back[c:cend]) {
+			continue
+		}
+		for i := c; ; i++ {
+			if main[i] != back[i] {
+				return i
+			}
 		}
 	}
 	return -1
 }
+
+// RecoveryStats reports what the Open that built this engine found on the
+// media and what recovery did about it.
+func (e *Engine) RecoveryStats() ptm.RecoveryStats { return e.rec }
 
 // Close implements ptm.PTM. The persistent image remains valid.
 func (e *Engine) Close() error {

@@ -266,7 +266,9 @@ func batchRound(cfg BatchConfig, v core.Variant, round int, roundSeed int64, rep
 		s2 := pmem.NewScheduler(dev)
 		s2.SetBudget(1)
 		if len(chain) < cfg.ChainDepth {
-			s2.Arm(uint64(1+rrng.Intn(64)), randPolicy(rrng))
+			armInsideReopen(rrng, [][]byte{img}, func(d []*pmem.Device) {
+				_, _ = core.Open(d[0], core.Config{Variant: v}) // rehearsal; the Open below reports errors
+			}, s2.Arm)
 		}
 		a2, trig2 := ra.attach(dev, s2)
 		var audArg ptm.Auditor

@@ -343,6 +343,28 @@ func randPolicy(rng *rand.Rand) pmem.CrashPolicy {
 	}
 }
 
+// armInsideReopen arms a crash inside the reopen the caller is about to run.
+// How many persistence events a recovery issues depends on what the crash
+// damaged — a dozen for a diff-copy repair of a few lines, hundreds for a log
+// replay — so a fixed arming range mostly overshoots the short ones. The
+// reopen is first rehearsed on throwaway devices built from the same images,
+// its events counted, and the crash armed uniformly within that count; a
+// reopen that issues no events has nothing to crash into and stays unarmed.
+func armInsideReopen(rrng *rand.Rand, imgs [][]byte, rehearse func(devs []*pmem.Device),
+	arm func(eventsFromNow uint64, policy pmem.CrashPolicy) bool) {
+	devs := make([]*pmem.Device, len(imgs))
+	for i, img := range imgs {
+		devs[i] = pmem.FromImage(img, pmem.ModelDRAM)
+	}
+	count := pmem.NewMultiScheduler(devs...)
+	count.Attach()
+	rehearse(devs)
+	count.Detach()
+	if n := count.Events(); n > 0 {
+		arm(uint64(1+rrng.Intn(int(n))), randPolicy(rrng))
+	}
+}
+
 // workerHistory tracks one worker's committed transactions: states[i] is the
 // worker's key space after its i-th transaction, and mustSurvive is the
 // shortest prefix recovery is allowed to expose (transactions known to have
@@ -464,7 +486,9 @@ func runRound(cfg Config, tgt target, threads, round int, roundSeed int64, rep *
 		s2 := pmem.NewScheduler(dev)
 		s2.SetBudget(1)
 		if len(chain) < cfg.ChainDepth {
-			s2.Arm(uint64(1+rrng.Intn(64)), randPolicy(rrng))
+			armInsideReopen(rrng, [][]byte{img}, func(d []*pmem.Device) {
+				_, _ = tgt.reopen(d[0], nil) // rehearsal; the reopen below reports errors
+			}, s2.Arm)
 		}
 		a2, trig2 := ra.attach(dev, s2)
 		var audArg ptm.Auditor

@@ -332,7 +332,11 @@ func groupRound(cfg GroupConfig, v core.Variant, round int, roundSeed int64, rep
 		s2 := pmem.NewScheduler(sdev)
 		s2.SetBudget(1)
 		if len(chain) < cfg.ChainDepth {
-			s2.Arm(uint64(1+rrng.Intn(64)), randPolicy(rrng))
+			// Only the shard device is scheduled, so only its events count.
+			armInsideReopen(rrng, [][]byte{img}, func(d []*pmem.Device) {
+				c := pmem.FromImage(coordImg, pmem.ModelDRAM)
+				_, _ = shard.Reopen([]*pmem.Device{d[0], c}, groupOpts(v)) // rehearsal; the Reopen below reports errors
+			}, s2.Arm)
 		}
 		a2, trig2 := ra.attach(sdev, s2)
 		ropts := groupOpts(v)

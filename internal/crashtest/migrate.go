@@ -263,7 +263,9 @@ func runMigrateRound(cfg MigrateConfig, round int, roundSeed int64, rep *Migrate
 		ms2 := pmem.NewMultiScheduler(rdevs...)
 		ms2.SetBudget(1)
 		if len(chain) < cfg.ChainDepth {
-			ms2.Arm(uint64(1+rrng.Intn(192)), randPolicy(rrng))
+			armInsideReopen(rrng, imgs, func(d []*pmem.Device) {
+				_, _ = shard.Reopen(d, migrateOpts(cfg)) // rehearsal; the Reopen below reports errors
+			}, ms2.Arm)
 		}
 		ropts := migrateOpts(cfg)
 		pauds2, auds2 := xshardAttach(rdevs, ms2, cfg.Audit)

@@ -18,7 +18,7 @@ import (
 // most of the back region is intentionally NOT copied during that window, so
 // a crash inside it exercises exactly the argument DESIGN.md makes for the
 // dirty-extent tracker: recovery never consults the (volatile) dirty set, it
-// re-copies the whole watermark prefix from the consistent main region.
+// diffs the whole watermark prefix against the consistent main region.
 //
 // Workers store into widely scattered lanes — one cache line per slot — so
 // the rom engine's dirty set is a handful of isolated lines. A ptm.Auditor
@@ -348,7 +348,9 @@ func replicateRound(cfg ReplicateConfig, ecfg core.Config, round int, roundSeed 
 		s2 := pmem.NewScheduler(dev)
 		s2.SetBudget(1)
 		if len(chain) < cfg.ChainDepth {
-			s2.Arm(uint64(1+rrng.Intn(64)), randPolicy(rrng))
+			armInsideReopen(rrng, [][]byte{img}, func(d []*pmem.Device) {
+				_, _ = core.Open(d[0], ecfg) // rehearsal; the Open below reports errors
+			}, s2.Arm)
 		}
 		a2, trig2 := ra.attach(dev, s2)
 		ocfg := ecfg

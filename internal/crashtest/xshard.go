@@ -262,7 +262,9 @@ func runXShardRound(cfg XShardConfig, round int, roundSeed int64, rep *XShardRep
 		ms2 := pmem.NewMultiScheduler(rdevs...)
 		ms2.SetBudget(1)
 		if len(chain) < cfg.ChainDepth {
-			ms2.Arm(uint64(1+rrng.Intn(128)), randPolicy(rrng))
+			armInsideReopen(rrng, imgs, func(d []*pmem.Device) {
+				_, _ = shard.Reopen(d, xshardOpts(cfg)) // rehearsal; the Reopen below reports errors
+			}, ms2.Arm)
 		}
 		ropts := xshardOpts(cfg)
 		pauds2, auds2 := xshardAttach(rdevs, ms2, cfg.Audit)

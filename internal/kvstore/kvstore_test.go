@@ -273,3 +273,42 @@ func TestLargeValues(t *testing.T) {
 		t.Fatalf("big value corrupted: len %d, %v", len(got), err)
 	}
 }
+
+// TestSameSizeOverwriteStoresOnlyTheValue pins the silent-store fix: a Put
+// that replaces a value with one of the same length stores the new bytes into
+// the existing blob and nothing else in main — in particular not the node's
+// unchanged length word, which used to dirty the node's line in both twins.
+// A Put that changes the length still stores it.
+func TestSameSizeOverwriteStoresOnlyTheValue(t *testing.T) {
+	db := openSmall(t)
+	key := []byte("k")
+	if err := db.Put(key, bytes.Repeat([]byte{1}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	eng := db.Engine()
+	main := eng.DataOffsets()[0]
+	var sizes []int // stores landing in main, by length
+	eng.Device().SetHooks(&pmem.Hooks{StoreAt: func(off, n int) {
+		if off >= main && off < main+eng.RegionSize() {
+			sizes = append(sizes, n)
+		}
+	}})
+	defer eng.Device().SetHooks(nil)
+
+	if err := db.Put(key, bytes.Repeat([]byte{2}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != 1 || sizes[0] != 64 {
+		t.Fatalf("same-size overwrite stored %v into main, want only the 64 value bytes", sizes)
+	}
+	sizes = nil
+	if err := db.Put(key, bytes.Repeat([]byte{3}, 48)); err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != 2 {
+		t.Fatalf("shrinking overwrite stored %v into main, want the value and its new length", sizes)
+	}
+	if v, err := db.Get(key); err != nil || !bytes.Equal(v, bytes.Repeat([]byte{3}, 48)) {
+		t.Fatalf("Get after overwrites = %q, %v", v, err)
+	}
+}

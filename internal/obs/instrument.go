@@ -42,6 +42,9 @@ func Instrument(dev *pmem.Device, r *Registry) {
 //	ptm_batch_ops_total, ptm_batch_combine_ns_total,
 //	ptm_replicate_bytes_total, ptm_replicate_extent_total
 //
+// plus, for engines implementing RecoveryReporter, the ptm_recovery_* gauges
+// (SetRecovery).
+//
 // Every engine in the repository reports the same schema, so tools can
 // compare engines without per-engine cases. The ptm_batch_* gauges stay zero
 // for engines without a flat-combined batch commit path, and the
@@ -55,7 +58,11 @@ func Instrument(dev *pmem.Device, r *Registry) {
 // the dirty-line count rather than the watermark's line count.
 func InstrumentPTM(e ptm.PTM, r *Registry) {
 	ph, _ := e.(PwbHistogrammer)
+	rr, _ := e.(RecoveryReporter)
 	r.Collect(func(set Setter) {
+		if rr != nil {
+			SetRecovery(set, rr.RecoveryStats())
+		}
 		s := e.Stats()
 		set("ptm_update_tx_total", s.UpdateTxs)
 		set("ptm_read_tx_total", s.ReadTxs)
@@ -89,6 +96,42 @@ func InstrumentPTM(e ptm.PTM, r *Registry) {
 // when every in-repo harness does.
 type PwbHistogrammer interface {
 	PwbHistogram() hist.Histogram
+}
+
+// RecoveryReporter is implemented by engines that record what the Open
+// that built them found on the media and repaired (the core Romulus
+// engines).
+type RecoveryReporter interface {
+	RecoveryStats() ptm.RecoveryStats
+}
+
+// SetRecovery publishes the ptm_recovery_* gauges: the recovery work done by
+// the last Open of each engine behind the registry, summed over them (one
+// for a bare engine, one per shard for a sharded store), so a restart's cost
+// — and whether it was proportional to the damage — is readable off /metrics:
+//
+//	ptm_recovery_pending         engines that found a non-idle state word
+//	ptm_recovery_compared_bytes  bytes of twin prefix compared
+//	ptm_recovery_lines           cache lines copied and written back
+//	ptm_recovery_extents         contiguous runs those lines formed
+//	ptm_recovery_ns              time spent recovering and verifying
+func SetRecovery(set Setter, stats ...ptm.RecoveryStats) {
+	var pending uint64
+	var sum ptm.RecoveryStats
+	for _, rs := range stats {
+		if rs.State != 0 {
+			pending++
+		}
+		sum.Compared += rs.Compared
+		sum.Lines += rs.Lines
+		sum.Extents += rs.Extents
+		sum.Ns += rs.Ns
+	}
+	set("ptm_recovery_pending", pending)
+	set("ptm_recovery_compared_bytes", sum.Compared)
+	set("ptm_recovery_lines", sum.Lines)
+	set("ptm_recovery_extents", sum.Extents)
+	set("ptm_recovery_ns", sum.Ns)
 }
 
 // Traceable is implemented by every engine that can emit per-transaction

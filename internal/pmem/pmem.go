@@ -37,6 +37,7 @@
 package pmem
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -134,14 +135,12 @@ func New(size int, model Model) *Device {
 		panic("pmem: non-positive device size")
 	}
 	size = (size + LineSize - 1) &^ (LineSize - 1)
-	lines := size >> lineShift
-	return &Device{
-		mem:    make([]byte, size),
-		pm:     make([]byte, size),
-		dirty:  newBitmap(lines),
-		queued: newBitmap(lines),
-		model:  model,
-	}
+	return newDevice(make([]byte, size), make([]byte, size), model)
+}
+
+func newDevice(mem, pm []byte, model Model) *Device {
+	lines := len(mem) >> lineShift
+	return &Device{mem: mem, pm: pm, dirty: newBitmap(lines), queued: newBitmap(lines), model: model}
 }
 
 // Size returns the size of the region in bytes.
@@ -396,6 +395,27 @@ func (d *Device) PwbRange(off, n int) {
 // called from the mutating goroutine.
 func (d *Device) NeedsFence() bool { return len(d.queuedLines) > 0 }
 
+// Pending reports whether any cache line overlapping [off, off+n) holds
+// stores the media may lack: dirty, or queued by Pwb and not yet fenced. A
+// line that is not pending reads the same from the volatile view as from the
+// media, so recovery may skip it on a byte compare. Mutating goroutine only.
+func (d *Device) Pending(off, n int) bool {
+	first, last := off>>lineShift, (off+n-1)>>lineShift
+	for w := first >> 6; w <= last>>6; w++ { // a bitmap word, 64 lines, at a time
+		mask := ^uint64(0)
+		if w == first>>6 {
+			mask &= ^uint64(0) << uint(first&63)
+		}
+		if w == last>>6 {
+			mask &= ^uint64(0) >> uint(63-last&63)
+		}
+		if (d.dirty.words[w]|d.queued.words[w])&mask != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Pfence orders preceding write-backs: every line queued by Pwb becomes
 // persistent before the fence returns.
 func (d *Device) Pfence() {
@@ -571,10 +591,8 @@ func FromImage(img []byte, model Model) *Device {
 	if len(img) == 0 || len(img)%LineSize != 0 {
 		panic(fmt.Sprintf("pmem: image size %d is not a positive multiple of %d", len(img), LineSize))
 	}
-	d := New(len(img), model)
-	copy(d.pm, img)
-	copy(d.mem, img)
-	return d
+	// One allocate-and-copy per view: New would zero both first.
+	return newDevice(bytes.Clone(img), bytes.Clone(img), model)
 }
 
 // SaveFile writes the persisted image to path, allowing a region to survive
@@ -595,10 +613,8 @@ func LoadFile(path string, model Model) (*Device, error) {
 	if len(data) == 0 || len(data)%LineSize != 0 {
 		return nil, fmt.Errorf("pmem: load %s: image size %d is not a positive multiple of %d", path, len(data), LineSize)
 	}
-	d := New(len(data), model)
-	copy(d.pm, data)
-	copy(d.mem, data)
-	return d, nil
+	// The buffer just read becomes the media view; the volatile view is its copy.
+	return newDevice(bytes.Clone(data), data, model), nil
 }
 
 // spin busy-waits for roughly dur, simulating media latency without yielding

@@ -487,3 +487,31 @@ func BenchmarkPwbFence(b *testing.B) {
 		d.Pfence()
 	}
 }
+
+// TestPendingMatchesLineState checks the word-at-a-time Pending against the
+// per-line dirty/queued state for ranges straddling bitmap word boundaries.
+func TestPendingMatchesLineState(t *testing.T) {
+	d := New(256*LineSize, ModelDRAM)
+	d.Store8(63*LineSize, 1)  // dirty
+	d.Store8(130*LineSize, 1) // queued
+	d.Pwb(130 * LineSize)
+	d.Store8(200*LineSize+5, 1) // persisted again: not pending
+	d.Pwb(200 * LineSize)
+	d.Pfence()
+	d.Store8(130*LineSize, 2) // dirty again after the fence
+	pending := map[int]bool{63: true, 130: true}
+	for first := 0; first < 256; first++ {
+		for _, lines := range []int{1, 2, 63, 64, 65, 129} {
+			last := min(first+lines, 256) - 1
+			want := false
+			for l := first; l <= last; l++ {
+				want = want || pending[l]
+			}
+			// Unaligned byte bounds inside the first and last line.
+			off, end := first*LineSize+7, last*LineSize+9
+			if got := d.Pending(off, end-off); got != want {
+				t.Fatalf("Pending(lines %d..%d) = %v, want %v", first, last, got, want)
+			}
+		}
+	}
+}

@@ -160,7 +160,11 @@ func (m *ByteMap) replaceValue(tx ptm.Tx, n ptm.Ptr, val []byte) error {
 	old := field(tx, n, bmNodeValPtr)
 	oldLen := int(tx.Load64(n + bmNodeValLen))
 	if !old.IsNil() && oldLen >= len(val) {
-		tx.Store64(n+bmNodeValLen, uint64(len(val)))
+		// A same-size overwrite leaves the node untouched: storing the
+		// unchanged length would dirty the node's line in both twins.
+		if oldLen != len(val) {
+			tx.Store64(n+bmNodeValLen, uint64(len(val)))
+		}
 		if len(val) > 0 {
 			tx.StoreBytes(old, val)
 		}

@@ -12,7 +12,11 @@
 // redo-log engine) load redirection.
 package ptm
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"time"
+)
 
 // Ptr is a persistent pointer: a byte offset within the persistent heap
 // address space. The zero value is the nil pointer.
@@ -133,6 +137,41 @@ type TxStats struct {
 	// replicator pays O(heap watermark) per round.
 	ReplicatedBytes  uint64
 	ReplicateExtents uint64
+}
+
+// RecoveryStats describes the recovery work one Open of a twin-copy engine
+// performed: what it found on the media and what it took to repair it.
+type RecoveryStats struct {
+	// State is the transaction state word found: 0 IDL (no recovery; the
+	// twins were verified equal instead), 1 MUT (crashed mid-mutation: main
+	// restored from back), 2 CPY (back completed from main — also what a
+	// clean stop leaves, since the idle marker after replication is never
+	// written back, and then nothing differs); anything else was handled
+	// like 1.
+	State uint64
+	// Compared is the bytes of each twin compared (the watermark prefix);
+	// zero under the whole-prefix ablation, which copies without looking.
+	Compared uint64
+	// Lines is the cache lines copied and written back, Extents the
+	// contiguous runs they formed.
+	Lines, Extents uint64
+	// Ns is the wall-clock time Open spent recovering and verifying.
+	Ns uint64
+}
+
+// String renders the stats as one log line.
+func (r RecoveryStats) String() string {
+	found := "unrecognized state word, main restored from back"
+	switch r.State {
+	case 0:
+		found = "IDL, twins verified equal"
+	case 1:
+		found = "MUT, main restored from back"
+	case 2:
+		found = "CPY, back completed from main"
+	}
+	return fmt.Sprintf("found %s: %d bytes compared, %d line(s) in %d extent(s) repaired, %v",
+		found, r.Compared, r.Lines, r.Extents, time.Duration(r.Ns))
 }
 
 // PTM is a persistent transactional memory engine.

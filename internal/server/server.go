@@ -768,10 +768,14 @@ func (s *Server) dispatch(line string, st *connState) (token, bool) {
 		s.cmdSplit.Inc()
 		return imm(s.startSplit(n)), false
 	case "PLACEMENT":
+		// Driver status first: Status queues behind the stepping driver's
+		// lock, possibly across cutover and cleanup, so a slot map read
+		// before it can predate the cutover of a split it reports "done".
+		status := s.driver.Status()
 		reply := struct {
 			shard.PlacementInfo
 			Driver migrate.Status `json:"driver"`
-		}{s.st.Placement(), s.driver.Status()}
+		}{s.st.Placement(), status}
 		js, err := json.Marshal(reply)
 		if err != nil {
 			return imm(s.errf("placement: %v", err)), false

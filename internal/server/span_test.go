@@ -73,6 +73,10 @@ func TestSpanTimeline(t *testing.T) {
 	if line, err := cl.r.ReadString('\n'); err != nil || strings.TrimSpace(line) != "VALUE v0" {
 		t.Fatalf("GET reply %q (err %v)", line, err)
 	}
+	// The writer goroutine emits a request's spans only after the flush that
+	// carried its reply returns, so a reply in hand does not mean the spans
+	// are recorded yet; a drained server has emitted everything.
+	shutdown(t, srv, done)
 
 	// Every SET's timeline is fully reconstructable by request id.
 	writePhases := []string{
@@ -129,8 +133,6 @@ func TestSpanTimeline(t *testing.T) {
 			t.Errorf("%s never observed", h)
 		}
 	}
-
-	shutdown(t, srv, done)
 }
 
 // TestSpansOffNoEmission pins the default: without Options.Spans nothing is

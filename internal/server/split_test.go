@@ -175,6 +175,73 @@ func TestServerSplitEndToEnd(t *testing.T) {
 	shutdown(t, srv, done)
 }
 
+// gatedTarget parks the driver inside its cutover step — holding the
+// driver's lock — until released.
+type gatedTarget struct {
+	*shard.Store
+	entered, release chan struct{}
+}
+
+func (g *gatedTarget) MigrationCutover(maxKeys int) (int, error) {
+	close(g.entered)
+	<-g.release
+	return g.Store.MigrationCutover(maxKeys)
+}
+
+// TestPlacementStatusNotAheadOfSlotMap pins the PLACEMENT read order: a poll
+// that arrives while the driver is mid-step waits on the driver's lock, and
+// whatever status it then reports, the slot map beside it must be at least as
+// new. The seed read the slot map first and answered phase "done" with the
+// pre-cutover map. (The sleep only gives the poll time to park; without it
+// the test still passes, it just stops exercising the straddle.)
+func TestPlacementStatusNotAheadOfSlotMap(t *testing.T) {
+	st, err := shard.Open(shard.Options{
+		Shards: 2, RegionSize: 512 << 10, CoordSize: 64 << 10, Variant: core.RomLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := New(st, Options{})
+	gt := &gatedTarget{Store: st, entered: make(chan struct{}), release: make(chan struct{})}
+	srv.driver = migrate.New(gt, migrate.Options{})
+	addr, done := startServerWith(t, srv)
+	cl := dial(t, addr)
+	for i := 0; i < 100; i++ {
+		cl.must(t, fmt.Sprintf("SET straddle-%03d v", i), "OK")
+	}
+
+	if _, err := srv.driver.Begin(0, -1); err != nil {
+		t.Fatal(err)
+	}
+	srv.committer.EnsureShards(st.NumShards())
+	ran := make(chan error, 1)
+	go func() { ran <- srv.driver.Run() }()
+	<-gt.entered
+	if _, err := cl.c.Write([]byte("PLACEMENT\n")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(gt.release)
+	if err := <-ran; err != nil {
+		t.Fatalf("split: %v", err)
+	}
+
+	line, err := cl.r.ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pr placementReply
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "PLACEMENT ")), &pr); err != nil {
+		t.Fatalf("PLACEMENT reply %q: %v", line, err)
+	}
+	cutOver := pr.Driver.Phase == "cleanup" || pr.Driver.Phase == "done"
+	if cutOver && (len(pr.ShardSlots) != 3 || pr.ShardSlots[2] == 0) {
+		t.Fatalf("PLACEMENT reports phase %q with pre-cutover slot map %v", pr.Driver.Phase, pr.ShardSlots)
+	}
+	shutdown(t, srv, done)
+}
+
 // TestGroupCommitReroutesStaleRoute pins the committer's route re-check: an
 // operation submitted to a shard that no longer owns its key (exactly what a
 // cutover between submit and drain produces) is split out of the batch and

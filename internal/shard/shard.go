@@ -564,6 +564,7 @@ func (s *Store) wireMetrics() {
 		s.amu.Unlock()
 		quarantined := uint64(0)
 		flights, replayed, reformatted := uint64(0), uint64(0), uint64(0)
+		var recovered []ptm.RecoveryStats
 		for i, p := range shards {
 			pre := fmt.Sprintf("shard_%d_", i)
 			faulted := uint64(0)
@@ -591,12 +592,14 @@ func (s *Store) wireMetrics() {
 			if eng == nil {
 				continue
 			}
+			recovered = append(recovered, eng.RecoveryStats())
 			es := eng.Stats()
 			set(pre+"update_tx_total", es.UpdateTxs)
 			set(pre+"read_tx_total", es.ReadTxs)
 			set(pre+"batch_total", es.Batches)
 			set(pre+"batch_ops_total", es.BatchOps)
 		}
+		obs.SetRecovery(set, recovered...)
 		set("shard_quarantined", quarantined)
 		set("shard_count", uint64(len(shards)))
 		if s.opts.Blackbox {

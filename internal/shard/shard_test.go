@@ -565,3 +565,46 @@ func TestStoreDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecoveryGauges pins the ptm_recovery_* export: reopening images taken
+// in the middle of a Put reports the pending recovery and a repair sized by the
+// damage (a few lines), while every shard's prefix was still compared.
+func TestRecoveryGauges(t *testing.T) {
+	st, err := Open(testOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := st.Put([]byte(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte{byte(i)}, 128)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := []byte("k00")
+	var imgs [][]byte
+	dev := st.Devices()[st.ShardFor(key)]
+	dev.SetHooks(&pmem.Hooks{Pwb: func(uint64) {
+		if imgs == nil {
+			imgs = captureAll(st, pmem.DropAll)
+		}
+	}})
+	if err := st.Put(key, bytes.Repeat([]byte{0xFF}, 128)); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetHooks(nil)
+
+	re := reopenImages(t, imgs, testOpts(2))
+	g := re.Registry().Snapshot().Counters
+	// The interrupted shard was found in MUT; the other at most in CPY (a
+	// commit's closing idle marker is never written back) with nothing to do.
+	if n := g["ptm_recovery_pending"]; n < 1 || n > 2 {
+		t.Errorf("ptm_recovery_pending = %d, want 1 or 2", n)
+	}
+	wm := uint64(re.Engine(0).Watermark() + re.Engine(1).Watermark())
+	if g["ptm_recovery_compared_bytes"] != wm {
+		t.Errorf("ptm_recovery_compared_bytes = %d, want both watermarks = %d", g["ptm_recovery_compared_bytes"], wm)
+	}
+	if g["ptm_recovery_lines"] > 16 || g["ptm_recovery_extents"] > g["ptm_recovery_lines"] || g["ptm_recovery_ns"] == 0 {
+		t.Errorf("recovery gauges %d lines / %d extents / %d ns: not proportional to one interrupted Put",
+			g["ptm_recovery_lines"], g["ptm_recovery_extents"], g["ptm_recovery_ns"])
+	}
+}
