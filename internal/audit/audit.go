@@ -233,12 +233,12 @@ func (a *Auditor) onFence() {
 }
 
 // onCrash runs inside Device.Crash after the crash policy has been applied
-// to the persisted image and before the volatile view is discarded: the one
+// to the media contents and before the volatile view is discarded: the one
 // moment both views of the failure exist. It records the forensic report and
 // resets the shadow, since the device comes back quiescent.
 func (a *Auditor) onCrash() {
 	a.mu.Lock()
-	rep := a.buildReport("crash", a.dev.PersistedBytes(0, a.dev.Size()))
+	rep := a.buildReport("crash", a.dev.Persisted())
 	a.lastCrash = rep
 	for i := range a.lines {
 		a.lines[i] = lineState{}

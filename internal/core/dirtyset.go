@@ -15,64 +15,44 @@ import (
 // it: after a crash the twins are reconciled over the full prefix, as in
 // Algorithm 1, so the crash-safety argument is unchanged (see DESIGN.md).
 //
-// Like pmem.FlushSet, membership is an epoch-stamped array: reset is O(1)
-// and add never allocates once the line buffer has grown to the working-set
-// size. Line granularity means bytes sharing a line with a store are
-// re-copied; that is harmless because the twin copies agree on every byte
-// the round did not store (all mutations of main are interposed, and bytes
-// never stored are zero in both copies), so copying a whole dirty line
-// writes back only bytes that are already equal or just became
-// authoritative.
+// Membership is a pmem.LineSet, the same tracker behind pmem.FlushSet: one
+// bit per line, reset costs O(dirty lines), and add never allocates once the
+// line list has grown to the working-set size. Line granularity means bytes
+// sharing a line with a store are re-copied; that is harmless because the
+// twin copies agree on every byte the round did not store (all mutations of
+// main are interposed, and bytes never stored are zero in both copies), so
+// copying a whole dirty line writes back only bytes that are already equal
+// or just became authoritative.
 //
 // Only the single writer (the combiner thread) touches the set, like wtx
 // and fset. Offsets are region-relative; mainBase and backBase are
 // line-aligned, so region lines coincide with device lines.
 type dirtySet struct {
-	stamps  []uint32
-	epoch   uint32
-	lines   []int32
+	on      bool
+	set     pmem.LineSet
 	scratch []rng
 }
 
 // init sizes the set for a region of size bytes and enables it. The zero
 // dirtySet is disabled: add is a no-op and extents returns nothing.
-func (s *dirtySet) init(size int) {
-	s.stamps = make([]uint32, (size+pmem.LineSize-1)/pmem.LineSize)
-	s.epoch = 1
-}
+func (s *dirtySet) init(size int) { s.on, s.set = true, pmem.NewLineSet(size) }
 
 // enabled reports whether init has run.
-func (s *dirtySet) enabled() bool { return s.stamps != nil }
+func (s *dirtySet) enabled() bool { return s.on }
 
 // add marks every cache line overlapping the region-relative byte range
 // [off, off+n) dirty. Lines already dirty this round are skipped.
 func (s *dirtySet) add(off, n uint64) {
-	if s.stamps == nil || n == 0 {
-		return
-	}
-	last := int((off + n - 1) / pmem.LineSize)
-	for line := int(off / pmem.LineSize); line <= last; line++ {
-		if s.stamps[line] != s.epoch {
-			s.stamps[line] = s.epoch
-			s.lines = append(s.lines, int32(line))
-		}
+	if s.on {
+		s.set.Add(int(off), int(n))
 	}
 }
 
 // len returns the number of distinct dirty lines this round.
-func (s *dirtySet) len() int { return len(s.lines) }
+func (s *dirtySet) len() int { return s.set.Len() }
 
-// reset empties the set in O(1) by advancing the epoch.
-func (s *dirtySet) reset() {
-	s.lines = s.lines[:0]
-	s.epoch++
-	if s.epoch == 0 { // epoch wrapped: stamps may alias, clear them
-		for i := range s.stamps {
-			s.stamps[i] = 0
-		}
-		s.epoch = 1
-	}
-}
+// reset empties the set.
+func (s *dirtySet) reset() { s.set.Reset() }
 
 // extents returns the round's dirty lines as sorted, line-aligned,
 // maximally coalesced [Off, Off+N) byte ranges. Sorting happens here, once
@@ -84,13 +64,14 @@ func (s *dirtySet) reset() {
 // (MOD-style minimal ordering — clean lines are neither copied, flushed,
 // nor re-fenced).
 func (s *dirtySet) extents() []rng {
-	if len(s.lines) == 0 {
+	lines := s.set.Lines()
+	if len(lines) == 0 {
 		return nil
 	}
-	slices.Sort(s.lines)
+	slices.Sort(lines)
 	out := s.scratch[:0]
-	start, prev := s.lines[0], s.lines[0]
-	for _, line := range s.lines[1:] {
+	start, prev := lines[0], lines[0]
+	for _, line := range lines[1:] {
 		if line == prev+1 {
 			prev = line
 			continue

@@ -68,22 +68,6 @@ func TestDirtySetResetIsEmpty(t *testing.T) {
 	}
 }
 
-func TestDirtySetEpochWrap(t *testing.T) {
-	var s dirtySet
-	s.init(1 << 12)
-	s.epoch = ^uint32(0) // next reset wraps
-	s.add(0, 8)
-	s.reset()
-	if s.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
-	}
-	// The cleared stamps must not alias old entries as already-dirty.
-	s.add(0, 8)
-	if s.len() != 1 {
-		t.Errorf("len after wrap = %d, want 1", s.len())
-	}
-}
-
 // TestDirtySetAllocationFree pins the hot-path cost: after warm-up a full
 // round of adds plus extents() allocates nothing.
 func TestDirtySetAllocationFree(t *testing.T) {

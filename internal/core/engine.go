@@ -589,24 +589,7 @@ func (e *Engine) replicate(t *Tx) {
 	d := e.dev
 	var copied, extents uint64
 	if t.log.enabled {
-		// Copy every range before writing any back: distinct log ranges can
-		// share a cache line, and interleaving copy/pwb per range would store
-		// into lines already queued for write-back. The flush set (empty
-		// since the durable point drained it) dedups the burst instead.
-		eager := e.cfg.EagerPwb
-		for _, r := range t.log.compacted() {
-			d.CopyWithin(e.backBase+int(r.Off), e.mainBase+int(r.Off), int(r.N))
-			if eager {
-				d.PwbRange(e.backBase+int(r.Off), int(r.N))
-			} else {
-				e.fset.Add(e.backBase+int(r.Off), int(r.N))
-			}
-			copied += r.N
-			extents++
-		}
-		if !eager {
-			e.fset.Flush(d)
-		}
+		copied, extents = e.copyRanges(e.backBase, e.mainBase, t.log.compacted())
 	} else if e.dirty.enabled() {
 		// Dirty-range replication for the basic variant: copy only the cache
 		// lines this round stored to, in address order. Every copied line was
@@ -614,20 +597,7 @@ func (e *Engine) replicate(t *Tx) {
 		// no audit_pwb_clean waste — and an empty or fault-refused round
 		// copies nothing at all (the same media-fault smear guard the
 		// zero-store check below gives the full-copy ablation).
-		eager := e.cfg.EagerPwb
-		for _, r := range e.dirty.extents() {
-			d.CopyWithin(e.backBase+int(r.Off), e.mainBase+int(r.Off), int(r.N))
-			if eager {
-				d.PwbRange(e.backBase+int(r.Off), int(r.N))
-			} else {
-				e.fset.Add(e.backBase+int(r.Off), int(r.N))
-			}
-			copied += r.N
-			extents++
-		}
-		if !eager && extents > 0 {
-			e.fset.Flush(d)
-		}
+		copied, extents = e.copyRanges(e.backBase, e.mainBase, e.dirty.extents())
 		e.dirty.reset()
 	} else if t.stores > 0 {
 		// A zero-store batch left main == back, so the full-watermark copy
@@ -647,25 +617,54 @@ func (e *Engine) replicate(t *Tx) {
 		d.Pfence()
 	}
 	d.Store64(offState, stateIDL)
-	st := d.Stats()
-	e.pwbHist.Add(st.Pwbs - e.txStartPwb)
+	e.pwbHist.Add(d.Stats().Pwbs - e.txStartPwb)
+	e.endUpdate(t, obs.OutcomeCommit, copied, uint64(t.batchOps))
+}
+
+// endUpdate closes a durability round's books: the trace event covering the
+// whole batch (rollbacks report no batch size) and the auditor's bracket.
+func (e *Engine) endUpdate(t *Tx, outcome obs.Outcome, copied, batchOps uint64) {
 	if s := e.trace; s != nil {
+		st := e.dev.Stats()
 		s.Emit(obs.TxEvent{
 			Engine:      e.cfg.Variant.String(),
 			Kind:        obs.KindUpdate,
-			Outcome:     obs.OutcomeCommit,
+			Outcome:     outcome,
 			Reads:       t.loads,
 			Writes:      t.stores,
 			WriteBytes:  t.writeBytes,
 			CopiedBytes: copied,
 			Pwbs:        st.Pwbs - e.txStartPwb,
 			Fences:      st.Pfences + st.Psyncs - e.txStartFence,
-			BatchOps:    uint64(t.batchOps),
+			BatchOps:    batchOps,
 		})
 	}
 	if a := e.aud; a != nil {
 		a.TxEnd()
 	}
+}
+
+// copyRanges copies the given region-relative ranges from the twin at src to
+// the twin at dst and writes the destination lines back. Every range is
+// copied before any is written back: distinct ranges can share a cache line,
+// and interleaving copy/pwb per range would store into lines already queued
+// for write-back. The flush set (empty by now: the durable point drained it,
+// rollback reset it) dedups the burst instead.
+func (e *Engine) copyRanges(dst, src int, ranges []rng) (copied, extents uint64) {
+	d := e.dev
+	for _, r := range ranges {
+		d.CopyWithin(dst+int(r.Off), src+int(r.Off), int(r.N))
+		if e.cfg.EagerPwb {
+			d.PwbRange(dst+int(r.Off), int(r.N))
+		} else {
+			e.fset.Add(dst+int(r.Off), int(r.N))
+		}
+		copied += r.N
+	}
+	if !e.cfg.EagerPwb {
+		e.fset.Flush(d)
+	}
+	return copied, uint64(len(ranges))
 }
 
 // rollbackTx reverts an in-flight transaction (user code returned an error
@@ -688,39 +687,13 @@ func (e *Engine) rollbackTx(t *Tx) {
 	}
 	var copied, extents uint64
 	if t.log.enabled {
-		eager := e.cfg.EagerPwb
-		for _, r := range t.log.compacted() {
-			d.CopyWithin(e.mainBase+int(r.Off), e.backBase+int(r.Off), int(r.N))
-			if eager {
-				d.PwbRange(e.mainBase+int(r.Off), int(r.N))
-			} else {
-				e.fset.Add(e.mainBase+int(r.Off), int(r.N))
-			}
-			copied += r.N
-			extents++
-		}
-		if !eager {
-			e.fset.Flush(d)
-		}
+		copied, extents = e.copyRanges(e.mainBase, e.backBase, t.log.compacted())
 	} else if e.dirty.enabled() {
 		// Dirty-range rollback: restore from back exactly the lines this
 		// round stored to. Beyond symmetry with replicate, the narrow restore
 		// strengthens the media-fault guard — the bulk copy never traverses
 		// faulted lines the transaction did not itself touch.
-		eager := e.cfg.EagerPwb
-		for _, r := range e.dirty.extents() {
-			d.CopyWithin(e.mainBase+int(r.Off), e.backBase+int(r.Off), int(r.N))
-			if eager {
-				d.PwbRange(e.mainBase+int(r.Off), int(r.N))
-			} else {
-				e.fset.Add(e.mainBase+int(r.Off), int(r.N))
-			}
-			copied += r.N
-			extents++
-		}
-		if !eager {
-			e.fset.Flush(d)
-		}
+		copied, extents = e.copyRanges(e.mainBase, e.backBase, e.dirty.extents())
 		e.dirty.reset()
 	} else if t.stores > 0 {
 		// Same zero-store guard as replicate: a transaction that never
@@ -741,23 +714,7 @@ func (e *Engine) rollbackTx(t *Tx) {
 	}
 	d.Store64(offState, stateIDL)
 	e.rollbacks.Add(1)
-	if s := e.trace; s != nil {
-		st := d.Stats()
-		s.Emit(obs.TxEvent{
-			Engine:      e.cfg.Variant.String(),
-			Kind:        obs.KindUpdate,
-			Outcome:     obs.OutcomeRollback,
-			Reads:       t.loads,
-			Writes:      t.stores,
-			WriteBytes:  t.writeBytes,
-			CopiedBytes: copied,
-			Pwbs:        st.Pwbs - e.txStartPwb,
-			Fences:      st.Pfences + st.Psyncs - e.txStartFence,
-		})
-	}
-	if a := e.aud; a != nil {
-		a.TxEnd()
-	}
+	e.endUpdate(t, obs.OutcomeRollback, copied, 0)
 }
 
 // heapTopRaw reads the allocator's wilderness pointer directly (valid even

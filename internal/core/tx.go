@@ -81,14 +81,28 @@ func (t *Tx) LoadBytes(p ptm.Ptr, dst []byte) {
 	t.e.dev.LoadBytes(t.base+int(p), dst)
 }
 
-// store interposition: in-place modification of main, log entry (address
-// and length only), and a write-back of the modified line. The paper notes
-// the order of the three steps is free as long as the pwb precedes the
-// commit fence, so by default the line joins the batch's deduplicated
-// flush set and is written back exactly once at the durable point, however
-// many stores (from however many combined operations) dirtied it.
-func (t *Tx) flush(off, n int) {
+// stored completes store interposition after the in-place modification of
+// main at device offset off: a log entry (address and length only) and a
+// write-back of the modified lines. The paper notes the order of the three
+// steps is free as long as the pwb precedes the commit fence, so by default
+// the lines join the batch's deduplicated flush set and are written back
+// exactly once at the durable point, however many stores (from however many
+// combined operations) dirtied them.
+//
+// The range goes to the round's one dirty tracker: the volatile range log for
+// the log variants, or the basic variant's cache-line dirty set, whose own
+// enabled guard makes the doubly-disabled combination (a FullReplicate rom
+// engine) a no-op — so the hot path pays one predicted branch here instead
+// of an unconditional log call that re-tests enablement on every store.
+func (t *Tx) stored(p ptm.Ptr, off, n int) {
 	e := t.e
+	if t.log.enabled {
+		t.log.add(uint64(p), uint64(n))
+	} else {
+		e.dirty.add(uint64(p), uint64(n))
+	}
+	t.stores++
+	t.writeBytes += uint64(n)
 	switch {
 	case e.cfg.DeferPwb && t.log.enabled:
 		// Flushed from the compacted log at commit.
@@ -99,31 +113,13 @@ func (t *Tx) flush(off, n int) {
 	}
 }
 
-// record routes a store's [p, p+n) range to the round's dirty tracker: the
-// volatile range log for the log variants, or the basic variant's
-// cache-line dirty set. At most one of the two is enabled per engine, and
-// the dirty set's own nil-stamps guard makes the doubly-disabled
-// combination (a FullReplicate rom engine) a no-op — so the hot path pays
-// one predicted branch here instead of an unconditional log call whose body
-// re-tests enablement on every store.
-func (t *Tx) record(p ptm.Ptr, n uint64) {
-	if t.log.enabled {
-		t.log.add(uint64(p), n)
-	} else {
-		t.e.dirty.add(uint64(p), n)
-	}
-}
-
 // Store8 implements ptm.Tx.
 func (t *Tx) Store8(p ptm.Ptr, v byte) {
 	t.mustWrite()
 	t.checkRange(p, 1)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store8(off, v)
-	t.record(p, 1)
-	t.stores++
-	t.writeBytes++
-	t.flush(off, 1)
+	t.stored(p, off, 1)
 }
 
 // Store16 implements ptm.Tx.
@@ -132,10 +128,7 @@ func (t *Tx) Store16(p ptm.Ptr, v uint16) {
 	t.checkRange(p, 2)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store16(off, v)
-	t.record(p, 2)
-	t.stores++
-	t.writeBytes += 2
-	t.flush(off, 2)
+	t.stored(p, off, 2)
 }
 
 // Store32 implements ptm.Tx.
@@ -144,10 +137,7 @@ func (t *Tx) Store32(p ptm.Ptr, v uint32) {
 	t.checkRange(p, 4)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store32(off, v)
-	t.record(p, 4)
-	t.stores++
-	t.writeBytes += 4
-	t.flush(off, 4)
+	t.stored(p, off, 4)
 }
 
 // Store64 implements ptm.Tx.
@@ -156,10 +146,7 @@ func (t *Tx) Store64(p ptm.Ptr, v uint64) {
 	t.checkRange(p, 8)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store64(off, v)
-	t.record(p, 8)
-	t.stores++
-	t.writeBytes += 8
-	t.flush(off, 8)
+	t.stored(p, off, 8)
 }
 
 // StoreBytes implements ptm.Tx.
@@ -168,20 +155,14 @@ func (t *Tx) StoreBytes(p ptm.Ptr, src []byte) {
 	t.checkRange(p, len(src))
 	off := t.e.mainBase + int(p)
 	t.e.dev.StoreBytes(off, src)
-	t.record(p, uint64(len(src)))
-	t.stores++
-	t.writeBytes += uint64(len(src))
-	t.flush(off, len(src))
+	t.stored(p, off, len(src))
 }
 
 // memset zeroes a fresh allocation through the same interposition path.
 func (t *Tx) memset(p ptm.Ptr, n int) {
 	off := t.e.mainBase + int(p)
 	t.e.dev.Memset(off, 0, n)
-	t.record(p, uint64(n))
-	t.stores++
-	t.writeBytes += uint64(n)
-	t.flush(off, n)
+	t.stored(p, off, n)
 }
 
 // Alloc implements ptm.Tx: transactional allocation from the persistent

@@ -18,10 +18,13 @@ import (
 //	pmem_pfence_total, pmem_psync_total, pmem_fence_total,
 //	pmem_line_persisted_total, pmem_persisted_bytes_total
 //
+// plus the pmem_image_bytes and pmem_pending_lines gauges (SetDevices).
+//
 // Counters reflect the device since its last ResetStats; reset the device
 // after setup work to scope metrics to the measured workload.
 func Instrument(dev *pmem.Device, r *Registry) {
 	r.Collect(func(set Setter) {
+		SetDevices(set, dev)
 		s := dev.Stats()
 		set("pmem_store_total", s.Stores)
 		set("pmem_store_bytes_total", s.BytesStored)
@@ -32,6 +35,25 @@ func Instrument(dev *pmem.Device, r *Registry) {
 		set("pmem_line_persisted_total", s.LinesPersisted)
 		set("pmem_persisted_bytes_total", s.BytesPersisted)
 	})
+}
+
+// SetDevices publishes the space gauges of the devices behind the registry,
+// summed over them (one for a bare engine; a sharded store passes every
+// shard's):
+//
+//	pmem_image_bytes    bytes of device image held, one image per device
+//	pmem_pending_lines  cache lines stored but not written back when each
+//	                    device last completed a write-back — the lines whose
+//	                    old media contents the device still keeps beside the
+//	                    image, and what a crash now would roll back
+func SetDevices(set Setter, devs ...*pmem.Device) {
+	var image, pending uint64
+	for _, d := range devs {
+		image += uint64(d.Size())
+		pending += uint64(d.PendingLines())
+	}
+	set("pmem_image_bytes", image)
+	set("pmem_pending_lines", pending)
 }
 
 // InstrumentPTM attaches an engine's transaction counters to the registry

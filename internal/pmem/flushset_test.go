@@ -61,19 +61,34 @@ func TestFlushSetResetAndEpochReuse(t *testing.T) {
 	}
 }
 
-func TestFlushSetEpochWraparound(t *testing.T) {
-	fs := NewFlushSet(LineSize * 2)
-	fs.epoch = ^uint32(0) // next Reset wraps
-	fs.Add(0, 8)
-	if fs.Len() != 1 {
-		t.Fatalf("Len = %d", fs.Len())
-	}
-	fs.Reset()
-	// After the wrap every stamp must read as stale.
-	fs.Add(0, 8)
-	fs.Add(LineSize, 8)
-	if fs.Len() != 2 {
-		t.Fatalf("Len after wraparound = %d, want 2", fs.Len())
+// TestLineSetResetForgetsEveryMember pins the set's one subtlety: Reset
+// clears exactly the listed bits, so a reused set neither leaks a member into
+// the next round nor loses insertion order.
+func TestLineSetResetForgetsEveryMember(t *testing.T) {
+	s := NewLineSet(LineSize * 130) // three bitmap words
+	for round := 0; round < 3; round++ {
+		s.Add(LineSize*129, 1)
+		s.Add(0, 8)
+		s.Add(LineSize*64-1, 2+LineSize) // lines 63, 64, 65
+		s.Add(4, 8)                      // line 0 again
+		want := []int32{129, 0, 63, 64, 65}
+		if got := s.Lines(); len(got) != len(want) {
+			t.Fatalf("round %d: lines = %v, want %v", round, got, want)
+		}
+		for i, l := range s.Lines() {
+			if l != want[i] {
+				t.Fatalf("round %d: lines = %v, want %v", round, s.Lines(), want)
+			}
+		}
+		s.Reset()
+		if s.Len() != 0 {
+			t.Fatalf("round %d: Len after Reset = %d", round, s.Len())
+		}
+		for w, bits := range s.bits.words {
+			if bits != 0 {
+				t.Fatalf("round %d: word %d = %#x after Reset", round, w, bits)
+			}
+		}
 	}
 }
 

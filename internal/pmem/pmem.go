@@ -2,12 +2,18 @@
 // persistence primitives, for reproducing persistent-transactional-memory
 // algorithms on hardware (and runtimes) that lack flush intrinsics.
 //
-// A Device holds two images of the same region:
+// A Device presents two views of the same region:
 //
-//   - the volatile image, standing in for CPU caches plus DRAM, where every
+//   - the volatile view, standing in for CPU caches plus DRAM, where every
 //     store lands immediately; and
-//   - the persisted image, standing in for the NVM media, which only receives
+//   - the persisted view, standing in for the NVM media, which only receives
 //     data through write-backs.
+//
+// It keeps one byte image — the volatile view — plus a shadow: for every
+// line stored since it last reached the media, the 64 bytes the media still
+// holds, captured just before the first such store and dropped when a
+// write-back completes. The persisted view is the image with the shadow laid
+// over it, so it costs memory for the lines in flight, not a second image.
 //
 // Stores mark 64-byte cache lines dirty. Pwb queues a line for write-back,
 // Pfence orders and completes queued write-backs, and Psync additionally
@@ -16,10 +22,10 @@
 // both roles on x86). Under the CLFLUSH model, Pwb is self-ordering and
 // synchronous and the fences are no-ops, exactly as in the paper's setup.
 //
-// Crash discards the volatile image and applies an adversarial policy to
-// lines that were dirty or queued but not yet fenced, producing the set of
-// post-crash images real hardware could produce. Recovery code then runs
-// against the surviving persisted image.
+// Crash applies an adversarial policy to lines that were dirty or queued but
+// not yet fenced, producing the set of post-crash images real hardware could
+// produce, and discards the volatile view by putting the media bytes of those
+// lines back into the image. Recovery code then runs against what survived.
 //
 // The data path (loads, stores, write-backs) is deliberately unsynchronized:
 // the transactional layers above guarantee that at most one mutator runs at a
@@ -38,6 +44,7 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -60,8 +67,8 @@ type Stats struct {
 	Pwbs           uint64 // persist write-backs issued
 	Pfences        uint64 // persist fences issued
 	Psyncs         uint64 // persist syncs issued
-	LinesPersisted uint64 // cache lines actually written to the persisted image
-	BytesPersisted uint64 // bytes written to the persisted image
+	LinesPersisted uint64 // cache lines that reached the media
+	BytesPersisted uint64 // bytes that reached the media (whole lines)
 }
 
 // devStats is the live, atomically-maintained form of Stats: metrics
@@ -74,7 +81,6 @@ type devStats struct {
 	pfences        atomic.Uint64
 	psyncs         atomic.Uint64
 	linesPersisted atomic.Uint64
-	bytesPersisted atomic.Uint64
 }
 
 // Hooks bundles the per-event callbacks a harness or scheduler attaches to
@@ -97,8 +103,8 @@ type Hooks struct {
 	// flushed cache line.
 	PwbAt func(off int)
 	// Crash is called inside Crash after the policy has been applied to the
-	// persisted image but before the volatile image is discarded, so an
-	// observer can diff the two views at the exact failure point.
+	// media contents but before the volatile view is discarded, so an
+	// observer can diff Persisted against Bytes at the exact failure point.
 	Crash func()
 	// Fault is called when a load trips a media-fault line (MarkBad), with
 	// the offset of the faulting access. Auditors use it to keep forensics
@@ -109,15 +115,12 @@ type Hooks struct {
 // Device is a simulated persistent-memory region. The zero value is not
 // usable; create one with New.
 type Device struct {
-	mem    []byte // volatile image: caches + DRAM
-	pm     []byte // persisted image: NVM media
-	dirty  bitmap // stored but not yet queued for write-back
-	queued bitmap // queued by Pwb, not yet fenced
-	// queuedLines tracks the order in which lines were queued so that fences
-	// can drain them without scanning the whole bitmap.
-	queuedLines []int64
-	model       Model
-	stats       devStats
+	mem    []byte  // the image — the volatile view: caches + DRAM
+	shadow shadow  // what the NVM media still holds of lines stored since
+	dirty  bitmap  // stored but not yet queued for write-back
+	queued LineSet // queued by Pwb, not yet fenced, in queue order
+	model  Model
+	stats  devStats
 	// hooks is an atomic pointer so that installation (from a harness
 	// goroutine) never races with invocation (from the mutating goroutine).
 	hooks atomic.Pointer[Hooks]
@@ -135,12 +138,14 @@ func New(size int, model Model) *Device {
 		panic("pmem: non-positive device size")
 	}
 	size = (size + LineSize - 1) &^ (LineSize - 1)
-	return newDevice(make([]byte, size), make([]byte, size), model)
+	return newDevice(make([]byte, size), model)
 }
 
-func newDevice(mem, pm []byte, model Model) *Device {
+// newDevice adopts mem as the image of a quiescent device.
+func newDevice(mem []byte, model Model) *Device {
 	lines := len(mem) >> lineShift
-	return &Device{mem: mem, pm: pm, dirty: newBitmap(lines), queued: newBitmap(lines), model: model}
+	return &Device{mem: mem, shadow: shadow{slot: make([]int32, lines)},
+		dirty: newBitmap(lines), queued: NewLineSet(len(mem)), model: model}
 }
 
 // Size returns the size of the region in bytes.
@@ -158,16 +163,22 @@ func (d *Device) SetModel(m Model) { d.model = m }
 // instrumented stores (individual counters may be skewed by in-flight
 // operations; snapshot at quiescent points for exact cross-counter ratios).
 func (d *Device) Stats() Stats {
+	lines := d.stats.linesPersisted.Load()
 	return Stats{
 		Stores:         d.stats.stores.Load(),
 		BytesStored:    d.stats.bytesStored.Load(),
 		Pwbs:           d.stats.pwbs.Load(),
 		Pfences:        d.stats.pfences.Load(),
 		Psyncs:         d.stats.psyncs.Load(),
-		LinesPersisted: d.stats.linesPersisted.Load(),
-		BytesPersisted: d.stats.bytesPersisted.Load(),
+		LinesPersisted: lines,
+		BytesPersisted: lines * LineSize,
 	}
 }
+
+// PendingLines returns the shadow's population — lines stored but not written
+// back — as of the device's last fence, ordered write-back, crash or
+// PersistAll. Safe from any goroutine, like Stats.
+func (d *Device) PendingLines() int { return int(d.shadow.n.Load()) }
 
 // ResetStats zeroes the event counters. Safe to call while other goroutines
 // drive the data path; counters reset one at a time, so a concurrent
@@ -179,7 +190,6 @@ func (d *Device) ResetStats() {
 	d.stats.pfences.Store(0)
 	d.stats.psyncs.Store(0)
 	d.stats.linesPersisted.Store(0)
-	d.stats.bytesPersisted.Store(0)
 }
 
 // SetHooks atomically installs the hook bundle (nil removes it), replacing
@@ -189,14 +199,24 @@ func (d *Device) ResetStats() {
 // and leaves this slot free.
 func (d *Device) SetHooks(h *Hooks) { d.hooks.Store(h) }
 
+// markStored readies [off, off+n) for a store, before the bytes change: each
+// line is marked dirty, and one the media still agrees with the image on has
+// its bytes captured into the shadow first.
 func (d *Device) markStored(off, n int) {
-	stores := d.stats.stores.Add(1)
-	d.stats.bytesStored.Add(uint64(n))
-	first := off >> lineShift
-	last := (off + n - 1) >> lineShift
+	first, last := off>>lineShift, (off+n-1)>>lineShift
+	_ = d.shadow.slot[last] // a range running off the device fails before any state changes
 	for l := first; l <= last; l++ {
+		if d.shadow.slot[l] == 0 {
+			d.shadow.capture(l, d.mem[l<<lineShift:(l+1)<<lineShift])
+		}
 		d.dirty.set(l)
 	}
+}
+
+// stored counts a finished store of [off, off+n) and runs the store hooks.
+func (d *Device) stored(off, n int) {
+	stores := d.stats.stores.Add(1)
+	d.stats.bytesStored.Add(uint64(n))
 	if h := d.hooks.Load(); h != nil {
 		if h.StoreAt != nil {
 			h.StoreAt(off, n)
@@ -209,39 +229,30 @@ func (d *Device) markStored(off, n int) {
 
 // Store8 writes one byte at off.
 func (d *Device) Store8(off int, v byte) {
-	d.mem[off] = v
 	d.markStored(off, 1)
+	d.mem[off] = v
+	d.stored(off, 1)
 }
 
 // Store16 writes a little-endian 16-bit value at off.
 func (d *Device) Store16(off int, v uint16) {
-	d.mem[off] = byte(v)
-	d.mem[off+1] = byte(v >> 8)
 	d.markStored(off, 2)
+	binary.LittleEndian.PutUint16(d.mem[off:], v)
+	d.stored(off, 2)
 }
 
 // Store32 writes a little-endian 32-bit value at off.
 func (d *Device) Store32(off int, v uint32) {
-	_ = d.mem[off+3]
-	d.mem[off] = byte(v)
-	d.mem[off+1] = byte(v >> 8)
-	d.mem[off+2] = byte(v >> 16)
-	d.mem[off+3] = byte(v >> 24)
 	d.markStored(off, 4)
+	binary.LittleEndian.PutUint32(d.mem[off:], v)
+	d.stored(off, 4)
 }
 
 // Store64 writes a little-endian 64-bit value at off.
 func (d *Device) Store64(off int, v uint64) {
-	_ = d.mem[off+7]
-	d.mem[off] = byte(v)
-	d.mem[off+1] = byte(v >> 8)
-	d.mem[off+2] = byte(v >> 16)
-	d.mem[off+3] = byte(v >> 24)
-	d.mem[off+4] = byte(v >> 32)
-	d.mem[off+5] = byte(v >> 40)
-	d.mem[off+6] = byte(v >> 48)
-	d.mem[off+7] = byte(v >> 56)
 	d.markStored(off, 8)
+	binary.LittleEndian.PutUint64(d.mem[off:], v)
+	d.stored(off, 8)
 }
 
 // StoreBytes copies src into the region at off.
@@ -249,8 +260,9 @@ func (d *Device) StoreBytes(off int, src []byte) {
 	if len(src) == 0 {
 		return
 	}
-	copy(d.mem[off:], src)
 	d.markStored(off, len(src))
+	copy(d.mem[off:], src)
+	d.stored(off, len(src))
 }
 
 // Memset fills n bytes at off with v.
@@ -258,11 +270,12 @@ func (d *Device) Memset(off int, v byte, n int) {
 	if n == 0 {
 		return
 	}
+	d.markStored(off, n)
 	s := d.mem[off : off+n]
 	for i := range s {
 		s[i] = v
 	}
-	d.markStored(off, n)
+	d.stored(off, n)
 }
 
 // Load8 reads one byte at off.
@@ -275,7 +288,7 @@ func (d *Device) Load8(off int) byte {
 
 // Load16 reads a little-endian 16-bit value at off.
 func (d *Device) Load16(off int) uint16 {
-	v := uint16(d.mem[off]) | uint16(d.mem[off+1])<<8
+	v := binary.LittleEndian.Uint16(d.mem[off:])
 	if d.faultCheck(off, 2) {
 		v ^= corruptXor | corruptXor<<8
 	}
@@ -284,9 +297,7 @@ func (d *Device) Load16(off int) uint16 {
 
 // Load32 reads a little-endian 32-bit value at off.
 func (d *Device) Load32(off int) uint32 {
-	_ = d.mem[off+3]
-	v := uint32(d.mem[off]) | uint32(d.mem[off+1])<<8 |
-		uint32(d.mem[off+2])<<16 | uint32(d.mem[off+3])<<24
+	v := binary.LittleEndian.Uint32(d.mem[off:])
 	if d.faultCheck(off, 4) {
 		v ^= 0x01010101 * corruptXor
 	}
@@ -295,11 +306,7 @@ func (d *Device) Load32(off int) uint32 {
 
 // Load64 reads a little-endian 64-bit value at off.
 func (d *Device) Load64(off int) uint64 {
-	_ = d.mem[off+7]
-	v := uint64(d.mem[off]) | uint64(d.mem[off+1])<<8 |
-		uint64(d.mem[off+2])<<16 | uint64(d.mem[off+3])<<24 |
-		uint64(d.mem[off+4])<<32 | uint64(d.mem[off+5])<<40 |
-		uint64(d.mem[off+6])<<48 | uint64(d.mem[off+7])<<56
+	v := binary.LittleEndian.Uint64(d.mem[off:])
 	if d.faultCheck(off, 8) {
 		v ^= 0x0101010101010101 * corruptXor
 	}
@@ -338,6 +345,7 @@ func (d *Device) CopyWithin(dst, src, n int) {
 	if n == 0 {
 		return
 	}
+	d.markStored(dst, n)
 	copy(d.mem[dst:dst+n], d.mem[src:src+n])
 	if d.faultCheck(src, n) {
 		s := d.mem[dst : dst+n]
@@ -345,7 +353,7 @@ func (d *Device) CopyWithin(dst, src, n int) {
 			s[i] ^= corruptXor
 		}
 	}
-	d.markStored(dst, n)
+	d.stored(dst, n)
 }
 
 // Pwb initiates write-back of the cache line containing off. Under an
@@ -360,9 +368,9 @@ func (d *Device) Pwb(off int) {
 		d.dirty.clear(line)
 		if d.model.OrderedPwb {
 			d.persistLine(line)
-		} else if !d.queued.test(line) {
-			d.queued.set(line)
-			d.queuedLines = append(d.queuedLines, int64(line))
+			d.shadow.settle()
+		} else {
+			d.queued.addLine(line)
 		}
 	}
 	if h := d.hooks.Load(); h != nil {
@@ -393,7 +401,7 @@ func (d *Device) PwbRange(off, n int) {
 // matching the paper's observation that CLFLUSH needs no fences. Engines use
 // it to elide provably-no-op fences; like the data path it must only be
 // called from the mutating goroutine.
-func (d *Device) NeedsFence() bool { return len(d.queuedLines) > 0 }
+func (d *Device) NeedsFence() bool { return d.queued.Len() > 0 }
 
 // Pending reports whether any cache line overlapping [off, off+n) holds
 // stores the media may lack: dirty, or queued by Pwb and not yet fenced. A
@@ -409,7 +417,7 @@ func (d *Device) Pending(off, n int) bool {
 		if w == last>>6 {
 			mask &= ^uint64(0) >> uint(63-last&63)
 		}
-		if (d.dirty.words[w]|d.queued.words[w])&mask != 0 {
+		if (d.dirty.words[w]|d.queued.bits.words[w])&mask != 0 {
 			return true
 		}
 	}
@@ -422,9 +430,6 @@ func (d *Device) Pfence() {
 	d.stats.pfences.Add(1)
 	d.model.delayPfence()
 	d.drainQueue()
-	if h := d.hooks.Load(); h != nil && h.Fence != nil {
-		h.Fence()
-	}
 }
 
 // Psync blocks until all preceding write-backs are persistent.
@@ -432,50 +437,44 @@ func (d *Device) Psync() {
 	d.stats.psyncs.Add(1)
 	d.model.delayPsync()
 	d.drainQueue()
+}
+
+// drainQueue is the fence proper: it completes the queued write-backs in
+// queue order and runs the fence hook.
+func (d *Device) drainQueue() {
+	for _, line := range d.queued.Lines() {
+		d.persistLine(int(line))
+	}
+	d.queued.Reset()
+	d.shadow.settle()
 	if h := d.hooks.Load(); h != nil && h.Fence != nil {
 		h.Fence()
 	}
 }
 
-func (d *Device) drainQueue() {
-	for _, l := range d.queuedLines {
-		line := int(l)
-		if d.queued.test(line) {
-			d.queued.clear(line)
-			d.persistLine(line)
-		}
-	}
-	d.queuedLines = d.queuedLines[:0]
-}
-
+// persistLine completes a write-back: the media now holds the line as the
+// image has it, stores made after the Pwb included — so a line can be dirty
+// again with no shadow entry until its next store.
 func (d *Device) persistLine(line int) {
-	off := line << lineShift
-	copy(d.pm[off:off+LineSize], d.mem[off:off+LineSize])
+	d.shadow.drop(line)
 	d.stats.linesPersisted.Add(1)
-	d.stats.bytesPersisted.Add(LineSize)
 }
 
-// PersistAll force-persists the entire volatile image, as if every line had
-// been flushed and fenced. Used when formatting a fresh region.
+// PersistAll force-persists the entire volatile view, as if every line had
+// been flushed and fenced: the image is the media, nothing is pending. Used
+// when formatting a fresh region.
 func (d *Device) PersistAll() {
-	copy(d.pm, d.mem)
+	d.shadow.reset()
 	d.dirty.reset()
-	d.queued.reset()
-	d.queuedLines = d.queuedLines[:0]
+	d.queued.Reset()
 }
 
-// Persisted returns a copy of the persisted image, for inspection in tests.
+// Persisted returns a copy of the persisted view: what the media holds now.
 func (d *Device) Persisted() []byte {
-	out := make([]byte, len(d.pm))
-	copy(out, d.pm)
-	return out
+	img := bytes.Clone(d.mem)
+	d.shadow.overlay(img)
+	return img
 }
-
-// PersistedBytes returns the persisted image slice for [off, off+n) without
-// copying. The caller must treat it as read-only and respect the same
-// synchronization rules as the data path; auditors use it to diff individual
-// cache lines against the volatile view.
-func (d *Device) PersistedBytes(off, n int) []byte { return d.pm[off : off+n] }
 
 // CrashPolicy controls the fate of not-yet-durable data at a simulated power
 // failure.
@@ -509,47 +508,39 @@ var DropAll = CrashPolicy{}
 // deterministic best case.
 var KeepQueued = CrashPolicy{QueuedPersistProb: 1}
 
-// applyCrash writes the post-failure media contents into img (which must
-// start as a copy of the persisted image), consuming no device state.
-func (d *Device) applyCrash(img []byte, p CrashPolicy) {
+// applyCrash turns the media contents into the post-failure ones: media(line)
+// is where the media bytes of a dirty or queued line live, and receives
+// whatever of the line's volatile bytes the policy lets through.
+func (d *Device) applyCrash(media func(line int) []byte, p CrashPolicy) {
 	rng := p.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	decide := func(prob float64) bool {
-		if prob <= 0 {
-			return false
-		}
-		if prob >= 1 {
-			return true
-		}
-		return rng.Float64() < prob
+	decide := func(prob float64) bool { // certain outcomes draw no randomness
+		return prob >= 1 || prob > 0 && rng.Float64() < prob
 	}
 	persistPartial := func(line int, prob float64) {
-		off := line << lineShift
+		dst, src := media(line), d.mem[line<<lineShift:(line+1)<<lineShift]
 		switch {
 		case p.TearPrefix:
 			if decide(prob) {
 				k := rng.Intn(LineSize/8+1) * 8
-				copy(img[off:off+k], d.mem[off:off+k])
+				copy(dst[:k], src)
 			}
 		case p.TearWords:
 			for w := 0; w < LineSize; w += 8 {
 				if decide(prob) {
-					copy(img[off+w:off+w+8], d.mem[off+w:off+w+8])
+					copy(dst[w:w+8], src[w:])
 				}
 			}
 		default:
 			if decide(prob) {
-				copy(img[off:off+LineSize], d.mem[off:off+LineSize])
+				copy(dst, src)
 			}
 		}
 	}
-	for _, l := range d.queuedLines {
-		line := int(l)
-		if d.queued.test(line) {
-			persistPartial(line, p.QueuedPersistProb)
-		}
+	for _, line := range d.queued.Lines() {
+		persistPartial(int(line), p.QueuedPersistProb)
 	}
 	if p.EvictDirtyProb > 0 {
 		d.dirty.forEach(func(line int) {
@@ -558,20 +549,28 @@ func (d *Device) applyCrash(img []byte, p CrashPolicy) {
 	}
 }
 
+// mediaLine returns where line's media bytes live: its shadow entry, or the
+// image itself when the line was written back since its last store.
+func (d *Device) mediaLine(line int) []byte {
+	if i := int(d.shadow.slot[line]) - 1; i >= 0 {
+		return d.shadow.data[i<<lineShift : (i+1)<<lineShift]
+	}
+	return d.mem[line<<lineShift : (line+1)<<lineShift]
+}
+
 // Crash simulates a power failure followed by a restart: the policy decides
-// which in-flight lines reached the media, the volatile image is discarded,
-// and the region is re-mapped from the persisted image. After Crash the
-// device is quiescent and ready for recovery code.
+// which in-flight lines reached the media, the volatile view is discarded,
+// and the region is re-mapped from the media. After Crash the device is
+// quiescent and ready for recovery code. The cost is proportional to the
+// lines in flight, not to the device.
 func (d *Device) Crash(p CrashPolicy) {
-	d.applyCrash(d.pm, p)
+	d.applyCrash(d.mediaLine, p)
 	if h := d.hooks.Load(); h != nil && h.Crash != nil {
 		h.Crash()
 	}
-	d.dirty.reset()
-	d.queued.reset()
-	d.queuedLines = d.queuedLines[:0]
-	// Restart: the volatile image is re-mapped from the media.
-	copy(d.mem, d.pm)
+	// Restart: the volatile view is re-mapped from the media, and so equals it.
+	d.shadow.overlay(d.mem)
+	d.PersistAll()
 }
 
 // CrashImage returns the media contents a failure at this exact point would
@@ -579,9 +578,8 @@ func (d *Device) Crash(p CrashPolicy) {
 // Crash-injection tests capture images at every persistence event of a live
 // run and recover each one separately.
 func (d *Device) CrashImage(p CrashPolicy) []byte {
-	img := make([]byte, len(d.pm))
-	copy(img, d.pm)
-	d.applyCrash(img, p)
+	img := d.Persisted()
+	d.applyCrash(func(line int) []byte { return img[line<<lineShift : (line+1)<<lineShift] }, p)
 	return img
 }
 
@@ -591,14 +589,18 @@ func FromImage(img []byte, model Model) *Device {
 	if len(img) == 0 || len(img)%LineSize != 0 {
 		panic(fmt.Sprintf("pmem: image size %d is not a positive multiple of %d", len(img), LineSize))
 	}
-	// One allocate-and-copy per view: New would zero both first.
-	return newDevice(bytes.Clone(img), bytes.Clone(img), model)
+	return newDevice(bytes.Clone(img), model)
 }
 
-// SaveFile writes the persisted image to path, allowing a region to survive
-// process restarts in examples and tools.
+// SaveFile writes the persisted view to path, allowing a region to survive
+// process restarts in examples and tools. Stores that have not reached the
+// media are not saved.
 func (d *Device) SaveFile(path string) error {
-	if err := os.WriteFile(path, d.pm, 0o644); err != nil {
+	img := d.mem
+	if len(d.shadow.lines) > 0 {
+		img = d.Persisted()
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		return fmt.Errorf("pmem: save %s: %w", path, err)
 	}
 	return nil
@@ -613,8 +615,7 @@ func LoadFile(path string, model Model) (*Device, error) {
 	if len(data) == 0 || len(data)%LineSize != 0 {
 		return nil, fmt.Errorf("pmem: load %s: image size %d is not a positive multiple of %d", path, len(data), LineSize)
 	}
-	// The buffer just read becomes the media view; the volatile view is its copy.
-	return newDevice(bytes.Clone(data), data, model), nil
+	return newDevice(data, model), nil
 }
 
 // spin busy-waits for roughly dur, simulating media latency without yielding

@@ -334,6 +334,22 @@ func TestSaveLoadFile(t *testing.T) {
 	if d2.Size() != 4096 {
 		t.Errorf("reloaded size = %d", d2.Size())
 	}
+	// Stores that never reached the media are not part of the saved region.
+	d.Store64(0, 78)
+	d.Store64(LineSize, 99)
+	d.Pwb(LineSize) // queued, not fenced
+	if err := d.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if d2, err = LoadFile(path, ModelDRAM); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := d2.Load64(0), d2.Load64(LineSize); a != 77 || b != 0 {
+		t.Errorf("reloaded region holds %d, %d; the media held 77, 0", a, b)
+	}
+	if a, b := d.Load64(0), d.Load64(LineSize); a != 78 || b != 99 {
+		t.Errorf("SaveFile disturbed the volatile view: %d, %d", a, b)
+	}
 }
 
 func TestLoadFileRejectsBadImages(t *testing.T) {

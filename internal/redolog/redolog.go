@@ -131,6 +131,7 @@ type Engine struct {
 	clock   atomic.Uint64
 	stripes []atomic.Uint64 // one versioned lock per 8-byte word
 	segMu   []sync.Mutex
+	devMu   sync.Mutex // serializes commits' stores, write-backs and fences on dev
 	reg     hsync.Registry
 	handles chan *Handle
 

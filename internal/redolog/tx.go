@@ -354,9 +354,13 @@ func (t *Tx) commit(seg int) error {
 		}
 		defer e.activeCommits.Add(-1)
 	}
-	// Phase 3: persist the redo log (fences 1 and 2).
+	// Phase 3: persist the redo log (fences 1 and 2). The simulated device
+	// admits one mutator at a time (its pending-line state is unsynchronized),
+	// so committers take turns at it; executing, locking and validating
+	// transactions above stay concurrent.
 	d := e.dev
 	base := e.segBase(seg)
+	e.devMu.Lock()
 	d.Store64(base+segCount, uint64(len(words)))
 	for i, w := range words {
 		o := base + segEntries + i*entrySize
@@ -380,6 +384,7 @@ func (t *Tx) commit(seg int) error {
 	d.Store64(base+segCommitted, 0)
 	d.Pwb(base + segCommitted)
 	d.Psync()
+	e.devMu.Unlock()
 	if audited && e.activeCommits.Load() == 1 {
 		aud.DurablePoint("commit")
 	}

@@ -565,6 +565,7 @@ func (s *Store) wireMetrics() {
 		quarantined := uint64(0)
 		flights, replayed, reformatted := uint64(0), uint64(0), uint64(0)
 		var recovered []ptm.RecoveryStats
+		devs := make([]*pmem.Device, 0, len(shards))
 		for i, p := range shards {
 			pre := fmt.Sprintf("shard_%d_", i)
 			faulted := uint64(0)
@@ -586,6 +587,7 @@ func (s *Store) wireMetrics() {
 					}
 				}
 			}
+			devs = append(devs, dev)
 			ds := dev.Stats()
 			set(pre+"fence_total", ds.Pfences+ds.Psyncs)
 			set(pre+"pwb_total", ds.Pwbs)
@@ -600,6 +602,7 @@ func (s *Store) wireMetrics() {
 			set(pre+"batch_ops_total", es.BatchOps)
 		}
 		obs.SetRecovery(set, recovered...)
+		obs.SetDevices(set, devs...)
 		set("shard_quarantined", quarantined)
 		set("shard_count", uint64(len(shards)))
 		if s.opts.Blackbox {

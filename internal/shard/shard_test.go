@@ -607,4 +607,12 @@ func TestRecoveryGauges(t *testing.T) {
 		t.Errorf("recovery gauges %d lines / %d extents / %d ns: not proportional to one interrupted Put",
 			g["ptm_recovery_lines"], g["ptm_recovery_extents"], g["ptm_recovery_ns"])
 	}
+	// The space gauges are summed over the shards the same way.
+	devs := re.Devices()
+	if want := uint64(devs[0].Size() + devs[1].Size()); g["pmem_image_bytes"] != want {
+		t.Errorf("pmem_image_bytes = %d, want both shard images = %d", g["pmem_image_bytes"], want)
+	}
+	if _, ok := g["pmem_pending_lines"]; !ok {
+		t.Error("pmem_pending_lines not published")
+	}
 }

@@ -30,7 +30,7 @@
 //
 // Go has no flush intrinsics, so persistent memory is simulated
 // (internal/pmem): a byte-addressable region with separate volatile and
-// persisted images, pwb/pfence/psync primitives with configurable models
+// persisted views, pwb/pfence/psync primitives with configurable models
 // (CLWB, CLFLUSHOPT, CLFLUSH, STT-RAM, PCM), and adversarial crash
 // simulation used heavily by the test suite. Persistent pointers are
 // offsets (Ptr) within the region; loads and stores go through a Tx, which
