@@ -63,13 +63,18 @@ bench-server: tools
 	./bin/romulus-bench -server 1,2,8,32,64,256,1024 -ops 4000 -audit -json results/BENCH_server.json -append | tee results/workload_server.txt
 	./bin/benchcheck results/BENCH_server.json
 
+# Crash campaigns: one driver (internal/crashtest), one -scenario per system
+# under test; DESIGN.md "Crash campaigns" tabulates them. The explicit
+# -keys/-txs are the sizing these targets have always run at (the values the
+# CLI's flag defaults used to force on every campaign); without them a
+# scenario runs at its own defaults.
 crashtest: tools
 	./bin/romulus-crashtest -rounds 2000 -chain 3 -engines all -threads 4
 
 # Combined-batch crash campaign: crashes aimed inside flat-combined
 # durability rounds; recovery must expose every batch all-or-nothing.
 crashtest-batch: tools
-	./bin/romulus-crashtest -batch -rounds 1000 -chain 2 -threads 4 -audit
+	./bin/romulus-crashtest -scenario batch -rounds 1000 -chain 2 -threads 4 -txs 12 -audit
 
 # Quick crash-chain pass under the race detector; part of `make test`.
 crashtest-short:
@@ -79,7 +84,7 @@ crashtest-short:
 # device plus the coordinator log; in-doubt two-phase batches must resolve
 # all-or-nothing under the auditor. Part of `make test`.
 shardtest:
-	go run -race ./cmd/romulus-crashtest -xshard -audit -seed 1 -rounds 120 -chain 2 -shards 3
+	go run -race ./cmd/romulus-crashtest -scenario xshard -audit -seed 1 -rounds 120 -chain 2 -shards 3 -keys 64 -txs 12
 
 # Network group-commit crash campaign under the race detector: concurrent
 # pipelined connections share durability rounds through the server's group
@@ -87,14 +92,14 @@ shardtest:
 # never split a batch (docs/PROTOCOL.md durability contract). Part of
 # `make test`.
 grouptest:
-	go run -race ./cmd/romulus-crashtest -group -audit -seed 1 -rounds 150 -chain 2 -threads 6
+	go run -race ./cmd/romulus-crashtest -scenario group -audit -seed 1 -rounds 150 -chain 2 -threads 6
 
 # Media-fault torture under the race detector: each round chains a torn
 # crash, bit rot and sticky/transient media faults through recovery for
 # every engine, asserting damage is lost-and-reported, never
 # corrupt-and-served (docs/FAULTS.md). Part of `make test`.
 faulttest:
-	go run -race ./cmd/romulus-crashtest -faults -audit -seed 1 -rounds 60
+	go run -race ./cmd/romulus-crashtest -scenario faults -audit -seed 1 -rounds 60 -keys 64 -txs 12
 
 # Mid-replicate crash campaign under the race detector: crashes armed a few
 # persistence events past a random commit's durable point land inside
@@ -102,7 +107,7 @@ faulttest:
 # worker's surviving operation prefix exactly (DESIGN.md dirty-extent
 # tracking). Part of `make test`.
 replicatetest:
-	go run -race ./cmd/romulus-crashtest -replicate -audit -seed 1 -rounds 150 -chain 2 -threads 2
+	go run -race ./cmd/romulus-crashtest -scenario replicate -audit -seed 1 -rounds 150 -chain 2 -threads 2
 
 # Mid-migration crash campaign under the race detector: crashes land inside
 # the copy, cutover and cleanup phases of an online shard split — and inside
@@ -114,7 +119,7 @@ replicatetest:
 # race detector too. Part of `make test`.
 migratetest:
 	go test -race ./internal/leftright/
-	go run -race ./cmd/romulus-crashtest -migrate -audit -seed 1 -rounds 60 -chain 2
+	go run -race ./cmd/romulus-crashtest -scenario migrate -audit -seed 1 -rounds 60 -chain 2 -keys 64 -txs 12
 
 # Crash-chain campaign with the durability auditor chained in front of the
 # crash scheduler: any dirty or unfenced line at a commit marker, any

@@ -1,16 +1,18 @@
-// Command romulus-crashtest runs randomized crash-chain torture campaigns
-// against every engine: concurrent random transactions on a persistent map,
-// a simulated power failure at a random persistence event under a random
-// adversary policy (unfenced lines dropped, kept, torn at word granularity,
-// dirty lines randomly evicted), then recovery that is itself crashed again
-// up to -chain times, and validation that each worker's recovered keys match
-// a durable prefix of its committed transactions.
+// Command romulus-crashtest runs the randomized crash-chain torture campaigns
+// of internal/crashtest: a workload, a simulated power failure at a random
+// persistence event under a random adversary policy (unfenced lines dropped,
+// kept, torn at word granularity, dirty lines randomly evicted), then recovery
+// that is itself crashed again up to -chain times, and validation of what
+// comes back against the acknowledged history. -scenario picks the system
+// under test and what is validated (DESIGN.md, "Crash campaigns"):
 //
-//	romulus-crashtest -rounds 2000 -chain 3 -engines all -threads 4
+//	romulus-crashtest -rounds 2000 -chain 3 -threads 4           # six engines, map workload
+//	romulus-crashtest -scenario xshard -audit -rounds 120 -chain 2 -shards 3
 //
-// Failures print a JSON record with the campaign seed, round seed, thread
-// count and full crash chain; re-running with the same -seed, -threads 1 and
-// the same flags reproduces any single-threaded round exactly.
+// Failures print a JSON record with the scenario, campaign seed, round seed,
+// thread count and full crash chain; re-running with the same -seed,
+// -threads 1 and the same flags reproduces any single-threaded round exactly.
+// A flag the chosen scenario does not consume is a usage error.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -26,543 +29,127 @@ import (
 	"repro/internal/obs"
 )
 
-// runBatchCampaign executes the combined-batch campaign and prints its
-// reports (text or JSON), exiting non-zero on a safety failure. The map
-// workload flags (-keys, -trace, -metrics) do not apply here.
-func runBatchCampaign(cfg crashtest.BatchConfig, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("romulus-crashtest -batch: %d rounds/variant, seed %d, %d threads, chain depth %d\n",
-			cfg.Rounds, cfg.Seed, cfg.Threads, cfg.ChainDepth)
-	}
-	reports, err := crashtest.RunBatch(cfg)
-	if jsonOut {
-		out := struct {
-			Seed    int64                   `json:"seed"`
-			Reports []crashtest.BatchReport `json:"reports"`
-			Failure *crashtest.Failure      `json:"failure,omitempty"`
-			Error   string                  `json:"error,omitempty"`
-		}{Seed: cfg.Seed, Reports: reports}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	for _, r := range reports {
-		fmt.Printf("%-8s %6d rounds, %d threads — %d mid-batch crashes, %d multi-op rounds, "+
-			"%d chain crashes (%d inside recovery), ops: %d survived / %d lost\n",
-			r.Engine, r.Rounds, r.Threads, r.MidBatchCrashes, r.MultiOpRounds,
-			r.ChainCrashes, r.RecoveryCrashes, r.OpsSurvived, r.OpsLost)
-		if cfg.Audit {
-			fmt.Printf("         audit: %d violations\n", r.AuditViolations)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-
-// runReplicateCampaign executes the mid-replicate campaign and prints its
-// reports (text or JSON), exiting non-zero on a safety failure. The map
-// workload flags (-keys, -trace, -metrics) do not apply here.
-func runReplicateCampaign(cfg crashtest.ReplicateConfig, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("romulus-crashtest -replicate: %d rounds/variant, seed %d, %d threads, chain depth %d\n",
-			cfg.Rounds, cfg.Seed, cfg.Threads, cfg.ChainDepth)
-	}
-	reports, err := crashtest.RunReplicate(cfg)
-	if jsonOut {
-		out := struct {
-			Seed    int64                       `json:"seed"`
-			Reports []crashtest.ReplicateReport `json:"reports"`
-			Failure *crashtest.Failure          `json:"failure,omitempty"`
-			Error   string                      `json:"error,omitempty"`
-		}{Seed: cfg.Seed, Reports: reports}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	for _, r := range reports {
-		fmt.Printf("%-8s %6d rounds, %d threads — %d mid-round crashes (%d mid-replicate), "+
-			"%d chain crashes (%d inside recovery), ops: %d survived / %d lost\n",
-			r.Engine, r.Rounds, r.Threads, r.MidRoundCrashes, r.MidReplicateCrashes,
-			r.ChainCrashes, r.RecoveryCrashes, r.OpsSurvived, r.OpsLost)
-		if cfg.Audit {
-			fmt.Printf("         audit: %d violations\n", r.AuditViolations)
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-
-// runFaultCampaign executes the media-fault campaign and prints its reports
-// (text or JSON), exiting non-zero on a safety failure. Rounds are
-// single-threaded, so the -threads and -chain flags do not apply.
-func runFaultCampaign(cfg crashtest.FaultConfig, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("romulus-crashtest -faults: %d rounds/engine, seed %d\n", cfg.Rounds, cfg.Seed)
-	}
-	reports, err := crashtest.RunFaults(cfg)
-	if jsonOut {
-		out := struct {
-			Seed    int64                   `json:"seed"`
-			Reports []crashtest.FaultReport `json:"reports"`
-			Metrics *obs.Snapshot           `json:"metrics,omitempty"`
-			Failure *crashtest.Failure      `json:"failure,omitempty"`
-			Error   string                  `json:"error,omitempty"`
-		}{Seed: cfg.Seed, Reports: reports}
-		if cfg.Metrics != nil {
-			snap := cfg.Metrics.Snapshot()
-			out.Metrics = &snap
-		}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	for _, r := range reports {
-		fmt.Printf("%-8s %6d rounds — %d torn crashes, rot: %d detected / %d benign, "+
-			"%d media trips, %d transient retries\n",
-			r.Engine, r.Rounds, r.TornCrashes, r.RotDetected, r.RotBenign,
-			r.MediaTrips, r.TransientRetries)
-		if cfg.Audit {
-			fmt.Printf("         audit: %d violations\n", r.AuditViolations)
-		}
-	}
-	if cfg.Metrics != nil {
-		fmt.Println("# campaign totals")
-		cfg.Metrics.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-
-// runGroupCampaign executes the network group-commit campaign and prints its
-// reports (text or JSON), exiting non-zero on a safety failure. -threads
-// maps to simulated connections; the map workload flags (-keys, -trace) do
-// not apply.
-func runGroupCampaign(cfg crashtest.GroupConfig, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("romulus-crashtest -group: %d rounds/variant, seed %d, %d connections, chain depth %d\n",
-			cfg.Rounds, cfg.Seed, cfg.Conns, cfg.ChainDepth)
-	}
-	reports, err := crashtest.RunGroup(cfg)
-	if jsonOut {
-		out := struct {
-			Seed    int64                   `json:"seed"`
-			Reports []crashtest.GroupReport `json:"reports"`
-			Metrics *obs.Snapshot           `json:"metrics,omitempty"`
-			Failure *crashtest.Failure      `json:"failure,omitempty"`
-			Error   string                  `json:"error,omitempty"`
-		}{Seed: cfg.Seed, Reports: reports}
-		if cfg.Metrics != nil {
-			snap := cfg.Metrics.Snapshot()
-			out.Metrics = &snap
-		}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	for _, r := range reports {
-		fmt.Printf("%-8s %6d rounds, %d conns — %d mid-round crashes, %d batches (%d multi-conn), "+
-			"%d chain crashes (%d inside recovery), acks: %d survived / %d lost, "+
-			"flight: %d rounds (%d with in-flight batches)\n",
-			r.Engine, r.Rounds, r.Conns, r.MidRoundCrashes, r.Batches, r.MultiConnBatches,
-			r.ChainCrashes, r.RecoveryCrashes, r.AcksSurvived, r.AcksLost,
-			r.FlightRounds, r.FlightInFlight)
-		if cfg.Audit {
-			fmt.Printf("         audit: %d violations\n", r.AuditViolations)
-		}
-	}
-	if cfg.Metrics != nil {
-		fmt.Println("# campaign totals")
-		cfg.Metrics.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-
-// runXShardCampaign executes the cross-shard campaign and prints its report
-// (text or JSON), exiting non-zero on a safety failure. The per-engine flags
-// (-engines, -threads, -trace) do not apply: the store is always the sharded
-// RomulusDB composition and the workload is single-threaded so that the
-// multi-device crash captures are consistent.
-func runXShardCampaign(cfg crashtest.XShardConfig, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("romulus-crashtest -xshard: %d rounds, seed %d, %d shards, chain depth %d\n",
-			cfg.Rounds, cfg.Seed, cfg.Shards, cfg.ChainDepth)
-	}
-	rep, err := crashtest.RunXShard(cfg)
-	if jsonOut {
-		out := struct {
-			Seed    int64                  `json:"seed"`
-			XShard  crashtest.XShardReport `json:"xshard"`
-			Metrics *obs.Snapshot          `json:"metrics,omitempty"`
-			Failure *crashtest.Failure     `json:"failure,omitempty"`
-			Error   string                 `json:"error,omitempty"`
-		}{Seed: cfg.Seed, XShard: rep}
-		if cfg.Metrics != nil {
-			snap := cfg.Metrics.Snapshot()
-			out.Metrics = &snap
-		}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("xshard   %6d rounds, %d shards — %d mid-op crashes, %d cross-shard batches, "+
-		"%d chain crashes (%d inside recovery), in-doubt: %d replayed / %d rolled back, "+
-		"rounds: %d rolled back / %d carried forward\n",
-		rep.Rounds, rep.Shards, rep.MidOpCrashes, rep.XBatches,
-		rep.ChainCrashes, rep.RecoveryCrashes, rep.Replays, rep.Rollbacks,
-		rep.RolledBack, rep.CarriedForward)
-	if cfg.Audit {
-		fmt.Printf("         audit: %d violations\n", rep.AuditViolations)
-	}
-	if cfg.Metrics != nil {
-		fmt.Println("# campaign totals")
-		cfg.Metrics.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-
-// runMigrateCampaign executes the mid-migration campaign and prints its
-// report (text or JSON), exiting non-zero on a safety failure. Like
-// -xshard, the store is always the sharded composition and the workload is
-// single-threaded for consistent multi-device captures.
-func runMigrateCampaign(cfg crashtest.MigrateConfig, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("romulus-crashtest -migrate: %d rounds, seed %d, %d shards pre-split, chain depth %d\n",
-			cfg.Rounds, cfg.Seed, cfg.Shards, cfg.ChainDepth)
-	}
-	rep, err := crashtest.RunMigrate(cfg)
-	if jsonOut {
-		out := struct {
-			Seed    int64                   `json:"seed"`
-			Migrate crashtest.MigrateReport `json:"migrate"`
-			Metrics *obs.Snapshot           `json:"metrics,omitempty"`
-			Failure *crashtest.Failure      `json:"failure,omitempty"`
-			Error   string                  `json:"error,omitempty"`
-		}{Seed: cfg.Seed, Migrate: rep}
-		if cfg.Metrics != nil {
-			snap := cfg.Metrics.Snapshot()
-			out.Metrics = &snap
-		}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("migrate  %6d rounds, %d shards pre-split — %d mid-op crashes, "+
-		"journal at crash: %d copy / %d cleanup / %d closed, "+
-		"%d chain crashes (%d inside recovery), rounds: %d rolled back / %d carried forward\n",
-		rep.Rounds, rep.Shards, rep.MidOpCrashes,
-		rep.CopyCrashes, rep.CleanupCrashes, rep.CompleteCrashes,
-		rep.ChainCrashes, rep.RecoveryCrashes, rep.RolledBack, rep.CarriedForward)
-	if cfg.Audit {
-		fmt.Printf("         audit: %d violations\n", rep.AuditViolations)
-	}
-	if cfg.Metrics != nil {
-		fmt.Println("# campaign totals")
-		cfg.Metrics.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("OK")
-}
-
 func main() {
-	rounds := flag.Int("rounds", 1000, "crash/recover cycles per engine")
-	seed := flag.Int64("seed", time.Now().UnixNano(), "campaign seed (printed for reproduction)")
-	keys := flag.Int("keys", 64, "keyspace size")
-	txs := flag.Int("txs", 12, "max committed transactions per worker before each crash")
-	threads := flag.Int("threads", 2, "workload goroutines (engines that cannot share the device use 1)")
-	chain := flag.Int("chain", 1, "max crashes per round; beyond 1, later crashes land inside recovery")
-	engines := flag.String("engines", "all", "comma-separated engine list: "+
-		strings.Join(crashtest.EngineNames(), ",")+" (or all)")
-	audit := flag.Bool("audit", false, "chain the durability auditor in front of the crash scheduler; any dirty or unfenced line at a commit marker, crash loss of a durably-claimed line, or unflushed line at close fails the round")
-	batch := flag.Bool("batch", false, "run the combined-batch campaign instead: concurrent batched writers ("+
-		strings.Join(crashtest.BatchEngineNames(), ",")+" only), crashes aimed inside combined durability rounds, all-or-nothing batch visibility asserted after recovery")
-	xshard := flag.Bool("xshard", false, "run the cross-shard campaign instead: a sharded store (-shards devices plus a coordinator log), whole-process crash images captured consistently across every device, two-phase cross-shard batches asserted all-or-nothing after recovery")
-	faults := flag.Bool("faults", false, "run the media-fault campaign instead: each round chains a torn-write crash, post-crash bit rot, and sticky/transient media faults through recovery, asserting damage is always reported typed and never served as good data")
-	group := flag.Bool("group", false, "run the network group-commit campaign instead: concurrent pipelined connections funneling writes through the server's per-shard group committer ("+
-		strings.Join(crashtest.GroupEngineNames(), ",")+" only), crashes aimed inside shared durability rounds, every acknowledged write asserted durable and every batch all-or-nothing after recovery")
-	replicate := flag.Bool("replicate", false, "run the mid-replicate campaign instead: sparse scattered-store workers ("+
-		strings.Join(crashtest.ReplicateEngineNames(), ",")+" only), crashes armed a few persistence events past a random commit's durable point so they land inside dirty-range (or full-copy) replication, recovered lanes validated against an operation-prefix replay")
-	migrateF := flag.Bool("migrate", false, "run the mid-migration campaign instead: an online shard split (copy/cutover/cleanup against the durable placement journal) interleaved with a workload, whole-process crash images captured consistently across every device, recovery asserted to land on a committed prefix with exactly one owner per key")
-	shards := flag.Int("shards", 3, "shard count for the -xshard campaign (pre-split count for -migrate, default 2 there)")
-	jsonOut := flag.Bool("json", false, "emit reports (and any failure) as JSON")
-	metrics := flag.Bool("metrics", false, "print campaign totals (pmem_* and crash_* counters) after the reports")
-	trace := flag.String("trace", "", "write the workload transaction trace (JSON lines) to this file, or - for stdout")
-	traceCap := flag.Int("tracecap", 4096, "trailing trace events retained with -trace")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	var f *crashtest.Failure
+	switch {
+	case err == nil:
+	case errors.As(err, &f):
+		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
+		os.Exit(1)
+	default: // bad flags (already reported by the flag set), or a campaign that could not run
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "romulus-crashtest:", err)
+		}
+		os.Exit(2)
+	}
+}
 
-	if *faults {
-		fcfg := crashtest.FaultConfig{
-			Rounds:     *rounds,
-			Seed:       *seed,
-			Keys:       *keys,
-			TxPerRound: *txs,
-			Engines:    strings.Split(*engines, ","),
-			Audit:      *audit,
-		}
-		if *metrics {
-			fcfg.Metrics = obs.NewRegistry()
-		}
-		runFaultCampaign(fcfg, *jsonOut)
-		return
+// run parses args, runs the campaign, and prints its reports to out. It
+// returns the campaign's failure, or the reason it could not run.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("romulus-crashtest", flag.ContinueOnError)
+	fs.SetOutput(out)
+	var cfg crashtest.Config
+	fs.StringVar(&cfg.Scenario, "scenario", "crash", "campaign: "+strings.Join(crashtest.ScenarioNames(), "|"))
+	fs.IntVar(&cfg.Rounds, "rounds", 1000, "crash/recover cycles per engine")
+	fs.Int64Var(&cfg.Seed, "seed", time.Now().UnixNano(), "campaign seed (printed for reproduction)")
+	fs.IntVar(&cfg.Workers, "threads", 0, "Workers: workload goroutines, or connections for group (0 = scenario default; engines that cannot share the device use 1)")
+	fs.IntVar(&cfg.Ops, "txs", 0, "Ops: max operations per worker before each crash (0 = scenario default)")
+	fs.IntVar(&cfg.Keys, "keys", 0, "Keys: keyspace size (0 = scenario default)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "Shards: shard count, before the split for migrate (0 = scenario default)")
+	fs.IntVar(&cfg.ChainDepth, "chain", 0, "ChainDepth: max crashes per round; beyond 1, later crashes land inside recovery (0 = scenario default)")
+	engines := fs.String("engines", "", "Engines: comma-separated subjects of the scenario (empty or all = every one)")
+	fs.BoolVar(&cfg.Audit, "audit", false, "chain the durability auditor in front of the crash scheduler; any dirty or unfenced line at a commit marker, crash loss of a durably-claimed line, or unflushed line at close fails the round")
+	jsonOut := fs.Bool("json", false, "emit reports (and any failure) as JSON")
+	metrics := fs.Bool("metrics", false, "print campaign totals (pmem_*, audit_* and the scenario's census counters) after the reports")
+	trace := fs.String("trace", "", "write the workload transaction trace (JSON lines) to this file, or - for stdout")
+	traceCap := fs.Int("tracecap", 4096, "trailing trace events retained with -trace")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *group {
-		gcfg := crashtest.GroupConfig{
-			Rounds:     *rounds,
-			Seed:       *seed,
-			Conns:      *threads,
-			OpsPerConn: *txs,
-			ChainDepth: *chain,
-			Engines:    strings.Split(*engines, ","),
-			Audit:      *audit,
-		}
-		if *metrics {
-			gcfg.Metrics = obs.NewRegistry()
-		}
-		runGroupCampaign(gcfg, *jsonOut)
-		return
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *migrateF {
-		n := 2
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "shards" {
-				n = *shards
-			}
-		})
-		mcfg := crashtest.MigrateConfig{
-			Rounds:      *rounds,
-			Seed:        *seed,
-			Shards:      n,
-			Keys:        *keys,
-			OpsPerRound: *txs,
-			ChainDepth:  *chain,
-			Audit:       *audit,
-		}
-		if *metrics {
-			mcfg.Metrics = obs.NewRegistry()
-		}
-		runMigrateCampaign(mcfg, *jsonOut)
-		return
-	}
-	if *xshard {
-		xcfg := crashtest.XShardConfig{
-			Rounds:      *rounds,
-			Seed:        *seed,
-			Shards:      *shards,
-			Keys:        *keys,
-			OpsPerRound: *txs,
-			ChainDepth:  *chain,
-			Audit:       *audit,
-		}
-		if *metrics {
-			xcfg.Metrics = obs.NewRegistry()
-		}
-		runXShardCampaign(xcfg, *jsonOut)
-		return
-	}
-	if *replicate {
-		runReplicateCampaign(crashtest.ReplicateConfig{
-			Rounds:       *rounds,
-			Seed:         *seed,
-			Threads:      *threads,
-			OpsPerWorker: *txs,
-			ChainDepth:   *chain,
-			Engines:      strings.Split(*engines, ","),
-			Audit:        *audit,
-		}, *jsonOut)
-		return
-	}
-	if *batch {
-		runBatchCampaign(crashtest.BatchConfig{
-			Rounds:       *rounds,
-			Seed:         *seed,
-			Threads:      *threads,
-			OpsPerWorker: *txs,
-			ChainDepth:   *chain,
-			Engines:      strings.Split(*engines, ","),
-			Audit:        *audit,
-		}, *jsonOut)
-		return
-	}
-	cfg := crashtest.Config{
-		Rounds:     *rounds,
-		Seed:       *seed,
-		Keys:       *keys,
-		TxPerRound: *txs,
-		Threads:    *threads,
-		ChainDepth: *chain,
-		Engines:    strings.Split(*engines, ","),
-		Audit:      *audit,
+	if *engines != "" {
+		cfg.Engines = strings.Split(*engines, ",")
 	}
 	if *metrics {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	var ring *obs.RingSink
-	var traceOut *os.File
+	traceOut := out
 	if *trace != "" {
 		ring = obs.NewRingSink(*traceCap)
 		cfg.Trace = ring
-		if *trace == "-" {
-			traceOut = os.Stdout
-		} else {
+		if *trace != "-" {
 			f, err := os.Create(*trace)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "romulus-crashtest:", err)
-				os.Exit(1)
+				return err
 			}
 			defer f.Close()
 			traceOut = f
 		}
 	}
+
 	if !*jsonOut {
-		fmt.Printf("romulus-crashtest: %d rounds/engine, seed %d, %d threads, chain depth %d\n",
-			*rounds, *seed, *threads, *chain)
+		fmt.Fprintf(out, "romulus-crashtest -scenario %s: %d rounds per engine, seed %d\n", cfg.Scenario, cfg.Rounds, cfg.Seed)
 	}
 	reports, err := crashtest.Run(cfg)
-
 	if ring != nil {
 		if werr := ring.WriteJSON(traceOut); werr != nil {
-			fmt.Fprintln(os.Stderr, "romulus-crashtest: writing trace:", werr)
+			return fmt.Errorf("writing trace: %w", werr)
 		}
 	}
 	if *jsonOut {
-		out := struct {
-			Seed    int64              `json:"seed"`
-			Reports []crashtest.Report `json:"reports"`
-			Metrics *obs.Snapshot      `json:"metrics,omitempty"`
-			Failure *crashtest.Failure `json:"failure,omitempty"`
-			Error   string             `json:"error,omitempty"`
-		}{Seed: *seed, Reports: reports}
-		if cfg.Metrics != nil {
-			snap := cfg.Metrics.Snapshot()
-			out.Metrics = &snap
-		}
-		if err != nil {
-			var f *crashtest.Failure
-			if errors.As(err, &f) {
-				out.Failure = f
-			} else {
-				out.Error = err.Error()
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
-		if err != nil {
-			os.Exit(1)
-		}
-		return
+		return errors.Join(err, printJSON(out, cfg, reports, err))
 	}
+	printText(out, cfg, reports)
+	if err == nil {
+		fmt.Fprintln(out, "OK")
+	}
+	return err
+}
 
+// printText walks each report's census: the driver names the counters, so
+// one printer serves every scenario.
+func printText(out io.Writer, cfg crashtest.Config, reports []crashtest.Report) {
 	for _, r := range reports {
-		fmt.Printf("%-8s %6d rounds, %d threads — %d mid-tx crashes, %d chain crashes "+
-			"(%d inside recovery), workers: %d rolled back / %d carried forward\n",
-			r.Engine, r.Rounds, r.Threads, r.MidTxCrashes, r.ChainCrashes,
-			r.RecoveryCrashes, r.RolledBack, r.CarriedForward)
+		counts := make([]string, len(r.Census))
+		for i, c := range r.Census {
+			counts[i] = fmt.Sprintf("%s %d", c.Name, c.N)
+		}
+		fmt.Fprintf(out, "%-9s %6d rounds, %d workers — %s\n", r.Engine, r.Rounds, r.Workers, strings.Join(counts, ", "))
 		if cfg.Audit {
 			w := r.AuditWaste
-			fmt.Printf("         audit: %d violations; waste: %d clean pwbs, %d requeued pwbs, "+
+			fmt.Fprintf(out, "          audit: %d violations; waste: %d clean pwbs, %d requeued pwbs, "+
 				"%d stores on queued lines, %d no-op fences\n",
 				r.AuditViolations, w.PwbClean, w.PwbRequeued, w.StoreQueued, w.FenceNoop)
 		}
 	}
 	if cfg.Metrics != nil {
-		fmt.Println("# campaign totals")
-		cfg.Metrics.WriteText(os.Stdout)
+		fmt.Fprintln(out, "# campaign totals")
+		cfg.Metrics.WriteText(out)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "FAILURE: %v\n", err)
-		os.Exit(1)
+}
+
+func printJSON(out io.Writer, cfg crashtest.Config, reports []crashtest.Report, err error) error {
+	doc := struct {
+		Scenario string             `json:"scenario"`
+		Seed     int64              `json:"seed"`
+		Reports  []crashtest.Report `json:"reports"`
+		Metrics  *obs.Snapshot      `json:"metrics,omitempty"`
+		Failure  *crashtest.Failure `json:"failure,omitempty"`
+		Error    string             `json:"error,omitempty"`
+	}{Scenario: cfg.Scenario, Seed: cfg.Seed, Reports: reports}
+	if cfg.Metrics != nil {
+		snap := cfg.Metrics.Snapshot()
+		doc.Metrics = &snap
 	}
-	fmt.Println("OK")
+	if err != nil && !errors.As(err, &doc.Failure) {
+		doc.Error = err.Error()
+	}
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(doc)
 }

@@ -365,7 +365,7 @@ func (a *Auditor) recordViolation(v Violation) {
 }
 
 // Forensics diffs the device's volatile view against a crash image (e.g.
-// from Scheduler.Image) and returns the structured report: every lost line
+// from Scheduler.Images) and returns the structured report: every lost line
 // with its last-writer attribution, flagging as violations those the engine
 // had already claimed durable. Call at a point where no mutator is running,
 // or from a hook on the mutating goroutine.

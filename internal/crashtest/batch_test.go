@@ -2,7 +2,6 @@ package crashtest
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -11,26 +10,26 @@ import (
 // durability rounds and recovery must expose an all-or-nothing prefix of
 // them.
 func TestBatchCampaignSmall(t *testing.T) {
-	reports, err := RunBatch(BatchConfig{Rounds: 20, Seed: 1, Threads: 4, ChainDepth: 2})
+	reports, err := Run(Config{Scenario: "batch", Rounds: 20, Seed: 1, Workers: 4, ChainDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(BatchEngineNames()) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(BatchEngineNames()))
+	if len(reports) != len(EngineNames("batch")) {
+		t.Fatalf("got %d reports, want %d", len(reports), len(EngineNames("batch")))
 	}
 	for _, r := range reports {
 		if r.Rounds != 20 {
 			t.Errorf("%s: %d rounds completed, want 20", r.Engine, r.Rounds)
 		}
-		if r.MultiOpRounds == 0 {
+		if r.Count("multi_op_round") == 0 {
 			t.Errorf("%s: no round committed a multi-op batch; campaign never exercised combined commits", r.Engine)
 		}
-		if r.MidBatchCrashes == 0 {
+		if r.Count("mid_batch") == 0 {
 			t.Errorf("%s: no crash landed inside the workload", r.Engine)
 		}
-		if r.OpsSurvived == 0 || r.OpsLost == 0 {
+		if r.Count("op_survived") == 0 || r.Count("op_lost") == 0 {
 			t.Errorf("%s: want both survived and lost ops, got %d/%d",
-				r.Engine, r.OpsSurvived, r.OpsLost)
+				r.Engine, r.Count("op_survived"), r.Count("op_lost"))
 		}
 		t.Logf("%s: %+v", r.Engine, r)
 	}
@@ -39,7 +38,7 @@ func TestBatchCampaignSmall(t *testing.T) {
 // TestBatchCampaignAudited chains the durability auditor onto every device:
 // batched commits must uphold the fence protocol exactly like solo ones.
 func TestBatchCampaignAudited(t *testing.T) {
-	reports, err := RunBatch(BatchConfig{Rounds: 8, Seed: 5, Threads: 4, Audit: true})
+	reports, err := Run(Config{Scenario: "batch", Rounds: 8, Seed: 5, Workers: 4, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +52,12 @@ func TestBatchCampaignAudited(t *testing.T) {
 // TestBatchCampaignDeterministic: a single-threaded campaign is a pure
 // function of its seed.
 func TestBatchCampaignDeterministic(t *testing.T) {
-	cfg := BatchConfig{Rounds: 10, Seed: 42, Threads: 1, ChainDepth: 2, Engines: []string{"romlog"}}
-	a, err := RunBatch(cfg)
+	cfg := Config{Scenario: "batch", Rounds: 10, Seed: 42, Workers: 1, ChainDepth: 2, Engines: []string{"romlog"}}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBatch(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,5 @@ func TestBatchCampaignDeterministic(t *testing.T) {
 }
 
 func TestBatchCampaignUnknownEngine(t *testing.T) {
-	_, err := RunBatch(BatchConfig{Rounds: 1, Engines: []string{"undolog"}})
-	if err == nil || !strings.Contains(err.Error(), "no batch variant") {
-		t.Fatalf("err = %v, want no-batch-variant error", err)
-	}
+	wantUnknownEngine(t, "batch", "undolog")
 }

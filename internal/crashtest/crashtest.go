@@ -1,19 +1,37 @@
-// Package crashtest runs randomized crash-chain campaigns against every
-// engine in the repository: the three Romulus variants, the undo-log and
-// redo-log baselines, and the RomulusDB key-value store.
+// Package crashtest is one crash-campaign driver and the seven scenarios it
+// runs. The idea under test is the paper's: a power failure at ANY
+// persistence event — including inside recovery itself — leaves a state
+// recovery can bring back to a consistent one that contains every
+// acknowledged write.
 //
-// Each round drives a concurrent multi-goroutine workload over a persistent
-// map, captures a simulated power failure at a random persistence event
-// under a random adversary policy, then reopens the crash image. Reopening
-// itself runs under an armed crash scheduler, so the next failure lands
-// *inside* recovery — crash → partial recovery → crash again, as deep as the
-// configured chain. The finally recovered state is validated against
-// per-worker transaction histories: each worker's keys must reflect exactly
-// a durable prefix of that worker's committed transactions.
+// The driver (this file and round.go) owns everything the scenarios share:
+// one Config, one Report with an ordered census of named counters, subject
+// selection and per-subject seed streams, the round loop, Failure decoration,
+// the crash scheduler with the durability auditor and forensic trigger
+// chained around it, the crash chain (reopenChain: reopen each captured image
+// set under a freshly armed scheduler, so the next crash lands inside
+// recovery, as deep as Config.ChainDepth), device and auditor accounting,
+// the audit verdict, and folding the census into a metrics registry.
+//
+// A scenario (one row of the scenarios table, one file) is only what is
+// genuinely its own: build a system, run a workload with one armed crash,
+// and validate what recovery brings back.
+//
+//	crash      six engines, concurrent map workload, per-worker prefix check
+//	batch      flat-combined batches are crash-atomic and prefix-ordered
+//	replicate  crashes aimed inside the post-commit replication window
+//	xshard     N shard devices + coordinator, two-phase batches all-or-nothing
+//	group      the server's group committer loses no acknowledged write
+//	migrate    an online shard split resolves to exactly one owner per key
+//	faults     torn crash, bit rot and bad lines are reported, never served
+//
+// DESIGN.md ("Crash campaigns") tabulates, per scenario, the system built,
+// where the crash is aimed, what validation proves, and the census counters.
 //
 // Violations surface as a structured Failure carrying everything needed to
-// replay the round: campaign and round seeds, thread count, and the full
-// crash chain (event indices and whether recovery work was pending).
+// replay the round: scenario, campaign and round seeds, worker count, and
+// the full crash chain (event indices and whether recovery work was
+// pending). Campaigns are pure functions of the seed at one worker.
 package crashtest
 
 import (
@@ -21,95 +39,101 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/audit"
 	"repro/internal/obs"
-	"repro/internal/pmem"
-	"repro/internal/ptm"
 )
 
-// Config parameterizes a campaign.
+// Config parameterizes a campaign. Workers, Ops, Keys, Shards and ChainDepth
+// default per scenario when zero (see the scenarios table); setting one the
+// chosen scenario does not consume is an error, not a silent no-op.
 type Config struct {
-	// Rounds is the number of build/crash/recover cycles per engine.
+	// Scenario names the campaign (ScenarioNames); empty means "crash".
+	Scenario string
+	// Rounds is the number of build/crash/recover cycles per subject.
 	Rounds int
-	// Seed makes campaigns reproducible (fully deterministic at Threads 1).
+	// Seed makes campaigns reproducible (fully deterministic at one worker).
 	Seed int64
-	// Keys bounds the keyspace (default 64).
-	Keys int
-	// TxPerRound bounds committed transactions per worker before the crash
-	// (default 12).
-	TxPerRound int
-	// Threads is the number of workload goroutines (default 2). Engines
-	// whose commit path cannot share the simulated device run with 1.
-	Threads int
-	// ChainDepth is the maximum crashes per round (default 1): the first
-	// lands in the workload, later ones inside recovery itself.
-	ChainDepth int
-	// Engines selects the subjects by name; empty or "all" means every one.
+	// Engines selects the scenario's subjects by name (EngineNames); empty or
+	// "all" means every one.
 	Engines []string
+	// Workers is the number of concurrent workload goroutines (connections,
+	// for the group scenario). Engines whose commit path cannot share the
+	// simulated device run with 1.
+	Workers int
+	// Ops bounds the operations (transactions, batched updates, acknowledged
+	// writes) each worker completes before the crash.
+	Ops int
+	// Keys bounds the keyspace.
+	Keys int
+	// Shards is the partition count (before the split, for migrate).
+	Shards int
+	// ChainDepth is the maximum crashes per round: the first lands in the
+	// workload, later ones inside recovery itself.
+	ChainDepth int
+	// Audit chains a durability auditor in front of the crash scheduler on
+	// every device the campaign creates (workload devices and each reopened
+	// crash image). Any durability violation — a dirty or unfenced line at a
+	// commit-marker advance, a durably-claimed line lost at a crash, or one
+	// still unflushed at engine close — fails the round.
+	Audit bool
 	// Metrics, when non-nil, accumulates campaign totals into the registry:
-	// the pmem_* counters summed over every device the campaign creates
-	// (workload devices plus every reopened crash image) and crash_*
-	// counters folded from the per-engine reports. Devices are per-round, so
-	// unlike obs.Instrument the counters here are accumulated, not sampled.
+	// the pmem_* counters summed over every device the campaign creates, the
+	// audit_* counters over every auditor, and the scenario's census under
+	// its metric prefix. Devices are per-round, so unlike obs.Instrument the
+	// counters here are accumulated, not sampled.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives one obs.TxEvent per workload transaction
 	// (validation reads after recovery are not traced). The sink must be
-	// safe for concurrent Emit calls at Threads > 1.
+	// safe for concurrent Emit calls at Workers > 1.
 	Trace obs.Sink
-	// Audit attaches a durability auditor to every device the campaign
-	// creates (workload devices and each reopened crash image), composed
-	// with the crash scheduler via pmem.ChainHooks. Any durability
-	// violation — a dirty or unfenced line at a commit-marker advance, a
-	// durably-claimed line lost at a crash, or one still unflushed at
-	// engine close — fails the round. Waste diagnostics accumulate into
-	// Metrics as audit_* counters.
-	Audit bool
 }
 
-func (cfg *Config) applyDefaults() {
-	if cfg.Keys == 0 {
-		cfg.Keys = 64
-	}
-	if cfg.TxPerRound == 0 {
-		cfg.TxPerRound = 12
-	}
-	if cfg.Threads == 0 {
-		cfg.Threads = 2
-	}
-	if cfg.ChainDepth == 0 {
-		cfg.ChainDepth = 1
-	}
+// Counter is one named entry of a report's census.
+type Counter struct {
+	Name string `json:"name"`
+	N    uint64 `json:"n"`
 }
 
-// Report summarizes one engine's campaign.
+// Report summarizes one subject's campaign.
 type Report struct {
-	Engine string `json:"engine"`
-	Rounds int    `json:"rounds"`
-	// Threads is the worker count actually used (engines that cannot share
-	// the device run with 1 regardless of Config.Threads).
-	Threads int `json:"threads"`
-	// MidTxCrashes counts rounds whose first crash interrupted the workload
-	// (the rest crashed post-commit, at a quiescent point).
-	MidTxCrashes int `json:"mid_tx_crashes"`
-	// RolledBack and CarriedForward count workers whose recovered prefix
-	// excluded/included their final committed transaction.
-	RolledBack     int `json:"rolled_back"`
-	CarriedForward int `json:"carried_forward"`
-	// ChainCrashes counts crashes beyond the first, i.e. crashes injected
-	// while an engine was reopening a crash image.
-	ChainCrashes int `json:"chain_crashes"`
-	// RecoveryCrashes counts chain crashes that interrupted real recovery
-	// work (the image had an in-flight transaction or non-empty log).
-	RecoveryCrashes int `json:"recovery_crashes"`
+	Scenario string `json:"scenario"`
+	Engine   string `json:"engine"`
+	Rounds   int    `json:"rounds"`
+	// Workers is the worker count actually used.
+	Workers int `json:"workers"`
+	// Census holds the scenario's counters in its table order. Registry
+	// metric names derive from it: prefix + name + "_total".
+	Census []Counter `json:"census"`
 	// AuditViolations counts durability violations detected by the auditor
-	// (only populated with Config.Audit; any nonzero count also fails the
-	// offending round).
-	AuditViolations uint64 `json:"audit_violations,omitempty"`
-	// AuditWaste aggregates the auditor's waste diagnostics over the
-	// campaign (only populated with Config.Audit).
-	AuditWaste audit.Waste `json:"audit_waste,omitempty"`
+	// (any nonzero count also fails the offending round); AuditWaste
+	// aggregates its waste diagnostics. Both only with Config.Audit.
+	AuditViolations uint64      `json:"audit_violations,omitempty"`
+	AuditWaste      audit.Waste `json:"audit_waste"`
+}
+
+// Count returns the census counter called name, or 0 if the scenario has
+// none.
+func (r *Report) Count(name string) uint64 {
+	for _, c := range r.Census {
+		if c.Name == name {
+			return c.N
+		}
+	}
+	return 0
+}
+
+// add bumps census counter name, which the scenario's row must declare.
+func (r *Report) add(name string, n uint64) {
+	for i := range r.Census {
+		if r.Census[i].Name == name {
+			r.Census[i].N += n
+			return
+		}
+	}
+	panic(fmt.Sprintf("crashtest: scenario %s has no census counter %q", r.Scenario, name))
 }
 
 // CrashPoint records one injected failure of a round's crash chain.
@@ -126,6 +150,7 @@ type CrashPoint struct {
 // Failure describes a safety violation with everything needed to reproduce
 // it. It implements error.
 type Failure struct {
+	Scenario     string       `json:"scenario"`
 	Engine       string       `json:"engine"`
 	Round        int          `json:"round"`
 	CampaignSeed int64        `json:"campaign_seed"`
@@ -138,469 +163,201 @@ type Failure struct {
 func (f *Failure) Error() string {
 	b, err := json.Marshal(f)
 	if err != nil {
-		return fmt.Sprintf("crashtest failure: %s round %d: %s", f.Engine, f.Round, f.Reason)
+		return fmt.Sprintf("crashtest failure: %s %s round %d: %s", f.Scenario, f.Engine, f.Round, f.Reason)
 	}
 	return "crashtest failure: " + string(b)
 }
 
-// Run executes one campaign per selected engine, returning the per-engine
-// reports and the first Failure found (nil if every round validates).
-// Reports for engines that completed before the failure are still returned.
+// scenario is one row of the campaign table.
+type scenario struct {
+	name string
+	// defaults holds the scenario's value for each sizing field of Config;
+	// zero marks a field the scenario does not consume.
+	defaults Config
+	// subjects lists what -engines selects from. A scenario whose system is
+	// fixed has one subject, named after itself, and takes no Engines.
+	subjects []string
+	// salt + subject seeds the per-subject stream, so a campaign is
+	// reproducible independently of which subjects are selected. The strings
+	// predate the merged driver and must not change: a seed means the same
+	// campaign.
+	salt string
+	// metric prefixes the registry counters folded from the census.
+	metric string
+	// census names the report counters, in print order. "chain" and
+	// "recovery_crash" belong to reopenChain.
+	census []string
+	// workers, when set, clamps Config.Workers for one subject.
+	workers func(cfg Config, subject string) int
+	// round runs one build / crash / recover / validate cycle.
+	round func(r *round) error
+	// verify, when set, checks a completed campaign for vacuity.
+	verify func(rep *Report) error
+}
+
+func (sc *scenario) fixed() bool { return len(sc.subjects) == 1 && sc.subjects[0] == sc.name }
+
+var scenarios = []*scenario{
+	crashScenario, batchScenario, xshardScenario, faultsScenario,
+	groupScenario, replicateScenario, migrateScenario,
+}
+
+// ScenarioNames lists the campaigns in table order.
+func ScenarioNames() []string {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.name
+	}
+	return names
+}
+
+func findScenario(name string) (*scenario, error) {
+	if name == "" {
+		name = crashScenario.name
+	}
+	for _, sc := range scenarios {
+		if sc.name == name {
+			return sc, nil
+		}
+	}
+	return nil, fmt.Errorf("crashtest: unknown scenario %q (known: %s)", name, strings.Join(ScenarioNames(), ", "))
+}
+
+// EngineNames lists the subjects of a scenario in campaign order, or nil for
+// an unknown scenario or one whose system is fixed.
+func EngineNames(scenarioName string) []string {
+	sc, err := findScenario(scenarioName)
+	if err != nil || sc.fixed() {
+		return nil
+	}
+	return append([]string(nil), sc.subjects...)
+}
+
+// resolve fills cfg's zero sizing fields from the scenario's row and rejects
+// the ones the scenario cannot consume.
+func (sc *scenario) resolve(cfg Config) (Config, error) {
+	for _, f := range []struct {
+		name string
+		set  *int
+		def  int
+	}{
+		{"Workers", &cfg.Workers, sc.defaults.Workers},
+		{"Ops", &cfg.Ops, sc.defaults.Ops},
+		{"Keys", &cfg.Keys, sc.defaults.Keys},
+		{"Shards", &cfg.Shards, sc.defaults.Shards},
+		{"ChainDepth", &cfg.ChainDepth, sc.defaults.ChainDepth},
+	} {
+		switch {
+		case *f.set < 0:
+			return cfg, fmt.Errorf("crashtest: %s = %d", f.name, *f.set)
+		case f.def == 0 && *f.set != 0:
+			return cfg, fmt.Errorf("crashtest: scenario %s does not use %s", sc.name, f.name)
+		case *f.set == 0:
+			*f.set = f.def
+		}
+	}
+	if sc.fixed() && len(cfg.Engines) > 0 {
+		return cfg, fmt.Errorf("crashtest: scenario %s does not use Engines", sc.name)
+	}
+	cfg.Scenario = sc.name
+	return cfg, nil
+}
+
+// selectSubjects resolves engine names ("all" or empty = every subject).
+func (sc *scenario) selectSubjects(names []string) ([]string, error) {
+	var out []string
+	for _, n := range names {
+		switch {
+		case n == "all":
+			return sc.subjects, nil
+		case !slices.Contains(sc.subjects, n):
+			return nil, fmt.Errorf("crashtest: unknown engine %q for scenario %s (known: %s)",
+				n, sc.name, strings.Join(sc.subjects, ", "))
+		case !slices.Contains(out, n):
+			out = append(out, n)
+		}
+	}
+	if len(out) == 0 {
+		return sc.subjects, nil
+	}
+	return out, nil
+}
+
+// Run executes one campaign per selected subject of cfg.Scenario, returning
+// the per-subject reports and the first Failure found (nil if every round
+// validates). Reports for subjects that completed before the failure are
+// still returned.
 func Run(cfg Config) ([]Report, error) {
-	cfg.applyDefaults()
-	tgts, err := selectTargets(cfg.Engines)
+	sc, err := findScenario(cfg.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	if cfg, err = sc.resolve(cfg); err != nil {
+		return nil, err
+	}
+	subjects, err := sc.selectSubjects(cfg.Engines)
 	if err != nil {
 		return nil, err
 	}
 	var reports []Report
 	var failure error
-	for _, tgt := range tgts {
-		rep, err := runCampaign(cfg, tgt)
+	for _, subject := range subjects {
+		rep, err := runCampaign(cfg, sc, subject)
 		reports = append(reports, rep)
 		if err != nil {
 			failure = err
 			break
 		}
 	}
-	if r := cfg.Metrics; r != nil {
+	if reg := cfg.Metrics; reg != nil {
 		for _, rep := range reports {
-			r.Counter("crash_rounds_total").Add(uint64(rep.Rounds))
-			r.Counter("crash_mid_tx_total").Add(uint64(rep.MidTxCrashes))
-			r.Counter("crash_chain_total").Add(uint64(rep.ChainCrashes))
-			r.Counter("crash_recovery_crash_total").Add(uint64(rep.RecoveryCrashes))
-			r.Counter("crash_rolled_back_total").Add(uint64(rep.RolledBack))
-			r.Counter("crash_carried_forward_total").Add(uint64(rep.CarriedForward))
+			reg.Counter(sc.metric + "rounds_total").Add(uint64(rep.Rounds))
+			for _, c := range rep.Census {
+				reg.Counter(sc.metric + c.Name + "_total").Add(c.N)
+			}
 		}
 	}
 	return reports, failure
 }
 
-// accumDevice folds one device's lifetime statistics into the campaign
-// registry. Crash-test devices live for a fraction of a round, so campaign
-// totals must be accumulated device by device rather than collected from a
-// live device at snapshot time.
-func accumDevice(r *obs.Registry, dev *pmem.Device) {
-	if r == nil {
-		return
-	}
-	s := dev.Stats()
-	r.Counter("pmem_store_total").Add(s.Stores)
-	r.Counter("pmem_store_bytes_total").Add(s.BytesStored)
-	r.Counter("pmem_pwb_total").Add(s.Pwbs)
-	r.Counter("pmem_pfence_total").Add(s.Pfences)
-	r.Counter("pmem_psync_total").Add(s.Psyncs)
-	r.Counter("pmem_fence_total").Add(s.Pfences + s.Psyncs)
-	r.Counter("pmem_line_persisted_total").Add(s.LinesPersisted)
-	r.Counter("pmem_persisted_bytes_total").Add(s.BytesPersisted)
-}
-
-// accumAudit folds one auditor's lifetime counters into the campaign
-// registry and the per-engine report, following the same accumulation
-// discipline as accumDevice (auditors are per-device, devices per-round).
-func accumAudit(r *obs.Registry, rep *Report, a *audit.Auditor) {
-	if a == nil {
-		return
-	}
-	t := a.Totals()
-	rep.AuditWaste.PwbClean += t.PwbClean
-	rep.AuditWaste.PwbRequeued += t.PwbRequeued
-	rep.AuditWaste.StoreQueued += t.StoreQueued
-	rep.AuditWaste.FenceNoop += t.FenceNoop
-	if r == nil {
-		return
-	}
-	r.Counter("audit_pwb_clean_total").Add(t.PwbClean)
-	r.Counter("audit_pwb_requeued_total").Add(t.PwbRequeued)
-	r.Counter("audit_store_queued_total").Add(t.StoreQueued)
-	r.Counter("audit_fence_noop_total").Add(t.FenceNoop)
-	r.Counter("audit_durable_check_total").Add(t.DurableChecks)
-	r.Counter("audit_violation_total").Add(t.Violations)
-}
-
-// forensicTrigger snapshots an auditor's crash forensics at the moment the
-// scheduler captures an image. It rides as the last bundle in the hook
-// chain: the auditor's shadow is already current and the scheduler has just
-// (maybe) captured, so checking at each fence diffs the views at the exact
-// failure point, before any later durable point can move the claim line.
-// finish is the harness-side fallback for captures not followed by a fence
-// (quiescent CaptureNow, or a crash landing on a trailing store).
-type forensicTrigger struct {
-	sched *pmem.Scheduler
-	aud   *audit.Auditor
-
-	mu   sync.Mutex
-	done bool
-}
-
-func (f *forensicTrigger) hooks() *pmem.Hooks {
-	return &pmem.Hooks{Fence: f.onFence}
-}
-
-func (f *forensicTrigger) onFence() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.done {
-		return
-	}
-	if img, _ := f.sched.Image(); img != nil {
-		f.done = true
-		f.aud.Forensics(img)
-	}
-}
-
-// finish runs the forensic diff for img unless a fence already did.
-func (f *forensicTrigger) finish(img []byte) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.done && img != nil {
-		f.done = true
-		f.aud.Forensics(img)
-	}
-}
-
-// roundAudit owns one round's auditors (one per device: the workload device
-// plus every reopened crash image).
-type roundAudit struct {
-	enabled bool
-	auds    []*audit.Auditor
-}
-
-// attach builds an auditor for dev and installs the round's hook
-// composition — auditor, then scheduler, then forensic trigger — replacing
-// the scheduler-only bundle NewScheduler installed. Returns nils when
-// auditing is off (the scheduler's own bundle stays in place).
-func (ra *roundAudit) attach(dev *pmem.Device, sched *pmem.Scheduler) (*audit.Auditor, *forensicTrigger) {
-	if !ra.enabled {
-		return nil, nil
-	}
-	a := audit.New(dev, audit.Options{})
-	ra.auds = append(ra.auds, a)
-	trig := &forensicTrigger{sched: sched, aud: a}
-	dev.SetHooks(pmem.ChainHooks(a.Hooks(), sched.Hooks(), trig.hooks()))
-	return a, trig
-}
-
-// violations sums detected violations across the round's auditors and
-// returns the first retained record for diagnostics.
-func (ra *roundAudit) violations() (uint64, *audit.Violation) {
-	var total uint64
-	var first *audit.Violation
-	for _, a := range ra.auds {
-		total += a.ViolationCount()
-		if first == nil {
-			if vs := a.Violations(); len(vs) > 0 {
-				first = &vs[0]
-			}
-		}
-	}
-	return total, first
-}
-
-// engineSeed derives a per-engine stream so campaigns are reproducible
-// independently of which engines are selected.
-func engineSeed(seed int64, name string) int64 {
+// engineSeed derives a per-subject stream from the campaign seed.
+func engineSeed(seed int64, salt string) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(name))
+	h.Write([]byte(salt))
 	return seed ^ int64(h.Sum64())
 }
 
-func runCampaign(cfg Config, tgt target) (Report, error) {
-	threads := cfg.Threads
-	if !tgt.concurrent {
-		threads = 1
+func runCampaign(cfg Config, sc *scenario, subject string) (Report, error) {
+	workers := max(1, cfg.Workers) // a scenario that takes no Workers is single-threaded
+	if sc.workers != nil {
+		workers = sc.workers(cfg, subject)
 	}
-	if threads > cfg.Keys {
-		threads = cfg.Keys
+	rep := Report{Scenario: sc.name, Engine: subject, Workers: workers, Census: make([]Counter, len(sc.census))}
+	for i, name := range sc.census {
+		rep.Census[i].Name = name
 	}
-	rep := Report{Engine: tgt.name, Threads: threads}
-	rng := rand.New(rand.NewSource(engineSeed(cfg.Seed, tgt.name)))
-	for round := 0; round < cfg.Rounds; round++ {
-		roundSeed := rng.Int63()
-		if err := runRound(cfg, tgt, threads, round, roundSeed, &rep); err != nil {
+	rng := rand.New(rand.NewSource(engineSeed(cfg.Seed, sc.salt+subject)))
+	for n := 0; n < cfg.Rounds; n++ {
+		seed := rng.Int63()
+		r := &round{cfg: cfg, subject: subject, n: n, seed: seed, workers: workers,
+			rng: rand.New(rand.NewSource(seed)), rep: &rep}
+		if err := r.run(sc); err != nil {
 			if f, ok := err.(*Failure); ok {
-				f.Engine = tgt.name
-				f.Round = round
+				f.Scenario = sc.name
+				f.Engine = subject
+				f.Round = n
 				f.CampaignSeed = cfg.Seed
-				f.RoundSeed = roundSeed
-				f.Threads = threads
+				f.RoundSeed = seed
+				f.Threads = workers
 			}
 			return rep, err
 		}
 		rep.Rounds++
 	}
+	if sc.verify != nil {
+		if err := sc.verify(&rep); err != nil {
+			return rep, err
+		}
+	}
 	return rep, nil
-}
-
-func randPolicy(rng *rand.Rand) pmem.CrashPolicy {
-	return pmem.CrashPolicy{
-		QueuedPersistProb: rng.Float64(),
-		EvictDirtyProb:    rng.Float64() * 0.5,
-		TearWords:         rng.Intn(2) == 0,
-		Rand:              rand.New(rand.NewSource(rng.Int63())),
-	}
-}
-
-// armInsideReopen arms a crash inside the reopen the caller is about to run.
-// How many persistence events a recovery issues depends on what the crash
-// damaged — a dozen for a diff-copy repair of a few lines, hundreds for a log
-// replay — so a fixed arming range mostly overshoots the short ones. The
-// reopen is first rehearsed on throwaway devices built from the same images,
-// its events counted, and the crash armed uniformly within that count; a
-// reopen that issues no events has nothing to crash into and stays unarmed.
-func armInsideReopen(rrng *rand.Rand, imgs [][]byte, rehearse func(devs []*pmem.Device),
-	arm func(eventsFromNow uint64, policy pmem.CrashPolicy) bool) {
-	devs := make([]*pmem.Device, len(imgs))
-	for i, img := range imgs {
-		devs[i] = pmem.FromImage(img, pmem.ModelDRAM)
-	}
-	count := pmem.NewMultiScheduler(devs...)
-	count.Attach()
-	rehearse(devs)
-	count.Detach()
-	if n := count.Events(); n > 0 {
-		arm(uint64(1+rrng.Intn(int(n))), randPolicy(rrng))
-	}
-}
-
-// workerHistory tracks one worker's committed transactions: states[i] is the
-// worker's key space after its i-th transaction, and mustSurvive is the
-// shortest prefix recovery is allowed to expose (transactions known to have
-// committed strictly before the crash fired).
-type workerHistory struct {
-	keys        []uint64
-	states      []map[uint64]uint64
-	mustSurvive int
-	err         error
-}
-
-func runRound(cfg Config, tgt target, threads, round int, roundSeed int64, rep *Report) error {
-	rrng := rand.New(rand.NewSource(roundSeed))
-	st, err := tgt.fresh()
-	if err != nil {
-		return fmt.Errorf("building fresh %s store: %w", tgt.name, err)
-	}
-	if cfg.Trace != nil {
-		st.setTrace(cfg.Trace)
-	}
-
-	// Phase 1: concurrent workload with one armed crash. The scheduler
-	// attaches after the store exists, so the map root is always durable
-	// and every captured image reopens through the recovery path, never
-	// through format.
-	ra := &roundAudit{enabled: cfg.Audit}
-	sched := pmem.NewScheduler(st.dev())
-	sched.SetBudget(cfg.ChainDepth)
-	aud, trig := ra.attach(st.dev(), sched)
-	if aud != nil {
-		st.setAudit(aud)
-	}
-	policy := randPolicy(rrng)
-	// ~24 persistence events per small transaction; the range deliberately
-	// overshoots so some rounds crash post-workload, at a quiescent point.
-	crashAt := uint64(1 + rrng.Intn(threads*cfg.TxPerRound*24+32))
-	sched.Arm(crashAt, policy)
-
-	workers := make([]*workerHistory, threads)
-	for w := 0; w < threads; w++ {
-		h := &workerHistory{states: []map[uint64]uint64{{}}}
-		for k := uint64(w); k < uint64(cfg.Keys); k += uint64(threads) {
-			h.keys = append(h.keys, k)
-		}
-		workers[w] = h
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		w := w
-		h := workers[w]
-		wrng := rand.New(rand.NewSource(roundSeed ^ int64(uint64(w+1)*0x9E3779B97F4A7C15)))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nTx := 1 + wrng.Intn(cfg.TxPerRound)
-			for i := 0; i < nTx; i++ {
-				ops := make([]op, 1+wrng.Intn(4))
-				for o := range ops {
-					ops[o] = op{
-						del: wrng.Intn(4) == 0,
-						k:   h.keys[wrng.Intn(len(h.keys))],
-						v:   wrng.Uint64(),
-					}
-				}
-				if err := st.update(ops); err != nil {
-					h.err = fmt.Errorf("worker %d tx %d: %w", w, i, err)
-					return
-				}
-				next := map[uint64]uint64{}
-				for k, v := range h.states[i] {
-					next[k] = v
-				}
-				for _, o := range ops {
-					if o.del {
-						delete(next, o.k)
-					} else {
-						next[o.k] = o.v
-					}
-				}
-				h.states = append(h.states, next)
-				// Conservative: if the crash has not fired yet, this durable
-				// transaction must survive. (If it fires between the commit
-				// and this check we merely under-claim, which is safe.)
-				if !sched.Captured() {
-					h.mustSurvive = i + 1
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, h := range workers {
-		if h.err != nil {
-			return fmt.Errorf("%s workload: %w", tgt.name, h.err)
-		}
-	}
-
-	img, ev := sched.Image()
-	if img != nil {
-		rep.MidTxCrashes++
-	} else {
-		// Workload outran the armed event: crash now, post-commit.
-		img = sched.CaptureNow(policy)
-		ev = sched.Events()
-	}
-	// Forensics fallback for captures with no subsequent fence (quiescent
-	// CaptureNow, or a crash landing on the workload's last store).
-	trig.finish(img)
-	sched.Detach()
-	accumDevice(cfg.Metrics, st.dev())
-	chain := []CrashPoint{{Event: ev}}
-
-	// Phase 2: the crash chain. Reopen each image under a freshly armed
-	// scheduler; if the crash fires during Open, the partially recovered
-	// image becomes the next link.
-	var final store
-	for {
-		dev := pmem.FromImage(img, pmem.ModelDRAM)
-		pending := tgt.pending(img)
-		s2 := pmem.NewScheduler(dev)
-		s2.SetBudget(1)
-		if len(chain) < cfg.ChainDepth {
-			armInsideReopen(rrng, [][]byte{img}, func(d []*pmem.Device) {
-				_, _ = tgt.reopen(d[0], nil) // rehearsal; the reopen below reports errors
-			}, s2.Arm)
-		}
-		a2, trig2 := ra.attach(dev, s2)
-		var audArg ptm.Auditor
-		if a2 != nil {
-			audArg = a2
-		}
-		st2, err := tgt.reopen(dev, audArg)
-		if s2.Captured() {
-			img2, ev2 := s2.Image()
-			trig2.finish(img2)
-			s2.Detach()
-			accumDevice(cfg.Metrics, dev)
-			rep.ChainCrashes++
-			if pending {
-				rep.RecoveryCrashes++
-			}
-			chain = append(chain, CrashPoint{Event: ev2, DuringOpen: true, RecoveryPending: pending})
-			img = img2
-			continue
-		}
-		s2.Detach()
-		if err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("reopen failed: %v", err)}
-		}
-		// Detach cleared the whole composed bundle; reinstall the auditor
-		// alone so the validation probe and engine close stay audited.
-		if a2 != nil {
-			dev.SetHooks(a2.Hooks())
-		}
-		final = st2
-		break
-	}
-	// Covers recovery work plus the validation reads and probe below.
-	defer accumDevice(cfg.Metrics, final.dev())
-
-	// Phase 3: validate the recovered state.
-	if err := final.check(); err != nil {
-		return &Failure{Chain: chain, Reason: err.Error()}
-	}
-	total := 0
-	for w, h := range workers {
-		k, ok := matchPrefix(final, h)
-		if !ok {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf(
-				"worker %d: recovered keys match no committed prefix in [%d,%d]",
-				w, h.mustSurvive, len(h.states)-1)}
-		}
-		total += len(h.states[k])
-		if k < len(h.states)-1 {
-			rep.RolledBack++
-		} else {
-			rep.CarriedForward++
-		}
-	}
-	if n, err := final.size(); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("size after recovery: %v", err)}
-	} else if n != total {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"recovered store has %d pairs, matched prefixes imply %d", n, total)}
-	}
-	// The recovered store must keep working.
-	probe := uint64(round)
-	if err := final.update([]op{{k: 0, v: probe}}); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("recovered store unusable: %v", err)}
-	}
-	if v, found, err := final.get(0); err != nil || !found || v != probe {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"post-recovery write not readable: v=%d found=%v err=%v", v, found, err)}
-	}
-
-	// Phase 4 (audit rounds only): closing is the engine's final durability
-	// claim; then any violation recorded by any of the round's auditors —
-	// workload, chained recoveries, or the probe — fails the round.
-	if cfg.Audit {
-		if err := final.close(); err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("close after recovery: %v", err)}
-		}
-		for _, a := range ra.auds {
-			accumAudit(cfg.Metrics, rep, a)
-		}
-		if n, v := ra.violations(); n > 0 {
-			rep.AuditViolations += n
-			reason := fmt.Sprintf("auditor: %d durability violation(s)", n)
-			if v != nil {
-				reason += fmt.Sprintf("; first: [%s] at %s: line %d off %d state=%s seq=%d engine=%s tx=%s site=%s",
-					v.Kind, v.Point, v.Line, v.Off, v.State, v.Seq, v.Engine, v.TxKind, v.Site)
-			}
-			return &Failure{Chain: chain, Reason: reason}
-		}
-	}
-	return nil
-}
-
-// matchPrefix finds a committed prefix of the worker's history that the
-// recovered store agrees with on every key the worker owns, searching from
-// the most recent transaction down to the oldest the crash allows.
-func matchPrefix(final store, h *workerHistory) (int, bool) {
-	for k := len(h.states) - 1; k >= h.mustSurvive; k-- {
-		if prefixMatches(final, h, h.states[k]) {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-func prefixMatches(final store, h *workerHistory, state map[uint64]uint64) bool {
-	for _, key := range h.keys {
-		want, ok := state[key]
-		got, found, err := final.get(key)
-		if err != nil || found != ok || (ok && got != want) {
-			return false
-		}
-	}
-	return true
 }

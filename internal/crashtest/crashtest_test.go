@@ -2,7 +2,6 @@ package crashtest
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -10,12 +9,12 @@ import (
 )
 
 func TestCampaignSmall(t *testing.T) {
-	reports, err := Run(Config{Rounds: 6, Seed: 1, ChainDepth: 2, Threads: 2})
+	reports, err := Run(Config{Rounds: 6, Seed: 1, ChainDepth: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(EngineNames()) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(EngineNames()))
+	if len(reports) != len(EngineNames("crash")) {
+		t.Fatalf("got %d reports, want %d", len(reports), len(EngineNames("crash")))
 	}
 	for _, r := range reports {
 		if r.Rounds != 6 {
@@ -26,7 +25,7 @@ func TestCampaignSmall(t *testing.T) {
 
 // A campaign is a pure function of its seed when single-threaded.
 func TestCampaignDeterministic(t *testing.T) {
-	cfg := Config{Rounds: 20, Seed: 42, Threads: 1, ChainDepth: 3, Engines: []string{"rom", "undolog"}}
+	cfg := Config{Rounds: 20, Seed: 42, Workers: 1, ChainDepth: 3, Engines: []string{"rom", "undolog"}}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,27 +44,27 @@ func TestCampaignDeterministic(t *testing.T) {
 // pending work, and both rollback and carry-forward of workers' final
 // transactions.
 func TestCampaignHitsAllOutcomes(t *testing.T) {
-	reports, err := Run(Config{Rounds: 60, Seed: 7, ChainDepth: 3, Threads: 2,
+	reports, err := Run(Config{Rounds: 60, Seed: 7, ChainDepth: 3, Workers: 2,
 		Engines: []string{"romlog"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := reports[0]
-	if r.MidTxCrashes == 0 {
+	if r.Count("mid_tx") == 0 {
 		t.Error("no crash landed inside the workload")
 	}
-	if r.MidTxCrashes == r.Rounds {
+	if r.Count("mid_tx") == uint64(r.Rounds) {
 		t.Error("no crash landed at a quiescent point")
 	}
-	if r.ChainCrashes == 0 {
+	if r.Count("chain") == 0 {
 		t.Error("no crash landed during reopen")
 	}
-	if r.RecoveryCrashes == 0 {
+	if r.Count("recovery_crash") == 0 {
 		t.Error("no crash landed inside pending recovery work")
 	}
-	if r.RolledBack == 0 || r.CarriedForward == 0 {
-		t.Errorf("want both outcomes, got RolledBack=%d CarriedForward=%d",
-			r.RolledBack, r.CarriedForward)
+	if r.Count("rolled_back") == 0 || r.Count("carried_forward") == 0 {
+		t.Errorf("want both outcomes, got rolled_back=%d carried_forward=%d",
+			r.Count("rolled_back"), r.Count("carried_forward"))
 	}
 	t.Logf("report: %+v", r)
 }
@@ -74,14 +73,14 @@ func TestCampaignHitsAllOutcomes(t *testing.T) {
 // engine while the harness polls the scheduler) must be race-clean; this
 // test exists mainly to run under -race.
 func TestCampaignConcurrentWorkload(t *testing.T) {
-	reports, err := Run(Config{Rounds: 8, Seed: 3, Threads: 4, ChainDepth: 2,
+	reports, err := Run(Config{Rounds: 8, Seed: 3, Workers: 4, ChainDepth: 2,
 		Engines: []string{"romlr", "kvstore"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reports {
-		if r.Threads != 4 {
-			t.Errorf("%s ran with %d threads, want 4", r.Engine, r.Threads)
+		if r.Workers != 4 {
+			t.Errorf("%s ran with %d workers, want 4", r.Engine, r.Workers)
 		}
 	}
 }
@@ -90,20 +89,17 @@ func TestCampaignConcurrentWorkload(t *testing.T) {
 // simulated device's data path does not allow; the campaign must force it
 // single-threaded.
 func TestCampaignRedologSingleThreaded(t *testing.T) {
-	reports, err := Run(Config{Rounds: 4, Seed: 9, Threads: 4, Engines: []string{"redolog"}})
+	reports, err := Run(Config{Rounds: 4, Seed: 9, Workers: 4, Engines: []string{"redolog"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reports[0].Threads != 1 {
-		t.Errorf("redolog ran with %d threads, want 1", reports[0].Threads)
+	if reports[0].Workers != 1 {
+		t.Errorf("redolog ran with %d workers, want 1", reports[0].Workers)
 	}
 }
 
 func TestUnknownEngine(t *testing.T) {
-	_, err := Run(Config{Rounds: 1, Engines: []string{"nope"}})
-	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("err = %v, want unknown-engine error", err)
-	}
+	wantUnknownEngine(t, "crash", "nope")
 }
 
 // TestCampaignAudited runs every engine with the durability auditor chained
@@ -112,7 +108,7 @@ func TestUnknownEngine(t *testing.T) {
 // every engine advances must register as durable checks.
 func TestCampaignAudited(t *testing.T) {
 	reg := obs.NewRegistry()
-	reports, err := Run(Config{Rounds: 4, Seed: 5, Threads: 2, ChainDepth: 2,
+	reports, err := Run(Config{Rounds: 4, Seed: 5, Workers: 2, ChainDepth: 2,
 		Engines: []string{"all"}, Audit: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -135,11 +131,11 @@ func TestCampaignAudited(t *testing.T) {
 // outcomes (the auditor only observes; persistence-event numbering is
 // unchanged).
 func TestCampaignAuditPreservesOutcomes(t *testing.T) {
-	base, err := Run(Config{Rounds: 6, Seed: 11, Threads: 1, ChainDepth: 2, Engines: []string{"romlog"}})
+	base, err := Run(Config{Rounds: 6, Seed: 11, Workers: 1, ChainDepth: 2, Engines: []string{"romlog"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	audited, err := Run(Config{Rounds: 6, Seed: 11, Threads: 1, ChainDepth: 2,
+	audited, err := Run(Config{Rounds: 6, Seed: 11, Workers: 1, ChainDepth: 2,
 		Engines: []string{"romlog"}, Audit: true})
 	if err != nil {
 		t.Fatal(err)

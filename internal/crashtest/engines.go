@@ -3,7 +3,6 @@ package crashtest
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
@@ -56,9 +55,9 @@ type store interface {
 	dataOffsets() []int
 	// check validates engine invariants after recovery (heap, twin copies).
 	check() error
-	// close shuts the engine down (the final durability claim the auditor
+	// Close shuts the engine down (the final durability claim the auditor
 	// verifies).
-	close() error
+	Close() error
 }
 
 // target is a crash-test subject: a way to build a fresh store, reopen one
@@ -87,13 +86,23 @@ type target struct {
 	rotable func(imgLen int) [][2]int
 }
 
-// EngineNames lists all crash-test subjects in campaign order.
-func EngineNames() []string {
+// targetNames lists the engine subjects in campaign order.
+func targetNames() []string {
 	names := make([]string, len(targets))
 	for i, t := range targets {
 		names[i] = t.name
 	}
 	return names
+}
+
+// targetNamed returns the subject the driver selected by name.
+func targetNamed(name string) target {
+	for _, t := range targets {
+		if t.name == name {
+			return t
+		}
+	}
+	panic("crashtest: no target " + name)
 }
 
 var targets = []target{
@@ -202,6 +211,17 @@ func coreVerify(e *core.Engine) func() error {
 	}
 }
 
+// coreConfigs are the subjects of the scenarios that drive a core engine
+// directly: the three variants, plus the full-copy ablation (the paper's
+// original O(watermark) replicate) so the replicate scenario pins
+// crash-equivalence across replication strategies, not just the default.
+var coreConfigs = map[string]core.Config{
+	"rom":      {Variant: core.Rom},
+	"rom-full": {Variant: core.Rom, FullReplicate: true},
+	"romlog":   {Variant: core.RomLog},
+	"romlr":    {Variant: core.RomLR},
+}
+
 // mapEngine is the slice of ptm.PTM the harness needs; all three engine
 // packages satisfy it.
 type mapEngine interface {
@@ -278,7 +298,7 @@ func (s *mapStore) setTrace(t obs.Sink) { s.e.SetTrace(t) }
 
 func (s *mapStore) setAudit(a ptm.Auditor) { s.e.SetAuditor(a) }
 
-func (s *mapStore) close() error { return s.e.Close() }
+func (s *mapStore) Close() error { return s.e.Close() }
 
 func (s *mapStore) update(ops []op) error {
 	return s.e.Update(func(tx ptm.Tx) error {
@@ -361,7 +381,7 @@ func (s *kvStore) setTrace(t obs.Sink) { s.db.SetTrace(t) }
 
 func (s *kvStore) setAudit(a ptm.Auditor) { s.db.SetAuditor(a) }
 
-func (s *kvStore) close() error { return s.db.Close() }
+func (s *kvStore) Close() error { return s.db.Close() }
 
 func (s *kvStore) update(ops []op) error {
 	if len(ops) == 1 {
@@ -410,33 +430,4 @@ func (s *kvStore) check() error {
 		return fmt.Errorf("twin copies diverge at offset %d", off)
 	}
 	return nil
-}
-
-// selectTargets resolves engine names ("all" or empty = every target).
-func selectTargets(names []string) ([]target, error) {
-	if len(names) == 0 {
-		return targets, nil
-	}
-	byName := map[string]target{}
-	for _, t := range targets {
-		byName[t.name] = t
-	}
-	var out []target
-	seen := map[string]bool{}
-	for _, n := range names {
-		if n == "all" {
-			return targets, nil
-		}
-		t, ok := byName[n]
-		if !ok {
-			known := EngineNames()
-			sort.Strings(known)
-			return nil, fmt.Errorf("crashtest: unknown engine %q (known: %v)", n, known)
-		}
-		if !seen[n] {
-			out = append(out, t)
-			seen[n] = true
-		}
-	}
-	return out, nil
 }

@@ -3,18 +3,17 @@ package crashtest
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 
-	"repro/internal/audit"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
 
-// This file is the media-fault campaign: where crashtest.Run asks "does a
-// power failure lose acknowledged data?", RunFaults asks "does DAMAGED
-// media get served as if it were good?". Each round chains the three media
-// failure modes through one engine:
+// The faults scenario: where the crash scenario asks "does a power failure
+// lose acknowledged data?", this one asks "does DAMAGED media get served as
+// if it were good?". Each round chains the three media failure modes through
+// one engine, single-threaded:
 //
 //	crash with torn writes -> recover -> validate a committed prefix
 //	bit rot at rest        -> reopen  -> typed refusal OR exact data
@@ -25,115 +24,21 @@ import (
 // what typed corruption errors and shard quarantine are for); serving
 // wrong bytes as if they were acknowledged state is never acceptable. A
 // round fails on any silent divergence, any untyped error, and any
-// durability violation the auditor records along the way.
-
-// FaultConfig parameterizes a media-fault campaign.
-type FaultConfig struct {
-	// Rounds is the number of tear/rot/media chains per engine.
-	Rounds int
-	// Seed makes campaigns reproducible (rounds are single-threaded, so a
-	// seed pins the campaign exactly).
-	Seed int64
-	// Keys bounds the keyspace (default 48).
-	Keys int
-	// TxPerRound bounds committed transactions before the torn crash
-	// (default 10).
-	TxPerRound int
-	// Engines selects the subjects by name; empty or "all" means every one.
-	Engines []string
-	// Metrics, when non-nil, accumulates campaign totals: the pmem_*
-	// counters over every device created plus fault_* campaign counters.
-	Metrics *obs.Registry
-	// Audit attaches a durability auditor to every device the campaign
-	// creates; any violation fails the round, and media-fault forensics
-	// (fault offset plus last-writer attribution) accumulate in the
-	// auditors' reports.
-	Audit bool
-}
-
-func (cfg *FaultConfig) applyDefaults() {
-	if cfg.Keys == 0 {
-		cfg.Keys = 48
-	}
-	if cfg.TxPerRound == 0 {
-		cfg.TxPerRound = 10
-	}
-}
-
-// FaultReport summarizes one engine's media-fault campaign.
-type FaultReport struct {
-	Engine string `json:"engine"`
-	Rounds int    `json:"rounds"`
-	// TornCrashes counts rounds whose torn-write crash interrupted the
-	// workload (the rest crashed post-commit, at a quiescent point).
-	TornCrashes int `json:"torn_crashes"`
-	// RotDetected counts rot reopens refused with a typed corruption error
-	// (lost-and-reported); RotBenign counts reopens that succeeded and then
-	// validated bit-exact (the rot landed in dead or reconstructible bytes).
-	// Every other outcome of a rot reopen is a Failure.
-	RotDetected int `json:"rot_detected"`
-	RotBenign   int `json:"rot_benign"`
-	// MediaTrips counts media-fault trips across the round's devices.
-	MediaTrips uint64 `json:"media_trips"`
-	// TransientRetries counts probe attempts beyond the first needed to
-	// read through transient faults.
-	TransientRetries int `json:"transient_retries"`
-	// AuditViolations counts durability violations (any nonzero count also
-	// fails the offending round).
-	AuditViolations uint64 `json:"audit_violations,omitempty"`
-}
-
-// RunFaults executes one media-fault campaign per selected engine,
-// returning the per-engine reports and the first Failure found (nil when
-// every round holds the corrupt-is-never-served invariant). Reports for
-// engines that completed before the failure are still returned.
-func RunFaults(cfg FaultConfig) ([]FaultReport, error) {
-	cfg.applyDefaults()
-	tgts, err := selectTargets(cfg.Engines)
-	if err != nil {
-		return nil, err
-	}
-	var reports []FaultReport
-	var failure error
-	for _, tgt := range tgts {
-		rep, err := runFaultCampaign(cfg, tgt)
-		reports = append(reports, rep)
-		if err != nil {
-			failure = err
-			break
-		}
-	}
-	if r := cfg.Metrics; r != nil {
-		for _, rep := range reports {
-			r.Counter("fault_rounds_total").Add(uint64(rep.Rounds))
-			r.Counter("fault_torn_crash_total").Add(uint64(rep.TornCrashes))
-			r.Counter("fault_rot_detected_total").Add(uint64(rep.RotDetected))
-			r.Counter("fault_rot_benign_total").Add(uint64(rep.RotBenign))
-			r.Counter("fault_trip_total").Add(rep.MediaTrips)
-			r.Counter("fault_transient_retry_total").Add(uint64(rep.TransientRetries))
-		}
-	}
-	return reports, failure
-}
-
-func runFaultCampaign(cfg FaultConfig, tgt target) (FaultReport, error) {
-	rep := FaultReport{Engine: tgt.name}
-	rng := rand.New(rand.NewSource(engineSeed(cfg.Seed, tgt.name)))
-	for round := 0; round < cfg.Rounds; round++ {
-		roundSeed := rng.Int63()
-		if err := runFaultRound(cfg, tgt, round, roundSeed, &rep); err != nil {
-			if f, ok := err.(*Failure); ok {
-				f.Engine = tgt.name
-				f.Round = round
-				f.CampaignSeed = cfg.Seed
-				f.RoundSeed = roundSeed
-				f.Threads = 1
-			}
-			return rep, err
-		}
-		rep.Rounds++
-	}
-	return rep, nil
+// durability violation the auditor records along the way. Recovery is not
+// crashed again here (no chain): the reopens are where the damage is read.
+var faultsScenario = &scenario{
+	name:     "faults",
+	defaults: Config{Ops: 10, Keys: 48},
+	subjects: targetNames(),
+	metric:   "fault_",
+	// rot_detected: rot reopens refused with a typed corruption error
+	// (lost-and-reported); rot_benign: reopens that succeeded and then
+	// validated bit-exact (the rot landed in dead or reconstructible bytes) —
+	// every other outcome of a rot reopen is a Failure. trip: media-fault
+	// trips across the round's devices. transient_retry: probe attempts
+	// beyond the first needed to read through transient faults.
+	census: []string{"torn_crash", "rot_detected", "rot_benign", "trip", "transient_retry"},
+	round:  faultsRound,
 }
 
 // typedCorrupt reports whether err is one of the typed refusals an engine
@@ -145,20 +50,8 @@ func typedCorrupt(err error) bool {
 		errors.Is(err, pmem.ErrMediaFault)
 }
 
-// attachPlain installs a bare auditor (no crash scheduler) on dev and hands
-// it back both as the engine argument and for the round's violation sweep.
-func (ra *roundAudit) attachPlain(dev *pmem.Device) (*audit.Auditor, ptm.Auditor) {
-	if !ra.enabled {
-		return nil, nil
-	}
-	a := audit.New(dev, audit.Options{})
-	ra.auds = append(ra.auds, a)
-	dev.SetHooks(a.Hooks())
-	return a, a
-}
-
 // randomOps builds a small deterministic transaction for the fault round's
-// single worker, and apply folds it into the model on commit.
+// single worker.
 func randomOps(rng *rand.Rand, keys int) []op {
 	ops := make([]op, 1+rng.Intn(4))
 	for i := range ops {
@@ -169,16 +62,6 @@ func randomOps(rng *rand.Rand, keys int) []op {
 		}
 	}
 	return ops
-}
-
-func apply(model map[uint64]uint64, ops []op) {
-	for _, o := range ops {
-		if o.del {
-			delete(model, o.k)
-		} else {
-			model[o.k] = o.v
-		}
-	}
 }
 
 // exactCheck requires the store to agree with the model bit-for-bit: every
@@ -229,9 +112,9 @@ func rotImage(rng *rand.Rand, tgt target, img []byte, nBits int) {
 	}
 }
 
-func runFaultRound(cfg FaultConfig, tgt target, round int, roundSeed int64, rep *FaultReport) error {
-	rrng := rand.New(rand.NewSource(roundSeed))
-	ra := &roundAudit{enabled: cfg.Audit}
+func faultsRound(r *round) error {
+	tgt := targetNamed(r.subject)
+	keys := r.cfg.Keys
 
 	// Phase 1: workload with one armed crash under a tearing adversary.
 	// Alternate rounds exercise the two tear shapes: an 8-byte-aligned
@@ -241,92 +124,71 @@ func runFaultRound(cfg FaultConfig, tgt target, round int, roundSeed int64, rep 
 	if err != nil {
 		return fmt.Errorf("building fresh %s store: %w", tgt.name, err)
 	}
-	sched := pmem.NewScheduler(st.dev())
-	sched.SetBudget(1)
-	aud, trig := ra.attach(st.dev(), sched)
-	if aud != nil {
-		st.setAudit(aud)
-	}
+	st.setTrace(r.cfg.Trace)
+	sched := r.schedule(1, []*pmem.Device{st.dev()}, 1)
+	st.setAudit(sched.auds[0])
 	policy := pmem.CrashPolicy{
-		QueuedPersistProb: rrng.Float64(),
-		EvictDirtyProb:    rrng.Float64() * 0.5,
-		TearPrefix:        round%2 == 0,
-		TearWords:         round%2 == 1,
-		Rand:              rand.New(rand.NewSource(rrng.Int63())),
+		QueuedPersistProb: r.rng.Float64(),
+		EvictDirtyProb:    r.rng.Float64() * 0.5,
+		TearPrefix:        r.n%2 == 0,
+		TearWords:         r.n%2 == 1,
+		Rand:              rand.New(rand.NewSource(r.rng.Int63())),
 	}
-	sched.Arm(uint64(1+rrng.Intn(cfg.TxPerRound*24+32)), policy)
+	sched.Arm(uint64(1+r.rng.Intn(r.cfg.Ops*24+32)), policy)
 
 	h := &workerHistory{states: []map[uint64]uint64{{}}}
-	for k := uint64(0); k < uint64(cfg.Keys); k++ {
+	for k := uint64(0); k < uint64(keys); k++ {
 		h.keys = append(h.keys, k)
 	}
-	nTx := 1 + rrng.Intn(cfg.TxPerRound)
+	nTx := 1 + r.rng.Intn(r.cfg.Ops)
 	for i := 0; i < nTx; i++ {
-		ops := randomOps(rrng, cfg.Keys)
+		ops := randomOps(r.rng, keys)
 		if err := st.update(ops); err != nil {
 			return fmt.Errorf("%s workload tx %d: %w", tgt.name, i, err)
 		}
-		next := map[uint64]uint64{}
-		for k, v := range h.states[i] {
-			next[k] = v
-		}
+		next := maps.Clone(h.states[i])
 		apply(next, ops)
 		h.states = append(h.states, next)
 		if !sched.Captured() {
 			h.mustSurvive = i + 1
 		}
 	}
-	img, ev := sched.Image()
-	if img != nil {
-		rep.TornCrashes++
-	} else {
-		img = sched.CaptureNow(policy)
-		ev = sched.Events()
-	}
-	trig.finish(img)
-	sched.Detach()
-	accumDevice(cfg.Metrics, st.dev())
-	chain := []CrashPoint{{Event: ev}}
+	img := r.capture(sched, policy, "torn_crash")[0]
 
 	// Phase 2: recover the torn image and validate a committed prefix.
 	// Tears at crash points respect 8-byte atomicity, the medium the
 	// engines are designed for, so recovery must SUCCEED here — typed
 	// refusals are for at-rest damage, phases 3 and 4.
 	dev2 := pmem.FromImage(img, pmem.ModelDRAM)
-	_, audArg := ra.attachPlain(dev2)
-	st2, err := tgt.reopen(dev2, audArg)
+	st2, err := tgt.reopen(dev2, r.audit(dev2))
 	if err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("torn-crash reopen failed: %v", err)}
+		return r.fail("torn-crash reopen failed: %v", err)
 	}
 	if err := st2.check(); err != nil {
-		return &Failure{Chain: chain, Reason: err.Error()}
+		return r.fail("%v", err)
 	}
 	k, ok := matchPrefix(st2, h)
 	if !ok {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"recovered keys match no committed prefix in [%d,%d]", h.mustSurvive, len(h.states)-1)}
+		return r.fail("recovered keys match no committed prefix in [%d,%d]", h.mustSurvive, len(h.states)-1)
 	}
-	model := map[uint64]uint64{}
-	for key, v := range h.states[k] {
-		model[key] = v
-	}
+	model := maps.Clone(h.states[k])
 	// The recovered store must keep working; fold a couple more committed
 	// transactions into the model so later phases validate fresher state.
 	for i := 0; i < 2; i++ {
-		ops := randomOps(rrng, cfg.Keys)
+		ops := randomOps(r.rng, keys)
 		if err := st2.update(ops); err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("post-recovery update: %v", err)}
+			return r.fail("post-recovery update: %v", err)
 		}
 		apply(model, ops)
 	}
 
 	// A quiescent, fully persisted image of the recovered state is the
 	// substrate for the at-rest phases.
-	st2.dev().PersistAll()
-	clean := st2.dev().Persisted()
-	accumDevice(cfg.Metrics, st2.dev())
-	if err := st2.close(); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("close after recovery: %v", err)}
+	dev2.PersistAll()
+	clean := dev2.Persisted()
+	accumDevice(r.cfg.Metrics, dev2)
+	if err := st2.Close(); err != nil {
+		return r.fail("close after recovery: %v", err)
 	}
 
 	// Phase 3: bit rot at rest. Flip a few bits of the clean image within
@@ -336,27 +198,26 @@ func runFaultRound(cfg FaultConfig, tgt target, round int, roundSeed int64, rep 
 	// landed in dead or twin-reconstructible bytes). Opening fine and
 	// serving diverged data fails the campaign.
 	rot := append([]byte(nil), clean...)
-	rotImage(rrng, tgt, rot, 1+rrng.Intn(8))
+	rotImage(r.rng, tgt, rot, 1+r.rng.Intn(8))
 	dev3 := pmem.FromImage(rot, pmem.ModelDRAM)
-	_, audArg3 := ra.attachPlain(dev3)
-	st3, err := tgt.reopen(dev3, audArg3)
+	st3, err := tgt.reopen(dev3, r.audit(dev3))
 	switch {
 	case err != nil && typedCorrupt(err):
-		rep.RotDetected++
+		r.rep.add("rot_detected", 1)
 	case err != nil:
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("rot reopen failed with untyped error: %v", err)}
+		return r.fail("rot reopen failed with untyped error: %v", err)
 	default:
 		if err := st3.check(); err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("rot survived reopen but %v", err)}
+			return r.fail("rot survived reopen but %v", err)
 		}
-		if err := exactCheck(st3, model, cfg.Keys); err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("corrupt-and-served: rot survived reopen but %v", err)}
+		if err := exactCheck(st3, model, keys); err != nil {
+			return r.fail("corrupt-and-served: rot survived reopen but %v", err)
 		}
-		rep.RotBenign++
-		if err := st3.close(); err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("close after benign rot: %v", err)}
+		r.rep.add("rot_benign", 1)
+		if err := st3.Close(); err != nil {
+			return r.fail("close after benign rot: %v", err)
 		}
-		accumDevice(cfg.Metrics, dev3)
+		accumDevice(r.cfg.Metrics, dev3)
 	}
 
 	// Phase 4: live media faults. Reopen the clean image and mark one user
@@ -367,18 +228,14 @@ func runFaultRound(cfg FaultConfig, tgt target, round int, roundSeed int64, rep 
 	// error or, worse, a clean result). The probe targets a controlled raw
 	// offset so no corrupted pointer is ever dereferenced.
 	dev4 := pmem.FromImage(clean, pmem.ModelDRAM)
-	a4, audArg4 := ra.attachPlain(dev4)
-	st4, err := tgt.reopen(dev4, audArg4)
+	st4, err := tgt.reopen(dev4, r.audit(dev4))
 	if err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("clean image reopen failed: %v", err)}
+		return r.fail("clean image reopen failed: %v", err)
 	}
-	if a4 != nil {
-		st4.setAudit(a4)
-	}
-	p := uint64(64 + 8*rrng.Intn(64)) // within the root array: always mapped, below the watermark
+	p := uint64(64 + 8*r.rng.Intn(64)) // within the root array: always mapped, below the watermark
 	expected, err := st4.probe(p)
 	if err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("probe of healthy line: %v", err)}
+		return r.fail("probe of healthy line: %v", err)
 	}
 
 	bases := st4.dataOffsets()
@@ -386,72 +243,59 @@ func runFaultRound(cfg FaultConfig, tgt target, round int, roundSeed int64, rep 
 		dev4.MarkBad(b+int(p), true)
 	}
 	served := false
-	for attempt := 0; attempt <= len(bases); attempt++ {
+	for attempt := 0; attempt <= len(bases) && !served; attempt++ {
 		v, err := st4.probe(p)
-		if err == nil {
-			if v != expected {
-				return &Failure{Chain: chain, Reason: fmt.Sprintf(
-					"transient fault: read served %#x, want %#x", v, expected)}
-			}
+		switch {
+		case err == nil && v != expected:
+			return r.fail("transient fault: read served %#x, want %#x", v, expected)
+		case err == nil:
 			served = true
-			break
+		case !errors.Is(err, pmem.ErrMediaFault):
+			return r.fail("transient fault: untyped error %v", err)
+		default:
+			r.rep.add("transient_retry", 1)
 		}
-		if !errors.Is(err, pmem.ErrMediaFault) {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("transient fault: untyped error %v", err)}
-		}
-		rep.TransientRetries++
 	}
 	if !served {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"transient fault never cleared across %d retries", len(bases)+1)}
+		return r.fail("transient fault never cleared across %d retries", len(bases)+1)
 	}
 
 	for _, b := range bases {
 		dev4.MarkBad(b+int(p), false)
 	}
 	if v, err := st4.probe(p); err == nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"corrupt-and-served: sticky fault read returned %#x with no error", v)}
+		return r.fail("corrupt-and-served: sticky fault read returned %#x with no error", v)
 	} else if !errors.Is(err, pmem.ErrMediaFault) {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("sticky fault read: untyped error %v", err)}
+		return r.fail("sticky fault read: untyped error %v", err)
 	}
 	if err := st4.probeUpdate(p); err == nil {
-		return &Failure{Chain: chain, Reason: "corrupt-and-served: update over a sticky fault committed cleanly"}
+		return r.fail("corrupt-and-served: update over a sticky fault committed cleanly")
 	} else if !errors.Is(err, pmem.ErrMediaFault) {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("sticky fault update: untyped error %v", err)}
+		return r.fail("sticky fault update: untyped error %v", err)
 	}
 
 	// After the (simulated) media repair the store must be whole: exact
 	// state, and still writable.
-	rep.MediaTrips += dev4.FaultsTripped()
+	r.rep.add("trip", dev4.FaultsTripped())
 	dev4.ClearFaults()
-	if err := exactCheck(st4, model, cfg.Keys); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("state diverged after fault episode: %v", err)}
+	if err := exactCheck(st4, model, keys); err != nil {
+		return r.fail("state diverged after fault episode: %v", err)
 	}
-	ops := randomOps(rrng, cfg.Keys)
+	ops := randomOps(r.rng, keys)
 	if err := st4.update(ops); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("update after fault episode: %v", err)}
+		return r.fail("update after fault episode: %v", err)
 	}
 	apply(model, ops)
-	if err := exactCheck(st4, model, cfg.Keys); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("post-repair write not readable: %v", err)}
+	if err := exactCheck(st4, model, keys); err != nil {
+		return r.fail("post-repair write not readable: %v", err)
 	}
-	accumDevice(cfg.Metrics, dev4)
+	accumDevice(r.cfg.Metrics, dev4)
 
-	// Phase 5: close is the final durability claim; then (audit rounds)
-	// any violation any of the round's auditors recorded — workload, torn
-	// recovery, rot reopen, or the fault episode — fails the round.
-	if err := st4.close(); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("close after fault episode: %v", err)}
-	}
-	if n, v := ra.violations(); n > 0 {
-		rep.AuditViolations += n
-		reason := fmt.Sprintf("auditor: %d durability violation(s)", n)
-		if v != nil {
-			reason += fmt.Sprintf("; first: [%s] at %s: line %d off %d state=%s seq=%d engine=%s tx=%s site=%s",
-				v.Kind, v.Point, v.Line, v.Off, v.State, v.Seq, v.Engine, v.TxKind, v.Site)
-		}
-		return &Failure{Chain: chain, Reason: reason}
+	// Phase 5: close is the final durability claim; the driver's verdict then
+	// fails the round on any violation any of its auditors recorded —
+	// workload, torn recovery, rot reopen, or the fault episode.
+	if err := st4.Close(); err != nil {
+		return r.fail("close after fault episode: %v", err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -21,7 +22,7 @@ func TestFaultCampaignAllEngines(t *testing.T) {
 		rounds = 8
 	}
 	reg := obs.NewRegistry()
-	reports, err := RunFaults(FaultConfig{Rounds: rounds, Seed: 20260808, Audit: true, Metrics: reg})
+	reports, err := Run(Config{Scenario: "faults", Rounds: rounds, Seed: 20260808, Audit: true, Metrics: reg})
 	if err != nil {
 		t.Fatalf("fault campaign: %v", err)
 	}
@@ -34,12 +35,12 @@ func TestFaultCampaignAllEngines(t *testing.T) {
 		}
 		// Every round's rot trial ends in exactly one of the two acceptable
 		// outcomes; anything else would have failed the campaign above.
-		if rep.RotDetected+rep.RotBenign != rounds {
+		if rep.Count("rot_detected")+rep.Count("rot_benign") != uint64(rounds) {
 			t.Errorf("%s: rot outcomes %d detected + %d benign != %d rounds",
-				rep.Engine, rep.RotDetected, rep.RotBenign, rounds)
+				rep.Engine, rep.Count("rot_detected"), rep.Count("rot_benign"), rounds)
 		}
 		// The media phase always trips faults (transient then sticky).
-		if rep.MediaTrips == 0 {
+		if rep.Count("trip") == 0 {
 			t.Errorf("%s: media phase tripped no faults (vacuous?)", rep.Engine)
 		}
 		if rep.AuditViolations != 0 {
@@ -56,17 +57,17 @@ func TestFaultCampaignAllEngines(t *testing.T) {
 
 // TestFaultCampaignReproducible pins determinism: same seed, same reports.
 func TestFaultCampaignReproducible(t *testing.T) {
-	cfg := FaultConfig{Rounds: 4, Seed: 7, Engines: []string{"romlog"}, Audit: true}
-	a, err := RunFaults(cfg)
+	cfg := Config{Scenario: "faults", Rounds: 4, Seed: 7, Engines: []string{"romlog"}, Audit: true}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFaults(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0] != b[0] {
-		t.Fatalf("same seed diverged:\n%+v\n%+v", a[0], b[0])
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -1,34 +1,31 @@
 package crashtest
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestGroupCampaignSmall runs the network group-commit campaign across all
 // three core variants: crashes land inside cross-connection batches and
 // recovery must keep every acknowledged write and never split a batch.
 func TestGroupCampaignSmall(t *testing.T) {
-	reports, err := RunGroup(GroupConfig{Rounds: 20, Seed: 1, Conns: 6, ChainDepth: 2})
+	reports, err := Run(Config{Scenario: "group", Rounds: 20, Seed: 1, Workers: 6, ChainDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(GroupEngineNames()) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(GroupEngineNames()))
+	if len(reports) != len(EngineNames("group")) {
+		t.Fatalf("got %d reports, want %d", len(reports), len(EngineNames("group")))
 	}
 	for _, r := range reports {
 		if r.Rounds != 20 {
 			t.Errorf("%s: %d rounds completed, want 20", r.Engine, r.Rounds)
 		}
-		if r.MultiConnBatches == 0 {
+		if r.Count("multiconn_batch") == 0 {
 			t.Errorf("%s: no batch merged ops from more than one connection; campaign never exercised cross-connection group commit", r.Engine)
 		}
-		if r.MidRoundCrashes == 0 {
+		if r.Count("mid_round") == 0 {
 			t.Errorf("%s: no crash landed inside the workload", r.Engine)
 		}
-		if r.AcksSurvived == 0 || r.AcksLost == 0 {
+		if r.Count("ack_survived") == 0 || r.Count("ack_lost") == 0 {
 			t.Errorf("%s: want acks on both sides of the crash line, got %d survived / %d lost",
-				r.Engine, r.AcksSurvived, r.AcksLost)
+				r.Engine, r.Count("ack_survived"), r.Count("ack_lost"))
 		}
 		t.Logf("%s: %+v", r.Engine, r)
 	}
@@ -38,7 +35,7 @@ func TestGroupCampaignSmall(t *testing.T) {
 // crash scheduler: group-committed rounds must uphold the fence protocol
 // exactly like solo ones.
 func TestGroupCampaignAudited(t *testing.T) {
-	reports, err := RunGroup(GroupConfig{Rounds: 8, Seed: 5, Conns: 6, Audit: true})
+	reports, err := Run(Config{Scenario: "group", Rounds: 8, Seed: 5, Workers: 6, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +47,5 @@ func TestGroupCampaignAudited(t *testing.T) {
 }
 
 func TestGroupCampaignUnknownEngine(t *testing.T) {
-	_, err := RunGroup(GroupConfig{Rounds: 1, Engines: []string{"undolog"}})
-	if err == nil || !strings.Contains(err.Error(), "no group variant") {
-		t.Fatalf("err = %v, want no-group-variant error", err)
-	}
+	wantUnknownEngine(t, "group", "undolog")
 }

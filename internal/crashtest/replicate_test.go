@@ -2,7 +2,6 @@ package crashtest
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -11,21 +10,21 @@ import (
 // armed just past commit durable points and recovery must expose each
 // worker's lanes exactly as a replay of its surviving operation prefix.
 func TestReplicateCampaignSmall(t *testing.T) {
-	reports, err := RunReplicate(ReplicateConfig{Rounds: 25, Seed: 1, Threads: 2, ChainDepth: 2})
+	reports, err := Run(Config{Scenario: "replicate", Rounds: 25, Seed: 1, Workers: 2, ChainDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(ReplicateEngineNames()) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(ReplicateEngineNames()))
+	if len(reports) != len(EngineNames("replicate")) {
+		t.Fatalf("got %d reports, want %d", len(reports), len(EngineNames("replicate")))
 	}
 	for _, r := range reports {
 		if r.Rounds != 25 {
 			t.Errorf("%s: %d rounds completed, want 25", r.Engine, r.Rounds)
 		}
-		if r.MidRoundCrashes == 0 {
+		if r.Count("mid_round") == 0 {
 			t.Errorf("%s: no crash landed inside the workload", r.Engine)
 		}
-		if r.MidReplicateCrashes == 0 {
+		if r.Count("mid_replicate") == 0 {
 			t.Errorf("%s: no crash landed inside replication (state CPY); the armer never hit its window", r.Engine)
 		}
 		t.Logf("%s: %+v", r.Engine, r)
@@ -36,7 +35,7 @@ func TestReplicateCampaignSmall(t *testing.T) {
 // device: dirty-range replication must uphold the fence protocol under crash
 // pressure exactly like the full copy.
 func TestReplicateCampaignAudited(t *testing.T) {
-	reports, err := RunReplicate(ReplicateConfig{Rounds: 10, Seed: 5, Threads: 2, Audit: true})
+	reports, err := Run(Config{Scenario: "replicate", Rounds: 10, Seed: 5, Workers: 2, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +49,12 @@ func TestReplicateCampaignAudited(t *testing.T) {
 // TestReplicateCampaignDeterministic: a single-threaded campaign is a pure
 // function of its seed.
 func TestReplicateCampaignDeterministic(t *testing.T) {
-	cfg := ReplicateConfig{Rounds: 12, Seed: 42, Threads: 1, ChainDepth: 2, Engines: []string{"rom"}}
-	a, err := RunReplicate(cfg)
+	cfg := Config{Scenario: "replicate", Rounds: 12, Seed: 42, Workers: 1, ChainDepth: 2, Engines: []string{"rom"}}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplicate(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +64,5 @@ func TestReplicateCampaignDeterministic(t *testing.T) {
 }
 
 func TestReplicateCampaignUnknownEngine(t *testing.T) {
-	_, err := RunReplicate(ReplicateConfig{Rounds: 1, Engines: []string{"undolog"}})
-	if err == nil || !strings.Contains(err.Error(), "no replicate variant") {
-		t.Fatalf("err = %v, want no-replicate-variant error", err)
-	}
+	wantUnknownEngine(t, "replicate", "undolog")
 }

@@ -2,149 +2,62 @@ package crashtest
 
 import (
 	"fmt"
-	"math/rand"
+	"maps"
 
-	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/kvstore"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 	"repro/internal/shard"
 )
 
-// XShardConfig parameterizes the cross-shard campaign: randomized crash
-// chains against a sharded store (N shard devices plus the coordinator log),
-// with whole-process failures captured consistently across every device by
-// pmem.MultiScheduler. The workload is single-threaded — the multi-device
-// capture requires it — and mixes single-key writes with multi-key batches
-// that span shards and commit through the coordinator's two-phase record.
-type XShardConfig struct {
-	// Rounds is the number of build/crash/recover cycles.
-	Rounds int
-	// Seed makes campaigns fully deterministic (single-threaded workload).
-	Seed int64
-	// Shards is the partition count (default 3).
-	Shards int
-	// Keys bounds the keyspace (default 48).
-	Keys int
-	// OpsPerRound bounds completed operations before the crash (default 10);
-	// roughly 40% are cross-shard batches.
-	OpsPerRound int
-	// ChainDepth is the maximum crashes per round (default 2): the first
-	// lands in the workload or a two-phase commit window, later ones inside
-	// the multi-device recovery itself.
-	ChainDepth int
-	// Metrics, when non-nil, accumulates pmem_* device totals and the
-	// xshard_crash_* campaign counters.
-	Metrics *obs.Registry
-	// Audit chains a durability auditor in front of the crash scheduler on
-	// EVERY device — each shard and the coordinator log — for the workload
-	// and every reopened image set. Violations fail the round.
-	Audit bool
+// The xshard scenario: randomized crash chains against a sharded store (N
+// shard devices plus the coordinator log), with whole-process failures
+// captured consistently across every device by one scheduler. The workload is
+// single-threaded — the multi-device capture requires it — and mixes
+// single-key writes with multi-key batches (roughly 40%) that span shards and
+// commit through the coordinator's two-phase record. The recovered store
+// must equal the keyspace after some completed operation: exact-prefix
+// matching makes a half-applied cross-shard batch, or any lost acknowledged
+// write, a failure, since a partial state matches no prefix.
+var xshardScenario = &scenario{
+	name:     "xshard",
+	defaults: Config{Ops: 10, Keys: 48, Shards: 3, ChainDepth: 2},
+	subjects: []string{"xshard"},
+	metric:   "xshard_crash_",
+	// xbatch: cross-shard batches the workloads committed. replay / rollback:
+	// in-doubt batches recovery rolled forward / discarded, over all
+	// recoveries of the campaign — both arms must be exercised for it to
+	// prove anything. rolled_back / carried_forward: rounds whose recovered
+	// state excluded/included the round's final completed operation.
+	census: []string{"mid_op", "xbatch", "chain", "recovery_crash", "replay", "rollback", "rolled_back", "carried_forward"},
+	round:  xshardRound,
 }
 
-func (cfg *XShardConfig) applyDefaults() {
-	if cfg.Shards == 0 {
-		cfg.Shards = 3
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 48
-	}
-	if cfg.OpsPerRound == 0 {
-		cfg.OpsPerRound = 10
-	}
-	if cfg.ChainDepth == 0 {
-		cfg.ChainDepth = 2
+// shardOpts sizes the sharded store the xshard, group and migrate scenarios
+// build.
+func shardOpts(shards int, v core.Variant) shard.Options {
+	return shard.Options{Shards: shards, RegionSize: 256 << 10, CoordSize: 32 << 10, Variant: v}
+}
+
+// traceShards attaches the campaign's trace sink to every shard engine.
+func traceShards(r *round, st *shard.Store) {
+	for i := 0; i < st.NumShards(); i++ {
+		st.Engine(i).SetTrace(r.cfg.Trace)
 	}
 }
 
-// XShardReport summarizes a cross-shard campaign.
-type XShardReport struct {
-	Rounds int `json:"rounds"`
-	Shards int `json:"shards"`
-	// MidOpCrashes counts rounds whose first crash interrupted the workload
-	// (the rest crashed post-commit, at a quiescent point).
-	MidOpCrashes int `json:"mid_op_crashes"`
-	// XBatches counts cross-shard batches committed by the workloads.
-	XBatches int `json:"xshard_batches"`
-	// Replays and Rollbacks count in-doubt batches recovery rolled forward /
-	// discarded across all recoveries of the campaign — both arms must be
-	// exercised for the campaign to prove anything.
-	Replays   uint64 `json:"replays"`
-	Rollbacks uint64 `json:"rollbacks"`
-	// ChainCrashes counts crashes beyond the first (inside recovery);
-	// RecoveryCrashes counts those whose image set had real recovery work
-	// pending (a shard mid-transaction or a prepared coordinator record).
-	ChainCrashes    int `json:"chain_crashes"`
-	RecoveryCrashes int `json:"recovery_crashes"`
-	// RolledBack and CarriedForward count rounds whose recovered state
-	// excluded/included the round's final completed operation.
-	RolledBack      int    `json:"rolled_back"`
-	CarriedForward  int    `json:"carried_forward"`
-	AuditViolations uint64 `json:"audit_violations,omitempty"`
-}
-
-// RunXShard executes the cross-shard campaign, returning the report and the
-// first Failure (Engine "xshard") found.
-func RunXShard(cfg XShardConfig) (XShardReport, error) {
-	cfg.applyDefaults()
-	rep := XShardReport{Shards: cfg.Shards}
-	rng := rand.New(rand.NewSource(engineSeed(cfg.Seed, "xshard")))
-	for round := 0; round < cfg.Rounds; round++ {
-		roundSeed := rng.Int63()
-		if err := runXShardRound(cfg, round, roundSeed, &rep); err != nil {
-			if f, ok := err.(*Failure); ok {
-				f.Engine = "xshard"
-				f.Round = round
-				f.CampaignSeed = cfg.Seed
-				f.RoundSeed = roundSeed
-				f.Threads = 1
-			}
-			return rep, err
-		}
-		rep.Rounds++
-	}
-	if r := cfg.Metrics; r != nil {
-		r.Counter("xshard_crash_rounds_total").Add(uint64(rep.Rounds))
-		r.Counter("xshard_crash_chain_total").Add(uint64(rep.ChainCrashes))
-		r.Counter("xshard_crash_recovery_crash_total").Add(uint64(rep.RecoveryCrashes))
-		r.Counter("xshard_crash_replay_total").Add(rep.Replays)
-		r.Counter("xshard_crash_rollback_total").Add(rep.Rollbacks)
-	}
-	return rep, nil
-}
-
-// xshardOpts builds the store options for one round; Auditors is filled per
-// open by the caller.
-func xshardOpts(cfg XShardConfig) shard.Options {
-	return shard.Options{
-		Shards:     cfg.Shards,
-		RegionSize: 256 << 10,
-		CoordSize:  32 << 10,
-		Variant:    core.RomLog,
-	}
-}
-
-// xshardAttach wires one image set's devices: per device, optionally an
-// auditor chained IN FRONT of the multi-scheduler's counting bundle (shadow
-// state must update before a capture can fire). Returns the ptm.Auditor
-// slice for shard.Options.Auditors (nil when auditing is off) and the
-// round's new auditors for accounting.
-func xshardAttach(devs []*pmem.Device, ms *pmem.MultiScheduler, enabled bool) ([]ptm.Auditor, []*audit.Auditor) {
-	if !enabled {
-		ms.Attach()
-		return nil, nil
-	}
-	pauds := make([]ptm.Auditor, len(devs))
-	auds := make([]*audit.Auditor, len(devs))
-	for i, d := range devs {
-		a := audit.New(d, audit.Options{})
-		d.SetHooks(pmem.ChainHooks(a.Hooks(), ms.Hooks(i)))
-		pauds[i] = a
-		auds[i] = a
-	}
-	return pauds, auds
+// reopenShards runs the crash chain for a sharded store: each link is
+// shard.Reopen — every shard's recovery, the coordinator's in-doubt batch
+// resolution, the placement journal's — over the first nsched devices
+// scheduled and the rest carried.
+func reopenShards(r *round, opts shard.Options, imgs [][]byte, nsched int, pending func(imgs [][]byte) bool) (*shard.Store, error) {
+	return reopenChain(r, imgs, nsched,
+		func(devs []*pmem.Device, auds []ptm.Auditor) (*shard.Store, error) {
+			o := opts
+			o.Auditors = auds
+			return shard.Reopen(devs, o)
+		}, pending)
 }
 
 // xshardPending reports whether an image set needs real recovery work: any
@@ -158,228 +71,72 @@ func xshardPending(imgs [][]byte) bool {
 	return shard.CoordRecoveryPending(imgs[len(imgs)-1])
 }
 
-func runXShardRound(cfg XShardConfig, round int, roundSeed int64, rep *XShardReport) error {
-	rrng := rand.New(rand.NewSource(roundSeed))
-	opts := xshardOpts(cfg)
-	st, err := shard.Open(opts)
-	if err != nil {
-		return fmt.Errorf("building fresh sharded store: %w", err)
-	}
-	var roundAuds []*audit.Auditor
+// kvHistory is a single-threaded workload's record: states[i] is the keyspace
+// after the i-th completed operation, mustSurvive the latest state known
+// committed before the crash fired.
+type kvHistory struct {
+	key         func(int) []byte
+	keys        int
+	states      []map[int]uint64
+	mustSurvive int
+}
 
-	// Phase 1: single-threaded workload under one armed all-device capture.
-	devs := st.Devices()
-	ms := pmem.NewMultiScheduler(devs...)
-	ms.SetBudget(cfg.ChainDepth)
-	pauds, auds := xshardAttach(devs, ms, cfg.Audit)
-	if pauds != nil {
-		st.SetAuditors(pauds)
-		roundAuds = append(roundAuds, auds...)
-	}
-	policy := randPolicy(rrng)
-	// A single-key tx is ~24 events; a cross-shard batch several times that.
-	// Overshooting lets some rounds crash post-workload, quiescent.
-	ms.Arm(uint64(1+rrng.Intn(cfg.OpsPerRound*64+96)), policy)
+func (h *kvHistory) last() map[int]uint64 { return h.states[len(h.states)-1] }
 
-	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
-	state := map[int]uint64{}
-	// states[i] is the keyspace after the i-th completed operation;
-	// mustSurvive is the latest state known committed before the crash.
-	states := []map[int]uint64{{}}
-	mustSurvive := 0
-	for i := 0; i < cfg.OpsPerRound; i++ {
-		next := map[int]uint64{}
-		for k, v := range state {
-			next[k] = v
-		}
-		if rrng.Intn(5) < 2 { // cross-shard batch
-			b := &kvstore.Batch{}
-			n := 3 + rrng.Intn(4)
-			hit := map[int]bool{}
-			for o := 0; o < n; o++ {
-				k := rrng.Intn(cfg.Keys)
-				hit[st.ShardFor(key(k))] = true
-				if rrng.Intn(4) == 0 {
-					b.Delete(key(k))
-					delete(next, k)
-				} else {
-					v := rrng.Uint64()
-					b.Put(key(k), []byte(fmt.Sprintf("%d", v)))
-					next[k] = v
-				}
-			}
-			if err := st.Write(b); err != nil {
-				return fmt.Errorf("round %d op %d (batch): %w", round, i, err)
-			}
-			if len(hit) > 1 {
-				rep.XBatches++
-			}
-		} else { // single-key op
-			k := rrng.Intn(cfg.Keys)
-			if rrng.Intn(4) == 0 {
-				if err := st.Delete(key(k)); err != nil {
-					return fmt.Errorf("round %d op %d (del): %w", round, i, err)
-				}
-				delete(next, k)
-			} else {
-				v := rrng.Uint64()
-				if err := st.Put(key(k), []byte(fmt.Sprintf("%d", v))); err != nil {
-					return fmt.Errorf("round %d op %d (put): %w", round, i, err)
-				}
-				next[k] = v
-			}
-		}
-		state = next
-		states = append(states, next)
-		if !ms.Captured() {
-			mustSurvive = i + 1
-		}
-	}
+// next starts the state after one more operation, for the caller to edit.
+func (h *kvHistory) next() map[int]uint64 {
+	return maps.Clone(h.last())
+}
 
-	imgs, ev := ms.Images()
-	if imgs != nil {
-		rep.MidOpCrashes++
-	} else {
-		imgs = ms.CaptureNow(policy)
-		ev = ms.Events()
+// done records a completed operation's state; captured is whether the crash
+// had fired by then.
+func (h *kvHistory) done(state map[int]uint64, captured bool) {
+	h.states = append(h.states, state)
+	if !captured {
+		h.mustSurvive = len(h.states) - 1
 	}
-	ms.Detach()
-	for _, d := range devs {
-		accumDevice(cfg.Metrics, d)
-	}
-	chain := []CrashPoint{{Event: ev}}
+}
 
-	// Phase 2: the crash chain. Reopen each image set under a freshly armed
-	// multi-scheduler; a crash during Reopen (shard recoveries plus the
-	// coordinator's in-doubt resolution) yields the next link.
-	var final *shard.Store
-	for {
-		rdevs := make([]*pmem.Device, len(imgs))
-		for i, img := range imgs {
-			rdevs[i] = pmem.FromImage(img, pmem.ModelDRAM)
-		}
-		pending := xshardPending(imgs)
-		ms2 := pmem.NewMultiScheduler(rdevs...)
-		ms2.SetBudget(1)
-		if len(chain) < cfg.ChainDepth {
-			armInsideReopen(rrng, imgs, func(d []*pmem.Device) {
-				_, _ = shard.Reopen(d, xshardOpts(cfg)) // rehearsal; the Reopen below reports errors
-			}, ms2.Arm)
-		}
-		ropts := xshardOpts(cfg)
-		pauds2, auds2 := xshardAttach(rdevs, ms2, cfg.Audit)
-		ropts.Auditors = pauds2
-		// Chain-crashed reopens keep their auditors in the round's pool too:
-		// a violation detected before the capture fired is still a violation.
-		roundAuds = append(roundAuds, auds2...)
-		st2, err := shard.Reopen(rdevs, ropts)
-		if ms2.Captured() {
-			imgs2, ev2 := ms2.Images()
-			ms2.Detach()
-			for _, d := range rdevs {
-				accumDevice(cfg.Metrics, d)
-			}
-			rep.ChainCrashes++
-			if pending {
-				rep.RecoveryCrashes++
-			}
-			chain = append(chain, CrashPoint{Event: ev2, DuringOpen: true, RecoveryPending: pending})
-			imgs = imgs2
-			continue
-		}
-		ms2.Detach()
-		if err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("reopen failed: %v", err)}
-		}
-		// Detach cleared the composed bundles; keep the recovered store's
-		// auditors alone in place for validation and close.
-		for _, a := range auds2 {
-			a.Attach()
-		}
-		final = st2
-		break
+// putOrDelete applies one seeded single-key operation to st and to state.
+func (h *kvHistory) putOrDelete(r *round, st *shard.Store, state map[int]uint64) error {
+	k := r.rng.Intn(h.keys)
+	if r.rng.Intn(4) == 0 {
+		delete(state, k)
+		return st.Delete(h.key(k))
 	}
-	stats := final.Stats()
-	rep.Replays += stats.XReplays
-	rep.Rollbacks += stats.XRollback
+	v := r.rng.Uint64()
+	state[k] = v
+	return st.Put(h.key(k), []byte(fmt.Sprintf("%d", v)))
+}
 
-	// Phase 3: validate. The recovered store must equal the keyspace after
-	// some completed operation >= mustSurvive — exact-prefix matching makes
-	// a half-applied cross-shard batch (or any lost acknowledged write) a
-	// round failure, since a partial state matches no prefix.
+// matchRecovered finds the committed prefix the recovered store equals and
+// counts the round as rolled back or carried forward.
+func (h *kvHistory) matchRecovered(r *round, st *shard.Store) error {
 	matched := -1
-	for k := len(states) - 1; k >= mustSurvive; k-- {
-		if xshardStateMatches(final, states[k], cfg.Keys, key) {
+	for k := len(h.states) - 1; k >= h.mustSurvive && matched < 0; k-- {
+		if h.matches(st, h.states[k]) {
 			matched = k
-			break
 		}
 	}
 	if matched < 0 {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"recovered state matches no committed prefix in [%d,%d]", mustSurvive, len(states)-1)}
+		return r.fail("recovered state matches no committed prefix in [%d,%d]", h.mustSurvive, len(h.states)-1)
 	}
-	if n := final.Len(); n != len(states[matched]) {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf(
-			"recovered store has %d pairs, matched prefix implies %d", n, len(states[matched]))}
+	if n := st.Len(); n != len(h.states[matched]) {
+		return r.fail("recovered store has %d pairs, matched prefix implies %d (duplicate or orphaned owner)",
+			n, len(h.states[matched]))
 	}
-	if matched < len(states)-1 {
-		rep.RolledBack++
+	if matched < len(h.states)-1 {
+		r.rep.add("rolled_back", 1)
 	} else {
-		rep.CarriedForward++
-	}
-
-	// The recovered store must keep working, including cross-shard commits.
-	if err := final.Put(key(0), []byte("probe")); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("recovered store unusable: %v", err)}
-	}
-	pb := &kvstore.Batch{}
-	for k := 0; k < cfg.Keys && k < 8; k++ {
-		pb.Put(key(k), []byte("probe-batch"))
-	}
-	if err := final.Write(pb); err != nil {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("post-recovery batch failed: %v", err)}
-	}
-	if v, err := final.Get(key(1)); err != nil || string(v) != "probe-batch" {
-		return &Failure{Chain: chain, Reason: fmt.Sprintf("post-recovery batch not readable: %q err=%v", v, err)}
-	}
-
-	// Phase 4 (audit rounds): close is the final durability claim, then any
-	// violation across the round's auditors fails it.
-	if cfg.Audit {
-		if err := final.Close(); err != nil {
-			return &Failure{Chain: chain, Reason: fmt.Sprintf("close after recovery: %v", err)}
-		}
-		for _, d := range final.Devices() {
-			accumDevice(cfg.Metrics, d)
-		}
-		var total uint64
-		var first *audit.Violation
-		for _, a := range roundAuds {
-			total += a.ViolationCount()
-			if first == nil {
-				if vs := a.Violations(); len(vs) > 0 {
-					first = &vs[0]
-				}
-			}
-		}
-		if total > 0 {
-			rep.AuditViolations += total
-			reason := fmt.Sprintf("auditor: %d durability violation(s)", total)
-			if first != nil {
-				reason += fmt.Sprintf("; first: [%s] at %s: line %d off %d state=%s seq=%d engine=%s tx=%s site=%s",
-					first.Kind, first.Point, first.Line, first.Off, first.State, first.Seq,
-					first.Engine, first.TxKind, first.Site)
-			}
-			return &Failure{Chain: chain, Reason: reason}
-		}
+		r.rep.add("carried_forward", 1)
 	}
 	return nil
 }
 
-func xshardStateMatches(st *shard.Store, want map[int]uint64, keys int, key func(int) []byte) bool {
-	for k := 0; k < keys; k++ {
+func (h *kvHistory) matches(st *shard.Store, want map[int]uint64) bool {
+	for k := 0; k < h.keys; k++ {
 		wantV, ok := want[k]
-		got, err := st.Get(key(k))
+		got, err := st.Get(h.key(k))
 		if ok != (err == nil) {
 			return false
 		}
@@ -388,4 +145,83 @@ func xshardStateMatches(st *shard.Store, want map[int]uint64, keys int, key func
 		}
 	}
 	return true
+}
+
+func xshardRound(r *round) error {
+	opts := shardOpts(r.cfg.Shards, core.RomLog)
+	st, err := shard.Open(opts)
+	if err != nil {
+		return fmt.Errorf("building fresh sharded store: %w", err)
+	}
+	traceShards(r, st)
+
+	devs := st.Devices()
+	sched := r.schedule(r.cfg.ChainDepth, devs, len(devs))
+	st.SetAuditors(sched.auds)
+	policy := randPolicy(r.rng)
+	// A single-key tx is ~24 events; a cross-shard batch several times that.
+	// Overshooting lets some rounds crash post-workload, quiescent.
+	sched.Arm(uint64(1+r.rng.Intn(r.cfg.Ops*64+96)), policy)
+
+	h := &kvHistory{
+		key:    func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) },
+		keys:   r.cfg.Keys,
+		states: []map[int]uint64{{}},
+	}
+	for i := 0; i < r.cfg.Ops; i++ {
+		next := h.next()
+		if r.rng.Intn(5) < 2 { // cross-shard batch
+			b := &kvstore.Batch{}
+			n := 3 + r.rng.Intn(4)
+			hit := map[int]bool{}
+			for o := 0; o < n; o++ {
+				k := r.rng.Intn(h.keys)
+				hit[st.ShardFor(h.key(k))] = true
+				if r.rng.Intn(4) == 0 {
+					b.Delete(h.key(k))
+					delete(next, k)
+				} else {
+					v := r.rng.Uint64()
+					b.Put(h.key(k), []byte(fmt.Sprintf("%d", v)))
+					next[k] = v
+				}
+			}
+			if err := st.Write(b); err != nil {
+				return fmt.Errorf("round %d op %d (batch): %w", r.n, i, err)
+			}
+			if len(hit) > 1 {
+				r.rep.add("xbatch", 1)
+			}
+		} else if err := h.putOrDelete(r, st, next); err != nil {
+			return fmt.Errorf("round %d op %d: %w", r.n, i, err)
+		}
+		h.done(next, sched.Captured())
+	}
+
+	final, err := reopenShards(r, opts, r.capture(sched, policy, "mid_op"), len(devs), xshardPending)
+	if err != nil {
+		return err
+	}
+	stats := final.Stats()
+	r.rep.add("replay", stats.XReplays)
+	r.rep.add("rollback", stats.XRollback)
+
+	if err := h.matchRecovered(r, final); err != nil {
+		return err
+	}
+	// The recovered store must keep working, including cross-shard commits.
+	if err := final.Put(h.key(0), []byte("probe")); err != nil {
+		return r.fail("recovered store unusable: %v", err)
+	}
+	pb := &kvstore.Batch{}
+	for k := 0; k < h.keys && k < 8; k++ {
+		pb.Put(h.key(k), []byte("probe-batch"))
+	}
+	if err := final.Write(pb); err != nil {
+		return r.fail("post-recovery batch failed: %v", err)
+	}
+	if v, err := final.Get(h.key(1)); err != nil || string(v) != "probe-batch" {
+		return r.fail("post-recovery batch not readable: %q err=%v", v, err)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -12,21 +13,21 @@ import (
 // exact-prefix validation that makes any half-applied cross-shard batch a
 // failure.
 func TestXShardCampaign(t *testing.T) {
-	rep, err := RunXShard(XShardConfig{Rounds: 40, Seed: 21, Shards: 3, ChainDepth: 2})
+	rep, err := runOne(Config{Scenario: "xshard", Rounds: 40, Seed: 21, Shards: 3, ChainDepth: 2})
 	if err != nil {
 		t.Fatalf("campaign failed: %v", err)
 	}
 	if rep.Rounds != 40 {
 		t.Fatalf("completed %d rounds, want 40", rep.Rounds)
 	}
-	if rep.XBatches == 0 {
+	if rep.Count("xbatch") == 0 {
 		t.Fatal("campaign committed no cross-shard batches")
 	}
-	if rep.MidOpCrashes == 0 {
+	if rep.Count("mid_op") == 0 {
 		t.Fatal("no crash interrupted a workload — arming window miscalibrated")
 	}
-	if rep.RolledBack+rep.CarriedForward != rep.Rounds {
-		t.Fatalf("resolution counts %d+%d != rounds %d", rep.RolledBack, rep.CarriedForward, rep.Rounds)
+	if rep.Count("rolled_back")+rep.Count("carried_forward") != uint64(rep.Rounds) {
+		t.Fatalf("resolution counts %d+%d != rounds %d", rep.Count("rolled_back"), rep.Count("carried_forward"), rep.Rounds)
 	}
 	t.Logf("xshard: %+v", rep)
 }
@@ -36,7 +37,7 @@ func TestXShardCampaign(t *testing.T) {
 // the shard engines fails the campaign.
 func TestXShardCampaignAudited(t *testing.T) {
 	reg := obs.NewRegistry()
-	rep, err := RunXShard(XShardConfig{Rounds: 25, Seed: 77, Shards: 3, ChainDepth: 2,
+	rep, err := runOne(Config{Scenario: "xshard", Rounds: 25, Seed: 77, Shards: 3, ChainDepth: 2,
 		Audit: true, Metrics: reg})
 	if err != nil {
 		t.Fatalf("audited campaign failed: %v", err)
@@ -57,16 +58,16 @@ func TestXShardCampaignAudited(t *testing.T) {
 // TestXShardCampaignDeterministic pins reproducibility: same seed, same
 // report (the workload is single-threaded by construction).
 func TestXShardCampaignDeterministic(t *testing.T) {
-	cfg := XShardConfig{Rounds: 12, Seed: 5, Shards: 2, ChainDepth: 3}
-	a, err := RunXShard(cfg)
+	cfg := Config{Scenario: "xshard", Rounds: 12, Seed: 5, Shards: 2, ChainDepth: 3}
+	a, err := runOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunXShard(cfg)
+	b, err := runOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n  %+v\n  %+v", a, b)
 	}
 }

@@ -64,7 +64,7 @@ const RecordSize = 8 << 10
 
 const (
 	recMagic   = 0x45434c504d4f52 // "ROMPLCE" little-endian (7 bytes + high zero)
-	recHdrSize = 32               // magic | seq | payload len | payload fnv64a
+	recHdrSize = 32               // magic | seq | payload len | fnv64a(seq, payload)
 	maxSlots   = 1 << 20
 )
 
@@ -292,9 +292,18 @@ func decodePlacement(b []byte) (*Placement, error) {
 	return p, nil
 }
 
-func payloadSum(b []byte) uint64 {
+// recordSum covers the sequence number as well as the payload. A crash may
+// persist a header at 8-byte granularity: were seq outside the sum, a torn
+// publish that lands only the new seq word over the OLDER slot would leave
+// that slot's stale payload valid under the newest sequence — a cutover
+// record rolled back to its copy-phase predecessor after recovery had
+// already purged src.
+func recordSum(seq uint64, payload []byte) uint64 {
+	var s [8]byte
+	binary.LittleEndian.PutUint64(s[:], seq)
 	h := fnv.New64a()
-	h.Write(b)
+	h.Write(s[:])
+	h.Write(payload)
 	return h.Sum64()
 }
 
@@ -315,7 +324,7 @@ func decodeSlot(area []byte) (*Placement, uint64) {
 		return nil, 0
 	}
 	payload := area[recHdrSize : recHdrSize+int(payLen)]
-	if payloadSum(payload) != sum {
+	if recordSum(seq, payload) != sum {
 		return nil, 0
 	}
 	p, err := decodePlacement(payload)
@@ -383,7 +392,7 @@ func WriteRecord(dev *pmem.Device, base, size int, p *Placement) error {
 	binary.LittleEndian.PutUint64(hdr[0:], recMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], seq)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[24:], payloadSum(payload))
+	binary.LittleEndian.PutUint64(hdr[24:], recordSum(seq, payload))
 	dev.StoreBytes(off, hdr[:])
 	dev.StoreBytes(off+recHdrSize, payload)
 	dev.PwbRange(off, recHdrSize+len(payload))

@@ -85,6 +85,34 @@ func TestTornPublishKeepsPreviousRecord(t *testing.T) {
 	}
 }
 
+// TestTornSeqWordKeepsNewestRecord: a crash persists stores at 8-byte
+// granularity, so a publish into the OLDER slot can land nothing but its new
+// sequence word. The slot's stale payload must not come back as the newest
+// record (found by the migrate crash campaign: a cutover record regressed to
+// its copy-phase predecessor mid-recovery, and the rollback arm then wiped
+// the only copy of the moved keys).
+func TestTornSeqWordKeepsNewestRecord(t *testing.T) {
+	dev := pmem.New(64<<10, pmem.ModelDRAM)
+	base, size := dev.Size()-RecordSize, RecordSize
+	p := Identity(2, 16)
+	if err := WriteRecord(dev, base, size, p); err != nil { // seq 1, slot 0
+		t.Fatal(err)
+	}
+	p2 := p.Clone()
+	p2.NumShards = 3
+	if err := WriteRecord(dev, base, size, p2); err != nil { // seq 2, slot 1
+		t.Fatal(err)
+	}
+	// The publish of seq 3 targets slot 0; only its seq word reaches media.
+	dev.Store64(base+8, 3)
+	dev.Pwb(base + 8)
+	dev.Psync()
+	got := ReadRecord(dev, base, size)
+	if got == nil || got.Version != 2 || got.NumShards != 3 {
+		t.Fatalf("torn seq word resurrected a stale record: %+v", got)
+	}
+}
+
 type fakeTarget struct {
 	shards    int
 	owned     map[int][]int

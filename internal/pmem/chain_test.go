@@ -84,7 +84,7 @@ func TestChainHooksWithScheduler(t *testing.T) {
 		PwbAt:   func(off int) { pwbAts++ },
 		Fence:   func() { fences++ },
 	}
-	dev.SetHooks(ChainHooks(obs, sched.Hooks()))
+	dev.SetHooks(ChainHooks(obs, sched.Hooks(0)))
 
 	sched.Arm(3, DropAll)
 	dev.Store64(0, 1) // event 1
@@ -99,8 +99,8 @@ func TestChainHooksWithScheduler(t *testing.T) {
 	if storeAts != 1 || pwbAts != 1 || fences != 1 {
 		t.Fatalf("observer saw store=%d pwb=%d fence=%d, want 1 each", storeAts, pwbAts, fences)
 	}
-	img, ev := sched.Image()
-	if img == nil || ev != 3 {
-		t.Fatalf("Image() = (%v, %d), want captured image at event 3", img != nil, ev)
+	imgs, ev := sched.Images()
+	if imgs == nil || ev != 3 {
+		t.Fatalf("Images() = (%v, %d), want captured image at event 3", imgs != nil, ev)
 	}
 }

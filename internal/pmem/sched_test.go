@@ -1,6 +1,8 @@
 package pmem
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -21,10 +23,11 @@ func TestSchedulerCapturesAtTarget(t *testing.T) {
 		d.Pwb(i * 64)
 		d.Pfence()
 	}
-	img, ev := s.Image()
-	if img == nil {
+	imgs, ev := s.Images()
+	if imgs == nil {
 		t.Fatal("no image captured")
 	}
+	img := imgs[0]
 	if ev != 5 {
 		t.Fatalf("captured at event %d, want 5", ev)
 	}
@@ -82,28 +85,28 @@ func TestSchedulerRearmAcrossDevices(t *testing.T) {
 	d.Store64(0, 7)
 	d.Pwb(0)
 	d.Pfence()
-	img1, _ := s.Image()
-	if img1 == nil {
+	imgs1, _ := s.Images()
+	if imgs1 == nil {
 		t.Fatal("first crash did not fire")
 	}
 	s.Detach()
 
-	d2 := FromImage(img1, ModelDRAM)
+	d2 := FromImage(imgs1[0], ModelDRAM)
 	s2 := NewScheduler(d2)
 	s2.Arm(3, KeepQueued)
 	// Simulated recovery: rewrite and persist the word.
 	d2.Store64(0, 7)
 	d2.Pwb(0)
 	d2.Pfence()
-	img2, ev := s2.Image()
-	if img2 == nil {
+	imgs2, ev := s2.Images()
+	if imgs2 == nil {
 		t.Fatal("nested crash did not fire")
 	}
 	if ev != 3 {
 		t.Errorf("nested crash at event %d, want 3", ev)
 	}
 	s2.Detach()
-	d3 := FromImage(img2, ModelDRAM)
+	d3 := FromImage(imgs2[0], ModelDRAM)
 	if got := d3.Load64(0); got != 7 {
 		t.Errorf("word 0 = %d after chained crash, want 7", got)
 	}
@@ -176,23 +179,124 @@ func TestSchedulerConcurrentArmCapture(t *testing.T) {
 			default:
 			}
 			d.Store64((i%128)*64, uint64(i))
+			if i%64 == 63 {
+				runtime.Gosched() // keep the harness goroutine running on one CPU
+			}
 		}
 	}()
-	captures := 0
 	for round := 0; round < 100; round++ {
 		s.Arm(3, KeepQueued)
-		for s.Events() < uint64(round*10) { // let events accumulate
+		// The worker never stops storing, so the armed event always arrives;
+		// wait for it rather than hoping a round's timing lets one land.
+		for !s.Captured() {
+			runtime.Gosched()
 		}
-		if img, _ := s.Image(); img != nil {
-			captures++
-			if len(img) != d.Size() {
-				t.Fatalf("torn image: %d bytes, device %d", len(img), d.Size())
-			}
+		imgs, _ := s.Images()
+		if len(imgs) != 1 || len(imgs[0]) != d.Size() {
+			t.Fatalf("torn image slot: %d images, device %d bytes", len(imgs), d.Size())
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if captures == 0 {
-		t.Error("no captures landed while worker was storing")
+}
+
+// The TestMultiScheduler* cases drive one Scheduler over two devices (they
+// predate the merge of the single- and multi-device schedulers and keep
+// their names).
+
+// TestMultiSchedulerSharedSequence pins that events on every member advance
+// one shared counter and that the armed capture snapshots ALL members at the
+// same instant, regardless of which member's primitive triggered it.
+func TestMultiSchedulerSharedSequence(t *testing.T) {
+	a := New(4*LineSize, ModelDRAM)
+	b := New(4*LineSize, ModelDRAM)
+	ms := NewScheduler(a, b)
+	defer ms.Detach()
+
+	// 3 events on a, then arm 2 ahead: the next event on EITHER member
+	// counts, and the second one (a store on b) triggers the capture.
+	a.Store64(0, 1)
+	a.Pwb(0)
+	a.Pfence()
+	if got := ms.Events(); got != 3 {
+		t.Fatalf("events after a's burst = %d, want 3", got)
 	}
+	ms.Arm(2, DropAll)
+	a.Store64(64, 2) // event 4
+	a.Pwb(64)        // event 5 — target reached, capture fires here
+	if !ms.Captured() {
+		t.Fatal("armed capture did not fire")
+	}
+	imgs, ev := ms.Images()
+	if ev != 5 {
+		t.Fatalf("capture event = %d, want 5", ev)
+	}
+	if len(imgs) != 2 {
+		t.Fatalf("captured %d images, want 2", len(imgs))
+	}
+	// Under DropAll, a's fenced line 0 survives in a's image; the unfenced
+	// store at 64 does not. b never fenced anything, so its image is zero.
+	if v := load64(imgs[0], 0); v != 1 {
+		t.Fatalf("member a image lost fenced data: %d", v)
+	}
+	if v := load64(imgs[0], 64); v != 0 {
+		t.Fatalf("member a image kept unfenced store: %d", v)
+	}
+	if !bytes.Equal(imgs[1], make([]byte, b.Size())) {
+		t.Fatal("member b image should be all-zero")
+	}
+}
+
+// TestMultiSchedulerCapturesEveryMember pins that a capture triggered by one
+// member reflects the exact durable state of the others at that moment.
+func TestMultiSchedulerCapturesEveryMember(t *testing.T) {
+	a := New(2*LineSize, ModelDRAM)
+	b := New(2*LineSize, ModelDRAM)
+	ms := NewScheduler(a, b)
+	defer ms.Detach()
+
+	// Persist 7 on b, then store-without-fence 9 on b, then trigger on a.
+	b.Store64(0, 7)
+	b.Pwb(0)
+	b.Pfence()
+	b.Store64(8, 9)
+	ms.Arm(1, DropAll)
+	a.Store64(0, 1) // trigger
+	imgs, _ := ms.Images()
+	if imgs == nil {
+		t.Fatal("no capture")
+	}
+	if v := load64(imgs[1], 0); v != 7 {
+		t.Fatalf("member b fenced word = %d, want 7", v)
+	}
+	if v := load64(imgs[1], 8); v != 0 {
+		t.Fatalf("member b unfenced word leaked into DropAll image: %d", v)
+	}
+}
+
+// TestMultiSchedulerBudget pins that the capture budget bounds Arm and
+// CaptureNow across the whole member set.
+func TestMultiSchedulerBudget(t *testing.T) {
+	a := New(LineSize, ModelDRAM)
+	b := New(LineSize, ModelDRAM)
+	ms := NewScheduler(a, b)
+	defer ms.Detach()
+	ms.SetBudget(1)
+	if imgs := ms.CaptureNow(DropAll); imgs == nil {
+		t.Fatal("first capture should be within budget")
+	}
+	if ms.Arm(1, DropAll) {
+		t.Fatal("Arm should fail once the budget is spent")
+	}
+	if imgs := ms.CaptureNow(DropAll); imgs != nil {
+		t.Fatal("CaptureNow should fail once the budget is spent")
+	}
+}
+
+func load64(img []byte, off int) uint64 {
+	var v uint64
+	for i := 7; i >= 0; i-- {
+		v = v<<8 | uint64(img[off+i])
+	}
+	return v
 }

@@ -626,60 +626,77 @@ func (s *Store) MigrationCopyStep(maxKeys int) (keys, bytes int, done bool, err 
 
 // recopyDirty drains the migration's dirty set, re-reading each key from
 // src and applying the result (put or delete) to dst in batches of
-// maxKeys, one durable transaction each.
+// maxKeys, one durable transaction each. Keys are taken in sorted order:
+// map order would let the Go runtime pick each batch's membership and the
+// put order into dst, and a seeded crash campaign could not replay.
 func (s *Store) recopyDirty(m *migration, maxKeys int) (int, error) {
 	total := 0
 	for {
 		m.mu.Lock()
-		var batch [][]byte
+		keys := make([]string, 0, len(m.dirty))
 		for k := range m.dirty {
-			batch = append(batch, []byte(k))
-			delete(m.dirty, k)
-			if len(batch) >= maxKeys {
-				break
-			}
+			keys = append(keys, k)
 		}
 		m.mu.Unlock()
-		if len(batch) == 0 {
+		if len(keys) == 0 {
 			return total, nil
 		}
-		var puts []kvPair
-		var dels [][]byte
-		err := s.View(m.src, func(tx ptm.Tx, db *kvstore.DB) error {
-			puts, dels = puts[:0], dels[:0] // View may retry fn; rebuild
+		sort.Strings(keys)
+		for len(keys) > 0 {
+			batch := keys[:min(maxKeys, len(keys))]
+			keys = keys[len(batch):]
+			// A key leaves the set only with the batch that recopies it; one
+			// marked again meanwhile is back in the set for the next pass.
+			m.mu.Lock()
 			for _, k := range batch {
-				v, err := db.GetTx(tx, k)
-				if errors.Is(err, kvstore.ErrNotFound) {
-					dels = append(dels, k)
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				puts = append(puts, kvPair{k, v})
+				delete(m.dirty, k)
 			}
-			return nil
-		})
-		if err != nil {
-			return total, err
+			m.mu.Unlock()
+			if err := s.recopyBatch(m, batch); err != nil {
+				return total, err
+			}
+			total += len(batch)
 		}
-		if err := s.Update(m.dst, func(tx ptm.Tx, db *kvstore.DB) error {
-			for _, p := range puts {
-				if err := db.PutTx(tx, p.k, p.v); err != nil {
-					return err
-				}
-			}
-			for _, k := range dels {
-				if err := db.DeleteTx(tx, k); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return total, err
-		}
-		total += len(batch)
 	}
+}
+
+// recopyBatch re-reads batch from src and applies it to dst in one durable
+// transaction.
+func (s *Store) recopyBatch(m *migration, batch []string) error {
+	var puts []kvPair
+	var dels [][]byte
+	err := s.View(m.src, func(tx ptm.Tx, db *kvstore.DB) error {
+		puts, dels = puts[:0], dels[:0] // View may retry fn; rebuild
+		for _, key := range batch {
+			k := []byte(key)
+			v, err := db.GetTx(tx, k)
+			if errors.Is(err, kvstore.ErrNotFound) {
+				dels = append(dels, k)
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			puts = append(puts, kvPair{k, v})
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return s.Update(m.dst, func(tx ptm.Tx, db *kvstore.DB) error {
+		for _, p := range puts {
+			if err := db.PutTx(tx, p.k, p.v); err != nil {
+				return err
+			}
+		}
+		for _, k := range dels {
+			if err := db.DeleteTx(tx, k); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // MigrationCutover is the commit point: fence writes to the moving slots,

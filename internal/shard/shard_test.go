@@ -473,8 +473,7 @@ func TestCrossShardCrashDuringRecovery(t *testing.T) {
 
 	// Dry run: count recovery's total event footprint.
 	devs := mkDevs(atPartial)
-	ms := pmem.NewMultiScheduler(devs...)
-	ms.Attach()
+	ms := pmem.NewScheduler(devs...)
 	if _, err := Reopen(devs, schedOpts); err != nil {
 		t.Fatalf("dry-run Reopen: %v", err)
 	}
@@ -493,8 +492,7 @@ func TestCrossShardCrashDuringRecovery(t *testing.T) {
 	tested := 0
 	for ev := uint64(1); ev <= total; ev += step {
 		devs := mkDevs(atPartial)
-		ms := pmem.NewMultiScheduler(devs...)
-		ms.Attach()
+		ms := pmem.NewScheduler(devs...)
 		ms.Arm(ev, pmem.DropAll)
 		if _, err := Reopen(devs, schedOpts); err != nil {
 			t.Fatalf("event %d: Reopen under scheduler: %v", ev, err)
