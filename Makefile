@@ -1,13 +1,13 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-scale bench-server tools experiments crashtest crashtest-short crashtest-batch shardtest grouptest faulttest replicatetest migratetest audit obstest flakecheck docs-check fuzz clean
+.PHONY: all build test race bench bench-scale bench-server tools experiments crashtest crashtest-short crashtest-batch shardtest grouptest faulttest replicatetest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
 
 all: build test
 
 build:
 	go build ./...
 
-test: crashtest-short shardtest grouptest faulttest replicatetest migratetest audit obstest flakecheck docs-check
+test: crashtest-short shardtest grouptest faulttest replicatetest migratetest audit obstest pathtest flakecheck docs-check
 	go test ./...
 
 # Documentation hygiene: vet, formatting, and Markdown link integrity.
@@ -135,14 +135,23 @@ audit:
 obstest:
 	go test -race ./internal/obs/ ./internal/obshttp/ ./internal/blackbox/ ./internal/server/
 
+# The layers the group committer drives under the race detector: the flat
+# combiner (announced and direct entries), the engine, and the sharded store.
+# Part of `make test`.
+pathtest:
+	go test -race ./internal/flatcombine/ ./internal/core/ ./internal/shard/
+
 # The two server tests that raced on the seed (PLACEMENT answering a finished
 # split with the pre-cutover slot map; spans read before the writer emitted
-# them), repeated so neither race can come back unnoticed. Part of `make test`.
+# them), plus the pipelining tests (reads riding the commit queue, across a
+# cutover too), repeated so no race can come back unnoticed. Part of
+# `make test`.
 flakecheck:
-	go test -count=20 -run 'TestServerSplitEndToEnd|TestSpanTimeline' ./internal/server
+	go test -count=20 -run 'TestServerSplitEndToEnd|TestSpanTimeline|TestPipelined' ./internal/server
 
 fuzz:
 	go test -fuzz FuzzAllocFree -fuzztime 60s ./internal/alloc
+	go test -fuzz FuzzServeLines -fuzztime 60s ./internal/server
 	go test -fuzz FuzzCrashRecovery -fuzztime 60s ./internal/core
 
 clean:

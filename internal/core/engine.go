@@ -76,8 +76,9 @@ type Config struct {
 	// the lines the crash left different. The equivalence property tests and
 	// the §4.7 replication-volume and §6.5 recovery contrasts measure against it.
 	FullReplicate bool
-	// DisableFlatCombining serializes writers with a plain spin lock
-	// instead of combining announced operations (ablation).
+	// DisableFlatCombining serializes writers on the combiner's writer lock
+	// through its direct entry, with no announcement and so no aggregation
+	// (ablation).
 	DisableFlatCombining bool
 	// DisableOpenVerify skips the quiescent twin-copy comparison at Open
 	// (ablation). The media-fault campaign uses it as its deliberately
@@ -111,11 +112,10 @@ type Engine struct {
 	reg     hsync.Registry
 	comb    *flatcombine.Combiner[*Tx]
 	hooks   flatcombine.Hooks[*Tx]
-	rw      crwwp.Lock     // Rom, RomLog
-	lr      leftright.LR   // RomLR
-	wlock   hsync.SpinLock // writer serialization when combining is disabled
-	wtx     Tx             // the single writer transaction, reused
-	handles chan *Handle   // pool for the convenience Update/Read API
+	rw      crwwp.Lock   // Rom, RomLog
+	lr      leftright.LR // RomLR
+	wtx     Tx           // the single writer transaction, reused
+	handles chan *Handle // pool for the convenience Update/Read API
 
 	// fset collects the dirty lines of the current batch for one
 	// deduplicated write-back burst at commit. Only the single writer (the

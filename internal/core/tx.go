@@ -251,10 +251,27 @@ func (h *Handle) Update(fn func(ptm.Tx) error) error {
 // batch sequence number, assigned in commit order from 1) that made fn's
 // effects durable. Operations reporting the same round committed atomically
 // in one crash-atomic batch: after a crash, recovery exposes either all or
-// none of them. A failed (rolled-back) operation reports round 0; so does
-// the DisableFlatCombining ablation, which has no batch commit path.
+// none of them. A failed (rolled-back) operation reports round 0.
 func (h *Handle) UpdateBatched(fn func(ptm.Tx) error) (uint64, error) {
-	e := h.e
+	return h.e.update(h.tid, fn)
+}
+
+// UpdateDirect runs fn in a durable update transaction through the
+// combiner's single-writer entry: no announcement and no yield. It folds in
+// whatever the embedded writers have announced and commits them with fn in
+// one durability round. It is meant for a caller that already batches, one
+// goroutine per engine (the group committer, via shard.Update); concurrent
+// writers should use Update, which combines. Needs no handle.
+func (e *Engine) UpdateDirect(fn func(ptm.Tx) error) error {
+	_, err := e.update(-1, fn)
+	return err
+}
+
+// update runs fn through the combiner: announced in thread tid's slot, or
+// through the direct entry when tid < 0 or the DisableFlatCombining ablation
+// is on (nobody announces then, so every writer serializes on the writer
+// lock with no aggregation).
+func (e *Engine) update(tid int, fn func(ptm.Tx) error) (uint64, error) {
 	// A media-fault trip during fn means it computed on corrupted loads; the
 	// returned error rolls the transaction back through the combiner, so no
 	// fault-tainted state commits. (The trip counter is device-global, so a
@@ -275,35 +292,15 @@ func (h *Handle) UpdateBatched(fn func(ptm.Tx) error) (uint64, error) {
 		seq uint64
 		err error
 	)
-	if e.cfg.DisableFlatCombining {
-		err = e.updateNoCombining(op)
+	if tid < 0 || e.cfg.DisableFlatCombining {
+		seq, err = e.comb.ExecuteDirect(op)
 	} else {
-		seq, err = e.comb.ExecuteSeq(h.tid, op)
+		seq, err = e.comb.ExecuteSeq(tid, op)
 	}
 	if err == nil {
 		e.updates.Add(1)
 	}
 	return seq, err
-}
-
-// updateNoCombining is the ablation path: plain spin lock, no aggregation.
-// Errors and panics from op roll the transaction back, like the combiner.
-func (e *Engine) updateNoCombining(op func(*Tx) error) error {
-	e.wlock.Lock()
-	defer e.wlock.Unlock()
-	t := e.hooks.Begin()
-	committed := false
-	defer func() {
-		if !committed {
-			e.hooks.Rollback(t)
-		}
-	}()
-	if err := op(t); err != nil {
-		return err // deferred rollback fires
-	}
-	e.hooks.Commit(t, 1)
-	committed = true
-	return nil
 }
 
 // Read runs fn in a read-only transaction (see ptm.PTM).

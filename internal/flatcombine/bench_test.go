@@ -104,3 +104,33 @@ func BenchmarkCombinerDurableCommit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRound prices one uncontended combining round — writer lock, the
+// gather scans, one operation, the commit hooks — as ns/round. The scans
+// stop at the announced high-water mark, so with one writer they cover one
+// slot, not all hsync.MaxThreads. "announce" is the embedded path (announce,
+// yield, combine); "direct" is the single-writer entry a batching caller
+// takes.
+func BenchmarkRound(b *testing.B) {
+	op := func(tx int) error { return nil }
+	for _, direct := range []bool{false, true} {
+		name := "announce"
+		if direct {
+			name = "direct"
+		}
+		b.Run(name, func(b *testing.B) {
+			var commits atomic.Uint64
+			c := New(benchHooks(0, &commits))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if direct {
+					c.ExecuteDirect(op)
+				} else {
+					c.Execute(0, op)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(commits.Load()), "ns/round")
+		})
+	}
+}

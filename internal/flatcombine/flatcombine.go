@@ -15,6 +15,18 @@
 // keeps growing for as long as writers keep arriving and the per-operation
 // fence cost falls with contention instead of rising.
 //
+// Two entries share that one combine body. Execute/ExecuteSeq are the
+// embedded multi-writer path — shard.Store's Put/Delete/Write and every
+// engine Update go through it: announce, yield once, then compete for the
+// writer lock. ExecuteDirect is the single-writer path for a caller that
+// already batches on its own, one goroutine per engine (the server's group
+// committer, through shard.Update and core.Engine.UpdateDirect): it takes
+// the writer lock without announcing or yielding, runs its operation first
+// and folds in whatever the embedded writers have announced meanwhile. The
+// DisableFlatCombining ablation also takes the direct entry, so every writer
+// still serializes on the one writer lock. Scans of the announcement array
+// stop at the high-water mark of announced thread ids.
+//
 // The combiner is generic over the transaction handle type T supplied by
 // the engine's Hooks, so the same code drives Romulus, RomulusLog and
 // RomulusLR (which differ in what Begin/Commit do: reader draining for
@@ -83,9 +95,18 @@ type paddedSlot[T any] struct {
 
 // Combiner is a flat-combining array paired with a writer spin lock.
 type Combiner[T any] struct {
-	slots     [hsync.MaxThreads]paddedSlot[T]
-	lock      hsync.SpinLock
-	hooks     Hooks[T]
+	slots [hsync.MaxThreads]paddedSlot[T]
+	// hwm is one past the highest tid that ever announced; gather scans only
+	// slots below it. Monotone: a tid raises it before its first announcement,
+	// and an announcement a scan misses is a late arrival that combines for
+	// itself.
+	hwm   atomic.Int32
+	lock  hsync.SpinLock
+	hooks Hooks[T]
+	// batch and direct belong to the writer-lock holder: the batch buffer
+	// every round reuses, and the request ExecuteDirect runs its op through.
+	batch     []*request[T]
+	direct    request[T]
 	combined  atomic.Uint64 // ops executed on behalf of other threads
 	seq       atomic.Uint64 // committed durability rounds, monotone
 	batches   atomic.Uint64 // committed durability rounds (== seq, kept for stats reads)
@@ -152,6 +173,11 @@ func (c *Combiner[T]) Execute(tid int, op Op[T]) error {
 // reports round 0.
 func (c *Combiner[T]) ExecuteSeq(tid int, op Op[T]) (uint64, error) {
 	req := &request[T]{op: op}
+	for h := c.hwm.Load(); int32(tid) >= h; h = c.hwm.Load() {
+		if c.hwm.CompareAndSwap(h, int32(tid)+1) {
+			break
+		}
+	}
 	c.slots[tid].req.Store(req)
 	// Announce-then-yield: give up the processor once between announcing and
 	// competing for the writer lock. A combiner running elsewhere gets a
@@ -166,7 +192,7 @@ func (c *Combiner[T]) ExecuteSeq(tid int, op Op[T]) (uint64, error) {
 			break
 		}
 		if c.lock.TryLock() {
-			c.combine()
+			c.combine(nil)
 			c.lock.Unlock()
 			if req.state.Load() == int32(stateDone) {
 				break
@@ -186,12 +212,32 @@ func (c *Combiner[T]) ExecuteSeq(tid int, op Op[T]) (uint64, error) {
 	return req.seq, req.err
 }
 
-// gather scans the announcement array and claims every pending request,
-// appending it to batch. Claiming (rather than leaving requests pending)
-// lets the drain loop rescan without re-collecting operations already in
-// the open transaction. Called with the writer lock held.
+// ExecuteDirect runs op as the single writer: it takes the writer lock
+// without announcing or yielding, executes op first, folds in every
+// operation other threads have announced, and commits them all in one
+// durability round. It returns the round and op's error and re-raises op's
+// panic, like ExecuteSeq.
+func (c *Combiner[T]) ExecuteDirect(op Op[T]) (uint64, error) {
+	c.lock.Lock()
+	r := &c.direct
+	r.op = op
+	c.combine(r)
+	seq, err, pval := r.seq, r.err, r.pval
+	r.op, r.err, r.pval = nil, nil, nil
+	c.lock.Unlock()
+	if pval != nil {
+		panic(pval)
+	}
+	return seq, err
+}
+
+// gather scans the announcement array up to the high-water mark and claims
+// every pending request, appending it to batch. Claiming (rather than
+// leaving requests pending) lets the drain loop rescan without re-collecting
+// operations already in the open transaction. Called with the writer lock
+// held.
 func (c *Combiner[T]) gather(batch []*request[T]) []*request[T] {
-	for i := range c.slots {
+	for i := range c.slots[:c.hwm.Load()] {
 		r := c.slots[i].req.Load()
 		if r != nil && r.state.Load() == int32(statePending) {
 			r.state.Store(int32(stateClaimed))
@@ -202,11 +248,16 @@ func (c *Combiner[T]) gather(batch []*request[T]) []*request[T] {
 }
 
 // combine drains the announcement array into a single transaction: execute
-// what was pending on entry, rescan, fold in late arrivals, and repeat
-// until a scan finds nothing new; then commit the whole batch in one
-// durability round. Called with the writer lock held.
-func (c *Combiner[T]) combine() {
-	batch := c.gather(nil)
+// own (the direct entry's op, or nil) and what was pending on entry, rescan,
+// fold in late arrivals, and repeat until a scan finds nothing new; then
+// commit the whole batch in one durability round. Called with the writer
+// lock held.
+func (c *Combiner[T]) combine(own *request[T]) {
+	batch := c.batch[:0]
+	if own != nil {
+		batch = append(batch, own)
+	}
+	batch = c.gather(batch)
 	if len(batch) == 0 {
 		return
 	}
@@ -251,6 +302,8 @@ func (c *Combiner[T]) combine() {
 	c.combined.Add(uint64(len(batch) - 1))
 	c.combineNs.Add(uint64(time.Since(start)))
 	c.finish(batch)
+	clear(batch) // the buffer outlives the round; drop the requests
+	c.batch = batch[:0]
 }
 
 // runSolo re-executes one operation in its own transaction after a batch

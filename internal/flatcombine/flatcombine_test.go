@@ -400,3 +400,64 @@ func BenchmarkExecuteUncontended(b *testing.B) {
 		}
 	}
 }
+
+// TestExecuteDirectFoldsAnnounced pins the direct entry's contract: the
+// caller's op runs first, an operation another thread announced is folded
+// into the same durability round, and the announcer sees that round.
+func TestExecuteDirectFoldsAnnounced(t *testing.T) {
+	e := &fakeEngine{}
+	c := New(e.hooks())
+	var order []int
+	var seq2 uint64
+	done := make(chan struct{})
+	seq1, err := c.ExecuteDirect(func(tx fakeTx) error {
+		order = append(order, 1)
+		go func() {
+			defer close(done)
+			var err error
+			seq2, err = c.ExecuteSeq(5, func(tx fakeTx) error { order = append(order, 2); return nil })
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		for c.slots[5].req.Load() == nil {
+			runtime.Gosched()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if seq1 != seq2 || e.commits != 1 || len(order) != 2 || order[0] != 1 {
+		t.Fatalf("seqs %d/%d, commits %d, order %v: want one shared round, direct op first", seq1, seq2, e.commits, order)
+	}
+	if st := c.Stats(); st.Combined != 1 || st.MaxBatch != 2 {
+		t.Fatalf("stats %+v: want 1 combined op in a batch of 2", st)
+	}
+}
+
+// TestExecuteDirectErrorAndPanic: the direct entry rolls back a failing op,
+// reports round 0, re-raises a panic, and leaves the combiner usable.
+func TestExecuteDirectErrorAndPanic(t *testing.T) {
+	e := &fakeEngine{}
+	c := New(e.hooks())
+	boom := errors.New("boom")
+	if seq, err := c.ExecuteDirect(func(tx fakeTx) error { tx.add(3); return boom }); !errors.Is(err, boom) || seq != 0 {
+		t.Fatalf("failing op: seq %d, err %v", seq, err)
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != "kapow" {
+				t.Errorf("recovered %v, want kapow", p)
+			}
+		}()
+		c.ExecuteDirect(func(tx fakeTx) error { tx.add(4); panic("kapow") })
+	}()
+	if seq, err := c.ExecuteDirect(func(tx fakeTx) error { tx.add(1); return nil }); err != nil || seq == 0 {
+		t.Fatalf("op after failures: seq %d, err %v", seq, err)
+	}
+	if e.value != 1 {
+		t.Fatalf("value = %d, want 1 (failed ops rolled back)", e.value)
+	}
+}

@@ -1,6 +1,10 @@
 package pstruct
 
-import "repro/internal/ptm"
+import (
+	"encoding/binary"
+
+	"repro/internal/ptm"
+)
 
 // ByteMap is a persistent resizable hash map from byte-string keys to
 // byte-string values. It is the storage engine of RomulusDB (§6.4 of the
@@ -59,7 +63,9 @@ func NewByteMap(tx ptm.Tx, root, minBuckets int) (*ByteMap, error) {
 // AttachByteMap returns a handle to an existing map.
 func AttachByteMap(root int) *ByteMap { return &ByteMap{root: root} }
 
-// keyEquals compares the node's inline key with key.
+// bmKeyEquals compares the node's inline key with key a word at a time.
+// Loading into a local buffer instead would move the buffer to the heap
+// (it escapes through the Tx interface), one allocation per chain step.
 func bmKeyEquals(tx ptm.Tx, n ptm.Ptr, h uint64, key []byte) bool {
 	if tx.Load64(n+bmNodeHash) != h {
 		return false
@@ -67,16 +73,20 @@ func bmKeyEquals(tx ptm.Tx, n ptm.Ptr, h uint64, key []byte) bool {
 	if int(tx.Load64(n+bmNodeKeyLen)) != len(key) {
 		return false
 	}
-	var stack [64]byte
-	var buf []byte
-	if len(key) <= len(stack) {
-		buf = stack[:len(key)]
-	} else {
-		buf = make([]byte, len(key))
+	p := n + bmNodeKey
+	for ; len(key) >= 8; p, key = p+8, key[8:] {
+		if tx.Load64(p) != binary.LittleEndian.Uint64(key) {
+			return false
+		}
 	}
-	tx.LoadBytes(n+bmNodeKey, buf)
+	if len(key) >= 4 {
+		if tx.Load32(p) != binary.LittleEndian.Uint32(key) {
+			return false
+		}
+		p, key = p+4, key[4:]
+	}
 	for i := range key {
-		if buf[i] != key[i] {
+		if tx.Load8(p+ptm.Ptr(i)) != key[i] {
 			return false
 		}
 	}

@@ -592,3 +592,49 @@ func TestStructuresSurviveCrash(t *testing.T) {
 		return nil
 	})
 }
+
+// TestByteMapHotPathAllocs pins that a hit Get (into a large-enough dst) and
+// a same-size overwrite Put allocate nothing on the Go heap: every chain
+// step compares keys, so one allocation there is one per lookup.
+func TestByteMapHotPathAllocs(t *testing.T) {
+	e := romlog(t)
+	keys := [][]byte{[]byte("k"), []byte("key-0042"), []byte("key-0042-with-a-longer-tail")}
+	val := []byte("value-of-sixteen")
+	var m *pstruct.ByteMap
+	if err := e.Update(func(tx ptm.Tx) error {
+		var err error
+		if m, err = pstruct.NewByteMap(tx, 0, 0); err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if _, err := m.Put(tx, k, val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 64)
+	for _, k := range keys {
+		var gets, puts float64
+		if err := e.Update(func(tx ptm.Tx) error {
+			gets = testing.AllocsPerRun(50, func() {
+				if _, err := m.Get(tx, k, dst); err != nil {
+					t.Error(err)
+				}
+			})
+			puts = testing.AllocsPerRun(50, func() {
+				if _, err := m.Put(tx, k, val); err != nil {
+					t.Error(err)
+				}
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if gets != 0 || puts != 0 {
+			t.Errorf("key %q: %v allocs per Get, %v per same-size Put; want 0", k, gets, puts)
+		}
+	}
+}

@@ -1,26 +1,24 @@
 // Group commit: the scheduler that funnels writes from ALL connections into
 // shared per-shard batches.
 //
-// The engines already amortize durability inside one shard: concurrent
-// update transactions entering a shard's flat combiner share a single
-// ≤4-fence durability round (PR 4's combined commit). What they cannot do is
-// merge operations that never overlap in the combiner — a request/response
-// server admits one write per connection round-trip, so batches stay thin
-// and every client pays a full psync. The Committer closes that gap at the
-// network layer: each shard has one commit loop that drains every queued
-// operation (from any connection, pipelined arbitrarily deep), executes them
-// all inside ONE durable shard transaction, and only then releases every
-// operation's reply. N writers share one durability round instead of paying
-// N; fences per acknowledged write drop below one as soon as batches carry
-// more than a handful of operations.
+// A request/response server admits one write per connection round trip, so
+// the engines' own combining sees thin batches and every client pays a full
+// psync. The Committer closes that gap: each shard has one commit loop that
+// drains every queued operation (from any connection, pipelined arbitrarily
+// deep), executes them all inside ONE durable shard transaction, and only
+// then releases their replies, so N writers share one durability round. The
+// loop is the only batcher on the path: it enters the engine through
+// shard.Update, the combiner's direct single-writer entry, which neither
+// announces nor yields. A read behind its connection's own unresolved writes
+// joins the queue too (Server.read) and replies with its batch.
 //
 // Scheduling: a batch closes when MaxBatch operations have been drained or
-// when Linger has elapsed since the first operation of the batch arrived,
-// whichever is first — so MaxBatch bounds transaction size and Linger bounds
-// the tail latency a lone write can be held hostage for. Linger 0 (the
-// default) never waits: a batch is whatever is queued at the moment the
-// loop gets to it, which still merges bursts under load and adds no idle
-// latency.
+// when Linger has elapsed since its first operation arrived, whichever is
+// first. Linger 0 (the default) never waits: a batch is whatever is queued
+// when the loop gets to it, which still merges bursts under load.
+//
+// Completion is per batch: the loop sets every member's done flag, then
+// wakes each connection's writer once. The server's Pendings are pooled.
 //
 // Failure isolation: operations report protocol-level failures ("ERR value
 // is not an integer") as replies, not transaction errors, so they cannot
@@ -34,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blackbox"
@@ -56,49 +55,92 @@ const DefaultGroupMaxBatch = 256
 // read-modify-write over the transaction it is handed.
 type OpFunc func(tx ptm.Tx, db *kvstore.DB) (string, error)
 
+// cmd is one parsed command's operands. The byte slices point into the
+// owning Pending's buffer, so a queued command keeps nothing of the
+// connection's read buffer.
+type cmd struct {
+	key, side, val []byte    // side: key's expiry sidecar, built once per command
+	n              int64     // INCR/DECR delta, EXPIRE seconds
+	at             time.Time // the clock at parse time, for expiry decisions
+}
+
+// bodyFunc executes a command in a transaction on its key's shard, under
+// OpFunc's contract.
+type bodyFunc func(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error)
+
 // Pending is one submitted operation's future. The reply becomes readable
 // exactly when the psync of the durability round that committed the
 // operation has completed — waiting on it IS the durable-before-reply
 // guarantee.
 type Pending struct {
-	fn   OpFunc
+	cmd
+	body bodyFunc
 	op   string // label for error rendering ("set", "incr", ...)
+	read bool   // body writes nothing: a batch of reads alone needs no durability round
 	conn uint64
 	tag  any
 	enq  time.Time
 	seq  uint64
 	text string
-	done chan struct{}
-	// keys are the operation's routing keys (base key plus sidecars). They
-	// let the commit loop detect an operation whose ownership migrated off
-	// the submitted shard while it sat in the queue; nil pins the operation
-	// to the submitted shard (harness submissions, which never race a
-	// migration).
+	buf  []byte // backs cmd's slices; kept when the Pending is recycled
+	// keys route the operation: the commit loop re-runs it on the owning
+	// shard if a cutover moved them while it queued (nil pins it to the
+	// submitted shard). redo, when set, replaces that re-run (EXEC regroups
+	// its batch); it runs outside the batch's route pin.
 	keys [][]byte
-	// redo re-dispatches a re-routed operation on whatever shard owns its
-	// keys now. The commit loop calls it OUTSIDE the batch's route pin, so
-	// it may take the store's migration lock itself.
 	redo func() string
 	// sp, when tracing, is the request's span; the commit loop stamps the
-	// queue-drain, tx-start and psync-done boundaries on it. Only the loop
-	// writes these fields, and the writer goroutine reads them strictly
-	// after done closes.
+	// queue-drain, tx-start and psync-done boundaries on it before done.
 	sp *spanInfo
+	// done is set once the reply is final, then wake is signalled. A
+	// connection's Pendings share its writer's channel and count into its
+	// settled; a harness Submit has a channel of its own.
+	done    atomic.Bool
+	wake    chan struct{}
+	settled *atomic.Uint64
+}
+
+// pendingPool recycles the server's own Pendings: a connection's writer
+// returns one once it has taken the reply. Submit's are never recycled.
+var pendingPool = sync.Pool{New: func() any { return new(Pending) }}
+
+func newPending(op string, body bodyFunc) *Pending {
+	p := pendingPool.Get().(*Pending)
+	*p = Pending{op: op, body: body, buf: p.buf[:0], keys: p.keys[:0]}
+	return p
+}
+
+// release returns p to the pool, dropping an outsized buffer.
+func (p *Pending) release() {
+	if cap(p.buf) > 64<<10 {
+		p.buf = nil
+	}
+	pendingPool.Put(p)
+}
+
+// setKey copies key, its expiry sidecar and val into p's buffer and routes
+// p by key and sidecar.
+func (p *Pending) setKey(key, val []byte) {
+	b := append(p.buf[:0], key...)
+	b = shard.AppendSidecarKey(b, "exp", key)
+	b = append(b, val...)
+	k, v := len(key), len(b)-len(val)
+	p.buf = b
+	p.key, p.side, p.val = b[:k:k], b[k:v:v], b[v:]
+	p.keys = append(p.keys[:0], p.key, p.side)
 }
 
 // Wait blocks until the operation's durability round completed and returns
 // its reply line.
 func (p *Pending) Wait() string {
-	<-p.done
+	for !p.done.Load() {
+		<-p.wake
+	}
 	return p.text
 }
 
-// Done returns a channel closed when the operation is durable and its reply
-// final.
-func (p *Pending) Done() <-chan struct{} { return p.done }
-
 // Seq returns the per-shard batch sequence number that committed the
-// operation. Valid only after Done; crash harnesses use it to assert batch
+// operation. Valid only after Wait; crash harnesses use it to assert batch
 // atomicity.
 func (p *Pending) Seq() uint64 { return p.seq }
 
@@ -220,24 +262,17 @@ func (c *Committer) queue(sh int) chan *Pending {
 // in order), so a connection that submits its writes in request order gets
 // per-key ordering for free. Submit must not be called after Close.
 func (c *Committer) Submit(sh int, conn uint64, op string, tag any, fn OpFunc) *Pending {
-	p := &Pending{fn: fn, op: op, conn: conn, tag: tag, enq: time.Now(), done: make(chan struct{})}
-	c.queue(sh) <- p
-	return p
+	return c.enqueue(sh, &Pending{op: op, conn: conn, tag: tag, wake: make(chan struct{}, 1),
+		body: func(_ *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) { return fn(tx, db) }})
 }
 
-// submitSpan is Submit with a request span and routing keys attached. The
-// span MUST be wired before the channel send — the commit loop may pick the
-// Pending up the instant it is queued, so attaching afterwards is a data
-// race. The send is the happens-before edge that publishes sp's reader-side
-// stamps to the loop. keys/redo let the commit loop re-dispatch the
-// operation if a migration cutover moves its keys off sh while it queues.
-func (c *Committer) submitSpan(sh int, conn uint64, op string, sp *spanInfo, keys [][]byte, redo func() string, fn OpFunc) *Pending {
-	p := &Pending{fn: fn, op: op, conn: conn, enq: time.Now(), done: make(chan struct{}), keys: keys, redo: redo}
-	if sp != nil {
-		sp.op = op
-		sp.parsed = p.enq
-		sp.shard = sh
-		p.sp = sp
+// enqueue stamps p and queues it on shard sh. The span MUST be wired before
+// the channel send — the commit loop may pick the Pending up the instant it
+// is queued — and the send publishes the reader-side stamps to the loop.
+func (c *Committer) enqueue(sh int, p *Pending) *Pending {
+	p.enq = time.Now()
+	if sp := p.sp; sp != nil {
+		sp.op, sp.parsed, sp.shard = p.op, p.enq, sh
 	}
 	c.queue(sh) <- p
 	return p
@@ -257,10 +292,21 @@ func (c *Committer) Close() {
 	c.wg.Wait()
 }
 
+// shardLoop is one shard's commit loop and the buffers it reuses from batch
+// to batch.
+type shardLoop struct {
+	*Committer
+	sh    int
+	seq   uint64
+	keys  [][]byte
+	wakes []chan struct{}
+	conns map[uint64]struct{}
+}
+
 // loop is shard sh's commit loop.
 func (c *Committer) loop(sh int, q chan *Pending) {
 	defer c.wg.Done()
-	var seq uint64
+	l := &shardLoop{Committer: c, sh: sh}
 	batch := make([]*Pending, 0, c.maxBatch)
 	for first := range q {
 		stampDrain(first)
@@ -284,8 +330,8 @@ func (c *Committer) loop(sh int, q chan *Pending) {
 			}
 			t.Stop()
 		}
-		seq++
-		c.commit(sh, seq, batch)
+		l.seq++
+		l.commit(batch)
 	}
 }
 
@@ -327,31 +373,30 @@ func (c *Committer) drainInto(q chan *Pending, batch []*Pending) []*Pending {
 // batch rolls back untouched and each operation re-runs solo.
 //
 // Flight recording brackets the transaction: the BatchStart record is fenced
-// onto the shard's blackbox ring BEFORE the batch runs — so a crash anywhere
-// inside the durability round leaves a durable record naming the in-flight
-// batch — and the BatchCommit record lands after the psync, so a durable
-// commit record implies the batch's data is durable too (the psync strictly
-// preceded the record's own fence).
-// commit additionally pins routing for the whole batch: an elastic-shard
-// cutover can flip slot ownership between an operation's submit (it was
-// routed to sh then) and its drain (it commits now). The write handle holds
-// the store's migration read lock across the transaction, so ownership
-// cannot flip mid-batch; operations whose keys already re-routed off sh
-// while queued are split out and re-dispatched on their new shard after the
-// batch (p.redo), which preserves submission order per key — a key's queued
-// operations either all still route here or all moved with it.
-func (c *Committer) commit(sh int, seq uint64, ops []*Pending) {
-	var rkeys [][]byte
+// onto the shard's blackbox ring BEFORE the batch runs, and the BatchCommit
+// record lands after the psync, so a durable commit record implies the
+// batch's data is durable too.
+//
+// commit also pins routing for the whole batch: a cutover can flip slot
+// ownership between an operation's submit and its drain, but not while the
+// write handle is held. Operations whose keys re-routed off sh while queued
+// are split out and re-run on their new shard after the batch, in queue
+// order, which preserves submission order per key — a key's queued
+// operations, reads included, either all still route here or all moved with
+// it. The batch settles as a whole, after the re-runs.
+func (l *shardLoop) commit(ops []*Pending) {
+	keys := l.keys[:0]
 	for _, p := range ops {
-		rkeys = append(rkeys, p.keys...)
+		keys = append(keys, p.keys...)
 	}
-	h := c.st.BeginWrite(rkeys...)
+	l.keys = keys
+	h := l.st.BeginWrite(keys...)
 	local := ops
 	var moved []*Pending
-	if len(rkeys) > 0 {
+	if len(keys) > 0 {
 		local = ops[:0]
 		for _, p := range ops {
-			if c.routedHere(h, p, sh) {
+			if routedHere(h, p, l.sh) {
 				local = append(local, p)
 			} else {
 				moved = append(moved, p)
@@ -359,26 +404,29 @@ func (c *Committer) commit(sh int, seq uint64, ops []*Pending) {
 		}
 	}
 	if len(local) > 0 {
-		c.commitLocal(h, sh, seq, local)
+		l.commitLocal(h, local)
 	}
 	h.Done()
-	// Re-dispatches run outside the handle: each takes its own route pin
-	// (and the cross-shard path takes the migration lock), which would
-	// deadlock against a cutover waiting on ours.
+	// Re-runs go outside the handle: each takes its own route pin (and the
+	// cross-shard path takes the migration lock), which would deadlock
+	// against a cutover waiting on ours.
 	for _, p := range moved {
-		c.reroutes.Inc()
-		p.text = p.redo()
-		c.finish(p, seq, soloEnd(p))
+		l.reroutes.Inc()
+		if p.redo != nil {
+			p.text = p.redo()
+		} else {
+			rh := l.st.BeginWrite(p.keys...)
+			l.runSolo(rh.Route(p.keys[0]), p)
+			rh.Done()
+		}
+		stampDurable(p, time.Time{})
 	}
+	l.settle(append(local, moved...))
 }
 
 // routedHere reports whether p's keys all still route to sh under the
-// batch's route pin. Keyless (or redo-less) operations are pinned to their
-// submitted shard.
-func (c *Committer) routedHere(h *shard.WriteHandle, p *Pending, sh int) bool {
-	if p.keys == nil || p.redo == nil {
-		return true
-	}
+// batch's route pin. Keyless operations are pinned to their submitted shard.
+func routedHere(h *shard.WriteHandle, p *Pending, sh int) bool {
 	for _, k := range p.keys {
 		if h.Route(k) != sh {
 			return false
@@ -387,15 +435,46 @@ func (c *Committer) routedHere(h *shard.WriteHandle, p *Pending, sh int) bool {
 	return true
 }
 
+// exec runs ops as one transaction on shard sh, storing each reply. A batch
+// of reads alone runs as a read transaction: it pays no durability round.
+func (l *shardLoop) exec(sh int, ops []*Pending) error {
+	run := l.st.View
+	for _, p := range ops {
+		if !p.read {
+			run = l.st.Update
+			break
+		}
+	}
+	return run(sh, func(tx ptm.Tx, db *kvstore.DB) error {
+		for _, p := range ops {
+			text, err := p.body(&p.cmd, tx, db)
+			if err != nil {
+				return err
+			}
+			p.text = text
+		}
+		return nil
+	})
+}
+
+// runSolo runs one operation in its own transaction on shard sh, rendering
+// a transaction error as its reply.
+func (l *shardLoop) runSolo(sh int, p *Pending) {
+	if err := l.exec(sh, []*Pending{p}); err != nil {
+		p.text = renderOpError(p.op, err)
+	}
+}
+
 // commitLocal runs the batch members still routed to sh as one durable
 // shard transaction. Caller holds the batch's route pin.
-func (c *Committer) commitLocal(h *shard.WriteHandle, sh int, seq uint64, ops []*Pending) {
-	if c.onBatch != nil {
-		c.onBatch(sh, seq, ops)
+func (l *shardLoop) commitLocal(h *shard.WriteHandle, ops []*Pending) {
+	sh, seq := l.sh, l.seq
+	if l.onBatch != nil {
+		l.onBatch(sh, seq, ops)
 	}
-	conns := distinctConns(ops)
-	if c.flight {
-		c.st.RecordFlight(sh, blackbox.Record{
+	conns := l.distinctConns(ops)
+	if l.flight {
+		l.st.RecordFlight(sh, blackbox.Record{
 			Kind:     blackbox.KindBatchStart,
 			BatchSeq: seq,
 			Req:      firstReq(ops),
@@ -412,33 +491,13 @@ func (c *Committer) commitLocal(h *shard.WriteHandle, sh int, seq uint64, ops []
 			p.sp.txStart = txStart
 		}
 	}
-	err := c.st.Update(sh, func(tx ptm.Tx, db *kvstore.DB) error {
+	if err := l.exec(sh, ops); err != nil {
 		for _, p := range ops {
-			text, err := p.fn(tx, db)
-			if err != nil {
-				return err
-			}
-			p.text = text
+			l.soloRuns.Inc()
+			l.runSolo(sh, p)
+			stampDurable(p, time.Time{})
 		}
-		return nil
-	})
-	if err != nil {
-		for _, p := range ops {
-			c.soloRuns.Inc()
-			serr := c.st.Update(sh, func(tx ptm.Tx, db *kvstore.DB) error {
-				text, err := p.fn(tx, db)
-				if err != nil {
-					return err
-				}
-				p.text = text
-				return nil
-			})
-			if serr != nil {
-				p.text = renderOpError(p.op, serr)
-			}
-			c.finish(p, seq, soloEnd(p))
-		}
-		c.flightCommit(sh, seq, len(ops))
+		l.flightCommit(sh, seq, len(ops))
 		return
 	}
 	var end time.Time
@@ -446,16 +505,14 @@ func (c *Committer) commitLocal(h *shard.WriteHandle, sh int, seq uint64, ops []
 		if p.sp != nil && end.IsZero() {
 			end = time.Now()
 		}
+		stampDurable(p, end)
 	}
-	c.batches.Inc()
-	c.batchOps.Add(uint64(len(ops)))
-	c.batchConns.Observe(uint64(conns))
+	l.batches.Inc()
+	l.batchOps.Add(uint64(len(ops)))
+	l.batchConns.Observe(uint64(conns))
 	// Commit record before reply release: once a client reads an ack, the
 	// batch's BatchCommit record is already on the ring.
-	c.flightCommit(sh, seq, len(ops))
-	for _, p := range ops {
-		c.finish(p, seq, end)
-	}
+	l.flightCommit(sh, seq, len(ops))
 }
 
 // flightCommit records a batch's resolution (shared tx or solo re-runs) on
@@ -470,12 +527,16 @@ func (c *Committer) flightCommit(sh int, seq uint64, ops int) {
 	}
 }
 
-// soloEnd takes the durable timestamp for one solo re-run (only when traced).
-func soloEnd(p *Pending) time.Time {
+// stampDurable records the post-psync timestamp on a traced operation's
+// span: at, or now when at is zero (a solo re-run's own round).
+func stampDurable(p *Pending, at time.Time) {
 	if p.sp == nil {
-		return time.Time{}
+		return
 	}
-	return time.Now()
+	if at.IsZero() {
+		at = time.Now()
+	}
+	p.sp.durable = at
 }
 
 // firstReq returns the request id of the first traced operation in a batch
@@ -489,16 +550,38 @@ func firstReq(ops []*Pending) uint64 {
 	return 0
 }
 
-// finish stamps the committing round and publishes the reply. durable is the
-// post-psync timestamp for the span (zero when untraced).
-func (c *Committer) finish(p *Pending, seq uint64, durable time.Time) {
-	p.seq = seq
-	if p.sp != nil {
-		p.sp.durable = durable
-		p.sp.batchSeq = seq
+// settle publishes a batch's replies: stamps and counts first, then every
+// done flag, then one wake per distinct waiter. A connection's writer
+// recycles its Pending the moment it sees the flag, so the channels to wake
+// are collected before any flag is set and no Pending is read after its own.
+func (l *shardLoop) settle(ops []*Pending) {
+	now := time.Now()
+	wakes := l.wakes[:0]
+	for _, p := range ops {
+		p.seq = l.seq
+		if p.sp != nil {
+			p.sp.batchSeq = l.seq
+		}
+		l.ackNs.Observe(uint64(now.Sub(p.enq)))
+		// Adjacent duplicates only: a second send to a channel is harmless.
+		if n := len(wakes); n == 0 || wakes[n-1] != p.wake {
+			wakes = append(wakes, p.wake)
+		}
+		if p.settled != nil {
+			p.settled.Add(1)
+		}
 	}
-	c.ackNs.Observe(uint64(time.Since(p.enq)))
-	close(p.done)
+	for _, p := range ops {
+		p.done.Store(true)
+	}
+	for _, w := range wakes {
+		select {
+		case w <- struct{}{}:
+		default: // a wake is already pending; the waiter rechecks its flag
+		}
+	}
+	clear(wakes)
+	l.wakes = wakes[:0]
 }
 
 // GroupStats is the group-commit section of a STATS reply: cumulative batch
@@ -537,15 +620,15 @@ func (c *Committer) Stats() GroupStats {
 
 // distinctConns counts how many different connections a batch merged — the
 // cross-connection fan-in the group-commit design exists for.
-func distinctConns(ops []*Pending) int {
-	if len(ops) < 2 {
-		return len(ops)
+func (l *shardLoop) distinctConns(ops []*Pending) int {
+	if l.conns == nil {
+		l.conns = make(map[uint64]struct{})
 	}
-	seen := make(map[uint64]struct{}, len(ops))
+	clear(l.conns)
 	for _, p := range ops {
-		seen[p.conn] = struct{}{}
+		l.conns[p.conn] = struct{}{}
 	}
-	return len(seen)
+	return len(l.conns)
 }
 
 // renderOpError turns a store error into its wire reply: a quarantined

@@ -316,3 +316,192 @@ func TestExpireTTLIncrSemantics(t *testing.T) {
 	}
 	<-done
 }
+
+// openShards opens a small in-memory store with n shards.
+func openShards(t *testing.T, n int) *shard.Store {
+	t.Helper()
+	st, err := shard.Open(shard.Options{Shards: n, RegionSize: 512 << 10, CoordSize: 64 << 10, Variant: core.RomLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// burst writes cmds as one pipelined burst and reads one reply per command.
+func (cl *client) burst(t *testing.T, cmds []string) []string {
+	t.Helper()
+	if _, err := cl.c.Write([]byte(strings.Join(cmds, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	return readLines(t, cl.r, len(cmds))
+}
+
+// TestPipelinedReadsSeeSequentialState pins read-your-writes for reads that
+// ride the commit queue: in one burst, every GET/TTL behind the
+// connection's own unresolved writes answers exactly what a sequential
+// execution of the burst would.
+func TestPipelinedReadsSeeSequentialState(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			st := openShards(t, shards)
+			defer st.Close()
+			now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			srv, addr, done := startServerOpts(t, st, Options{Now: func() time.Time { return now }})
+			cl := dial(t, addr)
+			for i := 0; i < 50; i++ {
+				a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("c%d", i)
+				cmds := []string{"SET " + a + " 1", "GET " + a, "DEL " + a, "GET " + a, "INCR " + c,
+					"INCR " + c, "TTL " + c, "EXPIRE " + c + " 100", "TTL " + c, "GET " + c}
+				want := []string{"OK", "VALUE 1", "OK", "NOTFOUND", "INT 1", "INT 2", "TTL -1", "OK", "TTL 100", "VALUE 2"}
+				got := cl.burst(t, cmds)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("burst %d reply %d to %q: got %q, want %q (all: %q)", i, j, cmds[j], got[j], want[j], got)
+					}
+				}
+			}
+			cl.c.Close()
+			shutdown(t, srv, done)
+		})
+	}
+}
+
+// TestPipelinedReadRidesOneBatch is the stall test: with the commit loop
+// held, a burst of SET, GET, 14 more SETs on one shard queues whole and
+// commits as one 16-op batch. A reader that parks a GET until the writes
+// before it are durable splits the burst at the GET instead.
+func TestPipelinedReadRidesOneBatch(t *testing.T) {
+	st := openShards(t, 1)
+	defer st.Close()
+	srv := New(st, Options{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	sizes := make(chan int, 32)
+	srv.committer.Close()
+	srv.committer = NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, ops []*Pending) {
+		sizes <- len(ops)
+		if seq == 1 {
+			close(entered)
+			<-release
+		}
+	}})
+	addr, done := startServerWith(t, srv)
+	cl := dial(t, addr)
+	if _, err := cl.c.Write([]byte("SET hold 0\n")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	cmds := []string{"SET a 1", "GET a"}
+	for i := 0; i < 14; i++ {
+		cmds = append(cmds, fmt.Sprintf("SET b%d x", i))
+	}
+	if _, err := cl.c.Write([]byte(strings.Join(cmds, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); srv.committer.Stats().QueueDepth[0] < len(cmds) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	got := readLines(t, cl.r, 1+len(cmds))
+	if got[0] != "OK" || got[1] != "OK" || got[2] != "VALUE 1" {
+		t.Fatalf("replies %q", got)
+	}
+	if held, next := <-sizes, <-sizes; held != 1 || next != len(cmds) {
+		t.Fatalf("batches of %d then %d ops: want the held write, then all %d ops of the burst in one", held, next, len(cmds))
+	}
+	cl.c.Close()
+	shutdown(t, srv, done)
+}
+
+// TestPipelinedReadAcrossCutover pins the reroute hazard: a SPLIT cutover
+// moves keys off shard 0 while their SETs (and, for half of them, the GETs
+// behind) sit in shard 0's queue. Every GET must return its SET's value,
+// whether it was queued before the cutover (and re-runs with its SET on the
+// new owner) or dispatched after it (and must not read the new owner before
+// the SET lands there).
+func TestPipelinedReadAcrossCutover(t *testing.T) {
+	st := openShards(t, 2)
+	defer st.Close()
+	srv := New(st, Options{})
+	addr, done := startServerWith(t, srv)
+	keysOn := func(prefix string, n int) []string {
+		var out []string
+		for i := 0; len(out) < n; i++ {
+			if k := fmt.Sprintf("%s%d", prefix, i); st.ShardFor([]byte(k)) == 0 {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	early, late := keysOn("early", 32), keysOn("late", 32)
+
+	// Hold shard 0's loop outside its route pin: a re-routed op's re-run
+	// happens after the batch's handle is released, so the cutover can pass.
+	var other []byte
+	for i := 0; other == nil; i++ {
+		if k := []byte(fmt.Sprintf("other%d", i)); st.ShardFor(k) == 1 {
+			other = k
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.committer.enqueue(0, &Pending{op: "hold", body: noop, keys: [][]byte{other}, wake: make(chan struct{}, 1),
+		redo: func() string { close(entered); <-release; return "OK" }})
+	<-entered
+
+	cl := dial(t, addr)
+	var cmds, want []string
+	for i, k := range early {
+		cmds = append(cmds, fmt.Sprintf("SET %s e%d", k, i), "GET "+k)
+		want = append(want, "OK", fmt.Sprintf("VALUE e%d", i))
+	}
+	for i, k := range late {
+		cmds = append(cmds, fmt.Sprintf("SET %s l%d", k, i))
+		want = append(want, "OK")
+	}
+	if _, err := cl.c.Write([]byte(strings.Join(cmds, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.committer.Stats().QueueDepth[0] < len(cmds); {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %v, want %d queued behind the held loop", srv.committer.Stats().QueueDepth, len(cmds))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if _, err := srv.driver.Begin(0, -1); err != nil {
+		t.Fatal(err)
+	}
+	srv.committer.EnsureShards(st.NumShards())
+	if err := srv.driver.Run(); err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	movedEarly, movedLate := 0, 0
+	for i := range early {
+		if st.ShardFor([]byte(early[i])) != 0 {
+			movedEarly++
+		}
+		if st.ShardFor([]byte(late[i])) != 0 {
+			movedLate++
+		}
+	}
+	if movedEarly == 0 || movedLate == 0 {
+		t.Fatalf("split moved %d early and %d late keys; the test needs both", movedEarly, movedLate)
+	}
+
+	var gets []string
+	for i, k := range late {
+		gets = append(gets, "GET "+k)
+		want = append(want, fmt.Sprintf("VALUE l%d", i))
+	}
+	if _, err := cl.c.Write([]byte(strings.Join(gets, "\n") + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	got := readLines(t, cl.r, len(want))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reply %d: got %q, want %q", i, got[i], want[i])
+		}
+	}
+	cl.c.Close()
+	shutdown(t, srv, done)
+}

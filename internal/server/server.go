@@ -7,47 +7,32 @@
 //
 // The complete wire contract — request grammar, every command's reply
 // forms, the error taxonomy, pipelining semantics, and the per-command
-// durability guarantee — is docs/PROTOCOL.md. Summary:
-//
-//	PING                  -> PONG
-//	GET <key>             -> VALUE <value> | NOTFOUND
-//	SET <key> <value>     -> OK             (durable before the reply)
-//	DEL <key>             -> OK             (durable before the reply)
-//	INCR <key> [delta]    -> INT <n>        (durable counter, default delta 1)
-//	DECR <key> [delta]    -> INT <n>        (durable counter, default delta 1)
-//	EXPIRE <key> <secs>   -> OK | NOTFOUND  (durable expiry deadline)
-//	TTL <key>             -> TTL <secs> | TTL -1 | NOTFOUND
-//	MULTI                 -> OK             (opens a queued batch)
-//	  SET/DEL ...         -> QUEUED <n>     (inside MULTI)
-//	  EXEC                -> OK <n>         (atomic durable commit, cross-shard safe)
-//	  DISCARD             -> OK
-//	STATS                 -> STATS <json>   (store + uptime + group-commit snapshot)
-//	SCRUB <shard>         -> OK             (re-formats and readmits a quarantined shard)
-//	SPLIT <shard>         -> OK <dst>       (starts an online split; runs in background)
-//	PLACEMENT             -> PLACEMENT <json> (slot map + migration progress)
-//	QUIT                  -> BYE            (server closes the connection)
-//	anything else         -> ERR <message>
+// durability guarantee — is docs/PROTOCOL.md. The verbs: PING, GET, SET,
+// DEL, INCR, DECR, EXPIRE, TTL, MULTI/EXEC/DISCARD (a queued batch, atomic
+// and durable at EXEC, cross-shard safe), STATS, SCRUB (readmit a
+// quarantined shard), SPLIT (start an online split), PLACEMENT and QUIT.
 //
 // # Pipelining
 //
 // Each connection has a reader goroutine and a writer goroutine. The reader
-// parses and dispatches as many complete request lines as the client has
-// sent without waiting for replies; the writer emits replies strictly in
-// request order, coalescing bufio flushes (it flushes when its queue goes
-// empty or before blocking on an unfinished write, not per reply). A client
-// may therefore stream a burst of commands and then read the burst of
-// replies. Replies never interleave or reorder; reads observe the
-// connection's own earlier writes (the reader waits for this connection's
-// outstanding writes before serving GET/TTL/STATS-free reads).
+// parses request lines in place in its bufio.Reader, without copying them
+// out, and dispatches as many as the client has sent without waiting for
+// replies; the writer emits replies strictly in request order, coalescing
+// flushes (it flushes when its queue goes empty or before blocking on an
+// unfinished write, not per reply). Replies never interleave or reorder.
+// Reads observe the connection's own earlier writes without the reader
+// waiting: a GET/TTL behind this connection's unresolved writes on the
+// key's shard joins that shard's queue and executes after them, in commit
+// order (see Server.read).
 //
 // # Group commit
 //
-// SET/DEL/INCR/DECR/EXPIRE and single-shard EXEC are executed by the
-// shard's Committer loop: operations from all connections merge into one
-// durable transaction per batch, and each reply is released only after the
-// psync of the batch containing its write. Cross-shard EXEC runs the
-// coordinator's two-phase protocol synchronously (still durable before the
-// reply).
+// SET/DEL/INCR/DECR/EXPIRE, single-shard EXEC and the reads above are
+// executed by the shard's Committer loop: operations from all connections
+// merge into one durable transaction per batch, and each reply is released
+// only after the psync of the batch containing it. Cross-shard EXEC waits
+// for this connection's queued operations, then runs the coordinator's
+// two-phase protocol synchronously (still durable before the reply).
 //
 // # Degraded mode
 //
@@ -63,16 +48,19 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/kvstore"
 	"repro/internal/migrate"
@@ -348,8 +336,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // SpanEvents when the reply's flush completes (the true end of the request).
 // Stamping discipline: the reader owns t0/parsed, the commit loop owns
 // drain/txStart/durable (group.go), and the writer reads everything after
-// the Pending resolves — the done-channel close orders those writes, so no
-// field needs atomics.
+// the Pending resolves — the done flag's store and load order those writes,
+// so no field needs atomics.
 type spanInfo struct {
 	req  uint64
 	conn uint64
@@ -369,7 +357,7 @@ type spanInfo struct {
 // by the writer after rendering, so tracing adds no steady-state heap churn
 // (which on small hosts costs more in GC assists than the tracing itself).
 // The render in flush is the last reference — the commit loop's stamps all
-// happen before the Pending's done closes, and the writer renders only
+// happen before the Pending's done flag is set, and the writer renders only
 // after.
 var spanPool = sync.Pool{New: func() any { return new(spanInfo) }}
 
@@ -380,49 +368,25 @@ var spanPool = sync.Pool{New: func() any { return new(spanInfo) }}
 // zero-length phases, which still emit.
 func renderSpan(evs []obs.SpanEvent, sp *spanInfo, end time.Time) []obs.SpanEvent {
 	ev := obs.SpanEvent{Req: sp.req, Conn: sp.conn, Op: sp.op, Shard: sp.shard, BatchSeq: sp.batchSeq}
-	// Straight-line phase emission: a closure here defeats inlining and costs
-	// measurably on the per-request path.
-	if !sp.t0.IsZero() && !sp.parsed.IsZero() {
-		ev.Phase = obs.PhaseParse
-		ev.StartNs = sp.t0.UnixNano()
-		ev.DurNs = nsBetween(sp.t0, sp.parsed)
-		evs = append(evs, ev)
-	}
-	if !sp.parsed.IsZero() && !sp.drain.IsZero() {
-		ev.Phase = obs.PhaseQueueWait
-		ev.StartNs = sp.parsed.UnixNano()
-		ev.DurNs = nsBetween(sp.parsed, sp.drain)
-		evs = append(evs, ev)
-	}
-	if !sp.drain.IsZero() && !sp.txStart.IsZero() {
-		ev.Phase = obs.PhaseBatchForm
-		ev.StartNs = sp.drain.UnixNano()
-		ev.DurNs = nsBetween(sp.drain, sp.txStart)
-		evs = append(evs, ev)
-	}
-	if !sp.txStart.IsZero() && !sp.durable.IsZero() {
-		ev.Phase = obs.PhasePsyncWait
-		ev.StartNs = sp.txStart.UnixNano()
-		ev.DurNs = nsBetween(sp.txStart, sp.durable)
-		evs = append(evs, ev)
-	}
+	evs = appendPhase(evs, ev, obs.PhaseParse, sp.t0, sp.parsed)
+	evs = appendPhase(evs, ev, obs.PhaseQueueWait, sp.parsed, sp.drain)
+	evs = appendPhase(evs, ev, obs.PhaseBatchForm, sp.drain, sp.txStart)
+	evs = appendPhase(evs, ev, obs.PhasePsyncWait, sp.txStart, sp.durable)
 	flushFrom := sp.durable
 	if flushFrom.IsZero() {
 		flushFrom = sp.parsed
 	}
-	if !flushFrom.IsZero() && !end.IsZero() {
-		ev.Phase = obs.PhaseReplyFlush
-		ev.StartNs = flushFrom.UnixNano()
-		ev.DurNs = nsBetween(flushFrom, end)
-		evs = append(evs, ev)
+	evs = appendPhase(evs, ev, obs.PhaseReplyFlush, flushFrom, end)
+	return appendPhase(evs, ev, obs.PhaseRequest, sp.t0, end)
+}
+
+// appendPhase appends ev as phase name from..to, if both boundaries happened.
+func appendPhase(evs []obs.SpanEvent, ev obs.SpanEvent, name string, from, to time.Time) []obs.SpanEvent {
+	if from.IsZero() || to.IsZero() {
+		return evs
 	}
-	if !sp.t0.IsZero() && !end.IsZero() {
-		ev.Phase = obs.PhaseRequest
-		ev.StartNs = sp.t0.UnixNano()
-		ev.DurNs = nsBetween(sp.t0, end)
-		evs = append(evs, ev)
-	}
-	return evs
+	ev.Phase, ev.StartNs, ev.DurNs = name, from.UnixNano(), nsBetween(from, to)
+	return append(evs, ev)
 }
 
 // nsBetween is a saturating duration: monotonic-clock steps between stamps
@@ -450,39 +414,77 @@ type connState struct {
 	id    uint64
 	multi *kvstore.Batch
 	// cur is the span of the command currently being dispatched (nil when
-	// tracing is off); submitWrite hands it to the Pending so the commit
-	// loop can stamp the queue/batch/psync boundaries.
+	// tracing is off); submit hands it to the Pending so the commit loop can
+	// stamp the queue/batch/psync boundaries.
 	cur *spanInfo
-	// outstanding holds this connection's not-yet-committed writes; reads
-	// barrier on them so a connection always observes its own writes.
-	outstanding []*Pending
+	// wake is the writer goroutine's wake-up, signalled by the commit loops
+	// after they resolve any of this connection's operations.
+	wake chan struct{}
+	// sent counts operations this connection queued and settled those the
+	// commit loops resolved, so sent == settled means none is in flight.
+	// shards lists the shards queued to since that was last true.
+	sent    uint64
+	settled atomic.Uint64
+	shards  []int
 }
 
-// track records a submitted write for the read barrier, pruning completed
-// entries once the list grows (a deep pipeline of writes on one connection).
-func (st *connState) track(p *Pending) {
-	if len(st.outstanding) >= 32 {
-		live := st.outstanding[:0]
-		for _, q := range st.outstanding {
-			select {
-			case <-q.done:
-			default:
-				live = append(live, q)
-			}
+// idle reports whether nothing is in flight, forgetting the old shards if so.
+func (st *connState) idle() bool {
+	if st.settled.Load() != st.sent {
+		return false
+	}
+	st.shards = st.shards[:0]
+	return true
+}
+
+// barrier waits until every operation of this connection in flight is
+// resolved — for a read that queue order cannot place, and for cross-shard
+// EXEC. It queues a no-op behind them on each shard they went to: queues
+// are FIFO, and a batch settles all its members at once, re-routed ones
+// included.
+func (st *connState) barrier(c *Committer) {
+	if st.idle() {
+		return
+	}
+	for _, sh := range st.shards {
+		c.enqueue(sh, &Pending{op: "barrier", read: true, body: noop, wake: make(chan struct{}, 1)}).Wait()
+	}
+	st.shards = st.shards[:0]
+}
+
+func noop(*cmd, ptm.Tx, *kvstore.DB) (string, error) { return "", nil }
+
+// submit queues p on shard sh's commit loop as this connection's operation.
+func (s *Server) submit(st *connState, sh int, p *Pending) token {
+	if st.idle() || !slices.Contains(st.shards, sh) {
+		st.shards = append(st.shards, sh)
+	}
+	st.sent++
+	p.conn, p.sp, p.wake, p.settled = st.id, st.cur, st.wake, &st.settled
+	return token{p: s.committer.enqueue(sh, p)}
+}
+
+// readLine returns the next request line without its "\n", valid until the
+// next call; a line longer than r's buffer is assembled in *long. err ends
+// the input, after the unterminated tail (if any) is returned with it. A
+// line of MaxLine or more bytes fails with bufio.ErrTooLong.
+func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		buf := append((*long)[:0], line...)
+		for err == bufio.ErrBufferFull && len(buf) < MaxLine {
+			line, err = r.ReadSlice('\n')
+			buf = append(buf, line...)
 		}
-		st.outstanding = live
+		*long, line = buf, buf
 	}
-	st.outstanding = append(st.outstanding, p)
-}
-
-// barrier waits until every tracked write of this connection is durable —
-// the read-your-writes fence for GET/TTL and for cross-shard EXEC (which
-// bypasses the per-shard queues).
-func (st *connState) barrier() {
-	for _, p := range st.outstanding {
-		<-p.done
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
 	}
-	st.outstanding = st.outstanding[:0]
+	if len(line) >= MaxLine {
+		return nil, bufio.ErrTooLong
+	}
+	return line, err
 }
 
 // handle runs a connection's reader loop; replies flow through the writer
@@ -498,53 +500,50 @@ func (s *Server) handle(c net.Conn) {
 	}()
 	tokens := make(chan token, pipelineDepth)
 	wdone := make(chan struct{})
+	st := &connState{id: s.connSeq.Add(1), wake: make(chan struct{}, 1)}
 	go s.writeReplies(c, tokens, wdone)
 
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 4096), MaxLine)
-	st := &connState{id: s.connSeq.Add(1)}
-	for {
-		if s.drain.Load() {
-			break
-		}
+	r := bufio.NewReader(c)
+	var long []byte
+	for !s.drain.Load() {
 		if s.idleTimeout > 0 {
 			// Re-arm before every read; a drain overrides with an immediate
-			// deadline and is re-checked above and below either way.
+			// deadline and is re-checked above either way.
 			c.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		if !sc.Scan() {
-			// EOF, an idle or drain-induced deadline, or a peer error:
-			// nothing more to parse either way.
+		line, err := readLine(r, &long)
+		if line = bytes.TrimRight(line, "\r"); len(line) > 0 {
+			if s.spans != nil {
+				sp := spanPool.Get().(*spanInfo)
+				*sp = spanInfo{req: s.reqSeq.Add(1), conn: st.id, t0: time.Now(), shard: -1}
+				st.cur = sp
+			}
+			tok, quit := s.dispatch(line, st)
+			if sp := st.cur; sp != nil {
+				st.cur = nil
+				if sp.parsed.IsZero() {
+					// Immediate reply (direct read, protocol error, MULTI
+					// bookkeeping): dispatch resolved it right here.
+					sp.parsed = time.Now()
+				}
+				if sp.op == "" {
+					verb, _, _ := bytes.Cut(line, []byte{' '})
+					sp.op = strings.ToUpper(string(verb))
+				}
+				tok.sp = sp
+			}
+			tokens <- tok
+			if quit {
+				break
+			}
+		}
+		if err != nil {
+			// EOF, an idle or drain-induced deadline, an oversized line or a
+			// peer error: nothing more to parse either way.
 			var ne net.Error
-			if !s.drain.Load() && errors.As(sc.Err(), &ne) && ne.Timeout() {
+			if !s.drain.Load() && errors.As(err, &ne) && ne.Timeout() {
 				s.idleClosed.Inc()
 			}
-			break
-		}
-		line := strings.TrimRight(sc.Text(), "\r")
-		if line == "" {
-			continue
-		}
-		if s.spans != nil {
-			sp := spanPool.Get().(*spanInfo)
-			*sp = spanInfo{req: s.reqSeq.Add(1), conn: st.id, t0: time.Now(), shard: -1}
-			st.cur = sp
-		}
-		tok, quit := s.dispatch(line, st)
-		if sp := st.cur; sp != nil {
-			st.cur = nil
-			if sp.parsed.IsZero() {
-				// Immediate reply (read, protocol error, MULTI bookkeeping):
-				// dispatch resolved it right here.
-				sp.parsed = time.Now()
-			}
-			if sp.op == "" {
-				sp.op = verbOf(line)
-			}
-			tok.sp = sp
-		}
-		tokens <- tok
-		if quit {
 			break
 		}
 	}
@@ -589,16 +588,13 @@ func (s *Server) writeReplies(c net.Conn, tokens <-chan token, wdone chan<- stru
 	}
 	for tok := range tokens {
 		text := tok.text
-		if tok.p != nil {
-			select {
-			case <-tok.p.done:
-			default:
-				// About to block on a durability round: don't sit on replies
-				// the client could already be reading.
+		if p := tok.p; p != nil {
+			if !p.done.Load() {
+				// Don't sit on replies the client could read while we block.
 				flush()
-				<-tok.p.done
 			}
-			text = tok.p.text
+			text = p.Wait()
+			p.release()
 		}
 		if !dead {
 			w.WriteString(text)
@@ -621,24 +617,33 @@ func (s *Server) writeReplies(c net.Conn, tokens <-chan token, wdone chan<- stru
 // dispatch executes one command line, returning its reply token and whether
 // the connection should close. Immediate commands (reads, protocol errors,
 // MULTI queueing) resolve here; writes return futures resolved by the
-// group-commit loops.
-func (s *Server) dispatch(line string, st *connState) (token, bool) {
-	verb := line
-	rest := ""
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		verb, rest = line[:i], line[i+1:]
+// group-commit loops. The verb is matched ASCII case-insensitively without
+// copying the line.
+func (s *Server) dispatch(line []byte, st *connState) (token, bool) {
+	verb, rest, _ := bytes.Cut(line, []byte{' '})
+	var up [len("PLACEMENT")]byte
+	if len(verb) <= len(up) {
+		for i, c := range verb {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			up[i] = c
+		}
 	}
-	switch strings.ToUpper(verb) {
+	switch string(up[:min(len(verb), len(up))]) {
 	case "PING":
 		return imm("PONG"), false
-	case "GET":
-		key, errRep, ok := s.oneKey("GET", rest)
+	case "GET", "TTL":
+		name, op, body, n := "GET", "get", getBody, s.cmdGet
+		if up[0] == 'T' {
+			name, op, body, n = "TTL", "ttl", ttlBody, s.cmdTTL
+		}
+		key, errRep, ok := s.oneKey(name, rest)
 		if !ok {
 			return imm(errRep), false
 		}
-		s.cmdGet.Inc()
-		st.barrier()
-		return imm(s.readKey(key)), false
+		n.Inc()
+		return s.read(st, key, op, body), false
 	case "SET":
 		key, val, ok := splitKeyValue(rest)
 		if !ok {
@@ -651,9 +656,9 @@ func (s *Server) dispatch(line string, st *connState) (token, bool) {
 		if st.multi != nil {
 			return s.queueMulti(st, false, key, val)
 		}
-		kb := []byte(key)
-		p := s.submitWrite(st, kb, "set", setOp(kb, []byte(val)))
-		return token{p: p}, false
+		p := newPending("set", setBody)
+		p.setKey(key, val)
+		return s.submit(st, s.st.ShardFor(p.key), p), false
 	case "DEL":
 		key, errRep, ok := s.oneKey("DEL", rest)
 		if !ok {
@@ -661,67 +666,48 @@ func (s *Server) dispatch(line string, st *connState) (token, bool) {
 		}
 		s.cmdDel.Inc()
 		if st.multi != nil {
-			return s.queueMulti(st, true, key, "")
+			return s.queueMulti(st, true, key, nil)
 		}
-		kb := []byte(key)
-		p := s.submitWrite(st, kb, "del", delOp(kb))
-		return token{p: p}, false
-	case "INCR", "DECR":
-		op := strings.ToLower(verb)
-		fields := strings.Fields(rest)
-		if len(fields) < 1 || len(fields) > 2 {
-			return imm(s.errf("%s needs a key and an optional integer delta", strings.ToUpper(verb))), false
-		}
-		key := fields[0]
-		if errRep, ok := s.checkKey(key); !ok {
-			return imm(errRep), false
-		}
-		delta := int64(1)
-		if len(fields) == 2 {
-			n, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return imm(s.errf("%s delta is not an integer", strings.ToUpper(verb))), false
+		p := newPending("del", delBody)
+		p.setKey(key, nil)
+		return s.submit(st, s.st.ShardFor(p.key), p), false
+	case "INCR", "DECR", "EXPIRE":
+		name, op, body, arg, ctr := "EXPIRE", "expire", expireBody, "seconds", s.cmdExpire
+		if up[0] != 'E' {
+			name, op, body, arg, ctr = "INCR", "incr", incrBody, "delta", s.cmdIncr
+			if up[0] == 'D' {
+				name, op = "DECR", "decr"
 			}
-			delta = n
 		}
-		if op == "decr" {
-			delta = -delta
+		key, more := nextField(rest)
+		num, more := nextField(more)
+		extra, _ := nextField(more)
+		if len(key) == 0 || len(extra) > 0 || (op == "expire" && len(num) == 0) {
+			if op == "expire" {
+				return imm(s.errf("EXPIRE needs a key and a seconds count")), false
+			}
+			return imm(s.errf("%s needs a key and an optional integer delta", name)), false
 		}
-		if st.multi != nil {
-			return imm(s.errf("%s cannot be queued in MULTI", strings.ToUpper(verb))), false
-		}
-		s.cmdIncr.Inc()
-		kb := []byte(key)
-		p := s.submitWrite(st, kb, op, s.incrOp(kb, delta))
-		return token{p: p}, false
-	case "EXPIRE":
-		fields := strings.Fields(rest)
-		if len(fields) != 2 {
-			return imm(s.errf("EXPIRE needs a key and a seconds count")), false
-		}
-		key := fields[0]
 		if errRep, ok := s.checkKey(key); !ok {
 			return imm(errRep), false
 		}
-		secs, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return imm(s.errf("EXPIRE seconds is not an integer")), false
+		n, err := int64(1), error(nil)
+		if len(num) > 0 {
+			if n, err = strconv.ParseInt(string(num), 10, 64); err != nil {
+				return imm(s.errf("%s %s is not an integer", name, arg)), false
+			}
 		}
 		if st.multi != nil {
-			return imm(s.errf("EXPIRE cannot be queued in MULTI")), false
+			return imm(s.errf("%s cannot be queued in MULTI", name)), false
 		}
-		s.cmdExpire.Inc()
-		kb := []byte(key)
-		p := s.submitWrite(st, kb, "expire", s.expireOp(kb, secs))
-		return token{p: p}, false
-	case "TTL":
-		key, errRep, ok := s.oneKey("TTL", rest)
-		if !ok {
-			return imm(errRep), false
+		ctr.Inc()
+		if op == "decr" {
+			n = -n
 		}
-		s.cmdTTL.Inc()
-		st.barrier()
-		return imm(s.ttlReply(key)), false
+		p := newPending(op, body)
+		p.setKey(key, nil)
+		p.n, p.at = n, s.now()
+		return s.submit(st, s.st.ShardFor(p.key), p), false
 	case "MULTI":
 		if st.multi != nil {
 			return imm(s.errf("MULTI already open")), false
@@ -748,25 +734,28 @@ func (s *Server) dispatch(line string, st *connState) (token, bool) {
 			return imm(s.errf("stats: %v", err)), false
 		}
 		return imm("STATS " + string(js)), false
-	case "SCRUB":
-		arg := strings.TrimSpace(rest)
-		n, err := strconv.Atoi(arg)
-		if arg == "" || err != nil {
+	case "SCRUB", "SPLIT":
+		name := "SCRUB"
+		if up[1] == 'P' {
+			name = "SPLIT"
+		}
+		arg := bytes.TrimSpace(rest)
+		n, err := strconv.Atoi(string(arg))
+		if len(arg) == 0 || err != nil {
+			if name == "SPLIT" {
+				return imm(s.errf("SPLIT needs a source shard index")), false
+			}
 			return imm(s.errf("SCRUB needs a shard index")), false
+		}
+		if name == "SPLIT" {
+			s.cmdSplit.Inc()
+			return imm(s.startSplit(n)), false
 		}
 		s.cmdScrub.Inc()
 		if err := s.st.Scrub(n); err != nil {
 			return imm(s.errf("scrub: %v", err)), false
 		}
 		return imm("OK"), false
-	case "SPLIT":
-		arg := strings.TrimSpace(rest)
-		n, err := strconv.Atoi(arg)
-		if arg == "" || err != nil {
-			return imm(s.errf("SPLIT needs a source shard index")), false
-		}
-		s.cmdSplit.Inc()
-		return imm(s.startSplit(n)), false
 	case "PLACEMENT":
 		// Driver status first: Status queues behind the stepping driver's
 		// lock, possibly across cutover and cleanup, so a slot map read
@@ -786,6 +775,16 @@ func (s *Server) dispatch(line string, st *connState) (token, bool) {
 	default:
 		return imm(s.errf("unknown command %q", verb)), false
 	}
+}
+
+// nextField returns b's first field and what follows it, splitting on
+// white space as strings.Fields does, without allocating.
+func nextField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
 }
 
 // startSplit provisions a fresh shard, begins moving half of src's slots to
@@ -816,61 +815,48 @@ func (s *Server) startSplit(src int) string {
 	return "OK " + strconv.Itoa(dst)
 }
 
-// submitWrite routes one write to its shard's group-commit loop and tracks
-// the future for the connection's read barrier. The routing keys (base key
-// plus its expiry sidecar — every write body may touch both) and the redo
-// closure let the commit loop re-dispatch the write if a migration cutover
-// moves the key off the submitted shard while it queues.
-func (s *Server) submitWrite(st *connState, key []byte, op string, fn OpFunc) *Pending {
-	keys := [][]byte{key, expiryKey(key)}
-	redo := func() string { return s.soloWrite(keys, op, fn) }
-	p := s.committer.submitSpan(s.st.ShardFor(key), st.id, op, st.cur, keys, redo, fn)
-	st.track(p)
-	return p
-}
-
-// soloWrite runs one re-routed operation on whatever shard owns its keys
-// now, under its own route pin (dirty-marking the keys if they are moving
-// again).
-func (s *Server) soloWrite(keys [][]byte, op string, fn OpFunc) string {
-	h := s.st.BeginWrite(keys...)
-	defer h.Done()
-	var text string
-	err := s.st.Update(h.Route(keys[0]), func(tx ptm.Tx, db *kvstore.DB) error {
-		t, e := fn(tx, db)
-		if e != nil {
-			return e
+// read serves GET/TTL. With none of this connection's operations in flight
+// it reads right here (ViewKey: one read transaction, wait-free even across
+// a cutover). With all of them queued on the key's own shard it joins that
+// queue: it executes at its queue position inside the batch transaction and
+// replies after the batch's psync, so the reader goroutine never waits.
+// Anything else — operations in flight on another shard, which a split
+// cutover can cause — waits for the barrier first.
+func (s *Server) read(st *connState, key []byte, op string, body bodyFunc) token {
+	p := newPending(op, body)
+	p.setKey(key, nil)
+	p.read, p.at = true, s.now()
+	if !st.idle() {
+		if sh := s.st.ShardFor(key); len(st.shards) == 1 && st.shards[0] == sh {
+			return s.submit(st, sh, p)
 		}
-		text = t
-		return nil
+		st.barrier(s.committer)
+	}
+	err := s.st.ViewKey(p.key, func(tx ptm.Tx, db *kvstore.DB) (err error) {
+		p.text, err = p.body(&p.cmd, tx, db)
+		return err
 	})
+	text := p.text
 	if err != nil {
-		return s.opReply(op, err)
+		text = s.opReply(op, err)
 	}
-	return text
-}
-
-// verbOf uppercases a line's command word for span labeling.
-func verbOf(line string) string {
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		line = line[:i]
-	}
-	return strings.ToUpper(line)
+	p.release()
+	return imm(text)
 }
 
 // queueMulti appends one SET/DEL to the open MULTI batch, enforcing the
 // queue bound.
-func (s *Server) queueMulti(st *connState, del bool, key, val string) (token, bool) {
+func (s *Server) queueMulti(st *connState, del bool, key, val []byte) (token, bool) {
 	if s.maxBatchOps > 0 && st.multi.Len() >= s.maxBatchOps {
 		st.multi = nil
 		return imm(s.errf("batch too large")), false
 	}
 	if del {
-		st.multi.Delete([]byte(key))
+		st.multi.Delete(key)
 	} else {
-		st.multi.Put([]byte(key), []byte(val))
+		st.multi.Put(key, val)
 	}
-	return imm(fmt.Sprintf("QUEUED %d", st.multi.Len())), false
+	return imm("QUEUED " + strconv.Itoa(st.multi.Len())), false
 }
 
 // execMulti commits a MULTI batch: single-shard batches ride the shard's
@@ -896,51 +882,44 @@ func (s *Server) execMulti(st *connState, b *kvstore.Batch) token {
 		} else {
 			ex.Put(key, val)
 		}
-		ex.Delete(expiryKey(key))
+		ex.Delete(shard.SidecarKey("exp", key))
 		if sh := s.st.ShardFor(key); only == -1 {
 			only = sh
 		} else if sh != only {
 			single = false
 		}
 	})
+	reply := "OK " + strconv.Itoa(n)
 	if single {
-		reply := fmt.Sprintf("OK %d", n)
-		var keys [][]byte
-		ex.Each(func(del bool, key, val []byte) { keys = append(keys, key) })
-		// If a cutover moves any of the batch's keys before it commits, the
-		// redo path re-dispatches through the store's write front door,
-		// which regroups by current ownership (and runs the two-phase
-		// protocol if the batch is now cross-shard).
-		redo := func() string {
-			if err := s.st.Write(ex); err != nil {
-				return s.opReply("exec", err)
-			}
-			return reply
-		}
-		p := s.committer.submitSpan(only, st.id, "exec", st.cur, keys, redo, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
+		p := newPending("exec", func(_ *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
 			if err := db.Apply(tx, ex); err != nil {
 				return "", err
 			}
 			return reply, nil
 		})
-		st.track(p)
-		return token{p: p}
+		ex.Each(func(del bool, key, val []byte) { p.keys = append(p.keys, key) })
+		// If a cutover moves any of the batch's keys before it commits, redo
+		// goes through the store's write front door, which regroups by
+		// current ownership (two-phase if the batch is now cross-shard).
+		p.redo = func() string {
+			if err := s.st.Write(ex); err != nil {
+				return s.opReply("exec", err)
+			}
+			return reply
+		}
+		return s.submit(st, only, p)
 	}
-	st.barrier()
+	st.barrier(s.committer)
 	if err := s.st.Write(ex); err != nil {
 		return imm(s.opReply("exec", err))
 	}
-	return imm(fmt.Sprintf("OK %d", n))
+	return imm(reply)
 }
 
-// expiryKey is the shard-colocated sidecar key holding a key's expiry
-// deadline (absolute UnixNano, decimal).
-func expiryKey(key []byte) []byte { return shard.SidecarKey("exp", key) }
-
-// expiredAt reports whether key's expiry sidecar says it is dead at now.
-// Absent or malformed sidecars mean "live".
-func expiredAt(tx ptm.Tx, db *kvstore.DB, key []byte, now time.Time) bool {
-	e, err := db.GetTx(tx, expiryKey(key))
+// expiredAt reports whether the expiry sidecar side says its key is dead at
+// now. Absent or malformed sidecars mean "live".
+func expiredAt(tx ptm.Tx, db *kvstore.DB, side []byte, now time.Time) bool {
+	e, err := db.GetTx(tx, side)
 	if err != nil {
 		return false
 	}
@@ -951,195 +930,143 @@ func expiredAt(tx ptm.Tx, db *kvstore.DB, key []byte, now time.Time) bool {
 	return now.UnixNano() >= ns
 }
 
-// setOp is SET's group-committed body: store the pair and clear any expiry.
-func setOp(key, val []byte) OpFunc {
-	return func(tx ptm.Tx, db *kvstore.DB) (string, error) {
-		if err := db.PutTx(tx, key, val); err != nil {
-			return "", err
-		}
-		if err := db.DeleteTx(tx, expiryKey(key)); err != nil {
-			return "", err
-		}
-		return "OK", nil
+// The command bodies below run inside a transaction of the key's shard —
+// a group-commit batch, a solo re-run, or (reads) a direct read
+// transaction — over the operands in c.
+
+// setBody is SET: store the pair and clear any expiry.
+func setBody(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
+	if err := db.PutTx(tx, c.key, c.val); err != nil {
+		return "", err
 	}
+	return "OK", db.DeleteTx(tx, c.side)
 }
 
-// delOp is DEL's group-committed body: remove the pair and its expiry.
-func delOp(key []byte) OpFunc {
-	return func(tx ptm.Tx, db *kvstore.DB) (string, error) {
-		if err := db.DeleteTx(tx, key); err != nil {
-			return "", err
-		}
-		if err := db.DeleteTx(tx, expiryKey(key)); err != nil {
-			return "", err
-		}
-		return "OK", nil
+// delBody is DEL: remove the pair and its expiry.
+func delBody(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
+	if err := db.DeleteTx(tx, c.key); err != nil {
+		return "", err
 	}
+	return "OK", db.DeleteTx(tx, c.side)
 }
 
-// incrOp is INCR/DECR's group-committed body: read-modify-write the decimal
-// counter in the batch transaction. An expired value counts as absent
-// (counter restarts at 0+delta); non-integer values and overflow are
-// protocol-level failures — replies, not batch aborts.
-func (s *Server) incrOp(key []byte, delta int64) OpFunc {
-	return func(tx ptm.Tx, db *kvstore.DB) (string, error) {
-		var cur int64
-		v, err := db.GetTx(tx, key)
-		switch {
-		case errors.Is(err, kvstore.ErrNotFound):
-		case err != nil:
-			return "", err
-		default:
-			if !expiredAt(tx, db, key, s.now()) {
-				n, perr := strconv.ParseInt(string(v), 10, 64)
-				if perr != nil {
-					return "ERR value is not an integer", nil
-				}
-				cur = n
+// incrBody is INCR/DECR: read-modify-write the decimal counter by c.n. An
+// expired value counts as absent (counter restarts at 0+delta); non-integer
+// values and overflow are protocol-level failures — replies, not batch
+// aborts.
+func incrBody(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
+	var cur int64
+	v, err := db.GetTx(tx, c.key)
+	switch {
+	case errors.Is(err, kvstore.ErrNotFound):
+	case err != nil:
+		return "", err
+	default:
+		if !expiredAt(tx, db, c.side, c.at) {
+			n, perr := strconv.ParseInt(string(v), 10, 64)
+			if perr != nil {
+				return "ERR value is not an integer", nil
 			}
+			cur = n
 		}
-		n := cur + delta
-		if (delta > 0 && n < cur) || (delta < 0 && n > cur) {
-			return "ERR increment overflows a 64-bit integer", nil
-		}
-		if err := db.PutTx(tx, key, strconv.AppendInt(nil, n, 10)); err != nil {
-			return "", err
-		}
-		if err := db.DeleteTx(tx, expiryKey(key)); err != nil {
-			return "", err
-		}
-		return "INT " + strconv.FormatInt(n, 10), nil
 	}
+	n := cur + c.n
+	if (c.n > 0 && n < cur) || (c.n < 0 && n > cur) {
+		return "ERR increment overflows a 64-bit integer", nil
+	}
+	if err := db.PutTx(tx, c.key, strconv.AppendInt(nil, n, 10)); err != nil {
+		return "", err
+	}
+	if err := db.DeleteTx(tx, c.side); err != nil {
+		return "", err
+	}
+	return "INT " + strconv.FormatInt(n, 10), nil
 }
 
-// expireOp is EXPIRE's group-committed body: set (or, for secs <= 0,
-// immediately enforce) a key's expiry deadline. Missing and already-expired
-// keys answer NOTFOUND; an expired key is swept while we are here.
-func (s *Server) expireOp(key []byte, secs int64) OpFunc {
-	return func(tx ptm.Tx, db *kvstore.DB) (string, error) {
-		now := s.now()
-		_, err := db.GetTx(tx, key)
-		if errors.Is(err, kvstore.ErrNotFound) {
-			return "NOTFOUND", nil
-		}
-		if err != nil {
-			return "", err
-		}
-		if expiredAt(tx, db, key, now) {
-			if err := db.DeleteTx(tx, key); err != nil {
-				return "", err
-			}
-			if err := db.DeleteTx(tx, expiryKey(key)); err != nil {
-				return "", err
-			}
-			return "NOTFOUND", nil
-		}
-		if secs <= 0 {
-			if err := db.DeleteTx(tx, key); err != nil {
-				return "", err
-			}
-			if err := db.DeleteTx(tx, expiryKey(key)); err != nil {
-				return "", err
-			}
-			return "OK", nil
-		}
-		deadline := now.Add(time.Duration(secs) * time.Second).UnixNano()
-		if err := db.PutTx(tx, expiryKey(key), strconv.AppendInt(nil, deadline, 10)); err != nil {
-			return "", err
-		}
-		return "OK", nil
+// expireBody is EXPIRE: set (or, for c.n <= 0 seconds, immediately enforce)
+// a key's expiry deadline. Missing and already-expired keys answer
+// NOTFOUND; an expired key is swept while we are here.
+func expireBody(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
+	_, err := db.GetTx(tx, c.key)
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return "NOTFOUND", nil
 	}
-}
-
-// readKey serves GET: one read transaction on the key's shard, honoring lazy
-// expiry (an expired pair reads as NOTFOUND; it is swept by the next write
-// to the key, keeping reads wait-free). ViewKey routes and reads under one
-// left-right arrival, so reads stay wait-free even mid-migration — they
-// never block on the cutover fence.
-func (s *Server) readKey(key string) string {
-	kb := []byte(key)
-	var reply string
-	err := s.st.ViewKey(kb, func(tx ptm.Tx, db *kvstore.DB) error {
-		v, err := db.GetTx(tx, kb)
-		if errors.Is(err, kvstore.ErrNotFound) {
-			reply = "NOTFOUND"
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if expiredAt(tx, db, kb, s.now()) {
-			reply = "NOTFOUND"
-			return nil
-		}
-		reply = "VALUE " + string(v)
-		return nil
-	})
 	if err != nil {
-		return s.opReply("get", err)
+		return "", err
 	}
-	return reply
+	if gone := expiredAt(tx, db, c.side, c.at); gone || c.n <= 0 {
+		if err := db.DeleteTx(tx, c.key); err != nil {
+			return "", err
+		}
+		if err := db.DeleteTx(tx, c.side); err != nil {
+			return "", err
+		}
+		if gone {
+			return "NOTFOUND", nil
+		}
+		return "OK", nil
+	}
+	deadline := c.at.Add(time.Duration(c.n) * time.Second).UnixNano()
+	return "OK", db.PutTx(tx, c.side, strconv.AppendInt(nil, deadline, 10))
 }
 
-// ttlReply serves TTL: remaining whole seconds (rounded up), TTL -1 for keys
+// getBody is GET, honoring lazy expiry: an expired pair reads as NOTFOUND
+// and is swept by the next write to the key, keeping reads wait-free.
+func getBody(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
+	v, err := db.GetTx(tx, c.key)
+	if errors.Is(err, kvstore.ErrNotFound) || (err == nil && expiredAt(tx, db, c.side, c.at)) {
+		return "NOTFOUND", nil
+	}
+	if err != nil {
+		return "", err
+	}
+	return "VALUE " + string(v), nil
+}
+
+// ttlBody is TTL: remaining whole seconds (rounded up), TTL -1 for keys
 // without a deadline, NOTFOUND for absent or expired keys.
-func (s *Server) ttlReply(key string) string {
-	kb := []byte(key)
-	now := s.now()
-	var reply string
-	err := s.st.ViewKey(kb, func(tx ptm.Tx, db *kvstore.DB) error {
-		_, err := db.GetTx(tx, kb)
-		if errors.Is(err, kvstore.ErrNotFound) {
-			reply = "NOTFOUND"
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		e, err := db.GetTx(tx, expiryKey(kb))
-		if errors.Is(err, kvstore.ErrNotFound) {
-			reply = "TTL -1"
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		ns, perr := strconv.ParseInt(string(e), 10, 64)
-		if perr != nil {
-			reply = "TTL -1"
-			return nil
-		}
-		rem := ns - now.UnixNano()
-		if rem <= 0 {
-			reply = "NOTFOUND"
-			return nil
-		}
-		secs := (rem + int64(time.Second) - 1) / int64(time.Second)
-		reply = "TTL " + strconv.FormatInt(secs, 10)
-		return nil
-	})
-	if err != nil {
-		return s.opReply("ttl", err)
+func ttlBody(c *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) {
+	_, err := db.GetTx(tx, c.key)
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return "NOTFOUND", nil
 	}
-	return reply
+	if err != nil {
+		return "", err
+	}
+	e, err := db.GetTx(tx, c.side)
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return "TTL -1", nil
+	}
+	if err != nil {
+		return "", err
+	}
+	ns, perr := strconv.ParseInt(string(e), 10, 64)
+	rem := ns - c.at.UnixNano()
+	switch {
+	case perr != nil:
+		return "TTL -1", nil
+	case rem <= 0:
+		return "NOTFOUND", nil
+	}
+	return "TTL " + strconv.FormatInt((rem+int64(time.Second)-1)/int64(time.Second), 10), nil
 }
 
 // oneKey parses and validates a single-key argument.
-func (s *Server) oneKey(verb, rest string) (key, errReply string, ok bool) {
-	key = strings.TrimSpace(rest)
-	if key == "" || strings.ContainsAny(key, " \t") {
-		return "", s.errf("%s needs exactly one key", verb), false
+func (s *Server) oneKey(verb string, rest []byte) (key []byte, errReply string, ok bool) {
+	key = bytes.TrimSpace(rest)
+	if len(key) == 0 || bytes.ContainsAny(key, " \t") {
+		return nil, s.errf("%s needs exactly one key", verb), false
 	}
 	if errRep, ok := s.checkKey(key); !ok {
-		return "", errRep, false
+		return nil, errRep, false
 	}
 	return key, "", true
 }
 
 // checkKey rejects keys the store cannot route faithfully: NUL is the
 // sidecar marker (see shard.SidecarKey), so client keys must not contain it.
-func (s *Server) checkKey(key string) (errReply string, ok bool) {
-	if strings.IndexByte(key, 0) >= 0 {
+func (s *Server) checkKey(key []byte) (errReply string, ok bool) {
+	if bytes.IndexByte(key, 0) >= 0 {
 		return s.errf("key must not contain NUL"), false
 	}
 	return "", true
@@ -1147,19 +1074,9 @@ func (s *Server) checkKey(key string) (errReply string, ok bool) {
 
 // splitKeyValue parses "key value..." where value is the rest of the line
 // (may be empty, may contain spaces).
-func splitKeyValue(rest string) (key, val string, ok bool) {
-	if rest == "" {
-		return "", "", false
-	}
-	if i := strings.IndexByte(rest, ' '); i >= 0 {
-		key, val = rest[:i], rest[i+1:]
-	} else {
-		key = rest
-	}
-	if key == "" {
-		return "", "", false
-	}
-	return key, val, true
+func splitKeyValue(rest []byte) (key, val []byte, ok bool) {
+	key, val, _ = bytes.Cut(rest, []byte{' '})
+	return key, val, len(key) > 0
 }
 
 func (s *Server) errf(format string, args ...any) string {

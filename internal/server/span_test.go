@@ -90,10 +90,14 @@ func TestSpanTimeline(t *testing.T) {
 		}
 		tl := rec.ByReq(ev.Req)
 		switch ev.Op {
-		case "set":
-			sets++
+		case "set", "get": // "get": a GET that rode its shard's commit queue
+			if ev.Op == "set" {
+				sets++
+			} else {
+				gets++
+			}
 			if len(tl) != len(writePhases) {
-				t.Fatalf("req %d (set): %d phases %+v, want %d", ev.Req, len(tl), tl, len(writePhases))
+				t.Fatalf("req %d (%s): %d phases %+v, want %d", ev.Req, ev.Op, len(tl), tl, len(writePhases))
 			}
 			for i, want := range writePhases {
 				if tl[i].Phase != want {

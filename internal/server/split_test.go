@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,22 +254,14 @@ func TestGroupCommitReroutesStaleRoute(t *testing.T) {
 	key := []byte("reroute-me")
 	right := st.ShardFor(key)
 	wrong := (right + 1) % st.NumShards()
-	var redone atomic.Bool
-	fn := setOp(key, []byte("v1"))
-	keys := [][]byte{key, expiryKey(key)}
-	redo := func() string {
-		redone.Store(true)
-		return srv.soloWrite(keys, "set", fn)
-	}
-	p := srv.committer.submitSpan(wrong, 1, "set", nil, keys, redo, fn)
-	if got := p.Wait(); got != "OK" {
+	p := newPending("set", setBody)
+	p.setKey(key, []byte("v1"))
+	p.wake = make(chan struct{}, 1)
+	if got := srv.committer.enqueue(wrong, p).Wait(); got != "OK" {
 		t.Fatalf("stale-routed SET: %q", got)
 	}
-	if !redone.Load() {
-		t.Fatal("stale-routed op was not re-dispatched")
-	}
 	if rr := srv.committer.Stats().Reroutes; rr != 1 {
-		t.Fatalf("reroutes counter = %d, want 1", rr)
+		t.Fatalf("reroutes counter = %d, want 1 (the op was not re-dispatched)", rr)
 	}
 	var got string
 	err := st.ViewKey(key, func(tx ptm.Tx, db *kvstore.DB) error {

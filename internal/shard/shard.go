@@ -625,11 +625,15 @@ const sidecarMark = '\x00'
 // type tag, ...) and is guaranteed to live on base's shard: ShardFor routes
 // sidecar keys by their base key. class must not contain NUL.
 func SidecarKey(class string, base []byte) []byte {
-	out := make([]byte, 0, len(class)+len(base)+2)
-	out = append(out, sidecarMark)
-	out = append(out, class...)
-	out = append(out, sidecarMark)
-	return append(out, base...)
+	return AppendSidecarKey(make([]byte, 0, len(class)+len(base)+2), class, base)
+}
+
+// AppendSidecarKey appends SidecarKey(class, base) to dst.
+func AppendSidecarKey(dst []byte, class string, base []byte) []byte {
+	dst = append(dst, sidecarMark)
+	dst = append(dst, class...)
+	dst = append(dst, sidecarMark)
+	return append(dst, base...)
 }
 
 // RoutingKey returns the key hashing routes by: the base key for sidecar
@@ -811,8 +815,10 @@ func (s *Store) Delete(key []byte) error {
 // Update runs fn as ONE durable transaction on shard i, handing it the
 // shard's transaction handle and RomulusDB map. This is the hand-off the
 // network layer's group commit uses: many connections' operations merge into
-// a single shard transaction, paying one flat-combined durability round for
-// the whole batch. When Update returns nil the transaction's psync has
+// a single shard transaction, paying one durability round for the whole
+// batch. The caller already batches, so Update enters the engine through
+// the combiner's direct single-writer entry (core.Engine.UpdateDirect):
+// no announcement, no yield. When Update returns nil the transaction's psync has
 // completed — there is no separate completion notification to wait for.
 // Keys touched inside fn MUST route to shard i (tx/db belong to that shard
 // alone); use ShardFor, and SidecarKey for metadata keys. Callers that can
@@ -822,7 +828,7 @@ func (s *Store) Delete(key []byte) error {
 // operations.
 func (s *Store) Update(i int, fn func(tx ptm.Tx, db *kvstore.DB) error) error {
 	return s.onShard(i, func(p *shardPart) error {
-		return p.eng.Update(func(tx ptm.Tx) error { return fn(tx, p.db) })
+		return p.eng.UpdateDirect(func(tx ptm.Tx) error { return fn(tx, p.db) })
 	})
 }
 
