@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-scale bench-server tools experiments crashtest crashtest-short crashtest-batch shardtest grouptest faulttest replicatetest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
+.PHONY: all build test race bench bench-scale tools experiments crashtest crashtest-short crashtest-batch shardtest grouptest faulttest replicatetest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
 
 all: build test
 
@@ -24,11 +24,11 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Flat-combining contention microbenchmarks: batch formation and amortized
-# per-op cost at 1..8 writers, plus the engine-level scaling sweep (batched
+# per-op cost at 1..8 writers, plus the engine-level ablation (batched
 # durability rounds must push fences/tx below the solo floor of 4).
-bench-scale: tools
-	go test -bench 'Combiner|Execute' -benchtime 100000x ./internal/flatcombine
-	./bin/romulus-bench -workload swaps -engines rom,romlog,romlr -ops 4000 -threads 1,2,4,8
+bench-scale:
+	go test -run '^$$' -bench 'Combiner|Execute' -benchtime 100000x ./internal/flatcombine
+	go test -run '^$$' -bench 'AblationFlatCombining' -cpu 1,2,4,8 .
 
 tools:
 	go build -o bin/ ./cmd/...
@@ -46,22 +46,6 @@ experiments: tools
 	./bin/romulus-db -n 100000 -threads 1,2,4                        | tee results/fig8.txt
 	./bin/romulus-sps -secs 0.3                                      | tee results/fig9.txt
 	./bin/romulus-bench -pwbhist                                     | tee results/pwbhist.txt
-	./bin/romulus-bench -workload swaps -ops 2000 -threads 1,2,4,8 -audit -json results/BENCH_swaps.json -append | tee results/workload_swaps.txt
-	./bin/romulus-bench -workload map -ops 2000 -threads 1,2,4,8 -audit -json results/BENCH_map.json -append    | tee results/workload_map.txt
-	./bin/romulus-bench -shards 1,2,4 -threads 4 -ops 2000 -audit -json results/BENCH_shard.json -append       | tee results/workload_shard.txt
-	./bin/romulus-bench -migrate -threads 1 -ops 2000 -audit -json results/BENCH_shard.json -append            | tee results/workload_rebalance.txt
-	./bin/romulus-bench -server 1,2,8,32,64,256,1024 -ops 4000 -audit -json results/BENCH_server.json -append  | tee results/workload_server.txt
-	./bin/benchcheck results/BENCH_swaps.json results/BENCH_map.json results/BENCH_shard.json results/BENCH_server.json
-
-# Network group-commit sweep alone: pipelined connections against the
-# loopback server, up through saturation at 1024; fences per acknowledged
-# write must fall below one once 8+ connections share durability rounds,
-# and the p99 ack-latency SLO rows at the high counts are gated by
-# benchcheck's trajectory ceiling (docs/PROTOCOL.md).
-bench-server: tools
-	mkdir -p results
-	./bin/romulus-bench -server 1,2,8,32,64,256,1024 -ops 4000 -audit -json results/BENCH_server.json -append | tee results/workload_server.txt
-	./bin/benchcheck results/BENCH_server.json
 
 # Crash campaigns: one driver (internal/crashtest), one -scenario per system
 # under test; DESIGN.md "Crash campaigns" tabulates them. The explicit

@@ -325,7 +325,9 @@ func BenchmarkAblationPwbDedup(b *testing.B) {
 }
 
 // BenchmarkAblationFlatCombining compares contended writers with and
-// without operation combining.
+// without operation combining. An operation is two update transactions, so
+// a solo writer pays 8 fences/op; run with -cpu 1,2,4,8 to watch combined
+// durability rounds push it below that.
 func BenchmarkAblationFlatCombining(b *testing.B) {
 	for name, cfg := range map[string]core.Config{
 		"combining": {Variant: core.RomLog},
@@ -340,6 +342,7 @@ func BenchmarkAblationFlatCombining(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			e.Device().ResetStats()
 			b.RunParallel(func(pb *testing.PB) {
 				h, err := e.NewHandle()
 				if err != nil {
@@ -356,6 +359,8 @@ func BenchmarkAblationFlatCombining(b *testing.B) {
 					i++
 				}
 			})
+			st := e.Device().Stats()
+			b.ReportMetric(float64(st.Pfences+st.Psyncs)/float64(b.N), "fences/op")
 		})
 	}
 }

@@ -7,37 +7,11 @@
 //	romulus-bench -fig 4 [-engines rom,romlog,romlr,mne,pmdk]
 //	              [-threads 1,2,4,8] [-secs 1] [-keys 1000] [-model dram]
 //	romulus-bench -fig 6 -sizes 10000,100000,1000000
+//	romulus-bench -pwbhist [-keys 1000]
 //
 // The paper's full-fidelity settings are -secs 20 with five runs; defaults
-// are scaled for a quick pass.
-//
-// Observability mode runs a deterministic fixed-operation workload instead
-// of a timed figure, and reports the metric set of docs/OBSERVABILITY.md:
-//
-//	romulus-bench -workload swaps -metrics [-ops 1000] [-seed 1]
-//	romulus-bench -workload map -trace trace.jsonl
-//
-// Sharded mode sweeps the single-key workload across shard counts of the
-// partitioned store (internal/shard): the same client load routed over more
-// independent engines, reported in the same JSON-lines schema:
-//
-//	romulus-bench -shards 1,2,4 [-engines romlog] [-threads 4] [-json FILE]
-//
-// Server mode sweeps pipelined client connections against the network
-// front-end (internal/server): each data point boots a loopback romulusd
-// store and measures throughput, ack-latency quantiles and — the group-commit
-// evidence — device fence events per acknowledged write, reported with the
-// conns field set:
-//
-//	romulus-bench -server 1,2,8,32,64,256,1024 [-engines romlog] [-ops 2000] [-json FILE]
-//
-// Migrate mode measures online-rebalance serving capacity: a two-shard
-// store under the shardkv client mix splits a shard mid-load, and the row
-// records steady vs during-split throughput (workload "rebalance"); the
-// during/steady ratio is an absolute trajectory SLO — at least half the
-// steady rate must survive the split:
-//
-//	romulus-bench -migrate [-engines romlog] [-threads 4] [-ops 1500] [-json FILE]
+// are scaled for a quick pass. -pwbhist prints the §6.2 distribution of
+// pwbs per update transaction instead of a figure.
 package main
 
 import (
@@ -59,20 +33,6 @@ func main() {
 	keys := flag.Int("keys", 0, "population size (default: the figure's)")
 	sizes := flag.String("sizes", "10000,100000,1000000", "figure 6 population sizes")
 	model := flag.String("model", "dram", "persistence model: dram, clwb, clflushopt, clflush, stt, pcm")
-	workload := flag.String("workload", "", "run a deterministic workload (swaps, map) instead of a figure")
-	shardCounts := flag.String("shards", "", "sweep the sharded store across these shard counts (e.g. 1,2,4) instead of a figure; -engines selects Romulus variants, the first -threads value sets client goroutines")
-	serverConns := flag.String("server", "", "sweep the network server across these pipelined connection counts (e.g. 1,2,8,32,64,256,1024) instead of a figure; -engines selects Romulus variants")
-	migrateRun := flag.Bool("migrate", false, "measure online-rebalance serving capacity (steady vs during-split throughput on a two-shard store) instead of a figure; -engines selects Romulus variants, the first -threads value sets client goroutines")
-	pipeline := flag.Int("pipeline", 32, "per-connection pipelining window in -server mode")
-	spanOverhead := flag.Bool("span-overhead", false, "compare server throughput with request tracing off vs on (pins the span-layer overhead); -engines selects variants, the first -server value sets connections")
-	trials := flag.Int("trials", 3, "off/on trial pairs per engine in -span-overhead mode")
-	ops := flag.Int("ops", 1000, "update transactions per engine in -workload mode")
-	seed := flag.Int64("seed", 1, "workload operation seed")
-	metrics := flag.Bool("metrics", false, "print the per-engine metrics registry after a -workload run")
-	trace := flag.String("trace", "", "write the per-transaction trace (JSON lines) of a -workload run to this file, or - for stdout")
-	audit := flag.Bool("audit", false, "chain the durability auditor onto each engine of a -workload run (violations fail the run; waste shows as audit_* metrics)")
-	jsonOut := flag.String("json", "", "write machine-readable per-engine results (romulus-bench/workload/v1 JSON lines) of a -workload run to this file, or - for stdout")
-	appendJSON := flag.Bool("append", false, "append to the -json file instead of truncating it (trajectory mode: one row per run accumulates history)")
 	flag.Parse()
 
 	kinds, err := bench.ParseEngines(*engines)
@@ -82,172 +42,6 @@ func main() {
 	m, ok := pmem.ModelByName(*model)
 	if !ok {
 		exitOn(fmt.Errorf("unknown model %q", *model))
-	}
-	if *spanOverhead {
-		oopts := bench.SpanOverheadOptions{
-			Trials:   *trials,
-			Ops:      *ops,
-			Pipeline: *pipeline,
-			Seed:     *seed,
-			Model:    m,
-		}
-		if *engines != "all" {
-			oopts.Engines = kinds
-		}
-		if *serverConns != "" {
-			counts, err := bench.ParseInts(*serverConns)
-			exitOn(err)
-			oopts.Conns = counts[0]
-		}
-		out, err := bench.RunSpanOverhead(oopts)
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-	if *serverConns != "" {
-		counts, err := bench.ParseInts(*serverConns)
-		exitOn(err)
-		vopts := bench.ServerWorkloadOptions{
-			Conns:    counts,
-			Ops:      *ops,
-			Pipeline: *pipeline,
-			Seed:     *seed,
-			Model:    m,
-			Metrics:  *metrics,
-			Audit:    *audit,
-		}
-		// -engines all means every engine with a server composition, which
-		// is exactly the Romulus variants.
-		if *engines != "all" {
-			vopts.Engines = kinds
-		}
-		if *jsonOut != "" {
-			if *jsonOut == "-" {
-				vopts.JSONOut = os.Stdout
-			} else {
-				mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-				if *appendJSON {
-					mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
-				}
-				f, err := os.OpenFile(*jsonOut, mode, 0o644)
-				exitOn(err)
-				defer f.Close()
-				vopts.JSONOut = f
-			}
-		}
-		out, err := bench.RunServerWorkload(vopts)
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-	if *migrateRun {
-		mopts := bench.MigrateWorkloadOptions{
-			Threads: ths[0],
-			Ops:     *ops,
-			Seed:    *seed,
-			Model:   m,
-			Metrics: *metrics,
-			Audit:   *audit,
-		}
-		// -engines all means every engine with a sharded composition, which
-		// is exactly the Romulus variants.
-		if *engines != "all" {
-			mopts.Engines = kinds
-		}
-		if *jsonOut != "" {
-			if *jsonOut == "-" {
-				mopts.JSONOut = os.Stdout
-			} else {
-				mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-				if *appendJSON {
-					mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
-				}
-				f, err := os.OpenFile(*jsonOut, mode, 0o644)
-				exitOn(err)
-				defer f.Close()
-				mopts.JSONOut = f
-			}
-		}
-		out, err := bench.RunMigrateWorkload(mopts)
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-	if *shardCounts != "" {
-		counts, err := bench.ParseInts(*shardCounts)
-		exitOn(err)
-		sopts := bench.ShardWorkloadOptions{
-			ShardCounts: counts,
-			Threads:     ths[0],
-			Ops:         *ops,
-			Seed:        *seed,
-			Model:       m,
-			Metrics:     *metrics,
-			Audit:       *audit,
-		}
-		// -engines all means every engine with a sharded composition, which
-		// is exactly the Romulus variants.
-		if *engines != "all" {
-			sopts.Engines = kinds
-		}
-		if *jsonOut != "" {
-			if *jsonOut == "-" {
-				sopts.JSONOut = os.Stdout
-			} else {
-				mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-				if *appendJSON {
-					mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
-				}
-				f, err := os.OpenFile(*jsonOut, mode, 0o644)
-				exitOn(err)
-				defer f.Close()
-				sopts.JSONOut = f
-			}
-		}
-		out, err := bench.RunShardWorkload(sopts)
-		exitOn(err)
-		fmt.Print(out)
-		return
-	}
-	if *workload != "" {
-		wopts := bench.WorkloadOptions{
-			Workload: *workload,
-			Engines:  kinds,
-			Ops:      *ops,
-			Threads:  ths,
-			Seed:     *seed,
-			Model:    m,
-			Metrics:  *metrics,
-			Audit:    *audit,
-		}
-		if *trace != "" {
-			if *trace == "-" {
-				wopts.TraceOut = os.Stdout
-			} else {
-				f, err := os.Create(*trace)
-				exitOn(err)
-				defer f.Close()
-				wopts.TraceOut = f
-			}
-		}
-		if *jsonOut != "" {
-			if *jsonOut == "-" {
-				wopts.JSONOut = os.Stdout
-			} else {
-				mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
-				if *appendJSON {
-					mode = os.O_WRONLY | os.O_CREATE | os.O_APPEND
-				}
-				f, err := os.OpenFile(*jsonOut, mode, 0o644)
-				exitOn(err)
-				defer f.Close()
-				wopts.JSONOut = f
-			}
-		}
-		out, err := bench.RunWorkload(wopts)
-		exitOn(err)
-		fmt.Print(out)
-		return
 	}
 	opts := bench.FigOptions{
 		Engines:  kinds,

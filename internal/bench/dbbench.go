@@ -261,10 +261,3 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 		Fdatasyncs:  db.fdatasyncs(),
 	}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/crwwp"
 	"repro/internal/flatcombine"
-	"repro/internal/hist"
 	"repro/internal/hsync"
 	"repro/internal/leftright"
 	"repro/internal/obs"
@@ -140,8 +139,8 @@ type Engine struct {
 	replExtents atomic.Uint64
 
 	// pwbHist records pwbs issued per update transaction (§6.2's analysis
-	// tool). Only the single writer touches it.
-	pwbHist    hist.Histogram
+	// tool). Only the single writer observes into it.
+	pwbHist    obs.Histogram
 	txStartPwb uint64
 
 	// wmBumped marks the current round as having raised the persistent
@@ -617,7 +616,7 @@ func (e *Engine) replicate(t *Tx) {
 		d.Pfence()
 	}
 	d.Store64(offState, stateIDL)
-	e.pwbHist.Add(d.Stats().Pwbs - e.txStartPwb)
+	e.pwbHist.Observe(d.Stats().Pwbs - e.txStartPwb)
 	e.endUpdate(t, obs.OutcomeCommit, copied, uint64(t.batchOps))
 }
 
@@ -838,12 +837,13 @@ func (e *Engine) CheckHeap() error { return e.heap.CheckInvariants() }
 // PwbHistogram returns the distribution of pwb instructions issued per
 // committed update transaction — the measurement behind the paper's §6.2
 // observation that the linked list averages ~10 pwbs while the red-black
-// tree's histogram peaks around 50 and 130. Call at quiescent points.
-func (e *Engine) PwbHistogram() hist.Histogram { return e.pwbHist.Snapshot() }
+// tree's histogram peaks around 50 and 130. The histogram is live; its reads
+// are atomic.
+func (e *Engine) PwbHistogram() *obs.Histogram { return &e.pwbHist }
 
 // ResetPwbHistogram clears the per-transaction pwb histogram, so that
 // measurements can exclude setup work. Call at a quiescent point.
-func (e *Engine) ResetPwbHistogram() { e.pwbHist = hist.Histogram{} }
+func (e *Engine) ResetPwbHistogram() { e.pwbHist.Reset() }
 
 // Verify checks the twin-copy invariant at a quiescent point: outside any
 // transaction both copies must hold identical bytes up to the watermark.

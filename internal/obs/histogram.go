@@ -5,14 +5,34 @@ import (
 	"sync/atomic"
 )
 
-// numBuckets covers the full uint64 range: bucket 0 holds the sample 0 and
-// bucket i (1 <= i <= 64) holds samples in [2^(i-1), 2^i).
-const numBuckets = 65
+// Histogram layout: log-linear, the layout of the repository benchmark's
+// latency histogram (benchmarks/hist.go) plus an overflow bucket. Samples
+// below 2*subCount are exact (one bucket per value); above that every power
+// of two up to 2^maxBits is split into subCount equal sub-buckets, so a
+// bucket is at most 1/subCount of its lower edge wide and a quantile read off
+// its upper edge is at most 0.8% high. Samples of 2^maxBits (18 minutes in
+// nanoseconds) and more share the top bucket, which has no upper edge.
+const (
+	subBits    = 7
+	subCount   = 1 << subBits
+	maxBits    = 40
+	numBuckets = subCount*(maxBits-subBits+1) + 1
+)
 
-// Histogram is a lock-free power-of-two-bucket histogram for latency and
-// size distributions. Observe is a handful of atomic adds — no allocation,
-// no locking — at the cost of bucket-granular (factor-of-two) quantiles,
-// which is exactly the fidelity the paper's latency discussion needs.
+// exportBits sets how finely a Registry exports a histogram: its snapshot
+// merges the buckets into 2^exportBits per power of two (exact below
+// 2^(exportBits+1), each at most a quarter of its lower edge wide above), so
+// a latency series spanning ten powers of two puts at most 40 `le` lines on
+// /metrics instead of 1,280. Each exported bucket holds whole fine buckets,
+// so its cumulative count is exact. Count, sum, max, mean and the quantiles
+// still come from the fine buckets.
+const exportBits = 2
+
+// Histogram is a lock-free log-linear histogram for latency, size and count
+// distributions. Observe is a handful of atomic adds — no allocation, no
+// locking. Small counts (the per-transaction pwbs of the paper's §6.2
+// analysis, below 256) land in exact buckets; nanosecond latencies land in
+// buckets within 0.8% of the sample.
 //
 // The zero value is ready to use; obtain shared instances from a Registry.
 type Histogram struct {
@@ -22,18 +42,30 @@ type Histogram struct {
 	max     atomic.Uint64
 }
 
-// bucketIndex returns the bucket for sample v: 0 for 0, otherwise the bit
-// length of v (so powers of two open a new bucket: 1→1, 2→2, 4→3, ...).
-func bucketIndex(v uint64) int { return bits.Len64(v) }
-
-// BucketBounds returns the half-open sample range [lo, hi) of bucket i;
-// bucket 0 is the degenerate range [0, 1). For i = 64, hi wraps to 0 and
-// means "no upper bound".
-func BucketBounds(i int) (lo, hi uint64) {
-	if i == 0 {
-		return 0, 1
+// bucketIndex returns the bucket holding sample v.
+func bucketIndex(v uint64) int {
+	if v < subCount {
+		return int(v)
 	}
-	return 1 << (i - 1), 1 << i
+	if v >= 1<<maxBits {
+		return numBuckets - 1
+	}
+	e := bits.Len64(v) - (subBits + 1) // v>>e is in [subCount, 2*subCount)
+	return e*subCount + int(v>>uint(e))
+}
+
+// BucketBounds returns the half-open sample range [lo, hi) of bucket i. For
+// the top bucket hi is 0 and means "no upper bound".
+func BucketBounds(i int) (lo, hi uint64) {
+	if i < 2*subCount {
+		return uint64(i), uint64(i) + 1
+	}
+	if i == numBuckets-1 {
+		return 1 << maxBits, 0
+	}
+	e := uint(i/subCount - 1)
+	m := uint64(i%subCount + subCount)
+	return m << e, (m + 1) << e
 }
 
 // Observe records one sample.
@@ -41,6 +73,10 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+func (h *Histogram) raiseMax(v uint64) {
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -49,52 +85,41 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// histAccum locally aggregates samples destined for one Histogram so a batch
-// can merge with a handful of atomic operations instead of four per sample.
-// The span recorder's EmitBatch uses one per phase: without it, every flushed
-// request costs ~24 contended atomic RMWs on shared histogram cache lines.
+// histAccum folds a batch of samples destined for one Histogram locally: the
+// count, sum and max, and each run of consecutive samples in one bucket, so
+// the batch pays one atomic per run plus three instead of four per sample.
+// The span recorder's EmitBatch uses one per phase. The requests of one
+// committed batch share their batch_form, psync_wait and reply_flush
+// durations, so each of those phases is one run per burst.
 type histAccum struct {
+	h               *Histogram
 	count, sum, max uint64
-	lo, hi          int // touched bucket range [lo, hi]; scan only that
-	buckets         [numBuckets]uint32
+	bucket          int    // bucket of the current run
+	run             uint64 // samples in the current run, not yet published
 }
 
 func (a *histAccum) add(v uint64) {
-	i := bucketIndex(v)
-	if a.count == 0 || i < a.lo {
-		a.lo = i
-	}
-	if i > a.hi {
-		a.hi = i
-	}
-	a.buckets[i]++
 	a.count++
 	a.sum += v
-	if v > a.max {
-		a.max = v
+	a.max = max(a.max, v)
+	b := bucketIndex(v)
+	if a.run > 0 && b != a.bucket {
+		a.h.buckets[a.bucket].Add(a.run)
+		a.run = 0
 	}
+	a.bucket = b
+	a.run++
 }
 
-// mergeInto applies the aggregate to h and resets the accumulator.
-func (a *histAccum) mergeInto(h *Histogram) {
+// flush publishes everything folded so far.
+func (a *histAccum) flush() {
 	if a.count == 0 {
 		return
 	}
-	for i := a.lo; i <= a.hi; i++ {
-		if c := a.buckets[i]; c != 0 {
-			h.buckets[i].Add(uint64(c))
-			a.buckets[i] = 0
-		}
-	}
-	h.count.Add(a.count)
-	h.sum.Add(a.sum)
-	for {
-		cur := h.max.Load()
-		if a.max <= cur || h.max.CompareAndSwap(cur, a.max) {
-			break
-		}
-	}
-	a.count, a.sum, a.max, a.lo, a.hi = 0, 0, 0, 0, 0
+	a.h.buckets[a.bucket].Add(a.run)
+	a.h.count.Add(a.count)
+	a.h.sum.Add(a.sum)
+	a.h.raiseMax(a.max)
 }
 
 // Count returns the number of samples recorded.
@@ -116,38 +141,30 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
-// inclusive upper edge of the bucket holding the q-th sample. Concurrent
-// Observe calls may skew the answer by the in-flight samples.
+// inclusive upper edge of the bucket holding the q-th sample, capped at Max
+// — exact for samples in the exact range. Concurrent Observe calls may skew
+// the answer by the in-flight samples.
 func (h *Histogram) Quantile(q float64) uint64 {
 	c := h.count.Load()
 	if c == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q * float64(c))
-	if target >= c {
-		target = c - 1
-	}
+	q = min(max(q, 0), 1)
+	target := min(uint64(q*float64(c)), c-1)
 	var seen uint64
-	for i := 0; i < numBuckets; i++ {
+	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen > target {
 			_, hi := BucketBounds(i)
-			if hi == 0 { // top bucket: no finite power-of-two upper edge
-				return h.Max()
-			}
-			return hi - 1
+			return min(hi-1, h.Max()) // the top bucket's hi-1 wraps to MaxUint64
 		}
 	}
 	return h.Max()
 }
 
-func (h *Histogram) reset() {
+// Reset zeroes the histogram. Not atomic with respect to concurrent Observe
+// calls: reset at quiescent points.
+func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
@@ -157,7 +174,7 @@ func (h *Histogram) reset() {
 }
 
 // HistogramSnapshot is a point-in-time summary of a Histogram, with the
-// non-empty power-of-two buckets listed in ascending order.
+// non-empty buckets listed in ascending order.
 type HistogramSnapshot struct {
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`
@@ -165,15 +182,14 @@ type HistogramSnapshot struct {
 	Mean  float64 `json:"mean"`
 	P50   uint64  `json:"p50"`
 	P99   uint64  `json:"p99"`
-	// Buckets maps the inclusive upper bucket edge (1, 2, 4, 8, ...; 0 for
-	// the zero bucket) to its sample count. Empty buckets are omitted.
+	// Buckets lists each non-empty bucket by its inclusive upper edge.
 	Buckets []BucketCount `json:"buckets,omitempty"`
 }
 
 // BucketCount is one non-empty histogram bucket.
 type BucketCount struct {
-	// Le is the inclusive upper sample bound of the bucket: 0 for the zero
-	// bucket, otherwise 2^i - 1.
+	// Le is the inclusive upper sample bound of the bucket: the sample
+	// itself in the exact range, MaxUint64 for the top bucket.
 	Le    uint64 `json:"le"`
 	Count uint64 `json:"count"`
 }
@@ -190,18 +206,30 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		P50:   h.Quantile(0.5),
 		P99:   h.Quantile(0.99),
 	}
-	for i := 0; i < numBuckets; i++ {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
+	for i := range h.buckets {
+		if c := h.buckets[i].Load(); c != 0 {
+			_, hi := BucketBounds(i)
+			s.Buckets = append(s.Buckets, BucketCount{Le: hi - 1, Count: c})
 		}
-		le := uint64(0)
-		if i > 0 && i < 64 {
-			le = (uint64(1) << i) - 1
-		} else if i >= 64 {
-			le = ^uint64(0)
-		}
-		s.Buckets = append(s.Buckets, BucketCount{Le: le, Count: c})
 	}
+	return s
+}
+
+// exported returns s with its buckets merged to the export layout (see
+// exportBits).
+func (s HistogramSnapshot) exported() HistogramSnapshot {
+	var out []BucketCount
+	for _, b := range s.Buckets {
+		le := b.Le
+		if le >= 2<<exportBits {
+			le |= 1<<(bits.Len64(le)-1-exportBits) - 1
+		}
+		if n := len(out); n > 0 && out[n-1].Le == le {
+			out[n-1].Count += b.Count
+		} else {
+			out = append(out, BucketCount{Le: le, Count: b.Count})
+		}
+	}
+	s.Buckets = out
 	return s
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"repro/internal/hist"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
@@ -108,16 +107,12 @@ func InstrumentPTM(e ptm.PTM, r *Registry) {
 	})
 }
 
-// PwbHistogrammer is implemented by engines that keep an exact histogram of
-// pwb instructions issued per committed update transaction (the core
-// Romulus engines). InstrumentPTM publishes its quantiles as the
-// ptm_tx_pwb_* series. The histogram is read when the registry snapshots;
-// engines that only tolerate quiescent reads (the core engines update the
-// histogram from the single writer without synchronization) inherit the
-// registry owner's obligation to snapshot at quiescent points, which is
-// when every in-repo harness does.
+// PwbHistogrammer is implemented by engines that keep a histogram of pwb
+// instructions issued per committed update transaction (the core Romulus
+// engines). InstrumentPTM publishes its quantiles as the ptm_tx_pwb_*
+// series, read when the registry snapshots.
 type PwbHistogrammer interface {
-	PwbHistogram() hist.Histogram
+	PwbHistogram() *Histogram
 }
 
 // RecoveryReporter is implemented by engines that record what the Open

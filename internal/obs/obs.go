@@ -7,7 +7,7 @@
 // retry behaviour. This package makes that lens a first-class subsystem
 // instead of ad-hoc per-tool plumbing:
 //
-//   - Registry holds named atomic counters, gauges and power-of-two-bucket
+//   - Registry holds named atomic counters, gauges and log-linear
 //     histograms. Hot paths obtain a *Counter or *Histogram once and then
 //     update it with a single atomic add — no map lookups, no allocation.
 //     Collectors contribute point-in-time values (such as pmem.Device
@@ -153,7 +153,7 @@ func (r *Registry) Reset() {
 		g.reset()
 	}
 	for _, h := range r.hists {
-		h.reset()
+		h.Reset()
 	}
 }
 
@@ -165,7 +165,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures every instrument and runs the collectors.
+// Snapshot captures every instrument and runs the collectors. Histogram
+// buckets come merged to the export layout (see exportBits).
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	counters := make(map[string]uint64, len(r.counters))
@@ -183,7 +184,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(r.hists) > 0 {
 		hists = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
-			hists[name] = h.Snapshot()
+			hists[name] = h.Snapshot().exported()
 		}
 	}
 	collectors := r.collectors

@@ -139,7 +139,7 @@ func TestWriteTextSortedAndStable(t *testing.T) {
 			t.Fatalf("output not sorted: %q before %q", lines[i-1], lines[i])
 		}
 	}
-	want := []string{"a_total 1", "h_count 1", "h_max 4", "h_mean 4", "h_p50 7", "h_sum 4", "m_gauge -2", "z_total 3"}
+	want := []string{"a_total 1", "h_count 1", "h_max 4", "h_mean 4", "h_p50 4", "h_sum 4", "m_gauge -2", "z_total 3"}
 	got := b1.String()
 	for _, w := range want {
 		if !strings.Contains(got, w) {

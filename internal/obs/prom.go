@@ -14,12 +14,12 @@ import (
 // cumulative `le` buckets plus _sum and _count. Metric families are sorted
 // by name, so the output is deterministic and golden-testable.
 //
-// The registry's histograms bucket observations by powers of two
-// (bucketIndex = bits.Len64), stored as per-bucket counts with inclusive
-// upper edges 0, 1, 3, 7, ... 2^i-1; Prometheus buckets are cumulative, so
-// the per-bucket counts are summed here. Empty buckets are elided — the
-// cumulative sums lose nothing — keeping a 65-bucket histogram's exposition
-// near the size of its occupied range.
+// The registry's snapshot lists per-bucket counts under each exported
+// bucket's inclusive upper edge (exact below 8, then 4 per power of two; see
+// exportBits); Prometheus buckets are cumulative, so the per-bucket counts
+// are summed here. Empty buckets are elided — the cumulative sums lose
+// nothing — so the exposition grows with the occupied buckets, at most 4
+// lines per power of two the samples span.
 func (r *Registry) WriteProm(w io.Writer) error {
 	s := r.Snapshot()
 	var b strings.Builder

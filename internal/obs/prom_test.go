@@ -7,20 +7,21 @@ import (
 )
 
 // TestWritePromGolden pins the Prometheus exposition byte-for-byte: TYPE
-// lines, sorted families, cumulative le buckets derived from the
-// power-of-two per-bucket counts, and the +Inf/_sum/_count triple.
+// lines, sorted families, cumulative le buckets derived from the log-linear
+// per-bucket counts, and the +Inf/_sum/_count triple.
 func TestWritePromGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("beta_total").Add(7)
 	r.Counter("alpha_total").Add(2)
 	r.Gauge("live_conns").Set(3)
 	h := r.Histogram("lat_ns")
-	h.Observe(0) // zero bucket, le="0"
-	h.Observe(1) // le="1"
+	h.Observe(0) // exported buckets are exact below 8: le is the value
 	h.Observe(1)
-	h.Observe(5) // le="7"
+	h.Observe(1)
+	h.Observe(5)
 	h.Observe(6)
-	h.Observe(100) // le="127"
+	h.Observe(300) // exported 4 per power of two: [256, 320) has le="319"
+	h.Observe(310)
 
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
@@ -36,11 +37,12 @@ func TestWritePromGolden(t *testing.T) {
 		"# TYPE lat_ns histogram",
 		`lat_ns_bucket{le="0"} 1`,
 		`lat_ns_bucket{le="1"} 3`,
-		`lat_ns_bucket{le="7"} 5`,
-		`lat_ns_bucket{le="127"} 6`,
-		`lat_ns_bucket{le="+Inf"} 6`,
-		"lat_ns_sum 113",
-		"lat_ns_count 6",
+		`lat_ns_bucket{le="5"} 4`,
+		`lat_ns_bucket{le="6"} 5`,
+		`lat_ns_bucket{le="319"} 7`,
+		`lat_ns_bucket{le="+Inf"} 7`,
+		"lat_ns_sum 623",
+		"lat_ns_count 7",
 	}, "\n") + "\n"
 	if buf.String() != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)

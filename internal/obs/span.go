@@ -96,8 +96,8 @@ func (r *SpanRecorder) Emit(ev SpanEvent) {
 	r.mu.Unlock()
 }
 
-// EmitBatch records many span events at once: histogram samples are
-// aggregated locally and merged in a few atomics per phase, and the ring
+// EmitBatch records many span events at once: each phase's samples are
+// folded locally (histAccum) and merged once per batch, and the ring
 // takes one lock acquisition for the whole batch. The server's reply flusher
 // collects every flushed request's phases and emits them here, so a
 // pipelined burst pays per-flush costs instead of per-phase costs — the
@@ -106,7 +106,8 @@ func (r *SpanRecorder) EmitBatch(evs []SpanEvent) {
 	if len(evs) == 0 {
 		return
 	}
-	var acc [6]histAccum
+	acc := [6]histAccum{{h: r.parse}, {h: r.queueWait}, {h: r.batchForm},
+		{h: r.psyncWait}, {h: r.replyFlush}, {h: r.request}}
 	for i := range evs {
 		switch evs[i].Phase {
 		case PhaseParse:
@@ -123,12 +124,9 @@ func (r *SpanRecorder) EmitBatch(evs []SpanEvent) {
 			acc[5].add(evs[i].DurNs)
 		}
 	}
-	acc[0].mergeInto(r.parse)
-	acc[1].mergeInto(r.queueWait)
-	acc[2].mergeInto(r.batchForm)
-	acc[3].mergeInto(r.psyncWait)
-	acc[4].mergeInto(r.replyFlush)
-	acc[5].mergeInto(r.request)
+	for i := range acc {
+		acc[i].flush()
+	}
 	r.mu.Lock()
 	cap64 := uint64(len(r.buf))
 	for i := range evs {

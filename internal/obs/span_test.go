@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -61,4 +63,62 @@ func TestSpanRecorderConcurrentEmit(t *testing.T) {
 	if got := len(r.Events()); got != 64 {
 		t.Fatalf("retained %d events, want 64", got)
 	}
+}
+
+// pipelinedBurst is one flushed burst of 16 pipelined requests, six phases
+// each: parse, queue_wait and request durations differ per request, while the
+// requests of the one committed batch share batch_form, psync_wait and
+// reply_flush.
+func pipelinedBurst(seed int64) []SpanEvent {
+	rng := rand.New(rand.NewSource(seed))
+	shared := map[string]uint64{
+		PhaseBatchForm:  uint64(300 + rng.Intn(600)),
+		PhasePsyncWait:  uint64(1500 + rng.Intn(3000)),
+		PhaseReplyFlush: uint64(3000 + rng.Intn(6000)),
+	}
+	var evs []SpanEvent
+	for r := uint64(0); r < 16; r++ {
+		for _, ph := range []string{PhaseParse, PhaseQueueWait, PhaseBatchForm, PhasePsyncWait, PhaseReplyFlush, PhaseRequest} {
+			d, ok := shared[ph]
+			if !ok {
+				d = uint64(200 + rng.Intn(20000))
+			}
+			evs = append(evs, SpanEvent{Req: r, Phase: ph, DurNs: d})
+		}
+	}
+	return evs
+}
+
+// EmitBatch's local folding loses nothing: every phase histogram ends up
+// bucket for bucket what one Emit per event produces, for phases whose
+// samples share one bucket and for phases whose samples scatter.
+func TestEmitBatchMatchesEmit(t *testing.T) {
+	one, batched := NewRegistry(), NewRegistry()
+	r1, rb := NewSpanRecorder(one, 16), NewSpanRecorder(batched, 16)
+	for seed := int64(1); seed <= 20; seed++ {
+		evs := pipelinedBurst(seed)
+		for _, ev := range evs {
+			r1.Emit(ev)
+		}
+		rb.EmitBatch(evs)
+	}
+	for name := range one.Snapshot().Histograms {
+		a, b := one.Histogram(name).Snapshot(), batched.Histogram(name).Snapshot()
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: EmitBatch %+v, Emit %+v", name, b, a)
+		}
+	}
+	if rb.Total() != r1.Total() {
+		t.Errorf("Total: EmitBatch %d, Emit %d", rb.Total(), r1.Total())
+	}
+}
+
+func BenchmarkEmitBatch(b *testing.B) {
+	r := NewSpanRecorder(NewRegistry(), 4096)
+	b.RunParallel(func(pb *testing.PB) {
+		evs := pipelinedBurst(1)
+		for pb.Next() {
+			r.EmitBatch(evs)
+		}
+	})
 }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/migrate"
@@ -419,6 +421,100 @@ func TestReadsDuringSplitNeverMiss(t *testing.T) {
 		return
 	}
 	checkOwnership(t, s, "after read-hammered split")
+}
+
+// Serving continues through a split: before every step of the migration —
+// each copy batch, the cutover, each cleanup batch — every client completes
+// at least one more Put and Get, on keys of which some move. A phase that
+// left foreground operations blocked until the split finished fails here.
+// How much throughput a split may cost is a benchmark bound, not asserted
+// here.
+func TestServingContinuesThroughSplit(t *testing.T) {
+	s, err := Open(testOpts(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadKeys(t, s, 200, "serve")
+
+	d := migrate.New(s, migrate.Options{BatchKeys: 8})
+	if _, err := d.Begin(0, -1); err != nil {
+		t.Fatal(err)
+	}
+	const clients = 3
+	var done [clients]atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		// A client stuck inside the store cannot be joined; leave it and
+		// the store behind rather than hang the test binary.
+		close(stop)
+		joined := make(chan struct{})
+		go func() { wg.Wait(); close(joined) }()
+		select {
+		case <-joined:
+			s.Close()
+		case <-time.After(10 * time.Second):
+			t.Error("clients still blocked in the store after the test")
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Every writer stores a key as its own value, so the
+				// read-back holds whichever client wrote last.
+				k := []byte(fmt.Sprintf("serve-%04d", (i*7+c*61)%200))
+				if err := s.Put(k, k); err != nil {
+					t.Errorf("Put(%s) during split: %v", k, err)
+					return
+				}
+				if got, err := s.Get(k); err != nil || !bytes.Equal(got, k) {
+					t.Errorf("Get(%s) during split = %q, %v", k, got, err)
+					return
+				}
+				done[c].Add(1)
+			}
+		}(c)
+	}
+
+	steps := map[string]int{}
+	for {
+		phase := d.Status().Phase
+		var before [clients]uint64
+		for c := range done {
+			before[c] = done[c].Load()
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for c := range done {
+			for done[c].Load() == before[c] {
+				if t.Failed() {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("client %d completed no operation in the %s phase", c, phase)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		steps[phase]++
+		fin, err := d.Step()
+		if err != nil {
+			t.Fatalf("Step in the %s phase: %v", phase, err)
+		}
+		if fin {
+			break
+		}
+	}
+	if steps["copy"] < 2 || steps["cutover"] != 1 || steps["cleanup"] < 1 {
+		t.Fatalf("steps per phase = %v, want several copy batches, one cutover, cleanup", steps)
+	}
+	checkOwnership(t, s, "after served split")
 }
 
 // AddShard is refused while a migration is journaled, and a second Begin
