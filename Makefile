@@ -120,10 +120,12 @@ obstest:
 	go test -race ./internal/obs/ ./internal/obshttp/ ./internal/blackbox/ ./internal/server/
 
 # The layers the group committer drives under the race detector: the flat
-# combiner (announced and direct entries), the engine, and the sharded store.
-# Part of `make test`.
+# combiner (announced and direct entries), the C-RW-WP lock (released at the
+# durable point, mid-round), the engine, and the sharded store; plus the
+# redo-log engine, whose optimistic readers load words a committer is
+# storing. Part of `make test`.
 pathtest:
-	go test -race ./internal/flatcombine/ ./internal/core/ ./internal/shard/
+	go test -race ./internal/flatcombine/ ./internal/crwwp/ ./internal/core/ ./internal/shard/ ./internal/redolog/
 
 # The two server tests that raced on the seed (PLACEMENT answering a finished
 # split with the pre-cutover slot map; spans read before the writer emitted

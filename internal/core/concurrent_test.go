@@ -7,7 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
+	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
 
@@ -289,3 +292,142 @@ func TestFlatCombiningAggregates(t *testing.T) {
 		t.Logf("combined %d operations", s.Combined)
 	}
 }
+
+// TestReadersReleasedAtDurablePoint parks the writer on its first back-copy
+// write-back, after the durable point and before replication finishes. Every
+// variant must already let a reader see the committed value there (RomLR by
+// its second toggle, Rom and RomLog by releasing the C-RW-WP lock), and a
+// power failure there must be a replication-pending image that recovers
+// with that value.
+func TestReadersReleasedAtDurablePoint(t *testing.T) {
+	forEachVariant(t, func(t *testing.T, v Variant) {
+		e := newEngine(t, v)
+		var p ptm.Ptr
+		if err := e.Update(func(tx ptm.Tx) error {
+			var err error
+			p, err = tx.Alloc(64)
+			tx.SetRoot(0, p)
+			tx.Store64(p, 1)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+
+		dev := e.Device()
+		back := e.DataOffsets()[1]
+		parked, release := make(chan struct{}), make(chan struct{})
+		var img []byte
+		var once sync.Once
+		dev.SetHooks(&pmem.Hooks{PwbAt: func(off int) {
+			if off >= back {
+				once.Do(func() {
+					img = dev.CrashImage(pmem.DropAll)
+					close(parked)
+					<-release
+				})
+			}
+		}})
+		defer dev.SetHooks(nil)
+		updated := make(chan error, 1)
+		go func() {
+			updated <- e.Update(func(tx ptm.Tx) error { tx.Store64(p, 2); return nil })
+		}()
+		<-parked
+
+		read := make(chan uint64, 1)
+		go e.Read(func(tx ptm.Tx) error {
+			read <- tx.Load64(tx.Root(0))
+			return nil
+		})
+		select {
+		case got := <-read:
+			if got != 2 {
+				t.Errorf("reader saw %d while the writer replicated, want the committed 2", got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("reader still blocked while the writer replicates past its durable point")
+		}
+		close(release)
+		if err := <-updated; err != nil {
+			t.Fatal(err)
+		}
+
+		if !ReplicationPending(img) {
+			t.Fatal("image taken at the first back-copy pwb is not replication-pending")
+		}
+		r, err := Open(pmem.FromImage(img, pmem.ModelDRAM), Config{Variant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Read(func(tx ptm.Tx) error {
+			if got := tx.Load64(tx.Root(0)); got != 2 {
+				t.Errorf("recovered %d, want the committed 2", got)
+			}
+			return nil
+		})
+	})
+}
+
+// BenchmarkReadDuringUpdate measures how long a reader waits while one
+// writer commits 1 KiB rounds back to back on pcm latencies: the reader's
+// p50 and p90 per Read, the C-RW-WP (rom, romlog) and left-right (romlr)
+// cost of sharing the engine with a writer.
+func BenchmarkReadDuringUpdate(b *testing.B) {
+	for _, v := range allVariants {
+		b.Run(v.String(), func(b *testing.B) {
+			e, err := New(testRegion, Config{Variant: v, Model: pmem.ModelPCM})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var p ptm.Ptr
+			if err := e.Update(func(tx ptm.Tx) error {
+				p, err = tx.Alloc(1024)
+				tx.SetRoot(0, p)
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				val := make([]byte, 1024)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					val[0] = byte(i)
+					if err := e.Update(func(tx ptm.Tx) error { tx.StoreBytes(p, val); return nil }); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+			h, err := e.NewHandle()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer h.Release()
+			var wait obs.Histogram
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				h.Read(func(tx ptm.Tx) error {
+					readSink = tx.Load64(tx.Root(0))
+					return nil
+				})
+				wait.Observe(uint64(time.Since(t0)))
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+			b.ReportMetric(float64(wait.Quantile(0.5))/1e3, "p50_us")
+			b.ReportMetric(float64(wait.Quantile(0.9))/1e3, "p90_us")
+		})
+	}
+}
+
+var readSink uint64

@@ -487,9 +487,12 @@ func (e *Engine) wireConcurrency() {
 			Commit: func(t *Tx, ops int) {
 				t.batchOps = ops
 				e.durablePoint(t)
-				e.replicate(t)
+				// Main is final and durable: let readers at it while
+				// Replicate brings back up to date. Readers never load back,
+				// and the next Begin drains them before main changes again.
 				e.rw.WriterDepart()
 			},
+			Replicate: e.replicate,
 			Rollback: func(t *Tx) {
 				e.rollbackTx(t)
 				e.rw.WriterDepart()
@@ -507,10 +510,10 @@ func (e *Engine) wireConcurrency() {
 				t.batchOps = ops
 				e.durablePoint(t)
 				// Second toggle: main is durable, let readers at it while
-				// we bring back up to date.
+				// Replicate brings back up to date.
 				e.lr.Toggle(leftright.Main)
-				e.replicate(t)
 			},
+			Replicate: e.replicate,
 			Rollback: func(t *Tx) {
 				e.rollbackTx(t)
 				e.lr.Toggle(leftright.Main)
@@ -546,7 +549,8 @@ func (e *Engine) beginTx() *Tx {
 
 // durablePoint commits the transaction to main: after the psync returns,
 // the transaction is durable (ACID) even though back is stale. Fences 2
-// and 3 of 4.
+// and 3 of 4. The Commit hook releases readers right after it: C-RW-WP's
+// WriterDepart for Rom and RomLog, the second left-right toggle for RomLR.
 //
 // This is where the batch's deferred write-backs land: one deduplicated pwb
 // per dirty line (each line flushed at most once per durability round, no
@@ -584,6 +588,13 @@ func (e *Engine) durablePoint(t *Tx) {
 // an empty transaction or an ordered-pwb model). The final IDL store needs
 // no pwb: if it fails to persist, recovery from CPY re-runs this
 // (idempotent) copy.
+//
+// No caller's result depends on it: readers were let back onto main and the
+// round's combined announcers released at the durable point. It is the
+// combiner's Replicate hook and runs under the writer lock, so the next
+// transaction's Begin, and Snapshot, always find back == main; fence 4
+// orders the back copy ahead of that transaction's MUT marker. Direct-entry
+// callers (the group committer) still return only after it.
 func (e *Engine) replicate(t *Tx) {
 	d := e.dev
 	var copied, extents uint64

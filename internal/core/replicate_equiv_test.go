@@ -171,6 +171,7 @@ func TestQuickDirtyRangeReplicateEquivalence(t *testing.T) {
 					}
 				}
 				e.hooks.Commit(tx, len(ops))
+				e.hooks.Replicate(tx)
 			}
 			apply(ops)
 		case 2: // solo commits through the public Update path

@@ -23,12 +23,16 @@ import (
 // Update transactions are blocked while the image is written; read
 // transactions are not (RomulusLR readers proceed on main; C-RW-WP
 // readers were already drained by the writer path and new ones are only
-// blocked as for a normal update).
+// blocked as for a normal update). Readers and combined writers are let go
+// at a round's durable point, before its replication, but the writer lock
+// is held through replication, so the snapshot's transaction begins only
+// after every earlier round's back copy is complete.
 func (e *Engine) Snapshot(w io.Writer) error {
 	var writeErr error
 	err := e.Update(func(tx ptm.Tx) error {
 		// Running inside the writer path: replication of every earlier
-		// transaction has completed, so back == main == committed state.
+		// transaction has completed (it finishes under the writer lock), so
+		// back == main == committed state.
 		// An empty transaction replicates nothing; serialize back framed
 		// as both copies of a fresh image.
 		writeErr = e.writeImage(w)

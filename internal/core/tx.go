@@ -261,7 +261,9 @@ func (h *Handle) UpdateBatched(fn func(ptm.Tx) error) (uint64, error) {
 // whatever the embedded writers have announced and commits them with fn in
 // one durability round. It is meant for a caller that already batches, one
 // goroutine per engine (the group committer, via shard.Update); concurrent
-// writers should use Update, which combines. Needs no handle.
+// writers should use Update, which combines. Needs no handle. It returns
+// only after the round's replication, while the announced writers it folds
+// in are released at the durable point.
 func (e *Engine) UpdateDirect(fn func(ptm.Tx) error) error {
 	_, err := e.update(-1, fn)
 	return err

@@ -8,8 +8,10 @@
 // In Romulus the writer side is the flat-combining combiner, which already
 // holds the combiner spin lock; this package therefore exposes the writer
 // flag and reader drain separately (WriterArrive/WriterDepart) instead of
-// embedding its own mutual-exclusion lock. All state is volatile: locks
-// need no persistence for correct recovery.
+// embedding its own mutual-exclusion lock. The engine departs at a round's
+// durable point, while the combiner still holds its lock to replicate, so
+// readers run on the final main copy during replication. All state is
+// volatile: locks need no persistence for correct recovery.
 package crwwp
 
 import (

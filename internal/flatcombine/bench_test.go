@@ -20,9 +20,9 @@ func benchHooks(commitCost time.Duration, commits *atomic.Uint64) Hooks[int] {
 				spinFor(commitCost)
 			}
 			commits.Add(1)
-			mu.Unlock()
 		},
-		Rollback: func(tx int) { mu.Unlock() },
+		Replicate: func(tx int) { mu.Unlock() },
+		Rollback:  func(tx int) { mu.Unlock() },
 	}
 }
 

@@ -2,10 +2,19 @@
 // every concurrent Romulus variant (§5.2, §5.3 of the paper): update
 // operations announce themselves in a per-thread array; whichever announcer
 // wins the writer lock becomes the combiner, executes every announced
-// operation inside a single durable transaction, and only then signals
-// completion. Aggregation amortizes lock hand-offs and persistence fences —
-// with combining, the average number of fences per mutation drops below the
-// four a solo transaction pays.
+// operation inside a single durable transaction, and signals completion at
+// the transaction's durable point. Aggregation amortizes lock hand-offs and
+// persistence fences — with combining, the average number of fences per
+// mutation drops below the four a solo transaction pays.
+//
+// A round ends in two hooks. Commit makes the batch durable and lets readers
+// at it; the combiner then releases every announcer whose operation the
+// batch carried, and only after that runs Replicate, which readies the twin
+// copy for the next round. The writer lock stays held through Replicate, so
+// the next Begin still finds the copies equal; what the split buys is that a
+// folded-in announcer does not wait for work that only serves the next
+// transaction. The combiner itself, and every ExecuteDirect caller, return
+// after Replicate.
 //
 // The combiner drains, not just gathers: after executing the announcements
 // it found on entry it rescans the array and folds any operations announced
@@ -29,8 +38,8 @@
 //
 // The combiner is generic over the transaction handle type T supplied by
 // the engine's Hooks, so the same code drives Romulus, RomulusLog and
-// RomulusLR (which differ in what Begin/Commit do: reader draining for
-// C-RW-WP, version toggling for left-right).
+// RomulusLR (which differ in what Begin/Commit do: reader draining and
+// release for C-RW-WP, version toggling for left-right).
 //
 // Error and panic semantics: operations in a batch share one transaction,
 // so a failing operation cannot be rolled back alone. When any operation of
@@ -54,19 +63,24 @@ import (
 // Op is an announced update operation.
 type Op[T any] func(tx T) error
 
-// Hooks connect the combiner to a PTM engine. All three are invoked with
+// Hooks connect the combiner to a PTM engine. All four are invoked with
 // the writer lock held, in the strict sequence Begin, then user operations,
-// then exactly one of Commit or Rollback.
+// then either Commit followed by Replicate, or Rollback.
 type Hooks[T any] struct {
 	// Begin opens an update transaction and returns the handle passed to
 	// the announced operations. For C-RW-WP engines it also drains readers;
 	// for left-right it performs the first version toggle.
 	Begin func() T
 	// Commit makes the transaction durable (the psync of Algorithm 1) and
-	// publishes its effects. ops is the number of announced operations the
-	// transaction carries, so the engine can attribute the durability round
-	// to the whole batch.
+	// publishes its effects to readers. ops is the number of announced
+	// operations the transaction carries, so the engine can attribute the
+	// durability round to the whole batch. The batch's announcers are
+	// released as soon as it returns.
 	Commit func(tx T, ops int)
+	// Replicate finishes the round after its announcers were released:
+	// whatever the next transaction needs (the main→back copy and its
+	// fence), none of which any caller's result depends on.
+	Replicate func(tx T)
 	// Rollback reverts every effect of the transaction using the twin copy
 	// (or the engine's log) and releases whatever Begin acquired.
 	Rollback func(tx T)
@@ -290,6 +304,8 @@ func (c *Combiner[T]) combine(own *request[T]) {
 			r.seq = seq
 		}
 		c.recordBatch(len(batch))
+		c.finish(batch...)
+		c.hooks.Replicate(tx)
 	} else {
 		// At least one operation failed: the whole transaction was rolled
 		// back. Isolate failures by re-running each claimed operation in its
@@ -301,13 +317,13 @@ func (c *Combiner[T]) combine(own *request[T]) {
 	}
 	c.combined.Add(uint64(len(batch) - 1))
 	c.combineNs.Add(uint64(time.Since(start)))
-	c.finish(batch)
 	clear(batch) // the buffer outlives the round; drop the requests
 	c.batch = batch[:0]
 }
 
 // runSolo re-executes one operation in its own transaction after a batch
-// failure, assigning it its own durability round on success.
+// failure, assigning it its own durability round on success, and releases
+// its owner.
 func (c *Combiner[T]) runSolo(r *request[T]) {
 	tx := c.hooks.Begin()
 	r.err, r.pval = nil, nil
@@ -315,9 +331,12 @@ func (c *Combiner[T]) runSolo(r *request[T]) {
 		c.hooks.Commit(tx, 1)
 		r.seq = c.seq.Add(1)
 		c.recordBatch(1)
+		c.finish(r)
+		c.hooks.Replicate(tx)
 	} else {
 		c.hooks.Rollback(tx)
 		r.seq = 0
+		c.finish(r)
 	}
 }
 
@@ -346,11 +365,11 @@ func runOp[T any](r *request[T], tx T) (ok bool) {
 	return r.err == nil
 }
 
-// finish marks every request in the batch done, releasing its owner. Only
-// called after durability (or rollback) is settled, matching the paper's
-// rule that visibility implies durability.
-func (c *Combiner[T]) finish(batch []*request[T]) {
-	for _, r := range batch {
+// finish marks every request done, releasing its owner. Only called once
+// durability (or rollback) is settled — after Commit, before Replicate —
+// matching the paper's rule that visibility implies durability.
+func (c *Combiner[T]) finish(reqs ...*request[T]) {
+	for _, r := range reqs {
 		r.state.Store(int32(stateDone))
 	}
 }

@@ -7,22 +7,26 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/hsync"
 )
 
 // fakeTx is a toy transactional store: Begin snapshots, Commit keeps,
-// Rollback restores. It lets the tests verify the combiner's transactional
-// contract without a real PTM engine.
+// Replicate ends the round, Rollback restores. It lets the tests verify the
+// combiner's transactional contract without a real PTM engine. replicate,
+// when set, runs inside the Replicate hook (outside mu).
 type fakeEngine struct {
-	mu        sync.Mutex
-	value     int
-	snapshot  int
-	begins    int
-	commits   int
-	rollbacks int
-	batchOps  []int
-	inTx      bool
+	mu         sync.Mutex
+	value      int
+	snapshot   int
+	begins     int
+	commits    int
+	replicates int
+	rollbacks  int
+	batchOps   []int
+	inTx       bool
+	replicate  func()
 }
 
 type fakeTx struct{ e *fakeEngine }
@@ -44,8 +48,22 @@ func (e *fakeEngine) hooks() Hooks[fakeTx] {
 		},
 		Commit: func(tx fakeTx, ops int) {
 			e.mu.Lock()
+			if !e.inTx || e.commits != e.replicates {
+				panic("Commit outside a transaction or twice in one round")
+			}
 			e.commits++
 			e.batchOps = append(e.batchOps, ops)
+			e.mu.Unlock()
+		},
+		Replicate: func(tx fakeTx) {
+			if e.replicate != nil {
+				e.replicate()
+			}
+			e.mu.Lock()
+			if e.commits != e.replicates+1 {
+				panic("Replicate without a Commit")
+			}
+			e.replicates++
 			e.inTx = false
 			e.mu.Unlock()
 		},
@@ -459,5 +477,123 @@ func TestExecuteDirectErrorAndPanic(t *testing.T) {
 	}
 	if e.value != 1 {
 		t.Fatalf("value = %d, want 1 (failed ops rolled back)", e.value)
+	}
+}
+
+// foldAt returns an op that adds 1 and, on its first run, closes running
+// and holds the open transaction until every listed tid has announced, so
+// the combiner running it folds those announcements into its batch.
+// Announce only after running is closed: an earlier announcer could take
+// the writer lock itself.
+func foldAt(c *Combiner[fakeTx], running chan struct{}, tids ...int) Op[fakeTx] {
+	return func(tx fakeTx) error {
+		tx.add(1)
+		select {
+		case <-running:
+			return nil // a solo rerun after the batch failed
+		default:
+			close(running)
+		}
+		for _, tid := range tids {
+			for c.slots[tid].req.Load() == nil {
+				runtime.Gosched()
+			}
+		}
+		return nil
+	}
+}
+
+// TestReleaseAtDurablePoint pins when each caller gets its result back. An
+// announcer folded into another caller's batch returns once Commit has
+// returned, while Replicate is still blocked; the caller that ran the round
+// — here through ExecuteDirect, the group committer's entry — returns only
+// after Replicate, so replies sent on its return still follow it.
+func TestReleaseAtDurablePoint(t *testing.T) {
+	e := &fakeEngine{}
+	c := New(e.hooks())
+	gate := make(chan struct{})
+	e.replicate = func() { <-gate }
+
+	running := make(chan struct{})
+	var seqDirect uint64
+	direct := make(chan struct{})
+	go func() {
+		defer close(direct)
+		var err error
+		seqDirect, err = c.ExecuteDirect(foldAt(c, running, 1))
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	<-running
+	var seqFolded uint64
+	folded := make(chan struct{})
+	go func() {
+		defer close(folded)
+		var err error
+		seqFolded, err = c.ExecuteSeq(1, func(tx fakeTx) error { tx.add(1); return nil })
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+
+	select {
+	case <-folded:
+	case <-time.After(10 * time.Second):
+		t.Fatal("folded announcer still waiting while Replicate is blocked")
+	}
+	select {
+	case <-direct:
+		t.Fatal("ExecuteDirect returned before Replicate ran")
+	default:
+	}
+	close(gate)
+	<-direct
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.commits != 1 || e.replicates != 1 || seqFolded != seqDirect {
+		t.Fatalf("commits %d, replicates %d, seqs %d/%d: want one round, replicated before ExecuteDirect returned",
+			e.commits, e.replicates, seqFolded, seqDirect)
+	}
+}
+
+// TestSoloRerunsReplicateEach: after a batch fails, every operation reruns
+// in its own round, and each committed rerun gets its own Replicate before
+// the next Begin (the fake panics on a Begin inside an open round).
+func TestSoloRerunsReplicateEach(t *testing.T) {
+	e := &fakeEngine{}
+	c := New(e.hooks())
+	running := make(chan struct{})
+	errs := make([]error, 3)
+	direct := make(chan struct{})
+	go func() {
+		defer close(direct)
+		_, errs[0] = c.ExecuteDirect(foldAt(c, running, 1, 2))
+	}()
+	<-running
+	var wg sync.WaitGroup
+	for i, fail := range []bool{true, false} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i+1] = c.ExecuteSeq(i+1, func(tx fakeTx) error {
+				tx.add(1)
+				if fail {
+					return errors.New("rejected")
+				}
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
+	<-direct
+	if errs[0] != nil || errs[1] == nil || errs[2] != nil {
+		t.Fatalf("errors %v: want only the rejected op to fail", errs)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.rollbacks != 2 || e.commits != 2 || e.replicates != 2 || e.value != 2 {
+		t.Fatalf("rollbacks %d, commits %d, replicates %d, value %d: want the batch and the rejected rerun rolled back, two solo rounds each replicated",
+			e.rollbacks, e.commits, e.replicates, e.value)
 	}
 }

@@ -30,7 +30,9 @@
 // The data path (loads, stores, write-backs) is deliberately unsynchronized:
 // the transactional layers above guarantee that at most one mutator runs at a
 // time and that readers never race with the mutator on the same locations,
-// matching the C++ memory-model assumptions of the original algorithms.
+// matching the C++ memory-model assumptions of the original algorithms. A
+// layer whose readers do load words the mutator is storing uses the atomic
+// word pair, Load64Atomic and Store64Atomic.
 //
 // The observability surface is the exception, fully synchronized so harness
 // and metrics goroutines can watch a live device: the statistics counters
@@ -46,10 +48,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // LineSize is the simulated cache-line size in bytes. All dirtiness and
@@ -311,6 +315,48 @@ func (d *Device) Load64(off int) uint64 {
 		v ^= 0x0101010101010101 * corruptXor
 	}
 	return v
+}
+
+// Load64Atomic is Load64 done as one atomic access of the word at off, for
+// a reader that races a writer storing that word with Store64Atomic (the
+// redo-log engine's optimistic readers validate such loads afterwards). off
+// must be 8-byte aligned.
+func (d *Device) Load64Atomic(off int) uint64 {
+	v := leWord(atomic.LoadUint64(d.word(off)))
+	if d.faultCheck(off, 8) {
+		v ^= 0x0101010101010101 * corruptXor
+	}
+	return v
+}
+
+// Store64Atomic is Store64 with the word written in one atomic access; see
+// Load64Atomic. off must be 8-byte aligned.
+func (d *Device) Store64Atomic(off int, v uint64) {
+	d.markStored(off, 8)
+	atomic.StoreUint64(d.word(off), leWord(v))
+	d.stored(off, 8)
+}
+
+// word returns the image word at off for atomic access. The image is a
+// whole-line allocation, so an 8-byte aligned offset is an aligned address.
+func (d *Device) word(off int) *uint64 {
+	if off&7 != 0 {
+		panic(fmt.Sprintf("pmem: atomic access at unaligned offset %d", off))
+	}
+	return (*uint64)(unsafe.Pointer(&d.mem[off]))
+}
+
+// hostLE reports whether the host's words are little-endian, the image's
+// byte order.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// leWord converts between a host-order word and the image's little-endian
+// order (the same swap either way).
+func leWord(v uint64) uint64 {
+	if hostLE {
+		return v
+	}
+	return bits.ReverseBytes64(v)
 }
 
 // LoadBytes copies len(dst) bytes starting at off into dst.

@@ -92,7 +92,10 @@ func (t *Tx) loadWord(w uint64) uint64 {
 	if isLocked(v1) || version(v1) > t.rv {
 		t.abort()
 	}
-	val := t.e.dev.Load64(t.e.mainBase + int(w))
+	// Atomic: a committer may be writing this word back right now (its
+	// stripe check below then fails); the torn-free load keeps that a
+	// validated retry rather than a data race.
+	val := t.e.dev.Load64Atomic(t.e.mainBase + int(w))
 	if s.Load() != v1 {
 		t.abort()
 	}
@@ -377,7 +380,7 @@ func (t *Tx) commit(seg int) error {
 	d.Pfence()
 	// Phase 4: write back in place (fences 3 and 4).
 	for _, w := range words {
-		d.Store64(e.mainBase+int(w), t.writes[w])
+		d.Store64Atomic(e.mainBase+int(w), t.writes[w]) // readers load it unlocked
 		d.Pwb(e.mainBase + int(w))
 	}
 	d.Pfence()
