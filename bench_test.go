@@ -301,29 +301,6 @@ func runUpdateBench(b *testing.B, cfg core.Config) {
 	}
 }
 
-// BenchmarkAblationLogMerge compares the volatile log with and without
-// in-place merging of adjacent entries.
-func BenchmarkAblationLogMerge(b *testing.B) {
-	b.Run("merge", func(b *testing.B) {
-		runUpdateBench(b, core.Config{Variant: core.RomLog})
-	})
-	b.Run("no-merge", func(b *testing.B) {
-		runUpdateBench(b, core.Config{Variant: core.RomLog, DisableLogMerge: true})
-	})
-}
-
-// BenchmarkAblationPwbDedup compares per-store write-backs against
-// deferring them to commit (one pwb per modified line from the compacted
-// log).
-func BenchmarkAblationPwbDedup(b *testing.B) {
-	b.Run("per-store", func(b *testing.B) {
-		runUpdateBench(b, core.Config{Variant: core.RomLog})
-	})
-	b.Run("deferred", func(b *testing.B) {
-		runUpdateBench(b, core.Config{Variant: core.RomLog, DeferPwb: true})
-	})
-}
-
 // BenchmarkAblationFlatCombining compares contended writers with and
 // without operation combining. An operation is two update transactions, so
 // a solo writer pays 8 fences/op; run with -cpu 1,2,4,8 to watch combined
@@ -393,13 +370,21 @@ func BenchmarkAblationReaderSync(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBasicVsLog shows why the volatile log exists (§4.7):
-// one small update on a region holding ever more data.
+// BenchmarkAblationBasicVsLog shows why §4.7 replicates only what a
+// transaction stored: one small update on a region holding ever more data,
+// under Algorithm 1's whole-prefix copy (rom-full) and the round's line set
+// (romlog).
 func BenchmarkAblationBasicVsLog(b *testing.B) {
 	for _, heapKB := range []int{64, 1024} {
-		for _, v := range []core.Variant{core.Rom, core.RomLog} {
-			b.Run(fmt.Sprintf("%dKB/%s", heapKB, v), func(b *testing.B) {
-				e, err := core.New(heapKB<<10+core.MinRegionSize, core.Config{Variant: v})
+		for _, c := range []struct {
+			name string
+			cfg  core.Config
+		}{
+			{"rom-full", core.Config{Variant: core.Rom, FullReplicate: true}},
+			{"romlog", core.Config{Variant: core.RomLog}},
+		} {
+			b.Run(fmt.Sprintf("%dKB/%s", heapKB, c.name), func(b *testing.B) {
+				e, err := core.New(heapKB<<10+core.MinRegionSize, c.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,7 +2,12 @@
 // link must point to an existing file or directory, and every fragment
 // (same-file `#anchor` or `file.md#anchor`) must match a heading in the
 // target document, using GitHub's anchor derivation. External links
-// (http, https, mailto) are not fetched.
+// (http, https, mailto) are not fetched. In the current-state documents —
+// README.md, DESIGN.md and docs/ — every backticked repository path with a
+// file extension (`internal/core/engine.go`, `results/table1.txt:3`) must
+// also name an existing file; the history files (CHANGES, ROADMAP,
+// EXPERIMENTS) record paths that later changes remove, and are not checked
+// for them.
 //
 //	docslint [root]   # default root: .
 //
@@ -23,6 +28,18 @@ import (
 // optional "title". Targets with spaces must be angle-bracketed in
 // Markdown, which this repo does not use, so a no-space target suffices.
 var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
+
+// codePathRe matches a code span holding a repository path with a file
+// extension: at least one directory, path characters only (so globs,
+// brace lists and placeholders are not paths), and an optional :line suffix.
+var codePathRe = regexp.MustCompile("`((?:[A-Za-z0-9_.-]+/)+[A-Za-z0-9_-][A-Za-z0-9_.-]*\\.[A-Za-z0-9]+)(?::[0-9][0-9–-]*)?`")
+
+// codePathDocs reports whether path (relative to the root) is a
+// current-state document whose code paths must exist.
+func codePathDocs(path string) bool {
+	path = filepath.ToSlash(path)
+	return path == "README.md" || path == "DESIGN.md" || strings.HasPrefix(path, "docs/")
+}
 
 func main() {
 	root := "."
@@ -64,9 +81,12 @@ func main() {
 	broken := 0
 	for _, f := range mdFiles {
 		broken += checkFile(f, anchors)
+		if rel, err := filepath.Rel(root, f); err == nil && codePathDocs(rel) {
+			broken += checkCodePaths(root, f)
+		}
 	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "docslint: %d broken link(s)\n", broken)
+		fmt.Fprintf(os.Stderr, "docslint: %d broken link(s) or stale code path(s)\n", broken)
 		os.Exit(1)
 	}
 }
@@ -115,6 +135,26 @@ func checkFile(path string, anchors map[string]map[string]bool) int {
 						path, i+1, target, resolved)
 					broken++
 				}
+			}
+		}
+	}
+	return broken
+}
+
+// checkCodePaths reports every backticked repository path in the Markdown
+// file at path that names no existing file under root.
+func checkCodePaths(root, path string) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docslint:", err)
+		os.Exit(2)
+	}
+	broken := 0
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range codePathRe.FindAllStringSubmatch(line, -1) {
+			if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+				fmt.Printf("%s:%d: stale code path %q: no such file\n", path, i+1, m[1])
+				broken++
 			}
 		}
 	}

@@ -26,10 +26,10 @@ func newAudited(t *testing.T, cfg core.Config) (*core.Engine, *audit.Auditor) {
 }
 
 // TestNoFenceWasteUnderDedupFlush pins the two waste classes the combined-
-// commit flush discipline eliminates: with the deduplicated flush set no
-// store can land on a flush-queued line (store_queued) and no fence fires
-// with an empty queue (fence_noop) — including for empty update
-// transactions, which previously paid two no-op fences each.
+// commit flush discipline eliminates: with every write-back deferred to the
+// durable point no store can land on a flush-queued line (store_queued) and
+// no fence fires with an empty queue (fence_noop) — including for empty
+// update transactions, which previously paid two no-op fences each.
 func TestNoFenceWasteUnderDedupFlush(t *testing.T) {
 	for _, v := range []core.Variant{core.Rom, core.RomLog, core.RomLR} {
 		t.Run(v.String(), func(t *testing.T) {
@@ -61,7 +61,7 @@ func TestNoFenceWasteUnderDedupFlush(t *testing.T) {
 			}
 			tot := a.Totals()
 			if tot.StoreQueued != 0 {
-				t.Errorf("store_queued = %d, want 0 (dedup flush set defers pwbs past the last store)", tot.StoreQueued)
+				t.Errorf("store_queued = %d, want 0 (the durable point writes lines back after the last store)", tot.StoreQueued)
 			}
 			if tot.FenceNoop != 0 {
 				t.Errorf("fence_noop = %d, want 0 (empty-queue fences elided)", tot.FenceNoop)

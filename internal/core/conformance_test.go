@@ -31,10 +31,7 @@ func TestConformance(t *testing.T) {
 
 func TestConformanceAblations(t *testing.T) {
 	cases := map[string]core.Config{
-		"no-log-merge": {Variant: core.RomLog, DisableLogMerge: true},
-		"defer-pwb":    {Variant: core.RomLog, DeferPwb: true},
 		"no-combining": {Variant: core.RomLog, DisableFlatCombining: true},
-		"lr-defer-pwb": {Variant: core.RomLR, DeferPwb: true},
 		"eager-pwb":    {Variant: core.RomLog, EagerPwb: true},
 		"rom-eager":    {Variant: core.Rom, EagerPwb: true},
 		"rom-full":     {Variant: core.Rom, FullReplicate: true},

@@ -19,12 +19,19 @@
 // Every recovery action is idempotent, so crashes during recovery are
 // harmless (tested by the crash-chain harness in internal/crashtest).
 //
+// One record of a round's stores drives steps 2 and 4: a VOLATILE set of the
+// cache lines the round stored to (Engine.lines, a pmem.LineSet). The durable
+// point writes those lines back, replicate copies them main→back and rollback
+// copies them back→main. It is discardable state — recovery reconciles the
+// twins without it — so it costs no persistence events, and replication is
+// proportional to the lines written, not to the heap (the aim of §4.7's
+// volatile log, at cache-line rather than byte granularity).
+//
 // The three variants share this engine and differ in Config.Variant:
 //
-//   - Rom (Algorithm 1): replicate copies the whole used heap prefix.
-//   - RomLog (§4.7): a VOLATILE log of modified ranges makes replication
-//     proportional to the write set; the log is discardable state, so it
-//     costs no persistence events (see rangelog.go).
+//   - Rom (§4.1) and RomLog (§4.7) run the same code under two names: the
+//     paper's figures and tables report both. Algorithm 1's copy of the
+//     whole used prefix is the Config.FullReplicate ablation.
 //   - RomLR (§5.3): Left-Right synchronization gives wait-free readers
 //     that run against whichever copy is consistent, reached through
 //     synthetic pointers (a constant base offset added to each Ptr).
@@ -40,9 +47,8 @@
 // per update (with exact pwb/fence deltas measured at the device) and per
 // read; see docs/OBSERVABILITY.md.
 //
-// File map: engine.go (lifecycle, commit protocol, recovery), tx.go
-// (transactional loads/stores and the allocator bridge), layout.go
-// (persistent header and twin-copy geometry), rangelog.go (RomLog's
-// volatile modified-range log), snapshot.go (online snapshots, an
-// extension beyond the paper).
+// File map: engine.go (lifecycle, commit protocol, the round's line set and
+// its replication, recovery), tx.go (transactional loads/stores and the
+// allocator bridge), layout.go (persistent header and twin-copy geometry),
+// snapshot.go (online snapshots, an extension beyond the paper).
 package core

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -25,12 +26,14 @@ type Variant int
 const (
 	// VariantDefault resolves to RomLog.
 	VariantDefault Variant = iota
-	// Rom is the basic algorithm: no range log, C-RW-WP plus flat combining
-	// for concurrency. Replication copies the round's dirty cache lines
-	// (tracked by a DRAM dirty set; Config.FullReplicate restores the
-	// paper's original full-watermark copy as an ablation).
+	// Rom is the basic algorithm (§4.1): C-RW-WP plus flat combining for
+	// concurrency. It runs the same code as RomLog; the name is kept for the
+	// paper's figures and tables. Algorithm 1's whole-prefix copy is
+	// Config.FullReplicate.
 	Rom
-	// RomLog adds the volatile redo log: only modified ranges replicate.
+	// RomLog is §4.7's variant, which replicates only what the round stored.
+	// Here every variant does: replication copies the round's stored cache
+	// lines (see Engine.lines), with no byte-granular range log.
 	RomLog
 	// RomLR is RomLog with Left-Right synchronization: wait-free readers.
 	RomLR
@@ -55,25 +58,18 @@ type Config struct {
 	Variant Variant
 	// Model is the persistence model for freshly created devices (New).
 	Model pmem.Model
-	// DisableLogMerge turns off in-place extension of the last log entry
-	// (ablation; compaction at commit still runs).
-	DisableLogMerge bool
-	// DeferPwb delays per-store write-backs to commit time, issuing one pwb
-	// per modified cache line from the compacted log instead of one per
-	// store (ablation; log variants only).
-	DeferPwb bool
 	// EagerPwb restores the pre-batching flush discipline: one pwb issued
-	// inline with every store, re-flushing lines already queued (ablation;
-	// the default is a deduplicated per-batch flush set that write-backs
-	// each dirty line exactly once before the commit fence).
+	// inline with every store, re-flushing lines already queued (the waste
+	// baseline; by default the durable point writes each stored line back
+	// exactly once).
 	EagerPwb bool
-	// FullReplicate restores the paper's whole-prefix copies at commit and
-	// at recovery (ablation). At commit — Rom only, the log variants already
-	// replicate logged ranges — replicate and rollback copy the entire
-	// watermark prefix instead of the round's dirty cache lines; at recovery,
-	// every variant copies and writes back the whole prefix instead of only
-	// the lines the crash left different. The equivalence property tests and
-	// the §4.7 replication-volume and §6.5 recovery contrasts measure against it.
+	// FullReplicate restores the paper's whole-prefix copies (Algorithm 1)
+	// at commit and at recovery, for every variant (ablation). At commit,
+	// replicate and rollback copy the entire watermark prefix instead of the
+	// round's stored lines; at recovery, the whole prefix is copied and
+	// written back instead of only the lines the crash left different. The
+	// equivalence property tests and the §4.7 replication-volume and §6.5
+	// recovery contrasts measure against it.
 	FullReplicate bool
 	// DisableFlatCombining serializes writers on the combiner's writer lock
 	// through its direct entry, with no announcement and so no aggregation
@@ -116,18 +112,15 @@ type Engine struct {
 	wtx     Tx           // the single writer transaction, reused
 	handles chan *Handle // pool for the convenience Update/Read API
 
-	// fset collects the dirty lines of the current batch for one
-	// deduplicated write-back burst at commit. Only the single writer (the
-	// combiner) touches it, like wtx.
-	fset *pmem.FlushSet
-
-	// dirty tracks the round's modified cache lines when the range log is
-	// disabled (basic Rom without the FullReplicate ablation), so
-	// replication copies O(dirty) bytes instead of the whole watermark
-	// prefix. Dirty extents accumulate across a flat-combined batch and
-	// drain once per durability round, like fset. Only the single writer
-	// touches it.
-	dirty dirtySet
+	// lines is the one record of a durability round's stores: every device
+	// line in [0, backBase) that a store of the round — from however many
+	// combined operations — or its watermark bump touched, in first-touch
+	// order. The durable point writes them back; replicate copies the main
+	// ones to back and rollback restores them from back (copyLines). It is
+	// volatile: recovery never consults it. extentBuf is copyLines' scratch.
+	// Only the single writer (the combiner) touches either, like wtx.
+	lines     pmem.LineSet
+	extentBuf []rng
 
 	updates   atomic.Uint64
 	reads     atomic.Uint64
@@ -142,11 +135,6 @@ type Engine struct {
 	// tool). Only the single writer observes into it.
 	pwbHist    obs.Histogram
 	txStartPwb uint64
-
-	// wmBumped marks the current round as having raised the persistent
-	// watermark, so rollback knows whether the flush-set drop lost a
-	// watermark write-back that must be reissued. Single-writer, like wtx.
-	wmBumped bool
 
 	// trace receives one obs.TxEvent per transaction when non-nil. Set only
 	// at quiescent points (SetTrace); txStartFence is the fence-count
@@ -255,12 +243,7 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		handles:    make(chan *Handle, hsync.MaxThreads),
 	}
 	e.wtx = Tx{e: e, base: e.mainBase}
-	e.wtx.log.enabled = cfg.Variant != Rom
-	e.wtx.log.merge = !cfg.DisableLogMerge
-	e.fset = pmem.NewFlushSet(dev.Size())
-	if cfg.Variant == Rom && !cfg.FullReplicate {
-		e.dirty.init(regionSize)
-	}
+	e.lines = pmem.NewLineSet(e.backBase)
 	e.aud = cfg.Audit
 
 	openTrips := dev.FaultsTripped()
@@ -528,9 +511,7 @@ func (e *Engine) wireConcurrency() {
 // marker's write-back already persisted, as under ordered-pwb models).
 func (e *Engine) beginTx() *Tx {
 	t := &e.wtx
-	t.log.reset()
-	e.dirty.reset()
-	e.wmBumped = false
+	e.lines.Reset()
 	t.loads, t.stores, t.writeBytes = 0, 0, 0
 	t.batchOps = 1
 	if a := e.aud; a != nil {
@@ -552,20 +533,19 @@ func (e *Engine) beginTx() *Tx {
 // and 3 of 4. The Commit hook releases readers right after it: C-RW-WP's
 // WriterDepart for Rom and RomLog, the second left-right toggle for RomLR.
 //
-// This is where the batch's deferred write-backs land: one deduplicated pwb
-// per dirty line (each line flushed at most once per durability round, no
-// matter how many stores — from how many batched operations — hit it),
-// ordered by the fence ahead of the CPY marker. Fences with no queued
+// This is where the batch's deferred write-backs land: one pwb per line of
+// the round's line set, in first-touch order (each line flushed at most once
+// per durability round, no matter how many stores — from how many batched
+// operations — hit it), ordered by the fence ahead of the CPY marker. The
+// set is kept: replicate copies its main lines next. Fences with no queued
 // write-backs are provably no-ops and skipped, so an empty update
 // transaction pays no flush traffic at all.
 func (e *Engine) durablePoint(t *Tx) {
 	d := e.dev
-	if e.cfg.DeferPwb && t.log.enabled {
-		for _, r := range t.log.compacted() {
-			d.PwbRange(e.mainBase+int(r.Off), int(r.N))
+	if !e.cfg.EagerPwb {
+		for _, line := range e.lines.Lines() {
+			d.Pwb(int(line) * pmem.LineSize)
 		}
-	} else if !e.cfg.EagerPwb {
-		e.fset.Flush(d)
 	}
 	if d.NeedsFence() {
 		d.Pfence()
@@ -597,32 +577,7 @@ func (e *Engine) durablePoint(t *Tx) {
 // callers (the group committer) still return only after it.
 func (e *Engine) replicate(t *Tx) {
 	d := e.dev
-	var copied, extents uint64
-	if t.log.enabled {
-		copied, extents = e.copyRanges(e.backBase, e.mainBase, t.log.compacted())
-	} else if e.dirty.enabled() {
-		// Dirty-range replication for the basic variant: copy only the cache
-		// lines this round stored to, in address order. Every copied line was
-		// just dirtied, so each write-back hits a line with pending stores —
-		// no audit_pwb_clean waste — and an empty or fault-refused round
-		// copies nothing at all (the same media-fault smear guard the
-		// zero-store check below gives the full-copy ablation).
-		copied, extents = e.copyRanges(e.backBase, e.mainBase, e.dirty.extents())
-		e.dirty.reset()
-	} else if t.stores > 0 {
-		// A zero-store batch left main == back, so the full-watermark copy
-		// has nothing to do. Skipping it matters beyond waste: a read-only
-		// update that tripped a media fault must not drag the bulk copy
-		// machinery across the faulted line and smear corruption into the
-		// healthy twin.
-		wm := int(d.Load64(offWatermark))
-		d.CopyWithin(e.backBase, e.mainBase, wm)
-		d.PwbRange(e.backBase, wm)
-		copied = uint64(wm)
-		extents = 1
-	}
-	e.replBytes.Add(copied)
-	e.replExtents.Add(extents)
+	copied := e.copyLines(t, e.backBase, e.mainBase)
 	if d.NeedsFence() {
 		d.Pfence()
 	}
@@ -654,71 +609,88 @@ func (e *Engine) endUpdate(t *Tx, outcome obs.Outcome, copied, batchOps uint64) 
 	}
 }
 
-// copyRanges copies the given region-relative ranges from the twin at src to
-// the twin at dst and writes the destination lines back. Every range is
-// copied before any is written back: distinct ranges can share a cache line,
-// and interleaving copy/pwb per range would store into lines already queued
-// for write-back. The flush set (empty by now: the durable point drained it,
-// rollback reset it) dedups the burst instead.
-func (e *Engine) copyRanges(dst, src int, ranges []rng) (copied, extents uint64) {
-	d := e.dev
-	for _, r := range ranges {
-		d.CopyWithin(dst+int(r.Off), src+int(r.Off), int(r.N))
-		if e.cfg.EagerPwb {
-			d.PwbRange(dst+int(r.Off), int(r.N))
-		} else {
-			e.fset.Add(dst+int(r.Off), int(r.N))
-		}
-		copied += r.N
-	}
-	if !e.cfg.EagerPwb {
-		e.fset.Flush(d)
-	}
-	return copied, uint64(len(ranges))
+// rng is a [Off, Off+N) byte range of a twin, relative to its base.
+type rng struct {
+	Off, N uint64
 }
 
-// rollbackTx reverts an in-flight transaction (user code returned an error
-// or panicked) by restoring the modified ranges of main from back — the
-// same copy recovery would perform, done eagerly.
-func (e *Engine) rollbackTx(t *Tx) {
+// copyLines makes the twin at dst equal the twin at src over the round's
+// stored main lines and returns the bytes copied (counted, with the extents,
+// in replBytes and replExtents): every extent is copied, and only then are
+// the destination lines written back, in address order. Every copied line was
+// stored this round, so each write-back hits a line with pending stores — no
+// audit_pwb_clean waste — and an empty or fault-refused round copies nothing
+// at all. Under FullReplicate the whole watermark prefix is copied instead,
+// unless the round made no store: a zero-store batch left main == back, and
+// a read-only update that tripped a media fault must not drag the bulk copy
+// across the faulted line and smear corruption into the healthy twin.
+func (e *Engine) copyLines(t *Tx, dst, src int) (copied uint64) {
 	d := e.dev
-	// Drop the batch's deferred write-backs: the restore below flushes the
-	// authoritative bytes itself (through the same deduplicated burst, since
-	// restored ranges can share cache lines just like replicated ones). The
-	// watermark write-back is the one entry that must survive the drop — the
-	// media watermark has to stay ahead of the media heap top even when the
-	// allocating transaction rolls back — so it is reissued here (only when
-	// this round actually raised it: an unconditional reissue would be a
-	// clean-line pwb, the waste class the auditor censuses) and drained by
-	// the fence below.
-	e.fset.Reset()
-	if e.wmBumped {
-		d.Pwb(offWatermark)
-	}
-	var copied, extents uint64
-	if t.log.enabled {
-		copied, extents = e.copyRanges(e.mainBase, e.backBase, t.log.compacted())
-	} else if e.dirty.enabled() {
-		// Dirty-range rollback: restore from back exactly the lines this
-		// round stored to. Beyond symmetry with replicate, the narrow restore
-		// strengthens the media-fault guard — the bulk copy never traverses
-		// faulted lines the transaction did not itself touch.
-		copied, extents = e.copyRanges(e.mainBase, e.backBase, e.dirty.extents())
-		e.dirty.reset()
-	} else if t.stores > 0 {
-		// Same zero-store guard as replicate: a transaction that never
-		// touched main (e.g. a load-only probe that hit a media fault and
-		// was refused) has nothing to restore, and running the bulk copy
-		// anyway would read through the faulted line and corrupt the copy
-		// that was still good.
+	var extents uint64
+	if e.cfg.FullReplicate {
+		if t.stores == 0 {
+			return 0
+		}
 		wm := int(d.Load64(offWatermark))
-		d.CopyWithin(e.mainBase, e.backBase, wm)
-		d.PwbRange(e.mainBase, wm)
-		copied = uint64(wm)
-		extents = 1
+		d.CopyWithin(dst, src, wm)
+		d.PwbRange(dst, wm)
+		copied, extents = uint64(wm), 1
+	} else {
+		e.extentBuf = lineExtents(e.extentBuf, e.lines.Lines())
+		for _, r := range e.extentBuf {
+			d.CopyWithin(dst+int(r.Off), src+int(r.Off), int(r.N))
+			copied += r.N
+		}
+		for _, r := range e.extentBuf {
+			d.PwbRange(dst+int(r.Off), int(r.N))
+		}
+		extents = uint64(len(e.extentBuf))
 	}
 	e.replBytes.Add(copied)
 	e.replExtents.Add(extents)
+	return copied
+}
+
+// mainLine is the device line number of main's first line (main starts
+// right after the header).
+const mainLine = headSize / pmem.LineSize
+
+// lineExtents sorts lines (device line numbers; reordered in place) and
+// returns the main-region ones as region-relative byte extents, reusing
+// dst's storage. Strictly adjacent lines coalesce, so a sequential store
+// burst costs one CopyWithin; a clean line is never bridged, and header lines
+// (the watermark's) are never returned.
+func lineExtents(dst []rng, lines []int32) []rng {
+	slices.Sort(lines)
+	out := dst[:0]
+	i, _ := slices.BinarySearch(lines, mainLine)
+	for i < len(lines) {
+		start := i
+		for i++; i < len(lines) && lines[i] == lines[i-1]+1; i++ {
+		}
+		out = append(out, rng{uint64(lines[start]-mainLine) * pmem.LineSize, uint64(i-start) * pmem.LineSize})
+	}
+	return out
+}
+
+// rollbackTx reverts an in-flight transaction (user code returned an error
+// or panicked) by restoring the round's stored lines of main from back — the
+// same copy recovery would perform, done eagerly. The narrow restore is also
+// a media-fault guard: the copy never traverses faulted lines the
+// transaction did not itself touch.
+func (e *Engine) rollbackTx(t *Tx) {
+	d := e.dev
+	// The round's stored main lines are written back by the restore below,
+	// not at a durable point. The watermark line is the one write-back that
+	// must still be issued — the media watermark has to stay ahead of the
+	// media heap top even when the allocating transaction rolls back — and
+	// it is in the set exactly when this round raised the watermark (an
+	// unconditional pwb would hit a clean line, the waste class the auditor
+	// censuses). The fence below drains it.
+	if e.lines.Has(offWatermark) {
+		d.Pwb(offWatermark)
+	}
+	copied := e.copyLines(t, e.mainBase, e.backBase)
 	if d.NeedsFence() {
 		d.Pfence()
 	}
@@ -743,20 +715,18 @@ func (e *Engine) heapTopRaw() uint64 {
 // copies: if it persists "too high" after a rollback the only cost is
 // copying a few extra (unreachable) bytes.
 //
-// Under the deduplicated flush discipline the write-back joins the batch's
-// flush set (drained before the commit marker, so the watermark is durable
-// by the durable point) instead of queueing the header line mid-mutation —
-// the state-word store at commit lands on that same line, and an immediate
-// pwb here would turn every allocating transaction into store_queued waste.
+// The header line joins the round's line set, so the durable point writes
+// it back (before the commit marker, so the watermark is durable by the
+// durable point) instead of queueing it mid-mutation — where a later bump in
+// the same round would store into a queued line. Replication and rollback
+// never copy it: it is outside the twins.
 func (e *Engine) bumpWatermark() {
 	top := e.heap.Top()
 	if top > e.dev.Load64(offWatermark) {
 		e.dev.Store64(offWatermark, top)
-		e.wmBumped = true
-		if e.cfg.EagerPwb || (e.cfg.DeferPwb && e.wtx.log.enabled) {
+		e.lines.Add(offWatermark, 8)
+		if e.cfg.EagerPwb {
 			e.dev.Pwb(offWatermark)
-		} else {
-			e.fset.Add(offWatermark, 8)
 		}
 	}
 }
@@ -907,8 +877,8 @@ func (m *rawMem) Store64(off uint64, v uint64) {
 
 // heapMem adapts the device for allocator access inside update
 // transactions: every allocator store is interposed exactly like a user
-// store (logged and flushed), so allocator metadata is rolled back with
-// the transaction (§4.4).
+// store (recorded in the round's line set), so allocator metadata is
+// written back, replicated and rolled back with the transaction (§4.4).
 type heapMem Engine
 
 func (m *heapMem) Load64(off uint64) uint64 {

@@ -544,33 +544,3 @@ func TestDisableFlatCombining(t *testing.T) {
 		return nil
 	})
 }
-
-func TestDeferPwbStillDurable(t *testing.T) {
-	for _, v := range []Variant{RomLog, RomLR} {
-		e, err := New(testRegion, Config{Variant: v, DeferPwb: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p ptm.Ptr
-		e.Update(func(tx ptm.Tx) error {
-			var err error
-			p, err = tx.Alloc(64)
-			if err == nil {
-				tx.Store64(p, 31337)
-				tx.SetRoot(0, p)
-			}
-			return err
-		})
-		img := e.Device().CrashImage(pmem.DropAll)
-		e2, err := Open(pmem.FromImage(img, pmem.ModelDRAM), Config{Variant: v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2.Read(func(tx ptm.Tx) error {
-			if got := tx.Load64(tx.Root(0)); got != 31337 {
-				t.Errorf("%v: deferred-pwb commit lost: %d", v, got)
-			}
-			return nil
-		})
-	}
-}

@@ -9,9 +9,8 @@ import (
 )
 
 // TestEngineFootprint pins what an engine and its device keep resident beyond
-// the device image: the device's per-line state, the flush set and the dirty
-// set are bits and one index per cache line, and nothing else scales with the
-// region.
+// the device image: the device's per-line state and the round's line set are
+// bits and one index per cache line, and nothing else scales with the region.
 func TestEngineFootprint(t *testing.T) {
 	liveHeap := func() uint64 {
 		runtime.GC()

@@ -1,17 +1,3 @@
-// Package core implements the Romulus persistent transactional memory and
-// its two variants, following §4 and §5 of the paper:
-//
-//   - Romulus (basic): twin copies of the data; at commit the whole used
-//     prefix of main is replicated to back (Algorithm 1).
-//   - RomulusLog: a volatile redo log records the address/length of every
-//     store, so only the modified ranges are replicated (§4.7).
-//   - RomulusLR: RomulusLog plus Left-Right synchronization, giving
-//     read-only transactions wait-free progress via synthetic pointers into
-//     the back region (§5.3).
-//
-// Every transaction issues at most four persistence fences regardless of
-// its size: one at begin (after publishing MUT), and at commit one pfence,
-// one psync (the durability point) and one final pfence after replication.
 package core
 
 import "repro/internal/ptm"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/audit"
 	"repro/internal/pmem"
@@ -204,5 +205,41 @@ func TestQuickDirtyRangeReplicateEquivalence(t *testing.T) {
 	}
 	if tot := aud.Totals(); tot.PwbClean != 0 {
 		t.Errorf("dirty-range replication issued %d clean-line pwbs, want 0", tot.PwbClean)
+	}
+}
+
+// Property: replication driven by the round's line set leaves the twins
+// equal, for random store sequences on a romlog engine. This is the core
+// soundness argument of §4.7.
+func TestQuickLogReplicationEquivalence(t *testing.T) {
+	f := func(seed int64) bool {
+		rng_ := rand.New(rand.NewSource(seed))
+		e := newEngine(t, RomLog)
+		var p ptm.Ptr
+		if err := e.Update(func(tx ptm.Tx) error {
+			q, err := tx.Alloc(4096)
+			p = q
+			return err
+		}); err != nil {
+			return false
+		}
+		for txn := 0; txn < 5; txn++ {
+			if err := e.Update(func(tx ptm.Tx) error {
+				for s := 0; s < 30; s++ {
+					tx.Store64(p+ptm.Ptr(rng_.Intn(510)*8), rng_.Uint64())
+				}
+				return nil
+			}); err != nil {
+				return false
+			}
+			if e.Verify() >= 0 {
+				t.Logf("seed %d txn %d: copies diverge", seed, txn)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
 	}
 }

@@ -18,7 +18,6 @@ type Tx struct {
 	e        *Engine
 	base     int // mainBase, or backBase for RomulusLR readers on back
 	readOnly bool
-	log      rangeLog
 
 	// Trace accounting (plain fields: each Tx has a single mutator — the
 	// combiner thread for the writer, the owning goroutine for readers).
@@ -82,34 +81,19 @@ func (t *Tx) LoadBytes(p ptm.Ptr, dst []byte) {
 }
 
 // stored completes store interposition after the in-place modification of
-// main at device offset off: a log entry (address and length only) and a
-// write-back of the modified lines. The paper notes the order of the three
-// steps is free as long as the pwb precedes the commit fence, so by default
-// the lines join the batch's deduplicated flush set and are written back
-// exactly once at the durable point, however many stores (from however many
-// combined operations) dirtied them.
-//
-// The range goes to the round's one dirty tracker: the volatile range log for
-// the log variants, or the basic variant's cache-line dirty set, whose own
-// enabled guard makes the doubly-disabled combination (a FullReplicate rom
-// engine) a no-op — so the hot path pays one predicted branch here instead
-// of an unconditional log call that re-tests enablement on every store.
-func (t *Tx) stored(p ptm.Ptr, off, n int) {
+// main at device offset off: the modified lines join the round's line set,
+// the one record of the store. The paper notes the order of modify, record
+// and write-back is free as long as the pwb precedes the commit fence, so the
+// durable point writes each line back exactly once, however many stores
+// (from however many combined operations) dirtied it; replication then
+// copies the same lines to back.
+func (t *Tx) stored(off, n int) {
 	e := t.e
-	if t.log.enabled {
-		t.log.add(uint64(p), uint64(n))
-	} else {
-		e.dirty.add(uint64(p), uint64(n))
-	}
+	e.lines.Add(off, n)
 	t.stores++
 	t.writeBytes += uint64(n)
-	switch {
-	case e.cfg.DeferPwb && t.log.enabled:
-		// Flushed from the compacted log at commit.
-	case e.cfg.EagerPwb:
+	if e.cfg.EagerPwb {
 		e.dev.PwbRange(off, n)
-	default:
-		e.fset.Add(off, n)
 	}
 }
 
@@ -119,7 +103,7 @@ func (t *Tx) Store8(p ptm.Ptr, v byte) {
 	t.checkRange(p, 1)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store8(off, v)
-	t.stored(p, off, 1)
+	t.stored(off, 1)
 }
 
 // Store16 implements ptm.Tx.
@@ -128,7 +112,7 @@ func (t *Tx) Store16(p ptm.Ptr, v uint16) {
 	t.checkRange(p, 2)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store16(off, v)
-	t.stored(p, off, 2)
+	t.stored(off, 2)
 }
 
 // Store32 implements ptm.Tx.
@@ -137,7 +121,7 @@ func (t *Tx) Store32(p ptm.Ptr, v uint32) {
 	t.checkRange(p, 4)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store32(off, v)
-	t.stored(p, off, 4)
+	t.stored(off, 4)
 }
 
 // Store64 implements ptm.Tx.
@@ -146,7 +130,7 @@ func (t *Tx) Store64(p ptm.Ptr, v uint64) {
 	t.checkRange(p, 8)
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store64(off, v)
-	t.stored(p, off, 8)
+	t.stored(off, 8)
 }
 
 // StoreBytes implements ptm.Tx.
@@ -155,14 +139,14 @@ func (t *Tx) StoreBytes(p ptm.Ptr, src []byte) {
 	t.checkRange(p, len(src))
 	off := t.e.mainBase + int(p)
 	t.e.dev.StoreBytes(off, src)
-	t.stored(p, off, len(src))
+	t.stored(off, len(src))
 }
 
 // memset zeroes a fresh allocation through the same interposition path.
 func (t *Tx) memset(p ptm.Ptr, n int) {
 	off := t.e.mainBase + int(p)
 	t.e.dev.Memset(off, 0, n)
-	t.stored(p, off, n)
+	t.stored(off, n)
 }
 
 // Alloc implements ptm.Tx: transactional allocation from the persistent

@@ -12,15 +12,15 @@ import (
 // The replicate scenario aims simulated power failures at the replication
 // phase of the core engines' durability round — the window between a
 // commit's durable point (state CPY, transaction already durable) and the
-// return to IDL, where dirty-range replication copies only the round's
-// touched cache lines back. Under sparse dirty sets most of the back region
-// is intentionally NOT copied during that window, so a crash inside it
-// exercises exactly the argument DESIGN.md makes for the dirty-extent
-// tracker: recovery never consults the (volatile) dirty set, it diffs the
-// whole watermark prefix against the consistent main region.
+// return to IDL, where replication copies only the round's stored cache
+// lines back. Under sparse line sets most of the back region is
+// intentionally NOT copied during that window, so a crash inside it
+// exercises exactly the argument DESIGN.md makes for the round's line set:
+// recovery never consults the (volatile) set, it diffs the whole watermark
+// prefix against the consistent main region.
 //
 // Workers store into widely scattered lanes — one cache line per slot — so
-// the rom engine's dirty set is a handful of isolated lines. A ptm.Auditor
+// a round's line set is a handful of isolated lines. A ptm.Auditor
 // shim (replicateArmer) counts commit durable points and arms the crash
 // scheduler a few persistence events after a randomly chosen commit, landing
 // the capture inside (or just after) that round's replication. Validation
@@ -97,8 +97,8 @@ func (ra *replicateArmer) BatchCommitted(ops int) {
 }
 
 // Lane geometry: each worker owns laneSlots slots, one cache line apart, so
-// a transaction's stores land on isolated lines and the rom dirty set stays
-// sparse — the case where dirty-range replication skips the most media.
+// a transaction's stores land on isolated lines and the round's line set
+// stays sparse — the case where line-set replication skips the most media.
 const (
 	laneSlots = 16
 	laneBytes = laneSlots * pmem.LineSize

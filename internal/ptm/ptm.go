@@ -132,8 +132,8 @@ type TxStats struct {
 	// bringing the stale copy up to date at commit — and, symmetrically,
 	// when restoring main at rollback; ReplicateExtents counts the
 	// contiguous ranges those copies were issued as. Together they measure
-	// replication write amplification: with dirty-range tracking
-	// ReplicatedBytes/UpdateTxs is O(bytes stored), where a full-prefix
+	// replication write amplification: replicating the stored cache lines,
+	// ReplicatedBytes/UpdateTxs is O(lines stored), where a full-prefix
 	// replicator pays O(heap watermark) per round.
 	ReplicatedBytes  uint64
 	ReplicateExtents uint64

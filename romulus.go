@@ -10,10 +10,12 @@
 //
 // Three variants are provided, selected by Config.Variant:
 //
-//   - Rom: the basic algorithm (Algorithm 1) — the whole used prefix of
-//     main is replicated to back at commit;
-//   - RomLog: a volatile redo log of modified address ranges confines the
-//     replication to what actually changed (§4.7) — the flagship;
+//   - Rom: the basic algorithm (Algorithm 1), which replicates the whole
+//     used prefix of main to back at commit — here the
+//     Config.FullReplicate ablation; without it Rom runs RomLog's code;
+//   - RomLog: a volatile record of the cache lines a transaction stored to
+//     confines the replication to what actually changed (§4.7) — the
+//     flagship;
 //   - RomLR: RomLog combined with Left-Right synchronization (§5.3) —
 //     read-only transactions are wait-free, reading the back copy through
 //     synthetic pointers while a writer mutates main.
@@ -96,9 +98,11 @@ type (
 
 // Engine variants.
 const (
-	// Rom is the basic twin-copy algorithm with full replication.
+	// Rom is the basic twin-copy algorithm. It runs RomLog's code; the
+	// paper's whole-prefix replication is the FullReplicate ablation.
 	Rom = core.Rom
-	// RomLog adds the volatile range log (the default).
+	// RomLog replicates only the cache lines a transaction stored to (the
+	// default).
 	RomLog = core.RomLog
 	// RomLR adds Left-Right synchronization: wait-free readers.
 	RomLR = core.RomLR
