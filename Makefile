@@ -128,17 +128,20 @@ pathtest:
 	go test -race ./internal/flatcombine/ ./internal/crwwp/ ./internal/core/ ./internal/shard/ ./internal/redolog/
 
 # The two server tests that raced on the seed (PLACEMENT answering a finished
-# split with the pre-cutover slot map; spans read before the writer emitted
-# them), plus the pipelining tests (reads riding the commit queue, across a
-# cutover too), repeated so no race can come back unnoticed. Part of
-# `make test`.
+# split with the pre-cutover slot map; spans read before they were emitted),
+# the pipelining tests (reads riding the commit queue, across a cutover too)
+# and the cross-connection linearizability check over shared keys, repeated
+# so no race can come back unnoticed. Part of `make test`.
 flakecheck:
-	go test -count=20 -run 'TestServerSplitEndToEnd|TestSpanTimeline|TestPipelined' ./internal/server
+	go test -count=20 -run 'TestServerSplitEndToEnd|TestSpanTimeline|TestPipelined|TestWireLinearizableSharedKeys' ./internal/server
 
 fuzz:
 	go test -fuzz FuzzAllocFree -fuzztime 60s ./internal/alloc
 	go test -fuzz FuzzServeLines -fuzztime 60s ./internal/server
 	go test -fuzz FuzzCrashRecovery -fuzztime 60s ./internal/core
+	go test -fuzz FuzzPlacementSlot -fuzztime 60s ./internal/migrate
+	go test -fuzz FuzzDecodeOps -fuzztime 60s ./internal/shard
+	go test -fuzz FuzzBlackboxDecode -fuzztime 60s ./internal/blackbox
 
 clean:
 	rm -rf bin

@@ -4,12 +4,11 @@
 // docs/PROTOCOL.md) on -addr. Clients may stream many commands before
 // reading replies; replies come back strictly in order.
 //
-// Writes from all connections group-commit: each shard has a commit loop
-// merging queued operations into one durable transaction, so N concurrent
-// writers share a durability round instead of paying N psyncs.
-// -group-max-batch bounds operations per batch; -group-linger lets a batch
-// wait for more operations (0, the default, never waits — batches still
-// form under load with no idle latency).
+// Writes from all connections group-commit: the connection that finds a
+// shard idle merges every queued operation into one durable transaction, so
+// N concurrent writers share a durability round instead of paying N psyncs.
+// -group-max-batch bounds operations per batch; nothing waits for more, so
+// batches form under load with no idle latency.
 //
 // Keys hash-partition across -shards independent Romulus engines (-engine
 // rom|romlog|romlr); multi-key MULTI batches that span shards commit through
@@ -77,7 +76,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle for this long between commands (0: never)")
 	maxBatch := flag.Int("max-batch", 0, "maximum queued ops per MULTI batch (0: default 4096, negative: unbounded)")
 	groupMax := flag.Int("group-max-batch", 0, "maximum ops per group-commit batch transaction (0: default 256)")
-	groupLinger := flag.Duration("group-linger", 0, "how long a group-commit batch waits for more ops after its first (0: commit immediately)")
 	spansFlag := flag.Bool("spans", false, "trace every request's phase timeline (net_span_* histograms, /trace?req=<id>)")
 	spanRing := flag.Int("span-ring", 4096, "span events retained for /trace (with -spans)")
 	blackboxFlag := flag.Bool("blackbox", true, "reserve a pmem flight recorder per shard (batch starts/commits survive crashes)")
@@ -129,7 +127,6 @@ func main() {
 		IdleTimeout:   *idleTimeout,
 		MaxBatchOps:   *maxBatch,
 		GroupMaxBatch: *groupMax,
-		GroupLinger:   *groupLinger,
 		Spans:         spans,
 	})
 

@@ -248,19 +248,18 @@ func decode(raw []byte, slot, capacity uint64) (Record, bool) {
 		Kind:     Kind(raw[40]),
 	}
 	// A zero seq is an empty slot (checksum of zeroes never validates, but
-	// be explicit); a seq that does not map to this slot is stale garbage.
-	if rec.Seq == 0 || (rec.Seq-1)%capacity != slot || rec.Kind == 0 {
+	// be explicit); a seq that does not map to this slot is stale garbage,
+	// and so is anything in the padding, which Append leaves zero.
+	padding := binary.LittleEndian.Uint64(raw[41:]) | binary.LittleEndian.Uint64(raw[48:])
+	if rec.Seq == 0 || (rec.Seq-1)%capacity != slot || rec.Kind == 0 || padding != 0 {
 		return Record{}, false
 	}
 	return rec, true
 }
 
-// Append durably writes one record: store, write-back, fence. Seq and TsNs
-// are assigned here. The caller must serialize Append with every other
-// mutator of the same device (see the package comment).
-func (r *Recorder) Append(rec Record) {
-	rec.Seq = r.last.Add(1)
-	rec.TsNs = r.now().UnixNano()
+// encode lays rec out as one ring slot: its fields, zero padding, and the
+// checksum over both.
+func encode(rec Record) [RecordSize]byte {
 	var raw [RecordSize]byte
 	binary.LittleEndian.PutUint64(raw[0:], rec.Seq)
 	binary.LittleEndian.PutUint64(raw[8:], rec.BatchSeq)
@@ -270,6 +269,16 @@ func (r *Recorder) Append(rec Record) {
 	binary.LittleEndian.PutUint32(raw[36:], rec.Conns)
 	raw[40] = byte(rec.Kind)
 	binary.LittleEndian.PutUint64(raw[56:], checksum(raw[:56]))
+	return raw
+}
+
+// Append durably writes one record: store, write-back, fence. Seq and TsNs
+// are assigned here. The caller must serialize Append with every other
+// mutator of the same device (see the package comment).
+func (r *Recorder) Append(rec Record) {
+	rec.Seq = r.last.Add(1)
+	rec.TsNs = r.now().UnixNano()
+	raw := encode(rec)
 	off := r.base + headerSize + int((rec.Seq-1)%r.cap)*RecordSize
 	r.dev.StoreBytes(off, raw[:])
 	r.dev.Pwb(off)

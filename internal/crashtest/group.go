@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
@@ -91,13 +90,11 @@ func groupRound(r *round) error {
 	policy := randPolicy(r.rng)
 	sched.Arm(uint64(1+r.rng.Intn(r.workers*r.cfg.Ops*16+64)), policy)
 
-	// The committer under test: small batches, sometimes a linger window, and
-	// an OnBatch probe recording batch formation for the report.
+	// The committer under test: small batches and an OnBatch probe recording
+	// batch formation for the report.
 	var bmu sync.Mutex
-	lingers := []time.Duration{0, 200 * time.Microsecond, time.Millisecond}
 	cm := server.NewCommitter(st, server.GroupOptions{
 		MaxBatch: groupMaxBatch,
-		Linger:   lingers[r.rng.Intn(len(lingers))],
 		OnBatch: func(_ int, _ uint64, ops []*server.Pending) {
 			conns := map[any]struct{}{}
 			for _, p := range ops {

@@ -278,6 +278,8 @@ func decodePlacement(b []byte) (*Placement, error) {
 			return nil, fmt.Errorf("placement payload: journal src=%d dst=%d of %d shards", src, dst, nShards)
 		}
 		p.Journal.Src, p.Journal.Dst = int(src), int(dst)
+	} else if src != 0 || dst != 0 {
+		return nil, fmt.Errorf("placement payload: closed journal names src=%d dst=%d", src, dst)
 	}
 	for i := 0; i < int(nMove); i++ {
 		s, ok := get32()
@@ -288,6 +290,9 @@ func decodePlacement(b []byte) (*Placement, error) {
 			return nil, fmt.Errorf("placement payload: journal slot %d of %d", s, nSlots)
 		}
 		p.Journal.Slots = append(p.Journal.Slots, int(s))
+	}
+	if pos != len(b) {
+		return nil, fmt.Errorf("placement payload: %d bytes past the journal", len(b)-pos)
 	}
 	return p, nil
 }

@@ -11,9 +11,8 @@ import (
 //
 //	parse       — request line read off the socket to dispatch complete
 //	              (for writes: enqueued to the shard's group committer)
-//	queue_wait  — enqueue to the committer loop draining the op
-//	batch_form  — drained to the batch's shard transaction beginning
-//	              (includes any -group-linger wait for batch-mates)
+//	queue_wait  — enqueue to a batch leader taking the op off the queue
+//	batch_form  — taken to the batch's shard transaction beginning
 //	psync_wait  — transaction begin to the batch's durable point (psync)
 //	reply_flush — durable (or, for reads, dispatched) to the reply's flush
 //	request     — the parent: line read to reply flushed
@@ -55,8 +54,7 @@ type SpanEvent struct {
 
 // SpanRecorder retains the most recent span events in a ring and folds
 // every phase into a per-phase latency histogram (net_span_<phase>_ns).
-// Safe for concurrent Emit — each connection's writer goroutine emits its
-// own requests' spans.
+// Safe for concurrent Emit — each connection emits its own requests' spans.
 type SpanRecorder struct {
 	mu    sync.Mutex
 	buf   []SpanEvent

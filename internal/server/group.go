@@ -1,24 +1,30 @@
 // Group commit: the scheduler that funnels writes from ALL connections into
-// shared per-shard batches.
+// shared per-shard batches, run to completion by the goroutines that need
+// the replies.
 //
 // A request/response server admits one write per connection round trip, so
 // the engines' own combining sees thin batches and every client pays a full
-// psync. The Committer closes that gap: each shard has one commit loop that
-// drains every queued operation (from any connection, pipelined arbitrarily
-// deep), executes them all inside ONE durable shard transaction, and only
-// then releases their replies, so N writers share one durability round. The
-// loop is the only batcher on the path: it enters the engine through
-// shard.Update, the combiner's direct single-writer entry, which neither
-// announces nor yields. A read behind its connection's own unresolved writes
-// joins the queue too (Server.read) and replies with its batch.
+// psync. The Committer closes that gap with the paper's flat-combining rule
+// (§5.1) applied one level up: whoever holds a shard's leader slot executes
+// the operations everyone else has queued. Each shard has one queue and one
+// slot, and no goroutine of its own. A goroutine that needs a result — a
+// connection's reader once it has parsed its burst, Pending.Wait, Close —
+// queues its operations first. If it then finds the slot free (a try-lock;
+// see complete for the one scheduler pass it may give first) it leads: it
+// drains every queued operation, from any connection, into ONE durable
+// shard transaction and releases their replies after that round's psync,
+// so N writers share one durability round. If the slot is
+// held it parks until a batch settles its operation, or until the slot
+// frees with work queued and it is handed the lead. The leader enters the
+// engine through shard.Update, the combiner's direct single-writer entry,
+// which neither announces nor yields. A read behind its connection's own
+// unresolved writes joins the queue too (Server.read) and replies with its
+// batch.
 //
-// Scheduling: a batch closes when MaxBatch operations have been drained or
-// when Linger has elapsed since its first operation arrived, whichever is
-// first. Linger 0 (the default) never waits: a batch is whatever is queued
-// when the loop gets to it, which still merges bursts under load.
-//
-// Completion is per batch: the loop sets every member's done flag, then
-// wakes each connection's writer once. The server's Pendings are pooled.
+// A batch is whatever is queued when the leader takes the slot, up to
+// MaxBatch operations; no timer waits for more. Under load the queue fills
+// while the slot is held, so batches grow exactly when there is work to
+// share. The server's Pendings are pooled.
 //
 // Failure isolation: operations report protocol-level failures ("ERR value
 // is not an integer") as replies, not transaction errors, so they cannot
@@ -31,6 +37,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,25 +90,26 @@ type Pending struct {
 	seq  uint64
 	text string
 	buf  []byte // backs cmd's slices; kept when the Pending is recycled
-	// keys route the operation: the commit loop re-runs it on the owning
-	// shard if a cutover moved them while it queued (nil pins it to the
-	// submitted shard). redo, when set, replaces that re-run (EXEC regroups
-	// its batch); it runs outside the batch's route pin.
+	// keys route the operation: the leader re-runs it on the owning shard if
+	// a cutover moved them while it queued (nil pins it to the submitted
+	// shard). redo, when set, replaces that re-run (EXEC regroups its
+	// batch); it runs outside the batch's route pin.
 	keys [][]byte
 	redo func() string
-	// sp, when tracing, is the request's span; the commit loop stamps the
+	// sp, when tracing, is the request's span; the leader stamps the
 	// queue-drain, tx-start and psync-done boundaries on it before done.
 	sp *spanInfo
-	// done is set once the reply is final, then wake is signalled. A
-	// connection's Pendings share its writer's channel and count into its
-	// settled; a harness Submit has a channel of its own.
-	done    atomic.Bool
-	wake    chan struct{}
-	settled *atomic.Uint64
+	// q is the shard queue the operation was submitted to. done is set once
+	// the reply is final. wake belongs to the goroutine that waits for the
+	// operation: a connection's Pendings share its reader's channel, a
+	// harness Submit has a channel of its own.
+	q    *shardQueue
+	done atomic.Bool
+	wake chan struct{}
 }
 
-// pendingPool recycles the server's own Pendings: a connection's writer
-// returns one once it has taken the reply. Submit's are never recycled.
+// pendingPool recycles the server's own Pendings: a connection's reader
+// returns one once it has written the reply. Submit's are never recycled.
 var pendingPool = sync.Pool{New: func() any { return new(Pending) }}
 
 func newPending(op string, body bodyFunc) *Pending {
@@ -130,11 +138,11 @@ func (p *Pending) setKey(key, val []byte) {
 	p.keys = append(p.keys[:0], p.key, p.side)
 }
 
-// Wait blocks until the operation's durability round completed and returns
-// its reply line.
+// Wait returns the operation's reply once its durability round completed,
+// leading the shard's group commit itself whenever nobody else is.
 func (p *Pending) Wait() string {
-	for !p.done.Load() {
-		<-p.wake
+	if !p.done.Load() {
+		p.q.complete(p)
 	}
 	return p.text
 }
@@ -152,9 +160,6 @@ type GroupOptions struct {
 	// MaxBatch bounds operations per batch transaction (0 =
 	// DefaultGroupMaxBatch).
 	MaxBatch int
-	// Linger is how long a batch may wait for more operations after its
-	// first arrives (0 = commit immediately with whatever is queued).
-	Linger time.Duration
 	// Registry receives net_group_* metrics; nil keeps a private registry.
 	Registry *obs.Registry
 	// OnBatch, when non-nil, is called with a batch's membership BEFORE its
@@ -163,23 +168,19 @@ type GroupOptions struct {
 	OnBatch func(shard int, seq uint64, ops []*Pending)
 }
 
-// Committer is the group-commit scheduler: one commit loop per shard of the
-// store, each merging queued operations into shared durable transactions.
+// Committer is the group-commit scheduler: one queue and leader slot per
+// shard of the store, each merging queued operations into shared durable
+// transactions.
 type Committer struct {
 	st       *shard.Store
 	maxBatch int
-	linger   time.Duration
 	onBatch  func(int, uint64, []*Pending)
 	flight   bool // the store has flight recorders; stamp batch records
 
-	// qmu guards queues against growth: a SPLIT that adds a shard calls
-	// EnsureShards so writes routed to the new shard after cutover have a
-	// commit loop to land on.
+	// qmu guards queues against growth: a SPLIT adds a shard, and the first
+	// operation routed there adds its queue.
 	qmu    sync.RWMutex
-	queues []chan *Pending
-	closed bool
-	wg     sync.WaitGroup
-	once   sync.Once
+	queues []*shardQueue
 
 	batches    *obs.Counter
 	batchOps   *obs.Counter
@@ -189,7 +190,31 @@ type Committer struct {
 	ackNs      *obs.Histogram
 }
 
-// NewCommitter starts one commit loop per shard of st. Close stops them.
+// shardQueue is one shard's queue and leader slot.
+type shardQueue struct {
+	*Committer
+	sh int
+
+	mu     sync.Mutex
+	ops    []*Pending                 // queued, oldest first
+	busy   bool                       // the leader slot is held
+	parked map[chan struct{}]struct{} // goroutines waiting in complete
+
+	// lastConn is the connection of the last batch's first operation and
+	// otherConn the one before it that differed; yielding is set while an
+	// arrival gives the scheduler its one pass (see complete).
+	lastConn, otherConn uint64
+	yielding            bool
+
+	// The leader's state, used only by the slot's holder.
+	seq   uint64
+	spare []*Pending
+	keys  [][]byte
+	conns map[uint64]struct{}
+}
+
+// NewCommitter returns a committer over st's shards. It starts nothing:
+// every batch runs on a goroutine that waits for one of its operations.
 func NewCommitter(st *shard.Store, opts GroupOptions) *Committer {
 	reg := opts.Registry
 	if reg == nil {
@@ -202,10 +227,8 @@ func NewCommitter(st *shard.Store, opts GroupOptions) *Committer {
 	c := &Committer{
 		st:         st,
 		maxBatch:   maxBatch,
-		linger:     opts.Linger,
 		onBatch:    opts.OnBatch,
 		flight:     st.HasFlightRecorder(),
-		queues:     make([]chan *Pending, st.NumShards()),
 		batches:    reg.Counter("net_group_batch_total"),
 		batchOps:   reg.Counter("net_group_batch_ops_total"),
 		soloRuns:   reg.Counter("net_group_solo_total"),
@@ -213,35 +236,13 @@ func NewCommitter(st *shard.Store, opts GroupOptions) *Committer {
 		batchConns: reg.Histogram("net_group_batch_conns"),
 		ackNs:      reg.Histogram("net_ack_latency_ns"),
 	}
-	for i := range c.queues {
-		c.queues[i] = make(chan *Pending, 4*maxBatch)
-		c.wg.Add(1)
-		go c.loop(i, c.queues[i])
-	}
+	c.queue(st.NumShards() - 1)
 	return c
 }
 
-// EnsureShards grows the committer to at least n shard queues, starting a
-// commit loop per new shard. The server calls it when a SPLIT provisions a
-// shard, so writes that route there after the cutover have a loop to land
-// on; Submit also calls it defensively. No-op after Close.
-func (c *Committer) EnsureShards(n int) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	if c.closed {
-		return
-	}
-	for len(c.queues) < n {
-		q := make(chan *Pending, 4*c.maxBatch)
-		c.queues = append(c.queues, q)
-		c.wg.Add(1)
-		go c.loop(len(c.queues)-1, q)
-	}
-}
-
-// queue returns shard sh's channel, growing the queue set if a migration
+// queue returns shard sh's queue, adding queues up to sh if a migration
 // added shards since the committer started.
-func (c *Committer) queue(sh int) chan *Pending {
+func (c *Committer) queue(sh int) *shardQueue {
 	c.qmu.RLock()
 	if sh < len(c.queues) {
 		q := c.queues[sh]
@@ -249,128 +250,152 @@ func (c *Committer) queue(sh int) chan *Pending {
 		return q
 	}
 	c.qmu.RUnlock()
-	c.EnsureShards(sh + 1)
-	c.qmu.RLock()
-	defer c.qmu.RUnlock()
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	for len(c.queues) <= sh {
+		c.queues = append(c.queues, &shardQueue{Committer: c, sh: len(c.queues), parked: map[chan struct{}]struct{}{}})
+	}
 	return c.queues[sh]
 }
 
-// Submit enqueues fn for key's shard sh and returns its future. conn
+// Submit enqueues fn for key's shard sh and returns its future; the
+// operation commits no later than the first Wait on it or Close. conn
 // identifies the submitting connection (for the batch-fan-in histogram), op
 // labels error replies, tag rides along for harnesses. Operations of one
-// shard commit in submission order (the queue is FIFO and the loop drains it
-// in order), so a connection that submits its writes in request order gets
-// per-key ordering for free. Submit must not be called after Close.
+// shard commit in submission order (the queue is FIFO and every batch is a
+// prefix of it), so a connection that submits its writes in request order
+// gets per-key ordering for free.
 func (c *Committer) Submit(sh int, conn uint64, op string, tag any, fn OpFunc) *Pending {
 	return c.enqueue(sh, &Pending{op: op, conn: conn, tag: tag, wake: make(chan struct{}, 1),
 		body: func(_ *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) { return fn(tx, db) }})
 }
 
-// enqueue stamps p and queues it on shard sh. The span MUST be wired before
-// the channel send — the commit loop may pick the Pending up the instant it
-// is queued — and the send publishes the reader-side stamps to the loop.
+// enqueue stamps p and queues it on shard sh. The span is wired before the
+// queue's lock publishes p to a leader.
 func (c *Committer) enqueue(sh int, p *Pending) *Pending {
-	p.enq = time.Now()
+	q := c.queue(sh)
+	p.q, p.enq = q, time.Now()
 	if sp := p.sp; sp != nil {
 		sp.op, sp.parsed, sp.shard = p.op, p.enq, sh
 	}
-	c.queue(sh) <- p
+	q.mu.Lock()
+	q.ops = append(q.ops, p)
+	q.mu.Unlock()
 	return p
 }
 
-// Close drains every queue — all submitted operations still commit and
-// resolve — and stops the commit loops. Callers must stop Submitting first.
+// Close commits every operation still queued — submitted but never waited
+// on — and returns once no batch is running.
 func (c *Committer) Close() {
-	c.once.Do(func() {
-		c.qmu.Lock()
-		c.closed = true
-		for _, q := range c.queues {
-			close(q)
-		}
-		c.qmu.Unlock()
-	})
-	c.wg.Wait()
+	c.qmu.RLock()
+	queues := c.queues
+	c.qmu.RUnlock()
+	for _, q := range queues {
+		q.complete(nil)
+	}
 }
 
-// shardLoop is one shard's commit loop and the buffers it reuses from batch
-// to batch.
-type shardLoop struct {
-	*Committer
-	sh    int
-	seq   uint64
-	keys  [][]byte
-	wakes []chan struct{}
-	conns map[uint64]struct{}
-}
-
-// loop is shard sh's commit loop.
-func (c *Committer) loop(sh int, q chan *Pending) {
-	defer c.wg.Done()
-	l := &shardLoop{Committer: c, sh: sh}
-	batch := make([]*Pending, 0, c.maxBatch)
-	for first := range q {
-		stampDrain(first)
-		batch = append(batch[:0], first)
-		batch = c.drainInto(q, batch)
-		if c.linger > 0 && len(batch) < c.maxBatch {
-			t := time.NewTimer(c.linger)
-		linger:
-			for len(batch) < c.maxBatch {
-				select {
-				case p, ok := <-q:
-					if !ok {
-						break linger
-					}
-					stampDrain(p)
-					batch = append(batch, p)
-					batch = c.drainInto(q, batch)
-				case <-t.C:
-					break linger
-				}
+// complete runs the shard's group commit until p is done, or, with p nil,
+// until the queue is empty and no batch runs. The caller leads whenever the
+// slot is free and it is not finished; otherwise it parks until a batch
+// settles p or a leader leaves the slot free. Leaving, it wakes one parked
+// goroutine if nobody leads, so queued work never waits on a goroutine that
+// is not waiting for it.
+//
+// One exception to leading at once: when two connections take turns on the
+// shard — another connection's batch came last, the arrival's own before
+// it — the arrival that finds the slot free first gives the
+// scheduler one pass (runtime.Gosched, no timer), so an operation already
+// in flight from the other connection can queue and share the round. Two
+// depth-1 clients otherwise alternate one-operation rounds, each paying
+// the full per-round write-back. Only one arrival per shard yields at a
+// time; the others lead at once and take its operation along. Many
+// connections rarely take turns this way, so under fan-in nobody yields.
+func (q *shardQueue) complete(p *Pending) {
+	var wake chan struct{}
+	if p != nil {
+		wake = p.wake
+	} else {
+		wake = make(chan struct{}, 1)
+	}
+	waited := false // yielded or parked once already
+	q.mu.Lock()
+	for p == nil && (q.busy || len(q.ops) > 0) || p != nil && !p.done.Load() {
+		if !q.busy {
+			if !waited && p != nil && !q.yielding && p.conn == q.otherConn && p.conn != q.lastConn {
+				waited, q.yielding = true, true
+				q.mu.Unlock()
+				runtime.Gosched()
+				q.mu.Lock()
+				q.yielding = false
+				continue
 			}
-			t.Stop()
+			q.lead()
+			continue
 		}
-		l.seq++
-		l.commit(batch)
+		waited = true
+		q.parked[wake] = struct{}{}
+		q.mu.Unlock()
+		<-wake
+		q.mu.Lock()
+	}
+	if !q.busy {
+		for w := range q.parked {
+			q.unpark(w)
+			break
+		}
+	}
+	q.mu.Unlock()
+}
+
+// unpark wakes a parked goroutine. Caller holds q.mu.
+func (q *shardQueue) unpark(w chan struct{}) {
+	delete(q.parked, w)
+	select {
+	case w <- struct{}{}:
+	default: // a wake is already pending; the waiter rechecks either way
 	}
 }
 
-// stampDrain marks the moment an operation left its shard queue — the
-// queue_wait/batch_form boundary of its span. No-op (no clock read) when the
-// operation is untraced.
-func stampDrain(p *Pending) {
-	if p.sp != nil {
-		p.sp.drain = time.Now()
+// lead takes the slot and commits one batch: up to MaxBatch queued
+// operations, oldest first. Caller holds q.mu; lead releases it for the
+// commit and returns with it held and the slot free again.
+func (q *shardQueue) lead() {
+	batch := q.spare[:0]
+	if len(q.ops) <= q.maxBatch {
+		batch, q.ops = q.ops, batch
+	} else {
+		batch = append(batch, q.ops[:q.maxBatch]...)
+		n := copy(q.ops, q.ops[q.maxBatch:])
+		clear(q.ops[n:])
+		q.ops = q.ops[:n]
 	}
-}
-
-// drainInto appends queued operations without waiting, up to the batch
-// bound. Traced operations drained by one sweep share one drain timestamp.
-func (c *Committer) drainInto(q chan *Pending, batch []*Pending) []*Pending {
+	q.busy = true
+	q.mu.Unlock()
 	var now time.Time
-	for len(batch) < c.maxBatch {
-		select {
-		case p, ok := <-q:
-			if !ok {
-				return batch
+	for _, p := range batch {
+		if p.sp != nil {
+			if now.IsZero() {
+				now = time.Now()
 			}
-			if p.sp != nil {
-				if now.IsZero() {
-					now = time.Now()
-				}
-				p.sp.drain = now
-			}
-			batch = append(batch, p)
-		default:
-			return batch
+			p.sp.drain = now
 		}
 	}
-	return batch
+	q.seq++
+	batch = q.commit(batch)
+	q.mu.Lock()
+	if c := batch[0].conn; c != q.lastConn {
+		q.otherConn, q.lastConn = q.lastConn, c
+	}
+	q.settle(batch)
+	q.busy = false
+	clear(batch)
+	q.spare = batch[:0]
 }
 
-// commit runs one batch as a single durable shard transaction and releases
-// every member's reply after its psync. On a transaction-level error the
-// batch rolls back untouched and each operation re-runs solo.
+// commit runs one batch as a single durable shard transaction and returns
+// its members, reordered. On a transaction-level error the batch rolls back
+// untouched and each operation re-runs solo.
 //
 // Flight recording brackets the transaction: the BatchStart record is fenced
 // onto the shard's blackbox ring BEFORE the batch runs, and the BatchCommit
@@ -379,24 +404,24 @@ func (c *Committer) drainInto(q chan *Pending, batch []*Pending) []*Pending {
 //
 // commit also pins routing for the whole batch: a cutover can flip slot
 // ownership between an operation's submit and its drain, but not while the
-// write handle is held. Operations whose keys re-routed off sh while queued
-// are split out and re-run on their new shard after the batch, in queue
-// order, which preserves submission order per key — a key's queued
+// write handle is held. Operations whose keys re-routed off the shard while
+// queued are split out and re-run on their new shard after the batch, in
+// queue order, which preserves submission order per key — a key's queued
 // operations, reads included, either all still route here or all moved with
 // it. The batch settles as a whole, after the re-runs.
-func (l *shardLoop) commit(ops []*Pending) {
-	keys := l.keys[:0]
+func (q *shardQueue) commit(ops []*Pending) []*Pending {
+	keys := q.keys[:0]
 	for _, p := range ops {
 		keys = append(keys, p.keys...)
 	}
-	l.keys = keys
-	h := l.st.BeginWrite(keys...)
+	q.keys = keys
+	h := q.st.BeginWrite(keys...)
 	local := ops
 	var moved []*Pending
 	if len(keys) > 0 {
 		local = ops[:0]
 		for _, p := range ops {
-			if routedHere(h, p, l.sh) {
+			if routedHere(h, p, q.sh) {
 				local = append(local, p)
 			} else {
 				moved = append(moved, p)
@@ -404,24 +429,24 @@ func (l *shardLoop) commit(ops []*Pending) {
 		}
 	}
 	if len(local) > 0 {
-		l.commitLocal(h, local)
+		q.commitLocal(local)
 	}
 	h.Done()
 	// Re-runs go outside the handle: each takes its own route pin (and the
 	// cross-shard path takes the migration lock), which would deadlock
 	// against a cutover waiting on ours.
 	for _, p := range moved {
-		l.reroutes.Inc()
+		q.reroutes.Inc()
 		if p.redo != nil {
 			p.text = p.redo()
 		} else {
-			rh := l.st.BeginWrite(p.keys...)
-			l.runSolo(rh.Route(p.keys[0]), p)
+			rh := q.st.BeginWrite(p.keys...)
+			q.runSolo(rh.Route(p.keys[0]), p)
 			rh.Done()
 		}
 		stampDurable(p, time.Time{})
 	}
-	l.settle(append(local, moved...))
+	return append(local, moved...)
 }
 
 // routedHere reports whether p's keys all still route to sh under the
@@ -437,11 +462,11 @@ func routedHere(h *shard.WriteHandle, p *Pending, sh int) bool {
 
 // exec runs ops as one transaction on shard sh, storing each reply. A batch
 // of reads alone runs as a read transaction: it pays no durability round.
-func (l *shardLoop) exec(sh int, ops []*Pending) error {
-	run := l.st.View
+func (c *Committer) exec(sh int, ops []*Pending) error {
+	run := c.st.View
 	for _, p := range ops {
 		if !p.read {
-			run = l.st.Update
+			run = c.st.Update
 			break
 		}
 	}
@@ -459,22 +484,22 @@ func (l *shardLoop) exec(sh int, ops []*Pending) error {
 
 // runSolo runs one operation in its own transaction on shard sh, rendering
 // a transaction error as its reply.
-func (l *shardLoop) runSolo(sh int, p *Pending) {
-	if err := l.exec(sh, []*Pending{p}); err != nil {
+func (c *Committer) runSolo(sh int, p *Pending) {
+	if err := c.exec(sh, []*Pending{p}); err != nil {
 		p.text = renderOpError(p.op, err)
 	}
 }
 
-// commitLocal runs the batch members still routed to sh as one durable
-// shard transaction. Caller holds the batch's route pin.
-func (l *shardLoop) commitLocal(h *shard.WriteHandle, ops []*Pending) {
-	sh, seq := l.sh, l.seq
-	if l.onBatch != nil {
-		l.onBatch(sh, seq, ops)
+// commitLocal runs the batch members still routed to the shard as one
+// durable shard transaction. Caller holds the batch's route pin.
+func (q *shardQueue) commitLocal(ops []*Pending) {
+	sh, seq := q.sh, q.seq
+	if q.onBatch != nil {
+		q.onBatch(sh, seq, ops)
 	}
-	conns := l.distinctConns(ops)
-	if l.flight {
-		l.st.RecordFlight(sh, blackbox.Record{
+	conns := q.distinctConns(ops)
+	if q.flight {
+		q.st.RecordFlight(sh, blackbox.Record{
 			Kind:     blackbox.KindBatchStart,
 			BatchSeq: seq,
 			Req:      firstReq(ops),
@@ -491,13 +516,13 @@ func (l *shardLoop) commitLocal(h *shard.WriteHandle, ops []*Pending) {
 			p.sp.txStart = txStart
 		}
 	}
-	if err := l.exec(sh, ops); err != nil {
+	if err := q.exec(sh, ops); err != nil {
 		for _, p := range ops {
-			l.soloRuns.Inc()
-			l.runSolo(sh, p)
+			q.soloRuns.Inc()
+			q.runSolo(sh, p)
 			stampDurable(p, time.Time{})
 		}
-		l.flightCommit(sh, seq, len(ops))
+		q.flightCommit(sh, seq, len(ops))
 		return
 	}
 	var end time.Time
@@ -507,12 +532,12 @@ func (l *shardLoop) commitLocal(h *shard.WriteHandle, ops []*Pending) {
 		}
 		stampDurable(p, end)
 	}
-	l.batches.Inc()
-	l.batchOps.Add(uint64(len(ops)))
-	l.batchConns.Observe(uint64(conns))
+	q.batches.Inc()
+	q.batchOps.Add(uint64(len(ops)))
+	q.batchConns.Observe(uint64(conns))
 	// Commit record before reply release: once a client reads an ack, the
 	// batch's BatchCommit record is already on the ring.
-	l.flightCommit(sh, seq, len(ops))
+	q.flightCommit(sh, seq, len(ops))
 }
 
 // flightCommit records a batch's resolution (shared tx or solo re-runs) on
@@ -550,38 +575,22 @@ func firstReq(ops []*Pending) uint64 {
 	return 0
 }
 
-// settle publishes a batch's replies: stamps and counts first, then every
-// done flag, then one wake per distinct waiter. A connection's writer
-// recycles its Pending the moment it sees the flag, so the channels to wake
-// are collected before any flag is set and no Pending is read after its own.
-func (l *shardLoop) settle(ops []*Pending) {
+// settle publishes a batch's replies and wakes each parked owner once.
+// Caller holds q.mu. An owner that is not parked may recycle its Pending the
+// moment it sees the done flag, so nothing reads a Pending after setting it.
+func (q *shardQueue) settle(ops []*Pending) {
 	now := time.Now()
-	wakes := l.wakes[:0]
 	for _, p := range ops {
-		p.seq = l.seq
+		p.seq = q.seq
 		if p.sp != nil {
-			p.sp.batchSeq = l.seq
+			p.sp.batchSeq = q.seq
 		}
-		l.ackNs.Observe(uint64(now.Sub(p.enq)))
-		// Adjacent duplicates only: a second send to a channel is harmless.
-		if n := len(wakes); n == 0 || wakes[n-1] != p.wake {
-			wakes = append(wakes, p.wake)
+		q.ackNs.Observe(uint64(now.Sub(p.enq)))
+		if _, ok := q.parked[p.wake]; ok {
+			q.unpark(p.wake)
 		}
-		if p.settled != nil {
-			p.settled.Add(1)
-		}
-	}
-	for _, p := range ops {
 		p.done.Store(true)
 	}
-	for _, w := range wakes {
-		select {
-		case w <- struct{}{}:
-		default: // a wake is already pending; the waiter rechecks its flag
-		}
-	}
-	clear(wakes)
-	l.wakes = wakes[:0]
 }
 
 // GroupStats is the group-commit section of a STATS reply: cumulative batch
@@ -596,9 +605,10 @@ type GroupStats struct {
 	QueueDepth   []int   `json:"queue_depth"`
 }
 
-// Stats snapshots the committer for STATS replies. Queue depths are
-// instantaneous (the loops keep draining while we look).
+// Stats snapshots the committer for STATS replies, one queue depth per
+// shard. Depths are instantaneous (leaders keep draining while we look).
 func (c *Committer) Stats() GroupStats {
+	c.queue(c.st.NumShards() - 1)
 	c.qmu.RLock()
 	queues := c.queues
 	c.qmu.RUnlock()
@@ -613,22 +623,24 @@ func (c *Committer) Stats() GroupStats {
 		g.MeanBatchOps = float64(g.BatchOps) / float64(g.Batches)
 	}
 	for i, q := range queues {
-		g.QueueDepth[i] = len(q)
+		q.mu.Lock()
+		g.QueueDepth[i] = len(q.ops)
+		q.mu.Unlock()
 	}
 	return g
 }
 
 // distinctConns counts how many different connections a batch merged — the
 // cross-connection fan-in the group-commit design exists for.
-func (l *shardLoop) distinctConns(ops []*Pending) int {
-	if l.conns == nil {
-		l.conns = make(map[uint64]struct{})
+func (q *shardQueue) distinctConns(ops []*Pending) int {
+	if q.conns == nil {
+		q.conns = make(map[uint64]struct{})
 	}
-	clear(l.conns)
+	clear(q.conns)
 	for _, p := range ops {
-		l.conns[p.conn] = struct{}{}
+		q.conns[p.conn] = struct{}{}
 	}
-	return len(l.conns)
+	return len(q.conns)
 }
 
 // renderOpError turns a store error into its wire reply: a quarantined

@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/obs"
+	"repro/internal/ptm"
 	"repro/internal/shard"
 )
 
@@ -85,14 +87,56 @@ func TestPipelinedBurstInOrderReplies(t *testing.T) {
 	}
 }
 
-// TestPipelinedFlushCoalescing pins that the writer does NOT flush once per
-// reply: a burst whose writes all commit in one lingered group batch comes
+// holdShards occupies every shard's leader slot with a blocking operation
+// submitted through the committer, so operations queue up behind it until
+// the returned release runs. release returns once the holds committed.
+func holdShards(t *testing.T, srv *Server, st *shard.Store) (release func()) {
+	t.Helper()
+	rel := make(chan struct{})
+	var wg sync.WaitGroup
+	for sh := 0; sh < st.NumShards(); sh++ {
+		entered := make(chan struct{})
+		var once sync.Once
+		p := srv.GroupCommitter().Submit(sh, 0, "hold", nil, func(ptm.Tx, *kvstore.DB) (string, error) {
+			once.Do(func() { close(entered) })
+			<-rel
+			return "OK", nil
+		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Wait()
+		}()
+		<-entered
+	}
+	return func() {
+		close(rel)
+		wg.Wait()
+	}
+}
+
+// waitQueued waits, up to a deadline, until n operations sit in the
+// committer's queues.
+func waitQueued(srv *Server, n int) {
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		queued := 0
+		for _, d := range srv.GroupCommitter().Stats().QueueDepth {
+			queued += d
+		}
+		if queued >= n {
+			return
+		}
+	}
+}
+
+// TestPipelinedFlushCoalescing pins that the connection does NOT flush once
+// per reply: a burst whose writes all queue behind a held leader slot comes
 // back in far fewer flushes than replies.
 func TestPipelinedFlushCoalescing(t *testing.T) {
 	st := newTestStore(t)
 	defer st.Close()
 	reg := obs.NewRegistry()
-	srv, addr, done := startServerOpts(t, st, Options{Registry: reg, GroupLinger: 100 * time.Millisecond})
+	srv, addr, done := startServerOpts(t, st, Options{Registry: reg})
 
 	cl := dial(t, addr)
 	const n = 16
@@ -100,9 +144,12 @@ func TestPipelinedFlushCoalescing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&burst, "SET flushk%d v%d\n", i, i)
 	}
+	release := holdShards(t, srv, st)
 	if _, err := cl.c.Write([]byte(burst.String())); err != nil {
 		t.Fatal(err)
 	}
+	waitQueued(srv, n)
+	release()
 	for i, line := range readLines(t, cl.r, n) {
 		if line != "OK" {
 			t.Fatalf("reply %d: got %q, want OK", i, line)
@@ -134,7 +181,7 @@ func TestGroupCommitSharesDurabilityRounds(t *testing.T) {
 	}
 	defer st.Close()
 	reg := obs.NewRegistry()
-	srv, addr, done := startServerOpts(t, st, Options{Registry: reg, GroupLinger: 100 * time.Millisecond})
+	srv, addr, done := startServerOpts(t, st, Options{Registry: reg})
 
 	dev := st.Devices()[0] // single shard; the coordinator is last
 	fenceEvents := func() uint64 {
@@ -152,15 +199,16 @@ func TestGroupCommitSharesDurabilityRounds(t *testing.T) {
 		t.Fatal("solo SET recorded no fence events; cannot measure sharing")
 	}
 
-	// K concurrent SETs from K connections, released together. With a
-	// 100ms linger they must land in one or two shared batches, paying far
-	// fewer than K durability rounds.
+	// K concurrent SETs from K connections, queued behind a held leader slot
+	// and released together: they land in one or two shared batches, paying
+	// far fewer than K durability rounds.
 	const K = 8
 	clients := make([]*client, K)
 	for i := range clients {
 		clients[i] = dial(t, addr)
 		clients[i].must(t, "PING", "PONG")
 	}
+	release := holdShards(t, srv, st)
 	dev.ResetStats()
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -178,6 +226,8 @@ func TestGroupCommitSharesDurabilityRounds(t *testing.T) {
 		}(i, cl)
 	}
 	close(start)
+	waitQueued(srv, K)
+	release()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -318,7 +368,7 @@ func TestExpireTTLIncrSemantics(t *testing.T) {
 }
 
 // openShards opens a small in-memory store with n shards.
-func openShards(t *testing.T, n int) *shard.Store {
+func openShards(t testing.TB, n int) *shard.Store {
 	t.Helper()
 	st, err := shard.Open(shard.Options{Shards: n, RegionSize: 512 << 10, CoordSize: 64 << 10, Variant: core.RomLog})
 	if err != nil {
@@ -366,7 +416,7 @@ func TestPipelinedReadsSeeSequentialState(t *testing.T) {
 	}
 }
 
-// TestPipelinedReadRidesOneBatch is the stall test: with the commit loop
+// TestPipelinedReadRidesOneBatch is the stall test: with the leader slot
 // held, a burst of SET, GET, 14 more SETs on one shard queues whole and
 // commits as one 16-op batch. A reader that parks a GET until the writes
 // before it are durable splits the burst at the GET instead.
@@ -386,9 +436,8 @@ func TestPipelinedReadRidesOneBatch(t *testing.T) {
 	}})
 	addr, done := startServerWith(t, srv)
 	cl := dial(t, addr)
-	if _, err := cl.c.Write([]byte("SET hold 0\n")); err != nil {
-		t.Fatal(err)
-	}
+	hold := srv.committer.Submit(0, 0, "hold", nil, func(ptm.Tx, *kvstore.DB) (string, error) { return "OK", nil })
+	go hold.Wait()
 	<-entered
 	cmds := []string{"SET a 1", "GET a"}
 	for i := 0; i < 14; i++ {
@@ -401,8 +450,8 @@ func TestPipelinedReadRidesOneBatch(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
-	got := readLines(t, cl.r, 1+len(cmds))
-	if got[0] != "OK" || got[1] != "OK" || got[2] != "VALUE 1" {
+	got := readLines(t, cl.r, len(cmds))
+	if got[0] != "OK" || got[1] != "VALUE 1" {
 		t.Fatalf("replies %q", got)
 	}
 	if held, next := <-sizes, <-sizes; held != 1 || next != len(cmds) {
@@ -434,8 +483,9 @@ func TestPipelinedReadAcrossCutover(t *testing.T) {
 	}
 	early, late := keysOn("early", 32), keysOn("late", 32)
 
-	// Hold shard 0's loop outside its route pin: a re-routed op's re-run
-	// happens after the batch's handle is released, so the cutover can pass.
+	// Hold shard 0's leader slot outside its route pin: a re-routed op's
+	// re-run happens after the batch's handle is released, so the cutover
+	// can pass.
 	var other []byte
 	for i := 0; other == nil; i++ {
 		if k := []byte(fmt.Sprintf("other%d", i)); st.ShardFor(k) == 1 {
@@ -443,8 +493,9 @@ func TestPipelinedReadAcrossCutover(t *testing.T) {
 		}
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
-	srv.committer.enqueue(0, &Pending{op: "hold", body: noop, keys: [][]byte{other}, wake: make(chan struct{}, 1),
+	hold := srv.committer.enqueue(0, &Pending{op: "hold", keys: [][]byte{other}, wake: make(chan struct{}, 1),
 		redo: func() string { close(entered); <-release; return "OK" }})
+	go hold.Wait()
 	<-entered
 
 	cl := dial(t, addr)
@@ -462,7 +513,7 @@ func TestPipelinedReadAcrossCutover(t *testing.T) {
 	}
 	for deadline := time.Now().Add(5 * time.Second); srv.committer.Stats().QueueDepth[0] < len(cmds); {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %v, want %d queued behind the held loop", srv.committer.Stats().QueueDepth, len(cmds))
+			t.Fatalf("queue depth %v, want %d queued behind the held slot", srv.committer.Stats().QueueDepth, len(cmds))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -470,7 +521,6 @@ func TestPipelinedReadAcrossCutover(t *testing.T) {
 	if _, err := srv.driver.Begin(0, -1); err != nil {
 		t.Fatal(err)
 	}
-	srv.committer.EnsureShards(st.NumShards())
 	if err := srv.driver.Run(); err != nil {
 		t.Fatalf("split: %v", err)
 	}

@@ -14,25 +14,28 @@
 //
 // # Pipelining
 //
-// Each connection has a reader goroutine and a writer goroutine. The reader
-// parses request lines in place in its bufio.Reader, without copying them
-// out, and dispatches as many as the client has sent without waiting for
-// replies; the writer emits replies strictly in request order, coalescing
-// flushes (it flushes when its queue goes empty or before blocking on an
-// unfinished write, not per reply). Replies never interleave or reorder.
-// Reads observe the connection's own earlier writes without the reader
-// waiting: a GET/TTL behind this connection's unresolved writes on the
-// key's shard joins that shard's queue and executes after them, in commit
-// order (see Server.read).
+// Each connection is served by one goroutine that runs every request to
+// completion in bursts. It parses request lines in place in its
+// bufio.Reader, without copying them out: the first line of a burst may
+// block, and the burst then takes every further line the client has already
+// sent, up to pipelineDepth. It completes the burst's operations, writes the
+// replies strictly in request order and flushes once per burst, never once
+// per reply. Replies never interleave or reorder. Reads observe the
+// connection's own earlier writes: a GET/TTL behind this burst's queued
+// writes on the key's shard joins that shard's queue and executes after
+// them, in commit order (see Server.read).
 //
 // # Group commit
 //
-// SET/DEL/INCR/DECR/EXPIRE, single-shard EXEC and the reads above are
-// executed by the shard's Committer loop: operations from all connections
-// merge into one durable transaction per batch, and each reply is released
-// only after the psync of the batch containing it. Cross-shard EXEC waits
-// for this connection's queued operations, then runs the coordinator's
-// two-phase protocol synchronously (still durable before the reply).
+// SET/DEL/INCR/DECR/EXPIRE, single-shard EXEC and the reads above go
+// through the shard's Committer queue: operations from all connections merge
+// into one durable transaction per batch, and each reply is released only
+// after the psync of the batch containing it. The batch runs on whichever
+// goroutine first needs a result and finds the shard's leader slot free —
+// usually a connection's own reader, after it has queued its burst and
+// before it writes a byte (see group.go). Cross-shard EXEC first completes
+// this connection's queued operations, then runs the coordinator's
+// two-phase protocol inline (still durable before the reply).
 //
 // # Degraded mode
 //
@@ -54,7 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,9 +77,9 @@ const MaxLine = 1 << 20
 // DefaultMaxBatchOps bounds a MULTI queue when Options.MaxBatchOps is 0.
 const DefaultMaxBatchOps = 4096
 
-// pipelineDepth bounds the replies a connection may have in flight; a reader
-// that gets this far ahead of the writer blocks until replies drain, which
-// also bounds per-connection memory.
+// pipelineDepth caps the commands one burst parses before the connection
+// completes them and writes their replies, which bounds per-connection
+// memory.
 const pipelineDepth = 256
 
 // Options configure a Server.
@@ -97,10 +99,6 @@ type Options struct {
 	// GroupMaxBatch bounds one group-commit batch transaction (0 =
 	// DefaultGroupMaxBatch).
 	GroupMaxBatch int
-	// GroupLinger is how long a group-commit batch may wait for more
-	// operations after its first arrives (0 = commit immediately with
-	// whatever is queued — no added latency, batches still form under load).
-	GroupLinger time.Duration
 	// Now substitutes the clock used for EXPIRE/TTL deadlines (nil =
 	// time.Now). Tests inject it to cross expiry boundaries deterministically.
 	Now func() time.Time
@@ -155,8 +153,7 @@ type Server struct {
 	flushes     *obs.Counter
 }
 
-// New wraps st in a protocol server and starts its group-commit loops
-// (stopped by Shutdown).
+// New wraps st in a protocol server.
 func New(st *shard.Store, opts Options) *Server {
 	reg := opts.Registry
 	if reg == nil {
@@ -177,7 +174,6 @@ func New(st *shard.Store, opts Options) *Server {
 		st: st,
 		committer: NewCommitter(st, GroupOptions{
 			MaxBatch: opts.GroupMaxBatch,
-			Linger:   opts.GroupLinger,
 			Registry: reg,
 		}),
 		driver:      migrate.New(st, migrate.Options{}),
@@ -286,9 +282,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // Shutdown drains gracefully: the listener closes, blocked readers wake, and
 // every connection finishes the commands it has already parsed (their
 // replies flushed, writes durable) before closing. Connections still alive
-// when ctx expires are closed forcibly. Either way the group-commit loops
-// stop only after every connection is done, so no submitted write is
-// stranded.
+// when ctx expires are closed forcibly. Either way the committer drains
+// after every connection is done, so no submitted write is stranded.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drain.Store(true)
 	// An in-flight split rolls back if it has not cut over yet (the journal's
@@ -331,13 +326,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// spanInfo carries one request's phase timestamps from the reader goroutine
-// through the group-commit pipeline to the writer goroutine, which emits the
-// SpanEvents when the reply's flush completes (the true end of the request).
-// Stamping discipline: the reader owns t0/parsed, the commit loop owns
-// drain/txStart/durable (group.go), and the writer reads everything after
-// the Pending resolves — the done flag's store and load order those writes,
-// so no field needs atomics.
+// spanInfo carries one request's phase timestamps through the group commit;
+// the connection emits its SpanEvents when the reply's flush completes (the
+// true end of the request). Stamping discipline: the connection owns
+// t0/parsed, the batch's leader owns drain/txStart/durable (group.go), and
+// the connection reads everything after the Pending resolves — the done
+// flag's store and load order those writes, so no field needs atomics.
 type spanInfo struct {
 	req  uint64
 	conn uint64
@@ -345,7 +339,7 @@ type spanInfo struct {
 
 	t0      time.Time // reader picked the line off the socket
 	parsed  time.Time // dispatch done: enqueued (writes) or resolved (reads)
-	drain   time.Time // commit loop pulled the op off the shard queue
+	drain   time.Time // a leader took the op off the shard queue
 	txStart time.Time // the batch transaction containing the op began
 	durable time.Time // the batch's psync completed; reply releasable
 
@@ -354,16 +348,15 @@ type spanInfo struct {
 }
 
 // spanPool recycles spanInfos: one is taken per traced request and returned
-// by the writer after rendering, so tracing adds no steady-state heap churn
-// (which on small hosts costs more in GC assists than the tracing itself).
-// The render in flush is the last reference — the commit loop's stamps all
-// happen before the Pending's done flag is set, and the writer renders only
-// after.
+// after rendering, so tracing adds no steady-state heap churn (which on
+// small hosts costs more in GC assists than the tracing itself). The render
+// at the flush is the last reference — the leader's stamps all happen before
+// the Pending's done flag is set, and the connection renders only after.
 var spanPool = sync.Pool{New: func() any { return new(spanInfo) }}
 
-// renderSpan appends one request's phases to evs, which the flusher hands to
-// the recorder in one EmitBatch. end is the flush timestamp that closed the
-// request. Phase boundaries that never happened (reads and immediate errors
+// renderSpan appends one request's phases to evs, which the connection
+// hands to the recorder in one EmitBatch per flush. end is the flush
+// timestamp that closed the request. Phase boundaries that never happened (reads and immediate errors
 // skip the queue) emit nothing; clock granularity can legally yield
 // zero-length phases, which still emit.
 func renderSpan(evs []obs.SpanEvent, sp *spanInfo, end time.Time) []obs.SpanEvent {
@@ -409,59 +402,45 @@ type token struct {
 
 func imm(text string) token { return token{text: text} }
 
-// connState is the reader goroutine's per-connection state.
+// connState is one connection's state.
 type connState struct {
 	id    uint64
 	multi *kvstore.Batch
 	// cur is the span of the command currently being dispatched (nil when
-	// tracing is off); submit hands it to the Pending so the commit loop can
+	// tracing is off); submit hands it to the Pending so the leader can
 	// stamp the queue/batch/psync boundaries.
 	cur *spanInfo
-	// wake is the writer goroutine's wake-up, signalled by the commit loops
-	// after they resolve any of this connection's operations.
+	// wake is the channel the connection parks on while another goroutine
+	// leads the batch carrying its operation.
 	wake chan struct{}
-	// sent counts operations this connection queued and settled those the
-	// commit loops resolved, so sent == settled means none is in flight.
-	// shards lists the shards queued to since that was last true.
-	sent    uint64
-	settled atomic.Uint64
-	shards  []int
+	// toks are the burst's replies in request order. queued is the shard
+	// every operation of the burst not yet completed went to: -1 none, -2
+	// more than one.
+	toks   []token
+	queued int
+	evs    []obs.SpanEvent // reused span render buffer
 }
 
-// idle reports whether nothing is in flight, forgetting the old shards if so.
-func (st *connState) idle() bool {
-	if st.settled.Load() != st.sent {
-		return false
-	}
-	st.shards = st.shards[:0]
-	return true
-}
-
-// barrier waits until every operation of this connection in flight is
-// resolved — for a read that queue order cannot place, and for cross-shard
-// EXEC. It queues a no-op behind them on each shard they went to: queues
-// are FIFO, and a batch settles all its members at once, re-routed ones
-// included.
-func (st *connState) barrier(c *Committer) {
-	if st.idle() {
-		return
-	}
-	for _, sh := range st.shards {
-		c.enqueue(sh, &Pending{op: "barrier", read: true, body: noop, wake: make(chan struct{}, 1)}).Wait()
-	}
-	st.shards = st.shards[:0]
-}
-
-func noop(*cmd, ptm.Tx, *kvstore.DB) (string, error) { return "", nil }
-
-// submit queues p on shard sh's commit loop as this connection's operation.
+// submit queues p on shard sh as this connection's operation.
 func (s *Server) submit(st *connState, sh int, p *Pending) token {
-	if st.idle() || !slices.Contains(st.shards, sh) {
-		st.shards = append(st.shards, sh)
+	if st.queued == -1 {
+		st.queued = sh
+	} else if st.queued != sh {
+		st.queued = -2
 	}
-	st.sent++
-	p.conn, p.sp, p.wake, p.settled = st.id, st.cur, st.wake, &st.settled
+	p.conn, p.sp, p.wake = st.id, st.cur, st.wake
 	return token{p: s.committer.enqueue(sh, p)}
+}
+
+// complete finishes every operation the burst has queued so far — for a
+// read that queue order cannot place, and for cross-shard EXEC.
+func (st *connState) complete() {
+	for _, t := range st.toks {
+		if t.p != nil {
+			t.p.Wait()
+		}
+	}
+	st.queued = -1
 }
 
 // readLine returns the next request line without its "\n", valid until the
@@ -487,8 +466,8 @@ func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 	return line, err
 }
 
-// handle runs a connection's reader loop; replies flow through the writer
-// goroutine so the reader can keep parsing ahead (pipelining).
+// handle serves a connection, one burst at a time: parse every command the
+// client has sent (pipelining), complete them, reply.
 func (s *Server) handle(c net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -498,44 +477,32 @@ func (s *Server) handle(c net.Conn) {
 		s.connsActive.Add(-1)
 		s.wg.Done()
 	}()
-	tokens := make(chan token, pipelineDepth)
-	wdone := make(chan struct{})
-	st := &connState{id: s.connSeq.Add(1), wake: make(chan struct{}, 1)}
-	go s.writeReplies(c, tokens, wdone)
-
-	r := bufio.NewReader(c)
+	st := &connState{id: s.connSeq.Add(1), wake: make(chan struct{}, 1), queued: -1}
+	r, w := bufio.NewReader(c), bufio.NewWriter(c)
 	var long []byte
-	for !s.drain.Load() {
+	for quit := false; !quit && !s.drain.Load(); {
 		if s.idleTimeout > 0 {
-			// Re-arm before every read; a drain overrides with an immediate
+			// Re-arm before every burst; a drain overrides with an immediate
 			// deadline and is re-checked above either way.
 			c.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		line, err := readLine(r, &long)
-		if line = bytes.TrimRight(line, "\r"); len(line) > 0 {
-			if s.spans != nil {
-				sp := spanPool.Get().(*spanInfo)
-				*sp = spanInfo{req: s.reqSeq.Add(1), conn: st.id, t0: time.Now(), shard: -1}
-				st.cur = sp
+		var err error
+		for len(st.toks) < pipelineDepth {
+			var line []byte
+			line, err = readLine(r, &long)
+			if line = bytes.TrimRight(line, "\r"); len(line) > 0 {
+				var tok token
+				tok, quit = s.dispatchTraced(line, st)
+				st.toks = append(st.toks, tok)
 			}
-			tok, quit := s.dispatch(line, st)
-			if sp := st.cur; sp != nil {
-				st.cur = nil
-				if sp.parsed.IsZero() {
-					// Immediate reply (direct read, protocol error, MULTI
-					// bookkeeping): dispatch resolved it right here.
-					sp.parsed = time.Now()
-				}
-				if sp.op == "" {
-					verb, _, _ := bytes.Cut(line, []byte{' '})
-					sp.op = strings.ToUpper(string(verb))
-				}
-				tok.sp = sp
-			}
-			tokens <- tok
-			if quit {
+			// A buffered partial line is one the client is still sending, so
+			// the burst waits for its end. A drain parses nothing more.
+			if err != nil || quit || r.Buffered() == 0 || s.drain.Load() {
 				break
 			}
+		}
+		if !s.reply(w, st) {
+			return
 		}
 		if err != nil {
 			// EOF, an idle or drain-induced deadline, an oversized line or a
@@ -544,80 +511,76 @@ func (s *Server) handle(c net.Conn) {
 			if !s.drain.Load() && errors.As(err, &ne) && ne.Timeout() {
 				s.idleClosed.Inc()
 			}
-			break
+			return
 		}
 	}
-	// No more tokens; let the writer drain and flush what was parsed, then
-	// close the socket (the deferred Close runs after wdone).
-	close(tokens)
-	<-wdone
 }
 
-// writeReplies is a connection's writer goroutine: it resolves reply tokens
-// strictly in request order and coalesces flushes — one flush per drained
-// burst (when its queue goes empty) and one before blocking on a write that
-// has not committed yet, never one per reply.
-func (s *Server) writeReplies(c net.Conn, tokens <-chan token, wdone chan<- struct{}) {
-	defer close(wdone)
-	w := bufio.NewWriter(c)
-	dead := false  // the socket failed; keep draining tokens without writing
-	dirty := false // unflushed replies are buffered
-	var spans []*spanInfo
-	var evs []obs.SpanEvent // reused render buffer, one EmitBatch per flush
-	flush := func() {
-		if dirty && !dead {
-			s.flushes.Inc()
-			if w.Flush() != nil {
-				dead = true
-				c.Close() // wake the reader; the connection is useless now
-			}
-		}
-		dirty = false
-		if len(spans) > 0 {
-			// One flush timestamp closes every span whose reply it carried;
-			// emitted even on a dead socket (the work still happened).
-			end := time.Now()
-			for _, sp := range spans {
-				evs = renderSpan(evs, sp, end)
-				spanPool.Put(sp)
-			}
-			s.spans.EmitBatch(evs)
-			evs = evs[:0]
-			spans = spans[:0]
-		}
+// dispatchTraced dispatches one command, opening and closing its span's
+// parse phase when tracing.
+func (s *Server) dispatchTraced(line []byte, st *connState) (token, bool) {
+	if s.spans == nil {
+		return s.dispatch(line, st)
 	}
-	for tok := range tokens {
+	sp := spanPool.Get().(*spanInfo)
+	*sp = spanInfo{req: s.reqSeq.Add(1), conn: st.id, t0: time.Now(), shard: -1}
+	st.cur = sp
+	tok, quit := s.dispatch(line, st)
+	st.cur = nil
+	if sp.parsed.IsZero() {
+		// Immediate reply (direct read, protocol error, MULTI bookkeeping):
+		// dispatch resolved it right here.
+		sp.parsed = time.Now()
+	}
+	if sp.op == "" {
+		verb, _, _ := bytes.Cut(line, []byte{' '})
+		sp.op = strings.ToUpper(string(verb))
+	}
+	tok.sp = sp
+	return tok, quit
+}
+
+// reply completes the burst, writes its replies in request order and
+// flushes once, then emits the burst's spans. It reports false once the
+// socket failed. Only this goroutine writes the socket, and never while it
+// leads a batch: Wait returns only after the slot is free again.
+func (s *Server) reply(w *bufio.Writer, st *connState) bool {
+	if len(st.toks) == 0 {
+		return true
+	}
+	for _, tok := range st.toks {
 		text := tok.text
 		if p := tok.p; p != nil {
-			if !p.done.Load() {
-				// Don't sit on replies the client could read while we block.
-				flush()
-			}
 			text = p.Wait()
 			p.release()
 		}
-		if !dead {
-			w.WriteString(text)
-			if err := w.WriteByte('\n'); err != nil {
-				dead = true
-				c.Close()
-			}
-			dirty = true
-		}
-		if tok.sp != nil {
-			spans = append(spans, tok.sp)
-		}
-		if len(tokens) == 0 {
-			flush()
-		}
+		// A write error sticks in w; the operations still complete.
+		w.WriteString(text)
+		w.WriteByte('\n')
 	}
-	flush()
+	s.flushes.Inc()
+	ok := w.Flush() == nil
+	if s.spans != nil {
+		// One flush timestamp closes every span whose reply it carried;
+		// emitted even on a dead socket (the work still happened).
+		end := time.Now()
+		evs := st.evs[:0]
+		for _, tok := range st.toks {
+			evs = renderSpan(evs, tok.sp, end)
+			spanPool.Put(tok.sp)
+		}
+		s.spans.EmitBatch(evs)
+		st.evs = evs[:0]
+	}
+	clear(st.toks)
+	st.toks, st.queued = st.toks[:0], -1
+	return ok
 }
 
 // dispatch executes one command line, returning its reply token and whether
 // the connection should close. Immediate commands (reads, protocol errors,
-// MULTI queueing) resolve here; writes return futures resolved by the
-// group-commit loops. The verb is matched ASCII case-insensitively without
+// MULTI queueing) resolve here; writes return futures the group commit
+// resolves. The verb is matched ASCII case-insensitively without
 // copying the line.
 func (s *Server) dispatch(line []byte, st *connState) (token, bool) {
 	verb, rest, _ := bytes.Cut(line, []byte{' '})
@@ -802,9 +765,6 @@ func (s *Server) startSplit(src int) string {
 		}
 		return s.errf("split: %v", err)
 	}
-	// The new shard needs a commit loop before any write routes to it at
-	// cutover.
-	s.committer.EnsureShards(s.st.NumShards())
 	s.splitWG.Add(1)
 	go func() {
 		defer s.splitWG.Done()
@@ -815,22 +775,22 @@ func (s *Server) startSplit(src int) string {
 	return "OK " + strconv.Itoa(dst)
 }
 
-// read serves GET/TTL. With none of this connection's operations in flight
-// it reads right here (ViewKey: one read transaction, wait-free even across
-// a cutover). With all of them queued on the key's own shard it joins that
+// read serves GET/TTL. With none of the burst's operations queued it reads
+// right here (ViewKey: one read transaction, wait-free even across a
+// cutover). With all of them queued on the key's own shard it joins that
 // queue: it executes at its queue position inside the batch transaction and
-// replies after the batch's psync, so the reader goroutine never waits.
-// Anything else — operations in flight on another shard, which a split
-// cutover can cause — waits for the barrier first.
+// replies with the batch, so the burst is not split. Anything else —
+// operations queued on another shard, which a split cutover can cause —
+// completes them first.
 func (s *Server) read(st *connState, key []byte, op string, body bodyFunc) token {
 	p := newPending(op, body)
 	p.setKey(key, nil)
 	p.read, p.at = true, s.now()
-	if !st.idle() {
-		if sh := s.st.ShardFor(key); len(st.shards) == 1 && st.shards[0] == sh {
+	if st.queued != -1 {
+		if sh := s.st.ShardFor(key); st.queued == sh {
 			return s.submit(st, sh, p)
 		}
-		st.barrier(s.committer)
+		st.complete()
 	}
 	err := s.st.ViewKey(p.key, func(tx ptm.Tx, db *kvstore.DB) (err error) {
 		p.text, err = p.body(&p.cmd, tx, db)
@@ -860,10 +820,10 @@ func (s *Server) queueMulti(st *connState, del bool, key, val []byte) (token, bo
 }
 
 // execMulti commits a MULTI batch: single-shard batches ride the shard's
-// group-commit loop (sharing a durability round with other connections);
-// cross-shard batches run the coordinator's two-phase protocol
-// synchronously, after a barrier so they order after this connection's
-// queued writes.
+// group-commit queue (sharing a durability round with other connections);
+// cross-shard batches run the coordinator's two-phase protocol inline,
+// after completing the burst's queued operations so they order after this
+// connection's earlier writes.
 func (s *Server) execMulti(st *connState, b *kvstore.Batch) token {
 	n := b.Len()
 	if n == 0 {
@@ -909,7 +869,7 @@ func (s *Server) execMulti(st *connState, b *kvstore.Batch) token {
 		}
 		return s.submit(st, only, p)
 	}
-	st.barrier(s.committer)
+	st.complete()
 	if err := s.st.Write(ex); err != nil {
 		return imm(s.opReply("exec", err))
 	}

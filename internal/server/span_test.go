@@ -73,7 +73,7 @@ func TestSpanTimeline(t *testing.T) {
 	if line, err := cl.r.ReadString('\n'); err != nil || strings.TrimSpace(line) != "VALUE v0" {
 		t.Fatalf("GET reply %q (err %v)", line, err)
 	}
-	// The writer goroutine emits a request's spans only after the flush that
+	// The connection emits a request's spans only after the flush that
 	// carried its reply returns, so a reply in hand does not mean the spans
 	// are recorded yet; a drained server has emitted everything.
 	shutdown(t, srv, done)
@@ -173,7 +173,7 @@ func TestCommitterFlightRecords(t *testing.T) {
 
 	cl := dial(t, addr)
 	cl.must(t, "SET fk fv", "OK")
-	// Quiesce the commit loops before reading the ring directly (Inspect
+	// Quiesce the server before reading the ring directly (Inspect
 	// bypasses the store's writer mutex).
 	shutdown(t, srv, done)
 

@@ -213,7 +213,6 @@ func TestPlacementStatusNotAheadOfSlotMap(t *testing.T) {
 	if _, err := srv.driver.Begin(0, -1); err != nil {
 		t.Fatal(err)
 	}
-	srv.committer.EnsureShards(st.NumShards())
 	ran := make(chan error, 1)
 	go func() { ran <- srv.driver.Run() }()
 	<-gt.entered

@@ -427,14 +427,15 @@ func encodeOps(groups []*kvstore.Batch) []byte {
 }
 
 // decodeOps reverses encodeOps, validating every bound against the payload
-// length and shard count.
+// length and shard count. It accepts only what encodeOps writes: ops
+// grouped by ascending shard, deletes without a value, no trailing bytes.
 func decodeOps(payload []byte, nShards int) ([]*kvstore.Batch, error) {
 	le := binary.LittleEndian
 	if len(payload) < 4 {
 		return nil, errors.New("payload truncated before op count")
 	}
 	n := int(le.Uint32(payload))
-	pos := 4
+	pos, prev := 4, 0
 	groups := make([]*kvstore.Batch, nShards)
 	for op := 0; op < n; op++ {
 		if pos+13 > len(payload) {
@@ -445,10 +446,14 @@ func decodeOps(payload []byte, nShards int) ([]*kvstore.Batch, error) {
 		klen := int(le.Uint32(payload[pos+5:]))
 		vlen := int(le.Uint32(payload[pos+9:]))
 		pos += 13
-		if sh >= nShards {
-			return nil, fmt.Errorf("op %d routes to shard %d of %d", op, sh, nShards)
+		if sh >= nShards || sh < prev {
+			return nil, fmt.Errorf("op %d routes to shard %d of %d after shard %d", op, sh, nShards, prev)
 		}
-		if del > 1 || klen < 0 || vlen < 0 || pos+klen+vlen > len(payload) {
+		prev = sh
+		if del > 1 || del == 1 && vlen != 0 {
+			return nil, fmt.Errorf("op %d: malformed delete flag %d with %dB value", op, del, vlen)
+		}
+		if klen < 0 || vlen < 0 || pos+klen+vlen > len(payload) {
 			return nil, fmt.Errorf("payload truncated in op %d body", op)
 		}
 		key := payload[pos : pos+klen]
@@ -462,6 +467,9 @@ func decodeOps(payload []byte, nShards int) ([]*kvstore.Batch, error) {
 		} else {
 			groups[sh].Put(key, val)
 		}
+	}
+	if pos != len(payload) {
+		return nil, fmt.Errorf("%d bytes past op %d", len(payload)-pos, n)
 	}
 	return groups, nil
 }

@@ -245,14 +245,6 @@ func (s *Store) ViewKey(key []byte, fn func(tx ptm.Tx, db *kvstore.DB) error) er
 	})
 }
 
-// slotsPerShard resolves the configured placement granularity.
-func (s *Store) slotsPerShard() int {
-	if s.opts.SlotsPerShard > 0 {
-		return s.opts.SlotsPerShard
-	}
-	return migrate.DefaultSlotsPerShard
-}
-
 // placementArea returns the reserved record area at the coordinator tail.
 func (c *coordinator) placementArea() (base, size int) {
 	return c.dev.Size() - placementReserve, placementReserve
@@ -310,7 +302,7 @@ func (s *Store) initPlacement() error {
 	pl := migrate.ReadRecord(s.coord.dev, base, size)
 	n := len(s.parts())
 	if pl == nil {
-		pl = migrate.Identity(n, s.slotsPerShard())
+		pl = migrate.Identity(n, migrate.DefaultSlotsPerShard)
 		if err := s.publishPlacement(pl); err != nil {
 			return fmt.Errorf("shard: publishing initial placement: %w", err)
 		}

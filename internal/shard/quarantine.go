@@ -17,7 +17,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -68,11 +67,16 @@ func (s *Store) quarantine(i int, cause error) {
 	p.mu.Unlock()
 }
 
+// faultRetries bounds per-operation retries on a media fault before the
+// fault is treated as permanent: one is enough for the device's transient
+// faults, which self-clear after one trip.
+const faultRetries = 1
+
 // onShard runs op against shard i under the shard's read lock, translating
-// media faults into quarantine: transient faults are retried up to
-// Options.FaultRetries times (with FaultRetryBackoff doubling per attempt),
-// and a fault that survives the retries quarantines the shard (when
-// Options.QuarantineFaults) and returns the typed *UnavailError.
+// media faults into quarantine: a transient fault is retried at once, up to
+// faultRetries times, and a fault that survives the retries quarantines the
+// shard (when Options.QuarantineFaults) and returns the typed
+// *UnavailError.
 func (s *Store) onShard(i int, op func(p *shardPart) error) error {
 	p := s.parts()[i]
 	for attempt := 0; ; attempt++ {
@@ -90,11 +94,8 @@ func (s *Store) onShard(i int, op func(p *shardPart) error) error {
 			return err
 		}
 		s.faultMedia.Inc()
-		if attempt < s.opts.FaultRetries {
+		if attempt < faultRetries {
 			s.faultRetry.Inc()
-			if d := s.opts.FaultRetryBackoff; d > 0 {
-				time.Sleep(d << attempt)
-			}
 			continue
 		}
 		if s.opts.QuarantineFaults {

@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/blackbox"
@@ -71,11 +70,6 @@ type Options struct {
 	// runtime; the durable placement map keeps routing consistent across
 	// restarts either way.
 	Shards int
-	// SlotsPerShard sets the placement granularity for a freshly created
-	// store: the slot count is Shards × SlotsPerShard, fixed for the
-	// store's lifetime (default migrate.DefaultSlotsPerShard). More slots
-	// mean finer split boundaries at slightly larger placement records.
-	SlotsPerShard int
 	// RegionSize is the persistent heap size per twin copy per shard
 	// (default 4 MiB).
 	RegionSize int
@@ -114,14 +108,6 @@ type Options struct {
 	// *UnavailError while healthy shards keep serving — instead of failing
 	// the whole store. Scrub re-formats and readmits a quarantined shard.
 	QuarantineFaults bool
-	// FaultRetries bounds per-operation retries on a media fault before the
-	// fault is treated as permanent (default 1 — enough for the device's
-	// transient faults, which self-clear after one trip). Negative disables
-	// retries.
-	FaultRetries int
-	// FaultRetryBackoff is the sleep before the first retry, doubling per
-	// attempt (default 0: retry immediately).
-	FaultRetryBackoff time.Duration
 	// Blackbox, when true, reserves a small tail of each shard's device
 	// (blackbox.DefaultSize) for a crash-surviving flight recorder: the
 	// group committer records batch starts and durable points there, and
@@ -143,11 +129,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.CoordSize < 4*placementReserve {
 		o.CoordSize = 4 * placementReserve
-	}
-	if o.FaultRetries == 0 {
-		o.FaultRetries = 1
-	} else if o.FaultRetries < 0 {
-		o.FaultRetries = 0
 	}
 }
 
