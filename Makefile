@@ -1,13 +1,13 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-scale tools experiments crashtest crashtest-short crashtest-batch shardtest grouptest faulttest replicatetest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
+.PHONY: all build test race bench bench-scale tools experiments crashtest crashtest-short roundtest shardtest faulttest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
 
 all: build test
 
 build:
 	go build ./...
 
-test: crashtest-short shardtest grouptest faulttest replicatetest migratetest audit obstest pathtest flakecheck docs-check
+test: crashtest-short roundtest shardtest faulttest migratetest audit obstest pathtest flakecheck docs-check
 	go test ./...
 
 # Documentation hygiene: vet, formatting, and Markdown link integrity.
@@ -55,11 +55,6 @@ experiments: tools
 crashtest: tools
 	./bin/romulus-crashtest -rounds 2000 -chain 3 -engines all -threads 4
 
-# Combined-batch crash campaign: crashes aimed inside flat-combined
-# durability rounds; recovery must expose every batch all-or-nothing.
-crashtest-batch: tools
-	./bin/romulus-crashtest -scenario batch -rounds 1000 -chain 2 -threads 4 -txs 12 -audit
-
 # Quick crash-chain pass under the race detector; part of `make test`.
 crashtest-short:
 	go run -race ./cmd/romulus-crashtest -seed 1 -rounds 250 -chain 3 -engines all -threads 4
@@ -70,13 +65,15 @@ crashtest-short:
 shardtest:
 	go run -race ./cmd/romulus-crashtest -scenario xshard -audit -seed 1 -rounds 120 -chain 2 -shards 3 -keys 64 -txs 12
 
-# Network group-commit crash campaign under the race detector: concurrent
-# pipelined connections share durability rounds through the server's group
-# committer; crashes inside those rounds must lose no acknowledged write and
-# never split a batch (docs/PROTOCOL.md durability contract). Part of
-# `make test`.
-grouptest:
-	go run -race ./cmd/romulus-crashtest -scenario group -audit -seed 1 -rounds 150 -chain 2 -threads 6
+# Durability-round crash campaign under the race detector: crashes aimed
+# uniformly, or into the back copy just past a commit's durable point, inside
+# rounds the flat combiner formed (rom = Algorithm 1, romlog, romlr) and
+# rounds the server's group committer formed over a flight-recorded shard
+# (group-romlog, group-romlr). Each round must be all-or-nothing, durable in
+# commit order, and lose no acknowledged write (DESIGN.md "Crash campaigns",
+# docs/PROTOCOL.md durability contract). Part of `make test`.
+roundtest:
+	go run -race ./cmd/romulus-crashtest -scenario rounds -audit -seed 1 -rounds 150 -chain 2
 
 # Media-fault torture under the race detector: each round chains a torn
 # crash, bit rot and sticky/transient media faults through recovery for
@@ -84,14 +81,6 @@ grouptest:
 # corrupt-and-served (docs/FAULTS.md). Part of `make test`.
 faulttest:
 	go run -race ./cmd/romulus-crashtest -scenario faults -audit -seed 1 -rounds 60 -keys 64 -txs 12
-
-# Mid-replicate crash campaign under the race detector: crashes armed a few
-# persistence events past a random commit's durable point land inside
-# dirty-range (or full-copy) replication; recovered lanes must replay each
-# worker's surviving operation prefix exactly (DESIGN.md dirty-extent
-# tracking). Part of `make test`.
-replicatetest:
-	go run -race ./cmd/romulus-crashtest -scenario replicate -audit -seed 1 -rounds 150 -chain 2 -threads 2
 
 # Mid-migration crash campaign under the race detector: crashes land inside
 # the copy, cutover and cleanup phases of an online shard split — and inside
@@ -139,6 +128,7 @@ fuzz:
 	go test -fuzz FuzzAllocFree -fuzztime 60s ./internal/alloc
 	go test -fuzz FuzzServeLines -fuzztime 60s ./internal/server
 	go test -fuzz FuzzCrashRecovery -fuzztime 60s ./internal/core
+	go test -fuzz FuzzEngineOpen -fuzztime 60s ./internal/core
 	go test -fuzz FuzzPlacementSlot -fuzztime 60s ./internal/migrate
 	go test -fuzz FuzzDecodeOps -fuzztime 60s ./internal/shard
 	go test -fuzz FuzzBlackboxDecode -fuzztime 60s ./internal/blackbox

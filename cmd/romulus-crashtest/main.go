@@ -7,6 +7,7 @@
 // under test and what is validated (DESIGN.md, "Crash campaigns"):
 //
 //	romulus-crashtest -rounds 2000 -chain 3 -threads 4           # six engines, map workload
+//	romulus-crashtest -scenario rounds -audit -rounds 150 -chain 2  # combined and group-committed rounds
 //	romulus-crashtest -scenario xshard -audit -rounds 120 -chain 2 -shards 3
 //
 // Failures print a JSON record with the scenario, campaign seed, round seed,
@@ -54,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&cfg.Scenario, "scenario", "crash", "campaign: "+strings.Join(crashtest.ScenarioNames(), "|"))
 	fs.IntVar(&cfg.Rounds, "rounds", 1000, "crash/recover cycles per engine")
 	fs.Int64Var(&cfg.Seed, "seed", time.Now().UnixNano(), "campaign seed (printed for reproduction)")
-	fs.IntVar(&cfg.Workers, "threads", 0, "Workers: workload goroutines, or connections for group (0 = scenario default; engines that cannot share the device use 1)")
+	fs.IntVar(&cfg.Workers, "threads", 0, "Workers: workload goroutines, or connections for the group-* subjects of rounds (0 = scenario default; engines that cannot share the device use 1)")
 	fs.IntVar(&cfg.Ops, "txs", 0, "Ops: max operations per worker before each crash (0 = scenario default)")
 	fs.IntVar(&cfg.Keys, "keys", 0, "Keys: keyspace size (0 = scenario default)")
 	fs.IntVar(&cfg.Shards, "shards", 0, "Shards: shard count, before the split for migrate (0 = scenario default)")
@@ -119,7 +120,7 @@ func printText(out io.Writer, cfg crashtest.Config, reports []crashtest.Report) 
 		for i, c := range r.Census {
 			counts[i] = fmt.Sprintf("%s %d", c.Name, c.N)
 		}
-		fmt.Fprintf(out, "%-9s %6d rounds, %d workers — %s\n", r.Engine, r.Rounds, r.Workers, strings.Join(counts, ", "))
+		fmt.Fprintf(out, "%-12s %6d rounds, %d workers — %s\n", r.Engine, r.Rounds, r.Workers, strings.Join(counts, ", "))
 		if cfg.Audit {
 			w := r.AuditWaste
 			fmt.Fprintf(out, "          audit: %d violations; waste: %d clean pwbs, %d requeued pwbs, "+

@@ -17,9 +17,8 @@
 // failing recovery.
 //
 // Concurrency: a Recorder has a single writer at a time. The shard layer
-// serializes appends with the per-shard raw-device writers' mutex
-// (shard.Store.RecordFlight) because pmem.Device's mutation path is
-// unsynchronized by design.
+// appends under the shard engine's writer lock (shard.Store.RecordFlight)
+// because pmem.Device's mutation path is unsynchronized by design.
 package blackbox
 
 import (

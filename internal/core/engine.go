@@ -153,7 +153,8 @@ type Engine struct {
 var _ ptm.PTM = (*Engine)(nil)
 
 // ErrRegionMismatch is returned by Open when the device does not match the
-// recorded layout.
+// recorded layout: a region size it cannot hold, or a layout version this
+// build does not read.
 var ErrRegionMismatch = errors.New("core: device layout does not match persistent header")
 
 // ErrCorruptHeader is returned (wrapped) by Open when the header's magic is
@@ -221,7 +222,7 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 				dev.Load64(offHeadSum), sum, ErrCorruptHeader)
 		}
 		if dev.Load64(offVersion) != layoutVersion {
-			return nil, fmt.Errorf("core: layout version %d, want %d", dev.Load64(offVersion), layoutVersion)
+			return nil, fmt.Errorf("%w: layout version %d, want %d", ErrRegionMismatch, dev.Load64(offVersion), layoutVersion)
 		}
 		// On a formatted device the checksummed header governs the layout:
 		// any in-range recorded size is honored, so a device formatted with a
@@ -229,7 +230,7 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		// opener passes a different — or no — reserve. Out-of-range sizes are
 		// still a layout mismatch: the copies would not fit the device.
 		got := int(dev.Load64(offRegionSize))
-		if got < MinRegionSize || got > maxRegion {
+		if got < MinRegionSize || got > maxRegion || got%pmem.LineSize != 0 {
 			return nil, fmt.Errorf("%w: header says %d, device fits %d..%d", ErrRegionMismatch, got, MinRegionSize, maxRegion)
 		}
 		regionSize = got
@@ -376,7 +377,7 @@ func (e *Engine) recover() {
 // prefix returns the watermark — the bytes of each twin in use — clamped to
 // the region size, so a rotted one cannot push a copy or compare out of bounds.
 func (e *Engine) prefix() int {
-	return min(int(e.dev.Load64(offWatermark)), e.regionSize)
+	return int(min(e.dev.Load64(offWatermark), uint64(e.regionSize)))
 }
 
 // diffChunk is the unit of the twin comparison's fast path: bytes.Equal over
@@ -631,7 +632,7 @@ func (e *Engine) copyLines(t *Tx, dst, src int) (copied uint64) {
 		if t.stores == 0 {
 			return 0
 		}
-		wm := int(d.Load64(offWatermark))
+		wm := e.prefix()
 		d.CopyWithin(dst, src, wm)
 		d.PwbRange(dst, wm)
 		copied, extents = uint64(wm), 1
@@ -787,6 +788,11 @@ func (e *Engine) ReservedTail() (off, size int) {
 	off = e.backBase + e.regionSize
 	return off, e.dev.Size() - off
 }
+
+// WriteTail runs f holding the engine's writer lock, so f's raw stores to the
+// reserved tail serialize with every transaction on the same device. It opens
+// no transaction and issues no fence of its own.
+func (e *Engine) WriteTail(f func()) { e.comb.Exclusive(f) }
 
 // TailRegion reports the reserved-tail range of a formatted device without
 // opening an engine on it. Forensic tools (romulus-recover's flight-recorder

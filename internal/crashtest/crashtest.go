@@ -1,4 +1,4 @@
-// Package crashtest is one crash-campaign driver and the seven scenarios it
+// Package crashtest is one crash-campaign driver and the five scenarios it
 // runs. The idea under test is the paper's: a power failure at ANY
 // persistence event — including inside recovery itself — leaves a state
 // recovery can bring back to a consistent one that contains every
@@ -17,13 +17,12 @@
 // genuinely its own: build a system, run a workload with one armed crash,
 // and validate what recovery brings back.
 //
-//	crash      six engines, concurrent map workload, per-worker prefix check
-//	batch      flat-combined batches are crash-atomic and prefix-ordered
-//	replicate  crashes aimed inside the post-commit replication window
-//	xshard     N shard devices + coordinator, two-phase batches all-or-nothing
-//	group      the server's group committer loses no acknowledged write
-//	migrate    an online shard split resolves to exactly one owner per key
-//	faults     torn crash, bit rot and bad lines are reported, never served
+//	crash    six engines, concurrent map workload, per-worker prefix check
+//	rounds   durability rounds, combined or group-committed, are all-or-nothing
+//	         and prefix-ordered, crashes aimed into the back copy too
+//	xshard   N shard devices + coordinator, two-phase batches all-or-nothing
+//	migrate  an online shard split resolves to exactly one owner per key
+//	faults   torn crash, bit rot and bad lines are reported, never served
 //
 // DESIGN.md ("Crash campaigns") tabulates, per scenario, the system built,
 // where the crash is aimed, what validation proves, and the census counters.
@@ -60,8 +59,8 @@ type Config struct {
 	// "all" means every one.
 	Engines []string
 	// Workers is the number of concurrent workload goroutines (connections,
-	// for the group scenario). Engines whose commit path cannot share the
-	// simulated device run with 1.
+	// for the rounds scenario's group subjects). Engines whose commit path
+	// cannot share the simulated device run with 1.
 	Workers int
 	// Ops bounds the operations (transactions, batched updates, acknowledged
 	// writes) each worker completes before the crash.
@@ -198,8 +197,7 @@ type scenario struct {
 func (sc *scenario) fixed() bool { return len(sc.subjects) == 1 && sc.subjects[0] == sc.name }
 
 var scenarios = []*scenario{
-	crashScenario, batchScenario, xshardScenario, faultsScenario,
-	groupScenario, replicateScenario, migrateScenario,
+	crashScenario, roundsScenario, xshardScenario, migrateScenario, faultsScenario,
 }
 
 // ScenarioNames lists the campaigns in table order.

@@ -48,11 +48,9 @@ type goldenReport struct {
 // function of its seed.
 var censusConfigs = []Config{
 	{Scenario: "crash", Rounds: 24, ChainDepth: 3, Workers: 1},
-	{Scenario: "batch", Rounds: 20, ChainDepth: 2, Workers: 1},
-	{Scenario: "replicate", Rounds: 20, ChainDepth: 2, Workers: 1},
+	{Scenario: "rounds", Rounds: 25, ChainDepth: 2, Workers: 1},
 	{Scenario: "xshard", Rounds: 25, ChainDepth: 2, Shards: 3},
 	{Scenario: "faults", Rounds: 10},
-	{Scenario: "group", Rounds: 10, ChainDepth: 2, Workers: 1},
 	{Scenario: "migrate", Rounds: 16, ChainDepth: 2},
 }
 
@@ -61,10 +59,10 @@ var censusConfigs = []Config{
 // (through their own Run* entry points, plus the recopyDirty ordering fix that
 // makes a migrate seed replay at all); every counter and device total in it
 // must come out identical from the merged driver, or a recorded Failure no
-// longer replays. Only what the file holds is compared, because that is what
-// the parent could produce and what its seed determines: the group scenario's
-// batch formation is timing-dependent, so its entry pins rounds, chain and
-// recovery_crash only, and batch/replicate had no registry there.
+// longer replays. Only what the file holds is compared. The rounds entry was
+// added when the batch, replicate and group scenarios became one; at one
+// worker its group subjects form their batches deterministically too, so it
+// pins every counter and the device totals.
 //
 // A change that deliberately alters a campaign (a new draw from the round's
 // rng, an engine issuing different persistence events) regenerates the file
@@ -138,11 +136,8 @@ func TestConfigRejectsUnusedFields(t *testing.T) {
 		field string
 	}{
 		{Config{Scenario: "crash", Shards: 3}, "Shards"},
-		{Config{Scenario: "batch", Keys: 64}, "Keys"},
-		{Config{Scenario: "batch", Shards: 2}, "Shards"},
-		{Config{Scenario: "replicate", Keys: 64}, "Keys"},
-		{Config{Scenario: "group", Keys: 64}, "Keys"},
-		{Config{Scenario: "group", Shards: 1}, "Shards"},
+		{Config{Scenario: "rounds", Keys: 64}, "Keys"},
+		{Config{Scenario: "rounds", Shards: 1}, "Shards"},
 		{Config{Scenario: "xshard", Engines: []string{"rom"}}, "Engines"},
 		{Config{Scenario: "xshard", Workers: 4}, "Workers"},
 		{Config{Scenario: "migrate", Engines: []string{"all"}}, "Engines"},
@@ -163,9 +158,7 @@ func TestConfigRejectsUnusedFields(t *testing.T) {
 }
 
 // TestEveryScenarioHonoursMetricsTraceAudit: the driver owns the registry,
-// the trace sink and the audit census, so every scenario fills them — before
-// the merge -batch and -replicate had no registry and only the crash campaign
-// traced or reported audit waste.
+// the trace sink and the audit census, so every scenario fills them.
 func TestEveryScenarioHonoursMetricsTraceAudit(t *testing.T) {
 	for _, sc := range scenarios {
 		reg := obs.NewRegistry()

@@ -106,9 +106,9 @@ func targetNamed(name string) target {
 }
 
 var targets = []target{
-	coreTarget("rom", core.Rom),
-	coreTarget("romlog", core.RomLog),
-	coreTarget("romlr", core.RomLR),
+	coreTarget("rom"),
+	coreTarget("romlog"),
+	coreTarget("romlr"),
 	{
 		name:       "undolog",
 		concurrent: true, // global writer lock serializes mutators
@@ -117,14 +117,14 @@ var targets = []target{
 			if err != nil {
 				return nil, err
 			}
-			return newMapStore(e, nil, true)
+			return newMapStore(e, true)
 		},
 		reopen: func(dev *pmem.Device, aud ptm.Auditor) (store, error) {
 			e, err := undolog.Open(dev, undolog.Config{LogSize: undoLogSize, Audit: aud})
 			if err != nil {
 				return nil, err
 			}
-			return newMapStore(e, nil, false)
+			return newMapStore(e, false)
 		},
 		pending: undolog.RecoveryPending,
 		rotable: func(imgLen int) [][2]int {
@@ -141,14 +141,14 @@ var targets = []target{
 			if err != nil {
 				return nil, err
 			}
-			return newMapStore(e, nil, true)
+			return newMapStore(e, true)
 		},
 		reopen: func(dev *pmem.Device, aud ptm.Auditor) (store, error) {
 			e, err := redolog.Open(dev, redolog.Config{SegmentSize: redoSegSize, Segments: redoSegs, Audit: aud})
 			if err != nil {
 				return nil, err
 			}
-			return newMapStore(e, nil, false)
+			return newMapStore(e, false)
 		},
 		pending: func(img []byte) bool {
 			return redolog.RecoveryPending(img, redolog.Config{SegmentSize: redoSegSize, Segments: redoSegs})
@@ -180,46 +180,50 @@ var targets = []target{
 	},
 }
 
-func coreTarget(name string, v core.Variant) target {
+func coreTarget(name string) target {
+	cfg := coreConfigs[name]
 	return target{
 		name:       name,
 		concurrent: true, // flat combining: one combiner mutates at a time
 		fresh: func() (store, error) {
-			e, err := core.New(crashRegion, core.Config{Variant: v})
+			e, err := core.New(crashRegion, cfg)
 			if err != nil {
 				return nil, err
 			}
-			return newMapStore(e, coreVerify(e), true)
+			return newMapStore(e, true)
 		},
 		reopen: func(dev *pmem.Device, aud ptm.Auditor) (store, error) {
-			e, err := core.Open(dev, core.Config{Variant: v, Audit: aud})
+			c := cfg
+			c.Audit = aud
+			e, err := core.Open(dev, c)
 			if err != nil {
 				return nil, err
 			}
-			return newMapStore(e, coreVerify(e), false)
+			return newMapStore(e, false)
 		},
 		pending: core.RecoveryPending,
 	}
 }
 
-func coreVerify(e *core.Engine) func() error {
-	return func() error {
-		if off := e.Verify(); off >= 0 {
-			return fmt.Errorf("twin copies diverge at offset %d", off)
-		}
-		return nil
+// checkCore validates a recovered core engine: a sound heap and twin copies
+// that agree.
+func checkCore(e *core.Engine) error {
+	if err := e.CheckHeap(); err != nil {
+		return fmt.Errorf("heap after recovery: %w", err)
 	}
+	if off := e.Verify(); off >= 0 {
+		return fmt.Errorf("twin copies diverge at offset %d", off)
+	}
+	return nil
 }
 
-// coreConfigs are the subjects of the scenarios that drive a core engine
-// directly: the three variants, plus the full-copy ablation (the paper's
-// original O(watermark) replicate) so the replicate scenario pins
-// crash-equivalence across replication strategies, not just the default.
+// coreConfigs configures the core subjects, one per code path: rom is the
+// paper's Algorithm 1, which replicates the whole watermark prefix; romlog
+// and romlr copy back only the round's stored lines.
 var coreConfigs = map[string]core.Config{
-	"rom":      {Variant: core.Rom},
-	"rom-full": {Variant: core.Rom, FullReplicate: true},
-	"romlog":   {Variant: core.RomLog},
-	"romlr":    {Variant: core.RomLR},
+	"rom":    {Variant: core.Rom, FullReplicate: true},
+	"romlog": {Variant: core.RomLog},
+	"romlr":  {Variant: core.RomLR},
 }
 
 // mapEngine is the slice of ptm.PTM the harness needs; all three engine
@@ -261,16 +265,15 @@ func probeUpdateLoad(e interface {
 
 // mapStore drives a pstruct.HashMap at root 0 on any engine.
 type mapStore struct {
-	e      mapEngine
-	m      *pstruct.HashMap
-	verify func() error
+	e mapEngine
+	m *pstruct.HashMap
 }
 
 // newMapStore creates (fresh) or attaches (reopen) the root hash map.
 // Creation commits one transaction, so every image a round captures already
 // contains the map: reopen costs exactly the engine's own recovery work.
-func newMapStore(e mapEngine, verify func() error, create bool) (store, error) {
-	s := &mapStore{e: e, verify: verify}
+func newMapStore(e mapEngine, create bool) (store, error) {
+	s := &mapStore{e: e}
 	if !create {
 		s.m = pstruct.AttachHashMap(0)
 		return s, nil
@@ -344,13 +347,11 @@ func (s *mapStore) size() (int, error) {
 }
 
 func (s *mapStore) check() error {
+	if e, ok := s.e.(*core.Engine); ok {
+		return checkCore(e)
+	}
 	if err := s.e.CheckHeap(); err != nil {
 		return fmt.Errorf("heap after recovery: %w", err)
-	}
-	if s.verify != nil {
-		if err := s.verify(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -421,13 +422,4 @@ func (s *kvStore) get(k uint64) (uint64, bool, error) {
 
 func (s *kvStore) size() (int, error) { return s.db.Len(), nil }
 
-func (s *kvStore) check() error {
-	e := s.db.Engine()
-	if err := e.CheckHeap(); err != nil {
-		return fmt.Errorf("heap after recovery: %w", err)
-	}
-	if off := e.Verify(); off >= 0 {
-		return fmt.Errorf("twin copies diverge at offset %d", off)
-	}
-	return nil
-}
+func (s *kvStore) check() error { return checkCore(s.db.Engine()) }

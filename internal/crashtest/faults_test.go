@@ -82,7 +82,7 @@ func TestUnhardenedEngineServesRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := newMapStore(e, coreVerify(e), true)
+	st, err := newMapStore(e, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestUnhardenedEngineServesRot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unhardened open refused: %v", err)
 	}
-	st2, err := newMapStore(e2, nil, false)
+	st2, err := newMapStore(e2, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func randPolicy(rng *rand.Rand) pmem.CrashPolicy {
 // site is one link of a round's crash chain: a crash scheduler over the
 // leading devices of a system, with the round's auditors chained around it.
 // Trailing devices are carried: quiescent by the scenario's construction
-// (the group scenario's coordinator log), they are neither scheduled nor
+// (the group subjects' coordinator log), they are neither scheduled nor
 // audited, and their crash image is simply their persisted state.
 type site struct {
 	*pmem.Scheduler

@@ -34,7 +34,7 @@ var xshardScenario = &scenario{
 	round:  xshardRound,
 }
 
-// shardOpts sizes the sharded store the xshard, group and migrate scenarios
+// shardOpts sizes the sharded store the xshard, rounds and migrate scenarios
 // build.
 func shardOpts(shards int, v core.Variant) shard.Options {
 	return shard.Options{Shards: shards, RegionSize: 256 << 10, CoordSize: 32 << 10, Variant: v}
@@ -81,11 +81,9 @@ type kvHistory struct {
 	mustSurvive int
 }
 
-func (h *kvHistory) last() map[int]uint64 { return h.states[len(h.states)-1] }
-
 // next starts the state after one more operation, for the caller to edit.
 func (h *kvHistory) next() map[int]uint64 {
-	return maps.Clone(h.last())
+	return maps.Clone(h.states[len(h.states)-1])
 }
 
 // done records a completed operation's state; captured is whether the crash

@@ -245,6 +245,15 @@ func (c *Combiner[T]) ExecuteDirect(op Op[T]) (uint64, error) {
 	return seq, err
 }
 
+// Exclusive runs f holding the writer lock, between durability rounds: f
+// may write the engine's device alongside its writers, but runs no
+// operation and commits nothing.
+func (c *Combiner[T]) Exclusive(f func()) {
+	c.lock.Lock()
+	defer c.lock.Unlock()
+	f()
+}
+
 // gather scans the announcement array up to the high-water mark and claims
 // every pending request, appending it to batch. Claiming (rather than
 // leaving requests pending) lets the drain loop rescan without re-collecting

@@ -203,6 +203,10 @@ func (d *Device) ResetStats() {
 // and leaves this slot free.
 func (d *Device) SetHooks(h *Hooks) { d.hooks.Store(h) }
 
+// Hooks returns the installed hook bundle (nil when none), for a harness
+// that chains one more observer onto it.
+func (d *Device) Hooks() *Hooks { return d.hooks.Load() }
+
 // markStored readies [off, off+n) for a store, before the bytes change: each
 // line is marked dirty, and one the media still agrees with the image on has
 // its bytes captured into the shadow first.

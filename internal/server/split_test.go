@@ -275,3 +275,77 @@ func TestGroupCommitReroutesStaleRoute(t *testing.T) {
 		t.Fatalf("value after reroute: %q, %v", got, err)
 	}
 }
+
+// TestSplitWithFlightRecorderUnderLoad splits a flight-recorded shard —
+// romulusd's default — while connections pipeline SETs at it. The group
+// leader's flight records and the migration's copy and cleanup steps write
+// the same shard device, whose data path is single-writer, so they must
+// serialize on the engine's writer lock; under -race an append outside it
+// is a reported data race.
+func TestSplitWithFlightRecorderUnderLoad(t *testing.T) {
+	st, err := shard.Open(shard.Options{Shards: 1, RegionSize: 512 << 10, CoordSize: 64 << 10,
+		Variant: core.RomLog, Blackbox: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv, addr, done := startServer(t, st)
+	cl := dial(t, addr)
+	const n = 300
+	for i := 0; i < n; i++ {
+		cl.must(t, fmt.Sprintf("SET pre-%03d v%03d", i, i), "OK")
+	}
+
+	const conns, burst = 4, 16
+	stop := make(chan struct{})
+	errs := make(chan error, conns)
+	for c := 0; c < conns; c++ {
+		wcl := dial(t, addr)
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				cmds := make([]string, burst)
+				for j := range cmds {
+					cmds[j] = fmt.Sprintf("SET load-%d-%03d g%d", c, (i*burst+j)%128, i)
+				}
+				if _, err := wcl.c.Write([]byte(strings.Join(cmds, "\n") + "\n")); err != nil {
+					errs <- err
+					return
+				}
+				for range cmds {
+					if reply, err := wcl.r.ReadString('\n'); err != nil || reply != "OK\n" {
+						errs <- fmt.Errorf("conn %d burst %d: reply %q err %v", c, i, reply, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	cl.must(t, "SPLIT 0", "OK 1")
+	deadline := time.Now().Add(20 * time.Second)
+	for pr := cl.placement(t); pr.Driver.Active || pr.Driver.Phase == ""; pr = cl.placement(t) {
+		if time.Now().After(deadline) {
+			t.Fatalf("split did not finish: %+v", pr)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	for c := 0; c < conns; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pr := cl.placement(t); pr.Driver.Phase != "done" || len(pr.ShardSlots) != 2 {
+		t.Fatalf("split ended %+v, want done over 2 shards", pr)
+	}
+	for i := 0; i < n; i++ {
+		cl.must(t, fmt.Sprintf("GET pre-%03d", i), fmt.Sprintf("VALUE v%03d", i))
+	}
+	shutdown(t, srv, done)
+}

@@ -147,14 +147,6 @@ type shardPart struct {
 	mu      sync.RWMutex
 	faulted atomic.Bool
 	reason  string
-
-	// wmu is the raw-device writers' mutex. pmem.Device's mutation path is
-	// unsynchronized (single-mutator by design); flight-recorder appends run
-	// on the shard's committer goroutine while cross-shard applies
-	// (applyPrepared) run engine updates on the coordinator caller's
-	// goroutine against the same device, so both take wmu. The engine's own
-	// update-vs-update serialization stays the flat combiner's job.
-	wmu sync.Mutex
 }
 
 // appliedID reads the shard's applied-batch watermark (0 before the first
@@ -185,8 +177,6 @@ func (p *shardPart) applyPrepared(id uint64, b *kvstore.Batch) error {
 	if p.eng == nil {
 		return fmt.Errorf("shard quarantined: %w", ErrShardUnavailable)
 	}
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
 	return p.eng.Update(func(tx ptm.Tx) error {
 		if err := p.db.Apply(tx, b); err != nil {
 			return err
@@ -724,10 +714,10 @@ func (s *Store) HasFlightRecorder() bool {
 
 // RecordFlight durably appends one record to shard i's flight recorder (a
 // no-op when the shard has none, or is quarantined). Seq and TsNs are
-// recorder-assigned. The append takes the shard's raw-device writers'
-// mutex, which serializes it against cross-shard applies; the group
-// committer — the intended caller — is otherwise the shard's only engine
-// writer, so nothing else mutates the device concurrently.
+// recorder-assigned. pmem.Device's data path is single-writer, so the append
+// runs under the shard engine's writer lock (core.Engine.WriteTail), the one
+// lock every writer of the device takes: group commits, cross-shard applies
+// and migration steps alike.
 func (s *Store) RecordFlight(i int, rec blackbox.Record) {
 	parts := s.parts()
 	if i < 0 || i >= len(parts) {
@@ -739,9 +729,7 @@ func (s *Store) RecordFlight(i int, rec blackbox.Record) {
 	if p.bb == nil || p.faulted.Load() {
 		return
 	}
-	p.wmu.Lock()
-	p.bb.Append(rec)
-	p.wmu.Unlock()
+	p.eng.WriteTail(func() { p.bb.Append(rec) })
 }
 
 // ViolationCount sums durability violations across the store-created
