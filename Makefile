@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-scale tools experiments crashtest crashtest-short roundtest shardtest faulttest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
+.PHONY: all build test race bench bench-alloc bench-scale tools experiments crashtest crashtest-short roundtest shardtest faulttest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
 
 all: build test
 
@@ -22,6 +22,11 @@ race:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# Allocator microbenchmarks: alloc/free churn, allocation on an empty-binned
+# heap (the bulk-load path) and churn with 40 non-empty bins.
+bench-alloc:
+	go test -run '^$$' -bench Alloc -benchmem ./internal/alloc
 
 # Flat-combining contention microbenchmarks: batch formation and amortized
 # per-op cost at 1..8 writers, plus the engine-level ablation (batched

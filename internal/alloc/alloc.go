@@ -10,6 +10,23 @@
 // repair and no external leaks to collect, and no specialized garbage
 // collector is needed.
 //
+// Finding a free bin is O(1) in the number of bins, as in dlmalloc, whose
+// smallmap and treemap keep one bit per bin: two persistent binmap words
+// hold bit b set iff bin b is non-empty, so Alloc jumps to the first
+// non-empty bin at or above the request's bin with one load and one
+// TrailingZeros64 per word instead of loading every bin head. Bins are
+// still visited in ascending order, so the binmap changes no allocation
+// decision. It is ordinary heap metadata, stored through Mem like a bin
+// head, so the owning transaction rolls it back, replicates it and
+// recovers it with everything else; there is no volatile cache to
+// invalidate.
+//
+// Line rule: metadata line 0 (the heap's first 64 bytes) holds the binmap,
+// top, the three counters and the heads of bins 0 and 1, so every metadata
+// word Alloc and Free store, apart from the heads of bins 2 and up, dirties
+// that one line. magic and end, which only Format writes, sit past the bin
+// heads.
+//
 // The allocator is sequential by design. The PTM engines guarantee a single
 // mutator at a time (flat combining serializes all writers), which is
 // exactly the property the paper exploits to reuse a sequential allocator.
@@ -54,24 +71,29 @@ func headerTag(c uint64) uint64 {
 }
 
 // Bin layout: small bins hold one chunk size each (48..1040 step 16), large
-// bins hold power-of-two ranges above that.
+// bins hold power-of-two ranges above that; the last large bin also takes
+// every chunk above 2^41 bytes.
 const (
 	numSmallBins = 63
-	numLargeBins = 32
+	numLargeBins = 31
 	numBins      = numSmallBins + numLargeBins
 	smallMax     = minChunk + (numSmallBins-1)*align // 1040
+	binmapWords  = (numBins + 63) / 64
 )
 
-// Metadata field offsets, relative to the heap base.
+// Metadata field offsets, relative to the heap base. Line 0 (offsets 0..63)
+// holds every metadata word Alloc and Free store apart from the heads of
+// bins 2 and up.
 const (
-	offMagic     = 0
-	offEnd       = 8
-	offTop       = 16
-	offAllocs    = 24
-	offFrees     = 32
-	offAllocated = 40
-	offBins      = 48
-	metaSize     = offBins + numBins*8 // 808
+	offBinmap    = 0 // binmapWords words: bit b%64 of word b/64 is set iff bin b is non-empty
+	offTop       = offBinmap + binmapWords*8
+	offAllocs    = offTop + 8
+	offFrees     = offAllocs + 8
+	offAllocated = offFrees + 8
+	offBins      = offAllocated + 8 // 48
+	offMagic     = offBins + numBins*8
+	offEnd       = offMagic + 8
+	metaSize     = offEnd + 8 // 816
 	firstChunkAt = (metaSize + align - 1) &^ (align - 1)
 )
 
@@ -111,6 +133,9 @@ func Format(mem Mem, base, size uint64) (*Heap, error) {
 	h.store(offAllocs, 0)
 	h.store(offFrees, 0)
 	h.store(offAllocated, 0)
+	for w := 0; w < binmapWords; w++ {
+		h.store(offBinmap+uint64(w)*8, 0)
+	}
 	for b := 0; b < numBins; b++ {
 		h.store(offBins+uint64(b)*8, 0)
 	}
@@ -175,6 +200,31 @@ func binFor(size uint64) int {
 	return b
 }
 
+// binmapOff returns the offset of the binmap word holding bin b's bit.
+func binmapOff(b int) uint64 { return offBinmap + uint64(b>>6)*8 }
+
+// markBin sets or clears bin b's binmap bit.
+func (h *Heap) markBin(b int, nonEmpty bool) {
+	m := h.load(binmapOff(b))
+	if nonEmpty {
+		m |= 1 << (b & 63)
+	} else {
+		m &^= 1 << (b & 63)
+	}
+	h.store(binmapOff(b), m)
+}
+
+// nextBin returns the first non-empty bin at or above b, or numBins if
+// there is none: one load and one TrailingZeros64 per binmap word.
+func (h *Heap) nextBin(b int) int {
+	for ; b < numBins; b = (b | 63) + 1 {
+		if m := h.load(binmapOff(b)) >> (b & 63); m != 0 {
+			return b + bits.TrailingZeros64(m)
+		}
+	}
+	return numBins
+}
+
 func (h *Heap) binInsert(c, size uint64) {
 	b := binFor(size)
 	head := h.binHead(b)
@@ -182,6 +232,8 @@ func (h *Heap) binInsert(c, size uint64) {
 	h.setBk(c, 0)
 	if head != 0 {
 		h.setBk(head, c)
+	} else {
+		h.markBin(b, true)
 	}
 	h.setBinHead(b, c)
 }
@@ -189,7 +241,11 @@ func (h *Heap) binInsert(c, size uint64) {
 func (h *Heap) binUnlink(c, size uint64) {
 	fd, bk := h.fd(c), h.bk(c)
 	if bk == 0 {
-		h.setBinHead(binFor(size), fd)
+		b := binFor(size)
+		h.setBinHead(b, fd)
+		if fd == 0 {
+			h.markBin(b, false)
+		}
 	} else {
 		h.setFd(bk, fd)
 	}
@@ -215,8 +271,8 @@ func (h *Heap) Alloc(n int) (uint64, error) {
 		return 0, fmt.Errorf("alloc: negative size %d", n)
 	}
 	need := chunkFor(uint64(n))
-	// Search the bins, smallest candidate bin first.
-	for b := binFor(need); b < numBins; b++ {
+	// Search the non-empty bins, smallest candidate bin first.
+	for b := h.nextBin(binFor(need)); b < numBins; b = h.nextBin(b + 1) {
 		for c := h.binHead(b); c != 0; c = h.fd(c) {
 			size := h.chunkSize(c)
 			if size < need {
@@ -404,9 +460,19 @@ func (h *Heap) CheckInvariants() error {
 	if prevFree {
 		return fmt.Errorf("alloc: free chunk adjacent to top")
 	}
-	// Every free chunk must be in exactly the right bin.
+	// Every free chunk must be in exactly the right bin, and the binmap must
+	// mark exactly the non-empty bins.
 	seen := map[uint64]bool{}
+	for w := 0; w < binmapWords; w++ {
+		m := h.load(offBinmap + uint64(w)*8)
+		if valid := numBins - w*64; valid < 64 && m>>valid != 0 {
+			return fmt.Errorf("alloc: binmap word %d marks bins past %d: %#x", w, numBins-1, m)
+		}
+	}
 	for b := 0; b < numBins; b++ {
+		if marked := h.load(binmapOff(b))&(1<<(b&63)) != 0; marked != (h.binHead(b) != 0) {
+			return fmt.Errorf("alloc: bin %d binmap bit %t but head %d", b, marked, h.binHead(b))
+		}
 		prev := uint64(0)
 		for c := h.binHead(b); c != 0; c = h.fd(c) {
 			if seen[c] {

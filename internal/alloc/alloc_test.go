@@ -412,8 +412,102 @@ func TestQuickPayloadIntegrity(t *testing.T) {
 	}
 }
 
+// countMem counts the loads a heap makes.
+type countMem struct {
+	sliceMem
+	loads int
+}
+
+func (m *countMem) Load64(off uint64) uint64 {
+	m.loads++
+	return m.sliceMem.Load64(off)
+}
+
+// TestAllocLoadsPerAlloc pins the cost of the free-bin search on a fresh
+// heap, where every bin is empty: the binmap answers in one load per word,
+// so one Alloc of any size makes a handful of loads rather than one per bin
+// head from the request's bin up.
+func TestAllocLoadsPerAlloc(t *testing.T) {
+	for n := 8; n <= 64<<10; n = n*2 + 8 {
+		mem := &countMem{sliceMem: make(sliceMem, 1<<18)}
+		h, err := Format(mem, 0, 1<<18)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.loads = 0
+		if _, err := h.Alloc(n); err != nil {
+			t.Fatalf("Alloc(%d): %v", n, err)
+		}
+		t.Logf("Alloc(%d), bin %d: %d loads", n, binFor(chunkFor(uint64(n))), mem.loads)
+		if mem.loads > 8 {
+			t.Errorf("Alloc(%d) on a fresh heap made %d loads, want <= 8", n, mem.loads)
+		}
+	}
+}
+
 func BenchmarkAllocFree(b *testing.B) {
 	h := newHeap(b, 1<<20)
+	for i := 0; i < b.N; i++ {
+		p, err := h.Alloc(64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := h.Free(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllocFresh allocates 64-byte payloads on a heap whose bins are all
+// empty, the bulk-load path: every Alloc searches the bins and carves from
+// the wilderness. The heap is reformatted, off the clock, when it fills.
+func BenchmarkAllocFresh(b *testing.B) {
+	const size = 1 << 24
+	mem := make(sliceMem, size)
+	h, err := Format(mem, 0, size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := h.Alloc(64); err == ErrOutOfMemory {
+			b.StopTimer()
+			if h, err = Format(mem, 0, size); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllocPopulated is BenchmarkAllocFree on a heap with 40 non-empty
+// bins, all above the request's bin and spread over both binmap words:
+// each Alloc splits the first non-empty bin's chunk and each Free coalesces
+// it back.
+func BenchmarkAllocPopulated(b *testing.B) {
+	h := newHeap(b, 1<<22)
+	var held []uint64
+	for i := 0; i < 40; i++ {
+		n := 200 + 16*i // small bins 11..40
+		if i >= 30 {
+			n = 1100 << (i - 30) // large bins 63..72
+		}
+		p, err := h.Alloc(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := h.Alloc(16); err != nil { // barrier against coalescing
+			b.Fatal(err)
+		}
+		held = append(held, p)
+	}
+	for _, p := range held {
+		if err := h.Free(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := h.Alloc(64)
 		if err != nil {

@@ -3,13 +3,27 @@ package alloc
 import "testing"
 
 // FuzzAllocFree interprets the fuzz input as a sequence of allocator
-// commands and checks the heap invariants after every step. Run with
+// commands and checks the heap invariants, binmap included, after every
+// step. Before every Alloc it also works out the chunk the allocator must
+// return by the linear scan over every bin head that the binmap replaced,
+// and requires Alloc to return exactly that chunk. Run with
 // `go test -fuzz FuzzAllocFree ./internal/alloc`; the seeds below also run
 // in ordinary `go test`.
 func FuzzAllocFree(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 0, 0, 100, 1, 1})
 	f.Add([]byte{0, 255, 0, 255, 1, 0, 1, 1, 0, 16})
 	f.Add(bytes16(0, 1, 0, 2, 0, 3, 1, 1, 1, 0, 0, 200, 1, 0, 0, 50))
+	// Fill a bin with two chunks held apart by barriers, then drain it and
+	// allocate once more from the wilderness: a small bin (96-byte chunks,
+	// bin 3), the first large bin (1,616-byte chunks, bin 63, the last bit
+	// of binmap word 0) and the second large bin (2,064-byte chunks, bin 64,
+	// the first bit of word 1).
+	for _, arg := range []byte{10, 200, 255} {
+		f.Add(bytes16(0, arg, 0, 1, 0, arg, 0, 1, 1, 0, 1, 1, 0, arg, 0, arg, 0, arg))
+	}
+	// Two adjacent 2,064-byte chunks coalesce into a 4,128-byte one (bin 65),
+	// which a smaller request splits, leaving the remainder in bin 64.
+	f.Add(bytes16(0, 255, 0, 255, 0, 1, 1, 0, 1, 0, 0, 200, 0, 255, 0, 255))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mem := make(sliceMem, 1<<16)
 		h, err := Format(mem, 0, 1<<16)
@@ -21,12 +35,19 @@ func FuzzAllocFree(f *testing.F) {
 			cmd, arg := data[i], data[i+1]
 			switch cmd % 3 {
 			case 0: // alloc of arg*8 bytes
+				want, fits := linearPick(h, int(arg)*8)
 				p, err := h.Alloc(int(arg) * 8)
 				if err == ErrOutOfMemory {
+					if fits {
+						t.Fatalf("Alloc(%d): out of memory, but chunk %d fits", int(arg)*8, want)
+					}
 					continue
 				}
 				if err != nil {
 					t.Fatalf("Alloc: %v", err)
+				}
+				if !fits || p != want {
+					t.Fatalf("Alloc(%d) = %d, the linear bin scan picks %d (fits %t)", int(arg)*8, p, want, fits)
 				}
 				live = append(live, p)
 			case 1: // free a live pointer
@@ -60,11 +81,30 @@ func FuzzAllocFree(f *testing.F) {
 					}
 				}
 			}
-		}
-		if err := h.CheckInvariants(); err != nil {
-			t.Fatalf("invariants: %v", err)
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatalf("invariants after command %d: %v", i/2, err)
+			}
 		}
 	})
+}
+
+// linearPick returns the payload Alloc(n) must return, found the way the
+// allocator did before the binmap: the first chunk that fits, scanning every
+// bin head from the request's bin up, else the wilderness. fits is false if
+// nothing can hold n bytes.
+func linearPick(h *Heap, n int) (p uint64, fits bool) {
+	need := chunkFor(uint64(n))
+	for b := binFor(need); b < numBins; b++ {
+		for c := h.binHead(b); c != 0; c = h.fd(c) {
+			if h.chunkSize(c) >= need {
+				return c + headerSize, true
+			}
+		}
+	}
+	if top := h.Top(); h.End()-top >= need {
+		return top + headerSize, true
+	}
+	return 0, false
 }
 
 func bytes16(vals ...byte) []byte { return vals }

@@ -403,3 +403,104 @@ func TestOpenTornHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestBinmapRollbackAndCrash pins the allocator's binmap to the transaction
+// (§4.4): a transaction that takes the only chunk of a bin, clearing the
+// bin's binmap bit, and then fails must restore the bit with the chunk, so
+// the heap stays sound and the next allocation of that size reuses the chunk
+// instead of growing the heap. The same holds after a crash at every
+// persistence event of the failing transaction, its rollback included.
+func TestBinmapRollbackAndCrash(t *testing.T) {
+	forEachVariant(t, func(t *testing.T, v Variant) {
+		e, err := New(crashRegion, Config{Variant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p ptm.Ptr
+		if err := e.Update(func(tx ptm.Tx) error {
+			var err error
+			if p, err = tx.Alloc(64); err != nil {
+				return err
+			}
+			barrier, err := tx.Alloc(16) // keeps p's chunk out of the wilderness
+			tx.SetRoot(0, barrier)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Update(func(tx ptm.Tx) error { return tx.Free(p) }); err != nil {
+			t.Fatal(err)
+		}
+		top := e.AllocStats().TopOffset
+		// reusesChunk checks that en's heap is sound and that Alloc(64) takes
+		// p's chunk back without moving top.
+		reusesChunk := func(en *Engine) error {
+			if err := en.CheckHeap(); err != nil {
+				return err
+			}
+			var q ptm.Ptr
+			if err := en.Update(func(tx ptm.Tx) error {
+				var err error
+				q, err = tx.Alloc(64)
+				return err
+			}); err != nil {
+				return err
+			}
+			if q != p || en.AllocStats().TopOffset != top {
+				return fmt.Errorf("Alloc(64) = %d with top %d, want the freed chunk %d with top %d",
+					q, en.AllocStats().TopOffset, p, top)
+			}
+			return nil
+		}
+
+		boom := errors.New("boom")
+		images := captureAll(e.Device(), 7, func() {
+			err := e.Update(func(tx ptm.Tx) error {
+				q, err := tx.Alloc(64)
+				if err != nil {
+					return err
+				}
+				if q != p {
+					return fmt.Errorf("Alloc(64) = %d, want the only binned chunk %d", q, p)
+				}
+				return boom
+			})
+			if !errors.Is(err, boom) {
+				t.Errorf("failing transaction: %v", err)
+			}
+		})
+		if len(images) < 20 {
+			t.Fatalf("only %d crash images captured", len(images))
+		}
+		for n, img := range images {
+			re, err := Open(pmem.FromImage(img, pmem.ModelDRAM), Config{Variant: v})
+			if err != nil {
+				t.Fatalf("image %d: recovery failed: %v", n, err)
+			}
+			if err := reusesChunk(re); err != nil {
+				t.Fatalf("image %d: %v", n, err)
+			}
+		}
+		if err := reusesChunk(e); err != nil {
+			t.Fatalf("after rollback: %v", err)
+		}
+	})
+}
+
+// TestOpenRefusesLayoutVersion1 forges the header of an image written before
+// the allocator's binmap moved the heap's magic and end words: version 1
+// under a checksum that covers it. Open must refuse it as a layout mismatch
+// rather than read its heap metadata in the new places.
+func TestOpenRefusesLayoutVersion1(t *testing.T) {
+	e, err := New(crashRegion, Config{Variant: RomLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pmem.FromImage(e.Device().Persisted(), pmem.ModelDRAM)
+	d.Store64(offVersion, 1)
+	d.Store64(offHeadSum, headerChecksum(1, d.Load64(offRegionSize)))
+	d.PersistAll()
+	if _, err := Open(d, Config{Variant: RomLog}); !errors.Is(err, ErrRegionMismatch) {
+		t.Fatalf("Open of a version-1 image: %v, want ErrRegionMismatch", err)
+	}
+}

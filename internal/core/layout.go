@@ -27,7 +27,7 @@ const (
 
 const (
 	magicValue    = 0x524F4D554C555331 // "ROMULUS1"
-	layoutVersion = 1
+	layoutVersion = 2
 )
 
 // Main-region layout (offsets are Ptr values, i.e. relative to main):

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -142,4 +143,54 @@ func TestShutdownUnderLoad(t *testing.T) {
 			t.Fatalf("acked SET %s %d lost at reopen: got %q err %v", k, gen, v, err)
 		}
 	}
+}
+
+// TestLongLinesDoNotPinConnectionMemory bounds what a long request line
+// leaves behind: 32 connections each send one SET of MaxLine-64 bytes and a
+// GET of it, then go idle. A PING on each before the heap is measured shows
+// the connection is still open and done with its GET's reply. The buffer a
+// line longer than the connection's reader is assembled in must not outlive
+// its burst, so the Go heap grows by well under one such line per
+// connection.
+func TestLongLinesDoNotPinConnectionMemory(t *testing.T) {
+	st, err := shard.Open(shard.Options{Shards: 1, RegionSize: 8 << 20, CoordSize: 32 << 10, Variant: core.RomLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv, addr, done := startServer(t, st)
+	const conns = 32
+	cls := make([]*client, conns)
+	for i := range cls {
+		cls[i] = dial(t, addr)
+		cls[i].must(t, "PING", "PONG")
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	val := strings.Repeat("v", MaxLine-64)
+	for i, cl := range cls {
+		if reply, err := cl.do("SET long " + val); err != nil || reply != "OK" {
+			t.Fatalf("conn %d: SET of %d bytes: reply %.40q, err %v", i, len(val), reply, err)
+		}
+		if reply, err := cl.do("GET long"); err != nil || reply != "VALUE "+val {
+			t.Fatalf("conn %d: GET: reply of %d bytes, err %v", i, len(reply), err)
+		}
+	}
+	val = ""
+	for _, cl := range cls {
+		cl.must(t, "PING", "PONG")
+	}
+	grown := int64(heap()) - int64(before)
+	t.Logf("Go heap grew %.1f MiB over %d idle connections", float64(grown)/(1<<20), conns)
+	if grown >= 4<<20 {
+		t.Fatalf("Go heap grew %.1f MiB after %d connections each sent one %d-byte line and went idle, want < 4 MiB",
+			float64(grown)/(1<<20), conns, MaxLine-64)
+	}
+	shutdown(t, srv, done)
 }

@@ -504,6 +504,11 @@ func (s *Server) handle(c net.Conn) {
 		if !s.reply(w, st) {
 			return
 		}
+		if cap(long) > r.Size() {
+			// The burst's lines are parsed and answered: a long line's
+			// buffer is garbage now, and an idle connection must not pin it.
+			long = nil
+		}
 		if err != nil {
 			// EOF, an idle or drain-induced deadline, an oversized line or a
 			// peer error: nothing more to parse either way.

@@ -42,7 +42,7 @@ const (
 
 const (
 	magicValue    = 0x504D444B554E444F // "PMDKUNDO"
-	layoutVersion = 1
+	layoutVersion = 2
 )
 
 // Main-region layout mirrors the Romulus engines: reserved line, roots,
