@@ -5,9 +5,10 @@
 // (http, https, mailto) are not fetched. In the current-state documents —
 // README.md, DESIGN.md and docs/ — every backticked repository path with a
 // file extension (`internal/core/engine.go`, `results/table1.txt:3`) must
-// also name an existing file; the history files (CHANGES, ROADMAP,
-// EXPERIMENTS) record paths that later changes remove, and are not checked
-// for them.
+// also name an existing file, and every backticked Go name `pkg.Name` or
+// `pkg.Type.Member` whose pkg is a repository package must name one of its
+// declarations; the history files (CHANGES, ROADMAP, EXPERIMENTS) record
+// paths and names that later changes remove, and are not checked for them.
 //
 //	docslint [root]   # default root: .
 //
@@ -17,6 +18,9 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -33,6 +37,11 @@ var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 // extension: at least one directory, path characters only (so globs,
 // brace lists and placeholders are not paths), and an optional :line suffix.
 var codePathRe = regexp.MustCompile("`((?:[A-Za-z0-9_.-]+/)+[A-Za-z0-9_-][A-Za-z0-9_.-]*\\.[A-Za-z0-9]+)(?::[0-9][0-9–-]*)?`")
+
+// goNameRe matches a code span that is exactly a qualified Go name: pkg.Name
+// or pkg.Type.Member with Name exported (a lowercase second element is a
+// file name, as in `shard.go`).
+var goNameRe = regexp.MustCompile("`([a-z][a-z0-9_]*)\\.[A-Z][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)?`")
 
 // codePathDocs reports whether path (relative to the root) is a
 // current-state document whose code paths must exist.
@@ -78,15 +87,21 @@ func main() {
 		anchors[filepath.Clean(f)] = a
 	}
 
+	names, err := loadGoNames(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docslint:", err)
+		os.Exit(2)
+	}
 	broken := 0
 	for _, f := range mdFiles {
 		broken += checkFile(f, anchors)
 		if rel, err := filepath.Rel(root, f); err == nil && codePathDocs(rel) {
 			broken += checkCodePaths(root, f)
+			broken += checkGoNames(names, f)
 		}
 	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "docslint: %d broken link(s) or stale code path(s)\n", broken)
+		fmt.Fprintf(os.Stderr, "docslint: %d broken link(s), stale code path(s) or stale Go name(s)\n", broken)
 		os.Exit(1)
 	}
 }
@@ -154,6 +169,126 @@ func checkCodePaths(root, path string) int {
 		for _, m := range codePathRe.FindAllStringSubmatch(line, -1) {
 			if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
 				fmt.Printf("%s:%d: stale code path %q: no such file\n", path, i+1, m[1])
+				broken++
+			}
+		}
+	}
+	return broken
+}
+
+// goNames is what the repository's Go packages declare, keyed as documents
+// cite it: "pkg.Name" for every top-level declaration and every method (a
+// bare method name resolves: `shard.Update` names Store.Update), and
+// "pkg.Type.Member" for every field, method and interface method. Packages
+// sharing a name pool their declarations.
+type goNames struct {
+	pkgs, names map[string]bool
+}
+
+// loadGoNames parses every Go file under root.
+func loadGoNames(root string) (goNames, error) {
+	g := goNames{pkgs: map[string]bool{}, names: map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "bin", "results", "testdata", "node_modules":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if filepath.Ext(path) != ".go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		g.add(f)
+		return nil
+	})
+	return g, err
+}
+
+func (g goNames) add(f *ast.File) {
+	pkg := f.Name.Name
+	g.pkgs[pkg] = true
+	add := func(name ...string) { g.names[pkg+"."+strings.Join(name, ".")] = true }
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			add(d.Name.Name)
+			if d.Recv != nil {
+				add(typeName(d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						add(n.Name)
+					}
+				case *ast.TypeSpec:
+					add(s.Name.Name)
+					var fields []*ast.Field
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields.List
+					case *ast.InterfaceType:
+						fields = t.Methods.List
+					}
+					for _, fld := range fields {
+						if len(fld.Names) == 0 { // embedded
+							add(s.Name.Name, typeName(fld.Type))
+						}
+						for _, n := range fld.Names {
+							add(s.Name.Name, n.Name)
+							if _, ok := fld.Type.(*ast.FuncType); ok {
+								add(n.Name) // interface method
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// typeName is the name of a receiver or embedded type: T, *T, T[P], pkg.T.
+func typeName(e ast.Expr) string {
+	switch t := e.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.StarExpr:
+		return typeName(t.X)
+	case *ast.IndexExpr:
+		return typeName(t.X)
+	case *ast.IndexListExpr:
+		return typeName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	}
+	return ""
+}
+
+// checkGoNames reports every backticked pkg.Name or pkg.Type.Member in the
+// Markdown file at path whose pkg is a repository package that declares no
+// such name.
+func checkGoNames(g goNames, path string) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docslint:", err)
+		os.Exit(2)
+	}
+	broken := 0
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, m := range goNameRe.FindAllStringSubmatch(line, -1) {
+			name := strings.Trim(m[0], "`")
+			if g.pkgs[m[1]] && !g.names[name] {
+				fmt.Printf("%s:%d: stale Go name %q: package %s declares no such name\n", path, i+1, name, m[1])
 				broken++
 			}
 		}

@@ -69,7 +69,7 @@ func main() {
 		mux := obshttp.NewMux(obshttp.Sources{
 			Registry: func() *obs.Registry { return cur.Load() },
 			Trace:    ring,
-			Auditor:  func() *audit.Auditor { return curAud.Load() },
+			Auditors: func() []*audit.Auditor { return []*audit.Auditor{curAud.Load()} },
 		})
 		hs, err := obshttp.Listen(*httpAddr, mux)
 		exitOn(err)

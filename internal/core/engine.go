@@ -87,10 +87,10 @@ type Config struct {
 	Audit ptm.Auditor
 	// ReserveTail reserves this many bytes (line-aligned up) at the tail of
 	// a freshly created device, past both region copies, for a caller-owned
-	// structure — the shard layer's flight recorder lives there. Only New
-	// consults it: on reopen the header's recorded region size governs the
-	// layout, so the tail is implicitly whatever the device holds past the
-	// copies (ReservedTail reports it).
+	// structure — the shard layer's flight recorder lives there. NewDevice
+	// sizes for it and Open's format leaves it free: on reopen the header's
+	// recorded region size governs the layout, so the tail is implicitly
+	// whatever the device holds past the copies (ReservedTail reports it).
 	ReserveTail int
 }
 
@@ -180,9 +180,9 @@ func headerChecksum(version, regionSize uint64) uint64 {
 // MinRegionSize is the smallest usable per-copy region size.
 const MinRegionSize = heapBase + alloc.MinSize
 
-// New creates a fresh device sized for two copies of regionSize bytes plus
-// the header, formats it, and opens an engine on it.
-func New(regionSize int, cfg Config) (*Engine, error) {
+// NewDevice returns a blank device sized for the header, two copies of
+// regionSize bytes and cfg.ReserveTail; Open formats it.
+func NewDevice(regionSize int, cfg Config) (*pmem.Device, error) {
 	if regionSize < MinRegionSize {
 		return nil, fmt.Errorf("core: region size %d below minimum %d", regionSize, MinRegionSize)
 	}
@@ -191,7 +191,15 @@ func New(regionSize int, cfg Config) (*Engine, error) {
 	if cfg.ReserveTail > 0 {
 		tail = ptm.Align(cfg.ReserveTail, pmem.LineSize)
 	}
-	dev := pmem.New(headSize+2*regionSize+tail, cfg.Model)
+	return pmem.New(headSize+2*regionSize+tail, cfg.Model), nil
+}
+
+// New formats a NewDevice and opens an engine on it.
+func New(regionSize int, cfg Config) (*Engine, error) {
+	dev, err := NewDevice(regionSize, cfg)
+	if err != nil {
+		return nil, err
+	}
 	return Open(dev, cfg)
 }
 

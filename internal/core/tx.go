@@ -244,7 +244,8 @@ func (h *Handle) UpdateBatched(fn func(ptm.Tx) error) (uint64, error) {
 // combiner's single-writer entry: no announcement and no yield. It folds in
 // whatever the embedded writers have announced and commits them with fn in
 // one durability round. It is meant for a caller that already batches, one
-// goroutine per engine (the group committer, via shard.Update); concurrent
+// at a time per engine (the server's connection reader that leads the
+// shard's batch, via shard.Update); concurrent
 // writers should use Update, which combines. Needs no handle. It returns
 // only after the round's replication, while the announced writers it folds
 // in are released at the durable point.

@@ -28,10 +28,11 @@
 // embedded multi-writer path — shard.Store's Put/Delete/Write and every
 // engine Update go through it: announce, yield once, then compete for the
 // writer lock. ExecuteDirect is the single-writer path for a caller that
-// already batches on its own, one goroutine per engine (the server's group
-// committer, through shard.Update and core.Engine.UpdateDirect): it takes
-// the writer lock without announcing or yielding, runs its operation first
-// and folds in whatever the embedded writers have announced meanwhile. The
+// already batches on its own, one at a time per engine (the server's
+// connection reader that leads the shard's batch, through shard.Update and
+// core.Engine.UpdateDirect): it takes the writer lock without announcing or
+// yielding, runs its operation first and folds in whatever the embedded
+// writers have announced meanwhile. The
 // DisableFlatCombining ablation also takes the direct entry, so every writer
 // still serializes on the one writer lock. Scans of the announcement array
 // stop at the high-water mark of announced thread ids.
@@ -123,7 +124,6 @@ type Combiner[T any] struct {
 	direct    request[T]
 	combined  atomic.Uint64 // ops executed on behalf of other threads
 	seq       atomic.Uint64 // committed durability rounds, monotone
-	batches   atomic.Uint64 // committed durability rounds (== seq, kept for stats reads)
 	batchOps  atomic.Uint64 // ops retired across committed rounds
 	maxBatch  atomic.Uint64 // largest single committed batch
 	combineNs atomic.Uint64 // total wall time spent inside combining passes
@@ -152,18 +152,12 @@ func New[T any](hooks Hooks[T]) *Combiner[T] {
 	return &Combiner[T]{hooks: hooks}
 }
 
-// Combined returns the number of operations executed by a combiner on
-// behalf of another thread, and the number of committed batches.
-func (c *Combiner[T]) Combined() (ops, batches uint64) {
-	return c.combined.Load(), c.batches.Load()
-}
-
 // Stats returns a snapshot of the batching counters. Safe to call
 // concurrently with combining; counters are read individually, so the
 // snapshot is only loosely consistent (fine for metrics).
 func (c *Combiner[T]) Stats() Stats {
 	return Stats{
-		Batches:   c.batches.Load(),
+		Batches:   c.seq.Load(),
 		BatchOps:  c.batchOps.Load(),
 		Combined:  c.combined.Load(),
 		MaxBatch:  c.maxBatch.Load(),
@@ -351,7 +345,6 @@ func (c *Combiner[T]) runSolo(r *request[T]) {
 
 // recordBatch accounts one committed durability round of ops operations.
 func (c *Combiner[T]) recordBatch(ops int) {
-	c.batches.Add(1)
 	c.batchOps.Add(uint64(ops))
 	for {
 		cur := c.maxBatch.Load()

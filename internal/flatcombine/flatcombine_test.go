@@ -164,8 +164,8 @@ func TestConcurrentCombining(t *testing.T) {
 	if e.value != workers*iters {
 		t.Errorf("value = %d, want %d", e.value, workers*iters)
 	}
-	ops, batches := c.Combined()
-	t.Logf("combined %d ops in %d batches", ops, batches)
+	st := c.Stats()
+	t.Logf("combined %d ops in %d batches", st.Combined, st.Batches)
 }
 
 func TestFailureIsolationInBatch(t *testing.T) {

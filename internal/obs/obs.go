@@ -19,12 +19,11 @@
 //   - TxEvent is the per-transaction trace record (begin/commit/rollback/
 //     abort outcome, read- and write-set sizes, bytes copied, pwb and fence
 //     counts) every engine emits through a pluggable Sink. RingSink keeps
-//     the trailing window in a fixed ring buffer with JSON-lines export;
-//     MetricsSink folds events into registry histograms; Tee fans out.
+//     the trailing window in a fixed ring buffer with JSON-lines export.
 //
 // Concurrency: all Registry instruments are safe for concurrent use. Sinks
-// supplied to engines must be safe for concurrent Emit (RingSink and
-// MetricsSink are); engines attach sinks at quiescent points only.
+// supplied to engines must be safe for concurrent Emit (RingSink is);
+// engines attach sinks at quiescent points only.
 package obs
 
 import (

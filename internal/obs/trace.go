@@ -142,93 +142,3 @@ func (s *RingSink) WriteJSON(w io.Writer) error {
 	}
 	return nil
 }
-
-// MetricsSink folds trace events into a registry, deriving the per-
-// transaction distributions of §6.2 from the stream: counters
-// trace_update_total / trace_read_total / trace_rollback_total /
-// trace_retries_total, and histograms tx_pwbs, tx_fences, tx_writes,
-// tx_write_bytes, tx_copied_bytes over committed updates plus
-// read_tx_loads over reads.
-type MetricsSink struct {
-	updates   *Counter
-	reads     *Counter
-	rollbacks *Counter
-	retries   *Counter
-
-	pwbs       *Histogram
-	fences     *Histogram
-	writes     *Histogram
-	writeBytes *Histogram
-	copied     *Histogram
-	batchOps   *Histogram
-	readLoads  *Histogram
-}
-
-// NewMetricsSink creates a sink recording into r. Instrument pointers are
-// resolved once here, so Emit costs only atomic adds.
-func NewMetricsSink(r *Registry) *MetricsSink {
-	return &MetricsSink{
-		updates:    r.Counter("trace_update_total"),
-		reads:      r.Counter("trace_read_total"),
-		rollbacks:  r.Counter("trace_rollback_total"),
-		retries:    r.Counter("trace_retries_total"),
-		pwbs:       r.Histogram("tx_pwbs"),
-		fences:     r.Histogram("tx_fences"),
-		writes:     r.Histogram("tx_writes"),
-		writeBytes: r.Histogram("tx_write_bytes"),
-		copied:     r.Histogram("tx_copied_bytes"),
-		batchOps:   r.Histogram("tx_batch_ops"),
-		readLoads:  r.Histogram("read_tx_loads"),
-	}
-}
-
-// Emit implements Sink.
-func (s *MetricsSink) Emit(ev TxEvent) {
-	switch ev.Kind {
-	case KindUpdate:
-		s.retries.Add(ev.Retries)
-		if ev.Outcome != OutcomeCommit {
-			s.rollbacks.Inc()
-			return
-		}
-		s.updates.Inc()
-		s.pwbs.Observe(ev.Pwbs)
-		s.fences.Observe(ev.Fences)
-		s.writes.Observe(ev.Writes)
-		s.writeBytes.Observe(ev.WriteBytes)
-		s.copied.Observe(ev.CopiedBytes)
-		if ev.BatchOps > 0 {
-			s.batchOps.Observe(ev.BatchOps)
-		}
-	case KindRead:
-		s.reads.Inc()
-		s.readLoads.Observe(ev.Reads)
-	}
-}
-
-// Tee returns a sink that forwards every event to each non-nil sink, or
-// nil if none remain (so engines can attach the result unconditionally).
-func Tee(sinks ...Sink) Sink {
-	var live []Sink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return teeSink(live)
-}
-
-type teeSink []Sink
-
-// Emit implements Sink.
-func (t teeSink) Emit(ev TxEvent) {
-	for _, s := range t {
-		s.Emit(ev)
-	}
-}

@@ -40,52 +40,3 @@ func TestRingSinkWriteJSON(t *testing.T) {
 		t.Fatalf("line 0 = %s\nwant     %s", lines[0], want)
 	}
 }
-
-func TestMetricsSinkFolds(t *testing.T) {
-	r := NewRegistry()
-	s := NewMetricsSink(r)
-	// Two committed updates, one rollback (ignored by histograms), one read.
-	s.Emit(TxEvent{Kind: KindUpdate, Outcome: OutcomeCommit, Writes: 2, WriteBytes: 16, CopiedBytes: 100, Pwbs: 5, Fences: 4})
-	s.Emit(TxEvent{Kind: KindUpdate, Outcome: OutcomeCommit, Writes: 4, WriteBytes: 32, CopiedBytes: 200, Pwbs: 7, Fences: 4, Retries: 2})
-	s.Emit(TxEvent{Kind: KindUpdate, Outcome: OutcomeRollback, Pwbs: 99, Fences: 99})
-	s.Emit(TxEvent{Kind: KindRead, Outcome: OutcomeOK, Reads: 3})
-
-	snap := r.Snapshot()
-	if got := snap.Counters["trace_update_total"]; got != 2 {
-		t.Errorf("trace_update_total = %d, want 2", got)
-	}
-	if got := snap.Counters["trace_rollback_total"]; got != 1 {
-		t.Errorf("trace_rollback_total = %d, want 1", got)
-	}
-	if got := snap.Counters["trace_read_total"]; got != 1 {
-		t.Errorf("trace_read_total = %d, want 1", got)
-	}
-	if got := snap.Counters["trace_retries_total"]; got != 2 {
-		t.Errorf("trace_retries_total = %d, want 2", got)
-	}
-	f := snap.Histograms["tx_fences"]
-	if f.Count != 2 || f.Sum != 8 || f.Mean != 4 {
-		t.Errorf("tx_fences = %+v, want count 2 sum 8 mean 4 (rollback excluded)", f)
-	}
-	if got := snap.Histograms["tx_pwbs"].Sum; got != 12 {
-		t.Errorf("tx_pwbs sum = %d, want 12", got)
-	}
-	if got := snap.Histograms["read_tx_loads"].Sum; got != 3 {
-		t.Errorf("read_tx_loads sum = %d, want 3", got)
-	}
-}
-
-func TestTee(t *testing.T) {
-	a, b := NewRingSink(4), NewRingSink(4)
-	s := Tee(a, nil, b)
-	s.Emit(TxEvent{Kind: KindUpdate})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatalf("tee delivered %d/%d, want 1/1", a.Total(), b.Total())
-	}
-	if Tee(nil, nil) != nil {
-		t.Fatal("Tee of only nils should be nil")
-	}
-	if got := Tee(a); got != Sink(a) {
-		t.Fatal("Tee of one sink should return it unwrapped")
-	}
-}

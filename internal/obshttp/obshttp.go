@@ -48,12 +48,9 @@ type Sources struct {
 	// /trace?req=<id> timeline view.
 	Spans *obs.SpanRecorder
 	// Auditors, when non-nil, serves every live durability auditor on
-	// /audit (one summary per shard). Takes precedence over Auditor.
+	// /audit (one summary per shard). Nil entries are skipped; the route
+	// answers 503 while none remain.
 	Auditors func() []*audit.Auditor
-	// Auditor, when non-nil (and Auditors is nil), serves the single
-	// current auditor on /audit; the route answers 503 while it returns
-	// nil. Kept for single-engine binaries (romulus-db).
-	Auditor func() *audit.Auditor
 	// Ready, when non-nil, gates /readyz: a non-nil error answers 503 with
 	// the error text as the reason. Nil means "ready once serving".
 	Ready func() error
@@ -118,18 +115,14 @@ func NewMux(src Sources) *http.ServeMux {
 			}
 		})
 	}
-	if src.Auditors != nil || src.Auditor != nil {
-		many, one := src.Auditors, src.Auditor
+	if src.Auditors != nil {
+		auditors := src.Auditors
 		mux.HandleFunc("/audit", func(w http.ResponseWriter, req *http.Request) {
 			var live []*audit.Auditor
-			if many != nil {
-				for _, a := range many() {
-					if a != nil {
-						live = append(live, a)
-					}
+			for _, a := range auditors() {
+				if a != nil {
+					live = append(live, a)
 				}
-			} else if a := one(); a != nil {
-				live = append(live, a)
 			}
 			if len(live) == 0 {
 				http.Error(w, "no auditor attached (run with -audit)", http.StatusServiceUnavailable)

@@ -61,7 +61,7 @@ func TestMuxRoutes(t *testing.T) {
 	get := startMux(t, NewMux(Sources{
 		Registry: func() *obs.Registry { return reg },
 		Trace:    ring,
-		Auditor:  func() *audit.Auditor { return aud.Load() },
+		Auditors: func() []*audit.Auditor { return []*audit.Auditor{aud.Load()} },
 	}))
 
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "demo_total 3") {

@@ -50,14 +50,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/hsync"
 	"repro/internal/kvstore"
 	"repro/internal/leftright"
 	"repro/internal/migrate"
 	"repro/internal/obs"
-	"repro/internal/pstruct"
 	"repro/internal/ptm"
 )
 
@@ -420,10 +417,10 @@ func (s *Store) deleteKeys(shard int, keys [][]byte) error {
 	})
 }
 
-// AddShard brings a fresh empty shard online: a new engine + map, wired
-// into auditing/blackbox like Open's shards, registered in the placement
-// (owning no slots — a migration moves slots to it). Refused while a
-// migration is journaled, so the device set a crash must recover is
+// AddShard brings a fresh empty shard online on a blank device, through
+// the same per-shard open as every other shard (openShard), registered in
+// the placement (owning no slots — a migration moves slots to it). Refused
+// while a migration is journaled, so the device set a crash must recover is
 // stable throughout a migration.
 func (s *Store) AddShard() (int, error) {
 	s.migMu.Lock()
@@ -431,30 +428,14 @@ func (s *Store) AddShard() (int, error) {
 	if s.mig != nil || s.placement.Journal.Phase != migrate.PhaseNone {
 		return 0, errors.New("shard: cannot add a shard during a migration")
 	}
-	eng, err := core.New(s.opts.RegionSize, s.engineConfig())
+	i := len(s.parts())
+	dev, err := s.opts.blankShard()
 	if err != nil {
 		return 0, fmt.Errorf("shard: adding shard: %w", err)
 	}
-	if err := eng.Update(func(tx ptm.Tx) error {
-		_, err := pstruct.NewByteMap(tx, 0, s.opts.InitialBuckets)
-		return err
-	}); err != nil {
-		return 0, fmt.Errorf("shard: adding shard: initializing map: %w", err)
-	}
-	p := &shardPart{eng: eng, db: kvstore.Attach(eng), dev: eng.Device()}
-	i := len(s.parts())
-	s.amu.Lock()
-	s.flight = append(s.flight, nil)
-	err = s.attachBlackbox(i, p) // writes s.flight[i]
-	s.amu.Unlock()
+	p, err := s.openShard(i, dev, nil)
 	if err != nil {
 		return 0, fmt.Errorf("shard: adding shard %d: %w", i, err)
-	}
-	var aud *audit.Auditor
-	if s.opts.Audit && s.opts.Auditors == nil {
-		aud = audit.New(eng.Device(), audit.Options{})
-		aud.Attach()
-		eng.SetAuditor(aud)
 	}
 	pl2 := s.placement.Clone()
 	pl2.NumShards = i + 1
@@ -463,10 +444,6 @@ func (s *Store) AddShard() (int, error) {
 	}
 	s.placement = pl2
 	s.setParts(append(append([]*shardPart(nil), s.parts()...), p))
-	s.amu.Lock()
-	coordA := s.auds[len(s.auds)-1]
-	s.auds = append(append(s.auds[:len(s.auds)-1:len(s.auds)-1], aud), coordA)
-	s.amu.Unlock()
 	return i, nil
 }
 

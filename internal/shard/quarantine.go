@@ -18,11 +18,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/audit"
-	"repro/internal/core"
-	"repro/internal/kvstore"
 	"repro/internal/pmem"
-	"repro/internal/pstruct"
 	"repro/internal/ptm"
 )
 
@@ -151,46 +147,23 @@ func (s *Store) Scrub(i int) error {
 	if !p.faulted.Load() {
 		return fmt.Errorf("shard: scrub: shard %d is not quarantined", i)
 	}
-	eng, err := core.New(s.opts.RegionSize, s.engineConfig())
+	dev, err := s.opts.blankShard()
 	if err != nil {
 		return fmt.Errorf("shard: scrub %d: %w", i, err)
-	}
-	if err := eng.Update(func(tx ptm.Tx) error {
-		_, err := pstruct.NewByteMap(tx, 0, s.opts.InitialBuckets)
-		return err
-	}); err != nil {
-		return fmt.Errorf("shard: scrub %d: initializing map: %w", i, err)
-	}
-	s.amu.Lock()
-	hadAud := s.auds[i] != nil
-	s.amu.Unlock()
-	var aud *audit.Auditor
-	if hadAud {
-		aud = audit.New(eng.Device(), audit.Options{})
-		aud.Attach()
-		eng.SetAuditor(aud)
 	}
 	// A fresh recorder on the fresh device; the quarantined device's ring
 	// (if any) goes with it — its flight data described lost media.
-	scrubbed := &shardPart{eng: eng, db: kvstore.Attach(eng), dev: eng.Device()}
-	s.amu.Lock()
-	err = s.attachBlackbox(i, scrubbed) // writes s.flight[i]
-	s.amu.Unlock()
+	scrubbed, err := s.openShard(i, dev, nil)
 	if err != nil {
 		return fmt.Errorf("shard: scrub %d: %w", i, err)
 	}
-	p.mu.Lock()
-	p.eng, p.db, p.dev, p.bb = scrubbed.eng, scrubbed.db, scrubbed.dev, scrubbed.bb
-	p.reason = ""
-	p.faulted.Store(false)
-	p.mu.Unlock()
 	// The old engine (if any) is abandoned, not Closed: Close would report
 	// auditor state for a partition whose loss was just admitted.
-	if aud != nil {
-		s.amu.Lock()
-		s.auds[i] = aud
-		s.amu.Unlock()
-	}
+	p.mu.Lock()
+	p.eng, p.db, p.dev, p.bb = scrubbed.eng, scrubbed.db, scrubbed.dev, scrubbed.bb
+	p.flight, p.aud, p.reason = scrubbed.flight, scrubbed.aud, scrubbed.reason
+	p.faulted.Store(scrubbed.faulted.Load())
+	p.mu.Unlock()
 	s.faultScrub.Inc()
 	return s.coord.resolve(s)
 }

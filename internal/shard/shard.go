@@ -3,6 +3,12 @@
 // (rom/romlog/romlr selectable) with the flat-combining batched commit path,
 // and RomulusDB map, behind one Store API.
 //
+// Every shard comes online through one per-shard open (openShard): Reopen
+// runs it for each device it is handed, AddShard and Scrub for a blank one,
+// and Open hands Reopen blank devices for a fresh store. It attaches the
+// device's auditor first, so formats are audited, and creates the map only
+// on a just-formatted device.
+//
 // Keys hash to a fixed set of placement slots, and a durable placement map
 // (persisted at the coordinator device's tail) assigns each slot to a shard
 // — see placement.go. A fresh store's identity placement reproduces plain
@@ -51,6 +57,9 @@ import (
 	"repro/internal/ptm"
 )
 
+// mapRoot is the root slot holding each shard's RomulusDB map (kvstore's).
+const mapRoot = 0
+
 // appliedRoot is the root slot holding each shard's applied-batch watermark
 // cell: an 8-byte persistent cell recording the highest cross-shard batch id
 // the shard has durably applied. kvstore owns root 0 (the map); the cell is
@@ -94,8 +103,9 @@ type Options struct {
 	// store keeps a private registry so counters still work.
 	Metrics *obs.Registry
 	// Audit, when true, creates and attaches a durability auditor to every
-	// device (each shard and the coordinator); violations are counted and
-	// retrievable via Auditors/ViolationCount.
+	// device (each shard and the coordinator) before anything runs on it, so
+	// formats are audited too; violations are counted and retrievable via
+	// Auditors/ViolationCount.
 	Audit bool
 	// Auditors, when non-nil, supplies externally managed auditors instead
 	// (crash harnesses compose them with schedulers): one per shard plus the
@@ -135,14 +145,16 @@ func (o *Options) applyDefaults() {
 // shardPart is one partition: a device, its engine, and the RomulusDB map.
 // A quarantined shard has faulted set; after a Reopen that quarantined the
 // shard (recovery refused its image), eng and db are additionally nil while
-// dev still holds the damaged device for forensics. mu guards the eng/db/dev
-// triple against the Scrub swap: operations hold it for read, Scrub for
+// dev still holds the damaged device for forensics. mu guards the fields
+// above it against the Scrub swap: operations hold it for read, Scrub for
 // write. reason is guarded by mu.
 type shardPart struct {
-	eng *core.Engine
-	db  *kvstore.DB
-	dev *pmem.Device
-	bb  *blackbox.Recorder // reserved-tail flight recorder (nil when off)
+	eng    *core.Engine
+	db     *kvstore.DB
+	dev    *pmem.Device
+	bb     *blackbox.Recorder // reserved-tail flight recorder (nil when off)
+	flight *blackbox.Report   // what bb replayed at open (nil without bb)
+	aud    *audit.Auditor     // store-owned auditor (Options.Audit), or nil
 
 	mu      sync.RWMutex
 	faulted atomic.Bool
@@ -203,14 +215,9 @@ type Store struct {
 	partsv atomic.Pointer[[]*shardPart]
 	coord  *coordinator
 	reg    *obs.Registry
-
-	// amu guards auds and flight against AddShard/Scrub appends.
-	amu  sync.Mutex
-	auds []*audit.Auditor // non-nil entries only when Options.Audit built them
-	// flight holds the per-shard flight-recorder reports replayed at the
-	// last Open/Reopen (nil entries: Blackbox off, no reserved tail, or the
-	// shard was quarantined at open).
-	flight []*blackbox.Report
+	// coordAud is the coordinator's store-owned auditor (Options.Audit), or
+	// nil; set once at open.
+	coordAud *audit.Auditor
 
 	// Placement routing + migration state (see placement.go). migMu is the
 	// migration epoch lock: writes hold it for read across their
@@ -242,132 +249,41 @@ func (s *Store) parts() []*shardPart { return *s.partsv.Load() }
 
 func (s *Store) setParts(ps []*shardPart) { s.partsv.Store(&ps) }
 
-// Open creates a fresh store, or reloads one from Options.Dir when image
-// files are present.
+// Open creates a store, or reloads one from Options.Dir when image files are
+// present, and hands its devices to Reopen either way: a fresh store is
+// Options.Shards blank shard devices plus a blank coordinator, which the
+// open path formats. A fresh and a recovered store differ only in what their
+// devices hold.
 func Open(opts Options) (*Store, error) {
 	opts.applyDefaults()
-	if opts.Dir != "" {
-		if _, err := os.Stat(coordPath(opts.Dir)); err == nil {
-			return openDir(opts)
-		}
-	}
-	s := newStore(opts)
-	exts := s.externalAuditors()
-	parts := make([]*shardPart, 0, opts.Shards)
-	for i := 0; i < opts.Shards; i++ {
-		eng, err := core.New(opts.RegionSize, s.engineConfig())
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		p := &shardPart{eng: eng, db: kvstore.Attach(eng), dev: eng.Device()}
-		if err := eng.Update(func(tx ptm.Tx) error {
-			_, err := pstruct.NewByteMap(tx, 0, opts.InitialBuckets)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("shard %d: initializing map: %w", i, err)
-		}
-		if err := s.attachBlackbox(i, p); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		parts = append(parts, p)
-	}
-	s.setParts(parts)
-	coordDev := pmem.New(opts.CoordSize, opts.Model)
-	// Wire auditing before the coordinator formats so its protocol is
-	// audited from the first store (shard formats above ran unaudited, as
-	// fresh-device formats do throughout the repo's harnesses).
-	s.wireAudit(exts, coordDev)
-	coord, err := openCoordinator(coordDev, s, s.coordAuditor(exts))
+	devs, err := loadDir(opts)
 	if err != nil {
 		return nil, err
 	}
-	s.coord = coord
-	if err := s.initPlacement(); err != nil {
-		return nil, err
+	if devs == nil {
+		for i := 0; i < opts.Shards; i++ {
+			d, err := opts.blankShard()
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
+			}
+			devs = append(devs, d)
+		}
+		devs = append(devs, pmem.New(opts.CoordSize, opts.Model))
 	}
-	s.wireMetrics()
-	return s, nil
+	return Reopen(devs, opts)
 }
 
-// Reopen attaches a store to existing devices — one per shard plus the
-// coordinator device LAST (the Devices order) — running each shard's crash
-// recovery, the coordinator's in-doubt batch resolution, and then the
-// placement map's migration-journal resolution (see placement.go). Crash
-// harnesses drive this with devices built from captured images.
-func Reopen(devs []*pmem.Device, opts Options) (*Store, error) {
-	if len(devs) < 2 {
-		return nil, fmt.Errorf("shard: Reopen needs at least one shard device plus the coordinator, got %d devices", len(devs))
+// loadDir loads a store persisted by Close into Options.Dir — the shard
+// images, then the coordinator's LAST — or returns nil when Dir holds no
+// coordinator image. The shard count comes from the image files present (an
+// online split may have grown the store past the count it was created with).
+func loadDir(opts Options) ([]*pmem.Device, error) {
+	if opts.Dir == "" {
+		return nil, nil
 	}
-	opts.Shards = len(devs) - 1
-	opts.applyDefaults()
-	s := newStore(opts)
-	exts := s.externalAuditors()
-	if exts == nil && opts.Audit {
-		// Internal auditors must attach before recovery runs on any device.
-		s.wireAudit(nil, devs[len(devs)-1])
-		for i, d := range devs[:len(devs)-1] {
-			a := audit.New(d, audit.Options{})
-			a.Attach()
-			s.auds[i] = a
-		}
-		exts = make([]ptm.Auditor, len(devs))
-		for i, a := range s.auds {
-			if a != nil {
-				exts[i] = a
-			}
-		}
+	if _, err := os.Stat(coordPath(opts.Dir)); err != nil {
+		return nil, nil
 	}
-	parts := make([]*shardPart, 0, opts.Shards)
-	for i := 0; i < opts.Shards; i++ {
-		var aud ptm.Auditor
-		if exts != nil && exts[i] != nil {
-			aud = exts[i]
-		}
-		cfg := s.engineConfig()
-		cfg.Audit = aud
-		eng, err := core.Open(devs[i], cfg)
-		if err != nil {
-			if opts.QuarantineFaults && quarantinedOnOpen(err) {
-				// Degraded reopen: this shard's image is torn, rotted, or
-				// unreadable. Quarantine it (keys answer UNAVAIL, Scrub can
-				// readmit) instead of refusing to serve the healthy shards.
-				p := &shardPart{dev: devs[i]}
-				p.reason = fmt.Sprintf("recovery failed: %v", err)
-				p.faulted.Store(true)
-				parts = append(parts, p)
-				s.quarantineN.Inc()
-				continue
-			}
-			return nil, fmt.Errorf("shard %d: reopening: %w", i, err)
-		}
-		p := &shardPart{eng: eng, db: kvstore.Attach(eng), dev: devs[i]}
-		if err := s.attachBlackbox(i, p); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		if p.bb != nil {
-			// Stamp the successful recovery after replay, so the report the
-			// caller reads describes the pre-crash run, not this reopen.
-			p.bb.Recovery()
-		}
-		parts = append(parts, p)
-	}
-	s.setParts(parts)
-	coord, err := openCoordinator(devs[len(devs)-1], s, s.coordAuditor(exts))
-	if err != nil {
-		return nil, fmt.Errorf("shard: reopening coordinator: %w", err)
-	}
-	s.coord = coord
-	if err := s.initPlacement(); err != nil {
-		return nil, err
-	}
-	s.wireMetrics()
-	return s, nil
-}
-
-// openDir reloads a store persisted by Close into Options.Dir. The shard
-// count comes from the image files present (an online split may have grown
-// the store past the count it was created with).
-func openDir(opts Options) (*Store, error) {
 	var devs []*pmem.Device
 	for i := 0; ; i++ {
 		path := shardPath(opts.Dir, i)
@@ -387,13 +303,110 @@ func openDir(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: loading coordinator: %w", err)
 	}
-	devs = append(devs, cd)
-	st, err := Reopen(devs, opts)
+	return append(devs, cd), nil
+}
+
+// Reopen attaches a store to existing devices — one per shard plus the
+// coordinator device LAST (the Devices order) — running each shard's crash
+// recovery, the coordinator's in-doubt batch resolution, and then the
+// placement map's migration-journal resolution (see placement.go). Blank
+// devices are formatted on the way (Open's fresh store). Crash harnesses
+// drive this with devices built from captured images.
+func Reopen(devs []*pmem.Device, opts Options) (*Store, error) {
+	if len(devs) < 2 {
+		return nil, fmt.Errorf("shard: Reopen needs at least one shard device plus the coordinator, got %d devices", len(devs))
+	}
+	exts := opts.Auditors
+	switch {
+	case exts == nil:
+		exts = make([]ptm.Auditor, len(devs))
+	case len(exts) != len(devs):
+		panic(fmt.Sprintf("shard: %d auditors for %d shards+coordinator", len(exts), len(devs)-1))
+	}
+	opts.Shards = len(devs) - 1
+	opts.applyDefaults()
+	s := newStore(opts)
+	parts := make([]*shardPart, 0, opts.Shards)
+	for i, dev := range devs[:opts.Shards] {
+		p, err := s.openShard(i, dev, exts[i])
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: opening: %w", i, err)
+		}
+		parts = append(parts, p)
+	}
+	s.setParts(parts)
+	coordDev := devs[opts.Shards]
+	aud, own := s.auditorFor(coordDev, exts[opts.Shards])
+	s.coordAud = own
+	coord, err := openCoordinator(coordDev, s, aud)
 	if err != nil {
+		return nil, fmt.Errorf("shard: opening coordinator: %w", err)
+	}
+	s.coord = coord
+	if err := s.initPlacement(); err != nil {
 		return nil, err
 	}
-	st.opts.Dir = opts.Dir
-	return st, nil
+	s.wireMetrics()
+	return s, nil
+}
+
+// openShard brings shard i online on dev. It is the one path every shard
+// takes: Reopen's for each device it is handed, AddShard's and Scrub's for a
+// blank one. The auditor attaches first, so format, recovery and the map's
+// creation all run audited; core.Open formats a blank device or recovers a
+// used one. Whether the map must be created is read from the device — a nil
+// root is a just-formatted device — so a recovered shard runs no update
+// transaction. Under Options.QuarantineFaults a media-damaged image comes
+// back quarantined instead of failing the open.
+func (s *Store) openShard(i int, dev *pmem.Device, ext ptm.Auditor) (*shardPart, error) {
+	p := &shardPart{dev: dev}
+	cfg := s.opts.engineConfig()
+	cfg.Audit, p.aud = s.auditorFor(dev, ext)
+	eng, err := core.Open(dev, cfg)
+	if err != nil {
+		if !s.opts.QuarantineFaults || !quarantinedOnOpen(err) {
+			return nil, err
+		}
+		// Degraded open: this shard's image is torn, rotted, or unreadable.
+		// Quarantine it (keys answer UNAVAIL, Scrub can readmit) instead of
+		// refusing to serve the healthy shards.
+		p.reason = fmt.Sprintf("recovery failed: %v", err)
+		p.faulted.Store(true)
+		s.quarantineN.Inc()
+		return p, nil
+	}
+	fresh := false
+	if err := eng.Read(func(tx ptm.Tx) error {
+		fresh = tx.Root(mapRoot).IsNil()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	if fresh {
+		if err := eng.Update(func(tx ptm.Tx) error {
+			_, err := pstruct.NewByteMap(tx, mapRoot, s.opts.InitialBuckets)
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("initializing map: %w", err)
+		}
+	}
+	p.eng, p.db = eng, kvstore.Attach(eng)
+	// A device without a (large enough) reserved tail — created before
+	// Blackbox or with it off — simply records no flights.
+	if off, size := eng.ReservedTail(); s.opts.Blackbox && size >= blackbox.MinSize {
+		rec, rep, err := blackbox.Open(dev, off, size)
+		if err != nil {
+			return nil, fmt.Errorf("flight recorder: %w", err)
+		}
+		rep.Shard = i
+		p.bb, p.flight = rec, rep
+		if !fresh {
+			// Stamp the successful recovery after replay, so the report the
+			// caller reads describes the pre-crash run, not this open.
+			rec.Recovery()
+		}
+	}
+	return p, nil
 }
 
 func newStore(opts Options) *Store {
@@ -404,8 +417,6 @@ func newStore(opts Options) *Store {
 	s := &Store{
 		opts:        opts,
 		reg:         reg,
-		auds:        make([]*audit.Auditor, opts.Shards+1),
-		flight:      make([]*blackbox.Report, opts.Shards),
 		routeGet:    reg.Counter("shard_route_get_total"),
 		routePut:    reg.Counter("shard_route_put_total"),
 		routeDel:    reg.Counter("shard_route_delete_total"),
@@ -431,78 +442,35 @@ func newStore(opts Options) *Store {
 	return s
 }
 
-// engineConfig is the per-shard core.Config Open, Reopen and Scrub share.
-// With Blackbox on, fresh devices reserve the flight-recorder tail; on
-// reopen the header governs the layout, so the reserve is advisory there.
-func (s *Store) engineConfig() core.Config {
-	cfg := core.Config{Variant: s.opts.Variant, Model: s.opts.Model}
-	if s.opts.Blackbox {
+// engineConfig is the core.Config every shard opens with. With Blackbox on,
+// blank devices reserve the flight-recorder tail; on reopen the header
+// governs the layout, so the reserve is advisory there.
+func (o *Options) engineConfig() core.Config {
+	cfg := core.Config{Variant: o.Variant, Model: o.Model}
+	if o.Blackbox {
 		cfg.ReserveTail = blackbox.DefaultSize
 	}
 	return cfg
 }
 
-// attachBlackbox opens the flight recorder in shard i's reserved tail,
-// storing the replayed report in s.flight[i]. A device without a (large
-// enough) reserved tail — created before Blackbox or with it off — is not
-// an error: the shard simply records no flights.
-func (s *Store) attachBlackbox(i int, p *shardPart) error {
-	if !s.opts.Blackbox {
-		return nil
-	}
-	off, size := p.eng.ReservedTail()
-	if size < blackbox.MinSize {
-		return nil
-	}
-	rec, rep, err := blackbox.Open(p.dev, off, size)
-	if err != nil {
-		return fmt.Errorf("flight recorder: %w", err)
-	}
-	rep.Shard = i
-	p.bb = rec
-	s.flight[i] = rep
-	return nil
+// blankShard returns a blank shard device, sized for RegionSize and the
+// engine configuration; openShard formats it.
+func (o *Options) blankShard() (*pmem.Device, error) {
+	return core.NewDevice(o.RegionSize, o.engineConfig())
 }
 
-// externalAuditors validates and returns Options.Auditors (nil when unset).
-func (s *Store) externalAuditors() []ptm.Auditor {
-	if s.opts.Auditors == nil {
-		return nil
+// auditorFor is the one place a device's auditor is wired, before anything
+// runs on the device. It returns the auditor the device's protocol markers
+// go to: ext when Options.Auditors supplies them, else — under Options.Audit
+// — a new auditor attached to dev, which the store owns and also returns as
+// own.
+func (s *Store) auditorFor(dev *pmem.Device, ext ptm.Auditor) (aud ptm.Auditor, own *audit.Auditor) {
+	if s.opts.Auditors != nil || !s.opts.Audit {
+		return ext, nil
 	}
-	if len(s.opts.Auditors) != s.opts.Shards+1 {
-		panic(fmt.Sprintf("shard: %d auditors for %d shards+coordinator", len(s.opts.Auditors), s.opts.Shards))
-	}
-	return s.opts.Auditors
-}
-
-// wireAudit creates internal auditors (Options.Audit without Auditors) for
-// every already-created shard engine and the coordinator device, attaching
-// their hooks and engine-side markers.
-func (s *Store) wireAudit(exts []ptm.Auditor, coordDev *pmem.Device) {
-	if exts != nil || !s.opts.Audit {
-		return
-	}
-	for i, p := range s.parts() {
-		a := audit.New(p.eng.Device(), audit.Options{})
-		a.Attach()
-		p.eng.SetAuditor(a)
-		s.auds[i] = a
-	}
-	ca := audit.New(coordDev, audit.Options{})
-	ca.Attach()
-	s.auds[s.opts.Shards] = ca
-}
-
-// coordAuditor resolves the coordinator's ptm.Auditor from external or
-// internal wiring.
-func (s *Store) coordAuditor(exts []ptm.Auditor) ptm.Auditor {
-	if exts != nil {
-		return exts[len(exts)-1]
-	}
-	if a := s.auds[s.opts.Shards]; a != nil {
-		return a
-	}
-	return nil
+	own = audit.New(dev, audit.Options{})
+	own.Attach()
+	return own, own
 }
 
 // wireMetrics registers the lazy per-shard gauges.
@@ -530,9 +498,6 @@ func (s *Store) wireMetrics() {
 		set("shard_migrate_active", migrating)
 
 		shards := s.parts()
-		s.amu.Lock()
-		flight := append([]*blackbox.Report(nil), s.flight...)
-		s.amu.Unlock()
 		quarantined := uint64(0)
 		flights, replayed, reformatted := uint64(0), uint64(0), uint64(0)
 		var recovered []ptm.RecoveryStats
@@ -545,17 +510,15 @@ func (s *Store) wireMetrics() {
 			}
 			set(pre+"faulted", faulted)
 			p.mu.RLock()
-			eng, dev, bb := p.eng, p.dev, p.bb
+			eng, dev, bb, rep := p.eng, p.dev, p.bb, p.flight
 			p.mu.RUnlock()
 			if bb != nil {
 				flights += bb.Appended()
 			}
-			if i < len(flight) {
-				if rep := flight[i]; rep != nil {
-					replayed += uint64(len(rep.Records))
-					if rep.Reformatted {
-						reformatted++
-					}
+			if rep != nil {
+				replayed += uint64(len(rep.Records))
+				if rep.Reformatted {
+					reformatted++
 				}
 			}
 			devs = append(devs, dev)
@@ -686,9 +649,14 @@ func (s *Store) SetAuditors(auds []ptm.Auditor) {
 // shard plus the coordinator's last; entries are nil when auditing is off
 // or externally managed.
 func (s *Store) Auditors() []*audit.Auditor {
-	s.amu.Lock()
-	defer s.amu.Unlock()
-	return append([]*audit.Auditor(nil), s.auds...)
+	parts := s.parts()
+	out := make([]*audit.Auditor, 0, len(parts)+1)
+	for _, p := range parts {
+		p.mu.RLock()
+		out = append(out, p.aud)
+		p.mu.RUnlock()
+	}
+	return append(out, s.coordAud)
 }
 
 // FlightReports returns the per-shard flight-recorder reports replayed at
@@ -696,9 +664,14 @@ func (s *Store) Auditors() []*audit.Auditor {
 // has no reserved tail, or the shard was quarantined at open. The reports
 // describe the run *before* this open — forensics, not live state.
 func (s *Store) FlightReports() []*blackbox.Report {
-	s.amu.Lock()
-	defer s.amu.Unlock()
-	return append([]*blackbox.Report(nil), s.flight...)
+	parts := s.parts()
+	out := make([]*blackbox.Report, 0, len(parts))
+	for _, p := range parts {
+		p.mu.RLock()
+		out = append(out, p.flight)
+		p.mu.RUnlock()
+	}
+	return out
 }
 
 // HasFlightRecorder reports whether any shard is recording flights; the
@@ -735,10 +708,8 @@ func (s *Store) RecordFlight(i int, rec blackbox.Record) {
 // ViolationCount sums durability violations across the store-created
 // auditors.
 func (s *Store) ViolationCount() uint64 {
-	s.amu.Lock()
-	defer s.amu.Unlock()
 	var n uint64
-	for _, a := range s.auds {
+	for _, a := range s.Auditors() {
 		if a != nil {
 			n += a.ViolationCount()
 		}
