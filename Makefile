@@ -131,6 +131,7 @@ flakecheck:
 
 fuzz:
 	go test -fuzz FuzzAllocFree -fuzztime 60s ./internal/alloc
+	go test -fuzz FuzzByteMap -fuzztime 60s ./internal/pstruct
 	go test -fuzz FuzzServeLines -fuzztime 60s ./internal/server
 	go test -fuzz FuzzCrashRecovery -fuzztime 60s ./internal/core
 	go test -fuzz FuzzEngineOpen -fuzztime 60s ./internal/core

@@ -50,6 +50,7 @@ type Mem interface {
 const (
 	align      = 16
 	headerSize = 16
+	lineSize   = 64 // the cache line AllocAligned aligns chunks to
 	// minChunk leaves room for header (16), fd/bk links (16) and the
 	// boundary-tag footer (8, in the last word) without overlap.
 	minChunk    = 48
@@ -266,7 +267,32 @@ func chunkFor(n uint64) uint64 {
 // Alloc allocates n payload bytes and returns the absolute offset of the
 // payload (chunk + header). The payload is NOT zeroed; the transactional
 // layer above zeroes it so that the zeroing is interposed efficiently.
-func (h *Heap) Alloc(n int) (uint64, error) {
+func (h *Heap) Alloc(n int) (uint64, error) { return h.alloc(n, false) }
+
+// AllocAligned is Alloc for a chunk that starts on a cache line, so the
+// payload starts headerSize bytes into a line and a request of
+// k*lineSize-headerSize bytes fills exactly k lines. It is dlmalloc's
+// memalign split: the gap in front of the aligned chunk (leadFor) becomes a
+// free chunk in its bin, whether the chunk comes from a bin or is carved from
+// top, so no byte leaks and the gap serves later requests.
+func (h *Heap) AllocAligned(n int) (uint64, error) { return h.alloc(n, true) }
+
+// leadFor returns the gap an allocation splits off in front of free chunk
+// c: none unless aligned, else 0 if c starts a line, else the distance to
+// the next line, grown by a line when it is below minChunk (a 16- or
+// 32-byte gap cannot hold a free chunk).
+func leadFor(c uint64, aligned bool) uint64 {
+	if !aligned {
+		return 0
+	}
+	lead := -c & (lineSize - 1)
+	if lead != 0 && lead < minChunk {
+		lead += lineSize
+	}
+	return lead
+}
+
+func (h *Heap) alloc(n int, aligned bool) (uint64, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("alloc: negative size %d", n)
 	}
@@ -274,33 +300,53 @@ func (h *Heap) Alloc(n int) (uint64, error) {
 	// Search the non-empty bins, smallest candidate bin first.
 	for b := h.nextBin(binFor(need)); b < numBins; b = h.nextBin(b + 1) {
 		for c := h.binHead(b); c != 0; c = h.fd(c) {
-			size := h.chunkSize(c)
-			if size < need {
+			size, l := h.chunkSize(c), leadFor(c, aligned)
+			if size < need+l {
 				continue
 			}
 			h.binUnlink(c, size)
-			h.takeChunk(c, size, need)
-			h.bumpAllocStats(need)
+			prevUse := uint64(flagPrevUse) // a free chunk's neighbours are in use
+			if l > 0 {
+				h.freeLead(c, l)
+				c, size, prevUse = c+l, size-l, 0
+			}
+			h.bumpAllocStats(h.takeChunk(c, size, need, prevUse))
 			return c + headerSize, nil
 		}
 	}
-	// Carve from the wilderness.
+	// Carve from the wilderness. The chunk immediately below top is always
+	// in use (free neighbours are merged into top), so flagPrevUse holds
+	// unless a lead gap is split off first.
 	top, end := h.load(offTop), h.load(offEnd)
-	if end-top < need {
+	l := leadFor(top, aligned)
+	if end-top < l+need {
 		return 0, ErrOutOfMemory
 	}
-	c := top
-	// The chunk immediately below top is always in use (free neighbours are
-	// merged into top), so flagPrevUse holds.
-	h.setHeader(c, need, flagInUse|flagPrevUse)
-	h.store(offTop, top+need)
+	c, prevUse := top, uint64(flagPrevUse)
+	if l > 0 {
+		h.freeLead(c, l)
+		c, prevUse = c+l, 0
+	}
+	h.setHeader(c, need, flagInUse|prevUse)
+	h.store(offTop, c+need)
 	h.bumpAllocStats(need)
 	return c + headerSize, nil
 }
 
+// freeLead turns the first size bytes of an unlinked free chunk (or of the
+// wilderness) at c into a free chunk in its bin. The chunk below c is in use,
+// since free neighbours are always merged, so there is nothing to coalesce.
+func (h *Heap) freeLead(c, size uint64) {
+	h.setHeader(c, size, flagPrevUse)
+	h.footerOf(c, size)
+	h.binInsert(c, size)
+}
+
 // takeChunk converts free chunk c (of the given size, already unlinked) into
-// an allocated chunk of exactly need bytes, splitting off any remainder.
-func (h *Heap) takeChunk(c, size, need uint64) {
+// an allocated chunk of need bytes, splitting off any remainder that can
+// hold a chunk, and returns the allocated chunk's size. prevUse is c's
+// flagPrevUse bit: clear when a lead gap was split off below.
+func (h *Heap) takeChunk(c, size, need, prevUse uint64) uint64 {
 	if size-need >= minChunk {
 		// Split: the remainder becomes a free chunk above c.
 		r := c + need
@@ -309,15 +355,16 @@ func (h *Heap) takeChunk(c, size, need uint64) {
 		h.footerOf(r, rs)
 		h.binInsert(r, rs)
 		// The chunk above the remainder keeps flagPrevUse==0 (prev free).
-		h.setHeader(c, need, flagInUse|flagPrevUse)
-		return
+		h.setHeader(c, need, flagInUse|prevUse)
+		return need
 	}
 	// Use the whole chunk.
-	h.setHeader(c, size, flagInUse|flagPrevUse)
+	h.setHeader(c, size, flagInUse|prevUse)
 	next := c + size
 	if next < h.load(offTop) {
 		h.setPrevUseBit(next, true)
 	}
+	return size
 }
 
 func (h *Heap) bumpAllocStats(size uint64) {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/pmem"
+	"repro/internal/ptm"
 )
 
 // sliceMem is a trivial Mem over a byte slice for testing the heap in
@@ -290,6 +293,118 @@ func TestLargeBinRouting(t *testing.T) {
 	}
 	if h.Top() != top {
 		t.Error("large allocations not served from bins")
+	}
+}
+
+// inBin reports whether free chunk c of the given size is linked in its bin.
+func inBin(h *Heap, c, size uint64) bool {
+	for x := h.binHead(binFor(size)); x != 0; x = h.fd(x) {
+		if x == c {
+			return h.chunkSize(x) == size && !h.inUse(x)
+		}
+	}
+	return false
+}
+
+// checkAligned requires p to be an AllocAligned payload whose chunk starts
+// lead bytes past c, with the lead gap (if any) a free chunk in its bin, and
+// the heap's invariants and byte account to hold.
+func checkAligned(t *testing.T, h *Heap, p, c, lead uint64) {
+	t.Helper()
+	if p-headerSize != c+lead || (p-headerSize)%lineSize != 0 {
+		t.Fatalf("payload %d: want a line-aligned chunk at %d+%d", p, c, lead)
+	}
+	if lead > 0 && !inBin(h, c, lead) {
+		t.Fatalf("lead gap of %d bytes at %d is not in its bin", lead, c)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkAccount(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The node layouts built on AllocAligned (pstruct.ByteMap) read the chunk
+// geometry from ptm and the line from pmem: these fail to compile unless the
+// three agree.
+var (
+	_ = [1]struct{}{}[headerSize-ptm.ChunkHeader]
+	_ = [1]struct{}{}[lineSize-ptm.LineSize]
+	_ = [1]struct{}{}[lineSize-pmem.LineSize]
+)
+
+// TestAllocAlignedCarvesFromTop carves a line-aligned chunk from top at each
+// of top's four offsets within a line: a 16- or 32-byte lead is below
+// minChunk and grows by a line, a 48-byte lead is a chunk as it is.
+func TestAllocAlignedCarvesFromTop(t *testing.T) {
+	for _, tc := range []struct {
+		pad  int    // plain allocation that moves top (48 mod 64 on a fresh heap)
+		lead uint64 // gap in front of the aligned chunk
+	}{
+		{-1, 16 + lineSize}, // top at 48 mod 64
+		{64, 0},             // an 80-byte chunk: top at 0
+		{80, 48},            // a 96-byte chunk: top at 16
+		{32, 32 + lineSize}, // a 48-byte chunk: top at 32
+	} {
+		h := newHeap(t, 1<<16)
+		if tc.pad >= 0 {
+			if _, err := h.Alloc(tc.pad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		top := h.Top()
+		p, err := h.AllocAligned(lineSize - headerSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAligned(t, h, p, top, tc.lead)
+		if h.Top() != top+tc.lead+lineSize {
+			t.Fatalf("top %d after a one-line chunk behind a %d-byte lead from %d", h.Top(), tc.lead, top)
+		}
+		if err := h.Free(p); err != nil || h.Top() != top {
+			t.Fatalf("Free: %v; top %d, want the lead gap merged back into top at %d", err, h.Top(), top)
+		}
+	}
+}
+
+// TestAllocAlignedSplitsBinnedChunk takes a line-aligned chunk out of a free
+// chunk in a bin that starts 48 or 32 bytes into a line: the 16- or 32-byte
+// lead grows by a line into a binned gap, and the tail past the aligned chunk
+// is binned as in any split.
+func TestAllocAlignedSplitsBinnedChunk(t *testing.T) {
+	for _, tc := range []struct {
+		pad  int
+		lead uint64
+	}{
+		{-1, 16 + lineSize}, // the free chunk starts at 48 mod 64
+		{32, 32 + lineSize}, // behind a 48-byte chunk: at 32 mod 64
+	} {
+		h := newHeap(t, 1<<16)
+		if tc.pad >= 0 {
+			if _, err := h.Alloc(tc.pad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, err := h.Alloc(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Alloc(8); err != nil { // barrier against top
+			t.Fatal(err)
+		}
+		if err := h.Free(a); err != nil {
+			t.Fatal(err)
+		}
+		c, size := a-headerSize, h.chunkSize(a-headerSize)
+		p, err := h.AllocAligned(2*lineSize - headerSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAligned(t, h, p, c, tc.lead)
+		if tail := c + tc.lead + 2*lineSize; !inBin(h, tail, size-tc.lead-2*lineSize) {
+			t.Fatalf("tail at %d of the split chunk is not in its bin", tail)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/pstruct"
@@ -152,13 +153,14 @@ func TestWorkloadTraceGolden(t *testing.T) {
 // {swap, put}. The Romulus variants and the Mnemosyne-style redo log fence
 // four times per update whatever its size; the undo log fences per logged
 // range. A swap's two words usually sit on two lines; 16 of the 64 puts
-// insert, the rest overwrite.
+// insert, the rest overwrite a 100-byte value that starts on a line in its
+// node, so it takes 2 lines.
 var costsPerTx = map[string][2][2]float64{
-	"rom":    {{4, 5.96875}, {4, 9.5}},
-	"romlog": {{4, 5.96875}, {4, 9.5}},
-	"romlr":  {{4, 5.96875}, {4, 9.5}},
-	"mne":    {{4, 7}, {4, 36}},
-	"pmdk":   {{6, 7}, {11.5, 20.625}},
+	"rom":    {{4, 5.96875}, {4, 8.34375}},
+	"romlog": {{4, 5.96875}, {4, 8.34375}},
+	"romlr":  {{4, 5.96875}, {4, 8.34375}},
+	"mne":    {{4, 7}, {4, 36.6875}},
+	"pmdk":   {{6, 7}, {9.6875, 16.546875}},
 }
 
 const workloadOps = 64
@@ -235,6 +237,40 @@ func TestRunWorkloadAudited(t *testing.T) {
 				t.Errorf("%s %s audited: fences, pwbs per tx = %v, want %v", kind, w, got, want)
 			}
 		}
+	}
+}
+
+// TestRunWorkloadSameSizePut pins what the sync_write SET costs at the
+// engine: one goroutine on romlog overwrites a key's 64-byte value with
+// another of the same size. The value fills one line of its node, so a put
+// is state=MUT, that line, state=CPY and the line's back copy: 4 pwbs, 4
+// fences, 64 replicated bytes and no allocation.
+func TestRunWorkloadSameSizePut(t *testing.T) {
+	e, err := core.New(1<<21, core.Config{Variant: core.RomLog, Model: pmem.ModelDRAM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newPutMap(t, e)
+	put := func(n int, fill byte) {
+		val := bytes.Repeat([]byte{fill}, 64)
+		if err := e.Update(func(tx ptm.Tx) error { _, err := m.Put(tx, dbKey(n%16), val); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 0; n < 16; n++ {
+		put(n, 1)
+	}
+	e.Device().ResetStats()
+	stats, heap := e.Stats(), e.AllocStats()
+	for n := 0; n < workloadOps; n++ {
+		put(n, byte(n))
+	}
+	fences, pwbs := perTx(e.Device(), workloadOps)
+	replicated := float64(e.Stats().ReplicatedBytes-stats.ReplicatedBytes) / workloadOps
+	allocs := e.AllocStats().Allocs - heap.Allocs
+	if fences != 4 || pwbs != 4 || replicated != 64 || allocs != 0 {
+		t.Errorf("same-size 64-byte put: %v fences, %v pwbs, %v replicated bytes, %d allocations; want 4, 4, 64, 0",
+			fences, pwbs, replicated, allocs)
 	}
 }
 

@@ -491,16 +491,26 @@ func TestBinmapRollbackAndCrash(t *testing.T) {
 // the allocator's binmap moved the heap's magic and end words: version 1
 // under a checksum that covers it. Open must refuse it as a layout mismatch
 // rather than read its heap metadata in the new places.
-func TestOpenRefusesLayoutVersion1(t *testing.T) {
+func TestOpenRefusesLayoutVersion1(t *testing.T) { openForgedVersion(t, 1) }
+
+// TestOpenRefusesLayoutVersion2 does the same for an image written before
+// pstruct.ByteMap nodes held their values, line-aligned: its maps would be
+// read in the wrong node layout.
+func TestOpenRefusesLayoutVersion2(t *testing.T) { openForgedVersion(t, 2) }
+
+// openForgedVersion requires Open to refuse a fresh image whose header claims
+// layout version v under a checksum that covers it.
+func openForgedVersion(t *testing.T, v uint64) {
+	t.Helper()
 	e, err := New(crashRegion, Config{Variant: RomLog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := pmem.FromImage(e.Device().Persisted(), pmem.ModelDRAM)
-	d.Store64(offVersion, 1)
-	d.Store64(offHeadSum, headerChecksum(1, d.Load64(offRegionSize)))
+	d.Store64(offVersion, v)
+	d.Store64(offHeadSum, headerChecksum(v, d.Load64(offRegionSize)))
 	d.PersistAll()
 	if _, err := Open(d, Config{Variant: RomLog}); !errors.Is(err, ErrRegionMismatch) {
-		t.Fatalf("Open of a version-1 image: %v, want ErrRegionMismatch", err)
+		t.Fatalf("Open of a version-%d image: %v, want ErrRegionMismatch", v, err)
 	}
 }

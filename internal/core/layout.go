@@ -25,9 +25,11 @@ const (
 	stateCPY uint64 = 2 // committed, replicating to back: main is consistent
 )
 
+// layoutVersion 2 added the allocator's binmap; 3 made pstruct.ByteMap
+// nodes hold their values, line-aligned.
 const (
 	magicValue    = 0x524F4D554C555331 // "ROMULUS1"
-	layoutVersion = 2
+	layoutVersion = 3
 )
 
 // Main-region layout (offsets are Ptr values, i.e. relative to main):

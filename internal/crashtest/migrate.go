@@ -167,11 +167,10 @@ func migrateOwnership(st *shard.Store) string {
 		var keys []string
 		err := st.View(sh, func(tx ptm.Tx, db *kvstore.DB) error {
 			keys = keys[:0] // engine reads may retry fn
-			db.RangeTx(tx, false, func(k, v []byte) bool {
+			return db.RangeTx(tx, false, func(k, v []byte) bool {
 				keys = append(keys, string(k))
 				return true
 			})
-			return nil
 		})
 		if err != nil {
 			return fmt.Sprintf("ownership scan of shard %d: %v", sh, err)

@@ -225,8 +225,7 @@ func (db *DB) Len() int {
 // is what the readseq/readreverse benchmarks use.
 func (db *DB) Range(reverse bool, fn func(key, val []byte) bool) error {
 	return db.eng.Read(func(tx ptm.Tx) error {
-		db.m.Range(tx, reverse, fn)
-		return nil
+		return db.m.Range(tx, reverse, fn)
 	})
 }
 
@@ -234,9 +233,10 @@ func (db *DB) Range(reverse bool, fn func(key, val []byte) bool) error {
 // store's engine, so a caller can combine the scan with point reads (or
 // writes) in the same atomic snapshot — the shard migration copier
 // snapshots a keyspace slice this way. The callback's key/val slices are
-// only valid during the call; copy what outlives the transaction.
-func (db *DB) RangeTx(tx ptm.Tx, reverse bool, fn func(key, val []byte) bool) {
-	db.m.Range(tx, reverse, fn)
+// only valid during the call; copy what outlives the transaction. A node
+// that fails its lengths check stops the scan with its error.
+func (db *DB) RangeTx(tx ptm.Tx, reverse bool, fn func(key, val []byte) bool) error {
+	return db.m.Range(tx, reverse, fn)
 }
 
 // Stats reports store-level counters and capacity.
@@ -437,8 +437,7 @@ func (s *Session) Write(b *Batch) error {
 // Range iterates within one read transaction on the session's handle.
 func (s *Session) Range(reverse bool, fn func(key, val []byte) bool) error {
 	return s.h.Read(func(tx ptm.Tx) error {
-		s.db.m.Range(tx, reverse, fn)
-		return nil
+		return s.db.m.Range(tx, reverse, fn)
 	})
 }
 

@@ -274,11 +274,12 @@ func TestLargeValues(t *testing.T) {
 	}
 }
 
-// TestSameSizeOverwriteStoresOnlyTheValue pins the silent-store fix: a Put
-// that replaces a value with one of the same length stores the new bytes into
-// the existing blob and nothing else in main — in particular not the node's
-// unchanged length word, which used to dirty the node's line in both twins.
-// A Put that changes the length still stores it.
+// TestSameSizeOverwriteStoresOnlyTheValue pins the silent-store fix for the
+// line-aligned node: a Put that replaces a value with one of the same length
+// stores the new bytes into the node's value line and nothing else in main —
+// in particular not the node's unchanged lengths word, which would dirty the
+// node's first line in both twins. A Put that changes the length within the
+// node's capacity stores the value and the lengths word.
 func TestSameSizeOverwriteStoresOnlyTheValue(t *testing.T) {
 	db := openSmall(t)
 	key := []byte("k")
@@ -287,10 +288,11 @@ func TestSameSizeOverwriteStoresOnlyTheValue(t *testing.T) {
 	}
 	eng := db.Engine()
 	main := eng.DataOffsets()[0]
-	var sizes []int // stores landing in main, by length
+	type store struct{ off, n int }
+	var stores []store // stores landing in main
 	eng.Device().SetHooks(&pmem.Hooks{StoreAt: func(off, n int) {
 		if off >= main && off < main+eng.RegionSize() {
-			sizes = append(sizes, n)
+			stores = append(stores, store{off, n})
 		}
 	}})
 	defer eng.Device().SetHooks(nil)
@@ -298,17 +300,20 @@ func TestSameSizeOverwriteStoresOnlyTheValue(t *testing.T) {
 	if err := db.Put(key, bytes.Repeat([]byte{2}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if len(sizes) != 1 || sizes[0] != 64 {
-		t.Fatalf("same-size overwrite stored %v into main, want only the 64 value bytes", sizes)
+	if len(stores) != 1 || stores[0].n != 64 || stores[0].off%pmem.LineSize != 0 {
+		t.Fatalf("same-size overwrite stored %v into main, want only the 64 value bytes, on one line", stores)
 	}
-	sizes = nil
-	if err := db.Put(key, bytes.Repeat([]byte{3}, 48)); err != nil {
-		t.Fatal(err)
-	}
-	if len(sizes) != 2 {
-		t.Fatalf("shrinking overwrite stored %v into main, want the value and its new length", sizes)
-	}
-	if v, err := db.Get(key); err != nil || !bytes.Equal(v, bytes.Repeat([]byte{3}, 48)) {
-		t.Fatalf("Get after overwrites = %q, %v", v, err)
+	value := stores[0].off
+	for _, n := range []int{48, 64} { // shrink, then grow back within capacity
+		stores = nil
+		if err := db.Put(key, bytes.Repeat([]byte{byte(n)}, n)); err != nil {
+			t.Fatal(err)
+		}
+		if len(stores) != 2 || stores[1] != (store{value, n}) {
+			t.Fatalf("%d-byte overwrite stored %v into main, want the lengths word and the value at %d", n, stores, value)
+		}
+		if v, err := db.Get(key); err != nil || !bytes.Equal(v, bytes.Repeat([]byte{byte(n)}, n)) {
+			t.Fatalf("Get after %d-byte overwrite = %q, %v", n, v, err)
+		}
 	}
 }

@@ -2,20 +2,29 @@ package pstruct
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 
 	"repro/internal/ptm"
 )
 
 // ByteMap is a persistent resizable hash map from byte-string keys to
 // byte-string values. It is the storage engine of RomulusDB (§6.4 of the
-// paper wraps a hash map behind the LevelDB interface). Keys are stored
-// inline in the node together with their hash (so rehashing never touches
-// key bytes); values live in separate allocations because they are
-// replaced frequently.
+// paper wraps a hash map behind the LevelDB interface). Each key has one
+// node that holds the key, its hash (so rehashing never touches key bytes)
+// and the value itself: one allocation per key and no value pointer.
 //
 // Map object layout (24 bytes): +0 buckets ptr, +8 bucket count, +16 size.
-// Node layout: +0 next, +8 hash, +16 key length, +24 value ptr,
-// +32 value length, +40 key bytes (inline).
+//
+// A node is a line-aligned chunk (ptm.Tx.AllocAligned) of whole cache
+// lines. Its first line holds the allocator's 16-byte chunk header, then
+// +0 next, +8 hash, +16 lengths (key length in bits 0-15, value length in
+// bits 16-39, node size in bits 40-63) and +24 the key, so a chain walk
+// reads one line per node for keys of up to 24 bytes. The value follows
+// the key when both fit in the first line; otherwise it starts on the first
+// line boundary after the key, so a value of n bytes occupies ceil(n/64)
+// lines at commit and in the back copy. The node's slack after the value is
+// the value's capacity: an overwrite that fits stays in place.
 type ByteMap struct {
 	root int
 }
@@ -25,16 +34,70 @@ const (
 	bmNBkts   = 8
 	bmSize    = 16
 
-	bmNodeNext   = 0
-	bmNodeHash   = 8
-	bmNodeKeyLen = 16
-	bmNodeValPtr = 24
-	bmNodeValLen = 32
-	bmNodeKey    = 40
+	bmNodeNext = 0
+	bmNodeHash = 8
+	bmNodeLens = 16
+	bmNodeKey  = 24
+
+	// bmFirstLine is the node bytes in its chunk's first line.
+	bmFirstLine = ptm.LineSize - ptm.ChunkHeader
 
 	bmInitialBuckets = 64
 	bmMaxLoad        = 2
+
+	// bmMaxKey and bmMaxValue bound what a node's lengths word can record:
+	// the node size of a maximal key and value still fits its 24 bits.
+	bmMaxKey   = 1<<16 - 1
+	bmMaxValue = 1<<24 - 1<<17
 )
+
+// ErrTooLarge is returned by ByteMap.Put for a key longer than 65,535 bytes
+// or a value longer than 16 MiB - 128 KiB.
+var ErrTooLarge = errors.New("pstruct: key or value too large for a map node")
+
+// ErrCorruptNode is returned (wrapped) by ByteMap operations that reach a
+// node whose lengths word does not describe a node Put could have written:
+// the node does not end on a line, or the key and value overrun it. The word
+// is never used to size a read; the entry is lost and reported. It wraps
+// ptm.ErrCorruptPayload.
+var ErrCorruptNode = fmt.Errorf("pstruct: map node lengths failed validation: %w", ptm.ErrCorruptPayload)
+
+func bmPack(kl, vl, size int) uint64 {
+	return uint64(kl) | uint64(vl)<<16 | uint64(size)<<40
+}
+
+// bmValOff returns where the value starts in a node of size bytes with a
+// kl-byte key: right after the key in a one-line node, else on the first
+// line boundary after the key.
+func bmValOff(kl, size int) int {
+	if size == bmFirstLine {
+		return bmNodeKey + kl
+	}
+	return ptm.Align(ptm.ChunkHeader+bmNodeKey+kl, ptm.LineSize) - ptm.ChunkHeader
+}
+
+// bmNodeSize returns the size of a new node for a kl-byte key and a vl-byte
+// value: one line when both fit in it, else whole lines up to the value's
+// end. The slack is the value's capacity.
+func bmNodeSize(kl, vl int) int {
+	if bmNodeKey+kl+vl <= bmFirstLine {
+		return bmFirstLine
+	}
+	off := bmValOff(kl, 0) // in a multi-line node the key alone sets it
+	return ptm.Align(ptm.ChunkHeader+off+vl, ptm.LineSize) - ptm.ChunkHeader
+}
+
+// bmLens loads node n's lengths word and checks it against the node size it
+// records: the node must end on a line, and the value must fit between its
+// offset (which the key length sets) and the node's end.
+func bmLens(tx ptm.Tx, n ptm.Ptr) (kl, vl, size int, err error) {
+	w := tx.Load64(n + bmNodeLens)
+	kl, vl, size = int(w&0xFFFF), int(w>>16&0xFFFFFF), int(w>>40)
+	if (ptm.ChunkHeader+size)%ptm.LineSize != 0 || bmValOff(kl, size)+vl > size {
+		return 0, 0, 0, fmt.Errorf("%w: node %#x, lengths word %#x", ErrCorruptNode, n, w)
+	}
+	return kl, vl, size, nil
+}
 
 // NewByteMap creates a map with at least minBuckets buckets (rounded up to
 // a power of two; 0 means the default) under the root index if absent.
@@ -63,17 +126,10 @@ func NewByteMap(tx ptm.Tx, root, minBuckets int) (*ByteMap, error) {
 // AttachByteMap returns a handle to an existing map.
 func AttachByteMap(root int) *ByteMap { return &ByteMap{root: root} }
 
-// bmKeyEquals compares the node's inline key with key a word at a time.
+// bmKeyEquals compares the key bytes at p with key a word at a time.
 // Loading into a local buffer instead would move the buffer to the heap
 // (it escapes through the Tx interface), one allocation per chain step.
-func bmKeyEquals(tx ptm.Tx, n ptm.Ptr, h uint64, key []byte) bool {
-	if tx.Load64(n+bmNodeHash) != h {
-		return false
-	}
-	if int(tx.Load64(n+bmNodeKeyLen)) != len(key) {
-		return false
-	}
-	p := n + bmNodeKey
+func bmKeyEquals(tx ptm.Tx, p ptm.Ptr, key []byte) bool {
 	for ; len(key) >= 8; p, key = p+8, key[8:] {
 		if tx.Load64(p) != binary.LittleEndian.Uint64(key) {
 			return false
@@ -93,63 +149,78 @@ func bmKeyEquals(tx ptm.Tx, n ptm.Ptr, h uint64, key []byte) bool {
 	return true
 }
 
-func (m *ByteMap) findNode(tx ptm.Tx, obj ptm.Ptr, h uint64, key []byte) (node, prev, slot ptm.Ptr) {
+// findNode returns key's node, its predecessor in the chain (nil for the
+// first) and the bucket slot. A node whose hash matches has its lengths
+// checked before its key is compared.
+func (m *ByteMap) findNode(tx ptm.Tx, obj ptm.Ptr, h uint64, key []byte) (node, prev, slot ptm.Ptr, err error) {
 	nb := tx.Load64(obj + bmNBkts)
 	slot = field(tx, obj, bmBuckets) + ptm.Ptr(h%nb*8)
 	for n := ptm.Ptr(tx.Load64(slot)); !n.IsNil(); n = field(tx, n, bmNodeNext) {
-		if bmKeyEquals(tx, n, h, key) {
-			return n, prev, slot
+		if tx.Load64(n+bmNodeHash) == h {
+			kl, _, _, err := bmLens(tx, n)
+			if err != nil {
+				return 0, 0, slot, err
+			}
+			if kl == len(key) && bmKeyEquals(tx, n+bmNodeKey, key) {
+				return n, prev, slot, nil
+			}
 		}
 		prev = n
 	}
-	return 0, prev, slot
+	return 0, prev, slot, nil
 }
 
 // Get copies the value for key into dst (reallocating if needed) and
 // returns it, or ErrNotFound.
 func (m *ByteMap) Get(tx ptm.Tx, key, dst []byte) ([]byte, error) {
 	obj := tx.Root(m.root)
-	n, _, _ := m.findNode(tx, obj, hashBytes(key), key)
+	n, _, _, err := m.findNode(tx, obj, hashBytes(key), key)
+	if err != nil {
+		return nil, err
+	}
 	if n.IsNil() {
 		return nil, ErrNotFound
 	}
-	vl := int(tx.Load64(n + bmNodeValLen))
+	kl, vl, size, _ := bmLens(tx, n)
 	if cap(dst) < vl {
 		dst = make([]byte, vl)
 	}
 	dst = dst[:vl]
 	if vl > 0 {
-		tx.LoadBytes(field(tx, n, bmNodeValPtr), dst)
+		tx.LoadBytes(n+ptm.Ptr(bmValOff(kl, size)), dst)
 	}
 	return dst, nil
 }
 
-// Has reports whether key is present.
+// Has reports whether key is present. A node that fails its lengths check
+// is not.
 func (m *ByteMap) Has(tx ptm.Tx, key []byte) bool {
 	obj := tx.Root(m.root)
-	n, _, _ := m.findNode(tx, obj, hashBytes(key), key)
+	n, _, _, _ := m.findNode(tx, obj, hashBytes(key), key)
 	return !n.IsNil()
 }
 
 // Put inserts or replaces key's value, reporting whether the key was
 // absent.
 func (m *ByteMap) Put(tx ptm.Tx, key, val []byte) (bool, error) {
+	if len(key) > bmMaxKey || len(val) > bmMaxValue {
+		return false, ErrTooLarge
+	}
 	obj := tx.Root(m.root)
 	h := hashBytes(key)
-	n, _, slot := m.findNode(tx, obj, h, key)
-	if !n.IsNil() {
-		return false, m.replaceValue(tx, n, val)
-	}
-	node, err := tx.Alloc(bmNodeKey + len(key))
+	n, prev, slot, err := m.findNode(tx, obj, h, key)
 	if err != nil {
 		return false, err
 	}
-	tx.Store64(node+bmNodeHash, h)
-	tx.Store64(node+bmNodeKeyLen, uint64(len(key)))
-	if len(key) > 0 {
-		tx.StoreBytes(node+bmNodeKey, key)
+	if !n.IsNil() {
+		link := slot
+		if !prev.IsNil() {
+			link = prev + bmNodeNext
+		}
+		return false, replaceValue(tx, n, link, h, key, val)
 	}
-	if err := m.replaceValue(tx, node, val); err != nil {
+	node, err := newNode(tx, h, key, val)
+	if err != nil {
 		return false, err
 	}
 	tx.Store64(node+bmNodeNext, tx.Load64(slot))
@@ -164,47 +235,56 @@ func (m *ByteMap) Put(tx ptm.Tx, key, val []byte) (bool, error) {
 	return true, nil
 }
 
-// replaceValue swaps in a new value blob, reusing the old allocation when
-// it is large enough.
-func (m *ByteMap) replaceValue(tx ptm.Tx, n ptm.Ptr, val []byte) error {
-	old := field(tx, n, bmNodeValPtr)
-	oldLen := int(tx.Load64(n + bmNodeValLen))
-	if !old.IsNil() && oldLen >= len(val) {
-		// A same-size overwrite leaves the node untouched: storing the
-		// unchanged length would dirty the node's line in both twins.
-		if oldLen != len(val) {
-			tx.Store64(n+bmNodeValLen, uint64(len(val)))
-		}
-		if len(val) > 0 {
-			tx.StoreBytes(old, val)
-		}
-		return nil
+// newNode allocates a node holding key and val, not yet linked.
+func newNode(tx ptm.Tx, h uint64, key, val []byte) (ptm.Ptr, error) {
+	size := bmNodeSize(len(key), len(val))
+	n, err := tx.AllocAligned(size)
+	if err != nil {
+		return 0, err
 	}
-	var blob ptm.Ptr
+	tx.Store64(n+bmNodeHash, h)
+	tx.Store64(n+bmNodeLens, bmPack(len(key), len(val), size))
+	if len(key) > 0 {
+		tx.StoreBytes(n+bmNodeKey, key)
+	}
 	if len(val) > 0 {
-		var err error
-		blob, err = tx.Alloc(len(val))
+		tx.StoreBytes(n+ptm.Ptr(bmValOff(len(key), size)), val)
+	}
+	return n, nil
+}
+
+// replaceValue overwrites node n's value. A value that fits the node's
+// capacity is stored in place, and the lengths word only when the length
+// changes: a same-size overwrite leaves the node's first line untouched in
+// both twins. A larger value moves the key to a new node, stored at link
+// (the predecessor's next word or the bucket slot), and n is freed.
+func replaceValue(tx ptm.Tx, n, link ptm.Ptr, h uint64, key, val []byte) error {
+	kl, vl, size, _ := bmLens(tx, n)
+	off := bmValOff(kl, size)
+	if off+len(val) > size {
+		nn, err := newNode(tx, h, key, val)
 		if err != nil {
 			return err
 		}
-		tx.StoreBytes(blob, val)
+		tx.Store64(nn+bmNodeNext, tx.Load64(n+bmNodeNext))
+		tx.Store64(link, uint64(nn))
+		return tx.Free(n)
 	}
-	if !old.IsNil() {
-		if err := tx.Free(old); err != nil {
-			return err
-		}
+	if len(val) != vl {
+		tx.Store64(n+bmNodeLens, bmPack(kl, len(val), size))
 	}
-	setField(tx, n, bmNodeValPtr, blob)
-	tx.Store64(n+bmNodeValLen, uint64(len(val)))
+	if len(val) > 0 {
+		tx.StoreBytes(n+ptm.Ptr(off), val)
+	}
 	return nil
 }
 
 // Delete removes key, reporting whether it was present.
 func (m *ByteMap) Delete(tx ptm.Tx, key []byte) (bool, error) {
 	obj := tx.Root(m.root)
-	n, prev, slot := m.findNode(tx, obj, hashBytes(key), key)
-	if n.IsNil() {
-		return false, nil
+	n, prev, slot, err := m.findNode(tx, obj, hashBytes(key), key)
+	if err != nil || n.IsNil() {
+		return false, err
 	}
 	next := tx.Load64(n + bmNodeNext)
 	if prev.IsNil() {
@@ -213,11 +293,6 @@ func (m *ByteMap) Delete(tx ptm.Tx, key []byte) (bool, error) {
 		tx.Store64(prev+bmNodeNext, next)
 	}
 	tx.Store64(obj+bmSize, tx.Load64(obj+bmSize)-1)
-	if v := field(tx, n, bmNodeValPtr); !v.IsNil() {
-		if err := tx.Free(v); err != nil {
-			return true, err
-		}
-	}
 	return true, tx.Free(n)
 }
 
@@ -258,38 +333,30 @@ func (m *ByteMap) Len(tx ptm.Tx) int {
 // (forward when reverse is false, backward otherwise) until fn returns
 // false. Hash order is arbitrary but stable between calls, which is all
 // the RomulusDB iterators need (§6.4: traversal order has no extra cost on
-// a hash map).
-func (m *ByteMap) Range(tx ptm.Tx, reverse bool, fn func(key, val []byte) bool) {
+// a hash map). It stops at the first node that fails its lengths check and
+// returns that error.
+func (m *ByteMap) Range(tx ptm.Tx, reverse bool, fn func(key, val []byte) bool) error {
 	obj := tx.Root(m.root)
 	nb := int(tx.Load64(obj + bmNBkts))
 	bkts := field(tx, obj, bmBuckets)
-	visit := func(i int) bool {
+	for j := 0; j < nb; j++ {
+		i := j
+		if reverse {
+			i = nb - 1 - j
+		}
 		for n := ptm.Ptr(tx.Load64(bkts + ptm.Ptr(i*8))); !n.IsNil(); n = field(tx, n, bmNodeNext) {
-			kl := int(tx.Load64(n + bmNodeKeyLen))
-			vl := int(tx.Load64(n + bmNodeValLen))
+			kl, vl, size, err := bmLens(tx, n)
+			if err != nil {
+				return err
+			}
 			key := make([]byte, kl)
 			tx.LoadBytes(n+bmNodeKey, key)
 			val := make([]byte, vl)
-			if vl > 0 {
-				tx.LoadBytes(field(tx, n, bmNodeValPtr), val)
-			}
+			tx.LoadBytes(n+ptm.Ptr(bmValOff(kl, size)), val)
 			if !fn(key, val) {
-				return false
-			}
-		}
-		return true
-	}
-	if reverse {
-		for i := nb - 1; i >= 0; i-- {
-			if !visit(i) {
-				return
-			}
-		}
-	} else {
-		for i := 0; i < nb; i++ {
-			if !visit(i) {
-				return
+				return nil
 			}
 		}
 	}
+	return nil
 }

@@ -446,17 +446,21 @@ func TestByteMapModel(t *testing.T) {
 		}
 		// Forward and reverse ranges visit everything, in opposite orders.
 		var fwd, rev []string
-		m.Range(tx, false, func(k, v []byte) bool {
+		if err := m.Range(tx, false, func(k, v []byte) bool {
 			if !bytes.Equal(model[string(k)], v) {
 				t.Errorf("Range value mismatch for %s", k)
 			}
 			fwd = append(fwd, string(k))
 			return true
-		})
-		m.Range(tx, true, func(k, v []byte) bool {
+		}); err != nil {
+			t.Error(err)
+		}
+		if err := m.Range(tx, true, func(k, v []byte) bool {
 			rev = append(rev, string(k))
 			return true
-		})
+		}); err != nil {
+			t.Error(err)
+		}
 		if len(fwd) != len(model) || len(rev) != len(model) {
 			t.Errorf("ranges visited %d/%d, want %d", len(fwd), len(rev), len(model))
 		}

@@ -25,6 +25,13 @@ type Ptr uint64
 // IsNil reports whether p is the nil persistent pointer.
 func (p Ptr) IsNil() bool { return p == 0 }
 
+// LineSize is the cache line: the unit a pwb writes back. ChunkHeader is the
+// allocator's header in front of every block Alloc returns.
+const (
+	LineSize    = 64
+	ChunkHeader = 16
+)
+
 // NumRoots is the size of the root-pointer array (the paper's "objects
 // array") through which user code reaches persisted objects after a restart.
 const NumRoots = 64
@@ -102,7 +109,13 @@ type Tx interface {
 	// part of the transaction: if the transaction does not commit, neither
 	// does the allocation (no leaks, no metadata corruption; §4.4).
 	Alloc(n int) (Ptr, error)
-	// Free releases an allocation made by Alloc, also transactionally.
+	// AllocAligned is Alloc for a block whose allocator chunk starts on a
+	// cache line. The chunk header fills the line's first ChunkHeader bytes,
+	// so p%LineSize == ChunkHeader, and a request of k*LineSize-ChunkHeader
+	// bytes fills exactly k lines.
+	AllocAligned(n int) (Ptr, error)
+	// Free releases an allocation made by Alloc or AllocAligned, also
+	// transactionally.
 	Free(p Ptr) error
 
 	// Root returns root pointer i (0 <= i < NumRoots).

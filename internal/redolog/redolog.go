@@ -59,7 +59,7 @@ const (
 
 const (
 	magicValue    = 0x4D4E454D4F53594E // "MNEMOSYN"
-	layoutVersion = 2
+	layoutVersion = 3
 
 	// segDone marks a segment whose committed flag has a distinguished
 	// constant rather than a bare 1: recovery replays exactly the segments

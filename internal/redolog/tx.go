@@ -241,13 +241,18 @@ func (t *Tx) StoreBytes(p ptm.Ptr, src []byte) {
 // Alloc implements ptm.Tx. Allocator metadata accesses flow through the
 // transaction, so allocation conflicts between concurrent transactions are
 // detected like any other conflict.
-func (t *Tx) Alloc(n int) (ptm.Ptr, error) {
+func (t *Tx) Alloc(n int) (ptm.Ptr, error) { return t.alloc(n, (*alloc.Heap).Alloc) }
+
+// AllocAligned implements ptm.Tx.
+func (t *Tx) AllocAligned(n int) (ptm.Ptr, error) { return t.alloc(n, (*alloc.Heap).AllocAligned) }
+
+func (t *Tx) alloc(n int, pick func(*alloc.Heap, int) (uint64, error)) (ptm.Ptr, error) {
 	t.mustWrite()
 	h, err := alloc.Open(txMem{t}, heapBase)
 	if err != nil {
 		return 0, err
 	}
-	p, err := h.Alloc(n)
+	p, err := pick(h, n)
 	if err != nil {
 		if errors.Is(err, alloc.ErrOutOfMemory) {
 			return 0, ptm.ErrOutOfMemory

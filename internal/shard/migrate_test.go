@@ -26,11 +26,10 @@ func checkOwnership(t *testing.T, s *Store, ctx string) {
 		var keys []string
 		err := s.View(i, func(tx ptm.Tx, db *kvstore.DB) error {
 			keys = keys[:0]
-			db.RangeTx(tx, false, func(k, v []byte) bool {
+			return db.RangeTx(tx, false, func(k, v []byte) bool {
 				keys = append(keys, string(k))
 				return true
 			})
-			return nil
 		})
 		if err != nil {
 			t.Fatalf("%s: scanning shard %d: %v", ctx, i, err)

@@ -394,13 +394,12 @@ func (s *Store) collectMoving(shard int, set []bool, max int) ([][]byte, error) 
 	var keys [][]byte
 	err := s.View(shard, func(tx ptm.Tx, db *kvstore.DB) error {
 		keys = keys[:0] // the engine may retry fn; rebuild
-		db.RangeTx(tx, false, func(k, v []byte) bool {
+		return db.RangeTx(tx, false, func(k, v []byte) bool {
 			if set[s.slotOf(k)] {
 				keys = append(keys, append([]byte(nil), k...))
 			}
 			return len(keys) < max
 		})
-		return nil
 	})
 	return keys, err
 }
@@ -535,13 +534,12 @@ func (s *Store) MigrationCopyStep(maxKeys int) (keys, bytes int, done bool, err 
 		var snap [][]byte
 		err := s.View(m.src, func(tx ptm.Tx, db *kvstore.DB) error {
 			snap = snap[:0] // the engine may retry fn; rebuild
-			db.RangeTx(tx, false, func(k, v []byte) bool {
+			return db.RangeTx(tx, false, func(k, v []byte) bool {
 				if m.moving[s.slotOf(k)] {
 					snap = append(snap, append([]byte(nil), k...))
 				}
 				return true
 			})
-			return nil
 		})
 		if err != nil {
 			return 0, 0, false, err

@@ -218,9 +218,14 @@ func (t *Tx) memset(p ptm.Ptr, n int) {
 }
 
 // Alloc implements ptm.Tx.
-func (t *Tx) Alloc(n int) (ptm.Ptr, error) {
+func (t *Tx) Alloc(n int) (ptm.Ptr, error) { return t.alloc(n, (*alloc.Heap).Alloc) }
+
+// AllocAligned implements ptm.Tx.
+func (t *Tx) AllocAligned(n int) (ptm.Ptr, error) { return t.alloc(n, (*alloc.Heap).AllocAligned) }
+
+func (t *Tx) alloc(n int, pick func(*alloc.Heap, int) (uint64, error)) (ptm.Ptr, error) {
 	t.mustWrite()
-	p, err := t.e.heap.Alloc(n)
+	p, err := pick(t.e.heap, n)
 	if err != nil {
 		if errors.Is(err, alloc.ErrOutOfMemory) {
 			return 0, ptm.ErrOutOfMemory

@@ -42,7 +42,7 @@ const (
 
 const (
 	magicValue    = 0x504D444B554E444F // "PMDKUNDO"
-	layoutVersion = 2
+	layoutVersion = 3
 )
 
 // Main-region layout mirrors the Romulus engines: reserved line, roots,
