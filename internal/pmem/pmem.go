@@ -48,9 +48,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -142,14 +144,16 @@ func New(size int, model Model) *Device {
 		panic("pmem: non-positive device size")
 	}
 	size = (size + LineSize - 1) &^ (LineSize - 1)
-	return newDevice(make([]byte, size), model)
+	return newDevice(newImage(size, true), model)
 }
 
-// newDevice adopts mem as the image of a quiescent device.
+// newDevice adopts mem, from newImage, as the image of a quiescent device.
 func newDevice(mem []byte, model Model) *Device {
 	lines := len(mem) >> lineShift
-	return &Device{mem: mem, shadow: shadow{slot: make([]int32, lines)},
+	d := &Device{mem: mem, shadow: shadow{slot: make([]int32, lines)},
 		dirty: newBitmap(lines), queued: NewLineSet(len(mem)), model: model}
+	track(d)
+	return d
 }
 
 // Size returns the size of the region in bytes.
@@ -280,8 +284,13 @@ func (d *Device) Memset(off int, v byte, n int) {
 	}
 	d.markStored(off, n)
 	s := d.mem[off : off+n]
-	for i := range s {
-		s[i] = v
+	if v == 0 {
+		clear(s)
+	} else {
+		s[0] = v
+		for done := 1; done < n; done *= 2 {
+			copy(s[done:], s[:done])
+		}
 	}
 	d.stored(off, n)
 }
@@ -341,8 +350,8 @@ func (d *Device) Store64Atomic(off int, v uint64) {
 	d.stored(off, 8)
 }
 
-// word returns the image word at off for atomic access. The image is a
-// whole-line allocation, so an 8-byte aligned offset is an aligned address.
+// word returns the image word at off for atomic access. The image starts on
+// a line boundary, so an 8-byte aligned offset is an aligned address.
 func (d *Device) word(off int) *uint64 {
 	if off&7 != 0 {
 		panic(fmt.Sprintf("pmem: atomic access at unaligned offset %d", off))
@@ -378,6 +387,9 @@ func (d *Device) LoadBytes(off int, dst []byte) {
 // operations such as the main-to-back copy. A faulted line in the range
 // trips the fault machinery, but the slice aliases the image and so cannot
 // carry corrupted bytes; callers relying on Bytes must check FaultsTripped.
+//
+// The slice is valid while d is reachable and no longer: the image of a
+// collected device is handed to the next device of its size (image.go).
 func (d *Device) Bytes(off, n int) []byte {
 	if n > 0 {
 		d.faultCheck(off, n)
@@ -639,7 +651,9 @@ func FromImage(img []byte, model Model) *Device {
 	if len(img) == 0 || len(img)%LineSize != 0 {
 		panic(fmt.Sprintf("pmem: image size %d is not a positive multiple of %d", len(img), LineSize))
 	}
-	return newDevice(bytes.Clone(img), model)
+	mem := newImage(len(img), false)
+	copy(mem, img)
+	return newDevice(mem, model)
 }
 
 // SaveFile writes the persisted view to path, allowing a region to survive
@@ -650,22 +664,35 @@ func (d *Device) SaveFile(path string) error {
 	if len(d.shadow.lines) > 0 {
 		img = d.Persisted()
 	}
-	if err := os.WriteFile(path, img, 0o644); err != nil {
+	err := os.WriteFile(path, img, 0o644)
+	runtime.KeepAlive(d) // img may be the image, valid while d is reachable
+	if err != nil {
 		return fmt.Errorf("pmem: save %s: %w", path, err)
 	}
 	return nil
 }
 
 // LoadFile creates a Device from an image previously written by SaveFile.
+// The file is read straight into the device's image.
 func LoadFile(path string, model Model) (*Device, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("pmem: load %s: %w", path, err)
 	}
-	if len(data) == 0 || len(data)%LineSize != 0 {
-		return nil, fmt.Errorf("pmem: load %s: image size %d is not a positive multiple of %d", path, len(data), LineSize)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("pmem: load %s: %w", path, err)
 	}
-	return newDevice(data, model), nil
+	size := fi.Size()
+	if size <= 0 || size%LineSize != 0 {
+		return nil, fmt.Errorf("pmem: load %s: image size %d is not a positive multiple of %d", path, size, LineSize)
+	}
+	d := newDevice(newImage(int(size), false), model)
+	if _, err := io.ReadFull(f, d.mem); err != nil {
+		return nil, fmt.Errorf("pmem: load %s: %w", path, err)
+	}
+	return d, nil
 }
 
 // spin busy-waits for roughly dur, simulating media latency without yielding

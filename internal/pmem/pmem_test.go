@@ -315,6 +315,66 @@ func TestMemset(t *testing.T) {
 	}
 }
 
+// TestMemsetFillsStraddledLines fills a range that starts and ends inside a
+// line with a non-zero byte, at every length up to a few lines: every byte
+// of the range, and none outside it, holds v, and the fill is one store.
+func TestMemsetFillsStraddledLines(t *testing.T) {
+	const off = LineSize - 5
+	for n := 1; n <= 4*LineSize+9; n++ {
+		d := New(8*LineSize, ModelDRAM)
+		var calls, at, length int
+		d.SetHooks(&Hooks{StoreAt: func(o, k int) { calls, at, length = calls+1, o, k }})
+		d.Memset(off, 0xA5, n)
+		for i := 0; i < d.Size(); i++ {
+			want := byte(0)
+			if i >= off && i < off+n {
+				want = 0xA5
+			}
+			if got := d.Load8(i); got != want {
+				t.Fatalf("n=%d: byte %d = %#x, want %#x", n, i, got, want)
+			}
+		}
+		if st := d.Stats(); st.Stores != 1 || st.BytesStored != uint64(n) || calls != 1 || at != off || length != n {
+			t.Fatalf("n=%d: %d stores of %d bytes, %d hook calls on [%d, +%d); want one store of [%d, +%d)",
+				n, st.Stores, st.BytesStored, calls, at, length, off, n)
+		}
+		if !d.Pending(off, n) || !d.Pending(off+n-1, 1) {
+			t.Fatalf("n=%d: a line of the range is not pending", n)
+		}
+	}
+}
+
+// TestSaveLoadFileMatchesPersisted round-trips a region with stores in every
+// state — persisted, queued, dirty — through a file: the reloaded device's
+// image is the saved device's persisted view, byte for byte.
+func TestSaveLoadFileMatchesPersisted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "region.pm")
+	rng := rand.New(rand.NewSource(7))
+	d := New(1<<20, ModelCLWB)
+	for i := 0; i < 3000; i++ {
+		off := rng.Intn(d.Size() - 256)
+		d.Memset(off, byte(rng.Intn(255)+1), rng.Intn(256)+1)
+		switch i % 3 {
+		case 0:
+			d.PwbRange(off, 1)
+			d.Pfence()
+		case 1:
+			d.Pwb(off) // queued, not fenced
+		}
+	}
+	if err := d.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := LoadFile(path, ModelDRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.Persisted()
+	if !bytes.Equal(d2.Bytes(0, d2.Size()), want) || !bytes.Equal(d2.Persisted(), want) {
+		t.Fatal("the reloaded image differs from the saved device's persisted view")
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "region.pm")
 	d := New(4096, ModelDRAM)
