@@ -293,6 +293,64 @@ func TestFlatCombiningAggregates(t *testing.T) {
 	}
 }
 
+// TestManyConcurrentWriters: more writers than hsync has thread IDs wait on
+// one engine at once — the first one's op holds its round open until the
+// other 299 have queued — and every update commits. Updates take no handle,
+// so only readers are bounded by the thread IDs.
+func TestManyConcurrentWriters(t *testing.T) {
+	e := newEngine(t, RomLog)
+	const writers = 300
+	var p ptm.Ptr
+	if err := e.Update(func(tx ptm.Tx) error {
+		var err error
+		p, err = tx.Alloc(8)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	update := func(first bool) {
+		defer wg.Done()
+		err := e.Update(func(tx ptm.Tx) error {
+			if first {
+				once.Do(func() {
+					close(held)
+					for e.comb.Len() < writers-1 {
+						runtime.Gosched()
+					}
+				})
+			}
+			tx.Store64(p, tx.Load64(p)+1)
+			return nil
+		})
+		if err != nil {
+			if failed.Add(1) == 1 {
+				t.Error(err)
+			}
+		}
+	}
+	wg.Add(1)
+	go update(true)
+	<-held
+	for i := 1; i < writers; i++ {
+		wg.Add(1)
+		go update(false)
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d concurrent updates failed", n, writers)
+	}
+	e.Read(func(tx ptm.Tx) error {
+		if got := tx.Load64(p); got != writers {
+			t.Errorf("counter = %d, want %d", got, writers)
+		}
+		return nil
+	})
+}
+
 // TestReadersReleasedAtDurablePoint parks the writer on its first back-copy
 // write-back, after the durable point and before replication finishes. Every
 // variant must already let a reader see the committed value there (RomLR by

@@ -71,8 +71,8 @@ type Config struct {
 	// equivalence property tests and the §4.7 replication-volume and §6.5
 	// recovery contrasts measure against it.
 	FullReplicate bool
-	// DisableFlatCombining serializes writers on the combiner's writer lock
-	// through its direct entry, with no announcement and so no aggregation
+	// DisableFlatCombining bounds every combining round to one request, so
+	// writers serialize on the combiner's slot with no aggregation
 	// (ablation).
 	DisableFlatCombining bool
 	// DisableOpenVerify skips the quiescent twin-copy comparison at Open
@@ -106,11 +106,10 @@ type Engine struct {
 
 	reg     hsync.Registry
 	comb    *flatcombine.Combiner[*Tx]
-	hooks   flatcombine.Hooks[*Tx]
 	rw      crwwp.Lock   // Rom, RomLog
 	lr      leftright.LR // RomLR
 	wtx     Tx           // the single writer transaction, reused
-	handles chan *Handle // pool for the convenience Update/Read API
+	handles chan *Handle // pool for the convenience Read API
 
 	// lines is the one record of a durability round's stores: every device
 	// line in [0, backBase) that a store of the round — from however many
@@ -469,50 +468,36 @@ func ReplicationPending(img []byte) bool {
 // wireConcurrency installs the variant-specific writer hooks and creates
 // the flat combiner.
 func (e *Engine) wireConcurrency() {
-	switch e.cfg.Variant {
-	case Rom, RomLog:
-		e.hooks = flatcombine.Hooks[*Tx]{
-			Begin: func() *Tx {
-				e.rw.WriterArrive()
-				return e.beginTx()
-			},
-			Commit: func(t *Tx, ops int) {
-				t.batchOps = ops
-				e.durablePoint(t)
-				// Main is final and durable: let readers at it while
-				// Replicate brings back up to date. Readers never load back,
-				// and the next Begin drains them before main changes again.
-				e.rw.WriterDepart()
-			},
-			Replicate: e.replicate,
-			Rollback: func(t *Tx) {
-				e.rollbackTx(t)
-				e.rw.WriterDepart()
-			},
-		}
-	case RomLR:
-		e.hooks = flatcombine.Hooks[*Tx]{
-			Begin: func() *Tx {
-				// First toggle of the update (§5.3): divert readers to the
-				// back copy and wait for stragglers on main.
-				e.lr.Toggle(leftright.Back)
-				return e.beginTx()
-			},
-			Commit: func(t *Tx, ops int) {
-				t.batchOps = ops
-				e.durablePoint(t)
-				// Second toggle: main is durable, let readers at it while
-				// Replicate brings back up to date.
-				e.lr.Toggle(leftright.Main)
-			},
-			Replicate: e.replicate,
-			Rollback: func(t *Tx) {
-				e.rollbackTx(t)
-				e.lr.Toggle(leftright.Main)
-			},
-		}
+	// Rom and RomLog drain readers with C-RW-WP at Begin; RomLR's first
+	// toggle (§5.3) diverts them to the back copy and waits for stragglers
+	// on main. Both let readers at main once it is final and durable, while
+	// Replicate brings back up to date: C-RW-WP readers never load back, and
+	// the next Begin drains them before main changes again.
+	arrive, depart := e.rw.WriterArrive, e.rw.WriterDepart
+	if e.cfg.Variant == RomLR {
+		arrive = func() { e.lr.Toggle(leftright.Back) }
+		depart = func() { e.lr.Toggle(leftright.Main) }
 	}
-	e.comb = flatcombine.New(e.hooks)
+	maxBatch := 0
+	if e.cfg.DisableFlatCombining {
+		maxBatch = 1
+	}
+	e.comb = flatcombine.New(flatcombine.Hooks[*Tx]{
+		Begin: func() *Tx {
+			arrive()
+			return e.beginTx()
+		},
+		Commit: func(t *Tx, ops int) {
+			t.batchOps = ops
+			e.durablePoint(t)
+			depart()
+		},
+		Replicate: e.replicate,
+		Rollback: func(t *Tx) {
+			e.rollbackTx(t)
+			depart()
+		},
+	}, maxBatch)
 }
 
 // beginTx opens the single writer transaction: publish MUT durably, then
@@ -579,11 +564,11 @@ func (e *Engine) durablePoint(t *Tx) {
 // (idempotent) copy.
 //
 // No caller's result depends on it: readers were let back onto main and the
-// round's combined announcers released at the durable point. It is the
-// combiner's Replicate hook and runs under the writer lock, so the next
-// transaction's Begin, and Snapshot, always find back == main; fence 4
-// orders the back copy ahead of that transaction's MUT marker. Direct-entry
-// callers (the group committer) still return only after it.
+// round's requests released at the durable point. It is the combiner's
+// Replicate hook and runs with its slot held, so the next transaction's
+// Begin, and Snapshot, always find back == main; fence 4 orders the back
+// copy ahead of that transaction's MUT marker. UpdateEach callers (the group
+// committer) still return only after it.
 func (e *Engine) replicate(t *Tx) {
 	d := e.dev
 	copied := e.copyLines(t, e.backBase, e.mainBase)
@@ -797,7 +782,7 @@ func (e *Engine) ReservedTail() (off, size int) {
 	return off, e.dev.Size() - off
 }
 
-// WriteTail runs f holding the engine's writer lock, so f's raw stores to the
+// WriteTail runs f holding the engine's combining slot, so f's raw stores to the
 // reserved tail serialize with every transaction on the same device. It opens
 // no transaction and issues no fence of its own.
 func (e *Engine) WriteTail(f func()) { e.comb.Exclusive(f) }

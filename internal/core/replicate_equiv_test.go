@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,9 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
+
+// errRevert fails a round on purpose, so the engine rolls it back.
+var errRevert = errors.New("revert the round")
 
 // equivOp is one randomized mutation of a round, applied identically to
 // every engine. Engine 0 records the pointer its Alloc returned; the other
@@ -163,16 +167,13 @@ func TestQuickDirtyRangeReplicateEquivalence(t *testing.T) {
 			ops[i] = plan(&view)
 		}
 		switch mode := rng.Intn(4); mode {
-		case 0, 1: // flat-combined batch commit through the writer hooks
+		case 0, 1: // one request of several operations: one combined round
 			for ei, e := range engines {
-				tx := e.hooks.Begin()
-				for _, o := range ops {
-					if err := o.run(tx, ei == 0); err != nil {
-						t.Fatalf("round %d: %s: %v", round, names[ei], err)
-					}
+				errs := make([]error, len(ops))
+				e.UpdateEach(func(tx ptm.Tx, i int) error { return ops[i].run(tx, ei == 0) }, errs)
+				if err := errors.Join(errs...); err != nil {
+					t.Fatalf("round %d: %s: %v", round, names[ei], err)
 				}
-				e.hooks.Commit(tx, len(ops))
-				e.hooks.Replicate(tx)
 			}
 			apply(ops)
 		case 2: // solo commits through the public Update path
@@ -187,13 +188,17 @@ func TestQuickDirtyRangeReplicateEquivalence(t *testing.T) {
 			apply(ops)
 		case 3: // rollback: apply every op, then revert the whole round
 			for ei, e := range engines {
-				tx := e.hooks.Begin()
-				for _, o := range ops {
-					if err := o.run(tx, ei == 0); err != nil {
-						t.Fatalf("round %d: %s: %v", round, names[ei], err)
+				err := e.Update(func(tx ptm.Tx) error {
+					for _, o := range ops {
+						if err := o.run(tx, ei == 0); err != nil {
+							t.Fatalf("round %d: %s: %v", round, names[ei], err)
+						}
 					}
+					return errRevert
+				})
+				if err != errRevert {
+					t.Fatalf("round %d: %s: rollback returned %v", round, names[ei], err)
 				}
-				e.hooks.Rollback(tx)
 			}
 			// Rolled back: no allocation or free survives.
 		}

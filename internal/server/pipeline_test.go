@@ -493,8 +493,9 @@ func TestPipelinedReadAcrossCutover(t *testing.T) {
 		}
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
-	hold := srv.committer.enqueue(0, &Pending{op: "hold", keys: [][]byte{other}, wake: make(chan struct{}, 1),
-		redo: func() string { close(entered); <-release; return "OK" }})
+	hold := &Pending{op: "hold", keys: [][]byte{other}, redo: func() string { close(entered); <-release; return "OK" }}
+	hold.Wake = make(chan struct{}, 1)
+	srv.committer.enqueue(0, hold)
 	go hold.Wait()
 	<-entered
 

@@ -428,7 +428,7 @@ func (s *Server) submit(st *connState, sh int, p *Pending) token {
 	} else if st.queued != sh {
 		st.queued = -2
 	}
-	p.conn, p.sp, p.wake = st.id, st.cur, st.wake
+	p.Owner, p.sp, p.Wake = st.id, st.cur, st.wake
 	return token{p: s.committer.enqueue(sh, p)}
 }
 

@@ -255,7 +255,7 @@ func TestGroupCommitReroutesStaleRoute(t *testing.T) {
 	wrong := (right + 1) % st.NumShards()
 	p := newPending("set", setBody)
 	p.setKey(key, []byte("v1"))
-	p.wake = make(chan struct{}, 1)
+	p.Wake = make(chan struct{}, 1)
 	if got := srv.committer.enqueue(wrong, p).Wait(); got != "OK" {
 		t.Fatalf("stale-routed SET: %q", got)
 	}
