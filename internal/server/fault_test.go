@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/pmem"
+	"repro/internal/ptm"
 	"repro/internal/shard"
 )
 
@@ -196,4 +199,131 @@ func TestServerDegradedModeAndScrub(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	<-done
+}
+
+// faultedBatch opens a one-shard store whose value of key "victim" sits on
+// lines marked bad (transient, or sticky), then runs ops as one group-commit
+// batch, queued behind a held batch, and returns their replies. Each op is
+// its own connection's.
+func faultedBatch(t *testing.T, quarantine, transient bool, ops ...*Pending) (*shard.Store, []string) {
+	t.Helper()
+	st, err := shard.Open(shard.Options{Shards: 1, RegionSize: 512 << 10, CoordSize: 64 << 10,
+		Variant: core.RomLog, QuarantineFaults: quarantine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	bigVal := strings.Repeat("z", 4096)
+	if err := st.Put([]byte("victim"), []byte(bigVal)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put([]byte("healthy"), []byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	dev := st.Devices()[0]
+	off := bytes.Index(dev.Persisted(), []byte(bigVal))
+	if off < 0 {
+		t.Fatal("value not found in the shard image")
+	}
+	for o := off + pmem.LineSize; o < off+len(bigVal)-pmem.LineSize; o += pmem.LineSize {
+		dev.MarkBad(o, transient)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var sizes []int
+	c := NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, batch []*Pending) {
+		sizes = append(sizes, len(batch))
+		if seq == 1 {
+			close(entered)
+			<-release
+		}
+	}})
+	hold := c.Submit(0, 0, "hold", nil, func(ptm.Tx, *kvstore.DB) (string, error) { return "OK", nil })
+	go hold.Wait()
+	<-entered
+	for i, p := range ops {
+		p.Owner, p.Wake = uint64(i+1), make(chan struct{}, 1)
+		c.enqueue(0, p)
+	}
+	close(release)
+	replies := make([]string, len(ops))
+	for i, p := range ops {
+		replies[i] = p.Wait()
+	}
+	c.Close()
+	if len(sizes) != 2 || sizes[1] != len(ops) {
+		t.Fatalf("batches of %v ops: want the held one, then all %d in one", sizes, len(ops))
+	}
+	return st, replies
+}
+
+// faultOp is a Pending running body; read marks it a read.
+func faultOp(read bool, body func(tx ptm.Tx, db *kvstore.DB) (string, error)) *Pending {
+	return &Pending{op: "op", read: read, body: func(_ *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) { return body(tx, db) }}
+}
+
+// rewriteVictim reads the victim's value, over the bad lines, and then
+// overwrites it with val.
+func rewriteVictim(val string) *Pending {
+	return faultOp(false, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
+		if _, err := db.GetTx(tx, []byte("victim")); err != nil {
+			return "", err
+		}
+		return "OK", db.PutTx(tx, []byte("victim"), []byte(val))
+	})
+}
+
+// getOp reads key, replying with its value.
+func getOp(key string) *Pending {
+	return faultOp(true, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
+		v, err := db.GetTx(tx, []byte(key))
+		return "VALUE " + string(v), err
+	})
+}
+
+// TestBatchStickyFaultQuarantines: in a batch of two connections' writes, a
+// sticky media fault on one key's lines quarantines the shard and replies
+// UNAVAIL to the faulted write, as it would to a single-key write; the
+// healthy write committed before it replies OK.
+func TestBatchStickyFaultQuarantines(t *testing.T) {
+	st, replies := faultedBatch(t, true, false,
+		faultOp(false, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
+			return "OK", db.PutTx(tx, []byte("healthy"), []byte("h2"))
+		}),
+		rewriteVictim("a"))
+	if replies[0] != "OK" || !strings.HasPrefix(replies[1], "UNAVAIL shard=0") {
+		t.Fatalf("replies %q: want OK, then UNAVAIL shard=0", replies)
+	}
+	if q := st.Quarantined(); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("quarantined shards %v, want [0]", q)
+	}
+}
+
+// TestBatchTransientFaultRetried: a transient media fault met by a write's
+// lone re-run (its batch failed on another write) is retried and ends in OK,
+// and the write behind it on the same key still lands after it.
+func TestBatchTransientFaultRetried(t *testing.T) {
+	st, replies := faultedBatch(t, true, true,
+		faultOp(false, func(ptm.Tx, *kvstore.DB) (string, error) { return "", errors.New("boom") }),
+		rewriteVictim("a"),
+		rewriteVictim("b"))
+	if !strings.HasPrefix(replies[0], "ERR") || replies[1] != "OK" || replies[2] != "OK" {
+		t.Fatalf("replies %q: want ERR, OK, OK", replies)
+	}
+	if v, err := st.Get([]byte("victim")); err != nil || string(v) != "b" {
+		t.Fatalf("victim = %q, %v: want the later write's b", v, err)
+	}
+	if q := st.Quarantined(); len(q) != 0 {
+		t.Fatalf("quarantined shards %v after a transient fault", q)
+	}
+}
+
+// TestBatchReadFailureIsolated: in a batch of reads, a read of a rotted key
+// fails alone: the healthy read batched before it still replies with its
+// value.
+func TestBatchReadFailureIsolated(t *testing.T) {
+	_, replies := faultedBatch(t, false, false, getOp("healthy"), getOp("victim"))
+	if replies[0] != "VALUE h" || !strings.HasPrefix(replies[1], "ERR") {
+		t.Fatalf("replies %q: want VALUE h, then ERR", replies)
+	}
 }
