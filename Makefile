@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-alloc bench-scale tools experiments crashtest crashtest-short roundtest shardtest faulttest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
+.PHONY: all build test race bench bench-alloc bench-scale bench-fanin tools experiments crashtest crashtest-short roundtest shardtest faulttest migratetest audit obstest pathtest flakecheck docs-check fuzz clean
 
 all: build test
 
@@ -34,6 +34,12 @@ bench-alloc:
 bench-scale:
 	go test -run '^$$' -bench 'Combiner|Execute|Round' -benchtime 100000x ./internal/flatcombine
 	go test -run '^$$' -bench 'AblationFlatCombining' -cpu 1,2,4,8 .
+
+# Wire fan-in: SET bursts of depth 1 and 16 from 2, 64, 256 and 1,024
+# connections on a 2-shard server; ops/s, ops per group batch and the p99
+# burst round trip per point.
+bench-fanin:
+	go test -run '^$$' -bench ServeFanIn -benchtime 200000x -cpu 2 ./internal/server
 
 tools:
 	go build -o bin/ ./cmd/...
@@ -127,11 +133,11 @@ pathtest:
 # the cross-connection linearizability check over shared keys, and the
 # combiner's scheduling-sensitive tests (release points, one batch per
 # enqueue, hand-off to a parked waiter, more writers than thread ids, one
-# engine round per wire batch), repeated so no race can come back
-# unnoticed. Part of `make test`.
+# engine round per wire batch, who watches a held slot and who parks),
+# repeated so no race can come back unnoticed. Part of `make test`.
 flakecheck:
-	go test -count=20 -run 'TestServerSplitEndToEnd|TestSpanTimeline|TestPipelined|TestWireLinearizableSharedKeys|TestWireBatchIsOneEngineRound|TestBatchStickyFaultQuarantines|TestBatchTransientFaultRetried|TestBatchReadFailureIsolated' ./internal/server
-	go test -count=20 -run 'TestReleaseAtDurablePoint|TestLateReleasedAfterReplicate|TestEnqueueIsOneBatch|TestHandOffToParkedWaiter|TestDrainFoldsLateArrivals' ./internal/flatcombine
+	go test -count=20 -run 'TestServerSplitEndToEnd|TestSpanTimeline|TestPipelined|TestWireLinearizableSharedKeys|TestWireBatchIsOneEngineRound|TestBatchStickyFaultQuarantines|TestBatchTransientFaultRetried|TestBatchReadFailureIsolated|TestLoneOperationParksBurstWatches' ./internal/server
+	go test -count=20 -run 'TestReleaseAtDurablePoint|TestLateReleasedAfterReplicate|TestEnqueueIsOneBatch|TestHandOffToParkedWaiter|TestDrainFoldsLateArrivals|TestWatcherSettledWithoutUnpark|TestSecondWaiterParksWhileOneWatches|TestWatcherAndParkedWaiterBothRun|TestFlushAndExclusivePark' ./internal/flatcombine
 	go test -count=20 -run 'TestManyConcurrentWriters|TestReadersReleasedAtDurablePoint' ./internal/core
 
 fuzz:

@@ -38,11 +38,13 @@ func TestEngineFootprint(t *testing.T) {
 	if !pmem.OffHeap {
 		t.Skip("device images are Go slices in this build")
 	}
-	liveHeap := func() uint64 {
+	// Signed: a heap that shrank between the reads (earlier tests' garbage
+	// collected late) is a negative growth, not a wrapped-around huge one.
+	liveHeap := func() int64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
+		return int64(m.HeapAlloc)
 	}
 	const size = 32 << 20
 	before := liveHeap()

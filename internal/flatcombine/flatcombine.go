@@ -7,10 +7,14 @@
 // and a leader slot, with no goroutine of its own. A caller enqueues its
 // requests, then waits: if the slot is free it leads — it takes the queue
 // and runs the batch body with the slot held — and if the slot is held it
-// parks (or, without a wake channel, watches the slot) until a batch settles
-// its request, or until a departing leader hands it the slot. Two places
-// decide the policy: Wait, whether a caller leads or waits, and the batch
-// body, when its requests are released.
+// waits until a batch settles its request or the slot frees. How it waits
+// is a property of its request: one without a wake channel (an engine's)
+// watches the slot, as §5.2's writers spin on their announcements; one that
+// asks to watch (a pipelined burst's) watches while no other waiter of the
+// queue does; every other waiter parks until a batch settles its request or
+// a departing leader hands it the slot. Two places decide the policy: Wait,
+// whether a caller leads or waits and how, and the batch body, when its
+// requests are released.
 //
 // Combiner is the engine's instance: its body opens one transaction, runs
 // every request of the batch, rescans the queue and runs what arrived
@@ -57,6 +61,10 @@ type Waiter struct {
 	// 0 is anonymous. Owner ids are advisory: submitters that share one
 	// only yield to each other less often.
 	Owner uint64
+	// Watch asks that the owner watch a held slot rather than park on Wake
+	// while no other waiter of the queue watches (see Wait). Only the owner
+	// reads it, in Wait.
+	Watch bool
 	done  atomic.Bool
 }
 
@@ -76,10 +84,11 @@ type Queue[R Queued] struct {
 	run      func(batch []R) []R
 	maxBatch int // requests per batch; 0 is unbounded
 
-	mu     sync.Mutex
-	reqs   []R                        // queued, oldest first
-	busy   atomic.Bool                // the slot is held; written under mu
-	parked map[chan struct{}]struct{} // goroutines waiting in wait
+	mu       sync.Mutex
+	reqs     []R                        // queued, oldest first
+	busy     atomic.Bool                // the slot is held; written under mu
+	parked   map[chan struct{}]struct{} // goroutines waiting in wait
+	watching bool                       // a Watch request's owner watches the slot
 
 	// lastOwner is the owner of the last batch's first request, otherOwner
 	// the one before it that differed; yielding is set while an arrival
@@ -105,10 +114,17 @@ func (q *Queue[R]) Enqueue(r R) {
 }
 
 // Wait returns once a batch has settled r, leading batches itself whenever
-// the slot is free and r is not settled; otherwise it parks on r's Wake.
+// the slot is free and r is not settled; otherwise it waits for the slot.
 // A request without a Wake (an engine's, whose rounds take microseconds)
-// stays runnable instead and watches the slot, since a wake-up from a park
-// costs about as much as the round it waited for.
+// stays runnable and watches the slot, since a wake-up from a park costs
+// about as much as the round it waited for. A request with Watch set does
+// the same while no other waiter watches: it leads the moment the slot
+// frees, with whatever queued meanwhile. Every other request parks on its
+// Wake. One watcher per queue is enough to take the next batch; more would
+// only keep goroutines runnable without work. The server leaves Watch unset
+// on a connection's lone operation: its park is what lets two owners that
+// take turns share a round (below), since the leader takes whatever queued
+// while it parked.
 // Leaving, it wakes one parked goroutine if nobody leads, so queued work
 // never waits on a goroutine that is not waiting for it.
 //
@@ -153,18 +169,27 @@ func (q *Queue[R]) wait(w *Waiter, wake chan struct{}) {
 			continue
 		}
 		waited = true
-		if wake == nil {
-			q.mu.Unlock()
-			for !w.Done() && q.busy.Load() {
-				runtime.Gosched()
-			}
-			q.mu.Lock()
+		if w != nil && (wake == nil || w.Watch && !q.watching) {
+			q.watch(w, wake != nil)
 			continue
 		}
 		q.park(wake)
 	}
 	q.leave()
 	q.mu.Unlock()
+}
+
+// watch waits, runnable, until w is settled or the slot frees. claim takes
+// the queue's one watcher place for a request that could park instead.
+// Caller holds q.mu.
+func (q *Queue[R]) watch(w *Waiter, claim bool) {
+	q.watching = q.watching || claim
+	q.mu.Unlock()
+	for !w.Done() && q.busy.Load() {
+		runtime.Gosched()
+	}
+	q.mu.Lock()
+	q.watching = q.watching && !claim
 }
 
 // park waits on wake for the slot holder. Caller holds q.mu.
@@ -270,6 +295,14 @@ func (q *Queue[R]) Exclusive(f func()) {
 		q.mu.Unlock()
 	}()
 	f()
+}
+
+// Waiting reports how many goroutines are parked on the queue and whether
+// one watches its held slot.
+func (q *Queue[R]) Waiting() (parked int, watching bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.parked), q.watching
 }
 
 // Len returns the number of queued requests no batch has taken yet.

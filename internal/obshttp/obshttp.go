@@ -10,6 +10,8 @@
 //	GET /metrics?format=json     one JSON object
 //	GET /metrics?format=prom     Prometheus exposition (counters, gauges,
 //	                             cumulative-le histograms)
+//	                             all three with the go_* runtime gauges,
+//	                             read from runtime/metrics per scrape
 //	GET /trace                   retained events as JSON lines: tx events
 //	                             (Trace ring) then request spans (Spans)
 //	GET /trace?req=<id>          one request's span timeline as a JSON
@@ -25,9 +27,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime/metrics"
 	"strconv"
 
 	"repro/internal/audit"
@@ -70,6 +74,7 @@ func NewMux(src Sources) *http.ServeMux {
 			http.Error(w, "no registry", http.StatusServiceUnavailable)
 			return
 		}
+		readRuntime(r)
 		switch req.URL.Query().Get("format") {
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
@@ -175,6 +180,62 @@ func NewMux(src Sources) *http.ServeMux {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// runtimeSeries maps the runtime/metrics series readRuntime reads to the
+// gauge each sets; a histogram sets name_p50, name_p90 and name_p99.
+var runtimeSeries = [...]struct{ series, name string }{
+	{"/sched/goroutines:goroutines", "go_goroutines"},
+	{"/sched/latencies:seconds", "go_sched_latency_ns"},
+	{"/sched/pauses/total/gc:seconds", "go_gc_pause_ns"},
+	{"/gc/heap/live:bytes", "go_heap_live_bytes"},
+}
+
+// readRuntime sets r's go_* gauges from runtime/metrics: the goroutine
+// count, quantiles of scheduling latency (runnable to running, the cost of
+// a wake-up) and of GC stop-the-world pauses since the process started, in
+// nanoseconds, and the heap the last GC marked live. It runs per scrape, so
+// nothing on a serving path pays for it. A series the runtime does not
+// export is skipped.
+func readRuntime(r *obs.Registry) {
+	var s [len(runtimeSeries)]metrics.Sample
+	for i, m := range runtimeSeries {
+		s[i].Name = m.series
+	}
+	metrics.Read(s[:])
+	for i, x := range s {
+		name := runtimeSeries[i].name
+		switch x.Value.Kind() {
+		case metrics.KindUint64:
+			r.Gauge(name).Set(int64(x.Value.Uint64()))
+		case metrics.KindFloat64Histogram:
+			h := x.Value.Float64Histogram()
+			r.Gauge(name + "_p50").Set(quantileNs(h, 0.50))
+			r.Gauge(name + "_p90").Set(quantileNs(h, 0.90))
+			r.Gauge(name + "_p99").Set(quantileNs(h, 0.99))
+		}
+	}
+}
+
+// quantileNs returns the q-quantile of a runtime histogram of seconds in
+// nanoseconds: the upper edge of the bucket that holds it (the lower edge
+// of an unbounded last bucket), or 0 for an empty histogram.
+func quantileNs(h *metrics.Float64Histogram, q float64) int64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	rank, cum := uint64(math.Ceil(q*float64(total))), uint64(0)
+	for i, c := range h.Counts {
+		if cum += c; c > 0 && cum >= rank {
+			edge := h.Buckets[i+1]
+			if math.IsInf(edge, 1) {
+				edge = h.Buckets[i]
+			}
+			return int64(edge * 1e9)
+		}
+	}
+	return 0
 }
 
 // Server is a listening http.Server with graceful shutdown.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,4 +274,46 @@ func TestConcurrentScrapeWhileEmitting(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestMetricsRuntimeHealth: every /metrics format carries the go_* runtime
+// gauges — goroutines, scheduling-latency and GC-pause quantiles, the live
+// heap — read at scrape time into the served registry.
+func TestMetricsRuntimeHealth(t *testing.T) {
+	reg := obs.NewRegistry()
+	get := startMux(t, NewMux(Sources{Registry: func() *obs.Registry { return reg }}))
+	runtime.GC() // a pause to quantile and a marked live heap
+	names := []string{"go_goroutines", "go_heap_live_bytes"}
+	for _, h := range []string{"go_sched_latency_ns", "go_gc_pause_ns"} {
+		names = append(names, h+"_p50", h+"_p90", h+"_p99")
+	}
+	_, text := get("/metrics")
+	for _, name := range names {
+		if !strings.Contains(text, "\n"+name+" ") && !strings.HasPrefix(text, name+" ") {
+			t.Errorf("text /metrics lacks %s:\n%s", name, text)
+		}
+	}
+	_, js := get("/metrics?format=json")
+	var snap obs.Snapshot
+	if err := json.Unmarshal([]byte(js), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, ok := snap.Gauges[name]; !ok {
+			t.Errorf("JSON /metrics lacks gauge %s", name)
+		}
+	}
+	if snap.Gauges["go_goroutines"] < 1 || snap.Gauges["go_heap_live_bytes"] < 1 || snap.Gauges["go_gc_pause_ns_p99"] < 1 {
+		t.Errorf("goroutines %d, live heap %d B, GC pause p99 %d ns: want each positive after a GC",
+			snap.Gauges["go_goroutines"], snap.Gauges["go_heap_live_bytes"], snap.Gauges["go_gc_pause_ns_p99"])
+	}
+	if p50, p99 := snap.Gauges["go_sched_latency_ns_p50"], snap.Gauges["go_sched_latency_ns_p99"]; p50 > p99 {
+		t.Errorf("scheduling latency p50 %d ns above p99 %d ns", p50, p99)
+	}
+	_, prom := get("/metrics?format=prom")
+	for _, name := range names {
+		if !strings.Contains(prom, "# TYPE "+name+" gauge\n") {
+			t.Errorf("prom /metrics lacks gauge %s", name)
+		}
+	}
 }

@@ -461,6 +461,82 @@ func TestPipelinedReadRidesOneBatch(t *testing.T) {
 	shutdown(t, srv, done)
 }
 
+// TestLoneOperationParksBurstWatches: behind a held shard slot, a
+// connection's lone depth-1 SET parks — the park is what lets two depth-1
+// connections that take turns share a round — while a burst of two watches
+// the slot, one connection per shard at a time; the second burst parks.
+// All three reply once the slot frees.
+func TestLoneOperationParksBurstWatches(t *testing.T) {
+	st := openShards(t, 1)
+	defer st.Close()
+	srv := New(st, Options{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.committer.Close()
+	srv.committer = NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, _ []*Pending) {
+		if seq == 1 {
+			close(entered)
+			<-release
+		}
+	}})
+	hold := srv.committer.Submit(0, 0, "hold", nil, func(ptm.Tx, *kvstore.DB) (string, error) { return "OK", nil })
+	held := make(chan string, 1)
+	go func() { held <- hold.Wait() }()
+	<-entered
+	q := srv.committer.queue(0)
+	// serve dispatches lines as one connection's burst and replies on a
+	// goroutine, as the connection's reader does after parsing it.
+	serve := func(lines ...string) (chan struct{}, *strings.Builder) {
+		cs := &connState{id: srv.connSeq.Add(1), wake: make(chan struct{}, 1), queued: -1}
+		for _, l := range lines {
+			tok, _ := srv.dispatch([]byte(l), cs)
+			cs.toks = append(cs.toks, tok)
+		}
+		out, done := &strings.Builder{}, make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.reply(bufio.NewWriter(out), cs)
+		}()
+		return done, out
+	}
+	until := func(what string, parked int, watching bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			p, w := q.Waiting()
+			if p == parked && w == watching {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d parked, watching %v; want %d, %v", what, p, w, parked, watching)
+			}
+		}
+	}
+	lone, loneOut := serve("SET lone 1")
+	until("a lone SET behind the held slot", 1, false)
+	burst, burstOut := serve("SET a 1", "SET b 2")
+	until("a burst of two behind the held slot", 1, true)
+	second, secondOut := serve("SET c 3", "GET c")
+	until("a second burst beside the watcher", 2, true)
+	close(release)
+	for _, d := range []chan struct{}{lone, burst, second} {
+		select {
+		case <-d:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a connection never got its replies")
+		}
+	}
+	if r := <-held; r != "OK" {
+		t.Fatalf("held operation replied %q", r)
+	}
+	for _, c := range []struct{ got, want string }{
+		{loneOut.String(), "OK\n"}, {burstOut.String(), "OK\nOK\n"}, {secondOut.String(), "OK\nVALUE 3\n"},
+	} {
+		if c.got != c.want {
+			t.Fatalf("replies %q, want %q", c.got, c.want)
+		}
+	}
+	srv.committer.Close()
+}
+
 // TestPipelinedReadAcrossCutover pins the reroute hazard: a SPLIT cutover
 // moves keys off shard 0 while their SETs (and, for half of them, the GETs
 // behind) sit in shard 0's queue. Every GET must return its SET's value,

@@ -415,10 +415,11 @@ type connState struct {
 	wake chan struct{}
 	// toks are the burst's replies in request order. queued is the shard
 	// every operation of the burst not yet completed went to: -1 none, -2
-	// more than one.
-	toks   []token
-	queued int
-	evs    []obs.SpanEvent // reused span render buffer
+	// more than one. pending counts the burst's queued operations.
+	toks    []token
+	queued  int
+	pending int
+	evs     []obs.SpanEvent // reused span render buffer
 }
 
 // submit queues p on shard sh as this connection's operation.
@@ -429,7 +430,19 @@ func (s *Server) submit(st *connState, sh int, p *Pending) token {
 		st.queued = -2
 	}
 	p.Owner, p.sp, p.Wake = st.id, st.cur, st.wake
+	st.pending++
 	return token{p: s.committer.enqueue(sh, p)}
+}
+
+// wait returns p's reply once its durability round completed. An operation
+// of a burst that queued more than one watches a held slot (the queue lets
+// one waiter at a time), so the connection leads the moment the slot frees
+// instead of paying a wake-up per round; a lone operation parks, which is
+// what lets two depth-1 connections that take turns share a round
+// (flatcombine.Queue.Wait).
+func (st *connState) wait(p *Pending) string {
+	p.Watch = st.pending > 1
+	return p.Wait()
 }
 
 // complete finishes every operation the burst has queued so far — for a
@@ -437,7 +450,7 @@ func (s *Server) submit(st *connState, sh int, p *Pending) token {
 func (st *connState) complete() {
 	for _, t := range st.toks {
 		if t.p != nil {
-			t.p.Wait()
+			st.wait(t.p)
 		}
 	}
 	st.queued = -1
@@ -556,7 +569,7 @@ func (s *Server) reply(w *bufio.Writer, st *connState) bool {
 	for _, tok := range st.toks {
 		text := tok.text
 		if p := tok.p; p != nil {
-			text = p.Wait()
+			text = st.wait(p)
 			p.release()
 		}
 		// A write error sticks in w; the operations still complete.
@@ -578,7 +591,7 @@ func (s *Server) reply(w *bufio.Writer, st *connState) bool {
 		st.evs = evs[:0]
 	}
 	clear(st.toks)
-	st.toks, st.queued = st.toks[:0], -1
+	st.toks, st.queued, st.pending = st.toks[:0], -1, 0
 	return ok
 }
 

@@ -16,10 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/linearize"
 	"repro/internal/obs"
 	"repro/internal/ptm"
+	"repro/internal/shard"
 )
 
 // kvModel is the sequential specification of one key under SET, INCR and
@@ -451,70 +453,90 @@ func TestWireBatchIsOneEngineRound(t *testing.T) {
 	}
 }
 
-// BenchmarkServeFanIn measures depth-1 SETs from many connections at once:
-// each connection keeps one request outstanding. It reports throughput, the
-// p99 round trip and the mean group-commit batch.
+// BenchmarkServeFanIn measures SET bursts from many connections at once:
+// each connection keeps one burst outstanding — one request at depth 1, or
+// 16 SETs in one write whose 16 replies it reads before the next at depth
+// 16. b.N counts SETs. It reports throughput, the mean group-commit batch
+// and the p99 burst round trip.
 func BenchmarkServeFanIn(b *testing.B) {
-	for _, conns := range []int{2, 64, 256, 1024} {
-		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-			st := openShards(b, 2)
-			defer st.Close()
-			srv := New(st, Options{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(ln) }()
-			cls := make([]net.Conn, conns)
-			for i := range cls {
-				if cls[i], err = net.Dial("tcp", ln.Addr().String()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			lat := make([][]time.Duration, conns)
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for i, c := range cls {
-				n := b.N / conns
-				if i < b.N%conns {
-					n++
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					r := bufio.NewReader(c)
-					req := []byte(fmt.Sprintf("SET fan%d v\n", i))
-					for j := 0; j < n; j++ {
-						t0 := time.Now()
-						if _, err := c.Write(req); err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err := r.ReadSlice('\n'); err != nil {
-							b.Error(err)
-							return
-						}
-						lat[i] = append(lat[i], time.Since(t0))
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-			all := slices.Concat(lat...)
-			slices.Sort(all)
-			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
-			b.ReportMetric(srv.GroupCommitter().Stats().MeanBatchOps, "ops/batch")
-			if len(all) > 0 {
-				b.ReportMetric(float64(all[len(all)*99/100].Microseconds()), "p99_us")
-			}
-			for _, c := range cls {
-				c.Close()
-			}
-			srv.Shutdown(context.Background())
-			<-done
-		})
+	for _, depth := range []int{1, 16} {
+		for _, conns := range []int{2, 64, 256, 1024} {
+			b.Run(fmt.Sprintf("depth=%d/conns=%d", depth, conns), func(b *testing.B) {
+				benchFanIn(b, depth, conns)
+			})
+		}
 	}
+}
+
+// benchFanIn runs one point: conns connections, each writing SETs of its
+// own depth keys per burst and reading every reply, which must be OK. The
+// regions hold 16 keys for each of 1,024 connections.
+func benchFanIn(b *testing.B, depth, conns int) {
+	st, err := shard.Open(shard.Options{Shards: 2, RegionSize: 4 << 20, CoordSize: 64 << 10, Variant: core.RomLog})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	srv := New(st, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	cls := make([]net.Conn, conns)
+	for i := range cls {
+		if cls[i], err = net.Dial("tcp", ln.Addr().String()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bursts := (b.N + depth - 1) / depth
+	lat := make([][]time.Duration, conns)
+	b.ResetTimer()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, c := range cls {
+		n := bursts / conns
+		if i < bursts%conns {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := bufio.NewReader(c)
+			var req []byte
+			for k := 0; k < depth; k++ {
+				req = fmt.Appendf(req, "SET fan%d-%d v\n", i, k)
+			}
+			for j := 0; j < n; j++ {
+				t0 := time.Now()
+				if _, err := c.Write(req); err != nil {
+					b.Error(err)
+					return
+				}
+				for k := 0; k < depth; k++ {
+					if line, err := r.ReadSlice('\n'); err != nil || string(line) != "OK\n" {
+						b.Errorf("reply %q, %v: want OK", line, err)
+						return
+					}
+				}
+				lat[i] = append(lat[i], time.Since(t0))
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	b.ReportMetric(float64(bursts*depth)/elapsed.Seconds(), "ops/s")
+	b.ReportMetric(srv.GroupCommitter().Stats().MeanBatchOps, "ops/batch")
+	if len(all) > 0 {
+		b.ReportMetric(float64(all[len(all)*99/100].Microseconds()), "p99_us")
+	}
+	for _, c := range cls {
+		c.Close()
+	}
+	srv.Shutdown(context.Background())
+	<-done
 }
