@@ -123,9 +123,10 @@ obstest:
 # combiner (its one queue, led by embedded writers and the group leader
 # alike), the C-RW-WP lock (released at the durable point, mid-round), the
 # engine, and the sharded store; plus the redo-log engine, whose optimistic
-# readers load words a committer is storing. Part of `make test`.
+# readers load words a committer is storing, and the device, whose image
+# copies and twin comparison run across goroutines. Part of `make test`.
 pathtest:
-	go test -race ./internal/flatcombine/ ./internal/crwwp/ ./internal/core/ ./internal/shard/ ./internal/redolog/
+	go test -race ./internal/flatcombine/ ./internal/crwwp/ ./internal/core/ ./internal/shard/ ./internal/redolog/ ./internal/pmem/
 
 # The two server tests that raced on the seed (PLACEMENT answering a finished
 # split with the pre-cutover slot map; spans read before they were emitted),

@@ -36,11 +36,12 @@
 //     that run against whichever copy is consistent, reached through
 //     synthetic pointers (a constant base offset added to each Ptr).
 //
-// Concurrent updaters flat-combine (internal/flatcombine): mutations are
-// announced in per-thread slots and executed as one durable transaction by
-// the current writer-lock holder, amortizing the four fences across the
-// batch. Readers use the variant's reader synchronization (crwwp scalable
-// reader-writer lock, or Left-Right for RomLR) and never fence at all.
+// Concurrent updaters flat-combine (internal/flatcombine): mutations queue
+// in the engine's combiner and are executed as one durable transaction by
+// whichever writer leads the round, amortizing the four fences across the
+// batch; a writer holds no thread ID. Readers use the variant's reader
+// synchronization (crwwp scalable reader-writer lock, or Left-Right for
+// RomLR), each on a registered thread ID, and never fence at all.
 //
 // Observability: the engine publishes transaction counters via Stats, and
 // SetTrace attaches a per-transaction obs.Sink emitting one obs.TxEvent

@@ -387,10 +387,6 @@ func (e *Engine) prefix() int {
 	return int(min(e.dev.Load64(offWatermark), uint64(e.regionSize)))
 }
 
-// diffChunk is the unit of the twin comparison's fast path: bytes.Equal over
-// a chunk runs at memcmp speed; only a mismatching chunk is looked at closer.
-const diffChunk = 4096
-
 // syncCopy makes dst[:wm] equal src[:wm] on the media at a cost proportional
 // to what differs rather than to wm: the twins are compared chunk by chunk,
 // a mismatching chunk line by line, and only runs of lines that need it are
@@ -400,9 +396,15 @@ const diffChunk = 4096
 // media; on any other device state an equal-but-dirty line is still written
 // back. The caller fences. A crash in here is as safe as in the whole-prefix
 // copy: the state word is untouched, src is never written, dst only nears src.
+//
+// The chunk comparison, a pass over both twins, runs across processors
+// (Device.Differs) and before any repair: a repair writes only lines behind
+// the walk, so the chunks ahead compare as they would have. The walk itself
+// stays serial, so its copies, pwbs and crash points come in ascending order.
 func (e *Engine) syncCopy(dst, src, wm int) {
 	d := e.dev
 	from, to := d.Bytes(src, wm), d.Bytes(dst, wm)
+	differs := d.Differs(dst, src, wm)
 	same := func(lo, hi int) bool {
 		return bytes.Equal(from[lo:hi], to[lo:hi]) && !d.Pending(dst+lo, hi-lo)
 	}
@@ -415,9 +417,9 @@ func (e *Engine) syncCopy(dst, src, wm int) {
 			run = -1
 		}
 	}
-	for c := 0; c < wm; c += diffChunk {
-		cend := min(c+diffChunk, wm)
-		if same(c, cend) {
+	for c := 0; c < wm; c += pmem.DiffChunk {
+		cend := min(c+pmem.DiffChunk, wm)
+		if !differs[c/pmem.DiffChunk] {
 			closeRun(c)
 			continue
 		}
@@ -834,8 +836,8 @@ func (e *Engine) Verify() int {
 	wm := e.prefix()
 	main := e.dev.Bytes(e.mainBase, wm)
 	back := e.dev.Bytes(e.backBase, wm)
-	for c := 0; c < wm; c += diffChunk {
-		cend := min(c+diffChunk, wm)
+	for c := 0; c < wm; c += pmem.DiffChunk {
+		cend := min(c+pmem.DiffChunk, wm)
 		if bytes.Equal(main[c:cend], back[c:cend]) {
 			continue
 		}

@@ -22,8 +22,9 @@ import (
 )
 
 // Lock is a C-RW-WP reader-writer lock. The zero value is ready to use.
-// Thread IDs come from a hsync.Registry shared with the flat-combining
-// array.
+// Only readers hold thread IDs, from the engine's hsync.Registry; the
+// writer side is whichever writer leads the flat combiner's round, and
+// holds none.
 type Lock struct {
 	writerPresent atomic.Bool
 	readers       hsync.ReadIndicator

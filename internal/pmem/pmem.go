@@ -53,6 +53,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -533,9 +534,61 @@ func (d *Device) PersistAll() {
 
 // Persisted returns a copy of the persisted view: what the media holds now.
 func (d *Device) Persisted() []byte {
-	img := bytes.Clone(d.mem)
+	img := make([]byte, len(d.mem))
+	split(len(img), func(lo, hi int) { copy(img[lo:hi], d.mem[lo:hi]) })
 	d.shadow.overlay(img)
 	return img
+}
+
+// DiffChunk is the granule of Differs, and the alignment of the pieces split
+// hands to processors, so that no chunk straddles two of them.
+const DiffChunk = 4096
+
+// splitMin is the smallest piece split hands to a processor: tens of
+// microseconds of copying, against the one or two a goroutine costs to start
+// and join. A job below twice this size — a small test device, the shard
+// coordinator's log — runs inline and starts none.
+const splitMin = 512 << 10
+
+// split runs job over [0, n) in DiffChunk-aligned pieces, one per processor
+// (GOMAXPROCS) but none smaller than splitMin, and returns when all are done.
+// It is for the loops that scale with a device's size rather than with its
+// lines in flight — copying an image, comparing twin copies — whose cost is
+// memory bandwidth, more of which one processor alone cannot draw. The job
+// must be safe to run on disjoint ranges at once.
+func split(n int, job func(lo, hi int)) {
+	pieces := min(runtime.GOMAXPROCS(0), n/splitMin)
+	if pieces <= 1 {
+		job(0, n)
+		return
+	}
+	size := (n/pieces + DiffChunk - 1) &^ (DiffChunk - 1)
+	var wg sync.WaitGroup
+	for lo := size; lo < n; lo += size {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job(lo, min(lo+size, n))
+		}()
+	}
+	job(0, size)
+	wg.Wait()
+}
+
+// Differs compares [dst, dst+n) with [src, src+n) in DiffChunk-byte chunks,
+// the last one partial, and reports for each whether dst needs src's bytes
+// there: they differ, or a line of dst's chunk is Pending. It is the bulk of
+// recovery's twin comparison, split across processors; only the chunks it
+// reports need a closer look. Mutating goroutine only.
+func (d *Device) Differs(dst, src, n int) []bool {
+	out := make([]bool, (n+DiffChunk-1)/DiffChunk)
+	split(n, func(lo, hi int) {
+		for c := lo; c < hi; c += DiffChunk {
+			end := min(c+DiffChunk, hi)
+			out[c/DiffChunk] = !bytes.Equal(d.mem[dst+c:dst+end], d.mem[src+c:src+end]) || d.Pending(dst+c, end-c)
+		}
+	})
+	return out
 }
 
 // CrashPolicy controls the fate of not-yet-durable data at a simulated power
@@ -652,7 +705,7 @@ func FromImage(img []byte, model Model) *Device {
 		panic(fmt.Sprintf("pmem: image size %d is not a positive multiple of %d", len(img), LineSize))
 	}
 	mem := newImage(len(img), false)
-	copy(mem, img)
+	split(len(mem), func(lo, hi int) { copy(mem[lo:hi], img[lo:hi]) })
 	return newDevice(mem, model)
 }
 

@@ -240,9 +240,11 @@ type BatchAuditor interface {
 }
 
 // Handle is a per-goroutine transaction context. Engines keep per-thread
-// announcement and read-indicator slots; acquiring a Handle pins one slot,
-// avoiding per-transaction registry traffic on hot paths. A Handle must be
-// used by one goroutine at a time and Released when done.
+// slots — a read-indicator slot in the Romulus engines, whose writers queue
+// in the combiner and hold none; a log segment in the redo-log engine — and
+// acquiring a Handle pins one, avoiding per-transaction registry traffic on
+// hot paths. A Handle must be used by one goroutine at a time and Released
+// when done.
 type Handle interface {
 	Update(fn func(Tx) error) error
 	Read(fn func(Tx) error) error

@@ -124,8 +124,8 @@ func testRootsSurvive(t *testing.T, f Factory) {
 }
 
 // testInterleavedHandles runs two handles from one goroutine in strict
-// alternation, verifying handle state (announcement slots, read-indicator
-// slots) does not leak between them.
+// alternation, verifying handle state (read-indicator slots; writers queue
+// in the combiner and hold none) does not leak between them.
 func testInterleavedHandles(t *testing.T, f Factory) {
 	e := f.New(t)
 	h1, err := e.NewHandle()
