@@ -124,16 +124,19 @@ obstest:
 # alike), the C-RW-WP lock (released at the durable point, mid-round), the
 # engine, and the sharded store; plus the redo-log engine, whose optimistic
 # readers load words a committer is storing, and the device, whose image
-# copies and twin comparison run across goroutines. Part of `make test`.
+# copies and twin comparison run across goroutines. Also the read indicator
+# (readers borrow its stripes from a sync.Pool), Left-Right, the key-value
+# store and the undo-log engine, whose readers use them or the engines'
+# pooled transactions. Part of `make test`.
 pathtest:
-	go test -race ./internal/flatcombine/ ./internal/crwwp/ ./internal/core/ ./internal/shard/ ./internal/redolog/ ./internal/pmem/
+	go test -race ./internal/flatcombine/ ./internal/crwwp/ ./internal/core/ ./internal/shard/ ./internal/redolog/ ./internal/pmem/ ./internal/hsync/ ./internal/leftright/ ./internal/kvstore/ ./internal/undolog/
 
 # The two server tests that raced on the seed (PLACEMENT answering a finished
 # split with the pre-cutover slot map; spans read before they were emitted),
 # the pipelining tests (reads riding the commit queue, across a cutover too),
 # the cross-connection linearizability check over shared keys, and the
 # combiner's scheduling-sensitive tests (release points, one batch per
-# enqueue, hand-off to a parked waiter, more writers than thread ids, one
+# enqueue, hand-off to a parked waiter, 300 writers in one engine, one
 # engine round per wire batch, who watches a held slot and who parks),
 # repeated so no race can come back unnoticed. Part of `make test`.
 flakecheck:

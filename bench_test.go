@@ -42,15 +42,10 @@ func BenchmarkTable1(b *testing.B) {
 			}); err != nil {
 				b.Fatal(err)
 			}
-			h, err := e.NewHandle()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Release()
 			e.Device().ResetStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := h.Update(func(tx ptm.Tx) error {
+				if err := e.Update(func(tx ptm.Tx) error {
 					for s := 0; s < stores; s++ {
 						tx.Store64(buf+ptm.Ptr(s*8), uint64(i+s))
 					}
@@ -81,18 +76,13 @@ func BenchmarkFig4(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					h, err := e.NewHandle()
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer h.Release()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						key := uint64(i*2654435761) % 1000
 						if workload == "writes" {
-							err = d.Update(h, key)
+							err = d.Update(e, key)
 						} else {
-							err = d.Read(h, key)
+							err = d.Read(e, key)
 						}
 						if err != nil {
 							b.Fatal(err)
@@ -115,15 +105,10 @@ func BenchmarkFig5(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				h, err := e.NewHandle()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer h.Release()
 				b.SetBytes(int64(valSize))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := d.Update(h, uint64(i)%100); err != nil {
+					if err := d.Update(e, uint64(i)%100); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -145,14 +130,9 @@ func BenchmarkFig6(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				h, err := e.NewHandle()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer h.Release()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := d.Update(h, uint64(i*2654435761)%uint64(keys)); err != nil {
+					if err := d.Update(e, uint64(i*2654435761)%uint64(keys)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -223,15 +203,10 @@ func BenchmarkFig9(b *testing.B) {
 					}); err != nil {
 						b.Fatal(err)
 					}
-					h, err := e.NewHandle()
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer h.Release()
 					rng := uint64(12345)
 					b.ResetTimer()
 					for i := 0; i < b.N; i += swaps {
-						if err := h.Update(func(tx ptm.Tx) error {
+						if err := e.Update(func(tx ptm.Tx) error {
 							for s := 0; s < swaps; s++ {
 								rng = rng*6364136223846793005 + 1
 								x := ptm.Ptr(rng % 10000 * 8)
@@ -288,14 +263,9 @@ func runUpdateBench(b *testing.B, cfg core.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := e.NewHandle()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer h.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Update(h, uint64(i*2654435761)%1000); err != nil {
+		if err := d.Update(e, uint64(i*2654435761)%1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,15 +291,9 @@ func BenchmarkAblationFlatCombining(b *testing.B) {
 			}
 			e.Device().ResetStats()
 			b.RunParallel(func(pb *testing.PB) {
-				h, err := e.NewHandle()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				defer h.Release()
 				i := uint64(0)
 				for pb.Next() {
-					if err := d.Update(h, (i*2654435761)%1000); err != nil {
+					if err := d.Update(e, (i*2654435761)%1000); err != nil {
 						b.Error(err)
 						return
 					}
@@ -355,14 +319,9 @@ func BenchmarkAblationReaderSync(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h, err := e.NewHandle()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Release()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := d.Read(h, uint64(i)%1000); err != nil {
+				if err := d.Read(e, uint64(i)%1000); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -396,14 +355,9 @@ func BenchmarkAblationBasicVsLog(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-				h, err := e.NewHandle()
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer h.Release()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := h.Update(func(tx ptm.Tx) error {
+					if err := e.Update(func(tx ptm.Tx) error {
 						tx.Store64(p, uint64(i))
 						return nil
 					}); err != nil {

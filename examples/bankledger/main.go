@@ -52,18 +52,12 @@ func main() {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			h, err := eng.NewHandle()
-			if err != nil {
-				log.Println(err)
-				return
-			}
-			defer h.Release()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2_000; i++ {
 				from := romulus.Ptr(rng.Intn(accounts) * 8)
 				to := romulus.Ptr(rng.Intn(accounts) * 8)
 				amount := uint64(rng.Intn(20))
-				h.Update(func(tx romulus.Tx) error {
+				eng.Update(func(tx romulus.Tx) error {
 					balance := tx.Load64(ledger + from)
 					if balance < amount {
 						return nil
@@ -84,19 +78,13 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, err := eng.NewHandle()
-			if err != nil {
-				log.Println(err)
-				return
-			}
-			defer h.Release()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				h.Read(func(tx romulus.Tx) error {
+				eng.Read(func(tx romulus.Tx) error {
 					var sum uint64
 					for i := 0; i < accounts; i++ {
 						sum += tx.Load64(ledger + romulus.Ptr(i*8))

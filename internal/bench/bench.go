@@ -20,7 +20,7 @@ import (
 
 // Engine is the common surface the harness needs from any PTM.
 type Engine interface {
-	ptm.HandlePTM
+	ptm.PTM
 	Device() *pmem.Device
 }
 

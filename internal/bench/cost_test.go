@@ -52,16 +52,11 @@ func newSwapArray(tb testing.TB, e Engine) ptm.Ptr {
 // transaction after every fourth: the sequence the golden trace pins.
 func runSwaps(tb testing.TB, e Engine, arr ptm.Ptr, ops int, seed int64) {
 	tb.Helper()
-	h, err := e.NewHandle()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer h.Release()
 	rng := rand.New(rand.NewSource(seed))
 	for n := 0; n < ops; n++ {
 		i := ptm.Ptr(rng.Intn(swapArrayLen) * 8)
 		j := ptm.Ptr(rng.Intn(swapArrayLen) * 8)
-		if err := h.Update(func(tx ptm.Tx) error {
+		if err := e.Update(func(tx ptm.Tx) error {
 			a, b := tx.Load64(arr+i), tx.Load64(arr+j)
 			tx.Store64(arr+i, b)
 			tx.Store64(arr+j, a)
@@ -70,7 +65,7 @@ func runSwaps(tb testing.TB, e Engine, arr ptm.Ptr, ops int, seed int64) {
 			tb.Fatal(err)
 		}
 		if n%4 == 3 {
-			if err := h.Read(func(tx ptm.Tx) error { tx.Load64(arr + i); return nil }); err != nil {
+			if err := e.Read(func(tx ptm.Tx) error { tx.Load64(arr + i); return nil }); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -31,31 +31,25 @@ type DBResult struct {
 
 // dbIface abstracts the two stores for the workload driver.
 type dbIface interface {
-	put(th int, key, val []byte, sync bool) error
+	put(key, val []byte, sync bool) error
 	rangeAll(reverse bool, fn func(k, v []byte) bool) error
 	close() error
 	fdatasyncs() uint64
 }
 
 type romDB struct {
-	db       *kvstore.DB
-	sessions []*kvstore.Session
+	db *kvstore.DB
 }
 
-func (r *romDB) put(th int, key, val []byte, sync bool) error {
-	return r.sessions[th].Put(key, val) // always durable; sync is implied
+func (r *romDB) put(key, val []byte, sync bool) error {
+	return r.db.Put(key, val) // always durable; sync is implied
 }
 
 func (r *romDB) rangeAll(reverse bool, fn func(k, v []byte) bool) error {
 	return r.db.Range(reverse, fn)
 }
 
-func (r *romDB) close() error {
-	for _, s := range r.sessions {
-		s.Close()
-	}
-	return r.db.Close()
-}
+func (r *romDB) close() error { return r.db.Close() }
 
 func (r *romDB) fdatasyncs() uint64 { return 0 }
 
@@ -63,7 +57,7 @@ type lvlDB struct {
 	db *leveldbsim.DB
 }
 
-func (l *lvlDB) put(th int, key, val []byte, sync bool) error {
+func (l *lvlDB) put(key, val []byte, sync bool) error {
 	return l.db.Put(key, val, leveldbsim.WriteOptions{Sync: sync})
 }
 
@@ -80,7 +74,7 @@ func (l *lvlDB) rangeAll(reverse bool, fn func(k, v []byte) bool) error {
 func (l *lvlDB) close() error       { return l.db.Close() }
 func (l *lvlDB) fdatasyncs() uint64 { return l.db.Stats().Fdatasyncs }
 
-func openBenchDB(kind, dir string, threads, entries, valueSize int, metrics *obs.Registry, trace obs.Sink, onOpen func(*kvstore.DB)) (dbIface, error) {
+func openBenchDB(kind, dir string, entries, valueSize int, metrics *obs.Registry, trace obs.Sink, onOpen func(*kvstore.DB)) (dbIface, error) {
 	switch kind {
 	case "romdb":
 		region := entries*(220+valueSize+valueSize/2) + (16 << 20)
@@ -91,15 +85,7 @@ func openBenchDB(kind, dir string, threads, entries, valueSize int, metrics *obs
 		if onOpen != nil {
 			onOpen(db)
 		}
-		r := &romDB{db: db}
-		for i := 0; i < threads; i++ {
-			s, err := db.NewSession()
-			if err != nil {
-				return nil, err
-			}
-			r.sessions = append(r.sessions, s)
-		}
-		return r, nil
+		return &romDB{db: db}, nil
 	case "leveldb":
 		db, err := leveldbsim.Open(dir, leveldbsim.Options{})
 		if err != nil {
@@ -147,7 +133,7 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 		valueSize = 100 << 10
 	}
 	totalEntries := ops * threads
-	db, err := openBenchDB(dbKind, dir, threads, totalEntries, valueSize, metrics, trace, onOpen)
+	db, err := openBenchDB(dbKind, dir, totalEntries, valueSize, metrics, trace, onOpen)
 	if err != nil {
 		return DBResult{}, err
 	}
@@ -157,7 +143,7 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 	rand.New(rand.NewSource(1)).Read(val)
 	yield := threads > runtime.NumCPU()
 
-	fillRange := func(th, lo, hi int, random bool, seed int64) error {
+	fillRange := func(lo, hi int, random bool, seed int64) error {
 		rng := rand.New(rand.NewSource(seed))
 		for i := lo; i < hi; i++ {
 			var k []byte
@@ -166,7 +152,7 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 			} else {
 				k = dbKey(i)
 			}
-			if err := db.put(th, k, val, syncEach); err != nil {
+			if err := db.put(k, val, syncEach); err != nil {
 				return err
 			}
 			if yield {
@@ -199,7 +185,7 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 
 	prepopulate := func() error {
 		return runThreads(func(th int) error {
-			return fillRange(th, th*ops, (th+1)*ops, false, int64(th))
+			return fillRange(th*ops, (th+1)*ops, false, int64(th))
 		})
 	}
 
@@ -209,13 +195,13 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 	case "fillseq", "fillsync", "fill100k":
 		start = time.Now()
 		err = runThreads(func(th int) error {
-			return fillRange(th, th*ops, (th+1)*ops, false, int64(th))
+			return fillRange(th*ops, (th+1)*ops, false, int64(th))
 		})
 		opsDone = ops
 	case "fillrandom":
 		start = time.Now()
 		err = runThreads(func(th int) error {
-			return fillRange(th, 0, ops, true, int64(th))
+			return fillRange(0, ops, true, int64(th))
 		})
 		opsDone = ops
 	case "overwrite":
@@ -224,7 +210,7 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 		}
 		start = time.Now()
 		err = runThreads(func(th int) error {
-			return fillRange(th, 0, ops, true, 1000+int64(th))
+			return fillRange(0, ops, true, 1000+int64(th))
 		})
 		opsDone = ops
 	case "readseq", "readreverse":

@@ -17,9 +17,9 @@ type DataStructure interface {
 	// Name is the label used in output ("list", "hash", "tree", "fixed").
 	Name() string
 	// Update performs one update operation (two transactions) on key.
-	Update(h ptm.Handle, key uint64) error
+	Update(e ptm.PTM, key uint64) error
 	// Read performs one read operation (two transactions) on key.
-	Read(h ptm.Handle, key uint64) error
+	Read(e ptm.PTM, key uint64) error
 }
 
 // DSKinds lists the Figure 4 structures in presentation order.
@@ -88,22 +88,22 @@ func newListDS(e Engine, keys int) (*listDS, error) {
 
 func (d *listDS) Name() string { return "list" }
 
-func (d *listDS) Update(h ptm.Handle, key uint64) error {
-	if err := h.Update(func(tx ptm.Tx) error {
+func (d *listDS) Update(e ptm.PTM, key uint64) error {
+	if err := e.Update(func(tx ptm.Tx) error {
 		_, err := d.set.Remove(tx, key)
 		return err
 	}); err != nil {
 		return err
 	}
-	return h.Update(func(tx ptm.Tx) error {
+	return e.Update(func(tx ptm.Tx) error {
 		_, err := d.set.Add(tx, key)
 		return err
 	})
 }
 
-func (d *listDS) Read(h ptm.Handle, key uint64) error {
+func (d *listDS) Read(e ptm.PTM, key uint64) error {
 	for i := 0; i < 2; i++ {
-		if err := h.Read(func(tx ptm.Tx) error {
+		if err := e.Read(func(tx ptm.Tx) error {
 			d.set.Contains(tx, key)
 			return nil
 		}); err != nil {
@@ -135,22 +135,22 @@ func newHashDS(e Engine, keys int) (*hashDS, error) {
 
 func (d *hashDS) Name() string { return "hash" }
 
-func (d *hashDS) Update(h ptm.Handle, key uint64) error {
-	if err := h.Update(func(tx ptm.Tx) error {
+func (d *hashDS) Update(e ptm.PTM, key uint64) error {
+	if err := e.Update(func(tx ptm.Tx) error {
 		_, err := d.m.Remove(tx, key)
 		return err
 	}); err != nil {
 		return err
 	}
-	return h.Update(func(tx ptm.Tx) error {
+	return e.Update(func(tx ptm.Tx) error {
 		_, err := d.m.Put(tx, key, key)
 		return err
 	})
 }
 
-func (d *hashDS) Read(h ptm.Handle, key uint64) error {
+func (d *hashDS) Read(e ptm.PTM, key uint64) error {
 	for i := 0; i < 2; i++ {
-		if err := h.Read(func(tx ptm.Tx) error {
+		if err := e.Read(func(tx ptm.Tx) error {
 			d.m.Contains(tx, key)
 			return nil
 		}); err != nil {
@@ -182,22 +182,22 @@ func newTreeDS(e Engine, keys int) (*treeDS, error) {
 
 func (d *treeDS) Name() string { return "tree" }
 
-func (d *treeDS) Update(h ptm.Handle, key uint64) error {
-	if err := h.Update(func(tx ptm.Tx) error {
+func (d *treeDS) Update(e ptm.PTM, key uint64) error {
+	if err := e.Update(func(tx ptm.Tx) error {
 		_, err := d.t.Remove(tx, key)
 		return err
 	}); err != nil {
 		return err
 	}
-	return h.Update(func(tx ptm.Tx) error {
+	return e.Update(func(tx ptm.Tx) error {
 		_, err := d.t.Put(tx, key, key)
 		return err
 	})
 }
 
-func (d *treeDS) Read(h ptm.Handle, key uint64) error {
+func (d *treeDS) Read(e ptm.PTM, key uint64) error {
 	for i := 0; i < 2; i++ {
-		if err := h.Read(func(tx ptm.Tx) error {
+		if err := e.Read(func(tx ptm.Tx) error {
 			d.t.Contains(tx, key)
 			return nil
 		}); err != nil {
@@ -236,23 +236,23 @@ func newFixedDS(e Engine, keys, buckets, valSize int) (*fixedDS, error) {
 
 func (d *fixedDS) Name() string { return "fixed" }
 
-func (d *fixedDS) Update(h ptm.Handle, key uint64) error {
-	if err := h.Update(func(tx ptm.Tx) error {
+func (d *fixedDS) Update(e ptm.PTM, key uint64) error {
+	if err := e.Update(func(tx ptm.Tx) error {
 		_, err := d.m.Remove(tx, key)
 		return err
 	}); err != nil {
 		return err
 	}
-	return h.Update(func(tx ptm.Tx) error {
+	return e.Update(func(tx ptm.Tx) error {
 		_, err := d.m.Put(tx, key, d.val)
 		return err
 	})
 }
 
-func (d *fixedDS) Read(h ptm.Handle, key uint64) error {
+func (d *fixedDS) Read(e ptm.PTM, key uint64) error {
 	var buf []byte
 	for i := 0; i < 2; i++ {
-		if err := h.Read(func(tx ptm.Tx) error {
+		if err := e.Read(func(tx ptm.Tx) error {
 			b, err := d.m.Get(tx, key, buf)
 			if err == nil {
 				buf = b

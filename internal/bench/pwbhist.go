@@ -26,18 +26,13 @@ func PwbHistograms(keys, opsPerDS int) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("pwbhist %s: %w", ds, err)
 		}
-		h, err := e.NewHandle()
-		if err != nil {
-			return "", err
-		}
 		rng := rand.New(rand.NewSource(21))
 		e.ResetPwbHistogram() // exclude the prefill transactions
 		for i := 0; i < opsPerDS; i++ {
-			if err := d.Update(h, uint64(rng.Intn(keys))); err != nil {
+			if err := d.Update(e, uint64(rng.Intn(keys))); err != nil {
 				return "", err
 			}
 		}
-		h.Release()
 		s := e.PwbHistogram().Snapshot()
 		fmt.Fprintf(&out, "pwbs per update transaction — %s (%d keys, steady state)\n", ds, keys)
 		writeChart(&out, s)

@@ -37,23 +37,17 @@ func RunMixed(e Engine, ds DataStructure, writers, readers, keys int, dur time.D
 
 	worker := func(seed int64, update bool) {
 		defer wg.Done()
-		h, err := e.NewHandle()
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer h.Release()
 		rng := rand.New(rand.NewSource(seed))
 		var ops uint64
 		for !stop.Load() {
 			key := uint64(rng.Intn(keys))
 			if update {
-				if err := ds.Update(h, key); err != nil {
+				if err := ds.Update(e, key); err != nil {
 					errs <- err
 					return
 				}
 			} else {
-				if err := ds.Read(h, key); err != nil {
+				if err := ds.Read(e, key); err != nil {
 					errs <- err
 					return
 				}
@@ -112,17 +106,12 @@ func RunSPS(e Engine, arrayLen, swapsPerTx int, dur time.Duration) (float64, err
 	}); err != nil {
 		return 0, fmt.Errorf("bench: SPS setup: %w", err)
 	}
-	h, err := e.NewHandle()
-	if err != nil {
-		return 0, err
-	}
-	defer h.Release()
 	rng := rand.New(rand.NewSource(9))
 	deadline := time.Now().Add(dur)
 	var swaps uint64
 	start := time.Now()
 	for time.Now().Before(deadline) {
-		if err := h.Update(func(tx ptm.Tx) error {
+		if err := e.Update(func(tx ptm.Tx) error {
 			for s := 0; s < swapsPerTx; s++ {
 				i := ptm.Ptr(rng.Intn(arrayLen) * 8)
 				j := ptm.Ptr(rng.Intn(arrayLen) * 8)

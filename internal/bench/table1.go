@@ -65,12 +65,8 @@ func MeasureTable1(stores, txs int) ([]Table1Row, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("bench: table1 setup (%s): %w", kind, err)
 		}
-		h, err := e.NewHandle()
-		if err != nil {
-			return nil, err
-		}
 		// Warm up once so allocator effects do not pollute the measurement.
-		if err := h.Update(func(tx ptm.Tx) error {
+		if err := e.Update(func(tx ptm.Tx) error {
 			for i := 0; i < stores; i++ {
 				tx.Store64(buf+ptm.Ptr(i*8), uint64(i))
 			}
@@ -80,7 +76,7 @@ func MeasureTable1(stores, txs int) ([]Table1Row, error) {
 		}
 		e.Device().ResetStats()
 		for t := 0; t < txs; t++ {
-			if err := h.Update(func(tx ptm.Tx) error {
+			if err := e.Update(func(tx ptm.Tx) error {
 				for i := 0; i < stores; i++ {
 					tx.Store64(buf+ptm.Ptr(i*8), uint64(t+i))
 				}
@@ -90,7 +86,6 @@ func MeasureTable1(stores, txs int) ([]Table1Row, error) {
 			}
 		}
 		s := e.Device().Stats()
-		h.Release()
 		k := float64(txs)
 		user := float64(stores * 8)
 		persisted := float64(s.BytesPersisted) / k

@@ -132,17 +132,8 @@ func TestBatchAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, err := e.NewHandle()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer h.Release()
-			bh := h.(interface {
-				UpdateBatched(func(ptm.Tx) error) (uint64, error)
-			})
 			for i := 0; i < iters; i++ {
-				seq, err := bh.UpdateBatched(func(tx ptm.Tx) error {
+				seq, err := e.UpdateBatched(func(tx ptm.Tx) error {
 					tx.Store64(0, uint64(i))
 					return nil
 				})

@@ -46,18 +46,12 @@ func TestConcurrentBankTransfers(t *testing.T) {
 			wwg.Add(1)
 			go func(seed int64) {
 				defer wwg.Done()
-				h, err := e.NewHandle()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer h.Release()
 				rng := rand.New(rand.NewSource(seed))
 				for i := 0; i < transfers; i++ {
 					from := rng.Intn(accounts)
 					to := rng.Intn(accounts)
 					amount := uint64(rng.Intn(10))
-					if err := h.Update(func(tx ptm.Tx) error {
+					if err := e.Update(func(tx ptm.Tx) error {
 						a := tx.Root(0)
 						fv := tx.Load64(a + ptm.Ptr(from*8))
 						if fv < amount {
@@ -78,19 +72,13 @@ func TestConcurrentBankTransfers(t *testing.T) {
 			rwg.Add(1)
 			go func() {
 				defer rwg.Done()
-				h, err := e.NewHandle()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer h.Release()
 				for {
 					select {
 					case <-stop:
 						return
 					default:
 					}
-					if err := h.Read(func(tx ptm.Tx) error {
+					if err := e.Read(func(tx ptm.Tx) error {
 						a := tx.Root(0)
 						var sum uint64
 						for i := 0; i < accounts; i++ {
@@ -142,17 +130,11 @@ func TestConcurrentAllocFree(t *testing.T) {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
-				h, err := e.NewHandle()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer h.Release()
 				rng := rand.New(rand.NewSource(seed))
 				var mine []ptm.Ptr
 				for i := 0; i < 150; i++ {
 					if len(mine) == 0 || rng.Intn(2) == 0 {
-						if err := h.Update(func(tx ptm.Tx) error {
+						if err := e.Update(func(tx ptm.Tx) error {
 							p, err := tx.Alloc(8 + rng.Intn(200))
 							if err != nil {
 								return err
@@ -167,7 +149,7 @@ func TestConcurrentAllocFree(t *testing.T) {
 					} else {
 						i := rng.Intn(len(mine))
 						p := mine[i]
-						if err := h.Update(func(tx ptm.Tx) error {
+						if err := e.Update(func(tx ptm.Tx) error {
 							if got := tx.Load64(p); got != uint64(seed) {
 								return fmt.Errorf("my block holds %d, want %d", got, seed)
 							}
@@ -225,10 +207,8 @@ func TestRomLRReadersProgressDuringUpdate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, _ := e.NewHandle()
-			defer h.Release()
 			for i := 0; i < 100; i++ {
-				h.Read(func(tx ptm.Tx) error {
+				e.Read(func(tx ptm.Tx) error {
 					if got := tx.Load64(tx.Root(0)); got != 1 {
 						t.Errorf("reader saw %d during in-flight update, want 1", got)
 					}
@@ -269,10 +249,8 @@ func TestFlatCombiningAggregates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, _ := e.NewHandle()
-			defer h.Release()
 			for i := 0; i < iters; i++ {
-				h.Update(func(tx ptm.Tx) error {
+				e.Update(func(tx ptm.Tx) error {
 					tx.Store64(p, tx.Load64(p)+1)
 					return nil
 				})
@@ -293,10 +271,10 @@ func TestFlatCombiningAggregates(t *testing.T) {
 	}
 }
 
-// TestManyConcurrentWriters: more writers than hsync has thread IDs wait on
-// one engine at once — the first one's op holds its round open until the
-// other 299 have queued — and every update commits. Updates take no handle,
-// so only readers are bounded by the thread IDs.
+// TestManyConcurrentWriters: 300 writers wait on one engine at once — the
+// first one's op holds its round open until the other 299 have queued — and
+// every update commits. A writer takes no per-thread slot, so nothing bounds
+// how many may wait; ptmtest's ManyConcurrentReaders holds as many readers.
 func TestManyConcurrentWriters(t *testing.T) {
 	e := newEngine(t, RomLog)
 	const writers = 300
@@ -426,6 +404,35 @@ func TestReadersReleasedAtDurablePoint(t *testing.T) {
 	})
 }
 
+// BenchmarkEngineRead is the cost of one engine-level Read of one word, from
+// every processor at once and with no writer: the pooled read transaction,
+// the read-indicator stripe, and the trip and trace checks around fn.
+func BenchmarkEngineRead(b *testing.B) {
+	for _, v := range allVariants {
+		b.Run(v.String(), func(b *testing.B) {
+			e := newEngine(b, v)
+			if err := e.Update(func(tx ptm.Tx) error {
+				p, err := tx.Alloc(8)
+				tx.SetRoot(0, p)
+				return err
+			}); err != nil {
+				b.Fatal(err)
+			}
+			read := func(tx ptm.Tx) error { tx.Load64(tx.Root(0)); return nil }
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := e.Read(read); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkReadDuringUpdate measures how long a reader waits while one
 // writer commits 1 KiB rounds back to back on pcm latencies: the reader's
 // p50 and p90 per Read, the C-RW-WP (rom, romlog) and left-right (romlr)
@@ -464,16 +471,11 @@ func BenchmarkReadDuringUpdate(b *testing.B) {
 					}
 				}
 			}()
-			h, err := e.NewHandle()
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer h.Release()
 			var wait obs.Histogram
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				h.Read(func(tx ptm.Tx) error {
+				e.Read(func(tx ptm.Tx) error {
 					readSink = tx.Load64(tx.Root(0))
 					return nil
 				})

@@ -39,9 +39,10 @@
 // Concurrent updaters flat-combine (internal/flatcombine): mutations queue
 // in the engine's combiner and are executed as one durable transaction by
 // whichever writer leads the round, amortizing the four fences across the
-// batch; a writer holds no thread ID. Readers use the variant's reader
-// synchronization (crwwp scalable reader-writer lock, or Left-Right for
-// RomLR), each on a registered thread ID, and never fence at all.
+// batch. Readers use the variant's reader synchronization (crwwp scalable
+// reader-writer lock, or Left-Right for RomLR) and never fence at all.
+// Neither side registers a thread: a writer queues in the combiner and a
+// reader arrives on a read-indicator stripe it borrows per call.
 //
 // Observability: the engine publishes transaction counters via Stats, and
 // SetTrace attaches a per-transaction obs.Sink emitting one obs.TxEvent

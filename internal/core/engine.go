@@ -12,7 +12,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/crwwp"
 	"repro/internal/flatcombine"
-	"repro/internal/hsync"
 	"repro/internal/leftright"
 	"repro/internal/obs"
 	"repro/internal/pmem"
@@ -104,12 +103,10 @@ type Engine struct {
 	regionSize int
 	heap       *alloc.Heap
 
-	reg     hsync.Registry
-	comb    *flatcombine.Combiner[*Tx]
-	rw      crwwp.Lock   // Rom, RomLog
-	lr      leftright.LR // RomLR
-	wtx     Tx           // the single writer transaction, reused
-	handles chan *Handle // pool for the convenience Read API
+	comb *flatcombine.Combiner[*Tx]
+	rw   crwwp.Lock   // Rom, RomLog
+	lr   leftright.LR // RomLR
+	wtx  Tx           // the single writer transaction, reused
 
 	// lines is the one record of a durability round's stores: every device
 	// line in [0, backBase) that a store of the round — from however many
@@ -248,7 +245,6 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		mainBase:   headSize,
 		backBase:   headSize + regionSize,
 		regionSize: regionSize,
-		handles:    make(chan *Handle, hsync.MaxThreads),
 	}
 	e.wtx = Tx{e: e, base: e.mainBase}
 	e.lines = pmem.NewLineSet(e.backBase)

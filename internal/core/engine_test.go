@@ -484,36 +484,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestHandleAPI(t *testing.T) {
-	forEachVariant(t, func(t *testing.T, v Variant) {
-		e := newEngine(t, v)
-		h, err := e.NewHandle()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Release()
-		var p ptm.Ptr
-		if err := h.Update(func(tx ptm.Tx) error {
-			var err error
-			p, err = tx.Alloc(16)
-			if err == nil {
-				tx.Store64(p, 99)
-			}
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Read(func(tx ptm.Tx) error {
-			if tx.Load64(p) != 99 {
-				return errors.New("bad value")
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestDisableFlatCombining(t *testing.T) {
 	e, err := New(testRegion, Config{Variant: RomLog, DisableFlatCombining: true})
 	if err != nil {

@@ -136,15 +136,13 @@ func TestSnapshotConsistentUnderConcurrentWriters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h, _ := e.NewHandle()
-		defer h.Release()
 		for i := uint64(1); ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			h.Update(func(tx ptm.Tx) error {
+			e.Update(func(tx ptm.Tx) error {
 				for s := 0; s < slots; s++ {
 					tx.Store64(arr+ptm.Ptr(s*8), i)
 				}

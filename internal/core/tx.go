@@ -203,46 +203,13 @@ func (t *Tx) SetRoot(i int, p ptm.Ptr) {
 	t.Store64(ptm.Ptr(rootsOff+8*i), uint64(p))
 }
 
-// Handle carries the per-goroutine state (read indicator slot) of one
-// logical thread. Acquire one per worker goroutine on hot paths; the
-// engine-level Read draws from an internal pool, and updates need none.
-type Handle struct {
-	e   *Engine
-	tid int
-	rtx Tx // reusable read transaction
-}
-
-var _ ptm.Handle = (*Handle)(nil)
-
-// NewHandle registers a logical thread with the engine.
-func (e *Engine) NewHandle() (ptm.Handle, error) {
-	return e.newHandle()
-}
-
-func (e *Engine) newHandle() (*Handle, error) {
-	tid, err := e.reg.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	h := &Handle{e: e, tid: tid}
-	h.rtx = Tx{e: e, readOnly: true, base: e.mainBase}
-	return h, nil
-}
-
-// Release returns the handle's thread ID for reuse. The handle must not be
-// used afterwards.
-func (h *Handle) Release() { h.e.reg.Release(h.tid) }
-
-// Update runs fn in a durable update transaction (see ptm.PTM).
-func (h *Handle) Update(fn func(ptm.Tx) error) error { return h.e.Update(fn) }
-
 // UpdateBatched is Update but also reports the durability round (combiner
 // batch sequence number, assigned in commit order from 1) that made fn's
 // effects durable. Operations reporting the same round committed atomically
 // in one crash-atomic batch: after a crash, recovery exposes either all or
 // none of them. A failed (rolled-back) operation reports round 0.
-func (h *Handle) UpdateBatched(fn func(ptm.Tx) error) (uint64, error) {
-	return h.e.update(fn, nil, nil)
+func (e *Engine) UpdateBatched(fn func(ptm.Tx) error) (uint64, error) {
+	return e.update(fn, nil, nil)
 }
 
 // UpdateEach runs each(tx, i) for every i < len(errs) as one request of the
@@ -320,21 +287,33 @@ func (e *Engine) update(fn func(ptm.Tx) error, each func(ptm.Tx, int) error, err
 	return seq, err
 }
 
-// Read runs fn in a read-only transaction (see ptm.PTM).
-func (h *Handle) Read(fn func(ptm.Tx) error) error {
-	e := h.e
-	t := &h.rtx
+// readTxs pools read transactions across engines; a pooled one holds no
+// engine, so the pool keeps no engine or device alive.
+var readTxs = sync.Pool{New: func() any { return &Tx{readOnly: true} }}
+
+func putReadTx(t *Tx) {
+	t.e = nil
+	readTxs.Put(t)
+}
+
+// Read implements ptm.PTM: fn runs in a pooled read-only transaction. A
+// reader registers nothing: it arrives on a stripe of the variant's read
+// indicator and departs from it.
+func (e *Engine) Read(fn func(ptm.Tx) error) error {
+	t := readTxs.Get().(*Tx)
+	t.e = e
+	defer putReadTx(t)
 	if e.cfg.Variant == RomLR {
-		vi := e.lr.Arrive(h.tid)
-		defer e.lr.Depart(h.tid, vi)
+		r := e.lr.Arrive()
+		defer e.lr.Depart(r)
 		if e.lr.Read() == leftright.Back {
 			t.base = e.backBase // synthetic pointers: +regionSize on every access
 		} else {
 			t.base = e.mainBase
 		}
 	} else {
-		e.rw.SharedLock(h.tid)
-		defer e.rw.SharedUnlock(h.tid)
+		s := e.rw.SharedLock()
+		defer e.rw.SharedUnlock(s)
 		t.base = e.mainBase
 	}
 	e.reads.Add(1)
@@ -362,29 +341,8 @@ func (h *Handle) Read(fn func(ptm.Tx) error) error {
 	return err
 }
 
-// Update implements ptm.PTM. It needs no handle.
+// Update implements ptm.PTM.
 func (e *Engine) Update(fn func(ptm.Tx) error) error {
 	_, err := e.update(fn, nil, nil)
 	return err
-}
-
-// Read implements ptm.PTM using a pooled handle.
-func (e *Engine) Read(fn func(ptm.Tx) error) error {
-	var h *Handle
-	select {
-	case h = <-e.handles:
-	default:
-		var err error
-		if h, err = e.newHandle(); err != nil {
-			return err
-		}
-	}
-	defer func() {
-		select {
-		case e.handles <- h:
-		default:
-			h.Release()
-		}
-	}()
-	return h.Read(fn)
 }

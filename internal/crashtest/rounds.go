@@ -119,7 +119,7 @@ type laneSystem struct {
 	// durability round that committed it.
 	submit func(w, i int) (wait func() (uint64, error))
 	lane   func(w int) ([]uint64, error)
-	done   func()           // ends the workload: handles released, committer drained
+	done   func()           // ends the workload: a committer drained
 	flight *blackbox.Report // a reopened store's flight report (group subjects)
 }
 
@@ -139,7 +139,7 @@ func openLanes(r *round, imgs [][]byte) (*laneSystem, error) {
 		if err != nil {
 			return nil, err
 		}
-		return engineLanes(e, r.workers)
+		return engineLanes(e), nil
 	}
 	opts := shardOpts(1, ecfg.Variant)
 	opts.Blackbox = true
@@ -163,22 +163,13 @@ func openLanes(r *round, imgs [][]byte) (*laneSystem, error) {
 }
 
 // engineLanes drives engine e: worker w's lane starts laneBytes*w into the
-// array at root 0, and its operations commit through its own handle's
-// UpdateBatched.
-func engineLanes(e *core.Engine, workers int) (*laneSystem, error) {
-	hs := make([]*core.Handle, workers)
-	for w := range hs {
-		h, err := e.NewHandle()
-		if err != nil {
-			return nil, err
-		}
-		hs[w] = h.(*core.Handle)
-	}
+// array at root 0, and its operations commit through UpdateBatched.
+func engineLanes(e *core.Engine) *laneSystem {
 	return &laneSystem{
 		devs:        []*pmem.Device{e.Device()},
 		setAuditors: func(auds []ptm.Auditor) { e.SetAuditor(auds[0]) },
 		submit: func(w, i int) func() (uint64, error) {
-			seq, err := hs[w].UpdateBatched(func(tx ptm.Tx) error {
+			seq, err := e.UpdateBatched(func(tx ptm.Tx) error {
 				lane := tx.Root(0) + ptm.Ptr(w*laneBytes)
 				laneOps(w, i, func(slot int, v uint64) { tx.Store64(lane+ptm.Ptr(slot*pmem.LineSize), v) })
 				return nil
@@ -196,12 +187,8 @@ func engineLanes(e *core.Engine, workers int) (*laneSystem, error) {
 			})
 			return vals, err
 		},
-		done: func() {
-			for _, h := range hs {
-				h.Release()
-			}
-		},
-	}, nil
+		done: func() {},
+	}
 }
 
 // groupLanes drives store st through a group committer: worker w is a

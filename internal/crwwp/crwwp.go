@@ -1,9 +1,9 @@
 // Package crwwp implements the C-RW-WP reader-writer lock of Calciu et al.
 // as used by Romulus (§5.2 of the paper): writer preference, with a
-// distributed read indicator whose per-thread entries span two cache lines
-// to avoid false sharing. Readers pay one uncontended store to arrive and
-// one to depart; the writer raises a flag and waits for the indicator to
-// drain.
+// distributed read indicator (hsync.ReadIndicator) whose stripes span two
+// cache lines to avoid false sharing. Readers pay one store to arrive and
+// one to depart, on a stripe they borrow per acquisition; the writer raises
+// a flag and waits for the indicator to drain.
 //
 // In Romulus the writer side is the flat-combining combiner, which already
 // holds the combiner spin lock; this package therefore exposes the writer
@@ -22,25 +22,25 @@ import (
 )
 
 // Lock is a C-RW-WP reader-writer lock. The zero value is ready to use.
-// Only readers hold thread IDs, from the engine's hsync.Registry; the
-// writer side is whichever writer leads the flat combiner's round, and
-// holds none.
+// A reader holds the read-indicator stripe SharedLock returned until
+// SharedUnlock; the writer side is whichever writer leads the flat
+// combiner's round.
 type Lock struct {
 	writerPresent atomic.Bool
 	readers       hsync.ReadIndicator
 }
 
-// SharedLock acquires the lock in shared mode for thread tid. Writer
-// preference: if a writer is present or arrives concurrently, the reader
-// backs off and retries, so writers cannot be starved by a stream of
-// readers.
-func (l *Lock) SharedLock(tid int) {
+// SharedLock acquires the lock in shared mode and returns the stripe to
+// pass to SharedUnlock. Writer preference: if a writer is present or
+// arrives concurrently, the reader backs off and retries, so writers cannot
+// be starved by a stream of readers.
+func (l *Lock) SharedLock() *hsync.Stripe {
 	for {
-		l.readers.Arrive(tid)
+		s := l.readers.Arrive()
 		if !l.writerPresent.Load() {
-			return
+			return s
 		}
-		l.readers.Depart(tid)
+		l.readers.Depart(s)
 		for spins := 0; l.writerPresent.Load(); spins++ {
 			if spins > 16 {
 				runtime.Gosched()
@@ -49,9 +49,9 @@ func (l *Lock) SharedLock(tid int) {
 	}
 }
 
-// SharedUnlock releases a shared acquisition by thread tid.
-func (l *Lock) SharedUnlock(tid int) {
-	l.readers.Depart(tid)
+// SharedUnlock releases the shared acquisition that returned s.
+func (l *Lock) SharedUnlock(s *hsync.Stripe) {
+	l.readers.Depart(s)
 }
 
 // WriterArrive announces exclusive intent and waits until all readers have

@@ -13,7 +13,6 @@ func TestReadersExcludeWriter(t *testing.T) {
 	var l Lock
 	var value, snapshotA, snapshotB int64
 	var wg sync.WaitGroup
-	var reg hsync.Registry
 	stop := make(chan struct{})
 
 	// Writer: serialized by construction (single goroutine).
@@ -35,21 +34,15 @@ func TestReadersExcludeWriter(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tid, err := reg.Acquire()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer reg.Release(tid)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				l.SharedLock(tid)
+				s := l.SharedLock()
 				a, b := snapshotA, snapshotB
-				l.SharedUnlock(tid)
+				l.SharedUnlock(s)
 				if a != b {
 					t.Errorf("torn read: %d != %d", a, b)
 					return
@@ -63,18 +56,14 @@ func TestReadersExcludeWriter(t *testing.T) {
 func TestWriterPreference(t *testing.T) {
 	// With a continuous stream of readers, the writer must still get in.
 	var l Lock
-	var reg hsync.Registry
 	var writerDone atomic.Bool
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tid, _ := reg.Acquire()
-			defer reg.Release(tid)
 			for !writerDone.Load() {
-				l.SharedLock(tid)
-				l.SharedUnlock(tid)
+				l.SharedUnlock(l.SharedLock())
 			}
 		}()
 	}
@@ -97,7 +86,7 @@ func TestWriterPreference(t *testing.T) {
 
 func TestWriterWaitsForReader(t *testing.T) {
 	var l Lock
-	l.SharedLock(0)
+	s := l.SharedLock()
 	acquired := make(chan struct{})
 	go func() {
 		l.WriterArrive()
@@ -108,7 +97,7 @@ func TestWriterWaitsForReader(t *testing.T) {
 		t.Fatal("writer entered while reader held the lock")
 	case <-time.After(20 * time.Millisecond):
 	}
-	l.SharedUnlock(0)
+	l.SharedUnlock(s)
 	select {
 	case <-acquired:
 	case <-time.After(5 * time.Second):
@@ -120,10 +109,9 @@ func TestWriterWaitsForReader(t *testing.T) {
 func TestReaderBlockedWhileWriterPresent(t *testing.T) {
 	var l Lock
 	l.WriterArrive()
-	got := make(chan struct{})
+	got := make(chan *hsync.Stripe, 1)
 	go func() {
-		l.SharedLock(1)
-		close(got)
+		got <- l.SharedLock()
 	}()
 	select {
 	case <-got:
@@ -132,26 +120,18 @@ func TestReaderBlockedWhileWriterPresent(t *testing.T) {
 	}
 	l.WriterDepart()
 	select {
-	case <-got:
+	case s := <-got:
+		l.SharedUnlock(s)
 	case <-time.After(5 * time.Second):
 		t.Fatal("reader never entered after writer departed")
 	}
-	l.SharedUnlock(1)
 }
 
 func BenchmarkSharedLockUnlock(b *testing.B) {
 	var l Lock
-	var reg hsync.Registry
 	b.RunParallel(func(pb *testing.PB) {
-		tid, err := reg.Acquire()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer reg.Release(tid)
 		for pb.Next() {
-			l.SharedLock(tid)
-			l.SharedUnlock(tid)
+			l.SharedUnlock(l.SharedLock())
 		}
 	})
 }

@@ -1,8 +1,8 @@
 package hsync
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -58,16 +58,16 @@ func TestReadIndicatorArriveDepart(t *testing.T) {
 	if !r.IsEmpty() {
 		t.Fatal("fresh indicator not empty")
 	}
-	r.Arrive(3)
+	a := r.Arrive()
 	if r.IsEmpty() {
 		t.Fatal("indicator empty with one reader")
 	}
-	r.Arrive(7)
-	r.Depart(3)
+	b := r.Arrive()
+	r.Depart(a)
 	if r.IsEmpty() {
-		t.Fatal("indicator empty with reader 7 present")
+		t.Fatal("indicator empty with the second reader present")
 	}
-	r.Depart(7)
+	r.Depart(b)
 	if !r.IsEmpty() {
 		t.Fatal("indicator not empty after all depart")
 	}
@@ -75,21 +75,46 @@ func TestReadIndicatorArriveDepart(t *testing.T) {
 
 func TestReadIndicatorReentrant(t *testing.T) {
 	var r ReadIndicator
-	r.Arrive(0)
-	r.Arrive(0)
-	r.Depart(0)
+	outer := r.Arrive()
+	inner := r.Arrive()
+	r.Depart(inner)
 	if r.IsEmpty() {
 		t.Fatal("nested arrival lost")
 	}
-	r.Depart(0)
+	r.Depart(outer)
 	if !r.IsEmpty() {
 		t.Fatal("indicator stuck after nested departs")
 	}
 }
 
+// TestReadIndicatorSharedStripes holds far more readers than the indicator
+// has stripes, so many share one: each shared stripe must still count every
+// reader on it, and the indicator must read empty only after the last one
+// departs.
+func TestReadIndicatorSharedStripes(t *testing.T) {
+	var r ReadIndicator
+	const readers = 1000
+	held := make([]*Stripe, readers)
+	for i := range held {
+		held[i] = r.Arrive()
+	}
+	if n := len(r.t.Load().s); n >= readers || n&(n-1) != 0 || n < 2*runtime.GOMAXPROCS(0) {
+		t.Fatalf("%d stripes: want a power of two >= 2*GOMAXPROCS, below %d", n, readers)
+	}
+	for i, s := range held {
+		if r.IsEmpty() {
+			t.Fatalf("indicator empty with %d readers present", readers-i)
+		}
+		r.Depart(s)
+	}
+	if !r.IsEmpty() {
+		t.Fatal("indicator not empty after all depart")
+	}
+}
+
 func TestWaitEmpty(t *testing.T) {
 	var r ReadIndicator
-	r.Arrive(1)
+	s := r.Arrive()
 	done := make(chan struct{})
 	go func() {
 		r.WaitEmpty()
@@ -100,94 +125,29 @@ func TestWaitEmpty(t *testing.T) {
 		t.Fatal("WaitEmpty returned with a reader present")
 	default:
 	}
-	r.Depart(1)
+	r.Depart(s)
 	<-done // must terminate
 }
 
-func TestRegistryAcquireRelease(t *testing.T) {
-	var reg Registry
-	a, err := reg.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := reg.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatalf("duplicate IDs: %d", a)
-	}
-	reg.Release(a)
-	c, err := reg.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != a {
-		t.Errorf("released ID not reused: got %d, want %d", c, a)
-	}
-}
-
-func TestRegistryExhaustion(t *testing.T) {
-	var reg Registry
-	ids := map[int]bool{}
-	for i := 0; i < MaxThreads; i++ {
-		id, err := reg.Acquire()
-		if err != nil {
-			t.Fatalf("Acquire %d: %v", i, err)
-		}
-		if ids[id] {
-			t.Fatalf("duplicate ID %d", id)
-		}
-		ids[id] = true
-	}
-	if _, err := reg.Acquire(); err == nil {
-		t.Error("Acquire beyond MaxThreads succeeded")
-	}
-	reg.Release(0)
-	if _, err := reg.Acquire(); err != nil {
-		t.Errorf("Acquire after release: %v", err)
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	var reg Registry
-	var wg sync.WaitGroup
-	var inUse [MaxThreads]atomic.Bool
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id, err := reg.Acquire()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if inUse[id].Swap(true) {
-					t.Errorf("ID %d handed out twice", id)
-					return
-				}
-				inUse[id].Store(false)
-				reg.Release(id)
+// BenchmarkReadIndicator times a reader's Arrive/Depart pair from every
+// processor at once, and the writer-side IsEmpty scan of an indicator that
+// readers have used.
+func BenchmarkReadIndicator(b *testing.B) {
+	b.Run("ArriveDepart", func(b *testing.B) {
+		var r ReadIndicator
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				r.Depart(r.Arrive())
 			}
-		}()
-	}
-	wg.Wait()
-}
-
-func BenchmarkReadIndicatorArriveDepart(b *testing.B) {
-	var r ReadIndicator
-	var reg Registry
-	b.RunParallel(func(pb *testing.PB) {
-		id, err := reg.Acquire()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer reg.Release(id)
-		for pb.Next() {
-			r.Arrive(id)
-			r.Depart(id)
+		})
+	})
+	b.Run("IsEmpty", func(b *testing.B) {
+		var r ReadIndicator
+		r.Depart(r.Arrive())
+		for i := 0; i < b.N; i++ {
+			if !r.IsEmpty() {
+				b.Fatal("indicator not empty")
+			}
 		}
 	})
 }

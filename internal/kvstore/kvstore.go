@@ -366,80 +366,3 @@ func (db *DB) Write(b *Batch) error {
 	opDone(db.batchNs, start)
 	return err
 }
-
-// Session is a per-goroutine handle for hot paths: it pins the engine's
-// per-thread slots, avoiding pool traffic on every operation.
-type Session struct {
-	db *DB
-	h  ptm.Handle
-}
-
-// NewSession creates a session; call Close when the goroutine is done.
-func (db *DB) NewSession() (*Session, error) {
-	h, err := db.eng.NewHandle()
-	if err != nil {
-		return nil, err
-	}
-	return &Session{db: db, h: h}, nil
-}
-
-// Put durably stores the pair using the session's handle.
-func (s *Session) Put(key, val []byte) error {
-	start := opStart(s.db.putNs)
-	err := s.h.Update(func(tx ptm.Tx) error {
-		_, err := s.db.m.Put(tx, key, val)
-		return err
-	})
-	opDone(s.db.putNs, start)
-	return err
-}
-
-// Get returns the value for key, or ErrNotFound.
-func (s *Session) Get(key []byte, dst []byte) ([]byte, error) {
-	start := opStart(s.db.getNs)
-	var out []byte
-	err := s.h.Read(func(tx ptm.Tx) error {
-		v, err := s.db.m.Get(tx, key, dst)
-		if err != nil {
-			return err
-		}
-		out = v
-		return nil
-	})
-	opDone(s.db.getNs, start)
-	if errors.Is(err, pstruct.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	return out, err
-}
-
-// Delete durably removes key.
-func (s *Session) Delete(key []byte) error {
-	start := opStart(s.db.delNs)
-	err := s.h.Update(func(tx ptm.Tx) error {
-		_, err := s.db.m.Delete(tx, key)
-		return err
-	})
-	opDone(s.db.delNs, start)
-	return err
-}
-
-// Write applies a batch atomically.
-func (s *Session) Write(b *Batch) error {
-	start := opStart(s.db.batchNs)
-	err := s.h.Update(func(tx ptm.Tx) error {
-		return s.db.Apply(tx, b)
-	})
-	opDone(s.db.batchNs, start)
-	return err
-}
-
-// Range iterates within one read transaction on the session's handle.
-func (s *Session) Range(reverse bool, fn func(key, val []byte) bool) error {
-	return s.h.Read(func(tx ptm.Tx) error {
-		return s.db.m.Range(tx, reverse, fn)
-	})
-}
-
-// Close releases the session's thread slots.
-func (s *Session) Close() { s.h.Release() }

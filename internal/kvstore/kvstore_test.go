@@ -177,6 +177,8 @@ func TestCrashRecoveryMidPut(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessions has each worker run its session of puts and gets
+// on the shared DB at once; no worker registers with the store.
 func TestConcurrentSessions(t *testing.T) {
 	db := openSmall(t)
 	const workers, items = 4, 100
@@ -185,21 +187,15 @@ func TestConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			s, err := db.NewSession()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer s.Close()
 			rng := rand.New(rand.NewSource(int64(me)))
 			for i := 0; i < items; i++ {
 				k := []byte(fmt.Sprintf("w%d-%03d", me, i))
-				if err := s.Put(k, []byte{byte(me)}); err != nil {
+				if err := db.Put(k, []byte{byte(me)}); err != nil {
 					t.Error(err)
 					return
 				}
 				if rng.Intn(4) == 0 {
-					if v, err := s.Get(k, nil); err != nil || v[0] != byte(me) {
+					if v, err := db.Get(k); err != nil || v[0] != byte(me) {
 						t.Errorf("Get(%s) = %v, %v", k, v, err)
 						return
 					}
@@ -213,28 +209,25 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestSessionBatchAndRange runs one caller's session of a batch, a range, a
+// delete and a get on the DB.
 func TestSessionBatchAndRange(t *testing.T) {
 	db := openSmall(t)
-	s, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	var b Batch
 	b.Put([]byte("x"), []byte("1"))
 	b.Put([]byte("y"), []byte("2"))
-	if err := s.Write(&b); err != nil {
+	if err := db.Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	s.Range(false, func(k, v []byte) bool { n++; return true })
+	db.Range(false, func(k, v []byte) bool { n++; return true })
 	if n != 2 {
-		t.Fatalf("session range saw %d", n)
+		t.Fatalf("range saw %d", n)
 	}
-	if err := s.Delete([]byte("x")); err != nil {
+	if err := db.Delete([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get([]byte("x"), nil); !errors.Is(err, ErrNotFound) {
+	if _, err := db.Get([]byte("x")); !errors.Is(err, ErrNotFound) {
 		t.Fatal("deleted key found")
 	}
 }

@@ -5,7 +5,9 @@
 // instances to read, reads, and departs — it never waits for any other
 // thread. The single writer (serialized externally, by flat combining in
 // RomulusLR) toggles the instance pointer and waits for readers to drain
-// off the instance it is about to modify.
+// off the instance it is about to modify. A reader needs no thread ID: it
+// arrives on whichever stripe of the version's hsync.ReadIndicator it
+// borrows, and departs from the same one.
 //
 // In RomulusLR the two "instances" are the main and back persistent
 // regions; readers directed at back use synthetic pointers (an offset added
@@ -34,17 +36,24 @@ type LR struct {
 	readers      [2]hsync.ReadIndicator
 }
 
-// Arrive registers thread tid as a reader and returns the version index to
-// pass to Depart. Wait-free: one atomic increment and one load.
-func (lr *LR) Arrive(tid int) int {
-	vi := int(lr.versionIndex.Load())
-	lr.readers[vi].Arrive(tid)
-	return vi
+// Reader is an arrived reader's place: the version's read indicator and the
+// stripe it arrived on. Arrive returns it; Depart takes it back.
+type Reader struct {
+	ri *hsync.ReadIndicator
+	s  *hsync.Stripe
 }
 
-// Depart deregisters a reader that arrived with version index vi.
-func (lr *LR) Depart(tid, vi int) {
-	lr.readers[vi].Depart(tid)
+// Arrive registers a reader and returns the Reader to pass to Depart.
+// Wait-free: a load, a stripe from the indicator's pool and one atomic
+// increment.
+func (lr *LR) Arrive() Reader {
+	ri := &lr.readers[lr.versionIndex.Load()]
+	return Reader{ri, ri.Arrive()}
+}
+
+// Depart deregisters reader r.
+func (lr *LR) Depart(r Reader) {
+	r.ri.Depart(r.s)
 }
 
 // Read returns the instance the reader should use. Must be called after

@@ -5,38 +5,36 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/hsync"
 )
 
 func TestZeroValueDirectsReadersAtMain(t *testing.T) {
 	var lr LR
-	vi := lr.Arrive(0)
+	r := lr.Arrive()
 	if got := lr.Read(); got != Main {
 		t.Errorf("Read = %v, want Main", got)
 	}
-	lr.Depart(0, vi)
+	lr.Depart(r)
 }
 
 func TestToggleSwitchesInstance(t *testing.T) {
 	var lr LR
 	lr.Toggle(Back)
-	vi := lr.Arrive(0)
+	r := lr.Arrive()
 	if got := lr.Read(); got != Back {
 		t.Errorf("Read after Toggle(Back) = %v", got)
 	}
-	lr.Depart(0, vi)
+	lr.Depart(r)
 	lr.Toggle(Main)
-	vi = lr.Arrive(0)
+	r = lr.Arrive()
 	if got := lr.Read(); got != Main {
 		t.Errorf("Read after Toggle(Main) = %v", got)
 	}
-	lr.Depart(0, vi)
+	lr.Depart(r)
 }
 
 func TestToggleWaitsForReaderOnOtherInstance(t *testing.T) {
 	var lr LR
-	vi := lr.Arrive(0) // reader on Main
+	r := lr.Arrive() // reader on Main
 	done := make(chan struct{})
 	go func() {
 		lr.Toggle(Back) // must wait for the Main reader
@@ -47,7 +45,7 @@ func TestToggleWaitsForReaderOnOtherInstance(t *testing.T) {
 		t.Fatal("Toggle returned while a reader was active on the old instance")
 	case <-time.After(20 * time.Millisecond):
 	}
-	lr.Depart(0, vi)
+	lr.Depart(r)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -59,7 +57,6 @@ func TestToggleWaitsForReaderOnOtherInstance(t *testing.T) {
 // is observing the other instance, ever, under heavy churn.
 func TestNoReaderOnWriteSideInstance(t *testing.T) {
 	var lr LR
-	var reg hsync.Registry
 	// observing[i] counts readers currently using instance i.
 	var observing [2]atomic.Int64
 	stop := make(chan struct{})
@@ -68,23 +65,17 @@ func TestNoReaderOnWriteSideInstance(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tid, err := reg.Acquire()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer reg.Release(tid)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				vi := lr.Arrive(tid)
+				r := lr.Arrive()
 				inst := lr.Read()
 				observing[inst].Add(1)
 				observing[inst].Add(-1)
-				lr.Depart(tid, vi)
+				lr.Depart(r)
 			}
 		}()
 	}
@@ -108,7 +99,7 @@ func TestNoReaderOnWriteSideInstance(t *testing.T) {
 // while a writer is blocked mid-toggle waiting for someone else.
 func TestReadersWaitFreeDuringToggle(t *testing.T) {
 	var lr LR
-	blocker := lr.Arrive(0) // keeps the writer waiting
+	blocker := lr.Arrive() // keeps the writer waiting
 	toggling := make(chan struct{})
 	go func() {
 		close(toggling)
@@ -119,9 +110,9 @@ func TestReadersWaitFreeDuringToggle(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 1000; i++ {
-			vi := lr.Arrive(1)
+			r := lr.Arrive()
 			_ = lr.Read()
-			lr.Depart(1, vi)
+			lr.Depart(r)
 		}
 		close(done)
 	}()
@@ -130,23 +121,16 @@ func TestReadersWaitFreeDuringToggle(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("reader blocked while writer mid-toggle")
 	}
-	lr.Depart(0, blocker)
+	lr.Depart(blocker)
 }
 
 func BenchmarkArriveReadDepart(b *testing.B) {
 	var lr LR
-	var reg hsync.Registry
 	b.RunParallel(func(pb *testing.PB) {
-		tid, err := reg.Acquire()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		defer reg.Release(tid)
 		for pb.Next() {
-			vi := lr.Arrive(tid)
+			r := lr.Arrive()
 			_ = lr.Read()
-			lr.Depart(tid, vi)
+			lr.Depart(r)
 		}
 	})
 }

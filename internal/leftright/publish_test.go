@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/hsync"
 )
 
 // The publish interleavings replica reads depend on during a shard split
@@ -21,7 +19,6 @@ import (
 // without -race.
 func TestReadDuringPublishPayloadIntegrity(t *testing.T) {
 	var lr LR
-	var reg hsync.Registry
 	// payload[inst] = {a, b}; the writer always leaves a == b.
 	var payload [2][2]uint64
 	stop := make(chan struct{})
@@ -31,19 +28,13 @@ func TestReadDuringPublishPayloadIntegrity(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tid, err := reg.Acquire()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer reg.Release(tid)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				vi := lr.Arrive(tid)
+				r := lr.Arrive()
 				inst := lr.Read()
 				a := payload[inst][0]
 				if slow {
@@ -52,7 +43,7 @@ func TestReadDuringPublishPayloadIntegrity(t *testing.T) {
 					runtime.Gosched()
 				}
 				b := payload[inst][1]
-				lr.Depart(tid, vi)
+				lr.Depart(r)
 				if a != b {
 					t.Errorf("torn read on instance %d: a=%d b=%d", inst, a, b)
 					return
@@ -82,7 +73,7 @@ func TestReadDuringPublishPayloadIntegrity(t *testing.T) {
 // before the drain of old ones finishes.
 func TestReadersSeePublishedInstanceMidToggle(t *testing.T) {
 	var lr LR
-	pinned := lr.Arrive(0) // version 0, instance Main
+	pinned := lr.Arrive() // version 0, instance Main
 	toggled := make(chan struct{})
 	go func() {
 		lr.Toggle(Back) // blocks in the second WaitEmpty on the pinned reader
@@ -93,9 +84,9 @@ func TestReadersSeePublishedInstanceMidToggle(t *testing.T) {
 	cycles := 0
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		vi := lr.Arrive(1)
+		r := lr.Arrive()
 		inst := lr.Read()
-		lr.Depart(1, vi)
+		lr.Depart(r)
 		if inst == Back {
 			seenBack = true
 			cycles++
@@ -117,15 +108,15 @@ func TestReadersSeePublishedInstanceMidToggle(t *testing.T) {
 		t.Fatal("Toggle returned while a reader was pinned on the old instance")
 	default:
 	}
-	lr.Depart(0, pinned)
+	lr.Depart(pinned)
 	select {
 	case <-toggled:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Toggle never completed after the pinned reader departed")
 	}
-	vi := lr.Arrive(0)
+	r := lr.Arrive()
 	if got := lr.Read(); got != Back {
 		t.Errorf("Read after completed Toggle = %v, want Back", got)
 	}
-	lr.Depart(0, vi)
+	lr.Depart(r)
 }

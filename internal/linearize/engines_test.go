@@ -15,9 +15,9 @@ import (
 
 // engines under test: all five PTMs must produce linearizable histories on
 // a shared register.
-func linEngines(t *testing.T) map[string]ptm.HandlePTM {
+func linEngines(t *testing.T) map[string]ptm.PTM {
 	t.Helper()
-	out := map[string]ptm.HandlePTM{}
+	out := map[string]ptm.PTM{}
 	for _, v := range []core.Variant{core.Rom, core.RomLog, core.RomLR} {
 		e, err := core.New(1<<20, core.Config{Variant: v})
 		if err != nil {
@@ -66,19 +66,14 @@ func TestEnginesProduceLinearizableHistories(t *testing.T) {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
-						h, err := e.NewHandle()
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						defer h.Release()
 						for i := 0; i < opsPer; i++ {
 							var op linearize.Op
+							var err error
 							if (w+i)%2 == 0 {
 								val := uint64(round*100 + w*10 + i + 1)
 								op.Kind, op.Arg = "write", val
 								op.Invoke = clock.Add(1)
-								err = h.Update(func(tx ptm.Tx) error {
+								err = e.Update(func(tx ptm.Tx) error {
 									tx.Store64(reg, val)
 									return nil
 								})
@@ -86,7 +81,7 @@ func TestEnginesProduceLinearizableHistories(t *testing.T) {
 							} else {
 								op.Kind = "read"
 								op.Invoke = clock.Add(1)
-								err = h.Read(func(tx ptm.Tx) error {
+								err = e.Read(func(tx ptm.Tx) error {
 									op.Result = tx.Load64(reg)
 									return nil
 								})

@@ -17,9 +17,9 @@ import (
 
 // engines returns one instance of each PTM for cross-engine structure
 // tests.
-func engines(t testing.TB) map[string]ptm.HandlePTM {
+func engines(t testing.TB) map[string]ptm.PTM {
 	t.Helper()
-	out := map[string]ptm.HandlePTM{}
+	out := map[string]ptm.PTM{}
 	for _, v := range []core.Variant{core.Rom, core.RomLog, core.RomLR} {
 		e, err := core.New(1<<21, core.Config{Variant: v})
 		if err != nil {
@@ -40,7 +40,7 @@ func engines(t testing.TB) map[string]ptm.HandlePTM {
 	return out
 }
 
-func romlog(t testing.TB) ptm.HandlePTM {
+func romlog(t testing.TB) ptm.PTM {
 	t.Helper()
 	e, err := core.New(1<<21, core.Config{Variant: core.RomLog})
 	if err != nil {

@@ -198,9 +198,9 @@ func (r RecoveryStats) String() string {
 // Read runs fn in a read-only transaction. Read transactions never abort;
 // under RomulusLR they are wait-free.
 //
-// Engines that keep per-thread state (flat-combining slots, read-indicator
-// slots) resolve it internally; Update and Read are safe for concurrent use
-// from any goroutine.
+// Update and Read are safe for concurrent use from any number of
+// goroutines: no caller registers with an engine or holds per-thread state
+// between calls.
 type PTM interface {
 	// Name identifies the engine in benchmark output ("rom", "romlog",
 	// "romlr", "mne", "pmdk").
@@ -237,25 +237,6 @@ type Auditor interface {
 // retired ops announced operations in one crash-atomic transaction.
 type BatchAuditor interface {
 	BatchCommitted(ops int)
-}
-
-// Handle is a per-goroutine transaction context. Engines keep per-thread
-// slots — a read-indicator slot in the Romulus engines, whose writers queue
-// in the combiner and hold none; a log segment in the redo-log engine — and
-// acquiring a Handle pins one, avoiding per-transaction registry traffic on
-// hot paths. A Handle must be used by one goroutine at a time and Released
-// when done.
-type Handle interface {
-	Update(fn func(Tx) error) error
-	Read(fn func(Tx) error) error
-	Release()
-}
-
-// HandlePTM is implemented by engines that expose per-thread handles (all
-// engines in this repository do).
-type HandlePTM interface {
-	PTM
-	NewHandle() (Handle, error)
 }
 
 // Align rounds n up to the next multiple of a (a power of two).

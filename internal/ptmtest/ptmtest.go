@@ -1,4 +1,4 @@
-// Package ptmtest is a conformance suite for ptm.HandlePTM engines: the
+// Package ptmtest is a conformance suite for ptm.PTM engines: the
 // three Romulus variants and the two baseline PTMs all must pass it. It
 // checks the transactional contract (atomic visibility, rollback on error,
 // transactional allocation), durability across clean restarts, and —
@@ -10,8 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pmem"
 	"repro/internal/ptm"
@@ -20,7 +23,7 @@ import (
 // Engine is what the suite drives: a PTM whose device is reachable for
 // crash simulation.
 type Engine interface {
-	ptm.HandlePTM
+	ptm.PTM
 	Device() *pmem.Device
 }
 
@@ -47,6 +50,8 @@ func Run(t *testing.T, f Factory) {
 	t.Run("LargeStoreBytesDurable", func(t *testing.T) { testLargeStoreBytes(t, f) })
 	t.Run("RootsSurviveRestart", func(t *testing.T) { testRootsSurvive(t, f) })
 	t.Run("InterleavedHandles", func(t *testing.T) { testInterleavedHandles(t, f) })
+	t.Run("ManyConcurrentReaders", func(t *testing.T) { testManyConcurrentReaders(t, f) })
+	t.Run("ManyConcurrentUpdaters", func(t *testing.T) { testManyConcurrentUpdaters(t, f) })
 }
 
 // testLargeStoreBytes exercises multi-line byte ranges: stored, crashed
@@ -123,23 +128,14 @@ func testRootsSurvive(t *testing.T, f Factory) {
 	})
 }
 
-// testInterleavedHandles runs two handles from one goroutine in strict
-// alternation, verifying handle state (read-indicator slots; writers queue
-// in the combiner and hold none) does not leak between them.
+// testInterleavedHandles alternates engine-level Update and Read from one
+// goroutine: every Read must see the Update just before it, so no state the
+// engine reuses across calls (pooled transactions, read-indicator stripes,
+// log segments) carries one call's view into the next.
 func testInterleavedHandles(t *testing.T, f Factory) {
 	e := f.New(t)
-	h1, err := e.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h1.Release()
-	h2, err := e.NewHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Release()
 	var p ptm.Ptr
-	if err := h1.Update(func(tx ptm.Tx) error {
+	if err := e.Update(func(tx ptm.Tx) error {
 		var err error
 		p, err = tx.Alloc(8)
 		return err
@@ -147,17 +143,13 @@ func testInterleavedHandles(t *testing.T, f Factory) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		h := h1
-		if i%2 == 1 {
-			h = h2
-		}
-		if err := h.Update(func(tx ptm.Tx) error {
+		if err := e.Update(func(tx ptm.Tx) error {
 			tx.Store64(p, tx.Load64(p)+1)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Read(func(tx ptm.Tx) error {
+		if err := e.Read(func(tx ptm.Tx) error {
 			if got := tx.Load64(p); got != uint64(i+1) {
 				return fmt.Errorf("iteration %d: value %d", i, got)
 			}
@@ -165,6 +157,116 @@ func testInterleavedHandles(t *testing.T, f Factory) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// manyCallers is how many goroutines testManyConcurrentReaders and
+// testManyConcurrentUpdaters hold inside one engine at once: more than any
+// fixed table of per-thread slots of 256 entries would hold.
+const manyCallers = 300
+
+// holdMany runs manyCallers goroutines, goroutine i making one call that
+// runs op(tx, i), and holds each call's first run of fn until every
+// goroutine is inside its fn or has failed, so all of them are inside the
+// engine at once. An engine that runs one update fn at a time can never have
+// them all inside fn; once every goroutine has called and none has entered
+// fn or failed for stall, the waiting fn lets everyone through. Every call
+// must succeed.
+func holdMany(t *testing.T, call func(fn func(ptm.Tx) error) error, op func(tx ptm.Tx, i int) error) {
+	const stall = 100 * time.Millisecond
+	var called, inside, failed atomic.Int64
+	var release atomic.Bool
+	hold := func() {
+		last, since := int64(-1), time.Now()
+		for !release.Load() {
+			got := inside.Load() + failed.Load()
+			switch {
+			case got == manyCallers:
+				release.Store(true)
+			case got != last || called.Load() < manyCallers:
+				last, since = got, time.Now()
+			case time.Since(since) > stall:
+				release.Store(true)
+			}
+			runtime.Gosched()
+		}
+	}
+	var wg sync.WaitGroup
+	var once sync.Once
+	for i := 0; i < manyCallers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			entered := false
+			called.Add(1)
+			err := call(func(tx ptm.Tx) error {
+				if !entered {
+					entered = true
+					inside.Add(1)
+					hold()
+				}
+				return op(tx, i)
+			})
+			if err != nil {
+				failed.Add(1)
+				once.Do(func() { t.Error(err) })
+			}
+		}(i)
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d concurrent calls failed", n, manyCallers)
+	}
+}
+
+// testManyConcurrentReaders holds manyCallers goroutines inside Read at once;
+// every read must succeed and see the committed value. A reader registers
+// nothing, so no number of them exhausts an engine.
+func testManyConcurrentReaders(t *testing.T, f Factory) {
+	e := f.New(t)
+	var p ptm.Ptr
+	if err := e.Update(func(tx ptm.Tx) error {
+		var err error
+		if p, err = tx.Alloc(8); err == nil {
+			tx.Store64(p, 42)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	holdMany(t, e.Read, func(tx ptm.Tx, i int) error {
+		if got := tx.Load64(p); got != 42 {
+			return fmt.Errorf("reader %d: value %d, want 42", i, got)
+		}
+		return nil
+	})
+}
+
+// testManyConcurrentUpdaters holds manyCallers goroutines inside Update at
+// once, each storing to its own word; every update must commit.
+func testManyConcurrentUpdaters(t *testing.T, f Factory) {
+	e := f.New(t)
+	var p ptm.Ptr
+	if err := e.Update(func(tx ptm.Tx) error {
+		var err error
+		p, err = tx.Alloc(8 * manyCallers)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	holdMany(t, e.Update, func(tx ptm.Tx, i int) error {
+		tx.Store64(p+ptm.Ptr(8*i), uint64(i)+1)
+		return nil
+	})
+	if err := e.Read(func(tx ptm.Tx) error {
+		for i := 0; i < manyCallers; i++ {
+			if got := tx.Load64(p + ptm.Ptr(8*i)); got != uint64(i)+1 {
+				return fmt.Errorf("word %d = %d, want %d", i, got, i+1)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -464,16 +566,10 @@ func testConcurrentBank(t *testing.T, f Factory) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			h, err := e.NewHandle()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer h.Release()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				from, to := rng.Intn(accounts), rng.Intn(accounts)
-				if err := h.Update(func(tx ptm.Tx) error {
+				if err := e.Update(func(tx ptm.Tx) error {
 					a := tx.Root(0)
 					fv := tx.Load64(a + ptm.Ptr(from*8))
 					if fv < 5 {
@@ -487,7 +583,7 @@ func testConcurrentBank(t *testing.T, f Factory) {
 					return
 				}
 				if i%10 == 0 {
-					if err := h.Read(func(tx ptm.Tx) error {
+					if err := e.Read(func(tx ptm.Tx) error {
 						a := tx.Root(0)
 						var sum uint64
 						for k := 0; k < accounts; k++ {

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/hsync"
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
@@ -118,7 +117,7 @@ const (
 	defaultSegments = 8
 )
 
-// Engine is the redo-log STM PTM. It implements ptm.HandlePTM.
+// Engine is the redo-log STM PTM. It implements ptm.PTM.
 type Engine struct {
 	dev        *pmem.Device
 	mainBase   int
@@ -132,8 +131,14 @@ type Engine struct {
 	stripes []atomic.Uint64 // one versioned lock per 8-byte word
 	segMu   []sync.Mutex
 	devMu   sync.Mutex // serializes commits' stores, write-backs and fences on dev
-	reg     hsync.Registry
-	handles chan *Handle
+	// txs pools transactions with their write maps. A Tx is given its log
+	// segment round-robin when it is created (segs counts them), so
+	// concurrent committers spread over the segments. A pooled Tx holds no
+	// engine, and the pool is allocated apart from the engine: the runtime
+	// holds a used sync.Pool until the second collection after its last
+	// use, and must not hold the engine and its device with it.
+	txs  *sync.Pool
+	segs atomic.Uint32
 
 	updates atomic.Uint64
 	readTxs atomic.Uint64
@@ -152,7 +157,7 @@ type Engine struct {
 	activeCommits atomic.Int32
 }
 
-var _ ptm.HandlePTM = (*Engine)(nil)
+var _ ptm.PTM = (*Engine)(nil)
 
 // MinRegionSize is the smallest usable main-region size.
 const MinRegionSize = heapBase + alloc.MinSize
@@ -195,7 +200,7 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		numSegs:    cfg.Segments,
 		stripes:    make([]atomic.Uint64, regionSize/8),
 		segMu:      make([]sync.Mutex, cfg.Segments),
-		handles:    make(chan *Handle, hsync.MaxThreads),
+		txs:        new(sync.Pool),
 	}
 	e.aud = cfg.Audit
 	openTrips := dev.FaultsTripped()

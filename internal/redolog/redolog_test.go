@@ -144,15 +144,9 @@ func TestDisjointUpdatesAllCommit(t *testing.T) {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			h, err := e.NewHandle()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer h.Release()
 			slot := arr + ptm.Ptr(me*64)
 			for i := 0; i < iters; i++ {
-				if err := h.Update(func(tx ptm.Tx) error {
+				if err := e.Update(func(tx ptm.Tx) error {
 					tx.Store64(slot, tx.Load64(slot)+1)
 					return nil
 				}); err != nil {
@@ -190,10 +184,8 @@ func TestSharedCounterCausesAborts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h, _ := e.NewHandle()
-			defer h.Release()
 			for i := 0; i < iters; i++ {
-				h.Update(func(tx ptm.Tx) error {
+				e.Update(func(tx ptm.Tx) error {
 					tx.Store64(ctr, tx.Load64(ctr)+1)
 					return nil
 				})
@@ -252,25 +244,21 @@ func TestReadSnapshotConsistency(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		h, _ := e.NewHandle()
-		defer h.Release()
 		for i := uint64(1); ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			h.Update(func(tx ptm.Tx) error {
+			e.Update(func(tx ptm.Tx) error {
 				tx.Store64(p, i)
 				tx.Store64(p+8, i)
 				return nil
 			})
 		}
 	}()
-	h, _ := e.NewHandle()
-	defer h.Release()
 	for i := 0; i < 2000; i++ {
-		h.Read(func(tx ptm.Tx) error {
+		e.Read(func(tx ptm.Tx) error {
 			a, b := tx.Load64(p), tx.Load64(p+8)
 			if a != b {
 				t.Errorf("torn snapshot: %d != %d", a, b)

@@ -22,14 +22,15 @@ type abortSignal struct{}
 // commit, so user-level "rollback" is free.
 type Tx struct {
 	e        *Engine
+	seg      int // the log segment this Tx commits through
 	readOnly bool
 	rv       uint64
 	writes   map[uint64]uint64 // aligned word addr -> value
 	order    []uint64          // write insertion order (dedup at commit)
 	rset     []readEntry
 
-	// Trace accounting for the current attempt, owned by the handle's
-	// goroutine. commitPwbs/commitFences/logBytes are derived in commit from
+	// Trace accounting for the current attempt, owned by the goroutine
+	// running it. commitPwbs/commitFences/logBytes are derived in commit from
 	// the protocol structure (the device counters are global and therefore
 	// unattributable under concurrent commits).
 	loads        uint64
@@ -307,7 +308,7 @@ func (m txMem) Store64(off uint64, v uint64) { m.t.storeWord(off&^7, v) }
 // commit runs the TL2 commit protocol with persistent redo logging.
 // Returns ErrTxTooLarge without committing if the write set exceeds the
 // log segment; aborts (panics abortSignal) on conflict.
-func (t *Tx) commit(seg int) error {
+func (t *Tx) commit() error {
 	e := t.e
 	if len(t.writes) == 0 {
 		return nil // read-only or no-op update: loads were validated inline
@@ -367,7 +368,7 @@ func (t *Tx) commit(seg int) error {
 	// so committers take turns at it; executing, locking and validating
 	// transactions above stay concurrent.
 	d := e.dev
-	base := e.segBase(seg)
+	base := e.segBase(t.seg)
 	e.devMu.Lock()
 	d.Store64(base+segCount, uint64(len(words)))
 	for i, w := range words {

@@ -48,9 +48,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/hsync"
 	"repro/internal/kvstore"
 	"repro/internal/leftright"
 	"repro/internal/migrate"
@@ -69,13 +67,10 @@ var errNoMigration = errors.New("shard: no migration in progress")
 // router is the wait-free slot->shard lookup: two slot tables behind a
 // Left-Right instance pointer. Readers arrive on the construct's read
 // indicator, read the published table, and depart; the (single) publisher
-// rewrites the unpublished table and toggles. Reader threads share the
-// indicator's per-tid counter slots round-robin, which the counters make
-// safe (arrive/depart balance per goroutine regardless of tid sharing).
+// rewrites the unpublished table and toggles.
 type router struct {
 	tabs   [2][]int32
 	lr     leftright.LR
-	tid    atomic.Uint64
 	active leftright.Instance // publisher-side only
 }
 
@@ -91,23 +86,16 @@ func newRouter(p *migrate.Placement) *router {
 	return r
 }
 
-func (r *router) arrive() (tid, vi int) {
-	tid = int(r.tid.Add(1) % hsync.MaxThreads)
-	return tid, r.lr.Arrive(tid)
-}
-
 func (r *router) route(slot int) int {
 	return int(r.tabs[r.lr.Read()][slot])
 }
 
-func (r *router) depart(tid, vi int) { r.lr.Depart(tid, vi) }
-
 // lookup is the one-shot route for callers that do not span a shard
 // access (write routing holds migMu instead, which excludes publishes).
 func (r *router) lookup(slot int) int {
-	tid, vi := r.arrive()
+	rd := r.lr.Arrive()
 	sh := r.route(slot)
-	r.depart(tid, vi)
+	r.lr.Depart(rd)
 	return sh
 }
 
@@ -225,9 +213,9 @@ func (h *WriteHandle) Done() {
 // under a read that routed to it. Wait-free with respect to migration —
 // reads never take migMu and never park on the cutover gate.
 func (s *Store) routedRead(key []byte, op func(p *shardPart) error) error {
-	tid, vi := s.router.arrive()
+	rd := s.router.lr.Arrive()
 	err := s.onShard(s.router.route(s.slotOf(key)), op)
-	s.router.depart(tid, vi)
+	s.router.lr.Depart(rd)
 	return err
 }
 

@@ -118,7 +118,7 @@ func decodeCount(w uint64) (uint64, bool) {
 
 const defaultLogSize = 1 << 20
 
-// Engine is the undo-log PTM. It implements ptm.HandlePTM.
+// Engine is the undo-log PTM. It implements ptm.PTM.
 type Engine struct {
 	dev        *pmem.Device
 	mainBase   int
@@ -145,7 +145,7 @@ type Engine struct {
 	aud ptm.Auditor
 }
 
-var _ ptm.HandlePTM = (*Engine)(nil)
+var _ ptm.PTM = (*Engine)(nil)
 
 // MinRegionSize is the smallest usable main-region size.
 const MinRegionSize = heapBase + alloc.MinSize
@@ -517,16 +517,6 @@ func (e *Engine) Read(fn func(ptm.Tx) error) error {
 // SetTrace installs (or, with nil, removes) the per-transaction trace sink;
 // it implements obs.Traceable. Call at a quiescent point.
 func (e *Engine) SetTrace(s obs.Sink) { e.trace = s }
-
-// NewHandle implements ptm.HandlePTM. The global lock needs no per-thread
-// state, so handles simply delegate.
-func (e *Engine) NewHandle() (ptm.Handle, error) { return handle{e}, nil }
-
-type handle struct{ e *Engine }
-
-func (h handle) Update(fn func(ptm.Tx) error) error { return h.e.Update(fn) }
-func (h handle) Read(fn func(ptm.Tx) error) error   { return h.e.Read(fn) }
-func (h handle) Release()                           {}
 
 // prefLock is a reader-preference reader-writer lock: readers never check
 // for *waiting* writers, only *active* ones, so a steady stream of readers

@@ -20,9 +20,10 @@
 //     read-only transactions are wait-free, reading the back copy through
 //     synthetic pointers while a writer mutates main.
 //
-// Writers are serialized through a flat-combining array behind a C-RW-WP
+// Writers are serialized through a flat-combining queue behind a C-RW-WP
 // reader-writer lock; batched operations share one durable transaction, so
-// the average fence count per mutation can drop below four.
+// the average fence count per mutation can drop below four. No goroutine
+// registers with an engine: Update and Read serve any number of callers.
 //
 // Two baseline engines from the paper's evaluation are also included (as
 // internal packages, surfaced through the benchmark tools): a PMDK-style
@@ -81,8 +82,6 @@ type (
 	Tx = ptm.Tx
 	// Ptr is a persistent pointer (region offset); 0 is nil.
 	Ptr = ptm.Ptr
-	// Handle is a per-goroutine transaction context for hot paths.
-	Handle = ptm.Handle
 	// PTM is the engine-independent transactional-memory interface.
 	PTM = ptm.PTM
 	// TxStats counts transactions executed by an engine.
@@ -201,8 +200,6 @@ type (
 	DBOptions = kvstore.Options
 	// DBBatch is an atomic, durable write batch.
 	DBBatch = kvstore.Batch
-	// DBSession is a per-goroutine handle into a DB.
-	DBSession = kvstore.Session
 )
 
 // ErrDBNotFound reports a missing key in a DB.
