@@ -44,19 +44,20 @@ bench-fanin:
 tools:
 	go build -o bin/ ./cmd/...
 
-# Regenerate every table and figure of the paper (moderate fidelity;
-# raise -secs / -n for the paper's full 20-second, 1M-op settings).
+# Regenerate every table and figure of the paper with the one experiments
+# driver (moderate fidelity; raise -secs / -keys for the paper's full
+# 20-second, 1M-op settings).
 experiments: tools
 	mkdir -p results
-	./bin/romulus-table1 -stores 64 -txs 200                         | tee results/table1.txt
-	./bin/romulus-recover -sizes 1000,10000,100000,1000000           | tee results/recovery.txt
-	./bin/romulus-bench -fig 4 -threads 1,2,4,8 -secs 0.5            | tee results/fig4.txt
-	./bin/romulus-bench -fig 5 -threads 1,2,4,8 -secs 0.5            | tee results/fig5.txt
+	./bin/romulus-bench -fig table1 -stores 64 -txs 200                 | tee results/table1.txt
+	./bin/romulus-bench -fig recovery -sizes 1000,10000,100000,1000000  | tee results/recovery.txt
+	./bin/romulus-bench -fig 4 -threads 1,2,4,8 -secs 0.5               | tee results/fig4.txt
+	./bin/romulus-bench -fig 5 -threads 1,2,4,8 -secs 0.5               | tee results/fig5.txt
 	./bin/romulus-bench -fig 6 -threads 1,4 -secs 0.5 -sizes 10000,100000,1000000 | tee results/fig6.txt
-	./bin/romulus-bench -fig 7 -threads 2,4,8,16 -secs 0.5           | tee results/fig7.txt
-	./bin/romulus-db -n 100000 -threads 1,2,4                        | tee results/fig8.txt
-	./bin/romulus-sps -secs 0.3                                      | tee results/fig9.txt
-	./bin/romulus-bench -pwbhist                                     | tee results/pwbhist.txt
+	./bin/romulus-bench -fig 7 -threads 2,4,8,16 -secs 0.5              | tee results/fig7.txt
+	./bin/romulus-bench -fig 8 -keys 100000 -threads 1,2,4              | tee results/fig8.txt
+	./bin/romulus-bench -fig 9 -secs 0.3                                | tee results/fig9.txt
+	./bin/romulus-bench -fig pwbhist                                    | tee results/pwbhist.txt
 
 # Crash campaigns: one driver (internal/crashtest), one -scenario per system
 # under test; DESIGN.md "Crash campaigns" tabulates them. The explicit

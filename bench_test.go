@@ -167,7 +167,7 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 // BenchmarkFig8 is the Figure 8 workload family on both stores at benchmark
-// scale (single thread; the cmd/romulus-db tool sweeps threads and scale).
+// scale (single thread; romulus-bench -fig 8 sweeps threads and scale).
 func BenchmarkFig8(b *testing.B) {
 	for _, db := range []string{"romdb", "leveldb"} {
 		for _, w := range bench.DBWorkloads {

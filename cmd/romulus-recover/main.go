@@ -1,24 +1,19 @@
-// Command romulus-recover measures recovery cost (§6.5 of the Romulus
-// paper): the time to restore consistency after a mid-transaction crash. In
-// the paper's algorithm that is dominated by copying the used prefix of the
-// region (back over main): ~114 µs for 1,000 key-value pairs, ~127 ms for
-// one million, about one second per recovered gigabyte. Each size is measured
-// that way (core.Config.FullReplicate) and with the default diff copy, which
-// compares the prefix and repairs only the lines the crash left different.
+// Command romulus-recover is the offline forensics tool for saved images:
+// it decodes what a crash left behind, read-only, without running recovery.
+// (romulus-bench -fig recovery measures recovery cost, §6.5.)
 //
-// With -flight <image> it instead performs flight-recorder forensics: the
-// saved device image's header locates the reserved tail, and the blackbox
-// ring there is decoded and printed — which group-commit batches had started
-// and committed, which were still in flight, and any prior recoveries — all
-// read-only, without running recovery on the image. -json emits the report
-// as one JSON object for tooling.
+// With -flight <image> it performs flight-recorder forensics: the saved
+// device image's header locates the reserved tail, and the blackbox ring
+// there is decoded and printed — which group-commit batches had started and
+// committed, which were still in flight, and any prior recoveries.
 //
 // With -coord <image> it inspects a saved coordinator-log image instead:
 // the two-phase record's disposition (free, prepared-in-doubt, or garbage),
 // a per-shard census of any staged batch, and the placement record with its
 // migration journal — what recovery would do (roll the batch forward, roll
-// a split back, or carry a cutover through) without running it. -json emits
-// the same report as one JSON object.
+// a split back, or carry a cutover through).
+//
+// -json emits either report as one JSON object for tooling.
 package main
 
 import (
@@ -28,9 +23,7 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/bench"
 	"repro/internal/blackbox"
 	"repro/internal/core"
 	"repro/internal/migrate"
@@ -39,34 +32,20 @@ import (
 )
 
 func main() {
-	sizes := flag.String("sizes", "1000,10000,100000,1000000", "key-value pair counts to measure")
-	flight := flag.String("flight", "", "dump the flight recorder of a saved device image instead of benchmarking")
-	coord := flag.String("coord", "", "dump the two-phase record, placement map and migration journal of a saved coordinator image instead of benchmarking")
-	jsonOut := flag.Bool("json", false, "with -flight or -coord: emit the report as JSON")
+	flight := flag.String("flight", "", "dump the flight recorder of a saved device image")
+	coord := flag.String("coord", "", "dump the two-phase record, placement map and migration journal of a saved coordinator image")
+	jsonOut := flag.Bool("json", false, "emit the report as JSON")
 	flag.Parse()
 
-	if *flight != "" {
+	switch {
+	case *flight != "":
 		exitOn(dumpFlight(*flight, *jsonOut))
-		return
-	}
-	if *coord != "" {
+	case *coord != "":
 		exitOn(dumpCoord(*coord, *jsonOut))
-		return
+	default:
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	ns, err := bench.ParseInts(*sizes)
-	exitOn(err)
-	t := bench.NewTable("entries", "prefix bytes", "full copy", "GB/s", "diff copy", "GB/s", "lines repaired")
-	for _, n := range ns {
-		res, err := bench.MeasureRecovery(n)
-		exitOn(err)
-		gbps := func(d time.Duration) float64 { return float64(res.Watermark) / d.Seconds() / 1e9 }
-		t.Row(res.Entries, res.Watermark, res.FullCopy.String(), gbps(res.FullCopy),
-			res.DiffCopy.String(), gbps(res.DiffCopy), res.Repaired.Lines)
-	}
-	fmt.Printf("Recovery cost (§6.5) — mid-transaction crash, RomulusLog\n"+
-		"full copy = the paper's algorithm (whole prefix copied and written back);\n"+
-		"diff copy = this repository's default (prefix compared, differing lines repaired)\n%s", t)
 }
 
 // dumpFlight locates and renders the blackbox ring of one saved shard image.

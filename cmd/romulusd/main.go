@@ -132,7 +132,7 @@ func main() {
 
 	if *httpAddr != "" {
 		src := obshttp.Sources{
-			Registry: func() *obs.Registry { return reg },
+			Registry: reg,
 			Spans:    spans,
 			Pprof:    *pprofFlag,
 			Ready: func() error {

@@ -2,8 +2,10 @@
 // figure of the Romulus paper's evaluation (§6): engine factories, the
 // data-structure workloads of Figure 4–7, the SPS microbenchmark of
 // Figure 9, the db_bench-style workloads of Figure 8, recovery timing
-// (§6.5) and the Table 1 cost measurements. The cmd/ tools and the
-// top-level bench_test.go are thin drivers over this package.
+// (§6.5), the pwb histograms of §6.2 and the Table 1 cost measurements.
+// Each result renders as text here (Table1, Fig4 … Fig9, PwbHistograms,
+// Recovery); cmd/romulus-bench and the top-level bench_test.go are thin
+// drivers over this package.
 package bench
 
 import (
@@ -71,8 +73,12 @@ func ParseEngines(s string) ([]string, error) {
 	return kinds, nil
 }
 
-// ParseInts parses a comma-separated integer list.
+// ParseInts parses a comma-separated integer list; the empty string is the
+// empty list.
 func ParseInts(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		var n int

@@ -3,13 +3,15 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/leveldbsim"
-	"repro/internal/obs"
 )
 
 // DBWorkloads lists the Figure 8 benchmarks in presentation order. They
@@ -74,16 +76,13 @@ func (l *lvlDB) rangeAll(reverse bool, fn func(k, v []byte) bool) error {
 func (l *lvlDB) close() error       { return l.db.Close() }
 func (l *lvlDB) fdatasyncs() uint64 { return l.db.Stats().Fdatasyncs }
 
-func openBenchDB(kind, dir string, entries, valueSize int, metrics *obs.Registry, trace obs.Sink, onOpen func(*kvstore.DB)) (dbIface, error) {
+func openBenchDB(kind, dir string, entries, valueSize int) (dbIface, error) {
 	switch kind {
 	case "romdb":
 		region := entries*(220+valueSize+valueSize/2) + (16 << 20)
-		db, err := kvstore.Open(kvstore.Options{RegionSize: region, Metrics: metrics, Trace: trace})
+		db, err := kvstore.Open(kvstore.Options{RegionSize: region})
 		if err != nil {
 			return nil, err
-		}
-		if onOpen != nil {
-			onOpen(db)
 		}
 		return &romDB{db: db}, nil
 	case "leveldb":
@@ -96,31 +95,54 @@ func openBenchDB(kind, dir string, entries, valueSize int, metrics *obs.Registry
 	return nil, fmt.Errorf("bench: unknown db kind %q", kind)
 }
 
+// Fig8 reproduces Figure 8: one table per db_bench workload (default
+// DBWorkloads), one row per store (default romdb and leveldb), one column
+// per thread count (default 1, 2, 4), in microseconds per operation. o.Keys
+// is the per-thread operation count (default 100,000; the paper's is
+// 1,000,000). Every data point runs on a fresh store; leveldb's files live
+// in a temporary directory removed on return.
+func Fig8(o FigOptions, workloads, dbs []string) (string, error) {
+	o.defaults(100_000, []int{1, 2, 4})
+	if len(workloads) == 0 {
+		workloads = DBWorkloads
+	}
+	if len(dbs) == 0 {
+		dbs = []string{"romdb", "leveldb"}
+	}
+	scratch, err := os.MkdirTemp("", "romulus-fig8-*")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(scratch)
+	var out strings.Builder
+	for _, w := range workloads {
+		t := NewTable(append([]string{"db \\ threads"}, intHeaders(o.Threads)...)...)
+		for _, db := range dbs {
+			row := []any{db}
+			for i, th := range o.Threads {
+				res, err := RunDBBench(db, w, filepath.Join(scratch, fmt.Sprintf("%s-%s-%d", db, w, i)), th, o.Keys)
+				if err != nil {
+					return "", err
+				}
+				row = append(row, res.MicrosPerOp)
+			}
+			t.Row(row...)
+		}
+		unit := "µs/op"
+		if w == "fill100k" {
+			unit = "µs/op (100 kB values)"
+		}
+		fmt.Fprintf(&out, "Figure 8 — %s (%s, %d ops/thread)\n%s\n", w, unit, o.Keys, t)
+	}
+	return out.String(), nil
+}
+
 func dbKey(i int) []byte { return []byte(fmt.Sprintf("%016d", i)) }
 
 // RunDBBench executes one Figure 8 workload. entries is the per-thread
 // operation count (the paper uses 1,000,000; 1,000 for fillsync and
 // fill-100k). dir hosts leveldbsim files and is ignored for romdb.
 func RunDBBench(dbKind, workload, dir string, threads, entries int) (DBResult, error) {
-	return RunDBBenchObs(dbKind, workload, dir, threads, entries, nil, nil)
-}
-
-// RunDBBenchObs is RunDBBench with observability attached to the romdb
-// side: metrics (when non-nil) receives the store's kv_*/pmem_*/ptm_*
-// instruments, and trace receives its per-transaction events. Both are
-// ignored for leveldb, which has no transactional engine underneath.
-// The romulus-db -http endpoint is built on this hook.
-func RunDBBenchObs(dbKind, workload, dir string, threads, entries int, metrics *obs.Registry, trace obs.Sink) (DBResult, error) {
-	return RunDBBenchHook(dbKind, workload, dir, threads, entries, metrics, trace, nil)
-}
-
-// RunDBBenchHook is RunDBBenchObs plus an onOpen callback invoked with the
-// live RomulusDB store the moment it opens (nil for leveldb runs). The
-// romulus-db -audit flag uses it to chain a durability auditor onto the
-// store's device before any benchmark transaction runs; the store is closed
-// before RunDBBenchHook returns, so engine-close durability claims are
-// checked too.
-func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics *obs.Registry, trace obs.Sink, onOpen func(*kvstore.DB)) (DBResult, error) {
 	valueSize := 100
 	syncEach := false
 	ops := entries
@@ -133,7 +155,7 @@ func RunDBBenchHook(dbKind, workload, dir string, threads, entries int, metrics 
 		valueSize = 100 << 10
 	}
 	totalEntries := ops * threads
-	db, err := openBenchDB(dbKind, dir, totalEntries, valueSize, metrics, trace, onOpen)
+	db, err := openBenchDB(dbKind, dir, totalEntries, valueSize)
 	if err != nil {
 		return DBResult{}, err
 	}

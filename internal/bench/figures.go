@@ -9,7 +9,7 @@ import (
 )
 
 // FigOptions parameterize the figure reproductions. Zero values select the
-// paper's settings scaled to a quick run; the cmd tools expose flags for
+// paper's settings scaled to a quick run; romulus-bench exposes flags for
 // full-fidelity sweeps.
 type FigOptions struct {
 	Engines  []string

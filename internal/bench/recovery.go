@@ -24,6 +24,28 @@ type RecoveryResult struct {
 	Repaired  ptm.RecoveryStats // what the diff copy found and repaired
 }
 
+// Recovery renders the §6.5 table: MeasureRecovery at each population in
+// sizes (default 1,000 to 1,000,000 by powers of ten), with the bandwidth
+// each copy strategy achieved over the recovered prefix.
+func Recovery(sizes []int) (string, error) {
+	if len(sizes) == 0 {
+		sizes = []int{1000, 10_000, 100_000, 1_000_000}
+	}
+	t := NewTable("entries", "prefix bytes", "full copy", "GB/s", "diff copy", "GB/s", "lines repaired")
+	for _, n := range sizes {
+		res, err := MeasureRecovery(n)
+		if err != nil {
+			return "", err
+		}
+		gbps := func(d time.Duration) float64 { return float64(res.Watermark) / d.Seconds() / 1e9 }
+		t.Row(res.Entries, res.Watermark, res.FullCopy.String(), gbps(res.FullCopy),
+			res.DiffCopy.String(), gbps(res.DiffCopy), res.Repaired.Lines)
+	}
+	return "Recovery cost (§6.5) — mid-transaction crash, RomulusLog\n" +
+		"full copy = the paper's algorithm (whole prefix copied and written back);\n" +
+		"diff copy = this repository's default (prefix compared, differing lines repaired)\n" + t.String(), nil
+}
+
 // MeasureRecovery populates a RomulusLog hash map with entries key-value
 // pairs (16-byte keys, 100-byte values, as in the paper's measurement),
 // crashes the engine in the middle of an update transaction, and times the

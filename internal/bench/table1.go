@@ -12,7 +12,6 @@ type Table1Row struct {
 	Engine        string
 	LogType       string
 	Interposition string
-	Measured      bool
 	// Per transaction, measured over dense word stores:
 	Fences           float64 // pfence + psync
 	Pwbs             float64
@@ -28,6 +27,27 @@ var engineMeta = map[string][2]string{
 	"romlr":  {"volatile redo", "stores"},
 	"mne":    {"redo", "loads + stores"},
 	"pmdk":   {"undo", "stores"},
+}
+
+// Table1 renders Table 1: the measured rows of every runnable engine, each
+// transaction writing stores consecutive words (default 64) averaged over txs
+// transactions (default 100), then the paper-only systems' analytic rows.
+func Table1(stores, txs int) (string, error) {
+	if stores == 0 {
+		stores = 64
+	}
+	if txs == 0 {
+		txs = 100
+	}
+	rows, err := MeasureTable1(stores, txs)
+	if err != nil {
+		return "", err
+	}
+	t := NewTable("engine", "log type", "interposition", "fences/tx", "pwbs/tx", "user B/tx", "persisted B/tx", "amplification %")
+	for _, r := range append(rows, AnalyticTable1Rows(stores)...) {
+		t.Row(r.Engine, r.LogType, r.Interposition, r.Fences, r.Pwbs, r.UserBytes, r.PersistedBytes, r.AmplificationPct)
+	}
+	return fmt.Sprintf("Table 1 — transactional persistence costs (%d stores/tx; paper-only systems analytic)\n%s", stores, t), nil
 }
 
 // AnalyticTable1Rows reproduces the non-runnable rows of Table 1 (systems
@@ -94,7 +114,6 @@ func MeasureTable1(stores, txs int) ([]Table1Row, error) {
 			Engine:           kind,
 			LogType:          meta[0],
 			Interposition:    meta[1],
-			Measured:         true,
 			Fences:           (float64(s.Pfences) + float64(s.Psyncs)) / k,
 			Pwbs:             float64(s.Pwbs) / k,
 			UserBytes:        user,

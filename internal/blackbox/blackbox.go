@@ -284,21 +284,8 @@ func (r *Recorder) Append(rec Record) {
 	r.dev.Pfence()
 }
 
-// BatchStart records a batch about to begin its transaction.
-func (r *Recorder) BatchStart(batchSeq, firstReq uint64, ops, conns int) {
-	r.Append(Record{Kind: KindBatchStart, BatchSeq: batchSeq, Req: firstReq, Ops: uint32(ops), Conns: uint32(conns)})
-}
-
-// BatchCommit records a batch's durable point.
-func (r *Recorder) BatchCommit(batchSeq uint64, ops int) {
-	r.Append(Record{Kind: KindBatchCommit, BatchSeq: batchSeq, Ops: uint32(ops)})
-}
-
 // Recovery records a successful engine recovery.
 func (r *Recorder) Recovery() { r.Append(Record{Kind: KindRecovery}) }
-
-// Capacity returns the number of record slots in the ring.
-func (r *Recorder) Capacity() int { return int(r.cap) }
 
 // Appended returns the seq of the newest record — the ring's lifetime
 // append count, resumed across reopens. Safe to call concurrently with

@@ -29,9 +29,9 @@ func testRing(t *testing.T, size int) (*pmem.Device, *Recorder) {
 // Append fences each record.
 func TestAppendSurvivesCrashImage(t *testing.T) {
 	dev, rec := testRing(t, DefaultSize)
-	rec.BatchStart(7, 42, 3, 2)
-	rec.BatchCommit(7, 3)
-	rec.BatchStart(8, 99, 1, 1)
+	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 7, Req: 42, Ops: 3, Conns: 2})
+	rec.Append(Record{Kind: KindBatchCommit, BatchSeq: 7, Ops: 3})
+	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 8, Req: 99, Ops: 1, Conns: 1})
 
 	img := dev.CrashImage(pmem.CrashPolicy{})
 	rep := Inspect(pmem.FromImage(img, pmem.ModelCLWB), ringBase, DefaultSize)
@@ -53,8 +53,8 @@ func TestAppendSurvivesCrashImage(t *testing.T) {
 // newest surviving record, so replay ordering stays total across reopens.
 func TestReopenContinuesSeq(t *testing.T) {
 	dev, rec := testRing(t, MinSize)
-	rec.BatchStart(1, 0, 1, 1)
-	rec.BatchCommit(1, 1)
+	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 1, Ops: 1, Conns: 1})
+	rec.Append(Record{Kind: KindBatchCommit, BatchSeq: 1, Ops: 1})
 
 	rec2, rep, err := Open(dev, ringBase, MinSize)
 	if err != nil {
@@ -80,11 +80,8 @@ func TestReopenContinuesSeq(t *testing.T) {
 // retains exactly the newest N records, oldest evicted first.
 func TestRingWrapKeepsNewest(t *testing.T) {
 	dev, rec := testRing(t, MinSize) // 4 slots
-	if rec.Capacity() != 4 {
-		t.Fatalf("capacity = %d, want 4", rec.Capacity())
-	}
 	for b := uint64(1); b <= 10; b++ {
-		rec.BatchStart(b, 0, 1, 1)
+		rec.Append(Record{Kind: KindBatchStart, BatchSeq: b, Ops: 1, Conns: 1})
 	}
 	_, rep, err := Open(dev, ringBase, MinSize)
 	if err != nil {
@@ -107,8 +104,8 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 // replays as absent — never as garbage.
 func TestTornRecordDropped(t *testing.T) {
 	dev, rec := testRing(t, DefaultSize)
-	rec.BatchStart(1, 0, 1, 1)
-	rec.BatchCommit(1, 1)
+	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 1, Ops: 1, Conns: 1})
+	rec.Append(Record{Kind: KindBatchCommit, BatchSeq: 1, Ops: 1})
 	// Flip a byte inside the newest record's slot (slot 1).
 	off := ringBase + headerSize + RecordSize + 5
 	dev.Store8(off, dev.Load8(off)^0xff)
@@ -126,7 +123,7 @@ func TestTornRecordDropped(t *testing.T) {
 // (flight data is diagnostic, recovery must not block on it) and says so.
 func TestCorruptHeaderReformats(t *testing.T) {
 	dev, rec := testRing(t, DefaultSize)
-	rec.BatchStart(1, 0, 1, 1)
+	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 1, Ops: 1, Conns: 1})
 	dev.Store64(ringBase, 0xdeadbeef)
 	rec2, rep, err := Open(dev, ringBase, DefaultSize)
 	if err != nil {
@@ -135,7 +132,7 @@ func TestCorruptHeaderReformats(t *testing.T) {
 	if !rep.Reformatted || !rep.Empty() {
 		t.Fatalf("corrupt header replayed %+v, want empty reformatted report", rep)
 	}
-	rec2.BatchStart(5, 0, 1, 1)
+	rec2.Append(Record{Kind: KindBatchStart, BatchSeq: 5, Ops: 1, Conns: 1})
 	if rep2 := Inspect(dev, ringBase, DefaultSize); len(rep2.Records) != 1 || rep2.Records[0].Seq != 1 {
 		t.Fatalf("post-reformat replay = %+v", rep2.Records)
 	}
@@ -156,7 +153,7 @@ func TestTooSmall(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	dev, rec := testRing(t, DefaultSize)
 	rec.now = func() time.Time { return time.Unix(1, 0) }
-	rec.BatchStart(3, 11, 2, 2)
+	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 3, Req: 11, Ops: 2, Conns: 2})
 	rep := Inspect(dev, ringBase, DefaultSize)
 	rep.Shard = 1
 

@@ -19,8 +19,8 @@ func FuzzBlackboxDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	r.BatchStart(7, 42, 3, 2)
-	r.BatchCommit(7, 3)
+	r.Append(Record{Kind: KindBatchStart, BatchSeq: 7, Req: 42, Ops: 3, Conns: 2})
+	r.Append(Record{Kind: KindBatchCommit, BatchSeq: 7, Ops: 3})
 	for slot := 0; slot < 2; slot++ {
 		raw := make([]byte, RecordSize)
 		dev.LoadBytes(headerSize+slot*RecordSize, raw)

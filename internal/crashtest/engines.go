@@ -378,9 +378,9 @@ func (s *kvStore) probe(p uint64) (uint64, error) { return probeLoad(s.db.Engine
 
 func (s *kvStore) probeUpdate(p uint64) error { return probeUpdateLoad(s.db.Engine(), p) }
 
-func (s *kvStore) setTrace(t obs.Sink) { s.db.SetTrace(t) }
+func (s *kvStore) setTrace(t obs.Sink) { s.db.Engine().SetTrace(t) }
 
-func (s *kvStore) setAudit(a ptm.Auditor) { s.db.SetAuditor(a) }
+func (s *kvStore) setAudit(a ptm.Auditor) { s.db.Engine().SetAuditor(a) }
 
 func (s *kvStore) Close() error { return s.db.Close() }
 

@@ -40,7 +40,7 @@ const migrateBatchKeys = 4
 // any shard mid-transaction, an in-doubt coordinator record, or an open
 // placement journal (a split to resolve one way or the other).
 func migratePending(imgs [][]byte) bool {
-	return xshardPending(imgs) || shard.PlacementRecoveryPending(imgs[len(imgs)-1])
+	return xshardPending(imgs) || shard.InspectCoordImage(imgs[len(imgs)-1]).PlacementJournalPhase() != migrate.PhaseNone
 }
 
 func migrateRound(r *round) error {

@@ -68,7 +68,7 @@ func xshardPending(imgs [][]byte) bool {
 			return true
 		}
 	}
-	return shard.CoordRecoveryPending(imgs[len(imgs)-1])
+	return shard.InspectCoordImage(imgs[len(imgs)-1]).InDoubt
 }
 
 // kvHistory is a single-threaded workload's record: states[i] is the keyspace

@@ -138,6 +138,36 @@ func TestFileBackedPersistence(t *testing.T) {
 	}
 }
 
+// TestReopenRunsNoUpdate: reopening an image whose map exists attaches to
+// it; only a fresh store pays the update transaction that creates the map.
+func TestReopenRunsNoUpdate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "romulusdb.img")
+	db, err := Open(Options{RegionSize: 2 << 20, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := db.Engine().Stats().UpdateTxs; n != 1 {
+		t.Fatalf("fresh open ran %d update transactions, want 1 (the map's creation)", n)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(Options{RegionSize: 2 << 20, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if n := db2.Engine().Stats().UpdateTxs; n != 0 {
+		t.Fatalf("reopen ran %d update transactions, want 0", n)
+	}
+	if err := db2.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := db2.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("after reopen: %q, %v", v, err)
+	}
+}
+
 func TestCrashRecoveryMidPut(t *testing.T) {
 	db := openSmall(t)
 	for i := 0; i < 100; i++ {

@@ -224,13 +224,6 @@ func (d *Driver) Stop() {
 	d.mu.Unlock()
 }
 
-// Busy reports whether a migration is in flight.
-func (d *Driver) Busy() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.st.Active
-}
-
 // Status snapshots driver progress.
 func (d *Driver) Status() Status {
 	d.mu.Lock()

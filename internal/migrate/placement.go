@@ -143,13 +143,6 @@ func (p *Placement) Clone() *Placement {
 	return &q
 }
 
-// SlotOf maps a routing key to its slot.
-func (p *Placement) SlotOf(routingKey []byte) int {
-	h := fnv.New64a()
-	h.Write(routingKey)
-	return int(h.Sum64() % uint64(p.NumSlots))
-}
-
 // OwnedBy lists the slots shard owns, ascending.
 func (p *Placement) OwnedBy(shard int) []int {
 	var out []int

@@ -1,5 +1,4 @@
-// Package obshttp is the shared observability HTTP surface for the repo's
-// long-running binaries (romulus-db -http, romulusd -http): one mux layout
+// Package obshttp is romulusd's observability HTTP surface (-http): one mux
 // for /metrics, /trace, /audit, /healthz and /readyz (plus opt-in
 // /debug/pprof), and a graceful http.Server wrapper that surfaces bind
 // errors synchronously instead of dying silently in a goroutine.
@@ -12,8 +11,7 @@
 //	                             cumulative-le histograms)
 //	                             all three with the go_* runtime gauges,
 //	                             read from runtime/metrics per scrape
-//	GET /trace                   retained events as JSON lines: tx events
-//	                             (Trace ring) then request spans (Spans)
+//	GET /trace                   retained request spans as JSON lines
 //	GET /trace?req=<id>          one request's span timeline as a JSON
 //	                             array (404 once evicted from the ring)
 //	GET /audit                   durability auditor summaries (503 until
@@ -40,16 +38,12 @@ import (
 
 // Sources names the live objects the mux serves. Registry is required; the
 // other routes register only when their source is non-nil. Function fields
-// are consulted per request, so a binary that swaps registries or auditors
-// between workload points (romulus-db) serves whichever is current.
+// are consulted per request.
 type Sources struct {
-	// Registry returns the current metrics registry (required).
-	Registry func() *obs.Registry
-	// Trace, when non-nil, serves the retained per-transaction events as
-	// JSON lines on /trace.
-	Trace *obs.RingSink
-	// Spans, when non-nil, adds request spans to /trace and enables the
-	// /trace?req=<id> timeline view.
+	// Registry is the metrics registry /metrics serves (required).
+	Registry *obs.Registry
+	// Spans, when non-nil, serves the retained request spans as JSON lines
+	// on /trace and one request's timeline on /trace?req=<id>.
 	Spans *obs.SpanRecorder
 	// Auditors, when non-nil, serves every live durability auditor on
 	// /audit (one summary per shard). Nil entries are skipped; the route
@@ -69,11 +63,7 @@ type Sources struct {
 func NewMux(src Sources) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		r := src.Registry()
-		if r == nil {
-			http.Error(w, "no registry", http.StatusServiceUnavailable)
-			return
-		}
+		r := src.Registry
 		readRuntime(r)
 		switch req.URL.Query().Get("format") {
 		case "json":
@@ -87,14 +77,9 @@ func NewMux(src Sources) *http.ServeMux {
 			r.WriteText(w)
 		}
 	})
-	if src.Trace != nil || src.Spans != nil {
-		ring, spans := src.Trace, src.Spans
+	if spans := src.Spans; spans != nil {
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 			if q := req.URL.Query().Get("req"); q != "" {
-				if spans == nil {
-					http.Error(w, "request spans not enabled", http.StatusNotFound)
-					return
-				}
 				id, err := strconv.ParseUint(q, 10, 64)
 				if err != nil {
 					http.Error(w, "req must be a request id", http.StatusBadRequest)
@@ -112,12 +97,7 @@ func NewMux(src Sources) *http.ServeMux {
 				return
 			}
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			if ring != nil {
-				ring.WriteJSON(w)
-			}
-			if spans != nil {
-				spans.WriteJSON(w)
-			}
+			spans.WriteJSON(w)
 		})
 	}
 	if src.Auditors != nil {

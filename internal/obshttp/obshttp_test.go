@@ -50,18 +50,20 @@ func startMux(t *testing.T, mux http.Handler) func(path string) (int, string) {
 	}
 }
 
-// TestMuxRoutes pins the shared endpoint layout both binaries serve: text
-// and JSON metrics, ndjson trace, and the auditor route's 503-until-attached
-// behavior.
+// TestMuxRoutes pins the endpoint layout: text and JSON metrics, ndjson
+// trace (registered only with a span source), and the auditor route's
+// 503-until-attached behavior.
 func TestMuxRoutes(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("demo_total").Add(3)
-	ring := obs.NewRingSink(16)
 	var aud atomic.Pointer[audit.Auditor]
 
+	if code, _ := startMux(t, NewMux(Sources{Registry: reg}))("/trace"); code != http.StatusNotFound {
+		t.Fatalf("/trace without spans = %d, want 404", code)
+	}
 	get := startMux(t, NewMux(Sources{
-		Registry: func() *obs.Registry { return reg },
-		Trace:    ring,
+		Registry: reg,
+		Spans:    obs.NewSpanRecorder(reg, 16),
 		Auditors: func() []*audit.Auditor { return []*audit.Auditor{aud.Load()} },
 	}))
 
@@ -111,7 +113,7 @@ func TestTraceReqTimeline(t *testing.T) {
 	spans.Emit(obs.SpanEvent{Req: 8, Op: "get", Phase: obs.PhaseRequest, DurNs: 3})
 
 	get := startMux(t, NewMux(Sources{
-		Registry: func() *obs.Registry { return reg },
+		Registry: reg,
 		Spans:    spans,
 	}))
 
@@ -145,7 +147,7 @@ func TestMetricsPromFormat(t *testing.T) {
 	reg.Counter("ops_total").Add(5)
 	reg.Histogram("lat_ns").Observe(3)
 
-	get := startMux(t, NewMux(Sources{Registry: func() *obs.Registry { return reg }}))
+	get := startMux(t, NewMux(Sources{Registry: reg}))
 	code, body := get("/metrics?format=prom")
 	if code != 200 {
 		t.Fatalf("/metrics?format=prom = %d", code)
@@ -169,7 +171,7 @@ func TestMetricsPromFormat(t *testing.T) {
 func TestHealthReady(t *testing.T) {
 	var notReady atomic.Bool
 	get := startMux(t, NewMux(Sources{
-		Registry: func() *obs.Registry { return obs.NewRegistry() },
+		Registry: obs.NewRegistry(),
 		Ready: func() error {
 			if notReady.Load() {
 				return &quarantineErr{}
@@ -199,7 +201,7 @@ func TestMultiAuditor(t *testing.T) {
 	a0 := audit.New(pmem.New(4096, pmem.ModelDRAM), audit.Options{})
 	a2 := audit.New(pmem.New(4096, pmem.ModelDRAM), audit.Options{})
 	get := startMux(t, NewMux(Sources{
-		Registry: func() *obs.Registry { return obs.NewRegistry() },
+		Registry: obs.NewRegistry(),
 		Auditors: func() []*audit.Auditor { return []*audit.Auditor{a0, nil, a2} },
 	}))
 	if code, body := get("/audit"); code != 200 || strings.Count(body, "audit report") != 2 {
@@ -217,7 +219,7 @@ func TestMultiAuditor(t *testing.T) {
 
 // TestPprofGate pins that profiling routes exist only behind the flag.
 func TestPprofGate(t *testing.T) {
-	reg := func() *obs.Registry { return obs.NewRegistry() }
+	reg := obs.NewRegistry()
 	getOff := startMux(t, NewMux(Sources{Registry: reg}))
 	if code, _ := getOff("/debug/pprof/"); code != http.StatusNotFound {
 		t.Fatalf("/debug/pprof/ without Pprof = %d, want 404", code)
@@ -229,16 +231,14 @@ func TestPprofGate(t *testing.T) {
 }
 
 // TestConcurrentScrapeWhileEmitting drives /metrics, /trace and
-// /trace?req=<id> while a workload emits spans and tx events — the race
+// /trace?req=<id> while a workload emits spans — the race
 // detector (make obstest runs this package under -race) proves the
 // observability surface is safe against a live server.
 func TestConcurrentScrapeWhileEmitting(t *testing.T) {
 	reg := obs.NewRegistry()
 	spans := obs.NewSpanRecorder(reg, 128)
-	ring := obs.NewRingSink(128)
 	get := startMux(t, NewMux(Sources{
-		Registry: func() *obs.Registry { return reg },
-		Trace:    ring,
+		Registry: reg,
 		Spans:    spans,
 	}))
 
@@ -256,7 +256,6 @@ func TestConcurrentScrapeWhileEmitting(t *testing.T) {
 				default:
 				}
 				ops.Inc()
-				ring.Emit(obs.TxEvent{Seq: uint64(i)})
 				req := uint64(g*10000 + i)
 				spans.Emit(obs.SpanEvent{Req: req, Op: "set", Phase: obs.PhaseParse, DurNs: 1})
 				spans.Emit(obs.SpanEvent{Req: req, Op: "set", Phase: obs.PhaseRequest, DurNs: 2})
@@ -281,7 +280,7 @@ func TestConcurrentScrapeWhileEmitting(t *testing.T) {
 // heap — read at scrape time into the served registry.
 func TestMetricsRuntimeHealth(t *testing.T) {
 	reg := obs.NewRegistry()
-	get := startMux(t, NewMux(Sources{Registry: func() *obs.Registry { return reg }}))
+	get := startMux(t, NewMux(Sources{Registry: reg}))
 	runtime.GC() // a pause to quantile and a marked live heap
 	names := []string{"go_goroutines", "go_heap_live_bytes"}
 	for _, h := range []string{"go_sched_latency_ns", "go_gc_pause_ns"} {

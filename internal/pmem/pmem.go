@@ -163,10 +163,6 @@ func (d *Device) Size() int { return len(d.mem) }
 // Model returns the current persistence model.
 func (d *Device) Model() Model { return d.model }
 
-// SetModel replaces the persistence model. Intended for parameter sweeps at
-// quiescent points.
-func (d *Device) SetModel(m Model) { d.model = m }
-
 // Stats returns a consistent-enough snapshot of the event counters: each
 // counter is read atomically, so Stats is safe against concurrent
 // instrumented stores (individual counters may be skewed by in-flight

@@ -210,20 +210,12 @@ func (c *coordinator) publishState(word uint64, point string) {
 // recovery chains of any depth.
 func (c *coordinator) replay(s *Store, id uint64) error {
 	d := c.dev
-	if d.Load64(cOffBatchID) != id {
-		return fmt.Errorf("%w: prepared state names batch %d but meta holds %d",
-			ErrCorruptLog, id, d.Load64(cOffBatchID))
-	}
-	payLen := int(d.Load64(cOffPayLen))
-	if payLen <= 0 || cPayloadBase+payLen > d.Size()-placementReserve {
-		return fmt.Errorf("%w: payload length %d out of bounds", ErrCorruptLog, payLen)
-	}
-	payload := make([]byte, payLen)
-	d.LoadBytes(cPayloadBase, payload)
-	if sum := payloadSum(payload); sum != d.Load64(cOffPaySum) {
-		return fmt.Errorf("%w: payload checksum mismatch", ErrCorruptLog)
-	}
-	groups, err := decodeOps(payload, len(s.parts()))
+	meta := [3]uint64{d.Load64(cOffBatchID), d.Load64(cOffPayLen), d.Load64(cOffPaySum)}
+	groups, err := decodePrepared(id, meta, d.Size(), func(n int) []byte {
+		payload := make([]byte, n)
+		d.LoadBytes(cPayloadBase, payload)
+		return payload
+	}, len(s.parts()))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorruptLog, err)
 	}
@@ -385,17 +377,6 @@ func (c *coordinator) close() {
 	}
 }
 
-// CoordRecoveryPending reports whether a captured coordinator image holds a
-// prepared-but-unfinished cross-shard batch that Reopen would roll forward.
-func CoordRecoveryPending(img []byte) bool {
-	if len(img) < cPayloadBase {
-		return false
-	}
-	le := binary.LittleEndian
-	return le.Uint64(img[cOffMagic:]) == cMagic &&
-		le.Uint64(img[cOffState:])&cTagMask == cTagPrepared
-}
-
 // encodeOps serializes per-shard batches: u32 op count, then per op
 // u32 shard | u8 del | u32 klen | u32 vlen | key | val (little-endian).
 func encodeOps(groups []*kvstore.Batch) []byte {
@@ -424,6 +405,27 @@ func encodeOps(groups []*kvstore.Batch) []byte {
 		})
 	}
 	return buf
+}
+
+// decodePrepared decodes the prepared record of batch id in a log of size
+// bytes: meta is the meta line (batch id, payload length, payload checksum)
+// and load(n) reads the first n payload bytes. The meta must name id, the
+// payload must fit below the placement reserve and match its checksum, and
+// its ops must decode for nShards shards. Recovery's replay and the offline
+// inspector both decode through it.
+func decodePrepared(id uint64, meta [3]uint64, size int, load func(n int) []byte, nShards int) ([]*kvstore.Batch, error) {
+	if meta[0] != id {
+		return nil, fmt.Errorf("prepared state names batch %d but meta holds %d", id, meta[0])
+	}
+	payLen := int(meta[1])
+	if payLen <= 0 || payLen > size-placementReserve-cPayloadBase {
+		return nil, fmt.Errorf("payload length %d out of bounds", payLen)
+	}
+	payload := load(payLen)
+	if payloadSum(payload) != meta[2] {
+		return nil, errors.New("payload checksum mismatch")
+	}
+	return decodeOps(payload, nShards)
 }
 
 // decodeOps reverses encodeOps, validating every bound against the payload

@@ -1,12 +1,11 @@
-// Offline coordinator-image inspection for romulus-recover's -coord mode:
-// decode the two-phase record's state (is a batch in doubt?), a light scan
-// of its payload, and the placement record with any migration journal —
-// without opening engines or mutating anything.
+// Offline coordinator-image inspection for romulus-recover's -coord mode and
+// the crash campaigns: decode the two-phase record's state (is a batch in
+// doubt?), its staged ops, and the placement record with any migration
+// journal — without opening engines or mutating anything.
 package shard
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/migrate"
 )
@@ -53,29 +52,11 @@ func (rep CoordReport) PlacementJournalPhase() migrate.Phase {
 	return rep.Placement.Journal.Phase
 }
 
-// InspectCoordImage decodes a captured or saved coordinator image. It
-// never fails: damage is reported in the fields rather than refused, so
-// the operator sees whatever survives.
+// InspectCoordImage decodes a captured or saved coordinator image with the
+// decoders recovery uses. It never fails: damage is reported in the fields
+// rather than refused, so the operator sees whatever survives.
 func InspectCoordImage(img []byte) CoordReport {
 	var rep CoordReport
-	le := binary.LittleEndian
-	if len(img) >= cPayloadBase && le.Uint64(img[cOffMagic:]) == cMagic &&
-		le.Uint64(img[cOffVersion:]) == cVersion &&
-		le.Uint64(img[cOffHeadSum:]) == cMagic^cVersion^cHeadSalt {
-		rep.Formatted = true
-		word := le.Uint64(img[cOffState:])
-		rep.BatchID = word & cIDMask
-		switch word & cTagMask {
-		case cTagFree:
-			rep.State = "free"
-		case cTagPrepared:
-			rep.State = "prepared"
-			rep.InDoubt = true
-			rep.scanPayload(img)
-		default:
-			rep.State = "garbage"
-		}
-	}
 	if len(img) >= placementReserve {
 		if pl := migrate.DecodeRecordBytes(img[len(img)-placementReserve:]); pl != nil {
 			rep.Placement = &PlacementReport{
@@ -87,50 +68,44 @@ func InspectCoordImage(img []byte) CoordReport {
 			}
 		}
 	}
-	return rep
-}
-
-// scanPayload walks the staged ops counting per-shard totals. It is a
-// bounds-checking scan, not a full decode: no batches are materialized.
-func (rep *CoordReport) scanPayload(img []byte) {
 	le := binary.LittleEndian
-	if metaID := le.Uint64(img[cOffBatchID:]); metaID != rep.BatchID {
-		rep.PayloadError = fmt.Sprintf("prepared state names batch %d but meta holds %d", rep.BatchID, metaID)
-		return
+	if len(img) < cPayloadBase || le.Uint64(img[cOffMagic:]) != cMagic ||
+		le.Uint64(img[cOffVersion:]) != cVersion ||
+		le.Uint64(img[cOffHeadSum:]) != cMagic^cVersion^cHeadSalt {
+		return rep
 	}
-	payLen := int(le.Uint64(img[cOffPayLen:]))
-	if payLen <= 0 || cPayloadBase+payLen > len(img)-placementReserve {
-		rep.PayloadError = fmt.Sprintf("payload length %d out of bounds", payLen)
-		return
+	rep.Formatted = true
+	word := le.Uint64(img[cOffState:])
+	rep.BatchID = word & cIDMask
+	switch word & cTagMask {
+	case cTagFree:
+		rep.State = "free"
+		return rep
+	case cTagPrepared:
+		rep.State = "prepared"
+		rep.InDoubt = true
+	default:
+		rep.State = "garbage"
+		return rep
 	}
-	payload := img[cPayloadBase : cPayloadBase+payLen]
-	if sum := payloadSum(payload); sum != le.Uint64(img[cOffPaySum:]) {
-		rep.PayloadError = "payload checksum mismatch"
-		return
+	if rep.Placement == nil {
+		rep.PayloadError = "no placement record: shard count unknown"
+		return rep
 	}
-	if len(payload) < 4 {
-		rep.PayloadError = "payload truncated before op count"
-		return
+	meta := [3]uint64{le.Uint64(img[cOffBatchID:]), le.Uint64(img[cOffPayLen:]), le.Uint64(img[cOffPaySum:])}
+	groups, err := decodePrepared(rep.BatchID, meta, len(img), func(n int) []byte {
+		return img[cPayloadBase : cPayloadBase+n]
+	}, rep.Placement.NumShards)
+	if err != nil {
+		rep.PayloadError = err.Error()
+		return rep
 	}
-	n := int(le.Uint32(payload))
-	pos := 4
-	perShard := make(map[int]int)
-	for op := 0; op < n; op++ {
-		if pos+13 > len(payload) {
-			rep.PayloadError = fmt.Sprintf("payload truncated in op %d header", op)
-			return
+	rep.OpsPerShard = make(map[int]int)
+	for sh, g := range groups {
+		if g != nil {
+			rep.OpsPerShard[sh] = g.Len()
+			rep.PayloadOps += g.Len()
 		}
-		sh := int(le.Uint32(payload[pos:]))
-		klen := int(le.Uint32(payload[pos+5:]))
-		vlen := int(le.Uint32(payload[pos+9:]))
-		pos += 13
-		if klen < 0 || vlen < 0 || pos+klen+vlen > len(payload) {
-			rep.PayloadError = fmt.Sprintf("payload truncated in op %d body", op)
-			return
-		}
-		pos += klen + vlen
-		perShard[sh]++
 	}
-	rep.PayloadOps = n
-	rep.OpsPerShard = perShard
+	return rep
 }

@@ -254,7 +254,7 @@ func TestCrashDuringCopyRollsBack(t *testing.T) {
 	imgs := captureAll(s, pmem.DropAll)
 	s.Close()
 
-	if !PlacementRecoveryPending(imgs[len(imgs)-1]) {
+	if InspectCoordImage(imgs[len(imgs)-1]).PlacementJournalPhase() == migrate.PhaseNone {
 		t.Fatal("captured coordinator image shows no migration journal")
 	}
 	rs := reopenImages(t, imgs, testOpts(0))
@@ -319,7 +319,7 @@ func TestCrashAfterCutoverRollsForward(t *testing.T) {
 	imgs := captureAll(s, pmem.DropAll)
 	s.Close()
 
-	if !PlacementRecoveryPending(imgs[len(imgs)-1]) {
+	if InspectCoordImage(imgs[len(imgs)-1]).PlacementJournalPhase() == migrate.PhaseNone {
 		t.Fatal("captured coordinator image shows no migration journal")
 	}
 	rs := reopenImages(t, imgs, testOpts(0))

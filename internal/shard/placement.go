@@ -820,13 +820,3 @@ func (s *Store) Placement() PlacementInfo {
 	}
 	return info
 }
-
-// PlacementRecoveryPending reports whether a captured coordinator image
-// holds a migration journal (copy or cleanup) that Reopen would resolve.
-func PlacementRecoveryPending(img []byte) bool {
-	if len(img) < migrate.RecordSize {
-		return false
-	}
-	pl := migrate.DecodeRecordBytes(img[len(img)-migrate.RecordSize:])
-	return pl != nil && pl.Journal.Phase != migrate.PhaseNone
-}

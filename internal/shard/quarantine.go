@@ -122,15 +122,6 @@ func (s *Store) Quarantined() []int {
 	return out
 }
 
-// QuarantineReason returns the recorded cause for a quarantined shard, or
-// "" when the shard is healthy.
-func (s *Store) QuarantineReason(i int) string {
-	p := s.parts()[i]
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.reason
-}
-
 // Scrub re-formats a quarantined shard on a fresh device and readmits it:
 // the partition restarts empty (the media loss is admitted, not hidden), and
 // any in-doubt cross-shard batch still prepared on the coordinator log is

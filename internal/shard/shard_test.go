@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -266,8 +267,25 @@ func TestCrossShardReplayAfterCrash(t *testing.T) {
 	if applies < 2 {
 		t.Fatalf("batch applied to %d shard(s); want >= 2", applies)
 	}
-	if !CoordRecoveryPending(atPrepare[len(atPrepare)-1]) {
-		t.Fatal("prepare-point coordinator image should be recovery-pending")
+	// The inspector decodes the staged batch with recovery's own decoder.
+	rep := InspectCoordImage(atPrepare[len(atPrepare)-1])
+	if !rep.InDoubt || rep.PayloadError != "" || rep.PayloadOps != len(want) {
+		t.Fatalf("prepare-point coordinator image: %+v, want batch in doubt with %d staged ops", rep, len(want))
+	}
+	perShard := map[int]int{}
+	for k := range want {
+		perShard[s.ShardFor([]byte(k))]++
+	}
+	for sh, n := range perShard {
+		if rep.OpsPerShard[sh] != n {
+			t.Fatalf("inspector counts %d op(s) for shard %d, want %d: %+v", rep.OpsPerShard[sh], sh, n, rep.OpsPerShard)
+		}
+	}
+	// A payload length past the end of the log is reported, whatever its size.
+	bad := append([]byte(nil), atPrepare[len(atPrepare)-1]...)
+	binary.LittleEndian.PutUint64(bad[cOffPayLen:], 1<<63-cPayloadBase/2)
+	if rep := InspectCoordImage(bad); !strings.Contains(rep.PayloadError, "out of bounds") {
+		t.Fatalf("oversized payload length: PayloadError %q, want out of bounds", rep.PayloadError)
 	}
 
 	for name, imgs := range map[string][][]byte{"at-prepare": atPrepare, "partial-apply": atPartial} {
@@ -322,7 +340,7 @@ func TestCrossShardRollbackAfterCrash(t *testing.T) {
 		t.Fatal("test hook did not fire")
 	}
 	coordImg := atFlip[len(atFlip)-1]
-	if CoordRecoveryPending(coordImg) {
+	if InspectCoordImage(coordImg).InDoubt {
 		t.Fatal("unflushed prepare flip leaked into the DropAll image")
 	}
 	// The staged meta IS durable (it was fenced before the flip): recovery
