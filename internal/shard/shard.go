@@ -55,12 +55,8 @@ import (
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/pmem"
-	"repro/internal/pstruct"
 	"repro/internal/ptm"
 )
-
-// mapRoot is the root slot holding each shard's RomulusDB map (kvstore's).
-const mapRoot = 0
 
 // appliedRoot is the root slot holding each shard's applied-batch watermark
 // cell: an 8-byte persistent cell recording the highest cross-shard batch id
@@ -356,9 +352,8 @@ func Reopen(devs []*pmem.Device, opts Options) (*Store, error) {
 // takes: Reopen's for each device it is handed, AddShard's and Scrub's for a
 // blank one. The auditor attaches first, so format, recovery and the map's
 // creation all run audited; core.Open formats a blank device or recovers a
-// used one. Whether the map must be created is read from the device — a nil
-// root is a just-formatted device — so a recovered shard runs no update
-// transaction. Under Options.QuarantineFaults a media-damaged image comes
+// used one. kvstore.Init creates the map only on a just-formatted device, so
+// a recovered shard runs no update transaction. Under Options.QuarantineFaults a media-damaged image comes
 // back quarantined instead of failing the open.
 func (s *Store) openShard(i int, dev *pmem.Device, ext ptm.Auditor) (*shardPart, error) {
 	p := &shardPart{dev: dev}
@@ -377,22 +372,11 @@ func (s *Store) openShard(i int, dev *pmem.Device, ext ptm.Auditor) (*shardPart,
 		s.quarantineN.Inc()
 		return p, nil
 	}
-	fresh := false
-	if err := eng.Read(func(tx ptm.Tx) error {
-		fresh = tx.Root(mapRoot).IsNil()
-		return nil
-	}); err != nil {
+	db, fresh, err := kvstore.Init(eng, s.opts.InitialBuckets)
+	if err != nil {
 		return nil, err
 	}
-	if fresh {
-		if err := eng.Update(func(tx ptm.Tx) error {
-			_, err := pstruct.NewByteMap(tx, mapRoot, s.opts.InitialBuckets)
-			return err
-		}); err != nil {
-			return nil, fmt.Errorf("initializing map: %w", err)
-		}
-	}
-	p.eng, p.db = eng, kvstore.Attach(eng)
+	p.eng, p.db = eng, db
 	// A device without a (large enough) reserved tail — created before
 	// Blackbox or with it off — simply records no flights.
 	if off, size := eng.ReservedTail(); s.opts.Blackbox && size >= blackbox.MinSize {
