@@ -37,9 +37,10 @@ bench-scale:
 
 # Wire fan-in: SET bursts of depth 1 and 16 from 2, 64, 256 and 1,024
 # connections on a 2-shard server; ops/s, ops per group batch and the p99
-# burst round trip per point.
+# burst round trip per point. Six runs per point: three per build cannot
+# resolve a 10% change between two builds.
 bench-fanin:
-	go test -run '^$$' -bench ServeFanIn -benchtime 200000x -cpu 2 ./internal/server
+	go test -run '^$$' -bench ServeFanIn -benchtime 200000x -cpu 2 -count 6 ./internal/server
 
 tools:
 	go build -o bin/ ./cmd/...

@@ -88,6 +88,7 @@ func TestSmokeEveryResult(t *testing.T) {
 		{"-fig 4 -threads 1 -keys 50 " + quick, "Figure 4 — reads: tree (TX/s, 50 keys)"},
 		{"-fig 5 -threads 1 -keys 20 " + quick, "Figure 5 — 1024-byte values"},
 		{"-fig 6 -threads 1 -sizes 500 " + quick, "Figure 6 — hash map, 100% writes, 500 keys"},
+		{"-fig 6 -threads 1 -sizes 300 -secs 0.01 -engines rom,romlog,romlr,mne,pmdk", "\nmne "},
 		{"-fig 7 -threads 1 -keys 50 -model clwb " + quick, "Figure 7 (right) — read TX/s, no writers"},
 		{"-fig 8 -threads 1 -keys 50 -workloads fillseq,readreverse", "Figure 8 — readreverse (µs/op, 50 ops/thread)"},
 		{"-fig 9 -sizes 1,4 -model dram,pcm " + quick, "Figure 9 — SPS, pcm (swaps/µs, single thread)"},

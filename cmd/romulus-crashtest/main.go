@@ -31,7 +31,7 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	var f *crashtest.Failure
 	switch {
 	case err == nil:
@@ -46,11 +46,12 @@ func main() {
 	}
 }
 
-// run parses args, runs the campaign, and prints its reports to out. It
-// returns the campaign's failure, or the reason it could not run.
-func run(args []string, out io.Writer) error {
+// run parses args, runs the campaign, and prints its reports to out; usage
+// and flag errors go to errOut, so -json output stays parseable. It returns
+// the campaign's failure, or the reason it could not run.
+func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("romulus-crashtest", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs.SetOutput(errOut)
 	var cfg crashtest.Config
 	fs.StringVar(&cfg.Scenario, "scenario", "crash", "campaign: "+strings.Join(crashtest.ScenarioNames(), "|"))
 	fs.IntVar(&cfg.Rounds, "rounds", 1000, "crash/recover cycles per engine")
@@ -64,8 +65,6 @@ func run(args []string, out io.Writer) error {
 	fs.BoolVar(&cfg.Audit, "audit", false, "chain the durability auditor in front of the crash scheduler; any dirty or unfenced line at a commit marker, crash loss of a durably-claimed line, or unflushed line at close fails the round")
 	jsonOut := fs.Bool("json", false, "emit reports (and any failure) as JSON")
 	metrics := fs.Bool("metrics", false, "print campaign totals (pmem_*, audit_* and the scenario's census counters) after the reports")
-	trace := fs.String("trace", "", "write the workload transaction trace (JSON lines) to this file, or - for stdout")
-	traceCap := fs.Int("tracecap", 4096, "trailing trace events retained with -trace")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -78,30 +77,10 @@ func run(args []string, out io.Writer) error {
 	if *metrics {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	var ring *obs.RingSink
-	traceOut := out
-	if *trace != "" {
-		ring = obs.NewRingSink(*traceCap)
-		cfg.Trace = ring
-		if *trace != "-" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			traceOut = f
-		}
-	}
-
 	if !*jsonOut {
 		fmt.Fprintf(out, "romulus-crashtest -scenario %s: %d rounds per engine, seed %d\n", cfg.Scenario, cfg.Rounds, cfg.Seed)
 	}
 	reports, err := crashtest.Run(cfg)
-	if ring != nil {
-		if werr := ring.WriteJSON(traceOut); werr != nil {
-			return fmt.Errorf("writing trace: %w", werr)
-		}
-	}
 	if *jsonOut {
 		return errors.Join(err, printJSON(out, cfg, reports, err))
 	}

@@ -28,7 +28,7 @@ func TestMakefileInvocationsParse(t *testing.T) {
 		}
 		found++
 		var out bytes.Buffer
-		if err := run(append(strings.Fields(args), "-rounds", "0"), &out); err != nil {
+		if err := run(append(strings.Fields(args), "-rounds", "0"), &out, &out); err != nil {
 			t.Errorf("Makefile: %q: %v\n%s", strings.TrimSpace(line), err, out.String())
 		}
 	}
@@ -53,37 +53,47 @@ func TestRejectsFlagsTheScenarioIgnores(t *testing.T) {
 		{"-scenario migrate -threads 4", "Workers"},
 	} {
 		scenario := strings.Fields(tc.args)[1]
-		err := run(append(strings.Fields(tc.args), "-rounds", "1"), io.Discard)
+		err := run(append(strings.Fields(tc.args), "-rounds", "1"), io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), scenario) || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: err = %v, want a refusal naming %s and %s", tc.args, err, scenario, tc.field)
 		}
 	}
-	for _, args := range []string{"-scenario nope", "-scenario batch", "-scenario replicate", "-scenario group",
-		"-batch", "-xshard", "-faults", "-group", "-replicate", "-migrate", "stray"} {
-		if err := run(strings.Fields(args), io.Discard); err == nil {
+	for _, args := range []string{"-scenario nope", "-scenario batch", "-scenario replicate", "-scenario group"} {
+		if err := run(strings.Fields(args), io.Discard, io.Discard); err == nil {
 			t.Errorf("%s: accepted", args)
+		}
+	}
+	// Flag errors and usage go to errOut: nothing reaches the reports stream.
+	for _, args := range []string{"-batch", "-xshard", "-faults", "-group", "-replicate", "-migrate",
+		"-trace -", "-json -tracecap 8", "stray"} {
+		var out bytes.Buffer
+		if err := run(strings.Fields(args), &out, io.Discard); err == nil {
+			t.Errorf("%s: accepted", args)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%s: wrote %q to the reports stream", args, out.String())
 		}
 	}
 }
 
 // TestSmokeEveryScenario runs two audited rounds of each scenario through the
 // CLI in both output modes: the one printer must render every census, and
-// -metrics and -trace must work everywhere.
+// -metrics must work everywhere.
 func TestSmokeEveryScenario(t *testing.T) {
 	for _, name := range crashtest.ScenarioNames() {
 		var text bytes.Buffer
-		if err := run([]string{"-scenario", name, "-rounds", "2", "-seed", "1", "-audit", "-metrics", "-trace", "-"}, &text); err != nil {
+		if err := run([]string{"-scenario", name, "-rounds", "2", "-seed", "1", "-audit", "-metrics"}, &text, io.Discard); err != nil {
 			t.Errorf("%s: %v\n%s", name, err, text.String())
 			continue
 		}
-		for _, want := range []string{" 2 rounds, ", "audit: 0 violations", "pmem_fence_total", "audit_durable_check_total", "rounds_total", `"engine"`, "\nOK\n"} {
+		for _, want := range []string{" 2 rounds, ", "audit: 0 violations", "pmem_fence_total", "audit_durable_check_total", "rounds_total", "\nOK\n"} {
 			if !strings.Contains(text.String(), want) {
 				t.Errorf("%s: text output lacks %q:\n%s", name, want, text.String())
 			}
 		}
 
 		var js bytes.Buffer
-		if err := run([]string{"-scenario", name, "-rounds", "2", "-seed", "1", "-json", "-metrics"}, &js); err != nil {
+		if err := run([]string{"-scenario", name, "-rounds", "2", "-seed", "1", "-json", "-metrics"}, &js, io.Discard); err != nil {
 			t.Errorf("%s -json: %v", name, err)
 			continue
 		}

@@ -7,8 +7,8 @@
 // Writes from all connections group-commit: the connection that finds a
 // shard idle merges every queued operation into one durable transaction, so
 // N concurrent writers share a durability round instead of paying N psyncs.
-// -group-max-batch bounds operations per batch; nothing waits for more, so
-// batches form under load with no idle latency.
+// A batch holds at most 256 operations; nothing waits for more, so batches
+// form under load with no idle latency.
 //
 // Keys hash-partition across -shards independent Romulus engines (-engine
 // rom|romlog|romlr); multi-key MULTI batches that span shards commit through
@@ -28,13 +28,13 @@
 // (parse, queue_wait, batch_form, psync_wait, reply_flush) through the
 // group-commit pipeline; see docs/OBSERVABILITY.md.
 //
-// With -quarantine (on by default), a shard whose device reports a media
-// fault is fenced instead of served: its commands answer "UNAVAIL shard=N"
-// while the other shards keep working, and "SCRUB <n>" re-formats and
-// readmits it once the operator has dealt with the medium (the shard's data
-// is lost and reported, never served corrupt). -idle-timeout drops
-// connections with no complete command for the given duration; -max-batch
-// bounds the MULTI queue per connection ("ERR batch too large" beyond it).
+// A shard whose device reports a media fault is quarantined instead of
+// served: its commands answer "UNAVAIL shard=N" while the other shards keep
+// working, and "SCRUB <n>" re-formats and readmits it once the operator has
+// dealt with the medium (the shard's data is lost and reported, never served
+// corrupt). -idle-timeout drops connections with no complete command for the
+// given duration; -max-batch bounds the MULTI queue per connection ("ERR
+// batch too large" beyond it).
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight commands
 // finish and flush their replies, then the store closes (saving images).
@@ -72,10 +72,8 @@ func main() {
 	httpAddr := flag.String("http", "", "serve /metrics and /stats on this address (e.g. :8080)")
 	auditFlag := flag.Bool("audit", false, "attach durability auditors to every shard and the coordinator")
 	drainTimeout := flag.Duration("drain", 5*time.Second, "graceful shutdown budget before connections are closed forcibly")
-	quarantine := flag.Bool("quarantine", true, "fence shards whose devices report media faults (UNAVAIL replies) instead of serving them; SCRUB readmits")
 	idleTimeout := flag.Duration("idle-timeout", 0, "drop connections idle for this long between commands (0: never)")
-	maxBatch := flag.Int("max-batch", 0, "maximum queued ops per MULTI batch (0: default 4096, negative: unbounded)")
-	groupMax := flag.Int("group-max-batch", 0, "maximum ops per group-commit batch transaction (0: default 256)")
+	maxBatch := flag.Int("max-batch", 0, "maximum queued ops per MULTI batch (0 or negative: default 4096)")
 	spansFlag := flag.Bool("spans", false, "trace every request's phase timeline (net_span_* histograms, /trace?req=<id>)")
 	spanRing := flag.Int("span-ring", 4096, "span events retained for /trace (with -spans)")
 	blackboxFlag := flag.Bool("blackbox", true, "reserve a pmem flight recorder per shard (batch starts/commits survive crashes)")
@@ -87,14 +85,13 @@ func main() {
 
 	reg := obs.NewRegistry()
 	st, err := shard.Open(shard.Options{
-		Shards:           *shards,
-		RegionSize:       *region,
-		Variant:          variant,
-		Dir:              *dir,
-		Metrics:          reg,
-		Audit:            *auditFlag,
-		QuarantineFaults: *quarantine,
-		Blackbox:         *blackboxFlag,
+		Shards:     *shards,
+		RegionSize: *region,
+		Variant:    variant,
+		Dir:        *dir,
+		Metrics:    reg,
+		Audit:      *auditFlag,
+		Blackbox:   *blackboxFlag,
 	})
 	exitOn(err)
 
@@ -123,11 +120,10 @@ func main() {
 		spans = obs.NewSpanRecorder(reg, *spanRing)
 	}
 	srv := server.New(st, server.Options{
-		Registry:      reg,
-		IdleTimeout:   *idleTimeout,
-		MaxBatchOps:   *maxBatch,
-		GroupMaxBatch: *groupMax,
-		Spans:         spans,
+		Registry:    reg,
+		IdleTimeout: *idleTimeout,
+		MaxBatchOps: *maxBatch,
+		Spans:       spans,
 	})
 
 	if *httpAddr != "" {

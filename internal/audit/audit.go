@@ -23,7 +23,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/pmem"
 )
 
@@ -493,27 +492,6 @@ func (a *Auditor) Violations() []Violation {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return append([]Violation(nil), a.violations...)
-}
-
-// PublishMetrics registers a lazy collector exporting the auditor's counters
-// as audit_* metrics in r; values are read at snapshot time.
-func (a *Auditor) PublishMetrics(r *obs.Registry) {
-	r.Collect(func(set obs.Setter) {
-		t := a.Totals()
-		set("audit_store_total", t.Stores)
-		set("audit_pwb_clean_total", t.PwbClean)
-		set("audit_pwb_requeued_total", t.PwbRequeued)
-		set("audit_store_queued_total", t.StoreQueued)
-		set("audit_fence_noop_total", t.FenceNoop)
-		set("audit_durable_check_total", t.DurableChecks)
-		set("audit_violation_total", t.Violations)
-		set("audit_dirty_lines", t.DirtyLines)
-		set("audit_queued_lines", t.QueuedLines)
-		set("audit_batch_total", t.Batches)
-		set("audit_batch_ops_total", t.BatchOps)
-		set("audit_batch_max", t.MaxBatch)
-		set("audit_media_fault_total", t.MediaFaults)
-	})
 }
 
 // stateName renders a line's shadow state for reports.

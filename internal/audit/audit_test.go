@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/pmem"
 )
 
@@ -233,29 +232,6 @@ func TestEngineCloseViolation(t *testing.T) {
 	}
 }
 
-// TestPublishMetrics: audit_* metrics appear in a registry snapshot.
-func TestPublishMetrics(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{})
-	reg := obs.NewRegistry()
-	a.PublishMetrics(reg)
-	dev.Pwb(0) // one clean-pwb waste event
-	var buf bytes.Buffer
-	if err := reg.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, name := range []string{
-		"audit_pwb_clean_total 1",
-		"audit_violation_total 0",
-		"audit_dirty_lines 0",
-		"audit_fence_noop_total 0",
-	} {
-		if !strings.Contains(out, name) {
-			t.Errorf("metrics output missing %q:\n%s", name, out)
-		}
-	}
-}
-
 // TestReportWriters: both renderings of a report succeed and mention the
 // essential facts.
 func TestReportWriters(t *testing.T) {
@@ -282,8 +258,6 @@ func TestReportWriters(t *testing.T) {
 // enables.
 func TestConcurrentReaders(t *testing.T) {
 	dev, a := newAudited(t, 1<<16, pmem.ModelDRAM, Options{SampleEvery: 4})
-	reg := obs.NewRegistry()
-	a.PublishMetrics(reg)
 
 	var mutators, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -308,7 +282,7 @@ func TestConcurrentReaders(t *testing.T) {
 			}
 		}(g)
 	}
-	// Readers: totals, summaries and metric snapshots race the mutators.
+	// Readers: totals and summaries race the mutators.
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func() {
@@ -321,7 +295,6 @@ func TestConcurrentReaders(t *testing.T) {
 				}
 				_ = a.Totals()
 				_ = a.Summary()
-				_ = reg.Snapshot()
 			}
 		}()
 	}

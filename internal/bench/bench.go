@@ -53,10 +53,11 @@ func NewEngine(kind string, regionSize int, model pmem.Model) (Engine, error) {
 	return nil, fmt.Errorf("bench: unknown engine kind %q", kind)
 }
 
-// ParseEngines splits a comma-separated engine list, defaulting to all.
+// ParseEngines splits a comma-separated engine list. "" and "all" give nil,
+// which selects each result's default list.
 func ParseEngines(s string) ([]string, error) {
 	if s == "" || s == "all" {
-		return EngineKinds, nil
+		return nil, nil
 	}
 	kinds := strings.Split(s, ",")
 	for _, k := range kinds {

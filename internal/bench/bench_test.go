@@ -25,8 +25,8 @@ func TestNewEngineAllKinds(t *testing.T) {
 
 func TestParseHelpers(t *testing.T) {
 	kinds, err := ParseEngines("")
-	if err != nil || len(kinds) != len(EngineKinds) {
-		t.Errorf("ParseEngines(\"\") = %v, %v", kinds, err)
+	if err != nil || kinds != nil {
+		t.Errorf("ParseEngines(\"\") = %v, %v, want nil (each result's default)", kinds, err)
 	}
 	kinds, err = ParseEngines("rom,pmdk")
 	if err != nil || len(kinds) != 2 {

@@ -74,12 +74,6 @@ type Config struct {
 	// writers serialize on the combiner's slot with no aggregation
 	// (ablation).
 	DisableFlatCombining bool
-	// DisableOpenVerify skips the quiescent twin-copy comparison at Open
-	// (ablation). The media-fault campaign uses it as its deliberately
-	// unhardened fixture: with the check off, at-rest corruption of one copy
-	// is served silently, proving the campaign detects what the check exists
-	// to catch.
-	DisableOpenVerify bool
 	// Audit, when non-nil, receives the engine's durability-protocol
 	// markers: TxBegin/TxEnd around each update transaction, format and
 	// recovery, and DurablePoint at every commit-marker psync.
@@ -297,7 +291,7 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 		// comparison vacuous there). This is the redundancy dividend of the
 		// twin-copy design: rot anywhere in either copy is detectable with
 		// no extra checksums.
-		if state == stateIDL && !cfg.DisableOpenVerify {
+		if state == stateIDL {
 			e.rec.Compared = uint64(e.prefix())
 			if off := e.Verify(); off >= 0 {
 				return nil, fmt.Errorf("core: twin copies diverge at main offset %d at quiescent open: %w",

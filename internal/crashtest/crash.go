@@ -52,7 +52,6 @@ func crashRound(r *round) error {
 	if err != nil {
 		return fmt.Errorf("building fresh %s store: %w", tgt.name, err)
 	}
-	st.setTrace(r.cfg.Trace)
 
 	// The scheduler attaches after the store exists, so the map root is
 	// always durable and every captured image reopens through the recovery

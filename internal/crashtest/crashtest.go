@@ -84,10 +84,6 @@ type Config struct {
 	// its metric prefix. Devices are per-round, so unlike obs.Instrument the
 	// counters here are accumulated, not sampled.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives one obs.TxEvent per workload transaction
-	// (validation reads after recovery are not traced). The sink must be
-	// safe for concurrent Emit calls at Workers > 1.
-	Trace obs.Sink
 }
 
 // Counter is one named entry of a report's census.

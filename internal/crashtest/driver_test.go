@@ -157,13 +157,12 @@ func TestConfigRejectsUnusedFields(t *testing.T) {
 	}
 }
 
-// TestEveryScenarioHonoursMetricsTraceAudit: the driver owns the registry,
-// the trace sink and the audit census, so every scenario fills them.
+// TestEveryScenarioHonoursMetricsTraceAudit: the driver owns the registry
+// and the audit census, so every scenario fills them.
 func TestEveryScenarioHonoursMetricsTraceAudit(t *testing.T) {
 	for _, sc := range scenarios {
 		reg := obs.NewRegistry()
-		ring := obs.NewRingSink(64)
-		cfg := Config{Scenario: sc.name, Rounds: 2, Seed: 3, Audit: true, Metrics: reg, Trace: ring}
+		cfg := Config{Scenario: sc.name, Rounds: 2, Seed: 3, Audit: true, Metrics: reg}
 		if !sc.fixed() {
 			cfg.Engines = sc.subjects[:1]
 		}
@@ -186,9 +185,6 @@ func TestEveryScenarioHonoursMetricsTraceAudit(t *testing.T) {
 		}
 		if counters["audit_durable_check_total"] == 0 {
 			t.Errorf("%s: no auditor totals accumulated", sc.name)
-		}
-		if len(ring.Events()) == 0 {
-			t.Errorf("%s: trace sink received no workload transaction", sc.name)
 		}
 	}
 }

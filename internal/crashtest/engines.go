@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/pstruct"
 	"repro/internal/ptm"
@@ -33,9 +32,6 @@ type op struct {
 // map plus the device underneath it.
 type store interface {
 	dev() *pmem.Device
-	// setTrace attaches a per-transaction trace sink to the underlying
-	// engine (nil removes it). Called only at quiescent points.
-	setTrace(s obs.Sink)
 	// setAudit attaches a durability auditor to the underlying engine (nil
 	// removes it). Called only at quiescent points.
 	setAudit(a ptm.Auditor)
@@ -234,7 +230,6 @@ type mapEngine interface {
 	Device() *pmem.Device
 	DataOffsets() []int
 	CheckHeap() error
-	SetTrace(obs.Sink)
 	SetAuditor(ptm.Auditor)
 	Close() error
 }
@@ -296,8 +291,6 @@ func (s *mapStore) dataOffsets() []int { return s.e.DataOffsets() }
 func (s *mapStore) probe(p uint64) (uint64, error) { return probeLoad(s.e, p) }
 
 func (s *mapStore) probeUpdate(p uint64) error { return probeUpdateLoad(s.e, p) }
-
-func (s *mapStore) setTrace(t obs.Sink) { s.e.SetTrace(t) }
 
 func (s *mapStore) setAudit(a ptm.Auditor) { s.e.SetAuditor(a) }
 
@@ -377,8 +370,6 @@ func (s *kvStore) dataOffsets() []int { return s.db.Engine().DataOffsets() }
 func (s *kvStore) probe(p uint64) (uint64, error) { return probeLoad(s.db.Engine(), p) }
 
 func (s *kvStore) probeUpdate(p uint64) error { return probeUpdateLoad(s.db.Engine(), p) }
-
-func (s *kvStore) setTrace(t obs.Sink) { s.db.Engine().SetTrace(t) }
 
 func (s *kvStore) setAudit(a ptm.Auditor) { s.db.Engine().SetAuditor(a) }
 

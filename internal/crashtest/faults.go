@@ -124,7 +124,6 @@ func faultsRound(r *round) error {
 	if err != nil {
 		return fmt.Errorf("building fresh %s store: %w", tgt.name, err)
 	}
-	st.setTrace(r.cfg.Trace)
 	sched := r.schedule(1, []*pmem.Device{st.dev()}, 1)
 	st.setAudit(sched.auds[0])
 	policy := pmem.CrashPolicy{

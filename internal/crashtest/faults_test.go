@@ -71,12 +71,11 @@ func TestFaultCampaignReproducible(t *testing.T) {
 	}
 }
 
-// TestUnhardenedEngineServesRot is the campaign's non-vacuity fixture: a
-// deliberately unhardened engine (core with the quiescent twin-copy verify
-// disabled) opens an at-rest-corrupted image cleanly and serves the rotted
-// value — exactly the corrupt-and-served outcome the exact-state check
-// exists to catch — while the hardened open refuses the same image with
-// ErrCorruptPayload.
+// TestUnhardenedEngineServesRot is the campaign's non-vacuity fixture. Rot in
+// one copy is refused at a quiescent open (ErrCorruptPayload), but the same
+// rot landed identically in both twins leaves them agreeing: the engine opens
+// the image cleanly and serves the rotted value — exactly the
+// corrupt-and-served outcome the exact-state check exists to catch.
 func TestUnhardenedEngineServesRot(t *testing.T) {
 	e, err := core.New(crashRegion, core.Config{Variant: core.Rom})
 	if err != nil {
@@ -94,27 +93,31 @@ func TestUnhardenedEngineServesRot(t *testing.T) {
 	st.dev().PersistAll()
 	img := st.dev().Persisted()
 
-	// Rot one bit of the sentinel value in the MAIN copy only (the first
-	// occurrence; back holds the second). The value now disagrees with both
-	// the model and the back twin.
+	// The sentinel value occurs once in the main copy and once in back.
 	var sb [8]byte
 	binary.LittleEndian.PutUint64(sb[:], sentinel)
-	off := bytes.Index(img, sb[:])
-	if off < 0 {
-		t.Fatal("sentinel value not found in image")
+	mainOff := bytes.Index(img, sb[:])
+	if mainOff < 0 {
+		t.Fatal("sentinel value not found in main")
 	}
-	img[off] ^= 0x01
+	backOff := mainOff + 8 + bytes.Index(img[mainOff+8:], sb[:])
+	if backOff < mainOff+8 {
+		t.Fatal("sentinel value not found in back")
+	}
 
-	// Hardened open: the twin comparison refuses the image, typed.
+	// Rot one bit in main only: the twin comparison refuses the image, typed.
+	img[mainOff] ^= 0x01
 	if _, err := core.Open(pmem.FromImage(img, pmem.ModelDRAM), core.Config{Variant: core.Rom}); !errors.Is(err, ptm.ErrCorruptPayload) {
-		t.Fatalf("hardened open: err = %v, want ErrCorruptPayload", err)
+		t.Fatalf("open with main rotted: err = %v, want ErrCorruptPayload", err)
 	}
 
-	// Unhardened open: serves the rot silently; the campaign's exact-state
+	// The same rot in back too: the twins agree, so the open accepts the
+	// image and serves the rot silently; the campaign's exact-state
 	// validation is what flags it.
-	e2, err := core.Open(pmem.FromImage(img, pmem.ModelDRAM), core.Config{Variant: core.Rom, DisableOpenVerify: true})
+	img[backOff] ^= 0x01
+	e2, err := core.Open(pmem.FromImage(img, pmem.ModelDRAM), core.Config{Variant: core.Rom})
 	if err != nil {
-		t.Fatalf("unhardened open refused: %v", err)
+		t.Fatalf("open with both twins rotted alike refused: %v", err)
 	}
 	st2, err := newMapStore(e2, false)
 	if err != nil {

@@ -49,7 +49,6 @@ func migrateRound(r *round) error {
 	if err != nil {
 		return fmt.Errorf("building fresh sharded store: %w", err)
 	}
-	traceShards(r, st)
 	h := &kvHistory{
 		key:  func(i int) []byte { return []byte(fmt.Sprintf("m%03d", i)) },
 		keys: r.cfg.Keys,
@@ -72,7 +71,6 @@ func migrateRound(r *round) error {
 	if err != nil {
 		return fmt.Errorf("round %d provisioning shard: %w", r.n, err)
 	}
-	st.Engine(dst).SetTrace(r.cfg.Trace)
 
 	devs := st.Devices()
 	sched := r.schedule(r.cfg.ChainDepth, devs, len(devs))

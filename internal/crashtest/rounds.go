@@ -13,7 +13,6 @@ import (
 	"repro/internal/blackbox"
 	"repro/internal/core"
 	"repro/internal/kvstore"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 	"repro/internal/server"
@@ -132,7 +131,7 @@ func openLanes(r *round, imgs [][]byte) (*laneSystem, error) {
 		var e *core.Engine
 		var err error
 		if imgs == nil {
-			e, err = freshCore(ecfg, laneBytes*r.workers, r.cfg.Trace)
+			e, err = freshCore(ecfg, laneBytes*r.workers)
 		} else {
 			e, err = reopenCore(r, ecfg, imgs)
 		}
@@ -148,7 +147,6 @@ func openLanes(r *round, imgs [][]byte) (*laneSystem, error) {
 		if err != nil {
 			return nil, fmt.Errorf("building fresh %s store: %w", variant, err)
 		}
-		traceShards(r, st)
 		return groupLanes(st), nil
 	}
 	st, err := reopenShards(r, opts, imgs, 1, func(imgs [][]byte) bool { return core.RecoveryPending(imgs[0]) })
@@ -437,15 +435,14 @@ func (nopAuditor) TxEnd()                 {}
 func (nopAuditor) DurablePoint(string)    {}
 func (nopAuditor) EngineClose(string)     {}
 
-// freshCore builds a traced core engine whose root 0 points at a committed
+// freshCore builds a core engine whose root 0 points at a committed
 // array of size bytes, so every captured image reopens through recovery,
 // never format.
-func freshCore(ecfg core.Config, size int, trace obs.Sink) (*core.Engine, error) {
+func freshCore(ecfg core.Config, size int) (*core.Engine, error) {
 	e, err := core.New(crashRegion, ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("building fresh %s engine: %w", ecfg.Variant, err)
 	}
-	e.SetTrace(trace)
 	err = e.Update(func(tx ptm.Tx) error {
 		p, err := tx.Alloc(size)
 		tx.SetRoot(0, p)

@@ -40,23 +40,25 @@ func shardOpts(shards int, v core.Variant) shard.Options {
 	return shard.Options{Shards: shards, RegionSize: 256 << 10, CoordSize: 32 << 10, Variant: v}
 }
 
-// traceShards attaches the campaign's trace sink to every shard engine.
-func traceShards(r *round, st *shard.Store) {
-	for i := 0; i < st.NumShards(); i++ {
-		st.Engine(i).SetTrace(r.cfg.Trace)
-	}
-}
-
 // reopenShards runs the crash chain for a sharded store: each link is
 // shard.Reopen — every shard's recovery, the coordinator's in-doubt batch
 // resolution, the placement journal's — over the first nsched devices
-// scheduled and the rest carried.
+// scheduled and the rest carried. A crash image is never media damage, so a
+// shard that reopens quarantined is a recovery defect and fails the reopen.
 func reopenShards(r *round, opts shard.Options, imgs [][]byte, nsched int, pending func(imgs [][]byte) bool) (*shard.Store, error) {
 	return reopenChain(r, imgs, nsched,
 		func(devs []*pmem.Device, auds []ptm.Auditor) (*shard.Store, error) {
 			o := opts
 			o.Auditors = auds
-			return shard.Reopen(devs, o)
+			st, err := shard.Reopen(devs, o)
+			if err != nil {
+				return nil, err
+			}
+			if q := st.Quarantined(); len(q) > 0 {
+				st.Close()
+				return nil, fmt.Errorf("shards %v quarantined at reopen", q)
+			}
+			return st, nil
 		}, pending)
 }
 
@@ -151,7 +153,6 @@ func xshardRound(r *round) error {
 	if err != nil {
 		return fmt.Errorf("building fresh sharded store: %w", err)
 	}
-	traceShards(r, st)
 
 	devs := st.Devices()
 	sched := r.schedule(r.cfg.ChainDepth, devs, len(devs))

@@ -1,10 +1,9 @@
-// Package hsync provides the low-level synchronization building blocks
-// shared by the concurrency mechanisms of §5 of the Romulus paper: a test
-// and-test-and-set spin lock and a distributed read indicator with
-// cache-padded counter stripes. The paper's C++ code keys a reader's slot
-// by its thread; Go has no thread-local storage, and a slot only has to be
-// the one a reader departs from, so a reader borrows a stripe per
-// acquisition instead of registering an ID.
+// Package hsync provides the distributed read indicator, with cache-padded
+// counter stripes, that the concurrency mechanisms of §5 of the Romulus
+// paper share. The paper's C++ code keys a reader's slot by its thread; Go
+// has no thread-local storage, and a slot only has to be the one a reader
+// departs from, so a reader borrows a stripe per acquisition instead of
+// registering an ID.
 //
 // Everything in this package lives in volatile memory. As the paper notes
 // (§5.2), none of the lock state needs to be persistent: correct recovery
@@ -16,37 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// SpinLock is a test-and-test-and-set mutual exclusion lock with
-// exponential backoff. The zero value is unlocked.
-type SpinLock struct {
-	held atomic.Bool
-}
-
-// TryLock attempts to acquire the lock without blocking.
-func (l *SpinLock) TryLock() bool {
-	return !l.held.Load() && l.held.CompareAndSwap(false, true)
-}
-
-// Lock acquires the lock, spinning with backoff.
-func (l *SpinLock) Lock() {
-	for spins := 0; ; spins++ {
-		if l.TryLock() {
-			return
-		}
-		if spins > 32 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Unlock releases the lock. Calling Unlock on an unlocked SpinLock is a
-// programming error and panics.
-func (l *SpinLock) Unlock() {
-	if !l.held.CompareAndSwap(true, false) {
-		panic("hsync: unlock of unlocked SpinLock")
-	}
-}
 
 // Stripe is one counter of a ReadIndicator. It spans two cache lines (128
 // bytes), so readers on different stripes never falsely share a line — the

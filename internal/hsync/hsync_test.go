@@ -2,56 +2,8 @@ package hsync
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 )
-
-func TestSpinLockMutualExclusion(t *testing.T) {
-	var l SpinLock
-	var counter int
-	var wg sync.WaitGroup
-	const workers, iters = 8, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				l.Lock()
-				counter++
-				l.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*iters {
-		t.Errorf("counter = %d, want %d", counter, workers*iters)
-	}
-}
-
-func TestSpinLockTryLock(t *testing.T) {
-	var l SpinLock
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatal("TryLock after unlock failed")
-	}
-	l.Unlock()
-}
-
-func TestSpinLockUnlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Unlock of unlocked lock did not panic")
-		}
-	}()
-	var l SpinLock
-	l.Unlock()
-}
 
 func TestReadIndicatorArriveDepart(t *testing.T) {
 	var r ReadIndicator

@@ -66,37 +66,49 @@ func TestServerIdleTimeout(t *testing.T) {
 }
 
 // TestServerBatchBound pins the MULTI queue bound: the op that would exceed
-// MaxBatchOps answers "ERR batch too large" and discards the batch.
+// MaxBatchOps answers "ERR batch too large" and discards the batch. A
+// MaxBatchOps that is not positive means DefaultMaxBatchOps: no setting
+// leaves the queue unbounded.
 func TestServerBatchBound(t *testing.T) {
-	st := newTestStore(t)
-	defer st.Close()
-	srv, addr, done := startServerOpts(t, st, Options{MaxBatchOps: 4})
+	for _, tc := range []struct {
+		name       string
+		opt, bound int
+	}{
+		{"explicit", 4, 4},
+		{"negative", -1, DefaultMaxBatchOps},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newTestStore(t)
+			defer st.Close()
+			srv, addr, done := startServerOpts(t, st, Options{MaxBatchOps: tc.opt})
 
-	cl := dial(t, addr)
-	cl.must(t, "MULTI", "OK")
-	for i := 0; i < 4; i++ {
-		cl.must(t, fmt.Sprintf("SET bk-%d v%d", i, i), fmt.Sprintf("QUEUED %d", i+1))
-	}
-	cl.must(t, "SET bk-4 v4", "ERR batch too large")
-	// The batch was discarded with the error: EXEC has no MULTI to commit,
-	// and none of the queued keys were applied.
-	if got, _ := cl.do("EXEC"); !strings.HasPrefix(got, "ERR") {
-		t.Fatalf("EXEC after overflow: %q, want ERR (batch discarded)", got)
-	}
-	cl.must(t, "GET bk-0", "NOTFOUND")
-	// A fresh MULTI within the bound still commits.
-	cl.must(t, "MULTI", "OK")
-	cl.must(t, "SET ok-key ok-val", "QUEUED 1")
-	cl.must(t, "EXEC", "OK 1")
-	cl.must(t, "GET ok-key", "VALUE ok-val")
-	cl.must(t, "QUIT", "BYE")
+			cl := dial(t, addr)
+			cl.must(t, "MULTI", "OK")
+			for i := 0; i < tc.bound; i++ {
+				cl.must(t, fmt.Sprintf("SET bk-%d v%d", i, i), fmt.Sprintf("QUEUED %d", i+1))
+			}
+			cl.must(t, fmt.Sprintf("SET bk-%d over", tc.bound), "ERR batch too large")
+			// The batch was discarded with the error: EXEC has no MULTI to
+			// commit, and none of the queued keys were applied.
+			if got, _ := cl.do("EXEC"); !strings.HasPrefix(got, "ERR") {
+				t.Fatalf("EXEC after overflow: %q, want ERR (batch discarded)", got)
+			}
+			cl.must(t, "GET bk-0", "NOTFOUND")
+			// A fresh MULTI within the bound still commits.
+			cl.must(t, "MULTI", "OK")
+			cl.must(t, "SET ok-key ok-val", "QUEUED 1")
+			cl.must(t, "EXEC", "OK 1")
+			cl.must(t, "GET ok-key", "VALUE ok-val")
+			cl.must(t, "QUIT", "BYE")
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			<-done
+		})
 	}
-	<-done
 }
 
 // TestServerDegradedModeAndScrub is the end-to-end degraded-mode scenario:
@@ -106,12 +118,11 @@ func TestServerBatchBound(t *testing.T) {
 // no acknowledged write on a healthy shard lost at any point.
 func TestServerDegradedModeAndScrub(t *testing.T) {
 	st, err := shard.Open(shard.Options{
-		Shards:           4,
-		RegionSize:       512 << 10,
-		CoordSize:        64 << 10,
-		Variant:          core.RomLog,
-		Audit:            true,
-		QuarantineFaults: true,
+		Shards:     4,
+		RegionSize: 512 << 10,
+		CoordSize:  64 << 10,
+		Variant:    core.RomLog,
+		Audit:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,10 +216,10 @@ func TestServerDegradedModeAndScrub(t *testing.T) {
 // lines marked bad (transient, or sticky), then runs ops as one group-commit
 // batch, queued behind a held batch, and returns their replies. Each op is
 // its own connection's.
-func faultedBatch(t *testing.T, quarantine, transient bool, ops ...*Pending) (*shard.Store, []string) {
+func faultedBatch(t *testing.T, transient bool, ops ...*Pending) (*shard.Store, []string) {
 	t.Helper()
 	st, err := shard.Open(shard.Options{Shards: 1, RegionSize: 512 << 10, CoordSize: 64 << 10,
-		Variant: core.RomLog, QuarantineFaults: quarantine})
+		Variant: core.RomLog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +297,7 @@ func getOp(key string) *Pending {
 // UNAVAIL to the faulted write, as it would to a single-key write; the
 // healthy write committed before it replies OK.
 func TestBatchStickyFaultQuarantines(t *testing.T) {
-	st, replies := faultedBatch(t, true, false,
+	st, replies := faultedBatch(t, false,
 		faultOp(false, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
 			return "OK", db.PutTx(tx, []byte("healthy"), []byte("h2"))
 		}),
@@ -303,7 +314,7 @@ func TestBatchStickyFaultQuarantines(t *testing.T) {
 // lone re-run (its batch failed on another write) is retried and ends in OK,
 // and the write behind it on the same key still lands after it.
 func TestBatchTransientFaultRetried(t *testing.T) {
-	st, replies := faultedBatch(t, true, true,
+	st, replies := faultedBatch(t, true,
 		faultOp(false, func(ptm.Tx, *kvstore.DB) (string, error) { return "", errors.New("boom") }),
 		rewriteVictim("a"),
 		rewriteVictim("b"))
@@ -319,11 +330,14 @@ func TestBatchTransientFaultRetried(t *testing.T) {
 }
 
 // TestBatchReadFailureIsolated: in a batch of reads, a read of a rotted key
-// fails alone: the healthy read batched before it still replies with its
-// value.
+// fails alone — it quarantines the shard and replies UNAVAIL — while the
+// healthy read batched before it still replies with its value.
 func TestBatchReadFailureIsolated(t *testing.T) {
-	_, replies := faultedBatch(t, false, false, getOp("healthy"), getOp("victim"))
-	if replies[0] != "VALUE h" || !strings.HasPrefix(replies[1], "ERR") {
-		t.Fatalf("replies %q: want VALUE h, then ERR", replies)
+	st, replies := faultedBatch(t, false, getOp("healthy"), getOp("victim"))
+	if replies[0] != "VALUE h" || !strings.HasPrefix(replies[1], "UNAVAIL shard=0: ") {
+		t.Fatalf("replies %q: want VALUE h, then UNAVAIL shard=0", replies)
+	}
+	if q := st.Quarantined(); len(q) != 1 || q[0] != 0 {
+		t.Fatalf("quarantined shards %v, want [0]", q)
 	}
 }

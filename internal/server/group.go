@@ -52,7 +52,7 @@ import (
 )
 
 // DefaultGroupMaxBatch bounds one group-commit batch when
-// Options.GroupMaxBatch is 0.
+// GroupOptions.MaxBatch is 0; the Server always uses it.
 const DefaultGroupMaxBatch = 256
 
 // OpFunc is one operation inside a group-commit transaction. It returns the

@@ -74,7 +74,8 @@ import (
 // MaxLine bounds one protocol line (command + value).
 const MaxLine = 1 << 20
 
-// DefaultMaxBatchOps bounds a MULTI queue when Options.MaxBatchOps is 0.
+// DefaultMaxBatchOps bounds a MULTI queue when Options.MaxBatchOps is not
+// positive.
 const DefaultMaxBatchOps = 4096
 
 // pipelineDepth caps the commands one burst parses before the connection
@@ -91,14 +92,11 @@ type Options struct {
 	// slow-but-active client is not cut off; an idle one stops holding a
 	// goroutine and a socket.
 	IdleTimeout time.Duration
-	// MaxBatchOps bounds the operations queued in one MULTI batch (0 =
-	// DefaultMaxBatchOps; negative = unlimited). The op that would exceed the
-	// bound answers "ERR batch too large" and discards the batch, so an
-	// unbounded MULTI stream cannot grow server memory without limit.
+	// MaxBatchOps bounds the operations queued in one MULTI batch (≤ 0 =
+	// DefaultMaxBatchOps). The op that would exceed the bound answers "ERR
+	// batch too large" and discards the batch, so an endless MULTI stream
+	// cannot grow server memory without limit.
 	MaxBatchOps int
-	// GroupMaxBatch bounds one group-commit batch transaction (0 =
-	// DefaultGroupMaxBatch).
-	GroupMaxBatch int
 	// Now substitutes the clock used for EXPIRE/TTL deadlines (nil =
 	// time.Now). Tests inject it to cross expiry boundaries deterministically.
 	Now func() time.Time
@@ -160,22 +158,16 @@ func New(st *shard.Store, opts Options) *Server {
 		reg = obs.NewRegistry()
 	}
 	maxOps := opts.MaxBatchOps
-	switch {
-	case maxOps == 0:
+	if maxOps <= 0 {
 		maxOps = DefaultMaxBatchOps
-	case maxOps < 0:
-		maxOps = 0 // unlimited
 	}
 	now := opts.Now
 	if now == nil {
 		now = time.Now
 	}
 	return &Server{
-		st: st,
-		committer: NewCommitter(st, GroupOptions{
-			MaxBatch: opts.GroupMaxBatch,
-			Registry: reg,
-		}),
+		st:          st,
+		committer:   NewCommitter(st, GroupOptions{Registry: reg}),
 		driver:      migrate.New(st, migrate.Options{}),
 		idleTimeout: opts.IdleTimeout,
 		maxBatchOps: maxOps,
@@ -825,7 +817,7 @@ func (s *Server) read(st *connState, key []byte, op string, body bodyFunc) token
 // queueMulti appends one SET/DEL to the open MULTI batch, enforcing the
 // queue bound.
 func (s *Server) queueMulti(st *connState, del bool, key, val []byte) (token, bool) {
-	if s.maxBatchOps > 0 && st.multi.Len() >= s.maxBatchOps {
+	if st.multi.Len() >= s.maxBatchOps {
 		st.multi = nil
 		return imm(s.errf("batch too large")), false
 	}

@@ -321,7 +321,7 @@ func (c *coordinator) commit(s *Store, groups []*kvstore.Batch) error {
 			continue
 		}
 		if err := parts[i].applyPrepared(id, g); err != nil {
-			if s.opts.QuarantineFaults && errors.Is(err, pmem.ErrMediaFault) {
+			if errors.Is(err, pmem.ErrMediaFault) {
 				s.quarantine(i, err)
 			}
 			c.lastID = id // the id is burned: the prepared record owns it

@@ -60,7 +60,6 @@ func TestAddShardAuditsShardFormat(t *testing.T) {
 func TestScrubAuditsShardFormat(t *testing.T) {
 	opts := testOpts(2)
 	opts.Blackbox = true
-	opts.QuarantineFaults = true
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -71,8 +71,7 @@ const faultRetries = 1
 // onShard runs op against shard i under the shard's read lock, translating
 // media faults into quarantine: a transient fault is retried at once, up to
 // faultRetries times, and a fault that survives the retries quarantines the
-// shard (when Options.QuarantineFaults) and returns the typed
-// *UnavailError.
+// shard and returns the typed *UnavailError.
 func (s *Store) onShard(i int, op func(p *shardPart) error) error {
 	p := s.parts()[i]
 	for attempt := 0; ; attempt++ {
@@ -94,11 +93,8 @@ func (s *Store) onShard(i int, op func(p *shardPart) error) error {
 			s.faultRetry.Inc()
 			continue
 		}
-		if s.opts.QuarantineFaults {
-			s.quarantine(i, err)
-			return s.unavail(i)
-		}
-		return err
+		s.quarantine(i, err)
+		return s.unavail(i)
 	}
 }
 

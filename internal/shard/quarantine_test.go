@@ -46,7 +46,6 @@ func markValueBad(t *testing.T, dev *pmem.Device, val []byte, transient bool) {
 // A transient media fault is retried and served; nothing is quarantined.
 func TestTransientFaultRetried(t *testing.T) {
 	opts := testOpts(4)
-	opts.QuarantineFaults = true
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,6 @@ func TestTransientFaultRetried(t *testing.T) {
 // readmits the partition (admitting the data loss).
 func TestStickyFaultQuarantineAndScrub(t *testing.T) {
 	opts := testOpts(4)
-	opts.QuarantineFaults = true
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,6 @@ func TestStickyFaultQuarantineAndScrub(t *testing.T) {
 // no acknowledged write is lost or silently wrong, on any shard.
 func TestReopenDegradedAndScrubRestoresInDoubtBatch(t *testing.T) {
 	opts := testOpts(4)
-	opts.QuarantineFaults = true
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

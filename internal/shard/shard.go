@@ -110,12 +110,6 @@ type Options struct {
 	// coordinator's LAST, so len(Auditors) == Shards+1. Entries may be nil.
 	// Takes precedence over Audit.
 	Auditors []ptm.Auditor
-	// QuarantineFaults enables degraded-mode operation: a shard whose device
-	// trips an uncorrectable media fault (pmem.ErrMediaFault) at Reopen or
-	// mid-operation is quarantined — its keys answer with the typed
-	// *UnavailError while healthy shards keep serving — instead of failing
-	// the whole store. Scrub re-formats and readmits a quarantined shard.
-	QuarantineFaults bool
 	// Blackbox, when true, reserves a small tail of each shard's device
 	// (blackbox.DefaultSize) for a crash-surviving flight recorder: the
 	// group committer records batch starts and durable points there, and
@@ -353,7 +347,7 @@ func Reopen(devs []*pmem.Device, opts Options) (*Store, error) {
 // blank one. The auditor attaches first, so format, recovery and the map's
 // creation all run audited; core.Open formats a blank device or recovers a
 // used one. kvstore.Init creates the map only on a just-formatted device, so
-// a recovered shard runs no update transaction. Under Options.QuarantineFaults a media-damaged image comes
+// a recovered shard runs no update transaction. A media-damaged image comes
 // back quarantined instead of failing the open.
 func (s *Store) openShard(i int, dev *pmem.Device, ext ptm.Auditor) (*shardPart, error) {
 	p := &shardPart{dev: dev}
@@ -361,7 +355,7 @@ func (s *Store) openShard(i int, dev *pmem.Device, ext ptm.Auditor) (*shardPart,
 	cfg.Audit, p.aud = s.auditorFor(dev, ext)
 	eng, err := core.Open(dev, cfg)
 	if err != nil {
-		if !s.opts.QuarantineFaults || !quarantinedOnOpen(err) {
+		if !quarantinedOnOpen(err) {
 			return nil, err
 		}
 		// Degraded open: this shard's image is torn, rotted, or unreadable.
