@@ -163,7 +163,7 @@ func (c *config) render() (string, error) {
 	case "9":
 		return bench.Fig9(c.opts, c.sizes, c.models)
 	case "pwbhist":
-		return bench.PwbHistograms(c.opts.Keys, 2000)
+		return bench.PwbHist(c.opts.Keys, 2000)
 	default: // "recovery"; parse admits no other value
 		return bench.Recovery(c.sizes)
 	}

@@ -26,21 +26,14 @@ import (
 	"repro/internal/pmem"
 )
 
-// Options configures an Auditor.
-type Options struct {
-	// SampleEvery takes a call-site sample on every n-th store operation;
-	// 1 samples every store, 0 uses the default (64). Sampling keeps the
-	// runtime.Callers cost off the common path while still attributing hot
-	// lines, which are rewritten constantly.
-	SampleEvery int
-	// MaxViolations bounds the retained violation records (the total counter
-	// is never capped); 0 uses the default (64).
-	MaxViolations int
-}
-
 const (
-	defaultSampleEvery   = 64
-	defaultMaxViolations = 64
+	// defaultSampleEvery takes a call-site sample on every 64th store
+	// operation. Sampling keeps the runtime.Callers cost off the common path
+	// while still attributing hot lines, which are rewritten constantly.
+	defaultSampleEvery = 64
+	// maxViolations bounds the retained violation and media-fault records;
+	// the total counters are never capped.
+	maxViolations = 64
 )
 
 // lineState is the auditor's shadow of one cache line.
@@ -55,7 +48,6 @@ type lineState struct {
 
 // Totals is a snapshot of the auditor's cumulative counters.
 type Totals struct {
-	Stores        uint64 // store operations observed
 	PwbClean      uint64 // pwbs of lines that were neither dirty nor queued
 	PwbRequeued   uint64 // pwbs of lines already in the flush queue and not re-dirtied
 	StoreQueued   uint64 // stores landing on a line between its pwb and the fence
@@ -64,10 +56,6 @@ type Totals struct {
 	Violations    uint64 // durability violations detected (all kinds)
 	DirtyLines    uint64 // lines currently dirty
 	QueuedLines   uint64 // lines currently flush-queued
-	Batches       uint64 // flat-combined batch commits reported (BatchCommitted)
-	BatchOps      uint64 // operations those batches retired
-	MaxBatch      uint64 // largest single reported batch
-	MediaFaults   uint64 // media-read faults tripped (Fault hook)
 }
 
 // Auditor shadows one Device. All state is guarded by one mutex: the hook
@@ -79,8 +67,7 @@ type Auditor struct {
 	hooks   *pmem.Hooks
 	ordered bool // device model persists at pwb; no flush queue exists
 
-	sampleEvery   int
-	maxViolations int
+	sampleEvery int // call-site sample period in stores (defaultSampleEvery)
 
 	mu          sync.Mutex
 	lines       []lineState
@@ -100,9 +87,6 @@ type Auditor struct {
 	storeQueued   uint64
 	fenceNoop     uint64
 	durableChecks uint64
-	batches       uint64
-	batchOps      uint64
-	maxBatch      uint64
 
 	violationsTotal uint64
 	violations      []Violation
@@ -114,19 +98,12 @@ type Auditor struct {
 
 // New builds an auditor shadowing dev. The caller must still install its
 // hooks (Attach, or pmem.ChainHooks composition with other observers).
-func New(dev *pmem.Device, opts Options) *Auditor {
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = defaultSampleEvery
-	}
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = defaultMaxViolations
-	}
+func New(dev *pmem.Device) *Auditor {
 	a := &Auditor{
-		dev:           dev,
-		ordered:       dev.Model().OrderedPwb,
-		sampleEvery:   opts.SampleEvery,
-		maxViolations: opts.MaxViolations,
-		lines:         make([]lineState, (dev.Size()+pmem.LineSize-1)/pmem.LineSize),
+		dev:         dev,
+		ordered:     dev.Model().OrderedPwb,
+		sampleEvery: defaultSampleEvery,
+		lines:       make([]lineState, (dev.Size()+pmem.LineSize-1)/pmem.LineSize),
 	}
 	a.hooks = &pmem.Hooks{
 		StoreAt: a.onStore,
@@ -256,7 +233,7 @@ func (a *Auditor) onCrash() {
 func (a *Auditor) onFault(off int) {
 	a.mu.Lock()
 	a.mediaFaultsTotal++
-	if len(a.mediaFaults) < a.maxViolations {
+	if len(a.mediaFaults) < maxViolations {
 		line := off / pmem.LineSize
 		rec := MediaFault{Off: off, Line: line}
 		if line < len(a.lines) {
@@ -283,20 +260,6 @@ func (a *Auditor) TxBegin(engine, kind string) {
 func (a *Auditor) TxEnd() {
 	a.mu.Lock()
 	a.curEngine, a.curKind = "", ""
-	a.mu.Unlock()
-}
-
-// BatchCommitted records that the durable point just checked covered a
-// flat-combined batch of ops announced operations — one durability round
-// shared by the whole batch. Implements ptm.BatchAuditor; engines without a
-// batch commit path never call it.
-func (a *Auditor) BatchCommitted(ops int) {
-	a.mu.Lock()
-	a.batches++
-	a.batchOps += uint64(ops)
-	if uint64(ops) > a.maxBatch {
-		a.maxBatch = uint64(ops)
-	}
 	a.mu.Unlock()
 }
 
@@ -358,7 +321,7 @@ func (a *Auditor) EngineClose(engine string) {
 // recordViolation appends v under a.mu, capping retained records.
 func (a *Auditor) recordViolation(v Violation) {
 	a.violationsTotal++
-	if len(a.violations) < a.maxViolations {
+	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
 	}
 }
@@ -464,7 +427,6 @@ func (a *Auditor) Totals() Totals {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Totals{
-		Stores:        a.seq,
 		PwbClean:      a.pwbClean,
 		PwbRequeued:   a.pwbRequeued,
 		StoreQueued:   a.storeQueued,
@@ -473,10 +435,6 @@ func (a *Auditor) Totals() Totals {
 		Violations:    a.violationsTotal,
 		DirtyLines:    uint64(a.dirtyCount),
 		QueuedLines:   uint64(a.queuedCount),
-		Batches:       a.batches,
-		BatchOps:      a.batchOps,
-		MaxBatch:      a.maxBatch,
-		MediaFaults:   a.mediaFaultsTotal,
 	}
 }
 

@@ -9,10 +9,15 @@ import (
 	"repro/internal/pmem"
 )
 
-func newAudited(t *testing.T, size int, model pmem.Model, opts Options) (*pmem.Device, *Auditor) {
+// newAudited attaches an auditor to a fresh device; sampleEvery, when
+// positive, replaces its call-site sample period.
+func newAudited(t *testing.T, size int, model pmem.Model, sampleEvery int) (*pmem.Device, *Auditor) {
 	t.Helper()
 	dev := pmem.New(size, model)
-	a := New(dev, opts)
+	a := New(dev)
+	if sampleEvery > 0 {
+		a.sampleEvery = sampleEvery
+	}
 	a.Attach()
 	return dev, a
 }
@@ -20,7 +25,7 @@ func newAudited(t *testing.T, size int, model pmem.Model, opts Options) (*pmem.D
 // TestLineStateMachine walks one line through clean → dirty → queued →
 // fenced and checks the shadow agrees at every step.
 func TestLineStateMachine(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{})
+	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 0)
 
 	dev.Store64(0, 1)
 	if tot := a.Totals(); tot.DirtyLines != 1 || tot.QueuedLines != 0 {
@@ -48,7 +53,7 @@ func TestLineStateMachine(t *testing.T) {
 func TestOrderedModelPersistsAtPwb(t *testing.T) {
 	m := pmem.ModelDRAM
 	m.OrderedPwb = true
-	dev, a := newAudited(t, 4096, m, Options{})
+	dev, a := newAudited(t, 4096, m, 0)
 	dev.Store64(0, 1)
 	dev.Pwb(0)
 	if tot := a.Totals(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
@@ -62,7 +67,7 @@ func TestOrderedModelPersistsAtPwb(t *testing.T) {
 
 // TestWasteCounters provokes each waste diagnostic exactly once.
 func TestWasteCounters(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{})
+	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 0)
 
 	// pwb of a clean line.
 	dev.Pwb(0)
@@ -120,7 +125,7 @@ func brokenCommit(dev *pmem.Device, a *Auditor) {
 // TestBrokenEngineFlagged: the deliberately-broken fixture must produce a
 // durable-point violation naming the unflushed line with attribution.
 func TestBrokenEngineFlagged(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{SampleEvery: 1})
+	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 1)
 	brokenCommit(dev, a)
 	if n := a.ViolationCount(); n != 1 {
 		t.Fatalf("ViolationCount = %d, want 1", n)
@@ -141,7 +146,7 @@ func TestBrokenEngineFlagged(t *testing.T) {
 // is attributed and flagged; a merely in-flight line is reported as expected
 // damage, not a violation.
 func TestCrashForensics(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{SampleEvery: 1})
+	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 1)
 
 	// Line 0: properly committed; survives.
 	a.TxBegin("rom", "update")
@@ -208,7 +213,7 @@ func TestCrashForensics(t *testing.T) {
 // TestEngineCloseViolation: a line claimed durable but still unflushed at
 // close is flagged; a post-claim store (Romulus's IDL pattern) is exempt.
 func TestEngineCloseViolation(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{})
+	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 0)
 	dev.Store64(0, 1)
 	dev.Pfence() // noop fence; line 0 still dirty
 	a.DurablePoint("commit")
@@ -223,7 +228,7 @@ func TestEngineCloseViolation(t *testing.T) {
 	}
 
 	// Fresh auditor: store only after the durable point → exempt at close.
-	dev2, a2 := newAudited(t, 4096, pmem.ModelDRAM, Options{})
+	dev2, a2 := newAudited(t, 4096, pmem.ModelDRAM, 0)
 	a2.DurablePoint("commit")
 	dev2.Store64(0, 7) // deliberate post-claim store, never flushed
 	a2.EngineClose("test")
@@ -235,7 +240,7 @@ func TestEngineCloseViolation(t *testing.T) {
 // TestReportWriters: both renderings of a report succeed and mention the
 // essential facts.
 func TestReportWriters(t *testing.T) {
-	dev, a := newAudited(t, 4096, pmem.ModelDRAM, Options{SampleEvery: 1})
+	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 1)
 	brokenCommit(dev, a)
 	rep := a.Summary()
 	var txt, js bytes.Buffer
@@ -257,7 +262,7 @@ func TestReportWriters(t *testing.T) {
 // plane readers; meaningful only under -race, which the repo's test target
 // enables.
 func TestConcurrentReaders(t *testing.T) {
-	dev, a := newAudited(t, 1<<16, pmem.ModelDRAM, Options{SampleEvery: 4})
+	dev, a := newAudited(t, 1<<16, pmem.ModelDRAM, 4)
 
 	var mutators, readers sync.WaitGroup
 	stop := make(chan struct{})

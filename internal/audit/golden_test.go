@@ -47,7 +47,8 @@ func goldenInflight(dev *pmem.Device, a *Auditor) {
 // bit-for-bit. Run with -update to regenerate testdata/crash_report.json.
 func TestGoldenCrashReport(t *testing.T) {
 	dev := pmem.New(4096, pmem.ModelDRAM)
-	a := New(dev, Options{SampleEvery: 1})
+	a := New(dev)
+	a.sampleEvery = 1
 	a.Attach()
 
 	goldenCommitted(dev, a)

@@ -3,7 +3,7 @@
 // data-structure workloads of Figure 4–7, the SPS microbenchmark of
 // Figure 9, the db_bench-style workloads of Figure 8, recovery timing
 // (§6.5), the pwb histograms of §6.2 and the Table 1 cost measurements.
-// Each result renders as text here (Table1, Fig4 … Fig9, PwbHistograms,
+// Each result renders as text here (Table1, Fig4 … Fig9, PwbHist,
 // Recovery); cmd/romulus-bench and the top-level bench_test.go are thin
 // drivers over this package.
 package bench

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/pstruct"
 	"repro/internal/ptm"
@@ -93,28 +93,44 @@ func perTx(d *pmem.Device, updates int) (fences, pwbs float64) {
 	return float64(s.Pfences+s.Psyncs) / float64(updates), float64(s.Pwbs) / float64(updates)
 }
 
-// TestWorkloadTraceGolden pins the full per-transaction trace of a
-// fixed-seed swap run bit-for-bit. Any change to an engine's persistence
-// protocol (pwb or fence counts, copy volume) or to the trace schema shows up
-// as a diff here; regenerate deliberately with
+// deltaLog is an Engine whose Update and Read each write one line to w: the
+// device work done inside the call — stores, bytes stored, pwbs, fences — and
+// the bytes the engine reports having replicated between its twin copies.
+type deltaLog struct {
+	Engine
+	w *bytes.Buffer
+}
+
+func (l deltaLog) Update(fn func(ptm.Tx) error) error { return l.log("update", l.Engine.Update, fn) }
+func (l deltaLog) Read(fn func(ptm.Tx) error) error   { return l.log("read", l.Engine.Read, fn) }
+
+func (l deltaLog) log(kind string, call func(func(ptm.Tx) error) error, fn func(ptm.Tx) error) error {
+	d := l.Device()
+	st, repl := d.Stats(), l.Stats().ReplicatedBytes
+	err := call(fn)
+	now := d.Stats()
+	fmt.Fprintf(l.w, "%s %s stores=%d bytes=%d pwbs=%d fences=%d replicated=%d\n", l.Name(), kind,
+		now.Stores-st.Stores, now.BytesStored-st.BytesStored, now.Pwbs-st.Pwbs,
+		now.Pfences+now.Psyncs-st.Pfences-st.Psyncs, l.Stats().ReplicatedBytes-repl)
+	return err
+}
+
+// TestWorkloadTraceGolden pins, for every Update and Read of a fixed-seed
+// swap run on every engine, the device work done inside the call and the
+// bytes replicated. Any change to an engine's persistence protocol (stores,
+// pwb or fence counts, copy volume) shows up as a diff here; regenerate
+// deliberately with
 //
 //	go test ./internal/bench -run TraceGolden -update
 func TestWorkloadTraceGolden(t *testing.T) {
 	run := func() []byte {
 		var trace bytes.Buffer
-		for _, kind := range []string{"rom", "romlog", "mne", "pmdk"} {
+		for _, kind := range EngineKinds {
 			e, err := NewEngine(kind, 1<<21, pmem.Model{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			arr := newSwapArray(t, e)
-			ring := obs.NewRingSink(4096)
-			e.(obs.Traceable).SetTrace(ring)
-			runSwaps(t, e, arr, 24, 7)
-			e.(obs.Traceable).SetTrace(nil)
-			if err := ring.WriteJSON(&trace); err != nil {
-				t.Fatal(err)
-			}
+			runSwaps(t, deltaLog{e, &trace}, newSwapArray(t, e), 24, 7)
 		}
 		return trace.Bytes()
 	}
@@ -173,7 +189,7 @@ func runWorkload(t *testing.T, kind, workload string, aud bool) [2]float64 {
 	}
 	var a *audit.Auditor
 	if aud {
-		a = audit.New(e.Device(), audit.Options{})
+		a = audit.New(e.Device())
 		a.Attach()
 		if sa, ok := e.(interface{ SetAuditor(ptm.Auditor) }); ok {
 			sa.SetAuditor(a)

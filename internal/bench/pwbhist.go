@@ -8,15 +8,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/ptm"
 )
 
-// PwbHistograms reproduces the §6.2 analysis: the distribution of pwb
+// PwbHist reproduces the §6.2 analysis: the distribution of pwb
 // instructions per update transaction on each data structure of keys
 // entries (default 1,000), over opsPerDS updates each, measured on a
 // RomulusLog engine. The paper reports an average of ~10 pwbs for the
 // linked list and a dispersed histogram with peaks around 50 and 130 for
 // the red-black tree (most of them issued by the memory allocator).
-func PwbHistograms(keys, opsPerDS int) (string, error) {
+func PwbHist(keys, opsPerDS int) (string, error) {
 	if keys == 0 {
 		keys = 1000
 	}
@@ -31,18 +32,35 @@ func PwbHistograms(keys, opsPerDS int) (string, error) {
 			return "", fmt.Errorf("pwbhist %s: %w", ds, err)
 		}
 		rng := rand.New(rand.NewSource(21))
-		e.ResetPwbHistogram() // exclude the prefill transactions
+		pc := &pwbCounter{Engine: e} // wraps only the measured updates, not the prefill
 		for i := 0; i < opsPerDS; i++ {
-			if err := d.Update(e, uint64(rng.Intn(keys))); err != nil {
+			if err := d.Update(pc, uint64(rng.Intn(keys))); err != nil {
 				return "", err
 			}
 		}
-		s := e.PwbHistogram().Snapshot()
+		s := pc.hist.Snapshot()
 		fmt.Fprintf(&out, "pwbs per update transaction — %s (%d keys, steady state)\n", ds, keys)
 		writeChart(&out, s)
 		fmt.Fprintf(&out, "histogram peaks: %v\n\n", modes(s, 2, 16))
 	}
 	return out.String(), nil
+}
+
+// pwbCounter is an Engine whose Update adds to hist the pwbs its device
+// issued during each committed call. With one goroutine updating, that is
+// exactly the call's transaction: the device counts every pwb once.
+type pwbCounter struct {
+	Engine
+	hist obs.Histogram
+}
+
+func (c *pwbCounter) Update(fn func(ptm.Tx) error) error {
+	before := c.Device().Stats().Pwbs
+	err := c.Engine.Update(fn)
+	if err == nil {
+		c.hist.Observe(c.Device().Stats().Pwbs - before)
+	}
+	return err
 }
 
 // writeChart renders a summary line and an ASCII bar chart of s over up to

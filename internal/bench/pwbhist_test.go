@@ -11,8 +11,8 @@ import (
 // The §6.2 histogram analysis must show the paper's qualitative contrast:
 // the linked list's per-transaction pwb distribution is tighter and lower
 // than the red-black tree's.
-func TestPwbHistograms(t *testing.T) {
-	out, err := PwbHistograms(200, 300)
+func TestPwbHist(t *testing.T) {
+	out, err := PwbHist(200, 300)
 	if err != nil {
 		t.Fatal(err)
 	}

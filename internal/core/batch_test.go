@@ -15,7 +15,7 @@ import (
 func newAudited(t *testing.T, cfg core.Config) (*core.Engine, *audit.Auditor) {
 	t.Helper()
 	dev := pmem.New(core.MinRegionSize*2+4096, cfg.Model)
-	a := audit.New(dev, audit.Options{})
+	a := audit.New(dev)
 	a.Attach()
 	cfg.Audit = a
 	e, err := core.Open(dev, cfg)
@@ -119,13 +119,14 @@ func TestEmptyUpdatePaysTwoFences(t *testing.T) {
 	}
 }
 
-// TestBatchAccounting pins the batch plumbing end to end: engine stats,
-// auditor batch counters and UpdateBatched sequence numbers must agree, and
-// under concurrent writers at least one batch must carry multiple ops so
-// fences amortize below the per-tx floor.
+// TestBatchAccounting pins the batch plumbing end to end: engine stats and
+// UpdateBatched sequence numbers must agree, the auditor must check one
+// durable point per batch, and under concurrent writers at least one batch
+// must carry multiple ops so fences amortize below the per-tx floor.
 func TestBatchAccounting(t *testing.T) {
 	e, a := newAudited(t, core.Config{Variant: core.RomLog})
 	defer e.Close()
+	durable := a.Totals().DurableChecks
 	const workers, iters = 8, 100
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -157,15 +158,15 @@ func TestBatchAccounting(t *testing.T) {
 		t.Errorf("Batches = %d out of range (BatchOps %d)", st.Batches, st.BatchOps)
 	}
 	tot := a.Totals()
-	if tot.Batches != st.Batches || tot.BatchOps != st.BatchOps {
-		t.Errorf("auditor saw %d batches/%d ops, engine reports %d/%d",
-			tot.Batches, tot.BatchOps, st.Batches, st.BatchOps)
+	if tot.DurableChecks != durable+st.Batches {
+		t.Errorf("auditor checked %d durable points, want %d: one per batch after open's %d",
+			tot.DurableChecks, durable+st.Batches, durable)
 	}
 	if tot.Violations != 0 {
 		t.Errorf("auditor recorded %d violations", tot.Violations)
 	}
-	if tot.MaxBatch < 2 {
-		t.Errorf("MaxBatch = %d; concurrent writers never shared a durability round", tot.MaxBatch)
+	if st.Batches >= st.BatchOps {
+		t.Errorf("%d batches retired %d ops; concurrent writers never shared a durability round", st.Batches, st.BatchOps)
 	}
-	t.Logf("batches=%d ops=%d max=%d", st.Batches, st.BatchOps, tot.MaxBatch)
+	t.Logf("batches=%d ops=%d", st.Batches, st.BatchOps)
 }

@@ -44,10 +44,10 @@
 // Neither side registers a thread: a writer queues in the combiner and a
 // reader arrives on a read-indicator stripe it borrows per call.
 //
-// Observability: the engine publishes transaction counters via Stats, and
-// SetTrace attaches a per-transaction obs.Sink emitting one obs.TxEvent
-// per update (with exact pwb/fence deltas measured at the device) and per
-// read; see docs/OBSERVABILITY.md.
+// Observability: the engine publishes transaction counters via Stats; its
+// device (Device().Stats) counts every store, pwb and fence, so one
+// transaction's persistence cost is the counters' delta across the call.
+// See docs/OBSERVABILITY.md.
 //
 // File map: engine.go (lifecycle, commit protocol, the round's line set and
 // its replication, recovery), tx.go (transactional loads/stores and the

@@ -13,7 +13,6 @@ import (
 	"repro/internal/crwwp"
 	"repro/internal/flatcombine"
 	"repro/internal/leftright"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
@@ -117,20 +116,9 @@ type Engine struct {
 	rollbacks atomic.Uint64
 	// replBytes and replExtents count bytes and contiguous ranges copied
 	// between the twin copies at replication and rollback — the
-	// write-amplification measure behind ptm_replicate_bytes_total.
+	// write-amplification measure Stats reports as ReplicatedBytes.
 	replBytes   atomic.Uint64
 	replExtents atomic.Uint64
-
-	// pwbHist records pwbs issued per update transaction (§6.2's analysis
-	// tool). Only the single writer observes into it.
-	pwbHist    obs.Histogram
-	txStartPwb uint64
-
-	// trace receives one obs.TxEvent per transaction when non-nil. Set only
-	// at quiescent points (SetTrace); txStartFence is the fence-count
-	// baseline taken at beginTx, touched only by the single writer.
-	trace        obs.Sink
-	txStartFence uint64
 
 	// aud receives durability-protocol markers when non-nil. Set at Open
 	// (Config.Audit) or at a quiescent point (SetAuditor).
@@ -479,14 +467,13 @@ func (e *Engine) wireConcurrency() {
 			arrive()
 			return e.beginTx()
 		},
-		Commit: func(t *Tx, ops int) {
-			t.batchOps = ops
-			e.durablePoint(t)
+		Commit: func(*Tx, int) {
+			e.durablePoint()
 			depart()
 		},
 		Replicate: e.replicate,
-		Rollback: func(t *Tx) {
-			e.rollbackTx(t)
+		Rollback: func(*Tx) {
+			e.rollbackTx()
 			depart()
 		},
 	}, maxBatch)
@@ -498,14 +485,9 @@ func (e *Engine) wireConcurrency() {
 func (e *Engine) beginTx() *Tx {
 	t := &e.wtx
 	e.lines.Reset()
-	t.loads, t.stores, t.writeBytes = 0, 0, 0
-	t.batchOps = 1
 	if a := e.aud; a != nil {
 		a.TxBegin(e.Name(), "update")
 	}
-	st := e.dev.Stats()
-	e.txStartPwb = st.Pwbs
-	e.txStartFence = st.Pfences + st.Psyncs
 	e.dev.Store64(offState, stateMUT)
 	e.dev.Pwb(offState)
 	if e.dev.NeedsFence() {
@@ -526,7 +508,7 @@ func (e *Engine) beginTx() *Tx {
 // set is kept: replicate copies its main lines next. Fences with no queued
 // write-backs are provably no-ops and skipped, so an empty update
 // transaction pays no flush traffic at all.
-func (e *Engine) durablePoint(t *Tx) {
+func (e *Engine) durablePoint() {
 	d := e.dev
 	if !e.cfg.EagerPwb {
 		for _, line := range e.lines.Lines() {
@@ -543,9 +525,6 @@ func (e *Engine) durablePoint(t *Tx) {
 	}
 	if a := e.aud; a != nil {
 		a.DurablePoint("commit")
-		if ba, ok := a.(ptm.BatchAuditor); ok {
-			ba.BatchCommitted(t.batchOps)
-		}
 	}
 }
 
@@ -561,35 +540,19 @@ func (e *Engine) durablePoint(t *Tx) {
 // Begin, and Snapshot, always find back == main; fence 4 orders the back
 // copy ahead of that transaction's MUT marker. UpdateEach callers (the group
 // committer) still return only after it.
-func (e *Engine) replicate(t *Tx) {
+func (e *Engine) replicate(*Tx) {
+	e.copyLines(e.backBase, e.mainBase)
+	e.endUpdate()
+}
+
+// endUpdate closes a durability round after its copy between the twins:
+// fence 4, the state machine back to IDL and the auditor's bracket.
+func (e *Engine) endUpdate() {
 	d := e.dev
-	copied := e.copyLines(t, e.backBase, e.mainBase)
 	if d.NeedsFence() {
 		d.Pfence()
 	}
 	d.Store64(offState, stateIDL)
-	e.pwbHist.Observe(d.Stats().Pwbs - e.txStartPwb)
-	e.endUpdate(t, obs.OutcomeCommit, copied, uint64(t.batchOps))
-}
-
-// endUpdate closes a durability round's books: the trace event covering the
-// whole batch (rollbacks report no batch size) and the auditor's bracket.
-func (e *Engine) endUpdate(t *Tx, outcome obs.Outcome, copied, batchOps uint64) {
-	if s := e.trace; s != nil {
-		st := e.dev.Stats()
-		s.Emit(obs.TxEvent{
-			Engine:      e.cfg.Variant.String(),
-			Kind:        obs.KindUpdate,
-			Outcome:     outcome,
-			Reads:       t.loads,
-			Writes:      t.stores,
-			WriteBytes:  t.writeBytes,
-			CopiedBytes: copied,
-			Pwbs:        st.Pwbs - e.txStartPwb,
-			Fences:      st.Pfences + st.Psyncs - e.txStartFence,
-			BatchOps:    batchOps,
-		})
-	}
 	if a := e.aud; a != nil {
 		a.TxEnd()
 	}
@@ -601,21 +564,22 @@ type rng struct {
 }
 
 // copyLines makes the twin at dst equal the twin at src over the round's
-// stored main lines and returns the bytes copied (counted, with the extents,
-// in replBytes and replExtents): every extent is copied, and only then are
-// the destination lines written back, in address order. Every copied line was
-// stored this round, so each write-back hits a line with pending stores — no
+// stored main lines, counting the bytes and extents copied in replBytes and
+// replExtents: every extent is copied, and only then are the destination
+// lines written back, in address order. Every copied line was stored this
+// round, so each write-back hits a line with pending stores — no
 // audit_pwb_clean waste — and an empty or fault-refused round copies nothing
 // at all. Under FullReplicate the whole watermark prefix is copied instead,
-// unless the round made no store: a zero-store batch left main == back, and
-// a read-only update that tripped a media fault must not drag the bulk copy
-// across the faulted line and smear corruption into the healthy twin.
-func (e *Engine) copyLines(t *Tx, dst, src int) (copied uint64) {
+// unless the round stored to no main line: a zero-store batch left main ==
+// back, and a read-only update that tripped a media fault must not drag the
+// bulk copy across the faulted line and smear corruption into the healthy
+// twin.
+func (e *Engine) copyLines(dst, src int) {
 	d := e.dev
-	var extents uint64
+	var copied, extents uint64
 	if e.cfg.FullReplicate {
-		if t.stores == 0 {
-			return 0
+		if !slices.ContainsFunc(e.lines.Lines(), func(l int32) bool { return l >= mainLine }) {
+			return
 		}
 		wm := e.prefix()
 		d.CopyWithin(dst, src, wm)
@@ -634,7 +598,6 @@ func (e *Engine) copyLines(t *Tx, dst, src int) (copied uint64) {
 	}
 	e.replBytes.Add(copied)
 	e.replExtents.Add(extents)
-	return copied
 }
 
 // mainLine is the device line number of main's first line (main starts
@@ -664,7 +627,7 @@ func lineExtents(dst []rng, lines []int32) []rng {
 // same copy recovery would perform, done eagerly. The narrow restore is also
 // a media-fault guard: the copy never traverses faulted lines the
 // transaction did not itself touch.
-func (e *Engine) rollbackTx(t *Tx) {
+func (e *Engine) rollbackTx() {
 	d := e.dev
 	// The round's stored main lines are written back by the restore below,
 	// not at a durable point. The watermark line is the one write-back that
@@ -672,17 +635,13 @@ func (e *Engine) rollbackTx(t *Tx) {
 	// media heap top even when the allocating transaction rolls back — and
 	// it is in the set exactly when this round raised the watermark (an
 	// unconditional pwb would hit a clean line, the waste class the auditor
-	// censuses). The fence below drains it.
+	// censuses). endUpdate's fence drains it.
 	if e.lines.Has(offWatermark) {
 		d.Pwb(offWatermark)
 	}
-	copied := e.copyLines(t, e.mainBase, e.backBase)
-	if d.NeedsFence() {
-		d.Pfence()
-	}
-	d.Store64(offState, stateIDL)
+	e.copyLines(e.mainBase, e.backBase)
+	e.endUpdate()
 	e.rollbacks.Add(1)
-	e.endUpdate(t, obs.OutcomeRollback, copied, 0)
 }
 
 // heapTopRaw reads the allocator's wilderness pointer directly (valid even
@@ -736,16 +695,8 @@ func (e *Engine) Stats() ptm.TxStats {
 	}
 }
 
-// SetTrace installs (or, with nil, removes) the per-transaction trace sink.
-// It implements obs.Traceable and must be called at a quiescent point: no
-// transactions in flight. A flat-combined batch emits one update event
-// covering every operation in the batch, so under single-threaded workloads
-// events map one-to-one to Update calls.
-func (e *Engine) SetTrace(s obs.Sink) { e.trace = s }
-
-// SetAuditor installs (or, with nil, removes) the durability auditor. Like
-// SetTrace it must be called at a quiescent point: no transactions in
-// flight. Protocol work done before installation (e.g. format after New) is
+// SetAuditor installs (or, with nil, removes) the durability auditor. It
+// must be called at a quiescent point: no transactions in flight. Protocol work done before installation (e.g. format after New) is
 // simply unaudited.
 func (e *Engine) SetAuditor(a ptm.Auditor) { e.aud = a }
 
@@ -805,17 +756,6 @@ func (e *Engine) AllocStats() alloc.Stats { return e.heap.Stats() }
 
 // CheckHeap validates allocator invariants; used by recovery tests.
 func (e *Engine) CheckHeap() error { return e.heap.CheckInvariants() }
-
-// PwbHistogram returns the distribution of pwb instructions issued per
-// committed update transaction — the measurement behind the paper's §6.2
-// observation that the linked list averages ~10 pwbs while the red-black
-// tree's histogram peaks around 50 and 130. The histogram is live; its reads
-// are atomic.
-func (e *Engine) PwbHistogram() *obs.Histogram { return &e.pwbHist }
-
-// ResetPwbHistogram clears the per-transaction pwb histogram, so that
-// measurements can exclude setup work. Call at a quiescent point.
-func (e *Engine) ResetPwbHistogram() { e.pwbHist.Reset() }
 
 // Verify checks the twin-copy invariant at a quiescent point: outside any
 // transaction both copies must hold identical bytes up to the watermark.

@@ -59,7 +59,7 @@ func TestQuickDirtyRangeReplicateEquivalence(t *testing.T) {
 	engines := []*Engine{dirty, full, rlog}
 	names := []string{"dirty", "full", "romlog"}
 
-	aud := audit.New(dirty.Device(), audit.Options{})
+	aud := audit.New(dirty.Device())
 	aud.Attach()
 	dirty.SetAuditor(aud)
 

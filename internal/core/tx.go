@@ -9,7 +9,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/flatcombine"
 	"repro/internal/leftright"
-	"repro/internal/obs"
 	"repro/internal/ptm"
 )
 
@@ -21,17 +20,6 @@ type Tx struct {
 	e        *Engine
 	base     int // mainBase, or backBase for RomulusLR readers on back
 	readOnly bool
-
-	// Trace accounting (plain fields: each Tx has a single mutator — the
-	// combiner thread for the writer, the owning goroutine for readers).
-	// Writes/writeBytes include allocator-metadata stores, which flow
-	// through the same interposition path as user stores.
-	loads      uint64
-	stores     uint64
-	writeBytes uint64
-	// batchOps is the number of flat-combined operations this durability
-	// round carries, set by the Commit hook before the durable point.
-	batchOps int
 }
 
 var _ ptm.Tx = (*Tx)(nil)
@@ -51,35 +39,30 @@ func (t *Tx) checkRange(p ptm.Ptr, n int) {
 // Load8 implements ptm.Tx.
 func (t *Tx) Load8(p ptm.Ptr) byte {
 	t.checkRange(p, 1)
-	t.loads++
 	return t.e.dev.Load8(t.base + int(p))
 }
 
 // Load16 implements ptm.Tx.
 func (t *Tx) Load16(p ptm.Ptr) uint16 {
 	t.checkRange(p, 2)
-	t.loads++
 	return t.e.dev.Load16(t.base + int(p))
 }
 
 // Load32 implements ptm.Tx.
 func (t *Tx) Load32(p ptm.Ptr) uint32 {
 	t.checkRange(p, 4)
-	t.loads++
 	return t.e.dev.Load32(t.base + int(p))
 }
 
 // Load64 implements ptm.Tx.
 func (t *Tx) Load64(p ptm.Ptr) uint64 {
 	t.checkRange(p, 8)
-	t.loads++
 	return t.e.dev.Load64(t.base + int(p))
 }
 
 // LoadBytes implements ptm.Tx.
 func (t *Tx) LoadBytes(p ptm.Ptr, dst []byte) {
 	t.checkRange(p, len(dst))
-	t.loads++
 	t.e.dev.LoadBytes(t.base+int(p), dst)
 }
 
@@ -93,8 +76,6 @@ func (t *Tx) LoadBytes(p ptm.Ptr, dst []byte) {
 func (t *Tx) stored(off, n int) {
 	e := t.e
 	e.lines.Add(off, n)
-	t.stores++
-	t.writeBytes += uint64(n)
 	if e.cfg.EagerPwb {
 		e.dev.PwbRange(off, n)
 	}
@@ -317,7 +298,6 @@ func (e *Engine) Read(fn func(ptm.Tx) error) error {
 		t.base = e.mainBase
 	}
 	e.reads.Add(1)
-	t.loads = 0
 	trips := e.dev.FaultsTripped()
 	err := fn(t)
 	if e.dev.FaultsTripped() != trips {
@@ -325,18 +305,6 @@ func (e *Engine) Read(fn func(ptm.Tx) error) error {
 		// than let the caller trust the data — or trust fn's own error, which
 		// corrupted loads may have fabricated.
 		err = e.dev.FaultError()
-	}
-	if s := e.trace; s != nil {
-		out := obs.OutcomeOK
-		if err != nil {
-			out = obs.OutcomeError
-		}
-		s.Emit(obs.TxEvent{
-			Engine:  e.cfg.Variant.String(),
-			Kind:    obs.KindRead,
-			Outcome: out,
-			Reads:   t.loads,
-		})
 	}
 	return err
 }

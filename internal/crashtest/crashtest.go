@@ -81,8 +81,8 @@ type Config struct {
 	// Metrics, when non-nil, accumulates campaign totals into the registry:
 	// the pmem_* counters summed over every device the campaign creates, the
 	// audit_* counters over every auditor, and the scenario's census under
-	// its metric prefix. Devices are per-round, so unlike obs.Instrument the
-	// counters here are accumulated, not sampled.
+	// its metric prefix. Devices are per-round, so the counters are
+	// accumulated device by device, not sampled from a live one.
 	Metrics *obs.Registry
 }
 

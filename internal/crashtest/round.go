@@ -99,7 +99,7 @@ func (r *round) schedule(budget int, devs []*pmem.Device, nsched int) *site {
 		return s
 	}
 	for i, d := range devs[:nsched] {
-		a := audit.New(d, audit.Options{})
+		a := audit.New(d)
 		trig := &forensicTrigger{sched: s.Scheduler, member: i, aud: a}
 		d.SetHooks(pmem.ChainHooks(a.Hooks(), s.Hooks(i), &pmem.Hooks{Fence: trig.onFence}))
 		r.auds = append(r.auds, a)
@@ -115,7 +115,7 @@ func (r *round) audit(dev *pmem.Device) ptm.Auditor {
 	if !r.cfg.Audit {
 		return nil
 	}
-	a := audit.New(dev, audit.Options{})
+	a := audit.New(dev)
 	a.Attach()
 	r.auds = append(r.auds, a)
 	return a

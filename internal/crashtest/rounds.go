@@ -421,12 +421,6 @@ func (ra *replicateArmer) DurablePoint(point string) {
 	}
 }
 
-func (ra *replicateArmer) BatchCommitted(ops int) {
-	if ba, ok := ra.Auditor.(ptm.BatchAuditor); ok {
-		ba.BatchCommitted(ops)
-	}
-}
-
 // nopAuditor stands in for the round's auditor when auditing is off.
 type nopAuditor struct{}
 

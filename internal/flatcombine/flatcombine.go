@@ -322,8 +322,8 @@ type Hooks[T any] struct {
 	Begin func() T
 	// Commit makes the transaction durable (the psync of Algorithm 1) and
 	// publishes its effects to readers. ops is the number of requests the
-	// transaction carries, so the engine can attribute the round to the
-	// whole batch. The requests other than Late ones are released next.
+	// transaction carries. The requests other than Late ones are released
+	// next.
 	Commit func(tx T, ops int)
 	// Replicate finishes the round after those requests were released:
 	// whatever the next transaction needs (the main→back copy and its

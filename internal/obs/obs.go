@@ -1,11 +1,13 @@
-// Package obs is the repository's observability layer: a metrics registry
-// and a per-transaction tracing subsystem shared by every engine, with a
-// single schema documented in docs/OBSERVABILITY.md.
+// Package obs is the repository's observability layer: a metrics registry,
+// request spans and the collector helpers shared by the serving stack, with
+// a single schema documented in docs/OBSERVABILITY.md.
 //
 // The paper's entire evaluation (§6) is driven by counting persistence
 // events — pwbs and fences per transaction, write amplification, abort and
-// retry behaviour. This package makes that lens a first-class subsystem
-// instead of ad-hoc per-tool plumbing:
+// retry behaviour. The device counts them once (pmem.Device.Stats); a
+// caller that wants one transaction's cost reads the counters' delta across
+// the call. This package publishes such counts without ad-hoc per-tool
+// plumbing:
 //
 //   - Registry holds named atomic counters, gauges and log-linear
 //     histograms. Hot paths obtain a *Counter or *Histogram once and then
@@ -13,17 +15,13 @@
 //     Collectors contribute point-in-time values (such as pmem.Device
 //     counters) lazily at snapshot time, so instrumented data paths pay
 //     nothing at all.
-//   - Instrument attaches a pmem.Device to a Registry; InstrumentPTM does
-//     the same for any ptm.PTM engine. Both publish the canonical pmem_*
-//     and ptm_* metric set.
-//   - TxEvent is the per-transaction trace record (begin/commit/rollback/
-//     abort outcome, read- and write-set sizes, bytes copied, pwb and fence
-//     counts) every engine emits through a pluggable Sink. RingSink keeps
-//     the trailing window in a fixed ring buffer with JSON-lines export.
+//   - SetDevices and SetRecovery publish the pmem_* space gauges and the
+//     ptm_recovery_* gauges from inside a collector (the sharded store's).
+//   - SpanRecorder retains per-request phase spans and folds them into the
+//     net_span_* histograms.
 //
-// Concurrency: all Registry instruments are safe for concurrent use. Sinks
-// supplied to engines must be safe for concurrent Emit (RingSink is);
-// engines attach sinks at quiescent points only.
+// Concurrency: all Registry instruments and SpanRecorder are safe for
+// concurrent use.
 package obs
 
 import (

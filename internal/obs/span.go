@@ -28,8 +28,8 @@ const (
 	PhaseRequest    = "request"
 )
 
-// SpanEvent is one phase of one request's timeline. Like TxEvent it is
-// emitted by value and holds no pointers.
+// SpanEvent is one phase of one request's timeline. It is emitted by value
+// and holds no pointers.
 type SpanEvent struct {
 	// Seq is the recorder-assigned emission sequence (0-based).
 	Seq uint64 `json:"seq"`

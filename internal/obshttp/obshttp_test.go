@@ -81,7 +81,7 @@ func TestMuxRoutes(t *testing.T) {
 	}
 
 	dev := pmem.New(4096, pmem.ModelDRAM)
-	aud.Store(audit.New(dev, audit.Options{}))
+	aud.Store(audit.New(dev))
 	if code, body := get("/audit"); code != 200 || body == "" {
 		t.Fatalf("/audit with auditor = %d %q", code, body)
 	}
@@ -198,8 +198,8 @@ func (*quarantineErr) Error() string { return "1 shard quarantined" }
 // TestMultiAuditor pins the sharded /audit view: every live auditor renders,
 // nils are skipped, and format=json yields an array.
 func TestMultiAuditor(t *testing.T) {
-	a0 := audit.New(pmem.New(4096, pmem.ModelDRAM), audit.Options{})
-	a2 := audit.New(pmem.New(4096, pmem.ModelDRAM), audit.Options{})
+	a0 := audit.New(pmem.New(4096, pmem.ModelDRAM))
+	a2 := audit.New(pmem.New(4096, pmem.ModelDRAM))
 	get := startMux(t, NewMux(Sources{
 		Registry: obs.NewRegistry(),
 		Auditors: func() []*audit.Auditor { return []*audit.Auditor{a0, nil, a2} },

@@ -200,8 +200,8 @@ func (d *Device) ResetStats() {
 // SetHooks atomically installs the hook bundle (nil removes it), replacing
 // whatever was installed before. Safe to call while other goroutines drive
 // the data path. This is the single attach point for schedulers and crash
-// harnesses; metrics use obs.Instrument, which reads the atomic counters
-// and leaves this slot free.
+// harnesses; metrics read the atomic counters (Stats) and leave this slot
+// free.
 func (d *Device) SetHooks(h *Hooks) { d.hooks.Store(h) }
 
 // Hooks returns the installed hook bundle (nil when none), for a harness

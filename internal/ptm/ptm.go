@@ -231,13 +231,5 @@ type Auditor interface {
 	EngineClose(engine string)
 }
 
-// BatchAuditor is optionally implemented by an Auditor that wants batch
-// attribution: engines whose durable points cover flat-combined batches call
-// BatchCommitted(ops) immediately after the DurablePoint of a round that
-// retired ops announced operations in one crash-atomic transaction.
-type BatchAuditor interface {
-	BatchCommitted(ops int)
-}
-
 // Align rounds n up to the next multiple of a (a power of two).
 func Align(n, a int) int { return (n + a - 1) &^ (a - 1) }

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
@@ -143,12 +142,6 @@ type Engine struct {
 	updates atomic.Uint64
 	readTxs atomic.Uint64
 	aborts  atomic.Uint64
-
-	// trace receives one obs.TxEvent per completed transaction when
-	// non-nil; set only at quiescent points (SetTrace). Unlike the
-	// single-writer engines, events are emitted concurrently here, so the
-	// sink's own concurrency guarantee is what serializes them.
-	trace obs.Sink
 
 	// aud receives durability-protocol markers when non-nil; activeCommits
 	// tracks overlapping commits so audit markers are only emitted for
@@ -398,13 +391,6 @@ func (e *Engine) Stats() ptm.TxStats {
 		Aborts:    e.aborts.Load(),
 	}
 }
-
-// SetTrace installs (or, with nil, removes) the per-transaction trace sink;
-// it implements obs.Traceable. Call at a quiescent point. Because commits
-// run concurrently, per-transaction pwb and fence counts are derived from
-// the commit protocol's structure rather than from the (global) device
-// counters.
-func (e *Engine) SetTrace(s obs.Sink) { e.trace = s }
 
 // Device exposes the underlying device for statistics and crash testing.
 func (e *Engine) Device() *pmem.Device { return e.dev }

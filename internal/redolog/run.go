@@ -1,9 +1,6 @@
 package redolog
 
-import (
-	"repro/internal/obs"
-	"repro/internal/ptm"
-)
+import "repro/internal/ptm"
 
 // Update implements ptm.PTM: it runs fn as an update transaction on a
 // pooled Tx, retrying on conflict aborts until it commits. fn may run
@@ -17,26 +14,6 @@ func (e *Engine) Update(fn func(ptm.Tx) error) error {
 		if !aborted {
 			if err == nil {
 				e.updates.Add(1)
-			}
-			if s := e.trace; s != nil {
-				out := obs.OutcomeCommit
-				if err != nil {
-					// Lazy versioning: a failed update never touched the
-					// persistent region, so the rollback is free.
-					out = obs.OutcomeRollback
-				}
-				s.Emit(obs.TxEvent{
-					Engine:      e.Name(),
-					Kind:        obs.KindUpdate,
-					Outcome:     out,
-					Reads:       t.loads,
-					Writes:      uint64(len(t.writes)),
-					WriteBytes:  8 * uint64(len(t.writes)),
-					CopiedBytes: t.logBytes,
-					Pwbs:        t.commitPwbs,
-					Fences:      t.commitFences,
-					Retries:     uint64(attempt),
-				})
 			}
 			return err
 		}
@@ -84,19 +61,6 @@ func (e *Engine) Read(fn func(ptm.Tx) error) error {
 		err, aborted := t.tryRead(fn)
 		if !aborted {
 			e.readTxs.Add(1)
-			if s := e.trace; s != nil {
-				out := obs.OutcomeOK
-				if err != nil {
-					out = obs.OutcomeError
-				}
-				s.Emit(obs.TxEvent{
-					Engine:  e.Name(),
-					Kind:    obs.KindRead,
-					Outcome: out,
-					Reads:   t.loads,
-					Retries: uint64(attempt),
-				})
-			}
 			return err
 		}
 		e.aborts.Add(1)

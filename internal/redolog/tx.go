@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/alloc"
-	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
 
@@ -28,15 +27,6 @@ type Tx struct {
 	writes   map[uint64]uint64 // aligned word addr -> value
 	order    []uint64          // write insertion order (dedup at commit)
 	rset     []readEntry
-
-	// Trace accounting for the current attempt, owned by the goroutine
-	// running it. commitPwbs/commitFences/logBytes are derived in commit from
-	// the protocol structure (the device counters are global and therefore
-	// unattributable under concurrent commits).
-	loads        uint64
-	commitPwbs   uint64
-	commitFences uint64
-	logBytes     uint64
 }
 
 type readEntry struct {
@@ -61,7 +51,6 @@ func (t *Tx) reset(readOnly bool) {
 	}
 	t.order = t.order[:0]
 	t.rset = t.rset[:0]
-	t.loads, t.commitPwbs, t.commitFences, t.logBytes = 0, 0, 0, 0
 }
 
 func (t *Tx) abort() { panic(abortSignal{}) }
@@ -82,7 +71,6 @@ func (t *Tx) checkRange(p ptm.Ptr, n int) {
 // stripe must be unlocked and no newer than the transaction's read version,
 // before and after the data read.
 func (t *Tx) loadWord(w uint64) uint64 {
-	t.loads++
 	if !t.readOnly {
 		if v, ok := t.writes[w]; ok {
 			return v
@@ -401,14 +389,6 @@ func (t *Tx) commit() error {
 	for _, w := range words {
 		e.stripe(w).Store(wv << 1)
 	}
-	// Trace accounting, mirroring the persistence ops above: the log
-	// PwbRange costs one pwb per cache line, the commit flag toggles one
-	// each, phase 4 one per word; fences 1-4 as numbered.
-	logSpan := segEntries + len(words)*entrySize
-	t.commitPwbs = uint64((base+logSpan-1)/pmem.LineSize-base/pmem.LineSize+1) +
-		1 + uint64(len(words)) + 1
-	t.commitFences = 4
-	t.logBytes = uint64(len(words) * entrySize)
 	if audited {
 		aud.TxEnd()
 	}

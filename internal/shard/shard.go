@@ -448,7 +448,7 @@ func (s *Store) auditorFor(dev *pmem.Device, ext ptm.Auditor) (aud ptm.Auditor, 
 	if s.opts.Auditors != nil || !s.opts.Audit {
 		return ext, nil
 	}
-	own = audit.New(dev, audit.Options{})
+	own = audit.New(dev)
 	own.Attach()
 	return own, own
 }

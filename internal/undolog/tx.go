@@ -25,14 +25,6 @@ type Tx struct {
 	logTail  int             // next free byte in the log region
 	logged   map[uint64]bool // word addresses already logged this tx
 	failed   error           // sticky failure (log overflow)
-
-	// Trace accounting (plain fields: writers are serialized, readers own
-	// their stack-allocated Tx). loggedBytes is the undo-log volume, entry
-	// headers included.
-	loads       uint64
-	stores      uint64
-	writeBytes  uint64
-	loggedBytes uint64
 }
 
 var _ ptm.Tx = (*Tx)(nil)
@@ -79,7 +71,6 @@ func (t *Tx) logRange(p ptm.Ptr, n int) bool {
 	d.Pwb(offLogCount)
 	d.Pfence()
 	t.logTail += entry
-	t.loggedBytes += uint64(entry)
 	return true
 }
 
@@ -99,35 +90,30 @@ func (t *Tx) logWord(p ptm.Ptr) bool {
 // Load8 implements ptm.Tx.
 func (t *Tx) Load8(p ptm.Ptr) byte {
 	t.checkRange(p, 1)
-	t.loads++
 	return t.e.dev.Load8(t.e.mainBase + int(p))
 }
 
 // Load16 implements ptm.Tx.
 func (t *Tx) Load16(p ptm.Ptr) uint16 {
 	t.checkRange(p, 2)
-	t.loads++
 	return t.e.dev.Load16(t.e.mainBase + int(p))
 }
 
 // Load32 implements ptm.Tx.
 func (t *Tx) Load32(p ptm.Ptr) uint32 {
 	t.checkRange(p, 4)
-	t.loads++
 	return t.e.dev.Load32(t.e.mainBase + int(p))
 }
 
 // Load64 implements ptm.Tx.
 func (t *Tx) Load64(p ptm.Ptr) uint64 {
 	t.checkRange(p, 8)
-	t.loads++
 	return t.e.dev.Load64(t.e.mainBase + int(p))
 }
 
 // LoadBytes implements ptm.Tx.
 func (t *Tx) LoadBytes(p ptm.Ptr, dst []byte) {
 	t.checkRange(p, len(dst))
-	t.loads++
 	t.e.dev.LoadBytes(t.e.mainBase+int(p), dst)
 }
 
@@ -140,8 +126,6 @@ func (t *Tx) Store8(p ptm.Ptr, v byte) {
 	}
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store8(off, v)
-	t.stores++
-	t.writeBytes++
 	t.e.dev.Pwb(off)
 }
 
@@ -154,8 +138,6 @@ func (t *Tx) Store16(p ptm.Ptr, v uint16) {
 	}
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store16(off, v)
-	t.stores++
-	t.writeBytes += 2
 	t.e.dev.PwbRange(off, 2)
 }
 
@@ -168,8 +150,6 @@ func (t *Tx) Store32(p ptm.Ptr, v uint32) {
 	}
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store32(off, v)
-	t.stores++
-	t.writeBytes += 4
 	t.e.dev.PwbRange(off, 4)
 }
 
@@ -182,8 +162,6 @@ func (t *Tx) Store64(p ptm.Ptr, v uint64) {
 	}
 	off := t.e.mainBase + int(p)
 	t.e.dev.Store64(off, v)
-	t.stores++
-	t.writeBytes += 8
 	t.e.dev.PwbRange(off, 8)
 }
 
@@ -200,8 +178,6 @@ func (t *Tx) StoreBytes(p ptm.Ptr, src []byte) {
 	}
 	off := t.e.mainBase + int(p)
 	t.e.dev.StoreBytes(off, src)
-	t.stores++
-	t.writeBytes += uint64(len(src))
 	t.e.dev.PwbRange(off, len(src))
 }
 
@@ -212,8 +188,6 @@ func (t *Tx) memset(p ptm.Ptr, n int) {
 	}
 	off := t.e.mainBase + int(p)
 	t.e.dev.Memset(off, 0, n)
-	t.stores++
-	t.writeBytes += uint64(n)
 	t.e.dev.PwbRange(off, n)
 }
 

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alloc"
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
@@ -135,10 +134,6 @@ type Engine struct {
 	updates   atomic.Uint64
 	reads     atomic.Uint64
 	rollbacks atomic.Uint64
-
-	// trace receives one obs.TxEvent per transaction when non-nil; set only
-	// at quiescent points (SetTrace).
-	trace obs.Sink
 
 	// aud receives durability-protocol markers when non-nil. Set at Open
 	// (Config.Audit) or at a quiescent point (SetAuditor).
@@ -351,7 +346,6 @@ func (e *Engine) beginTx() *Tx {
 	t := &e.wtx
 	t.logTail = e.logBase
 	t.failed = nil
-	t.loads, t.stores, t.writeBytes, t.loggedBytes = 0, 0, 0, 0
 	// Go maps never shrink their bucket arrays: after one huge transaction
 	// (e.g. a hash-map resize), even an emptied map costs O(capacity) to
 	// iterate. Replace oversized maps instead of clearing them.
@@ -437,8 +431,6 @@ func (e *Engine) Update(fn func(ptm.Tx) error) error {
 	defer e.wmu.Unlock()
 	e.rw.writerLock()
 	defer e.rw.writerUnlock()
-	st := e.dev.Stats()
-	startPwb, startFence := st.Pwbs, st.Pfences+st.Psyncs
 	if a := e.aud; a != nil {
 		a.TxBegin(e.Name(), "update")
 		defer a.TxEnd()
@@ -448,7 +440,6 @@ func (e *Engine) Update(fn func(ptm.Tx) error) error {
 	defer func() {
 		if !committed {
 			e.rollbackTx()
-			e.emitUpdate(t, obs.OutcomeRollback, startPwb, startFence)
 		}
 	}()
 	trips := e.dev.FaultsTripped()
@@ -468,29 +459,7 @@ func (e *Engine) Update(fn func(ptm.Tx) error) error {
 	e.commitTx()
 	committed = true
 	e.updates.Add(1)
-	e.emitUpdate(t, obs.OutcomeCommit, startPwb, startFence)
 	return nil
-}
-
-// emitUpdate sends the writer transaction's trace event. Called with the
-// writer lock held, so the device deltas are attributable to this tx.
-func (e *Engine) emitUpdate(t *Tx, out obs.Outcome, startPwb, startFence uint64) {
-	s := e.trace
-	if s == nil {
-		return
-	}
-	st := e.dev.Stats()
-	s.Emit(obs.TxEvent{
-		Engine:      e.Name(),
-		Kind:        obs.KindUpdate,
-		Outcome:     out,
-		Reads:       t.loads,
-		Writes:      t.stores,
-		WriteBytes:  t.writeBytes,
-		CopiedBytes: t.loggedBytes,
-		Pwbs:        st.Pwbs - startPwb,
-		Fences:      st.Pfences + st.Psyncs - startFence,
-	})
 }
 
 // Read implements ptm.PTM.
@@ -504,19 +473,8 @@ func (e *Engine) Read(fn func(ptm.Tx) error) error {
 	if e.dev.FaultsTripped() != trips {
 		err = e.dev.FaultError()
 	}
-	if s := e.trace; s != nil {
-		out := obs.OutcomeOK
-		if err != nil {
-			out = obs.OutcomeError
-		}
-		s.Emit(obs.TxEvent{Engine: e.Name(), Kind: obs.KindRead, Outcome: out, Reads: t.loads})
-	}
 	return err
 }
-
-// SetTrace installs (or, with nil, removes) the per-transaction trace sink;
-// it implements obs.Traceable. Call at a quiescent point.
-func (e *Engine) SetTrace(s obs.Sink) { e.trace = s }
 
 // prefLock is a reader-preference reader-writer lock: readers never check
 // for *waiting* writers, only *active* ones, so a steady stream of readers
