@@ -13,7 +13,7 @@
 //	docslint [root]   # default root: .
 //
 // Exit status 1 and one "file:line: message" per problem; used by
-// `make docs-check`.
+// `make docs-check` and by TestRepositoryDocs in `go test ./...`.
 package main
 
 import (
@@ -55,6 +55,20 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
+	broken, err := lint(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docslint:", err)
+		os.Exit(2)
+	}
+	if broken > 0 {
+		fmt.Fprintf(os.Stderr, "docslint: %d broken link(s), stale code path(s) or stale Go name(s)\n", broken)
+		os.Exit(1)
+	}
+}
+
+// lint runs every check over the Markdown files under root, printing one
+// "file:line: message" per problem, and returns the number of problems.
+func lint(root string) (int, error) {
 	var mdFiles []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -73,24 +87,21 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "docslint:", err)
-		os.Exit(2)
+		return 0, err
 	}
 
 	anchors := map[string]map[string]bool{} // md path -> set of heading anchors
 	for _, f := range mdFiles {
 		a, err := headingAnchors(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docslint:", err)
-			os.Exit(2)
+			return 0, err
 		}
 		anchors[filepath.Clean(f)] = a
 	}
 
 	names, err := loadGoNames(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "docslint:", err)
-		os.Exit(2)
+		return 0, err
 	}
 	broken := 0
 	for _, f := range mdFiles {
@@ -100,10 +111,7 @@ func main() {
 			broken += checkGoNames(names, f)
 		}
 	}
-	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "docslint: %d broken link(s), stale code path(s) or stale Go name(s)\n", broken)
-		os.Exit(1)
-	}
+	return broken, nil
 }
 
 func checkFile(path string, anchors map[string]map[string]bool) int {

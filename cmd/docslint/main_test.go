@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// TestRepositoryDocs runs every check over the repository itself, so a
+// change that leaves a broken link, a stale code path or a stale Go name in
+// README.md, DESIGN.md or docs/ fails `go test ./...`, not only
+// `make docs-check`. Each problem is printed as "file:line: message".
+func TestRepositoryDocs(t *testing.T) {
+	broken, err := lint(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broken > 0 {
+		t.Errorf("%d broken link(s), stale code path(s) or stale Go name(s); see the lines above", broken)
+	}
+}
+
 // TestCheckCodePaths pins which code spans count as repository paths: a
 // missing one is reported, existing ones (with or without a :line suffix)
 // pass, and spans that are not paths — no directory, no extension, globs,

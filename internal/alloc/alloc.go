@@ -162,7 +162,6 @@ func (h *Heap) setBinHead(b int, v uint64) { h.store(offBins+uint64(b)*8, v) }
 func (h *Heap) chunkWord(off uint64) uint64 { return h.mem.Load64(off) }
 func (h *Heap) setChunkWord(off, v uint64)  { h.mem.Store64(off, v) }
 func (h *Heap) chunkSize(c uint64) uint64   { return h.chunkWord(c) & sizeMask }
-func (h *Heap) chunkFlags(c uint64) uint64  { return h.chunkWord(c) & flagMask }
 func (h *Heap) setHeader(c, size, fl uint64) {
 	h.setChunkWord(c, size|fl|headerTag(c)<<48)
 }
@@ -430,22 +429,9 @@ func (h *Heap) Free(p uint64) error {
 	return nil
 }
 
-// UsableSize returns the payload capacity of the allocation at p.
-func (h *Heap) UsableSize(p uint64) (int, error) {
-	c := p - headerSize
-	if p < h.base+firstChunkAt+headerSize || p%align != 0 || c >= h.load(offTop) ||
-		!h.inUse(c) || !h.headerTagOK(c) {
-		return 0, ErrBadFree
-	}
-	return int(h.chunkSize(c) - headerSize), nil
-}
-
 // Top returns the current wilderness offset: the high-water mark of the
 // heap. Romulus copies only up to this point (§6.5).
 func (h *Heap) Top() uint64 { return h.load(offTop) }
-
-// End returns the end offset of the heap region.
-func (h *Heap) End() uint64 { return h.load(offEnd) }
 
 // Stats reports allocator counters (live in persistent memory, so they are
 // transactional like everything else).

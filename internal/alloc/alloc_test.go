@@ -48,7 +48,7 @@ func TestFormatAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if h2.Top() != h.Top() || h2.End() != h.End() {
+	if h2.Top() != h.Top() || h2.load(offEnd) != h.load(offEnd) {
 		t.Error("re-opened heap disagrees with original")
 	}
 	if _, err := Open(make(sliceMem, 1024), 0); err != ErrCorrupt {
@@ -75,9 +75,8 @@ func TestAllocBasics(t *testing.T) {
 	if p2 == p1 {
 		t.Error("two live allocations share a pointer")
 	}
-	n, err := h.UsableSize(p1)
-	if err != nil || n < 24 {
-		t.Errorf("UsableSize = %d, %v", n, err)
+	if n := h.chunkSize(p1-headerSize) - headerSize; n < 24 {
+		t.Errorf("payload capacity = %d, want >= 24", n)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -201,7 +200,7 @@ func TestSplitLeavesUsableRemainder(t *testing.T) {
 func TestBadFree(t *testing.T) {
 	h := newHeap(t, 1<<16)
 	p, _ := h.Alloc(64)
-	cases := []uint64{0, 8, p + 8, p + 1, h.End() + 16}
+	cases := []uint64{0, 8, p + 8, p + 1, h.load(offEnd) + 16}
 	for _, bad := range cases {
 		if err := h.Free(bad); err != ErrBadFree {
 			t.Errorf("Free(%d) = %v, want ErrBadFree", bad, err)

@@ -141,7 +141,7 @@ func linearPick(h *Heap, n int, aligned bool) (p uint64, fits bool) {
 			}
 		}
 	}
-	if top := h.Top(); h.End()-top >= need+lead(top) {
+	if top := h.Top(); h.load(offEnd)-top >= need+lead(top) {
 		return top + lead(top) + headerSize, true
 	}
 	return 0, false

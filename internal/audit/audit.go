@@ -54,8 +54,6 @@ type Totals struct {
 	FenceNoop     uint64 // fences issued with no pwb since the previous fence
 	DurableChecks uint64 // DurablePoint invocations
 	Violations    uint64 // durability violations detected (all kinds)
-	DirtyLines    uint64 // lines currently dirty
-	QueuedLines   uint64 // lines currently flush-queued
 }
 
 // Auditor shadows one Device. All state is guarded by one mutex: the hook
@@ -90,7 +88,6 @@ type Auditor struct {
 
 	violationsTotal uint64
 	violations      []Violation
-	lastCrash       *Report
 
 	mediaFaultsTotal uint64
 	mediaFaults      []MediaFault // retained records, capped at maxViolations
@@ -122,9 +119,6 @@ func (a *Auditor) Hooks() *pmem.Hooks { return a.hooks }
 
 // Attach installs the auditor as the device's sole hook bundle.
 func (a *Auditor) Attach() { a.dev.SetHooks(a.hooks) }
-
-// Device returns the audited device.
-func (a *Auditor) Device() *pmem.Device { return a.dev }
 
 // onStore dirties every line the store covers and records attribution.
 func (a *Auditor) onStore(off, n int) {
@@ -210,12 +204,12 @@ func (a *Auditor) onFence() {
 
 // onCrash runs inside Device.Crash after the crash policy has been applied
 // to the media contents and before the volatile view is discarded: the one
-// moment both views of the failure exist. It records the forensic report and
-// resets the shadow, since the device comes back quiescent.
+// moment both views of the failure exist. Its image diff records every
+// durably-claimed lost line as a violation; then it resets the shadow, since
+// the device comes back quiescent.
 func (a *Auditor) onCrash() {
 	a.mu.Lock()
-	rep := a.buildReport("crash", a.dev.Persisted())
-	a.lastCrash = rep
+	a.buildReport("crash", a.dev.Persisted())
 	for i := range a.lines {
 		a.lines[i] = lineState{}
 	}
@@ -347,14 +341,6 @@ func (a *Auditor) Summary() *Report {
 	return rep
 }
 
-// LastCrashReport returns the forensic report captured by the most recent
-// Device.Crash, or nil.
-func (a *Auditor) LastCrashReport() *Report {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastCrash
-}
-
 // buildReport assembles a Report under a.mu. A non-nil img is diffed line by
 // line against the volatile view; durably-claimed lost lines become
 // violations of kind "crash-loss".
@@ -433,8 +419,6 @@ func (a *Auditor) Totals() Totals {
 		FenceNoop:     a.fenceNoop,
 		DurableChecks: a.durableChecks,
 		Violations:    a.violationsTotal,
-		DirtyLines:    uint64(a.dirtyCount),
-		QueuedLines:   uint64(a.queuedCount),
 	}
 }
 

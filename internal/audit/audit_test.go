@@ -28,15 +28,15 @@ func TestLineStateMachine(t *testing.T) {
 	dev, a := newAudited(t, 4096, pmem.ModelDRAM, 0)
 
 	dev.Store64(0, 1)
-	if tot := a.Totals(); tot.DirtyLines != 1 || tot.QueuedLines != 0 {
+	if tot := a.Summary(); tot.DirtyLines != 1 || tot.QueuedLines != 0 {
 		t.Fatalf("after store: %+v", tot)
 	}
 	dev.Pwb(0)
-	if tot := a.Totals(); tot.DirtyLines != 0 || tot.QueuedLines != 1 {
+	if tot := a.Summary(); tot.DirtyLines != 0 || tot.QueuedLines != 1 {
 		t.Fatalf("after pwb: %+v", tot)
 	}
 	dev.Pfence()
-	if tot := a.Totals(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
+	if tot := a.Summary(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
 		t.Fatalf("after fence: %+v", tot)
 	}
 	if tot := a.Totals(); tot.PwbClean != 0 || tot.PwbRequeued != 0 || tot.StoreQueued != 0 || tot.FenceNoop != 0 {
@@ -56,7 +56,7 @@ func TestOrderedModelPersistsAtPwb(t *testing.T) {
 	dev, a := newAudited(t, 4096, m, 0)
 	dev.Store64(0, 1)
 	dev.Pwb(0)
-	if tot := a.Totals(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
+	if tot := a.Summary(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
 		t.Fatalf("ordered pwb left line non-clean: %+v", tot)
 	}
 	a.DurablePoint("commit")
@@ -168,11 +168,7 @@ func TestCrashForensics(t *testing.T) {
 	a.TxBegin("rom", "update")
 	dev.Store64(128, 3)
 
-	dev.Crash(pmem.DropAll)
-	rep := a.LastCrashReport()
-	if rep == nil {
-		t.Fatal("no crash report")
-	}
+	rep := a.Forensics(dev.Persisted()) // the image DropAll leaves
 	var lost1, lost2 *LostLine
 	for i := range rep.Lost {
 		switch rep.Lost[i].Line {
@@ -193,7 +189,7 @@ func TestCrashForensics(t *testing.T) {
 	if lost1.Engine != "rom" || lost1.TxKind != "update" {
 		t.Fatalf("line 1 attribution: %+v", lost1)
 	}
-	// One violation from the durable point, one from the crash loss.
+	// One violation from the durable point, one from the diff's loss.
 	if n := a.ViolationCount(); n != 2 {
 		t.Fatalf("ViolationCount = %d, want 2 (%+v)", n, a.Violations())
 	}
@@ -204,8 +200,13 @@ func TestCrashForensics(t *testing.T) {
 	if !kinds["durable-point"] || !kinds["crash-loss"] {
 		t.Fatalf("violation kinds = %v", kinds)
 	}
+	// The crash diffs its own image and flags line 1's loss again.
+	dev.Crash(pmem.DropAll)
+	if vs := a.Violations(); len(vs) != 3 || vs[2].Kind != "crash-loss" || vs[2].Line != 1 {
+		t.Fatalf("after the crash: %+v", vs)
+	}
 	// The crash reset the shadow: the device is quiescent again.
-	if tot := a.Totals(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
+	if tot := a.Summary(); tot.DirtyLines != 0 || tot.QueuedLines != 0 {
 		t.Fatalf("shadow not reset after crash: %+v", tot)
 	}
 }

@@ -10,7 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -97,11 +96,11 @@ type Table struct {
 	rows   [][]string
 }
 
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table { return &Table{header: header} }
+// newTable creates a table with the given column headers.
+func newTable(header ...string) *Table { return &Table{header: header} }
 
-// Row appends a row; values are formatted with %v.
-func (t *Table) Row(vals ...any) {
+// row appends a row; values are formatted with %v.
+func (t *Table) row(vals ...any) {
 	row := make([]string, len(vals))
 	for i, v := range vals {
 		switch x := v.(type) {
@@ -162,18 +161,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

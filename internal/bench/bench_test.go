@@ -58,7 +58,7 @@ func TestDataStructuresRunUnderHarness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ds, err)
 		}
-		if res.WriteOps == 0 || res.ReadOps == 0 {
+		if res.WriteTxPerSec == 0 || res.ReadTxPerSec == 0 {
 			t.Errorf("%s: no progress: %+v", ds, res)
 		}
 	}
@@ -72,7 +72,7 @@ func TestRunSPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := RunSPS(e, 1000, 4, 50*time.Millisecond)
+	v, err := runSPS(e, 1000, 4, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMeasureRecovery(t *testing.T) {
 }
 
 func TestMeasureTable1(t *testing.T) {
-	rows, err := MeasureTable1(64, 5)
+	rows, err := measureTable1(64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +125,18 @@ func TestMeasureTable1(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		switch r.Engine {
+		switch r.engine {
 		case "rom", "romlog", "romlr":
-			if r.Fences > 4 {
-				t.Errorf("%s: %f fences/tx, want <= 4", r.Engine, r.Fences)
+			if r.fences > 4 {
+				t.Errorf("%s: %f fences/tx, want <= 4", r.engine, r.fences)
 			}
 		case "pmdk":
-			if r.Fences < 64 {
-				t.Errorf("pmdk: %f fences/tx, want >= one per word", r.Fences)
+			if r.fences < 64 {
+				t.Errorf("pmdk: %f fences/tx, want >= one per word", r.fences)
 			}
 		case "mne":
-			if r.Fences < 4 {
-				t.Errorf("mne: %f fences/tx, want >= 4", r.Fences)
+			if r.fences < 4 {
+				t.Errorf("mne: %f fences/tx, want >= 4", r.fences)
 			}
 		}
 	}
@@ -144,13 +144,13 @@ func TestMeasureTable1(t *testing.T) {
 	// higher.
 	var romAmp, mneAmp, pmdkAmp float64
 	for _, r := range rows {
-		switch r.Engine {
+		switch r.engine {
 		case "romlog":
-			romAmp = r.AmplificationPct
+			romAmp = r.amplificationPct
 		case "mne":
-			mneAmp = r.AmplificationPct
+			mneAmp = r.amplificationPct
 		case "pmdk":
-			pmdkAmp = r.AmplificationPct
+			pmdkAmp = r.amplificationPct
 		}
 	}
 	if romAmp > 150 {
@@ -162,7 +162,7 @@ func TestMeasureTable1(t *testing.T) {
 	if pmdkAmp < 200 {
 		t.Errorf("pmdk amplification = %.0f%%, want >= 300%%-ish", pmdkAmp)
 	}
-	an := AnalyticTable1Rows(64)
+	an := analyticTable1Rows(64)
 	if len(an) != 3 {
 		t.Errorf("analytic rows = %d", len(an))
 	}
@@ -200,23 +200,11 @@ func TestFiguresSmoke(t *testing.T) {
 }
 
 func TestTablePrinter(t *testing.T) {
-	tb := NewTable("a", "bb")
-	tb.Row("x", 1234.5)
-	tb.Row("yyyy", 0.25)
+	tb := newTable("a", "bb")
+	tb.row("x", 1234.5)
+	tb.row("yyyy", 0.25)
 	s := tb.String()
 	if !strings.Contains(s, "a") || !strings.Contains(s, "1234") || !strings.Contains(s, "0.250") {
 		t.Errorf("table output:\n%s", s)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median(nil) != 0 {
-		t.Error("empty median")
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median")
 	}
 }

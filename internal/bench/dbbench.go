@@ -23,12 +23,7 @@ var DBWorkloads = []string{"fillseq", "fillsync", "fillrandom", "overwrite", "re
 
 // DBResult is one Figure 8 data point.
 type DBResult struct {
-	Workload    string
-	DB          string // "romdb" or "leveldb"
-	Threads     int
 	MicrosPerOp float64 // elapsed per per-thread operation, db_bench style
-	Ops         int
-	Fdatasyncs  uint64 // leveldbsim only
 }
 
 // dbIface abstracts the two stores for the workload driver.
@@ -36,7 +31,6 @@ type dbIface interface {
 	put(key, val []byte, sync bool) error
 	rangeAll(reverse bool, fn func(k, v []byte) bool) error
 	close() error
-	fdatasyncs() uint64
 }
 
 type romDB struct {
@@ -52,8 +46,6 @@ func (r *romDB) rangeAll(reverse bool, fn func(k, v []byte) bool) error {
 }
 
 func (r *romDB) close() error { return r.db.Close() }
-
-func (r *romDB) fdatasyncs() uint64 { return 0 }
 
 type lvlDB struct {
 	db *leveldbsim.DB
@@ -73,8 +65,7 @@ func (l *lvlDB) rangeAll(reverse bool, fn func(k, v []byte) bool) error {
 	return it.Err()
 }
 
-func (l *lvlDB) close() error       { return l.db.Close() }
-func (l *lvlDB) fdatasyncs() uint64 { return l.db.Stats().Fdatasyncs }
+func (l *lvlDB) close() error { return l.db.Close() }
 
 func openBenchDB(kind, dir string, entries, valueSize int) (dbIface, error) {
 	switch kind {
@@ -116,7 +107,7 @@ func Fig8(o FigOptions, workloads, dbs []string) (string, error) {
 	defer os.RemoveAll(scratch)
 	var out strings.Builder
 	for _, w := range workloads {
-		t := NewTable(append([]string{"db \\ threads"}, intHeaders(o.Threads)...)...)
+		t := newTable(append([]string{"db \\ threads"}, intHeaders(o.Threads)...)...)
 		for _, db := range dbs {
 			row := []any{db}
 			for i, th := range o.Threads {
@@ -126,7 +117,7 @@ func Fig8(o FigOptions, workloads, dbs []string) (string, error) {
 				}
 				row = append(row, res.MicrosPerOp)
 			}
-			t.Row(row...)
+			t.row(row...)
 		}
 		unit := "µs/op"
 		if w == "fill100k" {
@@ -260,12 +251,5 @@ func RunDBBench(dbKind, workload, dir string, threads, entries int) (DBResult, e
 		return DBResult{}, err
 	}
 	elapsed := time.Since(start)
-	return DBResult{
-		Workload:    workload,
-		DB:          dbKind,
-		Threads:     threads,
-		MicrosPerOp: float64(elapsed.Microseconds()) / float64(opsDone),
-		Ops:         opsDone * threads,
-		Fdatasyncs:  db.fdatasyncs(),
-	}, nil
+	return DBResult{MicrosPerOp: float64(elapsed.Microseconds()) / float64(opsDone)}, nil
 }

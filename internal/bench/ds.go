@@ -14,8 +14,6 @@ import (
 // population is invariant) and a read operation is two read-only
 // transactions, each looking up an existing random key.
 type DataStructure interface {
-	// Name is the label used in output ("list", "hash", "tree", "fixed").
-	Name() string
 	// Update performs one update operation (two transactions) on key.
 	Update(e ptm.PTM, key uint64) error
 	// Read performs one read operation (two transactions) on key.
@@ -86,8 +84,6 @@ func newListDS(e Engine, keys int) (*listDS, error) {
 	return d, err
 }
 
-func (d *listDS) Name() string { return "list" }
-
 func (d *listDS) Update(e ptm.PTM, key uint64) error {
 	if err := e.Update(func(tx ptm.Tx) error {
 		_, err := d.set.Remove(tx, key)
@@ -132,8 +128,6 @@ func newHashDS(e Engine, keys int) (*hashDS, error) {
 	})
 	return d, err
 }
-
-func (d *hashDS) Name() string { return "hash" }
 
 func (d *hashDS) Update(e ptm.PTM, key uint64) error {
 	if err := e.Update(func(tx ptm.Tx) error {
@@ -180,8 +174,6 @@ func newTreeDS(e Engine, keys int) (*treeDS, error) {
 	return d, err
 }
 
-func (d *treeDS) Name() string { return "tree" }
-
 func (d *treeDS) Update(e ptm.PTM, key uint64) error {
 	if err := e.Update(func(tx ptm.Tx) error {
 		_, err := d.t.Remove(tx, key)
@@ -210,13 +202,12 @@ func (d *treeDS) Read(e ptm.PTM, key uint64) error {
 // fixedDS is the Figure 5 structure: a statically-dimensioned hash map
 // with byte values of a fixed size.
 type fixedDS struct {
-	m       *pstruct.HashMapFixed
-	valSize int
-	val     []byte
+	m   *pstruct.HashMapFixed
+	val []byte
 }
 
 func newFixedDS(e Engine, keys, buckets, valSize int) (*fixedDS, error) {
-	d := &fixedDS{valSize: valSize, val: make([]byte, valSize)}
+	d := &fixedDS{val: make([]byte, valSize)}
 	for i := range d.val {
 		d.val[i] = byte(i)
 	}
@@ -233,8 +224,6 @@ func newFixedDS(e Engine, keys, buckets, valSize int) (*fixedDS, error) {
 	})
 	return d, err
 }
-
-func (d *fixedDS) Name() string { return "fixed" }
 
 func (d *fixedDS) Update(e ptm.PTM, key uint64) error {
 	if err := e.Update(func(tx ptm.Tx) error {

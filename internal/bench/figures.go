@@ -45,7 +45,7 @@ func Fig4(o FigOptions) (string, error) {
 	var out strings.Builder
 	for _, workload := range []string{"writes", "reads"} {
 		for _, ds := range DSKinds {
-			t := NewTable(append([]string{"engine \\ threads"}, intHeaders(o.Threads)...)...)
+			t := newTable(append([]string{"engine \\ threads"}, intHeaders(o.Threads)...)...)
 			for _, kind := range o.Engines {
 				// One engine per (kind, structure): the update workload
 				// keeps the population invariant, so thread counts can
@@ -75,7 +75,7 @@ func Fig4(o FigOptions) (string, error) {
 						row = append(row, res.ReadTxPerSec)
 					}
 				}
-				t.Row(row...)
+				t.row(row...)
 			}
 			fmt.Fprintf(&out, "Figure 4 — %s: %s (TX/s, %d keys)\n%s\n", workload, ds, o.Keys, t)
 		}
@@ -96,7 +96,7 @@ func Fig5(o FigOptions) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		t := NewTable(append([]string{"engine \\ threads"}, intHeaders(o.Threads)...)...)
+		t := newTable(append([]string{"engine \\ threads"}, intHeaders(o.Threads)...)...)
 		for _, kind := range []string{"romlog", "mne", "pmdk"} {
 			if !contains(o.Engines, kind) {
 				continue
@@ -109,7 +109,7 @@ func Fig5(o FigOptions) (string, error) {
 				}
 				row = append(row, tput/base)
 			}
-			t.Row(row...)
+			t.row(row...)
 		}
 		fmt.Fprintf(&out, "Figure 5 — %d-byte values (speedup vs 1-thread pmdk = 1.0)\n%s\n", valSize, t)
 	}
@@ -146,7 +146,7 @@ func Fig6(o FigOptions, sizes []int) (string, error) {
 	}
 	var out strings.Builder
 	for _, keys := range sizes {
-		t := NewTable(append([]string{"engine \\ threads"}, intHeaders(o.Threads)...)...)
+		t := newTable(append([]string{"engine \\ threads"}, intHeaders(o.Threads)...)...)
 		for _, kind := range o.Engines {
 			e, err := NewEngine(kind, RegionFor(keys, 8), o.Model)
 			if err != nil {
@@ -164,7 +164,7 @@ func Fig6(o FigOptions, sizes []int) (string, error) {
 				}
 				row = append(row, res.WriteTxPerSec)
 			}
-			t.Row(row...)
+			t.row(row...)
 		}
 		fmt.Fprintf(&out, "Figure 6 — hash map, 100%% writes, %d keys (TX/s)\n%s\n", keys, t)
 	}
@@ -179,8 +179,8 @@ func Fig7(o FigOptions) (string, error) {
 	o.defaults(1000, []int{2, 4, 8})
 	var out strings.Builder
 	for _, writers := range []int{2, 0} {
-		t := NewTable(append([]string{"engine \\ readers"}, intHeaders(o.Threads)...)...)
-		tw := NewTable(append([]string{"engine \\ readers"}, intHeaders(o.Threads)...)...)
+		t := newTable(append([]string{"engine \\ readers"}, intHeaders(o.Threads)...)...)
+		tw := newTable(append([]string{"engine \\ readers"}, intHeaders(o.Threads)...)...)
 		for _, kind := range o.Engines {
 			e, err := NewEngine(kind, RegionFor(o.Keys, 8), o.Model)
 			if err != nil {
@@ -200,9 +200,9 @@ func Fig7(o FigOptions) (string, error) {
 				row = append(row, res.ReadTxPerSec)
 				roww = append(roww, res.WriteTxPerSec)
 			}
-			t.Row(row...)
+			t.row(row...)
 			if writers > 0 {
-				tw.Row(roww...)
+				tw.row(roww...)
 			}
 		}
 		if writers > 0 {
@@ -227,7 +227,7 @@ func Fig9(o FigOptions, swapsPerTx []int, models []pmem.Model) (string, error) {
 	}
 	var out strings.Builder
 	for _, model := range models {
-		t := NewTable(append([]string{"engine \\ swaps/tx"}, intHeaders(swapsPerTx)...)...)
+		t := newTable(append([]string{"engine \\ swaps/tx"}, intHeaders(swapsPerTx)...)...)
 		for _, kind := range o.Engines {
 			row := []any{kind}
 			for _, swaps := range swapsPerTx {
@@ -235,13 +235,13 @@ func Fig9(o FigOptions, swapsPerTx []int, models []pmem.Model) (string, error) {
 				if err != nil {
 					return "", err
 				}
-				v, err := RunSPS(e, 10_000, swaps, o.Duration)
+				v, err := runSPS(e, 10_000, swaps, o.Duration)
 				if err != nil {
 					return "", fmt.Errorf("fig9 %s/%s: %w", kind, model.Name, err)
 				}
 				row = append(row, v)
 			}
-			t.Row(row...)
+			t.row(row...)
 		}
 		fmt.Fprintf(&out, "Figure 9 — SPS, %s (swaps/µs, single thread)\n%s\n", model.Name, t)
 	}

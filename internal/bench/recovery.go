@@ -17,7 +17,7 @@ import (
 // the used watermark) and for this repository's diff copy (DiffCopy — the
 // same prefix compared, only the lines the crash left different copied).
 type RecoveryResult struct {
-	Entries   int
+	entries   int
 	Watermark int // bytes of twin prefix recovery covers
 	FullCopy  time.Duration
 	DiffCopy  time.Duration
@@ -31,14 +31,14 @@ func Recovery(sizes []int) (string, error) {
 	if len(sizes) == 0 {
 		sizes = []int{1000, 10_000, 100_000, 1_000_000}
 	}
-	t := NewTable("entries", "prefix bytes", "full copy", "GB/s", "diff copy", "GB/s", "lines repaired")
+	t := newTable("entries", "prefix bytes", "full copy", "GB/s", "diff copy", "GB/s", "lines repaired")
 	for _, n := range sizes {
 		res, err := MeasureRecovery(n)
 		if err != nil {
 			return "", err
 		}
 		gbps := func(d time.Duration) float64 { return float64(res.Watermark) / d.Seconds() / 1e9 }
-		t.Row(res.Entries, res.Watermark, res.FullCopy.String(), gbps(res.FullCopy),
+		t.row(res.entries, res.Watermark, res.FullCopy.String(), gbps(res.FullCopy),
 			res.DiffCopy.String(), gbps(res.DiffCopy), res.Repaired.Lines)
 	}
 	return "Recovery cost (§6.5) — mid-transaction crash, RomulusLog\n" +
@@ -120,7 +120,7 @@ func MeasureRecovery(entries int) (RecoveryResult, error) {
 		}
 		return best, rs, nil
 	}
-	res := RecoveryResult{Entries: entries}
+	res := RecoveryResult{entries: entries}
 	if res.FullCopy, _, err = fastest(true); err != nil {
 		return RecoveryResult{}, err
 	}

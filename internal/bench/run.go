@@ -17,8 +17,6 @@ import (
 type MixedResult struct {
 	WriteTxPerSec float64
 	ReadTxPerSec  float64
-	WriteOps      uint64
-	ReadOps       uint64
 }
 
 // RunMixed drives writers update operations and readers read operations
@@ -82,16 +80,16 @@ func RunMixed(e Engine, ds DataStructure, writers, readers, keys int, dur time.D
 		return MixedResult{}, err
 	default:
 	}
-	res := MixedResult{WriteOps: writeOps.Load(), ReadOps: readOps.Load()}
-	res.WriteTxPerSec = float64(res.WriteOps) * 2 / elapsed
-	res.ReadTxPerSec = float64(res.ReadOps) * 2 / elapsed
-	return res, nil
+	return MixedResult{
+		WriteTxPerSec: float64(writeOps.Load()) * 2 / elapsed,
+		ReadTxPerSec:  float64(readOps.Load()) * 2 / elapsed,
+	}, nil
 }
 
-// RunSPS is the SPS microbenchmark of §6.6 (Figure 9): a persistent array
+// runSPS is the SPS microbenchmark of §6.6 (Figure 9): a persistent array
 // of arrayLen 64-bit integers; each transaction swaps swapsPerTx random
 // pairs; single-threaded. Returns swaps per microsecond.
-func RunSPS(e Engine, arrayLen, swapsPerTx int, dur time.Duration) (float64, error) {
+func runSPS(e Engine, arrayLen, swapsPerTx int, dur time.Duration) (float64, error) {
 	var arr ptm.Ptr
 	if err := e.Update(func(tx ptm.Tx) error {
 		var err error

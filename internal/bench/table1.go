@@ -7,17 +7,17 @@ import (
 	"repro/internal/ptm"
 )
 
-// Table1Row is one measured (or analytic) row of the paper's Table 1.
-type Table1Row struct {
-	Engine        string
-	LogType       string
-	Interposition string
+// table1Row is one measured (or analytic) row of the paper's Table 1.
+type table1Row struct {
+	engine        string
+	logType       string
+	interposition string
 	// Per transaction, measured over dense word stores:
-	Fences           float64 // pfence + psync
-	Pwbs             float64
-	UserBytes        float64
-	PersistedBytes   float64
-	AmplificationPct float64 // additional persistent bytes per user byte
+	fences           float64 // pfence + psync
+	pwbs             float64
+	userBytes        float64
+	persistedBytes   float64
+	amplificationPct float64 // additional persistent bytes per user byte
 }
 
 // engineMeta carries the static columns of Table 1.
@@ -39,39 +39,39 @@ func Table1(stores, txs int) (string, error) {
 	if txs == 0 {
 		txs = 100
 	}
-	rows, err := MeasureTable1(stores, txs)
+	rows, err := measureTable1(stores, txs)
 	if err != nil {
 		return "", err
 	}
-	t := NewTable("engine", "log type", "interposition", "fences/tx", "pwbs/tx", "user B/tx", "persisted B/tx", "amplification %")
-	for _, r := range append(rows, AnalyticTable1Rows(stores)...) {
-		t.Row(r.Engine, r.LogType, r.Interposition, r.Fences, r.Pwbs, r.UserBytes, r.PersistedBytes, r.AmplificationPct)
+	t := newTable("engine", "log type", "interposition", "fences/tx", "pwbs/tx", "user B/tx", "persisted B/tx", "amplification %")
+	for _, r := range append(rows, analyticTable1Rows(stores)...) {
+		t.row(r.engine, r.logType, r.interposition, r.fences, r.pwbs, r.userBytes, r.persistedBytes, r.amplificationPct)
 	}
 	return fmt.Sprintf("Table 1 — transactional persistence costs (%d stores/tx; paper-only systems analytic)\n%s", stores, t), nil
 }
 
-// AnalyticTable1Rows reproduces the non-runnable rows of Table 1 (systems
+// analyticTable1Rows reproduces the non-runnable rows of Table 1 (systems
 // the paper describes but whose code is not part of this evaluation),
 // using the paper's own formulas with the given store count.
-func AnalyticTable1Rows(stores int) []Table1Row {
+func analyticTable1Rows(stores int) []table1Row {
 	n := float64(stores)
-	return []Table1Row{
-		{Engine: "vista (paper)", LogType: "undo", Interposition: "stores",
-			Fences: n, UserBytes: n * 8, PersistedBytes: n * 8 * 4, AmplificationPct: 300},
-		{Engine: "atlas (paper)", LogType: "undo", Interposition: "stores",
-			Fences: 2 + 3*n, UserBytes: n * 8, PersistedBytes: n * 8 * 5, AmplificationPct: 400},
-		{Engine: "justdo (paper)", LogType: "done-to-here", Interposition: "stores",
-			Fences: 2 + 3*n, UserBytes: n * 8, PersistedBytes: n * 8 * 5, AmplificationPct: 400},
+	return []table1Row{
+		{engine: "vista (paper)", logType: "undo", interposition: "stores",
+			fences: n, userBytes: n * 8, persistedBytes: n * 8 * 4, amplificationPct: 300},
+		{engine: "atlas (paper)", logType: "undo", interposition: "stores",
+			fences: 2 + 3*n, userBytes: n * 8, persistedBytes: n * 8 * 5, amplificationPct: 400},
+		{engine: "justdo (paper)", logType: "done-to-here", interposition: "stores",
+			fences: 2 + 3*n, userBytes: n * 8, persistedBytes: n * 8 * 5, amplificationPct: 400},
 	}
 }
 
-// MeasureTable1 runs the same dense-store transaction on every runnable
+// measureTable1 runs the same dense-store transaction on every runnable
 // engine and reports measured persistence costs. Each transaction writes
 // `stores` consecutive 64-bit words of a prefilled buffer; contiguous
 // stores keep cache-line accounting comparable to the paper's
 // word-granularity analysis.
-func MeasureTable1(stores, txs int) ([]Table1Row, error) {
-	var rows []Table1Row
+func measureTable1(stores, txs int) ([]table1Row, error) {
+	var rows []table1Row
 	for _, kind := range EngineKinds {
 		e, err := NewEngine(kind, (stores*8*4)+(8<<20), pmem.ModelDRAM)
 		if err != nil {
@@ -110,15 +110,15 @@ func MeasureTable1(stores, txs int) ([]Table1Row, error) {
 		user := float64(stores * 8)
 		persisted := float64(s.BytesPersisted) / k
 		meta := engineMeta[kind]
-		rows = append(rows, Table1Row{
-			Engine:           kind,
-			LogType:          meta[0],
-			Interposition:    meta[1],
-			Fences:           (float64(s.Pfences) + float64(s.Psyncs)) / k,
-			Pwbs:             float64(s.Pwbs) / k,
-			UserBytes:        user,
-			PersistedBytes:   persisted,
-			AmplificationPct: (persisted - user) / user * 100,
+		rows = append(rows, table1Row{
+			engine:           kind,
+			logType:          meta[0],
+			interposition:    meta[1],
+			fences:           (float64(s.Pfences) + float64(s.Psyncs)) / k,
+			pwbs:             float64(s.Pwbs) / k,
+			userBytes:        user,
+			persistedBytes:   persisted,
+			amplificationPct: (persisted - user) / user * 100,
 		})
 	}
 	return rows, nil

@@ -46,11 +46,8 @@ const (
 	// Data durability is implied — the psync happened before this record's
 	// fence — so a commit record in a crash image certifies the batch.
 	KindBatchCommit Kind = 2
-	// KindRecovery marks a successful engine recovery on this device.
-	KindRecovery Kind = 3
-	// KindCheckpoint is a free-form durable checkpoint (Req carries the
-	// caller's correlation id, e.g. a request span's ReqID).
-	KindCheckpoint Kind = 4
+	// kindRecovery marks a successful engine recovery on this device.
+	kindRecovery Kind = 3
 )
 
 // String returns the report-facing name of the kind.
@@ -60,10 +57,8 @@ func (k Kind) String() string {
 		return "batch_start"
 	case KindBatchCommit:
 		return "batch_commit"
-	case KindRecovery:
+	case kindRecovery:
 		return "recovery"
-	case KindCheckpoint:
-		return "checkpoint"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -96,12 +91,12 @@ type Record struct {
 // the stored seqs alone and a wrapped ring keeps exactly the newest
 // capacity records.
 const (
-	// RecordSize is one record: exactly one cache line, so a record is one
+	// recordSize is one record: exactly one cache line, so a record is one
 	// pwb and torn records can only be whole-line absent or checksum-dead.
-	RecordSize = 64
+	recordSize = 64
 	headerSize = 64
 	// MinSize is the smallest usable ring: header plus four records.
-	MinSize = headerSize + 4*RecordSize
+	MinSize = headerSize + 4*recordSize
 	// DefaultSize is the tail reservation the shard layer makes: 63 records
 	// — enough to hold the recent-batch window of any realistic in-flight
 	// set while costing one page of the device.
@@ -143,7 +138,7 @@ func Open(dev *pmem.Device, base, size int) (*Recorder, *Report, error) {
 	if base%pmem.LineSize != 0 {
 		return nil, nil, fmt.Errorf("blackbox: base offset %d not line-aligned", base)
 	}
-	capacity := uint64((size - headerSize) / RecordSize)
+	capacity := uint64((size - headerSize) / recordSize)
 	r := &Recorder{dev: dev, base: base, cap: capacity, now: time.Now}
 	rep := &Report{}
 	if ok, blank := r.headerValid(); !ok {
@@ -167,7 +162,7 @@ func Inspect(dev *pmem.Device, base, size int) *Report {
 	if size < MinSize || base%pmem.LineSize != 0 {
 		return &Report{}
 	}
-	r := &Recorder{dev: dev, base: base, cap: uint64((size - headerSize) / RecordSize)}
+	r := &Recorder{dev: dev, base: base, cap: uint64((size - headerSize) / recordSize)}
 	rep := &Report{}
 	if ok, _ := r.headerValid(); !ok {
 		return rep
@@ -205,14 +200,14 @@ func headerWords(magic, ver, capw uint64) []byte {
 // format writes a fresh header and zeroes the record slots, durably.
 func (r *Recorder) format() {
 	d := r.dev
-	d.Memset(r.base, 0, headerSize+int(r.cap)*RecordSize)
+	d.Memset(r.base, 0, headerSize+int(r.cap)*recordSize)
 	var h [32]byte
 	binary.LittleEndian.PutUint64(h[0:], magicWord)
 	binary.LittleEndian.PutUint64(h[8:], version)
 	binary.LittleEndian.PutUint64(h[16:], r.cap)
 	binary.LittleEndian.PutUint64(h[24:], checksum(h[:24]))
 	d.StoreBytes(r.base, h[:])
-	d.PwbRange(r.base, headerSize+int(r.cap)*RecordSize)
+	d.PwbRange(r.base, headerSize+int(r.cap)*recordSize)
 	d.Pfence()
 	r.last.Store(0)
 }
@@ -221,9 +216,9 @@ func (r *Recorder) format() {
 // sorted by seq — the newest min(cap, appended) records of the ring.
 func (r *Recorder) scan() []Record {
 	var recs []Record
-	var raw [RecordSize]byte
+	var raw [recordSize]byte
 	for slot := uint64(0); slot < r.cap; slot++ {
-		off := r.base + headerSize + int(slot)*RecordSize
+		off := r.base + headerSize + int(slot)*recordSize
 		r.dev.LoadBytes(off, raw[:])
 		if rec, ok := decode(raw[:], slot, r.cap); ok {
 			recs = append(recs, rec)
@@ -258,8 +253,8 @@ func decode(raw []byte, slot, capacity uint64) (Record, bool) {
 
 // encode lays rec out as one ring slot: its fields, zero padding, and the
 // checksum over both.
-func encode(rec Record) [RecordSize]byte {
-	var raw [RecordSize]byte
+func encode(rec Record) [recordSize]byte {
+	var raw [recordSize]byte
 	binary.LittleEndian.PutUint64(raw[0:], rec.Seq)
 	binary.LittleEndian.PutUint64(raw[8:], rec.BatchSeq)
 	binary.LittleEndian.PutUint64(raw[16:], rec.Req)
@@ -278,14 +273,14 @@ func (r *Recorder) Append(rec Record) {
 	rec.Seq = r.last.Add(1)
 	rec.TsNs = r.now().UnixNano()
 	raw := encode(rec)
-	off := r.base + headerSize + int((rec.Seq-1)%r.cap)*RecordSize
+	off := r.base + headerSize + int((rec.Seq-1)%r.cap)*recordSize
 	r.dev.StoreBytes(off, raw[:])
 	r.dev.Pwb(off)
 	r.dev.Pfence()
 }
 
 // Recovery records a successful engine recovery.
-func (r *Recorder) Recovery() { r.Append(Record{Kind: KindRecovery}) }
+func (r *Recorder) Recovery() { r.Append(Record{Kind: kindRecovery}) }
 
 // Appended returns the seq of the newest record — the ring's lifetime
 // append count, resumed across reopens. Safe to call concurrently with
@@ -337,7 +332,7 @@ func (r *Report) summarize() {
 			if !committed[rec.BatchSeq] {
 				r.InFlight = append(r.InFlight, rec.BatchSeq)
 			}
-		case KindRecovery:
+		case kindRecovery:
 			r.Recoveries++
 		}
 	}

@@ -68,7 +68,7 @@ func TestReopenContinuesSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rep2.Records[len(rep2.Records)-1]; got.Seq != 3 || got.Kind != KindRecovery {
+	if got := rep2.Records[len(rep2.Records)-1]; got.Seq != 3 || got.Kind != kindRecovery {
 		t.Fatalf("newest record = %+v, want seq 3 recovery", got)
 	}
 	if rep2.Recoveries != 1 {
@@ -107,7 +107,7 @@ func TestTornRecordDropped(t *testing.T) {
 	rec.Append(Record{Kind: KindBatchStart, BatchSeq: 1, Ops: 1, Conns: 1})
 	rec.Append(Record{Kind: KindBatchCommit, BatchSeq: 1, Ops: 1})
 	// Flip a byte inside the newest record's slot (slot 1).
-	off := ringBase + headerSize + RecordSize + 5
+	off := ringBase + headerSize + recordSize + 5
 	dev.Store8(off, dev.Load8(off)^0xff)
 	rep := Inspect(dev, ringBase, DefaultSize)
 	if len(rep.Records) != 1 || rep.Records[0].Kind != KindBatchStart {

@@ -22,13 +22,13 @@ func FuzzBlackboxDecode(f *testing.F) {
 	r.Append(Record{Kind: KindBatchStart, BatchSeq: 7, Req: 42, Ops: 3, Conns: 2})
 	r.Append(Record{Kind: KindBatchCommit, BatchSeq: 7, Ops: 3})
 	for slot := 0; slot < 2; slot++ {
-		raw := make([]byte, RecordSize)
-		dev.LoadBytes(headerSize+slot*RecordSize, raw)
+		raw := make([]byte, recordSize)
+		dev.LoadBytes(headerSize+slot*recordSize, raw)
 		f.Add(raw, uint64(slot), r.cap, false)
 	}
-	f.Add(make([]byte, RecordSize), uint64(0), uint64(4), true)
+	f.Add(make([]byte, recordSize), uint64(0), uint64(4), true)
 	f.Fuzz(func(t *testing.T, raw []byte, slot, capacity uint64, fixSum bool) {
-		if len(raw) != RecordSize || capacity == 0 {
+		if len(raw) != recordSize || capacity == 0 {
 			return
 		}
 		if fixSum {

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
@@ -272,9 +272,11 @@ func TestFlatCombiningAggregates(t *testing.T) {
 }
 
 // TestManyConcurrentWriters: 300 writers wait on one engine at once — the
-// first one's op holds its round open until the other 299 have queued — and
-// every update commits. A writer takes no per-thread slot, so nothing bounds
-// how many may wait; ptmtest's ManyConcurrentReaders holds as many readers.
+// first one's op holds its round open until the other 299 have called
+// Update — and every update commits. A writer takes no per-thread slot, so
+// nothing bounds how many may wait (flatcombine's TestManyQueuedRequests
+// pins that all of them can queue behind one round); ptmtest's
+// ManyConcurrentReaders holds as many readers.
 func TestManyConcurrentWriters(t *testing.T) {
 	e := newEngine(t, RomLog)
 	const writers = 300
@@ -289,14 +291,14 @@ func TestManyConcurrentWriters(t *testing.T) {
 	held := make(chan struct{})
 	var once sync.Once
 	var wg sync.WaitGroup
-	var failed atomic.Int64
+	var failed, entered atomic.Int64
 	update := func(first bool) {
 		defer wg.Done()
 		err := e.Update(func(tx ptm.Tx) error {
 			if first {
 				once.Do(func() {
 					close(held)
-					for e.comb.Len() < writers-1 {
+					for entered.Load() < writers-1 {
 						runtime.Gosched()
 					}
 				})
@@ -315,7 +317,10 @@ func TestManyConcurrentWriters(t *testing.T) {
 	<-held
 	for i := 1; i < writers; i++ {
 		wg.Add(1)
-		go update(false)
+		go func() {
+			entered.Add(1)
+			update(false)
+		}()
 	}
 	wg.Wait()
 	if n := failed.Load(); n > 0 {
@@ -471,7 +476,7 @@ func BenchmarkReadDuringUpdate(b *testing.B) {
 					}
 				}
 			}()
-			var wait obs.Histogram
+			waits := make([]time.Duration, 0, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
@@ -479,13 +484,14 @@ func BenchmarkReadDuringUpdate(b *testing.B) {
 					readSink = tx.Load64(tx.Root(0))
 					return nil
 				})
-				wait.Observe(uint64(time.Since(t0)))
+				waits = append(waits, time.Since(t0))
 			}
 			b.StopTimer()
 			close(stop)
 			wg.Wait()
-			b.ReportMetric(float64(wait.Quantile(0.5))/1e3, "p50_us")
-			b.ReportMetric(float64(wait.Quantile(0.9))/1e3, "p90_us")
+			slices.Sort(waits)
+			b.ReportMetric(float64(waits[len(waits)/2])/1e3, "p50_us")
+			b.ReportMetric(float64(waits[len(waits)*9/10])/1e3, "p90_us")
 		})
 	}
 }

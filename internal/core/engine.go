@@ -22,8 +22,8 @@ import (
 type Variant int
 
 const (
-	// VariantDefault resolves to RomLog.
-	VariantDefault Variant = iota
+	// variantDefault resolves to RomLog.
+	variantDefault Variant = iota
 	// Rom is the basic algorithm (§4.1): C-RW-WP plus flat combining for
 	// concurrency. It runs the same code as RomLog; the name is kept for the
 	// paper's figures and tables. Algorithm 1's whole-prefix copy is
@@ -42,7 +42,7 @@ func (v Variant) String() string {
 	switch v {
 	case Rom:
 		return "rom"
-	case VariantDefault, RomLog:
+	case variantDefault, RomLog:
 		return "romlog"
 	case RomLR:
 		return "romlr"
@@ -111,9 +111,8 @@ type Engine struct {
 	lines     pmem.LineSet
 	extentBuf []rng
 
-	updates   atomic.Uint64
-	reads     atomic.Uint64
-	rollbacks atomic.Uint64
+	updates atomic.Uint64
+	reads   atomic.Uint64
 	// replBytes and replExtents count bytes and contiguous ranges copied
 	// between the twin copies at replication and rollback — the
 	// write-amplification measure Stats reports as ReplicatedBytes.
@@ -185,7 +184,7 @@ func New(regionSize int, cfg Config) (*Engine, error) {
 // Romulus instance and running crash recovery otherwise (Algorithm 1's
 // recover()).
 func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
-	if cfg.Variant == VariantDefault {
+	if cfg.Variant == variantDefault {
 		cfg.Variant = RomLog
 	}
 	reserve := 0
@@ -467,7 +466,7 @@ func (e *Engine) wireConcurrency() {
 			arrive()
 			return e.beginTx()
 		},
-		Commit: func(*Tx, int) {
+		Commit: func(*Tx) {
 			e.durablePoint()
 			depart()
 		},
@@ -560,7 +559,7 @@ func (e *Engine) endUpdate() {
 
 // rng is a [Off, Off+N) byte range of a twin, relative to its base.
 type rng struct {
-	Off, N uint64
+	off, n uint64
 }
 
 // copyLines makes the twin at dst equal the twin at src over the round's
@@ -588,11 +587,11 @@ func (e *Engine) copyLines(dst, src int) {
 	} else {
 		e.extentBuf = lineExtents(e.extentBuf, e.lines.Lines())
 		for _, r := range e.extentBuf {
-			d.CopyWithin(dst+int(r.Off), src+int(r.Off), int(r.N))
-			copied += r.N
+			d.CopyWithin(dst+int(r.off), src+int(r.off), int(r.n))
+			copied += r.n
 		}
 		for _, r := range e.extentBuf {
-			d.PwbRange(dst+int(r.Off), int(r.N))
+			d.PwbRange(dst+int(r.off), int(r.n))
 		}
 		extents = uint64(len(e.extentBuf))
 	}
@@ -641,7 +640,6 @@ func (e *Engine) rollbackTx() {
 	}
 	e.copyLines(e.mainBase, e.backBase)
 	e.endUpdate()
-	e.rollbacks.Add(1)
 }
 
 // heapTopRaw reads the allocator's wilderness pointer directly (valid even
@@ -685,11 +683,9 @@ func (e *Engine) Stats() ptm.TxStats {
 	return ptm.TxStats{
 		UpdateTxs:        e.updates.Load(),
 		ReadTxs:          e.reads.Load(),
-		Rollbacks:        e.rollbacks.Load(),
 		Combined:         cs.Combined,
 		Batches:          cs.Batches,
 		BatchOps:         cs.BatchOps,
-		CombineNs:        cs.CombineNs,
 		ReplicatedBytes:  e.replBytes.Load(),
 		ReplicateExtents: e.replExtents.Load(),
 	}

@@ -41,8 +41,8 @@ func TestLineExtentsCoalescesAdjacentLines(t *testing.T) {
 		[2]int{pmem.LineSize*2 + 32, 100}, // lines 2..4, line 2 already stored
 	)
 	checkExtents(t, got, []rng{{0, 5 * pmem.LineSize}})
-	if s.Len() != 5 {
-		t.Errorf("len = %d, want 5 distinct lines", s.Len())
+	if n := len(s.Lines()); n != 5 {
+		t.Errorf("len = %d, want 5 distinct lines", n)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestLineExtentsResetIsEmpty(t *testing.T) {
 	s := pmem.NewLineSet(headSize + 1<<12)
 	extentsOf(&s, [2]int{0, 4096})
 	s.Reset()
-	if s.Len() != 0 || len(lineExtents(nil, s.Lines())) != 0 {
+	if len(s.Lines()) != 0 || len(lineExtents(nil, s.Lines())) != 0 {
 		t.Error("reset left lines behind")
 	}
 	checkExtents(t, extentsOf(&s, [2]int{64, 1}), []rng{{64, 64}})

@@ -55,8 +55,8 @@ type Config struct {
 	Rounds int
 	// Seed makes campaigns reproducible (fully deterministic at one worker).
 	Seed int64
-	// Engines selects the scenario's subjects by name (EngineNames); empty or
-	// "all" means every one.
+	// Engines selects the scenario's subjects by name; empty or "all"
+	// means every one.
 	Engines []string
 	// Workers is the number of concurrent workload goroutines (connections,
 	// for the rounds scenario's group subjects). Engines whose commit path
@@ -109,9 +109,9 @@ type Report struct {
 	AuditWaste      audit.Waste `json:"audit_waste"`
 }
 
-// Count returns the census counter called name, or 0 if the scenario has
+// count returns the census counter called name, or 0 if the scenario has
 // none.
-func (r *Report) Count(name string) uint64 {
+func (r *Report) count(name string) uint64 {
 	for _, c := range r.Census {
 		if c.Name == name {
 			return c.N
@@ -215,16 +215,6 @@ func findScenario(name string) (*scenario, error) {
 		}
 	}
 	return nil, fmt.Errorf("crashtest: unknown scenario %q (known: %s)", name, strings.Join(ScenarioNames(), ", "))
-}
-
-// EngineNames lists the subjects of a scenario in campaign order, or nil for
-// an unknown scenario or one whose system is fixed.
-func EngineNames(scenarioName string) []string {
-	sc, err := findScenario(scenarioName)
-	if err != nil || sc.fixed() {
-		return nil
-	}
-	return append([]string(nil), sc.subjects...)
 }
 
 // resolve fills cfg's zero sizing fields from the scenario's row and rejects

@@ -8,13 +8,23 @@ import (
 	"repro/internal/obs"
 )
 
+// scenarioSubjects lists a scenario's subjects in campaign order.
+func scenarioSubjects(t *testing.T, name string) []string {
+	t.Helper()
+	sc, err := findScenario(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc.subjects
+}
+
 func TestCampaignSmall(t *testing.T) {
 	reports, err := Run(Config{Rounds: 6, Seed: 1, ChainDepth: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(EngineNames("crash")) {
-		t.Fatalf("got %d reports, want %d", len(reports), len(EngineNames("crash")))
+	if want := len(scenarioSubjects(t, "crash")); len(reports) != want {
+		t.Fatalf("got %d reports, want %d", len(reports), want)
 	}
 	for _, r := range reports {
 		if r.Rounds != 6 {
@@ -50,21 +60,21 @@ func TestCampaignHitsAllOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := reports[0]
-	if r.Count("mid_tx") == 0 {
+	if r.count("mid_tx") == 0 {
 		t.Error("no crash landed inside the workload")
 	}
-	if r.Count("mid_tx") == uint64(r.Rounds) {
+	if r.count("mid_tx") == uint64(r.Rounds) {
 		t.Error("no crash landed at a quiescent point")
 	}
-	if r.Count("chain") == 0 {
+	if r.count("chain") == 0 {
 		t.Error("no crash landed during reopen")
 	}
-	if r.Count("recovery_crash") == 0 {
+	if r.count("recovery_crash") == 0 {
 		t.Error("no crash landed inside pending recovery work")
 	}
-	if r.Count("rolled_back") == 0 || r.Count("carried_forward") == 0 {
+	if r.count("rolled_back") == 0 || r.count("carried_forward") == 0 {
 		t.Errorf("want both outcomes, got rolled_back=%d carried_forward=%d",
-			r.Count("rolled_back"), r.Count("carried_forward"))
+			r.count("rolled_back"), r.count("carried_forward"))
 	}
 	t.Logf("report: %+v", r)
 }

@@ -97,7 +97,7 @@ func TestCensusGolden(t *testing.T) {
 		for i, rep := range reports {
 			g := goldenReport{Engine: rep.Engine, Rounds: rep.Rounds, Census: map[string]uint64{}}
 			for name := range want.Reports[i].Census {
-				g.Census[name] = rep.Count(name)
+				g.Census[name] = rep.count(name)
 			}
 			got.Reports = append(got.Reports, g)
 		}

@@ -35,12 +35,12 @@ func TestFaultCampaignAllEngines(t *testing.T) {
 		}
 		// Every round's rot trial ends in exactly one of the two acceptable
 		// outcomes; anything else would have failed the campaign above.
-		if rep.Count("rot_detected")+rep.Count("rot_benign") != uint64(rounds) {
+		if rep.count("rot_detected")+rep.count("rot_benign") != uint64(rounds) {
 			t.Errorf("%s: rot outcomes %d detected + %d benign != %d rounds",
-				rep.Engine, rep.Count("rot_detected"), rep.Count("rot_benign"), rounds)
+				rep.Engine, rep.count("rot_detected"), rep.count("rot_benign"), rounds)
 		}
 		// The media phase always trips faults (transient then sticky).
-		if rep.Count("trip") == 0 {
+		if rep.count("trip") == 0 {
 			t.Errorf("%s: media phase tripped no faults (vacuous?)", rep.Engine)
 		}
 		if rep.AuditViolations != 0 {

@@ -16,15 +16,15 @@ func TestMigrateCampaign(t *testing.T) {
 	if rep.Rounds != 60 {
 		t.Fatalf("completed %d rounds, want 60", rep.Rounds)
 	}
-	if rep.Count("copy") == 0 || rep.Count("cleanup") == 0 {
+	if rep.count("copy") == 0 || rep.count("cleanup") == 0 {
 		t.Fatalf("want crashes on both sides of the cutover, got %d copy / %d cleanup",
-			rep.Count("copy"), rep.Count("cleanup"))
+			rep.count("copy"), rep.count("cleanup"))
 	}
-	if rep.Count("recovery_crash") == 0 {
+	if rep.count("recovery_crash") == 0 {
 		t.Fatal("no crash landed inside pending recovery work")
 	}
-	if rep.Count("rolled_back")+rep.Count("carried_forward") != uint64(rep.Rounds) {
-		t.Fatalf("resolution counts %d+%d != rounds %d", rep.Count("rolled_back"), rep.Count("carried_forward"), rep.Rounds)
+	if rep.count("rolled_back")+rep.count("carried_forward") != uint64(rep.Rounds) {
+		t.Fatalf("resolution counts %d+%d != rounds %d", rep.count("rolled_back"), rep.count("carried_forward"), rep.Rounds)
 	}
 	t.Logf("migrate: %+v", rep)
 }

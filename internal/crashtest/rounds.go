@@ -71,7 +71,7 @@ func roundsVerify(rep *Report) error {
 		need = append(need, "flight_rounds")
 	}
 	for _, name := range need {
-		if rep.Rounds >= 25 && rep.Count(name) == 0 {
+		if rep.Rounds >= 25 && rep.count(name) == 0 {
 			return fmt.Errorf("crashtest: rounds: %s: %d rounds with %s = 0 — the campaign is vacuous",
 				rep.Engine, rep.Rounds, name)
 		}

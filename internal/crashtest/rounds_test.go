@@ -24,7 +24,7 @@ func runRounds(t *testing.T, cfg Config, want ...string) {
 	}
 	subjects := cfg.Engines
 	if subjects == nil {
-		subjects = EngineNames("rounds")
+		subjects = scenarioSubjects(t, "rounds")
 	}
 	if len(reports) != len(subjects) {
 		t.Fatalf("got %d reports, want %d", len(reports), len(subjects))
@@ -34,7 +34,7 @@ func runRounds(t *testing.T, cfg Config, want ...string) {
 			t.Errorf("%s: %d rounds completed, want %d", r.Engine, r.Rounds, cfg.Rounds)
 		}
 		for _, name := range want {
-			if r.Count(name) == 0 {
+			if r.count(name) == 0 {
 				t.Errorf("%s: %s = 0; the campaign never exercised it", r.Engine, name)
 			}
 		}

@@ -20,14 +20,14 @@ func TestXShardCampaign(t *testing.T) {
 	if rep.Rounds != 40 {
 		t.Fatalf("completed %d rounds, want 40", rep.Rounds)
 	}
-	if rep.Count("xbatch") == 0 {
+	if rep.count("xbatch") == 0 {
 		t.Fatal("campaign committed no cross-shard batches")
 	}
-	if rep.Count("mid_op") == 0 {
+	if rep.count("mid_op") == 0 {
 		t.Fatal("no crash interrupted a workload — arming window miscalibrated")
 	}
-	if rep.Count("rolled_back")+rep.Count("carried_forward") != uint64(rep.Rounds) {
-		t.Fatalf("resolution counts %d+%d != rounds %d", rep.Count("rolled_back"), rep.Count("carried_forward"), rep.Rounds)
+	if rep.count("rolled_back")+rep.count("carried_forward") != uint64(rep.Rounds) {
+		t.Fatalf("resolution counts %d+%d != rounds %d", rep.count("rolled_back"), rep.count("carried_forward"), rep.Rounds)
 	}
 	t.Logf("xshard: %+v", rep)
 }

@@ -15,7 +15,7 @@ func benchHooks(commitCost time.Duration, commits *atomic.Uint64) Hooks[int] {
 	var mu sync.Mutex
 	return Hooks[int]{
 		Begin: func() int { mu.Lock(); return 0 },
-		Commit: func(tx int, ops int) {
+		Commit: func(tx int) {
 			if commitCost > 0 {
 				spinFor(commitCost)
 			}
@@ -67,7 +67,6 @@ func BenchmarkCombinerContention(b *testing.B) {
 				b.ReportMetric(float64(st.BatchOps)/float64(st.Batches), "ops/batch")
 				b.ReportMetric(float64(st.Batches)/float64(st.BatchOps), "rounds/op")
 			}
-			b.ReportMetric(float64(st.MaxBatch), "max-batch")
 		})
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Waiter is the part of a queued request the Queue manages. Embed it in the
@@ -65,19 +64,16 @@ type Waiter struct {
 	// while no other waiter of the queue watches (see Wait). Only the owner
 	// reads it, in Wait.
 	Watch bool
-	done  atomic.Bool
+	done  atomic.Bool // set once a batch settled the request
 }
-
-// Done reports whether a batch settled the request.
-func (w *Waiter) Done() bool { return w.done.Load() }
 
 func (w *Waiter) waiter() *Waiter { return w }
 
-// Queued is satisfied by a pointer to a type that embeds Waiter.
-type Queued interface{ waiter() *Waiter }
+// queued is satisfied by a pointer to a type that embeds Waiter.
+type queued interface{ waiter() *Waiter }
 
 // Queue is the lead-or-park queue: requests in FIFO order and a leader slot.
-type Queue[R Queued] struct {
+type Queue[R queued] struct {
 	// run executes a batch with the slot held. It must release every request
 	// it took, through Release, before it returns, and returns the batch
 	// (grown by More) so its buffer is reused.
@@ -101,7 +97,7 @@ type Queue[R Queued] struct {
 
 // NewQueue returns a queue whose leaders run batches of at most maxBatch
 // requests (0: unbounded) through run.
-func NewQueue[R Queued](maxBatch int, run func(batch []R) []R) *Queue[R] {
+func NewQueue[R queued](maxBatch int, run func(batch []R) []R) *Queue[R] {
 	return &Queue[R]{run: run, maxBatch: maxBatch, parked: map[chan struct{}]struct{}{}}
 }
 
@@ -140,7 +136,7 @@ func (q *Queue[R]) Enqueue(r R) {
 // arrival always gives the one pass, which is what lets concurrent writers
 // on few processors meet in one round.
 func (q *Queue[R]) Wait(r R) {
-	if w := r.waiter(); !w.Done() {
+	if w := r.waiter(); !w.done.Load() {
 		q.wait(w, w.Wake)
 	}
 }
@@ -153,7 +149,7 @@ func (q *Queue[R]) Flush() { q.wait(nil, make(chan struct{}, 1)) }
 func (q *Queue[R]) wait(w *Waiter, wake chan struct{}) {
 	waited := false // yielded or parked once already
 	q.mu.Lock()
-	for w == nil && (q.busy.Load() || len(q.reqs) > 0) || w != nil && !w.Done() {
+	for w == nil && (q.busy.Load() || len(q.reqs) > 0) || w != nil && !w.done.Load() {
 		if !q.busy.Load() {
 			if w != nil && !waited && (w.Owner == 0 || !q.yielding && w.Owner == q.otherOwner && w.Owner != q.lastOwner) {
 				waited = true
@@ -185,7 +181,7 @@ func (q *Queue[R]) wait(w *Waiter, wake chan struct{}) {
 func (q *Queue[R]) watch(w *Waiter, claim bool) {
 	q.watching = q.watching || claim
 	q.mu.Unlock()
-	for !w.Done() && q.busy.Load() {
+	for !w.done.Load() && q.busy.Load() {
 		runtime.Gosched()
 	}
 	q.mu.Lock()
@@ -252,9 +248,9 @@ func (q *Queue[R]) take(batch []R) []R {
 	return batch
 }
 
-// More moves what was queued since the batch was taken onto it, within the
+// more moves what was queued since the batch was taken onto it, within the
 // bound. Only the slot holder calls it.
-func (q *Queue[R]) More(batch []R) []R {
+func (q *Queue[R]) more(batch []R) []R {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.take(batch)
@@ -278,8 +274,8 @@ func (q *Queue[R]) Release(rs ...R) {
 	q.mu.Unlock()
 }
 
-// Exclusive runs f holding the slot, between batches.
-func (q *Queue[R]) Exclusive(f func()) {
+// exclusive runs f holding the slot, between batches.
+func (q *Queue[R]) exclusive(f func()) {
 	q.mu.Lock()
 	for wake := chan struct{}(nil); q.busy.Load(); q.park(wake) {
 		if wake == nil {
@@ -321,10 +317,9 @@ type Hooks[T any] struct {
 	// left-right it performs the first version toggle.
 	Begin func() T
 	// Commit makes the transaction durable (the psync of Algorithm 1) and
-	// publishes its effects to readers. ops is the number of requests the
-	// transaction carries. The requests other than Late ones are released
-	// next.
-	Commit func(tx T, ops int)
+	// publishes its effects to readers. The requests other than Late ones
+	// are released next.
+	Commit func(tx T)
 	// Replicate finishes the round after those requests were released:
 	// whatever the next transaction needs (the main→back copy and its
 	// fence), none of which any caller's result depends on.
@@ -354,13 +349,11 @@ type Request[T any] struct {
 // Combiner is the engine's instance of the queue: its batch body is one
 // durable transaction.
 type Combiner[T any] struct {
-	q         *Queue[*Request[T]]
-	hooks     Hooks[T]
-	combined  atomic.Uint64 // requests executed in a batch another caller led
-	seq       atomic.Uint64 // committed durability rounds, monotone
-	batchOps  atomic.Uint64 // requests retired across committed rounds
-	maxBatch  atomic.Uint64 // largest single committed batch
-	combineNs atomic.Uint64 // total wall time spent inside combining passes
+	q        *Queue[*Request[T]]
+	hooks    Hooks[T]
+	combined atomic.Uint64 // requests executed in a batch another caller led
+	seq      atomic.Uint64 // committed durability rounds, monotone
+	batchOps atomic.Uint64 // requests retired across committed rounds
 }
 
 // Stats is a snapshot of a combiner's batching counters.
@@ -372,11 +365,6 @@ type Stats struct {
 	BatchOps uint64
 	// Combined counts requests executed in a batch that another caller led.
 	Combined uint64
-	// MaxBatch is the largest single committed batch.
-	MaxBatch uint64
-	// CombineNs is total wall-clock nanoseconds spent inside combining
-	// passes (batch execution plus its durability round).
-	CombineNs uint64
 }
 
 // New creates a combiner with the given engine hooks whose batches carry at
@@ -393,11 +381,9 @@ func New[T any](hooks Hooks[T], maxBatch int) *Combiner[T] {
 // snapshot is only loosely consistent (fine for metrics).
 func (c *Combiner[T]) Stats() Stats {
 	return Stats{
-		Batches:   c.seq.Load(),
-		BatchOps:  c.batchOps.Load(),
-		Combined:  c.combined.Load(),
-		MaxBatch:  c.maxBatch.Load(),
-		CombineNs: c.combineNs.Load(),
+		Batches:  c.seq.Load(),
+		BatchOps: c.batchOps.Load(),
+		Combined: c.combined.Load(),
 	}
 }
 
@@ -416,16 +402,12 @@ func (c *Combiner[T]) Execute(r *Request[T]) {
 // Exclusive runs f holding the slot, between durability rounds: f may write
 // the engine's device alongside its writers, but runs no operation and
 // commits nothing.
-func (c *Combiner[T]) Exclusive(f func()) { c.q.Exclusive(f) }
-
-// Len returns the number of requests waiting for a batch.
-func (c *Combiner[T]) Len() int { return c.q.Len() }
+func (c *Combiner[T]) Exclusive(f func()) { c.q.exclusive(f) }
 
 // round is the combiner's batch body: run the batch in one transaction,
 // rescan, fold in late arrivals, and repeat until a rescan finds nothing
 // new; then commit the whole batch in one durability round.
 func (c *Combiner[T]) round(batch []*Request[T]) []*Request[T] {
-	start := time.Now()
 	tx := c.hooks.Begin()
 	ok := true
 	for ran := 0; ok && ran < len(batch); ran++ {
@@ -433,11 +415,11 @@ func (c *Combiner[T]) round(batch []*Request[T]) []*Request[T] {
 			ok = runOp(batch[ran], i, tx)
 		}
 		if ok && ran == len(batch)-1 {
-			batch = c.q.More(batch) // rescan before the commit
+			batch = c.q.more(batch) // rescan before the commit
 		}
 	}
 	if ok {
-		c.hooks.Commit(tx, len(batch))
+		c.hooks.Commit(tx)
 		seq := c.seq.Add(1)
 		early := 0
 		for i, r := range batch {
@@ -447,7 +429,7 @@ func (c *Combiner[T]) round(batch []*Request[T]) []*Request[T] {
 				early++
 			}
 		}
-		c.recordBatch(len(batch))
+		c.batchOps.Add(uint64(len(batch)))
 		c.q.Release(batch[:early]...)
 		c.hooks.Replicate(tx)
 		c.q.Release(batch[early:]...)
@@ -461,7 +443,6 @@ func (c *Combiner[T]) round(batch []*Request[T]) []*Request[T] {
 		}
 	}
 	c.combined.Add(uint64(len(batch) - 1))
-	c.combineNs.Add(uint64(time.Since(start)))
 	return batch
 }
 
@@ -473,26 +454,15 @@ func (c *Combiner[T]) runSolo(r *Request[T]) {
 	for i := range r.Errs {
 		tx := c.hooks.Begin()
 		if runOp(r, i, tx) {
-			c.hooks.Commit(tx, 1)
+			c.hooks.Commit(tx)
 			r.Seq = c.seq.Add(1)
-			c.recordBatch(1)
+			c.batchOps.Add(1)
 			c.hooks.Replicate(tx)
 		} else {
 			c.hooks.Rollback(tx)
 		}
 	}
 	c.q.Release(r)
-}
-
-// recordBatch accounts one committed durability round of ops requests.
-func (c *Combiner[T]) recordBatch(ops int) {
-	c.batchOps.Add(uint64(ops))
-	for {
-		cur := c.maxBatch.Load()
-		if uint64(ops) <= cur || c.maxBatch.CompareAndSwap(cur, uint64(ops)) {
-			return
-		}
-	}
 }
 
 // runOp invokes operation i of r, recording its error and capturing its

@@ -13,8 +13,10 @@ import (
 
 // fakeTx is a toy transactional store: Begin snapshots, Commit keeps,
 // Replicate ends the round, Rollback restores. It lets the tests verify the
-// combiner's transactional contract without a real PTM engine. replicate,
-// when set, runs inside the Replicate hook (outside mu).
+// combiner's transactional contract without a real PTM engine. adds records
+// each committed round's net change to value: its request count when every
+// operation adds 1. replicate, when set, runs inside the Replicate hook
+// (outside mu).
 type fakeEngine struct {
 	mu         sync.Mutex
 	value      int
@@ -23,7 +25,7 @@ type fakeEngine struct {
 	commits    int
 	replicates int
 	rollbacks  int
-	batchOps   []int
+	adds       []int
 	inTx       bool
 	replicate  func()
 }
@@ -45,13 +47,13 @@ func (e *fakeEngine) hooks() Hooks[fakeTx] {
 			e.mu.Unlock()
 			return fakeTx{e}
 		},
-		Commit: func(tx fakeTx, ops int) {
+		Commit: func(tx fakeTx) {
 			e.mu.Lock()
 			if !e.inTx || e.commits != e.replicates {
 				panic("Commit outside a transaction or twice in one round")
 			}
 			e.commits++
-			e.batchOps = append(e.batchOps, ops)
+			e.adds = append(e.adds, e.value-e.snapshot)
 			e.mu.Unlock()
 		},
 		Replicate: func(tx fakeTx) {
@@ -97,7 +99,7 @@ func group(n int, op func(tx fakeTx, i int) error) *Request[fakeTx] {
 
 // waitQueued spins until c holds n requests no batch has taken.
 func waitQueued(c *Combiner[fakeTx], n int) {
-	for c.Len() < n {
+	for c.q.Len() < n {
 		runtime.Gosched()
 	}
 }
@@ -299,9 +301,6 @@ func TestExecuteSeqMonotoneAndStats(t *testing.T) {
 	if st.Batches != 50 || st.BatchOps != 50 {
 		t.Errorf("stats = %+v, want 50 batches of 1 op", st)
 	}
-	if st.MaxBatch != 1 {
-		t.Errorf("MaxBatch = %d, want 1 (sequential execution)", st.MaxBatch)
-	}
 	if st.Combined != 0 {
 		t.Errorf("Combined = %d, want 0 (no other threads)", st.Combined)
 	}
@@ -322,7 +321,7 @@ func TestFailedOpReportsSeqZero(t *testing.T) {
 func TestConcurrentBatchesShareSeq(t *testing.T) {
 	// Under contention, ops committed by one durability round must report
 	// the same sequence number, and every round's ops count must match the
-	// count handed to the Commit hook.
+	// increments the Commit hook saw.
 	e := &fakeEngine{}
 	c := New(e.hooks(), 0)
 	const workers, iters = 8, 100
@@ -356,16 +355,17 @@ func TestConcurrentBatchesShareSeq(t *testing.T) {
 	if st.Batches != uint64(len(perSeq)) {
 		t.Errorf("Batches = %d but %d distinct seqs observed", st.Batches, len(perSeq))
 	}
-	// Cross-check each round's size against what the Commit hook saw.
-	// Rounds commit in seq order, so the i-th commit is seq i+1.
+	// Cross-check each round's size against what the Commit hook saw: each
+	// operation adds 1. Rounds commit in seq order, so the i-th commit is
+	// seq i+1.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.batchOps) != len(perSeq) {
-		t.Fatalf("%d commits, %d seqs", len(e.batchOps), len(perSeq))
+	if len(e.adds) != len(perSeq) {
+		t.Fatalf("%d commits, %d seqs", len(e.adds), len(perSeq))
 	}
 	total := 0
 	for seq, n := range perSeq {
-		if got := e.batchOps[seq-1]; got != n {
+		if got := e.adds[seq-1]; got != n {
 			t.Errorf("seq %d: commit hook saw %d ops, owners saw %d", seq, got, n)
 		}
 		total += n
@@ -413,8 +413,8 @@ func TestDrainFoldsLateArrivals(t *testing.T) {
 	if e.commits != 1 {
 		t.Errorf("commits = %d, want 1 (single drained batch)", e.commits)
 	}
-	if st := c.Stats(); st.MaxBatch != 2 {
-		t.Errorf("MaxBatch = %d, want 2", st.MaxBatch)
+	if st := c.Stats(); st.BatchOps != 2 {
+		t.Errorf("BatchOps = %d, want 2", st.BatchOps)
 	}
 }
 
@@ -463,7 +463,7 @@ func TestExecuteDirectFoldsAnnounced(t *testing.T) {
 	if r.Seq != seq2 || e.commits != 1 || !slices.Equal(order, []int{0, 1, 2}) {
 		t.Fatalf("seqs %d/%d, commits %d, order %v: want one shared round, the group's operations first", r.Seq, seq2, e.commits, order)
 	}
-	if st := c.Stats(); st.Combined != 1 || st.MaxBatch != 2 {
+	if st := c.Stats(); st.Combined != 1 || st.BatchOps != 2 {
 		t.Fatalf("stats %+v: want 1 combined request in a batch of 2", st)
 	}
 }
@@ -620,6 +620,37 @@ func TestLateReleasedAfterReplicate(t *testing.T) {
 	}
 }
 
+// TestManyQueuedRequests: 299 requests queue behind a leader whose
+// operation holds its round open — no per-caller slot bounds how many may
+// wait — and its rescan folds every one of them into that round.
+func TestManyQueuedRequests(t *testing.T) {
+	const writers = 300
+	e := &fakeEngine{}
+	c := New(e.hooks(), 0)
+	running := make(chan struct{})
+	leader := make(chan struct{})
+	go func() {
+		defer close(leader)
+		execute(c, foldAt(c, running, writers-1))
+	}()
+	<-running
+	var wg sync.WaitGroup
+	for i := 1; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := execute(c, func(tx fakeTx) error { tx.add(1); return nil }); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	<-leader
+	if !slices.Equal(e.adds, []int{writers}) {
+		t.Fatalf("rounds added %v, want one round of all %d requests", e.adds, writers)
+	}
+}
+
 // TestEnqueueIsOneBatch: the operations of one request — the server's batch
 // — go into one round, even when a leader rescans while it is queued and
 // the rounds are bounded to one request: a server batch is always exactly
@@ -627,7 +658,10 @@ func TestLateReleasedAfterReplicate(t *testing.T) {
 func TestEnqueueIsOneBatch(t *testing.T) {
 	// Bounded to one request, the rescan cannot fold the request into the
 	// leader's round, so it gets a round of its own.
-	for _, tc := range []struct{ maxBatch, rounds, largest int }{{0, 1, 2}, {1, 2, 1}} {
+	for _, tc := range []struct {
+		maxBatch int
+		adds     []int // each round's increments
+	}{{0, []int{4}}, {1, []int{1, 3}}} {
 		e := &fakeEngine{}
 		c := New(e.hooks(), tc.maxBatch)
 		running := make(chan struct{})
@@ -639,9 +673,8 @@ func TestEnqueueIsOneBatch(t *testing.T) {
 		<-running
 		c.Execute(group(3, func(tx fakeTx, i int) error { tx.add(1); return nil }))
 		<-leader
-		if st := c.Stats(); st.Batches != uint64(tc.rounds) || st.MaxBatch != uint64(tc.largest) || e.value != 4 {
-			t.Fatalf("maxBatch %d: %d rounds, largest %d, value %d: want %d rounds, largest %d, the request's 3 operations in one",
-				tc.maxBatch, st.Batches, st.MaxBatch, e.value, tc.rounds, tc.largest)
+		if !slices.Equal(e.adds, tc.adds) {
+			t.Fatalf("maxBatch %d: rounds added %v, want %v: the request's 3 operations in one round", tc.maxBatch, e.adds, tc.adds)
 		}
 	}
 }

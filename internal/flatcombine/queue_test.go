@@ -22,7 +22,7 @@ func heldQueue(maxBatch int, more bool) (q *Queue[*item], running, gate chan str
 			close(running)
 			<-gate
 			if more {
-				batch = q.More(batch)
+				batch = q.more(batch)
 			}
 		}
 		batches <- len(batch)
@@ -165,7 +165,7 @@ func TestFlushAndExclusivePark(t *testing.T) {
 		dones = append(dones, waitFor(q.Flush))
 		until(t, q, "Flush did not park", func(parked int, _ bool) bool { return parked == 1 })
 		ran := false
-		dones = append(dones, waitFor(func() { q.Exclusive(func() { ran = true }) }))
+		dones = append(dones, waitFor(func() { q.exclusive(func() { ran = true }) }))
 		until(t, q, "Exclusive did not park", func(parked int, watching bool) bool {
 			if watching != withWatcher {
 				t.Fatalf("watching %v with a watcher %v", watching, withWatcher)

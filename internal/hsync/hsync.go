@@ -31,7 +31,7 @@ type Stripe struct {
 // spreads readers over cache lines, and no reader needs an ID. Each reader
 // takes its stripe from a sync.Pool, which is mostly per-P, so concurrent
 // readers on different processors usually touch different lines and no
-// shared line is written on the read path. IsEmpty scans every stripe: the
+// shared line is written on the read path. isEmpty scans every stripe: the
 // writer-side cost of the reader-side store, the right trade for
 // read-mostly workloads. The zero value is ready to use.
 type ReadIndicator struct {
@@ -85,10 +85,10 @@ func (r *ReadIndicator) alloc() *stripes {
 	return t
 }
 
-// IsEmpty reports whether no reader is present. It is not a snapshot:
+// isEmpty reports whether no reader is present. It is not a snapshot:
 // concurrent arrivals may race with the scan; callers combine it with a
 // writer flag that blocks new arrivals (C-RW-WP) or a version toggle (LR).
-func (r *ReadIndicator) IsEmpty() bool {
+func (r *ReadIndicator) isEmpty() bool {
 	t := r.t.Load()
 	if t == nil {
 		return true
@@ -103,7 +103,7 @@ func (r *ReadIndicator) IsEmpty() bool {
 
 // WaitEmpty spins until the indicator is empty.
 func (r *ReadIndicator) WaitEmpty() {
-	for spins := 0; !r.IsEmpty(); spins++ {
+	for spins := 0; !r.isEmpty(); spins++ {
 		if spins > 16 {
 			runtime.Gosched()
 		}

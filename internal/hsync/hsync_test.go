@@ -7,20 +7,20 @@ import (
 
 func TestReadIndicatorArriveDepart(t *testing.T) {
 	var r ReadIndicator
-	if !r.IsEmpty() {
+	if !r.isEmpty() {
 		t.Fatal("fresh indicator not empty")
 	}
 	a := r.Arrive()
-	if r.IsEmpty() {
+	if r.isEmpty() {
 		t.Fatal("indicator empty with one reader")
 	}
 	b := r.Arrive()
 	r.Depart(a)
-	if r.IsEmpty() {
+	if r.isEmpty() {
 		t.Fatal("indicator empty with the second reader present")
 	}
 	r.Depart(b)
-	if !r.IsEmpty() {
+	if !r.isEmpty() {
 		t.Fatal("indicator not empty after all depart")
 	}
 }
@@ -30,11 +30,11 @@ func TestReadIndicatorReentrant(t *testing.T) {
 	outer := r.Arrive()
 	inner := r.Arrive()
 	r.Depart(inner)
-	if r.IsEmpty() {
+	if r.isEmpty() {
 		t.Fatal("nested arrival lost")
 	}
 	r.Depart(outer)
-	if !r.IsEmpty() {
+	if !r.isEmpty() {
 		t.Fatal("indicator stuck after nested departs")
 	}
 }
@@ -54,12 +54,12 @@ func TestReadIndicatorSharedStripes(t *testing.T) {
 		t.Fatalf("%d stripes: want a power of two >= 2*GOMAXPROCS, below %d", n, readers)
 	}
 	for i, s := range held {
-		if r.IsEmpty() {
+		if r.isEmpty() {
 			t.Fatalf("indicator empty with %d readers present", readers-i)
 		}
 		r.Depart(s)
 	}
-	if !r.IsEmpty() {
+	if !r.isEmpty() {
 		t.Fatal("indicator not empty after all depart")
 	}
 }
@@ -82,7 +82,7 @@ func TestWaitEmpty(t *testing.T) {
 }
 
 // BenchmarkReadIndicator times a reader's Arrive/Depart pair from every
-// processor at once, and the writer-side IsEmpty scan of an indicator that
+// processor at once, and the writer-side isEmpty scan of an indicator that
 // readers have used.
 func BenchmarkReadIndicator(b *testing.B) {
 	b.Run("ArriveDepart", func(b *testing.B) {
@@ -97,7 +97,7 @@ func BenchmarkReadIndicator(b *testing.B) {
 		var r ReadIndicator
 		r.Depart(r.Arrive())
 		for i := 0; i < b.N; i++ {
-			if !r.IsEmpty() {
+			if !r.isEmpty() {
 				b.Fatal("indicator not empty")
 			}
 		}

@@ -7,5 +7,5 @@ type atomicInstance struct {
 	v atomic.Int32
 }
 
-func (a *atomicInstance) Load() Instance   { return Instance(a.v.Load()) }
-func (a *atomicInstance) Store(i Instance) { a.v.Store(int32(i)) }
+func (a *atomicInstance) load() Instance   { return Instance(a.v.Load()) }
+func (a *atomicInstance) store(i Instance) { a.v.Store(int32(i)) }

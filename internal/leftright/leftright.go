@@ -47,7 +47,7 @@ type Reader struct {
 // Wait-free: a load, a stripe from the indicator's pool and one atomic
 // increment.
 func (lr *LR) Arrive() Reader {
-	ri := &lr.readers[lr.versionIndex.Load()]
+	ri := &lr.readers[lr.versionIndex.load()]
 	return Reader{ri, ri.Arrive()}
 }
 
@@ -59,7 +59,7 @@ func (lr *LR) Depart(r Reader) {
 // Read returns the instance the reader should use. Must be called after
 // Arrive.
 func (lr *LR) Read() Instance {
-	return lr.leftRight.Load()
+	return lr.leftRight.load()
 }
 
 // Toggle directs new readers at instance to and then waits until no reader
@@ -68,14 +68,14 @@ func (lr *LR) Read() Instance {
 // instance readers were diverted away from. Only the (single) writer may
 // call it.
 func (lr *LR) Toggle(to Instance) {
-	lr.leftRight.Store(to)
-	prev := lr.versionIndex.Load()
+	lr.leftRight.store(to)
+	prev := lr.versionIndex.load()
 	next := 1 - prev
 	// Wait for stragglers on the version we are about to expose, then
 	// switch versions and wait for readers still on the old version. After
 	// both waits, every active reader arrived after the instance switch and
 	// is therefore on instance `to`.
 	lr.readers[next].WaitEmpty()
-	lr.versionIndex.Store(next)
+	lr.versionIndex.store(next)
 	lr.readers[prev].WaitEmpty()
 }

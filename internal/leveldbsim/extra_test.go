@@ -9,45 +9,47 @@ import (
 	"testing"
 )
 
+// TestSyncForcesDurability: inside the buffered window, a Put with
+// WriteOptions.Sync fdatasyncs before it returns.
 func TestSyncForcesDurability(t *testing.T) {
-	db := openTmp(t, Options{SyncEvery: 1 << 30})
+	db := openTmp(t, Options{syncEvery: 1 << 30})
 	db.Put([]byte("a"), []byte("1"), WriteOptions{})
-	before := db.Stats().Fdatasyncs
-	if err := db.Sync(); err != nil {
+	before := db.stats.fdatasyncs
+	if err := db.Put([]byte("b"), []byte("2"), WriteOptions{Sync: true}); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats().Fdatasyncs != before+1 {
-		t.Error("Sync did not fdatasync")
+	if db.stats.fdatasyncs != before+1 {
+		t.Error("a synced Put did not fdatasync")
 	}
 }
 
 func TestReopenWithExistingSSTs(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{MemtableBytes: 512})
+	db, err := Open(dir, Options{memtableBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{byte(i)}, 30), WriteOptions{})
 	}
-	if db.Stats().Flushes == 0 {
+	if db.stats.flushes == 0 {
 		t.Fatal("no flush happened")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := Open(dir, Options{MemtableBytes: 512})
+	db2, err := Open(dir, Options{memtableBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
 	for i := 0; i < 100; i++ {
-		v, err := db2.Get([]byte(fmt.Sprintf("k%03d", i)))
+		v, err := get(db2, []byte(fmt.Sprintf("k%03d", i)))
 		if err != nil || len(v) != 30 {
 			t.Fatalf("Get(%d) after reopen = %v, %v", i, v, err)
 		}
 	}
-	n, err := db2.Len()
+	n, err := count(db2)
 	if err != nil || n != 100 {
 		t.Fatalf("Len = %d, %v", n, err)
 	}
@@ -74,7 +76,7 @@ func TestOpenSSTRejectsCorruptFiles(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriter(t *testing.T) {
-	db := openTmp(t, Options{MemtableBytes: 2 << 10})
+	db := openTmp(t, Options{memtableBytes: 2 << 10})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	writerDone := make(chan struct{})
@@ -94,7 +96,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				db.Get([]byte(fmt.Sprintf("k%04d", i%200)))
+				get(db, []byte(fmt.Sprintf("k%04d", i%200)))
 			}
 		}()
 	}
@@ -114,17 +116,4 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-writerDone
-}
-
-func TestBatchSyncMode(t *testing.T) {
-	db := openTmp(t, Options{SyncEvery: 1 << 30})
-	var b Batch
-	b.Put([]byte("x"), []byte("1"))
-	before := db.Stats().Fdatasyncs
-	if err := db.Write(&b, WriteOptions{Sync: true}); err != nil {
-		t.Fatal(err)
-	}
-	if db.Stats().Fdatasyncs != before+1 {
-		t.Error("synced batch did not fdatasync")
-	}
 }

@@ -5,13 +5,13 @@
 //
 //   - updates append to a write-ahead log with BUFFERED durability: the
 //     data reaches the OS immediately but fdatasync runs only about once
-//     per SyncEvery bytes (~1000 kB, the paper's measured LevelDB
+//     per Options.syncEvery bytes (~1000 kB, the paper's measured LevelDB
 //     behaviour), so a crash can lose recently acknowledged writes;
 //   - WriteOptions.sync (the Sync field here) forces an fdatasync per
 //     operation, the mode the paper's fillsync benchmark measures;
-//   - the memtable flushes to sorted immutable runs (SSTs); reads consult
-//     the memtable then runs newest-first; iterators merge everything in
-//     key order, forward or reverse (readseq / readreverse);
+//   - the memtable flushes to sorted immutable runs (SSTs); iterators
+//     merge the memtable and every run in key order, forward or reverse
+//     (readseq / readreverse);
 //   - runs are compacted by merging when they accumulate.
 //
 // The implementation is deliberately real: actual files, actual fsync,
@@ -31,20 +31,17 @@ import (
 	"sync"
 )
 
-// ErrNotFound is returned by Get for missing keys.
-var ErrNotFound = errors.New("leveldbsim: key not found")
-
 // Options configure Open.
 type Options struct {
-	// MemtableBytes triggers a flush to an SST (default 4 MiB).
-	MemtableBytes int
-	// SyncEvery is the buffered-durability window: an fdatasync is issued
+	// memtableBytes triggers a flush to an SST (default 4 MiB).
+	memtableBytes int
+	// syncEvery is the buffered-durability window: an fdatasync is issued
 	// once this many bytes have been appended to the WAL since the last
 	// sync (default 1000 KiB, matching the paper's observation).
-	SyncEvery int
-	// CompactAt merges all runs into one when their count reaches this
+	syncEvery int
+	// compactAt merges all runs into one when their count reaches this
 	// value (default 8).
-	CompactAt int
+	compactAt int
 }
 
 const (
@@ -59,11 +56,11 @@ type WriteOptions struct {
 	Sync bool
 }
 
-// Stats count I/O events relevant to the paper's analysis.
-type Stats struct {
-	Fdatasyncs  uint64 // fsync/fdatasync calls on the WAL or SSTs
-	Flushes     uint64 // memtable flushes
-	Compactions uint64
+// ioStats counts I/O events relevant to the paper's analysis.
+type ioStats struct {
+	fdatasyncs  uint64 // fsync/fdatasync calls on the WAL or SSTs
+	flushes     uint64 // memtable flushes
+	compactions uint64
 }
 
 // DB is a leveldbsim store rooted in a directory.
@@ -80,19 +77,19 @@ type DB struct {
 	ssts     []*sstReader // oldest first
 	zombies  []*sstReader // compacted-away runs kept open for live iterators
 	nextSST  int
-	stats    Stats
+	stats    ioStats
 }
 
 // Open creates or reopens a store in dir, replaying the WAL.
 func Open(dir string, opts Options) (*DB, error) {
-	if opts.MemtableBytes == 0 {
-		opts.MemtableBytes = defaultMemtableBytes
+	if opts.memtableBytes == 0 {
+		opts.memtableBytes = defaultMemtableBytes
 	}
-	if opts.SyncEvery == 0 {
-		opts.SyncEvery = defaultSyncEvery
+	if opts.syncEvery == 0 {
+		opts.syncEvery = defaultSyncEvery
 	}
-	if opts.CompactAt == 0 {
-		opts.CompactAt = defaultCompactAt
+	if opts.compactAt == 0 {
+		opts.compactAt = defaultCompactAt
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("leveldbsim: %w", err)
@@ -222,11 +219,6 @@ func (db *DB) Put(key, val []byte, wo WriteOptions) error {
 	return db.apply(key, val, false, wo)
 }
 
-// Delete removes a key.
-func (db *DB) Delete(key []byte, wo WriteOptions) error {
-	return db.apply(key, nil, true, wo)
-}
-
 func (db *DB) apply(key, val []byte, del bool, wo WriteOptions) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -241,57 +233,6 @@ func (db *DB) apply(key, val []byte, del bool, wo WriteOptions) error {
 	} else {
 		s := string(val)
 		db.memInsert(string(key), &s)
-	}
-	return db.maybeFlush()
-}
-
-// Batch is an ordered set of operations applied atomically with respect to
-// other writers (LevelDB write-batch semantics: atomicity in the log, not
-// isolation from readers mid-apply).
-type Batch struct {
-	ops []batchOp
-}
-
-type batchOp struct {
-	del      bool
-	key, val []byte
-}
-
-// Put queues an insertion.
-func (b *Batch) Put(key, val []byte) {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
-}
-
-// Delete queues a removal.
-func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{del: true, key: append([]byte(nil), key...)})
-}
-
-// Len returns the queued operation count.
-func (b *Batch) Len() int { return len(b.ops) }
-
-// Reset clears the batch.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }
-
-// Write applies the batch.
-func (db *DB) Write(b *Batch, wo WriteOptions) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, op := range b.ops {
-		if err := db.appendWAL(op.key, op.val, op.del); err != nil {
-			return err
-		}
-	}
-	if err := db.maybeSync(wo.Sync); err != nil {
-		return err
-	}
-	for _, op := range b.ops {
-		if op.del {
-			db.memInsert(string(op.key), nil)
-		} else {
-			s := string(op.val)
-			db.memInsert(string(op.key), &s)
-		}
 	}
 	return db.maybeFlush()
 }
@@ -320,9 +261,9 @@ func (db *DB) appendWAL(key, val []byte, del bool) error {
 }
 
 // maybeSync implements the two durability modes: per-operation fdatasync
-// (sync writes) or one fdatasync per SyncEvery bytes (buffered).
+// (sync writes) or one fdatasync per syncEvery bytes (buffered).
 func (db *DB) maybeSync(force bool) error {
-	if !force && db.unsynced < db.opts.SyncEvery {
+	if !force && db.unsynced < db.opts.syncEvery {
 		return nil
 	}
 	if err := db.walBuf.Flush(); err != nil {
@@ -331,14 +272,14 @@ func (db *DB) maybeSync(force bool) error {
 	if err := db.wal.Sync(); err != nil {
 		return err
 	}
-	db.stats.Fdatasyncs++
+	db.stats.fdatasyncs++
 	db.unsynced = 0
 	return nil
 }
 
 // maybeFlush writes the memtable to a new SST when it outgrows its budget.
 func (db *DB) maybeFlush() error {
-	if db.memBytes < db.opts.MemtableBytes {
+	if db.memBytes < db.opts.memtableBytes {
 		return nil
 	}
 	return db.flushLocked()
@@ -354,7 +295,7 @@ func (db *DB) flushLocked() error {
 	if err := writeSST(path, db.mem); err != nil {
 		return err
 	}
-	db.stats.Fdatasyncs++ // SST is synced on write
+	db.stats.fdatasyncs++ // SST is synced on write
 	r, err := openSST(path)
 	if err != nil {
 		return err
@@ -373,8 +314,8 @@ func (db *DB) flushLocked() error {
 		return err
 	}
 	db.unsynced = 0
-	db.stats.Flushes++
-	if len(db.ssts) >= db.opts.CompactAt {
+	db.stats.flushes++
+	if len(db.ssts) >= db.opts.compactAt {
 		return db.compactLocked()
 	}
 	return nil
@@ -400,7 +341,7 @@ func (db *DB) compactLocked() error {
 	if err := writeSST(path, merged); err != nil {
 		return err
 	}
-	db.stats.Fdatasyncs++
+	db.stats.fdatasyncs++
 	r, err := openSST(path)
 	if err != nil {
 		return err
@@ -412,69 +353,8 @@ func (db *DB) compactLocked() error {
 	}
 	db.zombies = append(db.zombies, db.ssts...)
 	db.ssts = []*sstReader{r}
-	db.stats.Compactions++
+	db.stats.compactions++
 	return nil
-}
-
-// Get returns the newest value for key, or ErrNotFound.
-func (db *DB) Get(key []byte) ([]byte, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if v, ok := db.mem[string(key)]; ok {
-		if v == nil {
-			return nil, ErrNotFound
-		}
-		return []byte(*v), nil
-	}
-	for i := len(db.ssts) - 1; i >= 0; i-- {
-		v, del, ok, err := db.ssts[i].get(string(key))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if del {
-				return nil, ErrNotFound
-			}
-			return v, nil
-		}
-	}
-	return nil, ErrNotFound
-}
-
-// Len counts live keys (a full merge; intended for tests and tools).
-func (db *DB) Len() (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	merged := map[string]*string{}
-	for _, r := range db.ssts {
-		if err := r.loadInto(merged); err != nil {
-			return 0, err
-		}
-	}
-	for k, v := range db.mem {
-		merged[k] = v
-	}
-	n := 0
-	for _, v := range merged {
-		if v != nil {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Stats returns I/O counters.
-func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.stats
-}
-
-// Sync forces the WAL to stable storage.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.maybeSync(true)
 }
 
 // Close flushes buffers and closes files. Buffered (unsynced) data is
@@ -488,7 +368,7 @@ func (db *DB) Close() error {
 	if err := db.wal.Sync(); err != nil {
 		return err
 	}
-	db.stats.Fdatasyncs++
+	db.stats.fdatasyncs++
 	for _, r := range db.ssts {
 		r.close()
 	}

@@ -19,40 +19,73 @@ func openTmp(t testing.TB, opts Options) *DB {
 	return db
 }
 
+// errNotFound is get's answer for a key no iterator sees.
+var errNotFound = errors.New("key not found")
+
+// get looks key up the way Fig 8 reads the store: through an iterator
+// merging the memtable and every run.
+func get(db *DB, key []byte) ([]byte, error) {
+	it := db.NewIterator(false)
+	for it.Next() {
+		if bytes.Equal(it.Key(), key) {
+			return it.Value(), nil
+		}
+	}
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
+	return nil, errNotFound
+}
+
+// count returns the number of live keys an iterator sees.
+func count(db *DB) (int, error) {
+	n := 0
+	it := db.NewIterator(false)
+	for it.Next() {
+		n++
+	}
+	return n, it.Err()
+}
+
+// del writes a tombstone for key, LevelDB's Delete.
+func del(db *DB, key []byte, wo WriteOptions) error {
+	return db.apply(key, nil, true, wo)
+}
+
 func TestPutGetDelete(t *testing.T) {
 	db := openTmp(t, Options{})
 	wo := WriteOptions{}
 	if err := db.Put([]byte("a"), []byte("1"), wo); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.Get([]byte("a"))
+	v, err := get(db, []byte("a"))
 	if err != nil || string(v) != "1" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
-	if _, err := db.Get([]byte("b")); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, []byte("b")); !errors.Is(err, errNotFound) {
 		t.Fatalf("missing: %v", err)
 	}
-	if err := db.Delete([]byte("a"), wo); err != nil {
+	if err := del(db, []byte("a"), wo); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get([]byte("a")); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, []byte("a")); !errors.Is(err, errNotFound) {
 		t.Fatalf("after delete: %v", err)
 	}
 }
 
 func TestFlushAndReadThroughSST(t *testing.T) {
-	db := openTmp(t, Options{MemtableBytes: 1 << 10})
+	db := openTmp(t, Options{memtableBytes: 1 << 10})
 	wo := WriteOptions{}
 	for i := 0; i < 200; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("key%03d", i)), bytes.Repeat([]byte{byte(i)}, 50), wo); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats().Flushes == 0 {
+	if db.stats.flushes == 0 {
 		t.Fatal("memtable never flushed")
 	}
 	for i := 0; i < 200; i++ {
-		v, err := db.Get([]byte(fmt.Sprintf("key%03d", i)))
+		v, err := get(db, []byte(fmt.Sprintf("key%03d", i)))
 		if err != nil || len(v) != 50 || v[0] != byte(i) {
 			t.Fatalf("Get(%d) = %v, %v", i, v, err)
 		}
@@ -61,31 +94,31 @@ func TestFlushAndReadThroughSST(t *testing.T) {
 	if err := db.Put([]byte("key005"), []byte("new"), wo); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := db.Get([]byte("key005"))
+	v, _ := get(db, []byte("key005"))
 	if string(v) != "new" {
 		t.Fatalf("shadowed read = %q", v)
 	}
 	// Deleting a flushed key must hide it.
-	if err := db.Delete([]byte("key007"), wo); err != nil {
+	if err := del(db, []byte("key007"), wo); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get([]byte("key007")); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, []byte("key007")); !errors.Is(err, errNotFound) {
 		t.Fatal("tombstone did not shadow SST value")
 	}
 }
 
 func TestCompaction(t *testing.T) {
-	db := openTmp(t, Options{MemtableBytes: 512, CompactAt: 3})
+	db := openTmp(t, Options{memtableBytes: 512, compactAt: 3})
 	wo := WriteOptions{}
 	for i := 0; i < 300; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("k%04d", i%50)), bytes.Repeat([]byte{byte(i)}, 40), wo); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats().Compactions == 0 {
+	if db.stats.compactions == 0 {
 		t.Fatal("no compaction happened")
 	}
-	n, err := db.Len()
+	n, err := count(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +139,7 @@ func TestWALRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Delete([]byte("k03"), wo)
+	del(db, []byte("k03"), wo)
 	// Abandon without Close (simulated crash: OS kept the synced WAL).
 	db.wal.Close()
 	db2, err := Open(dir, Options{})
@@ -116,9 +149,9 @@ func TestWALRecovery(t *testing.T) {
 	defer db2.Close()
 	for i := 0; i < 20; i++ {
 		k := fmt.Sprintf("k%02d", i)
-		v, err := db2.Get([]byte(k))
+		v, err := get(db2, []byte(k))
 		if i == 3 {
-			if !errors.Is(err, ErrNotFound) {
+			if !errors.Is(err, errNotFound) {
 				t.Errorf("deleted key recovered: %q", v)
 			}
 			continue
@@ -130,22 +163,22 @@ func TestWALRecovery(t *testing.T) {
 }
 
 func TestBufferedDurabilityWindow(t *testing.T) {
-	// With a large SyncEvery, writes are acknowledged before any fsync:
+	// With a large syncEvery, writes are acknowledged before any fsync:
 	// the paper's criticism of LevelDB's default mode.
-	db := openTmp(t, Options{SyncEvery: 1 << 20})
+	db := openTmp(t, Options{syncEvery: 1 << 20})
 	wo := WriteOptions{}
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"), wo)
 	}
-	if got := db.Stats().Fdatasyncs; got != 0 {
+	if got := db.stats.fdatasyncs; got != 0 {
 		t.Errorf("buffered mode issued %d fdatasyncs for 100 small writes", got)
 	}
 	// Sync mode: one fsync per write.
-	before := db.Stats().Fdatasyncs
+	before := db.stats.fdatasyncs
 	for i := 0; i < 10; i++ {
 		db.Put([]byte(fmt.Sprintf("s%d", i)), []byte("v"), WriteOptions{Sync: true})
 	}
-	if got := db.Stats().Fdatasyncs - before; got != 10 {
+	if got := db.stats.fdatasyncs - before; got != 10 {
 		t.Errorf("sync mode issued %d fdatasyncs for 10 writes", got)
 	}
 }
@@ -154,53 +187,28 @@ func TestFdatasyncsPerMillionBytesShape(t *testing.T) {
 	// ~1000 kB between syncs means ~116 B records require ~9000 writes per
 	// sync; verify the order of magnitude the paper reports (<100 syncs
 	// for 1M x 116 B inserts scaled down here).
-	db := openTmp(t, Options{SyncEvery: 1000 << 10, MemtableBytes: 64 << 20})
+	db := openTmp(t, Options{syncEvery: 1000 << 10, memtableBytes: 64 << 20})
 	wo := WriteOptions{}
 	val := bytes.Repeat([]byte{7}, 100)
 	for i := 0; i < 50000; i++ {
 		db.Put([]byte(fmt.Sprintf("%016d", i)), val, wo)
 	}
-	syncs := db.Stats().Fdatasyncs
+	syncs := db.stats.fdatasyncs
 	// 50k * 124 B = 6.2 MB -> ~6 syncs.
 	if syncs < 3 || syncs > 12 {
 		t.Errorf("fdatasyncs = %d for 6.2 MB of writes, want ~6", syncs)
 	}
 }
 
-func TestBatch(t *testing.T) {
-	db := openTmp(t, Options{})
-	var b Batch
-	b.Put([]byte("x"), []byte("1"))
-	b.Put([]byte("y"), []byte("2"))
-	b.Delete([]byte("x"))
-	if b.Len() != 3 {
-		t.Fatal("batch len")
-	}
-	if err := db.Write(&b, WriteOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Get([]byte("x")); !errors.Is(err, ErrNotFound) {
-		t.Error("x should be deleted")
-	}
-	v, err := db.Get([]byte("y"))
-	if err != nil || string(v) != "2" {
-		t.Errorf("y = %q, %v", v, err)
-	}
-	b.Reset()
-	if b.Len() != 0 {
-		t.Error("Reset")
-	}
-}
-
 func TestIteratorMergesAndOrders(t *testing.T) {
-	db := openTmp(t, Options{MemtableBytes: 1 << 10})
+	db := openTmp(t, Options{memtableBytes: 1 << 10})
 	wo := WriteOptions{}
 	model := map[string]string{}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		k := fmt.Sprintf("key%03d", rng.Intn(100))
 		if rng.Intn(5) == 0 {
-			db.Delete([]byte(k), wo)
+			del(db, []byte(k), wo)
 			delete(model, k)
 		} else {
 			v := fmt.Sprintf("val%d", i)
@@ -247,7 +255,7 @@ func TestIteratorMergesAndOrders(t *testing.T) {
 }
 
 func TestIteratorSnapshotSurvivesCompaction(t *testing.T) {
-	db := openTmp(t, Options{MemtableBytes: 512, CompactAt: 2})
+	db := openTmp(t, Options{memtableBytes: 512, compactAt: 2})
 	wo := WriteOptions{}
 	for i := 0; i < 50; i++ {
 		db.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{1}, 40), wo)
@@ -270,15 +278,15 @@ func TestIteratorSnapshotSurvivesCompaction(t *testing.T) {
 }
 
 func TestLenAcrossLayers(t *testing.T) {
-	db := openTmp(t, Options{MemtableBytes: 512})
+	db := openTmp(t, Options{memtableBytes: 512})
 	wo := WriteOptions{}
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{1}, 30), wo)
 	}
 	for i := 0; i < 10; i++ {
-		db.Delete([]byte(fmt.Sprintf("k%03d", i)), wo)
+		del(db, []byte(fmt.Sprintf("k%03d", i)), wo)
 	}
-	n, err := db.Len()
+	n, err := count(db)
 	if err != nil {
 		t.Fatal(err)
 	}

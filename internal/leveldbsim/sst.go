@@ -124,22 +124,6 @@ func openSST(path string) (*sstReader, error) {
 	return r, nil
 }
 
-// get returns (value, isTombstone, found).
-func (r *sstReader) get(key string) ([]byte, bool, bool, error) {
-	i := sort.SearchStrings(r.keys, key)
-	if i >= len(r.keys) || r.keys[i] != key {
-		return nil, false, false, nil
-	}
-	if r.lens[i] == tombstoneLen {
-		return nil, true, true, nil
-	}
-	val := make([]byte, r.lens[i])
-	if _, err := r.f.ReadAt(val, r.offs[i]); err != nil {
-		return nil, false, false, fmt.Errorf("leveldbsim: %s: %w", r.path, err)
-	}
-	return val, false, true, nil
-}
-
 // loadInto merges the run's contents into dst (newer callers overwrite by
 // calling on older runs first).
 func (r *sstReader) loadInto(dst map[string]*string) error {

@@ -41,7 +41,7 @@ func TestTornWALTailRecoversPrefix(t *testing.T) {
 	}
 	defer db2.Close()
 	for i := 0; i < 10; i++ {
-		if _, err := db2.Get([]byte(fmt.Sprintf("k%02d", i))); err != nil {
+		if _, err := get(db2, []byte(fmt.Sprintf("k%02d", i))); err != nil {
 			t.Errorf("key k%02d lost to torn tail: %v", i, err)
 		}
 	}
@@ -72,10 +72,10 @@ func TestCorruptWALLengthStopsReplay(t *testing.T) {
 		t.Fatalf("reopen with corrupt WAL: %v", err)
 	}
 	defer db2.Close()
-	if _, err := db2.Get([]byte("good")); err != nil {
+	if _, err := get(db2, []byte("good")); err != nil {
 		t.Errorf("intact record lost: %v", err)
 	}
-	n, _ := db2.Len()
+	n, _ := count(db2)
 	if n != 1 {
 		t.Errorf("Len = %d, want 1", n)
 	}
@@ -86,7 +86,7 @@ func TestCorruptWALLengthStopsReplay(t *testing.T) {
 // opens and retains everything that WAS synced.
 func TestCrashLosesOnlyUnsyncedSuffix(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(dir, Options{SyncEvery: 1 << 30})
+	db, err := Open(dir, Options{syncEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +105,12 @@ func TestCrashLosesOnlyUnsyncedSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if _, err := db2.Get([]byte("synced")); err != nil {
+	if _, err := get(db2, []byte("synced")); err != nil {
 		t.Errorf("synced write lost: %v", err)
 	}
 	lost := 0
 	for i := 0; i < 5; i++ {
-		if _, err := db2.Get([]byte(fmt.Sprintf("buf%d", i))); errors.Is(err, ErrNotFound) {
+		if _, err := get(db2, []byte(fmt.Sprintf("buf%d", i))); errors.Is(err, errNotFound) {
 			lost++
 		}
 	}

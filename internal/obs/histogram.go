@@ -54,9 +54,9 @@ func bucketIndex(v uint64) int {
 	return e*subCount + int(v>>uint(e))
 }
 
-// BucketBounds returns the half-open sample range [lo, hi) of bucket i. For
+// bucketBounds returns the half-open sample range [lo, hi) of bucket i. For
 // the top bucket hi is 0 and means "no upper bound".
-func BucketBounds(i int) (lo, hi uint64) {
+func bucketBounds(i int) (lo, hi uint64) {
 	if i < 2*subCount {
 		return uint64(i), uint64(i) + 1
 	}
@@ -128,11 +128,8 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Max returns the largest sample recorded (0 when empty).
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
-// Mean returns the average sample, or 0 when empty.
-func (h *Histogram) Mean() float64 {
+// mean returns the average sample, or 0 when empty.
+func (h *Histogram) mean() float64 {
 	c := h.count.Load()
 	if c == 0 {
 		return 0
@@ -140,11 +137,11 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(c)
 }
 
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
+// quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
 // inclusive upper edge of the bucket holding the q-th sample, capped at Max
 // — exact for samples in the exact range. Concurrent Observe calls may skew
 // the answer by the in-flight samples.
-func (h *Histogram) Quantile(q float64) uint64 {
+func (h *Histogram) quantile(q float64) uint64 {
 	c := h.count.Load()
 	if c == 0 {
 		return 0
@@ -155,22 +152,11 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen > target {
-			_, hi := BucketBounds(i)
-			return min(hi-1, h.Max()) // the top bucket's hi-1 wraps to MaxUint64
+			_, hi := bucketBounds(i)
+			return min(hi-1, h.max.Load()) // the top bucket's hi-1 wraps to MaxUint64
 		}
 	}
-	return h.Max()
-}
-
-// Reset zeroes the histogram. Not atomic with respect to concurrent Observe
-// calls: reset at quiescent points.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
+	return h.max.Load()
 }
 
 // HistogramSnapshot is a point-in-time summary of a Histogram, with the
@@ -201,14 +187,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.Count(),
 		Sum:   h.Sum(),
-		Max:   h.Max(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.5),
-		P99:   h.Quantile(0.99),
+		Max:   h.max.Load(),
+		Mean:  h.mean(),
+		P50:   h.quantile(0.5),
+		P99:   h.quantile(0.99),
 	}
 	for i := range h.buckets {
 		if c := h.buckets[i].Load(); c != 0 {
-			_, hi := BucketBounds(i)
+			_, hi := bucketBounds(i)
 			s.Buckets = append(s.Buckets, BucketCount{Le: hi - 1, Count: c})
 		}
 	}

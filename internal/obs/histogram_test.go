@@ -12,7 +12,7 @@ import (
 // TestBucketBoundaries pins the log-linear bucketing: values below 256 have a
 // bucket each, every power of two above opens 128 equal sub-buckets, samples
 // of 2^40 and up share the unbounded top bucket, and every bucket's half-open
-// range [lo, hi) round-trips through BucketBounds.
+// range [lo, hi) round-trips through bucketBounds.
 func TestBucketBoundaries(t *testing.T) {
 	cases := []struct {
 		v      uint64
@@ -29,7 +29,7 @@ func TestBucketBoundaries(t *testing.T) {
 		if got := bucketIndex(c.v); got != c.bucket {
 			t.Errorf("bucketIndex(%d) = %d, want %d", c.v, got, c.bucket)
 		}
-		lo, hi := BucketBounds(c.bucket)
+		lo, hi := bucketBounds(c.bucket)
 		if c.v < lo {
 			t.Errorf("value %d below bucket %d range [%d, %d)", c.v, c.bucket, lo, hi)
 		}
@@ -39,8 +39,8 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 	// Ranges tile with no gap, each at most 1/128 of its lower edge wide.
 	for i := 0; i < numBuckets-1; i++ {
-		lo, hi := BucketBounds(i)
-		next, _ := BucketBounds(i + 1)
+		lo, hi := bucketBounds(i)
+		next, _ := bucketBounds(i + 1)
 		if hi != next {
 			t.Errorf("gap between bucket %d (hi %d) and %d (lo %d)", i, hi, i+1, next)
 		}
@@ -48,7 +48,7 @@ func TestBucketBoundaries(t *testing.T) {
 			t.Errorf("bucket %d [%d, %d) wider than 1/%d of its edge", i, lo, hi, subCount)
 		}
 	}
-	if _, hi := BucketBounds(numBuckets - 1); hi != 0 {
+	if _, hi := bucketBounds(numBuckets - 1); hi != 0 {
 		t.Errorf("top bucket hi = %d, want 0 (unbounded)", hi)
 	}
 }
@@ -145,7 +145,7 @@ func TestHistogramSnapshotIsIndependent(t *testing.T) {
 
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.mean() != 0 || h.quantile(0.5) != 0 || h.max.Load() != 0 {
 		t.Error("empty histogram not zero")
 	}
 	if s := h.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
@@ -163,17 +163,17 @@ func TestHistogramBasicStats(t *testing.T) {
 	if h.Count() != 5 {
 		t.Errorf("Count = %d", h.Count())
 	}
-	if h.Mean() != 22 {
-		t.Errorf("Mean = %f", h.Mean())
+	if h.mean() != 22 {
+		t.Errorf("Mean = %f", h.mean())
 	}
-	if h.Max() != 100 {
-		t.Errorf("Max = %d", h.Max())
+	if h.max.Load() != 100 {
+		t.Errorf("Max = %d", h.max.Load())
 	}
 	for _, c := range []struct {
 		q    float64
 		want uint64
 	}{{0, 1}, {0.5, 3}, {1, 100}} {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := h.quantile(c.q); got != c.want {
 			t.Errorf("q%v = %d, want %d", c.q, got, c.want)
 		}
 	}
@@ -194,24 +194,24 @@ func TestQuantileUpperBound(t *testing.T) {
 		q    float64
 		want uint64
 	}{{0, 4}, {0.5, 4}, {0.99, 4}, {1, 1000}} {
-		if got := h.Quantile(c.q); got != c.want {
+		if got := h.quantile(c.q); got != c.want {
 			t.Errorf("q%v = %d, want %d", c.q, got, c.want)
 		}
 	}
 	h.Observe(1001)
-	if got := h.Quantile(0.99); got != 1001 {
+	if got := h.quantile(0.99); got != 1001 {
 		t.Errorf("p99 = %d, want 1001 (bucket edge 1003 capped at max)", got)
 	}
 
 	var empty Histogram
-	if got := empty.Quantile(0.5); got != 0 {
+	if got := empty.quantile(0.5); got != 0 {
 		t.Errorf("empty p50 = %d, want 0", got)
 	}
 
 	// The top bucket has no finite upper edge; Quantile falls back to Max.
 	var top Histogram
 	top.Observe(1 << 63)
-	if got := top.Quantile(0.5); got != 1<<63 {
+	if got := top.quantile(0.5); got != 1<<63 {
 		t.Errorf("top-bucket p50 = %d, want 2^63 (Max fallback)", got)
 	}
 }
@@ -228,12 +228,12 @@ func TestQuantileResolution(t *testing.T) {
 	}
 	for _, q := range []float64{0.5, 0.99} {
 		truth := lo + q*(hi-lo)
-		got := float64(h.Quantile(q))
+		got := float64(h.quantile(q))
 		if got < truth-1000 || got > truth*(1+1.0/subCount) {
 			t.Errorf("q%v = %.0f, want within [%.0f, %.0f]", q, got, truth, truth*(1+1.0/subCount))
 		}
 	}
-	if h.Quantile(0.5) == h.Quantile(0.99) {
+	if h.quantile(0.5) == h.quantile(0.99) {
 		t.Error("p50 == p99 on a spread distribution")
 	}
 }
@@ -249,17 +249,17 @@ func TestQuickStatsConsistent(t *testing.T) {
 			sum += uint64(v)
 			maxV = max(maxV, uint64(v))
 		}
-		if h.Count() != uint64(len(raw)) || h.Sum() != sum || h.Max() != maxV {
+		if h.Count() != uint64(len(raw)) || h.Sum() != sum || h.max.Load() != maxV {
 			return false
 		}
 		if len(raw) == 0 {
-			return h.Quantile(0.5) == 0
+			return h.quantile(0.5) == 0
 		}
-		if h.Mean() != float64(sum)/float64(len(raw)) {
+		if h.mean() != float64(sum)/float64(len(raw)) {
 			return false
 		}
-		return h.Quantile(0) <= h.Quantile(0.5) && h.Quantile(0.5) <= h.Quantile(1) &&
-			h.Quantile(1) == maxV
+		return h.quantile(0) <= h.quantile(0.5) && h.quantile(0.5) <= h.quantile(1) &&
+			h.quantile(1) == maxV
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -298,7 +298,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	if got := h.Count(); got != goroutines*iters {
 		t.Fatalf("count = %d, want %d", got, goroutines*iters)
 	}
-	if got := h.Max(); got != goroutines {
+	if got := h.max.Load(); got != goroutines {
 		t.Fatalf("max = %d, want %d", got, goroutines)
 	}
 }

@@ -49,8 +49,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is an atomic instantaneous value (e.g. bytes currently in use).
 type Gauge struct {
 	v atomic.Int64
@@ -62,10 +60,8 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Add adjusts the gauge by delta (may be negative).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-func (g *Gauge) reset() { g.v.Store(0) }
+// load returns the current value.
+func (g *Gauge) load() int64 { return g.v.Load() }
 
 // Setter publishes one collector-supplied counter value into a snapshot.
 type Setter func(name string, v uint64)
@@ -137,23 +133,6 @@ func (r *Registry) Collect(fn func(Setter)) {
 	r.collectors = append(r.collectors, fn)
 }
 
-// Reset zeroes every registered counter, gauge and histogram. Collectors
-// are not touched: their sources (device stats, engine tx counters) own
-// their own reset.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.Reset()
-	}
-}
-
 // Snapshot is a point-in-time copy of a registry's values, suitable for
 // rendering or JSON encoding. Map keys are metric names.
 type Snapshot struct {
@@ -174,7 +153,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(r.gauges) > 0 {
 		gauges = make(map[string]int64, len(r.gauges))
 		for name, g := range r.gauges {
-			gauges[name] = g.Load()
+			gauges[name] = g.load()
 		}
 	}
 	var hists map[string]HistogramSnapshot

@@ -54,7 +54,7 @@ type SpanEvent struct {
 
 // SpanRecorder retains the most recent span events in a ring and folds
 // every phase into a per-phase latency histogram (net_span_<phase>_ns).
-// Safe for concurrent Emit — each connection emits its own requests' spans.
+// Safe for concurrent EmitBatch — each connection emits its own requests' spans.
 type SpanRecorder struct {
 	mu    sync.Mutex
 	buf   []SpanEvent
@@ -82,16 +82,6 @@ func NewSpanRecorder(reg *Registry, capacity int) *SpanRecorder {
 	r.replyFlush = reg.Histogram("net_span_reply_flush_ns")
 	r.request = reg.Histogram("net_span_request_ns")
 	return r
-}
-
-// Emit records one span event, assigning Seq.
-func (r *SpanRecorder) Emit(ev SpanEvent) {
-	r.observe(ev.Phase, ev.DurNs)
-	r.mu.Lock()
-	ev.Seq = r.total
-	r.buf[r.total%uint64(len(r.buf))] = ev
-	r.total++
-	r.mu.Unlock()
 }
 
 // EmitBatch records many span events at once: each phase's samples are
@@ -146,33 +136,8 @@ func (r *SpanRecorder) EmitBatch(evs []SpanEvent) {
 	r.mu.Unlock()
 }
 
-// observe folds one phase duration into its histogram.
-func (r *SpanRecorder) observe(phase string, durNs uint64) {
-	switch phase {
-	case PhaseParse:
-		r.parse.Observe(durNs)
-	case PhaseQueueWait:
-		r.queueWait.Observe(durNs)
-	case PhaseBatchForm:
-		r.batchForm.Observe(durNs)
-	case PhasePsyncWait:
-		r.psyncWait.Observe(durNs)
-	case PhaseReplyFlush:
-		r.replyFlush.Observe(durNs)
-	case PhaseRequest:
-		r.request.Observe(durNs)
-	}
-}
-
-// Total returns the number of events emitted since creation.
-func (r *SpanRecorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Events returns the retained events in emission order (oldest first).
-func (r *SpanRecorder) Events() []SpanEvent {
+// events returns the retained events in emission order (oldest first).
+func (r *SpanRecorder) events() []SpanEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.eventsLocked()
@@ -209,7 +174,7 @@ func (r *SpanRecorder) ByReq(req uint64) []SpanEvent {
 // WriteJSON writes the retained spans as JSON lines, oldest first.
 func (r *SpanRecorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, ev := range r.Events() {
+	for _, ev := range r.events() {
 		if err := enc.Encode(ev); err != nil {
 			return err
 		}

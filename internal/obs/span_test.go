@@ -12,21 +12,21 @@ import (
 func TestSpanRecorderRingAndByReq(t *testing.T) {
 	reg := NewRegistry()
 	r := NewSpanRecorder(reg, 4)
-	r.Emit(SpanEvent{Req: 1, Phase: PhaseParse, DurNs: 10})
-	r.Emit(SpanEvent{Req: 1, Phase: PhaseRequest, DurNs: 50})
-	r.Emit(SpanEvent{Req: 2, Phase: PhaseParse, DurNs: 20})
+	r.EmitBatch([]SpanEvent{{Req: 1, Phase: PhaseParse, DurNs: 10}})
+	r.EmitBatch([]SpanEvent{{Req: 1, Phase: PhaseRequest, DurNs: 50}})
+	r.EmitBatch([]SpanEvent{{Req: 2, Phase: PhaseParse, DurNs: 20}})
 	if got := r.ByReq(1); len(got) != 2 || got[0].Phase != PhaseParse || got[1].Phase != PhaseRequest {
 		t.Fatalf("ByReq(1) = %+v", got)
 	}
 	// Overflow the 4-slot ring; req 1's spans are evicted.
 	for i := 0; i < 4; i++ {
-		r.Emit(SpanEvent{Req: 3, Phase: PhaseQueueWait, DurNs: 1})
+		r.EmitBatch([]SpanEvent{{Req: 3, Phase: PhaseQueueWait, DurNs: 1}})
 	}
 	if got := r.ByReq(1); len(got) != 0 {
 		t.Fatalf("ByReq(1) after eviction = %+v, want empty", got)
 	}
-	if r.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", r.Total())
+	if r.total != 7 {
+		t.Fatalf("total = %d, want 7", r.total)
 	}
 
 	// Each phase fed its histogram.
@@ -42,7 +42,7 @@ func TestSpanRecorderRingAndByReq(t *testing.T) {
 	}
 }
 
-// TestSpanRecorderConcurrentEmit exercises Emit from many goroutines under
+// TestSpanRecorderConcurrentEmit exercises EmitBatch from many goroutines under
 // the race detector.
 func TestSpanRecorderConcurrentEmit(t *testing.T) {
 	r := NewSpanRecorder(nil, 64)
@@ -52,15 +52,15 @@ func TestSpanRecorderConcurrentEmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Emit(SpanEvent{Req: uint64(g*1000 + i), Phase: PhasePsyncWait, DurNs: uint64(i)})
+				r.EmitBatch([]SpanEvent{{Req: uint64(g*1000 + i), Phase: PhasePsyncWait, DurNs: uint64(i)}})
 			}
 		}(g)
 	}
 	wg.Wait()
-	if r.Total() != 1600 {
-		t.Fatalf("Total = %d, want 1600", r.Total())
+	if r.total != 1600 {
+		t.Fatalf("total = %d, want 1600", r.total)
 	}
-	if got := len(r.Events()); got != 64 {
+	if got := len(r.events()); got != 64 {
 		t.Fatalf("retained %d events, want 64", got)
 	}
 }
@@ -90,7 +90,7 @@ func pipelinedBurst(seed int64) []SpanEvent {
 }
 
 // EmitBatch's local folding loses nothing: every phase histogram ends up
-// bucket for bucket what one Emit per event produces, for phases whose
+// bucket for bucket what one EmitBatch per event produces, for phases whose
 // samples share one bucket and for phases whose samples scatter.
 func TestEmitBatchMatchesEmit(t *testing.T) {
 	one, batched := NewRegistry(), NewRegistry()
@@ -98,18 +98,18 @@ func TestEmitBatchMatchesEmit(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		evs := pipelinedBurst(seed)
 		for _, ev := range evs {
-			r1.Emit(ev)
+			r1.EmitBatch([]SpanEvent{ev})
 		}
 		rb.EmitBatch(evs)
 	}
 	for name := range one.Snapshot().Histograms {
 		a, b := one.Histogram(name).Snapshot(), batched.Histogram(name).Snapshot()
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: EmitBatch %+v, Emit %+v", name, b, a)
+			t.Errorf("%s: one batch %+v, one event at a time %+v", name, b, a)
 		}
 	}
-	if rb.Total() != r1.Total() {
-		t.Errorf("Total: EmitBatch %d, Emit %d", rb.Total(), r1.Total())
+	if rb.total != r1.total {
+		t.Errorf("total: one batch %d, one event at a time %d", rb.total, r1.total)
 	}
 }
 

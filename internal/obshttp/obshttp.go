@@ -220,38 +220,29 @@ func quantileNs(h *metrics.Float64Histogram, q float64) int64 {
 
 // Server is a listening http.Server with graceful shutdown.
 type Server struct {
-	srv  *http.Server
-	ln   net.Listener
-	errc chan error
+	srv *http.Server
+	ln  net.Listener
 }
 
 // Listen binds addr and starts serving h in the background. The bind happens
-// HERE, so an unusable address fails the caller immediately; errors from the
-// serve loop itself arrive on Err.
+// HERE, so an unusable address fails the caller immediately.
 func Listen(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		srv:  &http.Server{Handler: h},
-		ln:   ln,
-		errc: make(chan error, 1),
+		srv: &http.Server{Handler: h},
+		ln:  ln,
 	}
-	go func() {
-		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			s.errc <- err
-		}
-		close(s.errc)
-	}()
+	// Serve's error is dropped: after Shutdown it is http.ErrServerClosed,
+	// and the endpoints are diagnostics nothing else in the process waits on.
+	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
 
 // Addr returns the bound address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Err delivers serve-loop errors; it closes when the server stops.
-func (s *Server) Err() <-chan error { return s.errc }
 
 // Shutdown gracefully drains in-flight requests until ctx expires.
 func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }

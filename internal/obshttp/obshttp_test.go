@@ -31,9 +31,6 @@ func startMux(t *testing.T, mux http.Handler) func(path string) (int, string) {
 		if err := s.Shutdown(ctx); err != nil {
 			t.Errorf("Shutdown: %v", err)
 		}
-		if err, ok := <-s.Err(); ok && err != nil {
-			t.Errorf("serve loop: %v", err)
-		}
 	})
 	return func(path string) (int, string) {
 		t.Helper()
@@ -107,10 +104,12 @@ func TestListenBindErrorIsSynchronous(t *testing.T) {
 func TestTraceReqTimeline(t *testing.T) {
 	reg := obs.NewRegistry()
 	spans := obs.NewSpanRecorder(reg, 64)
-	spans.Emit(obs.SpanEvent{Req: 7, Op: "set", Phase: obs.PhaseParse, DurNs: 10})
-	spans.Emit(obs.SpanEvent{Req: 7, Op: "set", Phase: obs.PhasePsyncWait, DurNs: 90, Shard: 2, BatchSeq: 5})
-	spans.Emit(obs.SpanEvent{Req: 7, Op: "set", Phase: obs.PhaseRequest, DurNs: 120})
-	spans.Emit(obs.SpanEvent{Req: 8, Op: "get", Phase: obs.PhaseRequest, DurNs: 3})
+	spans.EmitBatch([]obs.SpanEvent{
+		{Req: 7, Op: "set", Phase: obs.PhaseParse, DurNs: 10},
+		{Req: 7, Op: "set", Phase: obs.PhasePsyncWait, DurNs: 90, Shard: 2, BatchSeq: 5},
+		{Req: 7, Op: "set", Phase: obs.PhaseRequest, DurNs: 120},
+		{Req: 8, Op: "get", Phase: obs.PhaseRequest, DurNs: 3},
+	})
 
 	get := startMux(t, NewMux(Sources{
 		Registry: reg,
@@ -257,8 +256,10 @@ func TestConcurrentScrapeWhileEmitting(t *testing.T) {
 				}
 				ops.Inc()
 				req := uint64(g*10000 + i)
-				spans.Emit(obs.SpanEvent{Req: req, Op: "set", Phase: obs.PhaseParse, DurNs: 1})
-				spans.Emit(obs.SpanEvent{Req: req, Op: "set", Phase: obs.PhaseRequest, DurNs: 2})
+				spans.EmitBatch([]obs.SpanEvent{
+					{Req: req, Op: "set", Phase: obs.PhaseParse, DurNs: 1},
+					{Req: req, Op: "set", Phase: obs.PhaseRequest, DurNs: 2},
+				})
 			}
 		}(g)
 	}

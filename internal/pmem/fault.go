@@ -33,10 +33,10 @@ import (
 var ErrMediaFault = errors.New("pmem: uncorrectable media read fault")
 
 // MediaFaultError is a media read fault at a specific device offset.
-type MediaFaultError struct{ Off int }
+type MediaFaultError struct{ off int }
 
 func (e *MediaFaultError) Error() string {
-	return fmt.Sprintf("pmem: uncorrectable media read fault at offset %#x", e.Off)
+	return fmt.Sprintf("pmem: uncorrectable media read fault at offset %#x", e.off)
 }
 
 // Unwrap makes errors.Is(err, ErrMediaFault) true.
@@ -117,7 +117,7 @@ func (d *Device) faultCheck(off, n int) bool {
 	}
 	if hit {
 		d.faultTrips.Add(1)
-		d.faultLast.Store(&MediaFaultError{Off: off})
+		d.faultLast.Store(&MediaFaultError{off: off})
 		if h := d.hooks.Load(); h != nil && h.Fault != nil {
 			h.Fault(off)
 		}

@@ -40,9 +40,6 @@ func (s *LineSet) Add(off, n int) {
 // Has reports whether the line holding byte off is in the set.
 func (s *LineSet) Has(off int) bool { return s.bits.test(off >> lineShift) }
 
-// Len returns the number of distinct lines in the set.
-func (s *LineSet) Len() int { return len(s.lines) }
-
 // Lines returns the members in insertion order: the set's own slice, valid
 // until the next Add or Reset; a caller may reorder it, nothing else.
 func (s *LineSet) Lines() []int32 { return s.lines }

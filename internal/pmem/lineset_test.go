@@ -19,8 +19,8 @@ func TestLineSetDedupsLines(t *testing.T) {
 	s.Add(LineSize+60, 8)
 	d.Store64(LineSize, 4)
 	s.Add(LineSize, 8)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 distinct lines", s.Len())
+	if len(s.Lines()) != 3 {
+		t.Fatalf("len = %d, want 3 distinct lines", len(s.Lines()))
 	}
 	before := d.Stats().Pwbs
 	for i, line := range s.Lines() {
@@ -33,8 +33,8 @@ func TestLineSetDedupsLines(t *testing.T) {
 	if got := d.Stats().Pwbs - before; got != 3 {
 		t.Fatalf("burst issued %d pwbs, want 3", got)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", s.Len())
+	if len(s.Lines()) != 0 {
+		t.Fatalf("len after Reset = %d, want 0", len(s.Lines()))
 	}
 	if !d.NeedsFence() {
 		t.Fatal("queued write-backs should report NeedsFence")
@@ -55,13 +55,13 @@ func TestLineSetResetAndReuse(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		s.Add(0, 8)
 		s.Add(LineSize*2, 8)
-		if s.Len() != 2 || !s.Has(LineSize*2+63) || s.Has(LineSize) {
+		if len(s.Lines()) != 2 || !s.Has(LineSize*2+63) || s.Has(LineSize) {
 			t.Fatalf("round %d: Len = %d, Has(line 2) = %v, Has(line 1) = %v; want 2, true, false",
-				round, s.Len(), s.Has(LineSize*2+63), s.Has(LineSize))
+				round, len(s.Lines()), s.Has(LineSize*2+63), s.Has(LineSize))
 		}
 		s.Reset()
-		if s.Len() != 0 || s.Has(0) {
-			t.Fatalf("round %d: Len after Reset = %d, Has(line 0) = %v", round, s.Len(), s.Has(0))
+		if len(s.Lines()) != 0 || s.Has(0) {
+			t.Fatalf("round %d: len after Reset = %d, Has(line 0) = %v", round, len(s.Lines()), s.Has(0))
 		}
 	}
 }
@@ -86,8 +86,8 @@ func TestLineSetResetForgetsEveryMember(t *testing.T) {
 			}
 		}
 		s.Reset()
-		if s.Len() != 0 {
-			t.Fatalf("round %d: Len after Reset = %d", round, s.Len())
+		if len(s.Lines()) != 0 {
+			t.Fatalf("round %d: len after Reset = %d", round, len(s.Lines()))
 		}
 		for w, bits := range s.bits.words {
 			if bits != 0 {

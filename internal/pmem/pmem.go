@@ -460,7 +460,7 @@ func (d *Device) PwbRange(off, n int) {
 // matching the paper's observation that CLFLUSH needs no fences. Engines use
 // it to elide provably-no-op fences; like the data path it must only be
 // called from the mutating goroutine.
-func (d *Device) NeedsFence() bool { return d.queued.Len() > 0 }
+func (d *Device) NeedsFence() bool { return len(d.queued.Lines()) > 0 }
 
 // Pending reports whether any cache line overlapping [off, off+n) holds
 // stores the media may lack: dirty, or queued by Pwb and not yet fenced. A

@@ -33,9 +33,9 @@ import (
 // recovery (or format) code — chaining crash → partial recovery → crash, as
 // deep as the crash budget allows.
 //
-// The Scheduler is goroutine-safe on the control plane: Arm, Disarm,
-// Captured, Images and Events may be called from a harness goroutine while
-// worker goroutines drive the devices. The capture itself runs on the
+// The Scheduler is goroutine-safe on the control plane: Arm, Captured,
+// Images and Events may be called from a harness goroutine while worker
+// goroutines drive the devices. The capture itself runs on the
 // mutating goroutine, inside the persistence primitive that triggered it,
 // so with one member it never races with the (single) mutator. Members
 // other than the triggering device are read at that moment, so with several
@@ -120,10 +120,6 @@ func (s *Scheduler) Arm(eventsFromNow uint64, policy CrashPolicy) bool {
 	return true
 }
 
-// Disarm cancels a pending crash without detaching the hooks. Any already
-// captured images are kept.
-func (s *Scheduler) Disarm() { s.armed.Store(false) }
-
 // tick is the shared hook body: count the event and, if the armed target
 // has been reached, capture every member's crash image. Runs on the
 // mutating goroutine.
@@ -185,10 +181,3 @@ func (s *Scheduler) Images() ([][]byte, uint64) {
 // Events returns the number of persistence events observed across all
 // members since attach.
 func (s *Scheduler) Events() uint64 { return s.events.Load() }
-
-// Crashes returns the number of captures taken so far.
-func (s *Scheduler) Crashes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashes
-}

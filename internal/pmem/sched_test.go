@@ -42,8 +42,8 @@ func TestSchedulerCapturesAtTarget(t *testing.T) {
 	if got := rd.Load64(64); got != 0 {
 		t.Errorf("word 64 = %d, want 0 (unfenced at crash)", got)
 	}
-	if s.Crashes() != 1 {
-		t.Errorf("crashes = %d, want 1", s.Crashes())
+	if s.crashes != 1 {
+		t.Errorf("crashes = %d, want 1", s.crashes)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestSchedulerBudget(t *testing.T) {
 	if img := s.CaptureNow(KeepQueued); img != nil {
 		t.Error("CaptureNow succeeded past budget")
 	}
-	if s.Crashes() != 2 {
-		t.Errorf("crashes = %d, want 2", s.Crashes())
+	if s.crashes != 2 {
+		t.Errorf("crashes = %d, want 2", s.crashes)
 	}
 }
 
@@ -146,7 +146,6 @@ func TestHookInstallRace(t *testing.T) {
 			s.Captured() // control-plane reads race-free too
 			s.Events()
 		}
-		s.Disarm()
 		s.Detach()
 		// Raw hook churn as well.
 		d.SetHooks(&Hooks{

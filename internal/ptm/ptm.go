@@ -128,17 +128,14 @@ type Tx interface {
 type TxStats struct {
 	UpdateTxs uint64 // committed update transactions
 	ReadTxs   uint64 // completed read-only transactions
-	Aborts    uint64 // internal aborts/retries (only the redo-log STM aborts)
-	Rollbacks uint64 // user-requested rollbacks (fn returned an error)
 	Combined  uint64 // update operations executed by a flat-combining pass on behalf of another thread
 
 	// Batch counters (flat-combined engines only; zero elsewhere). A batch
 	// is one committed durability round: one log replay / main→back sync and
 	// one set of commit fences shared by every operation it carries, so
 	// BatchOps/Batches is the fence-amortization factor.
-	Batches   uint64 // committed durability rounds
-	BatchOps  uint64 // update operations retired across those rounds
-	CombineNs uint64 // total wall-clock ns spent in combining passes
+	Batches  uint64 // committed durability rounds
+	BatchOps uint64 // update operations retired across those rounds
 
 	// Replication counters (twin-copy engines only; zero elsewhere).
 	// ReplicatedBytes counts bytes copied between the twin copies when

@@ -141,7 +141,6 @@ type Engine struct {
 
 	updates atomic.Uint64
 	readTxs atomic.Uint64
-	aborts  atomic.Uint64
 
 	// aud receives durability-protocol markers when non-nil; activeCommits
 	// tracks overlapping commits so audit markers are only emitted for
@@ -152,14 +151,14 @@ type Engine struct {
 
 var _ ptm.PTM = (*Engine)(nil)
 
-// MinRegionSize is the smallest usable main-region size.
-const MinRegionSize = heapBase + alloc.MinSize
+// minRegionSize is the smallest usable main-region size.
+const minRegionSize = heapBase + alloc.MinSize
 
 // New creates and formats a fresh engine.
 func New(regionSize int, cfg Config) (*Engine, error) {
 	applyDefaults(&cfg)
-	if regionSize < MinRegionSize {
-		return nil, fmt.Errorf("redolog: region size %d below minimum %d", regionSize, MinRegionSize)
+	if regionSize < minRegionSize {
+		return nil, fmt.Errorf("redolog: region size %d below minimum %d", regionSize, minRegionSize)
 	}
 	regionSize = ptm.Align(regionSize, pmem.LineSize)
 	dev := pmem.New(headSize+regionSize+cfg.Segments*cfg.SegmentSize, cfg.Model)
@@ -181,7 +180,7 @@ func applyDefaults(cfg *Config) {
 func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 	applyDefaults(&cfg)
 	regionSize := dev.Size() - headSize - cfg.Segments*cfg.SegmentSize
-	if regionSize < MinRegionSize {
+	if regionSize < minRegionSize {
 		return nil, fmt.Errorf("redolog: device too small for region and %d log segments", cfg.Segments)
 	}
 	e := &Engine{
@@ -359,7 +358,7 @@ func RecoveryPending(img []byte, cfg Config) bool {
 		return false
 	}
 	regionSize := len(img) - headSize - cfg.Segments*cfg.SegmentSize
-	if regionSize < MinRegionSize {
+	if regionSize < minRegionSize {
 		return false
 	}
 	logBase := headSize + regionSize
@@ -388,7 +387,6 @@ func (e *Engine) Stats() ptm.TxStats {
 	return ptm.TxStats{
 		UpdateTxs: e.updates.Load(),
 		ReadTxs:   e.readTxs.Load(),
-		Aborts:    e.aborts.Load(),
 	}
 }
 

@@ -17,7 +17,6 @@ func (e *Engine) Update(fn func(ptm.Tx) error) error {
 			}
 			return err
 		}
-		e.aborts.Add(1)
 		backoff(attempt)
 	}
 }
@@ -63,7 +62,6 @@ func (e *Engine) Read(fn func(ptm.Tx) error) error {
 			e.readTxs.Add(1)
 			return err
 		}
-		e.aborts.Add(1)
 		backoff(attempt)
 	}
 }

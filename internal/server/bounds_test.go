@@ -146,7 +146,7 @@ func TestShutdownUnderLoad(t *testing.T) {
 }
 
 // TestLongLinesDoNotPinConnectionMemory bounds what a long request line
-// leaves behind: 32 connections each send one SET of MaxLine-64 bytes and a
+// leaves behind: 32 connections each send one SET of maxLine-64 bytes and a
 // GET of it, then go idle. A PING on each before the heap is measured shows
 // the connection is still open and done with its GET's reply. The buffer a
 // line longer than the connection's reader is assembled in must not outlive
@@ -173,7 +173,7 @@ func TestLongLinesDoNotPinConnectionMemory(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	val := strings.Repeat("v", MaxLine-64)
+	val := strings.Repeat("v", maxLine-64)
 	for i, cl := range cls {
 		if reply, err := cl.do("SET long " + val); err != nil || reply != "OK" {
 			t.Fatalf("conn %d: SET of %d bytes: reply %.40q, err %v", i, len(val), reply, err)
@@ -190,7 +190,7 @@ func TestLongLinesDoNotPinConnectionMemory(t *testing.T) {
 	t.Logf("Go heap grew %.1f MiB over %d idle connections", float64(grown)/(1<<20), conns)
 	if grown >= 4<<20 {
 		t.Fatalf("Go heap grew %.1f MiB after %d connections each sent one %d-byte line and went idle, want < 4 MiB",
-			float64(grown)/(1<<20), conns, MaxLine-64)
+			float64(grown)/(1<<20), conns, maxLine-64)
 	}
 	shutdown(t, srv, done)
 }

@@ -67,7 +67,7 @@ func TestServerIdleTimeout(t *testing.T) {
 
 // TestServerBatchBound pins the MULTI queue bound: the op that would exceed
 // MaxBatchOps answers "ERR batch too large" and discards the batch. A
-// MaxBatchOps that is not positive means DefaultMaxBatchOps: no setting
+// MaxBatchOps that is not positive means defaultMaxBatchOps: no setting
 // leaves the queue unbounded.
 func TestServerBatchBound(t *testing.T) {
 	for _, tc := range []struct {
@@ -75,7 +75,7 @@ func TestServerBatchBound(t *testing.T) {
 		opt, bound int
 	}{
 		{"explicit", 4, 4},
-		{"negative", -1, DefaultMaxBatchOps},
+		{"negative", -1, defaultMaxBatchOps},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := newTestStore(t)
@@ -242,7 +242,7 @@ func faultedBatch(t *testing.T, transient bool, ops ...*Pending) (*shard.Store, 
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	var sizes []int
-	c := NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, batch []*Pending) {
+	c := NewCommitter(st, GroupOptions{onBatch: func(_ int, seq uint64, batch []*Pending) {
 		sizes = append(sizes, len(batch))
 		if seq == 1 {
 			close(entered)

@@ -85,7 +85,7 @@ func (m *multiModel) step(line string) (modelReply, bool) {
 
 // queue predicts one well-formed SET/DEL inside an open batch.
 func (m *multiModel) queue(r *modelReply) {
-	if m.n >= DefaultMaxBatchOps {
+	if m.n >= defaultMaxBatchOps {
 		r.want = "ERR batch too large"
 		m.open = false
 		return
@@ -113,7 +113,7 @@ func predict(stream []byte) (out []modelReply, closes bool) {
 	for len(stream) > 0 {
 		line, tail, _ := bytes.Cut(stream, []byte("\n"))
 		stream = tail
-		if len(line) > MaxLine-1 {
+		if len(line) > maxLine-1 {
 			return out, true // oversized: the parser stops, the connection closes
 		}
 		s := strings.TrimRight(string(line), "\r")
@@ -129,13 +129,13 @@ func predict(stream []byte) (out []modelReply, closes bool) {
 	return out, false
 }
 
-// longLine returns a SET request whose line (without "\n") is MaxLine-1+off
+// longLine returns a SET request whose line (without "\n") is maxLine-1+off
 // bytes: off <= 0 fits, off > 0 is one the parser must refuse.
 func longLine(off int) []byte {
 	const head = "SET long "
-	b := make([]byte, 0, MaxLine+8)
+	b := make([]byte, 0, maxLine+8)
 	b = append(b, head...)
-	b = append(b, bytes.Repeat([]byte{'x'}, MaxLine-1+off-len(head))...)
+	b = append(b, bytes.Repeat([]byte{'x'}, maxLine-1+off-len(head))...)
 	return append(b, '\n')
 }
 
@@ -143,7 +143,7 @@ func longLine(off int) []byte {
 // checks the parser's contract: no panic, exactly one reply per non-empty
 // line and in order, nothing after QUIT or an oversized line, and the MULTI
 // state machine agreeing with multiModel. long != 0 prefixes the stream with
-// a request line near MaxLine (long%4 - 2 bytes off the limit).
+// a request line near maxLine (long%4 - 2 bytes off the limit).
 func FuzzServeLines(f *testing.F) {
 	f.Add([]byte("PING\n"), 0)
 	f.Add([]byte("SET a 1\r\nGET a\r\n\r\n\n\rDEL a\r\r\n"), 0)

@@ -51,9 +51,9 @@ import (
 	"repro/internal/shard"
 )
 
-// DefaultGroupMaxBatch bounds one group-commit batch when
+// defaultGroupMaxBatch bounds one group-commit batch when
 // GroupOptions.MaxBatch is 0; the Server always uses it.
-const DefaultGroupMaxBatch = 256
+const defaultGroupMaxBatch = 256
 
 // OpFunc is one operation inside a group-commit transaction. It returns the
 // wire reply for the operation; a non-nil error fails the WHOLE round (the
@@ -89,7 +89,6 @@ type Pending struct {
 	body bodyFunc
 	op   string // label for error rendering ("set", "incr", ...)
 	read bool   // body writes nothing: a batch of reads alone needs no durability round
-	tag  any
 	enq  time.Time
 	seq  uint64
 	text string
@@ -148,20 +147,17 @@ func (p *Pending) Wait() string {
 // atomicity.
 func (p *Pending) Seq() uint64 { return p.seq }
 
-// Tag returns the opaque value given to Submit.
-func (p *Pending) Tag() any { return p.tag }
-
 // GroupOptions configure a Committer.
 type GroupOptions struct {
 	// MaxBatch bounds operations per batch transaction (0 =
-	// DefaultGroupMaxBatch).
+	// defaultGroupMaxBatch).
 	MaxBatch int
-	// Registry receives net_group_* metrics; nil keeps a private registry.
-	Registry *obs.Registry
-	// OnBatch, when non-nil, is called with a batch's membership BEFORE its
+	// registry receives net_group_* metrics; nil keeps a private registry.
+	registry *obs.Registry
+	// onBatch, when non-nil, is called with a batch's membership BEFORE its
 	// transaction starts — crash harnesses record it so a crash inside the
 	// round can be checked all-or-nothing against known membership.
-	OnBatch func(shard int, seq uint64, ops []*Pending)
+	onBatch func(shard int, seq uint64, ops []*Pending)
 }
 
 // Committer is the group-commit scheduler: one queue and leader slot per
@@ -201,18 +197,18 @@ type shardQueue struct {
 // NewCommitter returns a committer over st's shards. It starts nothing:
 // every batch runs on a goroutine that waits for one of its operations.
 func NewCommitter(st *shard.Store, opts GroupOptions) *Committer {
-	reg := opts.Registry
+	reg := opts.registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	maxBatch := opts.MaxBatch
 	if maxBatch <= 0 {
-		maxBatch = DefaultGroupMaxBatch
+		maxBatch = defaultGroupMaxBatch
 	}
 	c := &Committer{
 		st:         st,
 		maxBatch:   maxBatch,
-		onBatch:    opts.OnBatch,
+		onBatch:    opts.onBatch,
 		flight:     st.HasFlightRecorder(),
 		batches:    reg.Counter("net_group_batch_total"),
 		batchOps:   reg.Counter("net_group_batch_ops_total"),
@@ -248,13 +244,14 @@ func (c *Committer) queue(sh int) *shardQueue {
 // Submit enqueues fn for key's shard sh and returns its future; the
 // operation commits no later than the first Wait on it or Close. conn
 // identifies the submitting connection (for the batch-fan-in histogram and,
-// as the queue's advisory owner id, its turn-taking yield; 0 is none), op
-// labels error replies, tag rides along for harnesses. Operations of one
-// shard commit in submission order (the queue is FIFO and every batch is a
-// prefix of it), so a connection that submits its writes in request order
-// gets per-key ordering for free.
-func (c *Committer) Submit(sh int, conn uint64, op string, tag any, fn OpFunc) *Pending {
-	p := &Pending{op: op, tag: tag, body: func(_ *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) { return fn(tx, db) }}
+// as the queue's advisory owner id, its turn-taking yield; 0 is none) and
+// op labels error replies. The fourth argument is ignored: nothing reads it,
+// and benchmarks/ladder.go passes nil for it. Operations of one shard
+// commit in submission order (the queue is FIFO and every batch is a prefix
+// of it), so a connection that submits its writes in request order gets
+// per-key ordering for free.
+func (c *Committer) Submit(sh int, conn uint64, op string, _ any, fn OpFunc) *Pending {
+	p := &Pending{op: op, body: func(_ *cmd, tx ptm.Tx, db *kvstore.DB) (string, error) { return fn(tx, db) }}
 	p.Owner, p.Wake = conn, make(chan struct{}, 1)
 	return c.enqueue(sh, p)
 }

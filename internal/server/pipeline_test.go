@@ -240,7 +240,7 @@ func TestGroupCommitSharesDurabilityRounds(t *testing.T) {
 	}
 	t.Logf("solo SET: %d fence events; %d concurrent SETs: %d total (%.2fx solo, %.2f per ack)",
 		base, K, grouped, float64(grouped)/float64(base), float64(grouped)/float64(K))
-	if max := reg.Histogram("net_group_batch_conns").Max(); max < 2 {
+	if max := reg.Histogram("net_group_batch_conns").Snapshot().Max; max < 2 {
 		t.Fatalf("no batch merged ops from more than one connection (max fan-in %d)", max)
 	}
 
@@ -311,7 +311,7 @@ func TestExpireTTLIncrSemantics(t *testing.T) {
 	nowNs.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
 	advance := func(d time.Duration) { nowNs.Add(int64(d)) }
 	srv, addr, done := startServerOpts(t, st, Options{
-		Now: func() time.Time { return time.Unix(0, nowNs.Load()) },
+		now: func() time.Time { return time.Unix(0, nowNs.Load()) },
 	})
 
 	cl := dial(t, addr)
@@ -396,7 +396,7 @@ func TestPipelinedReadsSeeSequentialState(t *testing.T) {
 			st := openShards(t, shards)
 			defer st.Close()
 			now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-			srv, addr, done := startServerOpts(t, st, Options{Now: func() time.Time { return now }})
+			srv, addr, done := startServerOpts(t, st, Options{now: func() time.Time { return now }})
 			cl := dial(t, addr)
 			for i := 0; i < 50; i++ {
 				a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("c%d", i)
@@ -427,7 +427,7 @@ func TestPipelinedReadRidesOneBatch(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	sizes := make(chan int, 32)
 	srv.committer.Close()
-	srv.committer = NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, ops []*Pending) {
+	srv.committer = NewCommitter(st, GroupOptions{onBatch: func(_ int, seq uint64, ops []*Pending) {
 		sizes <- len(ops)
 		if seq == 1 {
 			close(entered)
@@ -472,7 +472,7 @@ func TestLoneOperationParksBurstWatches(t *testing.T) {
 	srv := New(st, Options{})
 	entered, release := make(chan struct{}), make(chan struct{})
 	srv.committer.Close()
-	srv.committer = NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, _ []*Pending) {
+	srv.committer = NewCommitter(st, GroupOptions{onBatch: func(_ int, seq uint64, _ []*Pending) {
 		if seq == 1 {
 			close(entered)
 			<-release

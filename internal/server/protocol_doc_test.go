@@ -14,8 +14,18 @@ import (
 // table: a leading cell holding exactly one backticked upper-case verb.
 var docCommandRow = regexp.MustCompile("^\\| `([A-Z]+)` \\|")
 
+// commands is every verb the server dispatches, sorted.
+// TestCommandsMatchesDispatch holds it to the dispatch switch and
+// TestProtocolDocCoversEveryCommand to docs/PROTOCOL.md's command table, so
+// the wire reference cannot silently fall behind the switch.
+var commands = []string{
+	"DECR", "DEL", "DISCARD", "EXEC", "EXPIRE", "GET", "INCR",
+	"MULTI", "PING", "PLACEMENT", "QUIT", "SCRUB", "SET", "SPLIT",
+	"STATS", "TTL",
+}
+
 // TestProtocolDocCoversEveryCommand diffs the command table of
-// docs/PROTOCOL.md against the server's dispatch set (Commands), both ways:
+// docs/PROTOCOL.md against the server's dispatch set (commands), both ways:
 // a verb the server dispatches but the doc omits fails, and so does a verb
 // the doc promises but the server no longer serves. This is what keeps the
 // wire reference from silently falling behind the dispatch switch.
@@ -44,7 +54,7 @@ func TestProtocolDocCoversEveryCommand(t *testing.T) {
 		t.Fatal("no command rows found in docs/PROTOCOL.md; did the table format change?")
 	}
 
-	served := Commands()
+	served := commands
 	for _, verb := range served {
 		if !documented[verb] {
 			t.Errorf("command %s is dispatched by the server but missing from docs/PROTOCOL.md's command table", verb)
@@ -155,7 +165,7 @@ func TestProtocolDocCoversStatsFields(t *testing.T) {
 	}
 }
 
-// TestCommandsMatchesDispatch drives every verb Commands claims through a
+// TestCommandsMatchesDispatch drives every verb commands claims through a
 // live server, asserting none answers "ERR unknown command" — so the list
 // the doc test trusts is itself honest about the dispatch switch.
 func TestCommandsMatchesDispatch(t *testing.T) {
@@ -167,7 +177,7 @@ func TestCommandsMatchesDispatch(t *testing.T) {
 		<-done
 	}()
 
-	for _, verb := range Commands() {
+	for _, verb := range commands {
 		if verb == "QUIT" {
 			continue // closes the connection; dispatch is pinned by other tests
 		}
@@ -178,7 +188,7 @@ func TestCommandsMatchesDispatch(t *testing.T) {
 			t.Fatalf("%s: %v", verb, err)
 		}
 		if strings.HasPrefix(reply, "ERR unknown command") {
-			t.Errorf("Commands() lists %s but the server does not dispatch it: %q", verb, reply)
+			t.Errorf("commands lists %s but the server does not dispatch it: %q", verb, reply)
 		}
 	}
 }

@@ -71,12 +71,12 @@ import (
 	"repro/internal/shard"
 )
 
-// MaxLine bounds one protocol line (command + value).
-const MaxLine = 1 << 20
+// maxLine bounds one protocol line (command + value).
+const maxLine = 1 << 20
 
-// DefaultMaxBatchOps bounds a MULTI queue when Options.MaxBatchOps is not
+// defaultMaxBatchOps bounds a MULTI queue when Options.MaxBatchOps is not
 // positive.
-const DefaultMaxBatchOps = 4096
+const defaultMaxBatchOps = 4096
 
 // pipelineDepth caps the commands one burst parses before the connection
 // completes them and writes their replies, which bounds per-connection
@@ -93,13 +93,13 @@ type Options struct {
 	// goroutine and a socket.
 	IdleTimeout time.Duration
 	// MaxBatchOps bounds the operations queued in one MULTI batch (≤ 0 =
-	// DefaultMaxBatchOps). The op that would exceed the bound answers "ERR
+	// defaultMaxBatchOps). The op that would exceed the bound answers "ERR
 	// batch too large" and discards the batch, so an endless MULTI stream
 	// cannot grow server memory without limit.
 	MaxBatchOps int
-	// Now substitutes the clock used for EXPIRE/TTL deadlines (nil =
+	// now substitutes the clock used for EXPIRE/TTL deadlines (nil =
 	// time.Now). Tests inject it to cross expiry boundaries deterministically.
-	Now func() time.Time
+	now func() time.Time
 	// Spans, when non-nil, turns on request-scoped tracing: every command is
 	// assigned a server-wide request id and emits one SpanEvent per phase
 	// (parse, queue_wait, batch_form, psync_wait, reply_flush, request) into
@@ -159,15 +159,15 @@ func New(st *shard.Store, opts Options) *Server {
 	}
 	maxOps := opts.MaxBatchOps
 	if maxOps <= 0 {
-		maxOps = DefaultMaxBatchOps
+		maxOps = defaultMaxBatchOps
 	}
-	now := opts.Now
+	now := opts.now
 	if now == nil {
 		now = time.Now
 	}
 	return &Server{
 		st:          st,
-		committer:   NewCommitter(st, GroupOptions{Registry: reg}),
+		committer:   NewCommitter(st, GroupOptions{registry: reg}),
 		driver:      migrate.New(st, migrate.Options{}),
 		idleTimeout: opts.IdleTimeout,
 		maxBatchOps: maxOps,
@@ -223,18 +223,6 @@ func (s *Server) StatsReply() StatsReply {
 		Quarantined: q,
 		Group:       s.committer.Stats(),
 		Placement:   s.st.Placement(),
-	}
-}
-
-// Commands returns every verb the server dispatches, sorted. The
-// documentation conformance test diffs this set against docs/PROTOCOL.md's
-// command table, so the wire reference cannot silently fall behind the
-// dispatch switch.
-func Commands() []string {
-	return []string{
-		"DECR", "DEL", "DISCARD", "EXEC", "EXPIRE", "GET", "INCR",
-		"MULTI", "PING", "PLACEMENT", "QUIT", "SCRUB", "SET", "SPLIT",
-		"STATS", "TTL",
 	}
 }
 
@@ -451,12 +439,12 @@ func (st *connState) complete() {
 // readLine returns the next request line without its "\n", valid until the
 // next call; a line longer than r's buffer is assembled in *long. err ends
 // the input, after the unterminated tail (if any) is returned with it. A
-// line of MaxLine or more bytes fails with bufio.ErrTooLong.
+// line of maxLine or more bytes fails with bufio.ErrTooLong.
 func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		buf := append((*long)[:0], line...)
-		for err == bufio.ErrBufferFull && len(buf) < MaxLine {
+		for err == bufio.ErrBufferFull && len(buf) < maxLine {
 			line, err = r.ReadSlice('\n')
 			buf = append(buf, line...)
 		}
@@ -465,7 +453,7 @@ func readLine(r *bufio.Reader, long *[]byte) ([]byte, error) {
 	if n := len(line); n > 0 && line[n-1] == '\n' {
 		line = line[:n-1]
 	}
-	if len(line) >= MaxLine {
+	if len(line) >= maxLine {
 		return nil, bufio.ErrTooLong
 	}
 	return line, err

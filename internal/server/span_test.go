@@ -83,8 +83,16 @@ func TestSpanTimeline(t *testing.T) {
 		obs.PhaseParse, obs.PhaseQueueWait, obs.PhaseBatchForm,
 		obs.PhasePsyncWait, obs.PhaseReplyFlush, obs.PhaseRequest,
 	}
+	var retained strings.Builder
+	if err := rec.WriteJSON(&retained); err != nil {
+		t.Fatal(err)
+	}
 	var sets, gets int
-	for _, ev := range rec.Events() {
+	for dec := json.NewDecoder(strings.NewReader(retained.String())); dec.More(); {
+		var ev obs.SpanEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
 		if ev.Phase != obs.PhaseRequest {
 			continue
 		}

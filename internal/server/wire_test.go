@@ -304,7 +304,7 @@ func TestSubmitNoStrandedOps(t *testing.T) {
 	st := openShards(t, 2)
 	defer st.Close()
 	reg := obs.NewRegistry()
-	c := NewCommitter(st, GroupOptions{Registry: reg})
+	c := NewCommitter(st, GroupOptions{registry: reg})
 	const workers, ops = 8, 60
 	all := make([][]*Pending, workers)
 	var wg sync.WaitGroup
@@ -317,7 +317,7 @@ func TestSubmitNoStrandedOps(t *testing.T) {
 			window := 1 + rng.Intn(4)
 			var inflight []*Pending
 			for i := 0; i < ops; i++ {
-				p := c.Submit(st.ShardFor(key), uint64(w), "incr", w, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
+				p := c.Submit(st.ShardFor(key), uint64(w), "incr", nil, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
 					n := 0
 					if v, err := db.GetTx(tx, key); err == nil {
 						n, _ = strconv.Atoi(string(v))
@@ -343,7 +343,7 @@ func TestSubmitNoStrandedOps(t *testing.T) {
 	c.Close()
 	for w, ps := range all {
 		for i, p := range ps {
-			if !p.Done() {
+			if p.Seq() == 0 {
 				t.Fatalf("worker %d op %d still pending after Close", w, i)
 			}
 		}
@@ -370,13 +370,12 @@ func TestWireBatchIsOneEngineRound(t *testing.T) {
 	defer st.Close()
 	eng := st.Engine(0)
 	var mu sync.Mutex
-	members := map[uint64][]int{} // batch seq → op ids
+	members := map[uint64][]*Pending{} // batch seq → its operations
+	idOf := map[*Pending]int{}
 	started := make(chan struct{}, 1)
-	c := NewCommitter(st, GroupOptions{OnBatch: func(_ int, seq uint64, ops []*Pending) {
+	c := NewCommitter(st, GroupOptions{onBatch: func(_ int, seq uint64, ops []*Pending) {
 		mu.Lock()
-		for _, p := range ops {
-			members[seq] = append(members[seq], p.Tag().(int))
-		}
+		members[seq] = append(members[seq], ops...)
 		mu.Unlock()
 		select {
 		case started <- struct{}{}:
@@ -422,10 +421,13 @@ func TestWireBatchIsOneEngineRound(t *testing.T) {
 			defer wire.Done()
 			for i := 0; i < perConn; i++ {
 				id := cn*perConn + i
-				p := c.Submit(0, uint64(cn+1), "set", id, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
+				p := c.Submit(0, uint64(cn+1), "set", nil, func(tx ptm.Tx, db *kvstore.DB) (string, error) {
 					rounds[id] = eng.Stats().Batches
 					return "OK", db.PutTx(tx, fmt.Appendf(nil, "wire%d", id), []byte("v"))
 				})
+				mu.Lock()
+				idOf[p] = id
+				mu.Unlock()
 				if reply := p.Wait(); reply != "OK" {
 					t.Errorf("op %d: %q", id, reply)
 				}
@@ -439,7 +441,11 @@ func TestWireBatchIsOneEngineRound(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	owner := map[uint64]uint64{} // engine round → batch seq
-	for seq, ids := range members {
+	for seq, ps := range members {
+		ids := make([]int, len(ps))
+		for i, p := range ps {
+			ids[i] = idOf[p]
+		}
 		r := rounds[ids[0]]
 		for _, id := range ids {
 			if rounds[id] != r {

@@ -30,7 +30,7 @@ func TestBlackboxRoundTrip(t *testing.T) {
 	}
 	st.RecordFlight(0, blackbox.Record{Kind: blackbox.KindBatchStart, BatchSeq: 9, Req: 4, Ops: 1, Conns: 1})
 	st.RecordFlight(0, blackbox.Record{Kind: blackbox.KindBatchCommit, BatchSeq: 9, Ops: 1})
-	if got := st.Registry().Snapshot().Counters["blackbox_record_total"]; got != 2 {
+	if got := st.reg.Snapshot().Counters["blackbox_record_total"]; got != 2 {
 		t.Fatalf("blackbox_record_total = %d, want 2", got)
 	}
 
@@ -49,7 +49,7 @@ func TestBlackboxRoundTrip(t *testing.T) {
 	if rep.Empty() || rep.MaxBatchStarted != 9 || rep.MaxBatchCommitted != 9 {
 		t.Fatalf("replayed report = %+v, want batch 9 started and committed", rep)
 	}
-	snap := st2.Registry().Snapshot().Counters
+	snap := st2.reg.Snapshot().Counters
 	if got := snap["blackbox_replay_records"]; got != 2 {
 		t.Fatalf("blackbox_replay_records = %d, want 2", got)
 	}
@@ -92,11 +92,11 @@ func TestBlackboxOffByDefault(t *testing.T) {
 	if _, size := st.Engine(0).ReservedTail(); size >= blackbox.MinSize {
 		t.Fatalf("default store reserved %d tail bytes", size)
 	}
-	st.RecordFlight(0, blackbox.Record{Kind: blackbox.KindCheckpoint})
+	st.RecordFlight(0, blackbox.Record{Kind: blackbox.KindBatchStart})
 	if rep := st.FlightReports()[0]; rep != nil {
 		t.Fatalf("flight report on a recorder-less store: %+v", rep)
 	}
-	if _, ok := st.Registry().Snapshot().Counters["blackbox_record_total"]; ok {
+	if _, ok := st.reg.Snapshot().Counters["blackbox_record_total"]; ok {
 		t.Fatal("blackbox_* metrics published with the recorder off")
 	}
 }

@@ -122,13 +122,12 @@ func (r *router) publish(slots []int) {
 // like the pre-placement shard hash; sidecar keys route by their base).
 func (s *Store) slotOf(key []byte) int {
 	h := fnv.New64a()
-	h.Write(RoutingKey(key))
+	h.Write(routingKey(key))
 	return int(h.Sum64() % uint64(s.numSlots))
 }
 
 // migration is the in-flight copy-phase state (nil on Store when idle).
 type migration struct {
-	id       uint64
 	src, dst int
 	moving   []bool // by slot
 
@@ -490,7 +489,6 @@ func (s *Store) MigrationBegin(src, dst int, slots []int) error {
 	}
 	s.placement = pl2
 	s.mig = &migration{
-		id:     pl2.Journal.ID,
 		src:    src,
 		dst:    dst,
 		moving: moving,

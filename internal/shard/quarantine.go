@@ -29,15 +29,15 @@ var ErrShardUnavailable = errors.New("shard: shard unavailable")
 // quarantined. The Error string is the wire-level reply romulusd sends
 // ("UNAVAIL shard=N: reason"), so servers can pass it through verbatim.
 type UnavailError struct {
-	Shard  int
-	Reason string
+	shard  int
+	reason string
 }
 
 func (e *UnavailError) Error() string {
-	if e.Reason == "" {
-		return fmt.Sprintf("UNAVAIL shard=%d", e.Shard)
+	if e.reason == "" {
+		return fmt.Sprintf("UNAVAIL shard=%d", e.shard)
 	}
-	return fmt.Sprintf("UNAVAIL shard=%d: %s", e.Shard, e.Reason)
+	return fmt.Sprintf("UNAVAIL shard=%d: %s", e.shard, e.reason)
 }
 
 func (e *UnavailError) Unwrap() error { return ErrShardUnavailable }
@@ -48,7 +48,7 @@ func (s *Store) unavail(i int) *UnavailError {
 	p.mu.RLock()
 	r := p.reason
 	p.mu.RUnlock()
-	return &UnavailError{Shard: i, Reason: r}
+	return &UnavailError{shard: i, reason: r}
 }
 
 // quarantine marks shard i FAULTED (idempotently) with cause as the reason.

@@ -104,7 +104,7 @@ func TestStickyFaultQuarantineAndScrub(t *testing.T) {
 	if !errors.As(err, &ue) || !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("Get on faulted shard: err = %v, want *UnavailError", err)
 	}
-	if ue.Shard != victim || !strings.HasPrefix(err.Error(), fmt.Sprintf("UNAVAIL shard=%d", victim)) {
+	if ue.shard != victim || !strings.HasPrefix(err.Error(), fmt.Sprintf("UNAVAIL shard=%d", victim)) {
 		t.Fatalf("UnavailError = %q, want UNAVAIL shard=%d prefix", err, victim)
 	}
 	if q := s.Quarantined(); len(q) != 1 || q[0] != victim {

@@ -550,10 +550,10 @@ func AppendSidecarKey(dst []byte, class string, base []byte) []byte {
 	return append(dst, base...)
 }
 
-// RoutingKey returns the key hashing routes by: the base key for sidecar
+// routingKey returns the key hashing routes by: the base key for sidecar
 // keys (see SidecarKey), the key itself otherwise. A malformed sidecar (a
 // leading NUL with no closing NUL) routes by its full bytes.
-func RoutingKey(key []byte) []byte {
+func routingKey(key []byte) []byte {
 	if len(key) > 0 && key[0] == sidecarMark {
 		if i := indexByteFrom(key, 1, sidecarMark); i >= 0 {
 			return key[i+1:]
@@ -587,10 +587,6 @@ func indexByteFrom(key []byte, from int, c byte) int {
 func (s *Store) ShardFor(key []byte) int {
 	return s.router.lookup(s.slotOf(key))
 }
-
-// Registry returns the store's metrics registry (Options.Metrics, or the
-// private one created when none was given).
-func (s *Store) Registry() *obs.Registry { return s.reg }
 
 // Devices returns every device of the store: one per shard, then the
 // coordinator log LAST. The order matches Reopen's expectation, so a crash

@@ -232,6 +232,53 @@ func TestStoreCrossShardBatchCommit(t *testing.T) {
 	}
 }
 
+// TestCrossShardCommitDeviceCost pins what one cross-shard Write costs the
+// coordinator's device: a fresh 2-shard store commits one batch of two
+// 8-byte keys on different shards, each with a 1 KiB value, and the
+// coordinator's Stats delta across the Write is fixed. The coordinator logs
+// the whole batch, values included, so its share of the media bytes grows
+// with the payload.
+func TestCrossShardCommitDeviceCost(t *testing.T) {
+	s, err := Open(Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var keys [][]byte
+	for i := 0; len(keys) < 2; i++ {
+		k := []byte(fmt.Sprintf("key%05d", i))
+		if len(keys) == 0 || s.ShardFor(k) != s.ShardFor(keys[0]) {
+			keys = append(keys, k)
+		}
+	}
+	b := &kvstore.Batch{}
+	for i, k := range keys {
+		b.Put(k, bytes.Repeat([]byte{byte('a' + i)}, 1024))
+	}
+	devs := s.Devices()
+	coord := devs[len(devs)-1]
+	before := coord.Stats()
+	if err := s.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	after := coord.Stats()
+	got := pmem.Stats{
+		Pwbs:           after.Pwbs - before.Pwbs,
+		Pfences:        after.Pfences - before.Pfences,
+		Psyncs:         after.Psyncs - before.Psyncs,
+		LinesPersisted: after.LinesPersisted - before.LinesPersisted,
+		BytesPersisted: after.BytesPersisted - before.BytesPersisted,
+	}
+	// One pfence and two psyncs: three fences; 36 lines of log.
+	want := pmem.Stats{Pwbs: 36, Pfences: 1, Psyncs: 2, LinesPersisted: 36, BytesPersisted: 2304}
+	if got != want {
+		t.Errorf("coordinator cost of one cross-shard Write = %+v, want %+v", got, want)
+	}
+	if st := s.Stats(); st.XCommits != 1 {
+		t.Fatalf("XCommits = %d, want 1: the Write did not take the two-phase path", st.XCommits)
+	}
+}
+
 // TestCrossShardReplayAfterCrash is the deterministic roll-forward proof:
 // images are captured at the exact protocol point where the prepare is
 // durable and only SOME shards have applied. Recovery must replay the batch
@@ -609,7 +656,7 @@ func TestRecoveryGauges(t *testing.T) {
 	dev.SetHooks(nil)
 
 	re := reopenImages(t, imgs, testOpts(2))
-	g := re.Registry().Snapshot().Counters
+	g := re.reg.Snapshot().Counters
 	// The interrupted shard was found in MUT; the other at most in CPY (a
 	// commit's closing idle marker is never written back) with nothing to do.
 	if n := g["ptm_recovery_pending"]; n < 1 || n > 2 {

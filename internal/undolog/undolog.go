@@ -131,9 +131,8 @@ type Engine struct {
 
 	wtx Tx // single writer transaction, reused
 
-	updates   atomic.Uint64
-	reads     atomic.Uint64
-	rollbacks atomic.Uint64
+	updates atomic.Uint64
+	reads   atomic.Uint64
 
 	// aud receives durability-protocol markers when non-nil. Set at Open
 	// (Config.Audit) or at a quiescent point (SetAuditor).
@@ -142,16 +141,16 @@ type Engine struct {
 
 var _ ptm.PTM = (*Engine)(nil)
 
-// MinRegionSize is the smallest usable main-region size.
-const MinRegionSize = heapBase + alloc.MinSize
+// minRegionSize is the smallest usable main-region size.
+const minRegionSize = heapBase + alloc.MinSize
 
 // New creates and formats a fresh engine with the given main-region size.
 func New(regionSize int, cfg Config) (*Engine, error) {
 	if cfg.LogSize == 0 {
 		cfg.LogSize = defaultLogSize
 	}
-	if regionSize < MinRegionSize {
-		return nil, fmt.Errorf("undolog: region size %d below minimum %d", regionSize, MinRegionSize)
+	if regionSize < minRegionSize {
+		return nil, fmt.Errorf("undolog: region size %d below minimum %d", regionSize, minRegionSize)
 	}
 	regionSize = ptm.Align(regionSize, pmem.LineSize)
 	cfg.LogSize = ptm.Align(cfg.LogSize, pmem.LineSize)
@@ -167,7 +166,7 @@ func Open(dev *pmem.Device, cfg Config) (*Engine, error) {
 	}
 	cfg.LogSize = ptm.Align(cfg.LogSize, pmem.LineSize)
 	regionSize := dev.Size() - headSize - cfg.LogSize
-	if regionSize < MinRegionSize {
+	if regionSize < minRegionSize {
 		return nil, fmt.Errorf("undolog: device too small for region+log")
 	}
 	e := &Engine{
@@ -386,7 +385,6 @@ func (e *Engine) rollbackTx() {
 	if err := e.recover(); err != nil {
 		panic(fmt.Sprintf("undolog: rollback of freshly written log failed: %v", err))
 	}
-	e.rollbacks.Add(1)
 }
 
 // Name implements ptm.PTM. The engine reports as "pmdk", its role in the
@@ -398,7 +396,6 @@ func (e *Engine) Stats() ptm.TxStats {
 	return ptm.TxStats{
 		UpdateTxs: e.updates.Load(),
 		ReadTxs:   e.reads.Load(),
-		Rollbacks: e.rollbacks.Load(),
 	}
 }
 
