@@ -73,33 +73,6 @@ func TestNoFenceWasteUnderDedupFlush(t *testing.T) {
 	}
 }
 
-// TestEagerPwbAblationStillWastes proves the pin above is not vacuous: the
-// EagerPwb ablation reinstates per-store write-backs and must regenerate
-// store_queued waste on the same workload.
-func TestEagerPwbAblationStillWastes(t *testing.T) {
-	e, a := newAudited(t, core.Config{Variant: core.RomLog, EagerPwb: true})
-	defer e.Close()
-	err := e.Update(func(tx ptm.Tx) error {
-		p, err := tx.Alloc(64)
-		if err != nil {
-			return err
-		}
-		for j := 0; j < 8; j++ {
-			tx.Store64(p+ptm.Ptr(8*j), uint64(j))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tot := a.Totals(); tot.StoreQueued == 0 {
-		t.Error("eager-pwb ablation produced no store_queued waste; pin is vacuous")
-	}
-	if tot := a.Totals(); tot.Violations != 0 {
-		t.Errorf("eager ablation must still be correct; %d violations", tot.Violations)
-	}
-}
-
 // TestEmptyUpdatePaysTwoFences pins the fence floor of an empty update
 // transaction after elision: only the MUT publish fence and the commit-marker
 // psync remain (fences 2 and 4 have provably empty queues).

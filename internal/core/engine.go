@@ -56,11 +56,6 @@ type Config struct {
 	Variant Variant
 	// Model is the persistence model for freshly created devices (New).
 	Model pmem.Model
-	// EagerPwb restores the pre-batching flush discipline: one pwb issued
-	// inline with every store, re-flushing lines already queued (the waste
-	// baseline; by default the durable point writes each stored line back
-	// exactly once).
-	EagerPwb bool
 	// FullReplicate restores the paper's whole-prefix copies (Algorithm 1)
 	// at commit and at recovery, for every variant (ablation). At commit,
 	// replicate and rollback copy the entire watermark prefix instead of the
@@ -509,11 +504,7 @@ func (e *Engine) beginTx() *Tx {
 // transaction pays no flush traffic at all.
 func (e *Engine) durablePoint() {
 	d := e.dev
-	if !e.cfg.EagerPwb {
-		for _, line := range e.lines.Lines() {
-			d.Pwb(int(line) * pmem.LineSize)
-		}
-	}
+	d.PwbLines(e.lines.Lines())
 	if d.NeedsFence() {
 		d.Pfence()
 	}
@@ -668,9 +659,6 @@ func (e *Engine) bumpWatermark() {
 	if top > e.dev.Load64(offWatermark) {
 		e.dev.Store64(offWatermark, top)
 		e.lines.Add(offWatermark, 8)
-		if e.cfg.EagerPwb {
-			e.dev.Pwb(offWatermark)
-		}
 	}
 }
 

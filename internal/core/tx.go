@@ -73,13 +73,7 @@ func (t *Tx) LoadBytes(p ptm.Ptr, dst []byte) {
 // durable point writes each line back exactly once, however many stores
 // (from however many combined operations) dirtied it; replication then
 // copies the same lines to back.
-func (t *Tx) stored(off, n int) {
-	e := t.e
-	e.lines.Add(off, n)
-	if e.cfg.EagerPwb {
-		e.dev.PwbRange(off, n)
-	}
-}
+func (t *Tx) stored(off, n int) { t.e.lines.Add(off, n) }
 
 // Store8 implements ptm.Tx.
 func (t *Tx) Store8(p ptm.Ptr, v byte) {

@@ -3,7 +3,7 @@ package leveldbsim
 import "sort"
 
 // Iterator merges the memtable and every run in key order, newest version
-// winning and tombstones suppressed — the semantics of LevelDB's iterators
+// winning — the semantics of LevelDB's iterators
 // used by the readseq and readreverse benchmarks. An Iterator is a
 // snapshot: writes after NewIterator are not observed.
 type Iterator struct {
@@ -17,15 +17,14 @@ type Iterator struct {
 type iterSource interface {
 	// peek returns the current key, or ok=false when exhausted.
 	peek() (key string, ok bool)
-	// take consumes the current entry, returning its value (nil for a
-	// tombstone).
-	take() ([]byte, bool, error)
+	// take consumes the current entry, returning its value.
+	take() ([]byte, error)
 }
 
 // memIter iterates a sorted snapshot of the memtable.
 type memIter struct {
 	keys    []string
-	vals    []*string
+	vals    []string
 	i       int
 	reverse bool
 }
@@ -43,17 +42,14 @@ func (m *memIter) peek() (string, bool) {
 	return m.keys[m.i], true
 }
 
-func (m *memIter) take() ([]byte, bool, error) {
+func (m *memIter) take() ([]byte, error) {
 	v := m.vals[m.i]
 	if m.reverse {
 		m.i--
 	} else {
 		m.i++
 	}
-	if v == nil {
-		return nil, true, nil
-	}
-	return []byte(*v), false, nil
+	return []byte(v), nil
 }
 
 // sstIter iterates one immutable run.
@@ -76,21 +72,18 @@ func (s *sstIter) peek() (string, bool) {
 	return s.r.keys[s.i], true
 }
 
-func (s *sstIter) take() ([]byte, bool, error) {
+func (s *sstIter) take() ([]byte, error) {
 	i := s.i
 	if s.reverse {
 		s.i--
 	} else {
 		s.i++
 	}
-	if s.r.lens[i] == tombstoneLen {
-		return nil, true, nil
-	}
 	val := make([]byte, s.r.lens[i])
 	if _, err := s.r.f.ReadAt(val, s.r.offs[i]); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	return val, false, nil
+	return val, nil
 }
 
 // NewIterator creates a snapshot iterator over the whole store.
@@ -103,7 +96,7 @@ func (db *DB) NewIterator(reverse bool) *Iterator {
 		mi.keys = append(mi.keys, k)
 	}
 	sort.Strings(mi.keys)
-	mi.vals = make([]*string, len(mi.keys))
+	mi.vals = make([]string, len(mi.keys))
 	for i, k := range mi.keys {
 		mi.vals[i] = db.mem[k]
 	}
@@ -125,46 +118,40 @@ func (db *DB) NewIterator(reverse bool) *Iterator {
 // Next advances to the next live pair, returning false at the end (or on
 // error; see Err).
 func (it *Iterator) Next() bool {
-	for {
-		best := ""
-		found := false
-		for _, s := range it.sources {
-			k, ok := s.peek()
-			if !ok {
-				continue
-			}
-			if !found || (!it.reverse && k < best) || (it.reverse && k > best) {
-				best, found = k, true
-			}
+	best := ""
+	found := false
+	for _, s := range it.sources {
+		k, ok := s.peek()
+		if !ok {
+			continue
 		}
-		if !found {
+		if !found || (!it.reverse && k < best) || (it.reverse && k > best) {
+			best, found = k, true
+		}
+	}
+	if !found {
+		return false
+	}
+	// Take from the highest-priority source holding the key; discard
+	// shadowed versions in the others.
+	var val []byte
+	taken := false
+	for _, s := range it.sources {
+		k, ok := s.peek()
+		if !ok || k != best {
+			continue
+		}
+		v, err := s.take()
+		if err != nil {
+			it.err = err
 			return false
 		}
-		// Take from the highest-priority source holding the key; discard
-		// shadowed versions in the others.
-		var val []byte
-		var del bool
-		taken := false
-		for _, s := range it.sources {
-			k, ok := s.peek()
-			if !ok || k != best {
-				continue
-			}
-			v, d, err := s.take()
-			if err != nil {
-				it.err = err
-				return false
-			}
-			if !taken {
-				val, del, taken = v, d, true
-			}
+		if !taken {
+			val, taken = v, true
 		}
-		if del {
-			continue // tombstone: key is dead
-		}
-		it.key, it.val = []byte(best), val
-		return true
 	}
+	it.key, it.val = []byte(best), val
+	return true
 }
 
 // Key returns the current key (valid after Next returns true).

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,7 +70,7 @@ type DB struct {
 	opts Options
 
 	mu       sync.RWMutex
-	mem      map[string]*string // nil value = tombstone
+	mem      map[string]string
 	memBytes int
 	wal      *os.File
 	walBuf   *bufio.Writer
@@ -94,7 +95,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("leveldbsim: %w", err)
 	}
-	db := &DB{dir: dir, opts: opts, mem: map[string]*string{}}
+	db := &DB{dir: dir, opts: opts, mem: map[string]string{}}
 	if err := db.loadSSTs(); err != nil {
 		return nil, err
 	}
@@ -160,101 +161,61 @@ func (db *DB) replayWAL() error {
 	r := bufio.NewReader(f)
 	var hdr [8]byte
 	for {
-		if _, err := readFull(r, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			break
 		}
 		klen := binary.LittleEndian.Uint32(hdr[0:4])
 		vlen := binary.LittleEndian.Uint32(hdr[4:8])
-		if klen > 1<<20 || (vlen != tombstoneLen && vlen > 1<<28) {
+		if klen > 1<<20 || vlen > 1<<28 {
 			break // torn/corrupt tail
 		}
 		key := make([]byte, klen)
-		if _, err := readFull(r, key); err != nil {
+		if _, err := io.ReadFull(r, key); err != nil {
 			break
-		}
-		if vlen == tombstoneLen {
-			db.memInsert(string(key), nil)
-			continue
 		}
 		val := make([]byte, vlen)
-		if _, err := readFull(r, val); err != nil {
+		if _, err := io.ReadFull(r, val); err != nil {
 			break
 		}
-		s := string(val)
-		db.memInsert(string(key), &s)
+		db.memInsert(string(key), string(val))
 	}
 	return nil
 }
 
-func readFull(r *bufio.Reader, b []byte) (int, error) {
-	n := 0
-	for n < len(b) {
-		m, err := r.Read(b[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-const tombstoneLen = 0xFFFFFFFF
-
-func (db *DB) memInsert(key string, val *string) {
+func (db *DB) memInsert(key, val string) {
 	if old, ok := db.mem[key]; ok {
-		if old != nil {
-			db.memBytes -= len(*old)
-		}
-		db.memBytes -= len(key)
+		db.memBytes -= len(key) + len(old)
 	}
 	db.mem[key] = val
-	db.memBytes += len(key)
-	if val != nil {
-		db.memBytes += len(*val)
-	}
+	db.memBytes += len(key) + len(val)
 }
 
 // Put stores a key/value pair.
 func (db *DB) Put(key, val []byte, wo WriteOptions) error {
-	return db.apply(key, val, false, wo)
-}
-
-func (db *DB) apply(key, val []byte, del bool, wo WriteOptions) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.appendWAL(key, val, del); err != nil {
+	if err := db.appendWAL(key, val); err != nil {
 		return err
 	}
 	if err := db.maybeSync(wo.Sync); err != nil {
 		return err
 	}
-	if del {
-		db.memInsert(string(key), nil)
-	} else {
-		s := string(val)
-		db.memInsert(string(key), &s)
-	}
+	db.memInsert(string(key), string(val))
 	return db.maybeFlush()
 }
 
-func (db *DB) appendWAL(key, val []byte, del bool) error {
+func (db *DB) appendWAL(key, val []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(key)))
-	if del {
-		binary.LittleEndian.PutUint32(hdr[4:8], tombstoneLen)
-	} else {
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(val)))
-	}
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(val)))
 	if _, err := db.walBuf.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := db.walBuf.Write(key); err != nil {
 		return err
 	}
-	if !del {
-		if _, err := db.walBuf.Write(val); err != nil {
-			return err
-		}
+	if _, err := db.walBuf.Write(val); err != nil {
+		return err
 	}
 	db.unsynced += 8 + len(key) + len(val)
 	return nil
@@ -301,7 +262,7 @@ func (db *DB) flushLocked() error {
 		return err
 	}
 	db.ssts = append(db.ssts, r)
-	db.mem = map[string]*string{}
+	db.mem = map[string]string{}
 	db.memBytes = 0
 	// The WAL is now redundant for flushed data.
 	if err := db.walBuf.Flush(); err != nil {
@@ -321,18 +282,12 @@ func (db *DB) flushLocked() error {
 	return nil
 }
 
-// compactLocked merges every run into one, dropping shadowed versions and
-// tombstones.
+// compactLocked merges every run into one, dropping shadowed versions.
 func (db *DB) compactLocked() error {
-	merged := map[string]*string{}
+	merged := map[string]string{}
 	for _, r := range db.ssts { // oldest first: newer overwrite older
 		if err := r.loadInto(merged); err != nil {
 			return err
-		}
-	}
-	for k, v := range merged {
-		if v == nil {
-			delete(merged, k) // full merge: tombstones can drop
 		}
 	}
 	n := db.nextSST

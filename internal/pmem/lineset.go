@@ -1,5 +1,7 @@
 package pmem
 
+import "math/bits"
+
 // LineSet is a set of cache lines that remembers insertion order: one bit per
 // line plus the list of members, reset by clearing the listed bits, so a
 // fill–drain cycle costs O(members) however large the region. It is the one
@@ -22,6 +24,16 @@ func (s *LineSet) addLine(line int) {
 	if !s.bits.test(line) {
 		s.bits.set(line)
 		s.lines = append(s.lines, int32(line))
+	}
+}
+
+// addWord inserts the lines of bitmap word w, 64 lines, that m holds,
+// ascending.
+func (s *LineSet) addWord(w int, m uint64) {
+	m &^= s.bits.words[w]
+	s.bits.words[w] |= m
+	for ; m != 0; m &= m - 1 {
+		s.lines = append(s.lines, int32(w<<6+bits.TrailingZeros64(m)))
 	}
 }
 

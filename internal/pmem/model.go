@@ -19,9 +19,9 @@ type Model struct {
 	PsyncLatency  time.Duration
 }
 
-func (m Model) delayPwb()    { spin(m.PwbLatency) }
-func (m Model) delayPfence() { spin(m.PfenceLatency) }
-func (m Model) delayPsync()  { spin(m.PsyncLatency) }
+func (m Model) delayPwb(n int) { spin(time.Duration(n) * m.PwbLatency) }
+func (m Model) delayPfence()   { spin(m.PfenceLatency) }
+func (m Model) delayPsync()    { spin(m.PsyncLatency) }
 
 // Predefined persistence models. Latencies for STT and PCM come from the
 // paper (§6.1, citing Chauhan et al.): 140/200/200 ns and 340/500/500 ns for

@@ -53,6 +53,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,17 +210,36 @@ func (d *Device) SetHooks(h *Hooks) { d.hooks.Store(h) }
 func (d *Device) Hooks() *Hooks { return d.hooks.Load() }
 
 // markStored readies [off, off+n) for a store, before the bytes change: each
-// line is marked dirty, and one the media still agrees with the image on has
-// its bytes captured into the shadow first.
+// run of lines the media still agrees with the image on is captured into the
+// shadow in one copy, and the range is marked dirty a bitmap word at a time.
 func (d *Device) markStored(off, n int) {
 	first, last := off>>lineShift, (off+n-1)>>lineShift
 	_ = d.shadow.slot[last] // a range running off the device fails before any state changes
 	for l := first; l <= last; l++ {
 		if d.shadow.slot[l] == 0 {
-			d.shadow.capture(l, d.mem[l<<lineShift:(l+1)<<lineShift])
+			end := l + 1
+			for end <= last && d.shadow.slot[end] == 0 {
+				end++
+			}
+			d.shadow.capture(l, d.mem[l<<lineShift:end<<lineShift])
+			l = end // the line after a run has an entry, or is past the range
 		}
-		d.dirty.set(l)
 	}
+	for w := first >> 6; w <= last>>6; w++ {
+		d.dirty.words[w] |= lineMask(w, first, last)
+	}
+}
+
+// lineMask is the part of bitmap word w (64 lines) that lines first..last cover.
+func lineMask(w, first, last int) uint64 {
+	mask := ^uint64(0)
+	if w == first>>6 {
+		mask &= ^uint64(0) << uint(first&63)
+	}
+	if w == last>>6 {
+		mask &= ^uint64(0) >> uint(63-last&63)
+	}
+	return mask
 }
 
 // stored counts a finished store of [off, off+n) and runs the store hooks.
@@ -405,7 +425,11 @@ func (d *Device) CopyWithin(dst, src, n int) {
 		return
 	}
 	d.markStored(dst, n)
-	copy(d.mem[dst:dst+n], d.mem[src:src+n])
+	if n >= 2*splitMin && (dst+n <= src || src+n <= dst) {
+		split(n, func(lo, hi int) { copy(d.mem[dst+lo:dst+hi], d.mem[src+lo:src+hi]) })
+	} else {
+		copy(d.mem[dst:dst+n], d.mem[src:src+n])
+	}
 	if d.faultCheck(src, n) {
 		s := d.mem[dst : dst+n]
 		for i := range s {
@@ -419,38 +443,79 @@ func (d *Device) CopyWithin(dst, src, n int) {
 // ordered model (CLFLUSH) the line is persisted immediately; otherwise it is
 // queued until the next Pfence or Psync. Pwb of a clean, unqueued line is a
 // no-op apart from the injected latency, like flushing a clean line.
-func (d *Device) Pwb(off int) {
-	pwbs := d.stats.pwbs.Add(1)
-	d.model.delayPwb()
-	line := off >> lineShift
-	if d.dirty.test(line) {
-		d.dirty.clear(line)
-		if d.model.OrderedPwb {
-			d.persistLine(line)
-			d.shadow.settle()
-		} else {
-			d.queued.addLine(line)
-		}
-	}
-	if h := d.hooks.Load(); h != nil {
-		if h.PwbAt != nil {
-			h.PwbAt(line << lineShift)
-		}
-		if h.Pwb != nil {
-			h.Pwb(pwbs)
-		}
-	}
-}
+func (d *Device) Pwb(off int) { d.writeBack(nil, off>>lineShift, 1) }
 
-// PwbRange issues Pwb for every cache line overlapping [off, off+n).
+// PwbRange issues Pwb for every cache line overlapping [off, off+n), in
+// ascending order.
 func (d *Device) PwbRange(off, n int) {
 	if n <= 0 {
 		return
 	}
 	first := off >> lineShift
-	last := (off + n - 1) >> lineShift
-	for l := first; l <= last; l++ {
-		d.Pwb(l << lineShift)
+	d.writeBack(nil, first, (off+n-1)>>lineShift-first+1)
+}
+
+// PwbLines issues Pwb for each line number (offset / LineSize) in order.
+func (d *Device) PwbLines(lines []int32) { d.writeBack(lines, 0, len(lines)) }
+
+// writeBack is the one write-back routine, over lines[0:n] in order, or
+// first, first+1, ... when lines is nil. Hookless, the n write-backs are
+// counted at once, pay n × PwbLatency in one spin and move each run of
+// consecutive lines a bitmap word at a time. With hooks each line is done in
+// turn, so a hook (a crash scheduler) sees the device after each one.
+func (d *Device) writeBack(lines []int32, first, n int) {
+	line := func(i int) int {
+		if lines == nil {
+			return first + i
+		}
+		return int(lines[i])
+	}
+	if h := d.hooks.Load(); h != nil {
+		for i := 0; i < n; i++ {
+			l := line(i)
+			pwbs := d.stats.pwbs.Add(1)
+			d.model.delayPwb(1)
+			d.moveRun(l, l)
+			if h.PwbAt != nil {
+				h.PwbAt(l << lineShift)
+			}
+			if h.Pwb != nil {
+				h.Pwb(pwbs)
+			}
+		}
+		return
+	}
+	d.stats.pwbs.Add(uint64(n))
+	d.model.delayPwb(n)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && line(j) == line(j-1)+1 {
+			j++
+		}
+		d.moveRun(line(i), line(j-1))
+		i = j
+	}
+}
+
+// moveRun writes back the dirty lines among first..last, ascending: queued
+// for the next fence, or persisted at once under an ordered model.
+func (d *Device) moveRun(first, last int) {
+	var persisted uint64
+	for w := first >> 6; w <= last>>6; w++ {
+		m := d.dirty.words[w] & lineMask(w, first, last)
+		d.dirty.words[w] &^= m
+		if !d.model.OrderedPwb {
+			d.queued.addWord(w, m)
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			d.shadow.drop(w<<6 + bits.TrailingZeros64(m))
+			persisted++
+		}
+	}
+	if persisted > 0 {
+		d.stats.linesPersisted.Add(persisted)
+		d.shadow.settle()
 	}
 }
 
@@ -469,14 +534,7 @@ func (d *Device) NeedsFence() bool { return len(d.queued.Lines()) > 0 }
 func (d *Device) Pending(off, n int) bool {
 	first, last := off>>lineShift, (off+n-1)>>lineShift
 	for w := first >> 6; w <= last>>6; w++ { // a bitmap word, 64 lines, at a time
-		mask := ^uint64(0)
-		if w == first>>6 {
-			mask &= ^uint64(0) << uint(first&63)
-		}
-		if w == last>>6 {
-			mask &= ^uint64(0) >> uint(63-last&63)
-		}
-		if (d.dirty.words[w]|d.queued.bits.words[w])&mask != 0 {
+		if (d.dirty.words[w]|d.queued.bits.words[w])&lineMask(w, first, last) != 0 {
 			return true
 		}
 	}
@@ -498,25 +556,25 @@ func (d *Device) Psync() {
 	d.drainQueue()
 }
 
-// drainQueue is the fence proper: it completes the queued write-backs in
-// queue order and runs the fence hook.
+// drainQueue is the fence proper: it completes the queued write-backs and
+// runs the fence hook. The media now holds each queued line as the image has
+// it, stores made after the Pwb included — so a line can be dirty again with
+// no shadow entry until its next store.
 func (d *Device) drainQueue() {
-	for _, line := range d.queued.Lines() {
-		d.persistLine(int(line))
+	lines := d.queued.Lines()
+	if slices.ContainsFunc(d.shadow.lines, func(l int32) bool { return !d.queued.bits.test(int(l)) }) {
+		for _, line := range lines {
+			d.shadow.drop(int(line))
+		}
+	} else {
+		d.shadow.reset() // every entry drained, as after a bulk store: forget them at once
 	}
+	d.stats.linesPersisted.Add(uint64(len(lines)))
 	d.queued.Reset()
 	d.shadow.settle()
 	if h := d.hooks.Load(); h != nil && h.Fence != nil {
 		h.Fence()
 	}
-}
-
-// persistLine completes a write-back: the media now holds the line as the
-// image has it, stores made after the Pwb included — so a line can be dirty
-// again with no shadow entry until its next store.
-func (d *Device) persistLine(line int) {
-	d.shadow.drop(line)
-	d.stats.linesPersisted.Add(1)
 }
 
 // PersistAll force-persists the entire volatile view, as if every line had

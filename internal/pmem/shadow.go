@@ -29,12 +29,21 @@ func (s *shadow) settle() {
 	}
 }
 
-// capture records media as the media contents of line, which must have no
-// entry: the caller is about to overwrite the image's copy of those bytes.
-func (s *shadow) capture(line int, media []byte) {
-	s.lines = append(s.lines, int32(line))
-	s.data = append(s.data, media...)
-	s.slot[line] = int32(len(s.lines))
+// capture records media, whole lines, as the media contents of the run of
+// entry-less lines from first on, which the caller is about to overwrite, in
+// one copy (across processors for a whole-prefix run).
+func (s *shadow) capture(first int, media []byte) {
+	for l := first; l < first+len(media)>>lineShift; l++ {
+		s.lines = append(s.lines, int32(l))
+		s.slot[l] = int32(len(s.lines))
+	}
+	if len(media) < 2*splitMin {
+		s.data = append(s.data, media...)
+		return
+	}
+	at := len(s.data)
+	s.data = append(make([]byte, 0, at+len(media)), s.data...)[:at+len(media)]
+	split(len(media), func(lo, hi int) { copy(s.data[at+lo:at+hi], media[lo:hi]) })
 }
 
 // drop forgets line's entry, if it has one: the line reached the media. The

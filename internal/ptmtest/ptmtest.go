@@ -500,18 +500,19 @@ func testCrashAtomicity(t *testing.T, f Factory) {
 			images = append(images, dev.CrashImage(pol))
 		}
 	}
-	dev.SetHooks(&pmem.Hooks{
+	prev := dev.Hooks() // a bundle the factory installed keeps running
+	dev.SetHooks(pmem.ChainHooks(prev, &pmem.Hooks{
 		Store: func(uint64) { capture() },
 		Pwb:   func(uint64) { capture() },
 		Fence: capture,
-	})
+	}))
 	err := e.Update(func(tx ptm.Tx) error {
 		for i := 0; i < slots; i++ {
 			tx.Store64(p+ptm.Ptr(i*8), 200)
 		}
 		return nil
 	})
-	dev.SetHooks(nil)
+	dev.SetHooks(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
