@@ -12,7 +12,6 @@ func newBitmap(n int) bitmap {
 	return bitmap{words: make([]uint64, (n+63)/64)}
 }
 
-func (b bitmap) set(i int)       { b.words[i>>6] |= 1 << uint(i&63) }
 func (b bitmap) clear(i int)     { b.words[i>>6] &^= 1 << uint(i&63) }
 func (b bitmap) test(i int) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 

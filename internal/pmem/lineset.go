@@ -20,15 +20,7 @@ func NewLineSet(size int) LineSet {
 	return LineSet{bits: newBitmap((size + LineSize - 1) >> lineShift)}
 }
 
-func (s *LineSet) addLine(line int) {
-	if !s.bits.test(line) {
-		s.bits.set(line)
-		s.lines = append(s.lines, int32(line))
-	}
-}
-
-// addWord inserts the lines of bitmap word w, 64 lines, that m holds,
-// ascending.
+// addWord inserts the lines of bitmap word w (64 lines) that m holds, ascending.
 func (s *LineSet) addWord(w int, m uint64) {
 	m &^= s.bits.words[w]
 	s.bits.words[w] |= m
@@ -43,9 +35,9 @@ func (s *LineSet) Add(off, n int) {
 	if n <= 0 {
 		return
 	}
-	last := (off + n - 1) >> lineShift
-	for line := off >> lineShift; line <= last; line++ {
-		s.addLine(line)
+	first, last := off>>lineShift, (off+n-1)>>lineShift
+	for w := first >> 6; w <= last>>6; w++ {
+		s.addWord(w, lineMask(w, first, last))
 	}
 }
 

@@ -53,7 +53,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -425,8 +425,8 @@ func (d *Device) CopyWithin(dst, src, n int) {
 		return
 	}
 	d.markStored(dst, n)
-	if n >= 2*splitMin && (dst+n <= src || src+n <= dst) {
-		split(n, func(lo, hi int) { copy(d.mem[dst+lo:dst+hi], d.mem[src+lo:src+hi]) })
+	if dst+n <= src || src+n <= dst {
+		copyAcross(d.mem[dst:dst+n], d.mem[src:src+n])
 	} else {
 		copy(d.mem[dst:dst+n], d.mem[src:src+n])
 	}
@@ -464,15 +464,12 @@ func (d *Device) PwbLines(lines []int32) { d.writeBack(lines, 0, len(lines)) }
 // consecutive lines a bitmap word at a time. With hooks each line is done in
 // turn, so a hook (a crash scheduler) sees the device after each one.
 func (d *Device) writeBack(lines []int32, first, n int) {
-	line := func(i int) int {
-		if lines == nil {
-			return first + i
-		}
-		return int(lines[i])
-	}
 	if h := d.hooks.Load(); h != nil {
 		for i := 0; i < n; i++ {
-			l := line(i)
+			l := first + i
+			if lines != nil {
+				l = int(lines[i])
+			}
 			pwbs := d.stats.pwbs.Add(1)
 			d.model.delayPwb(1)
 			d.moveRun(l, l)
@@ -487,12 +484,16 @@ func (d *Device) writeBack(lines []int32, first, n int) {
 	}
 	d.stats.pwbs.Add(uint64(n))
 	d.model.delayPwb(n)
+	if lines == nil {
+		d.moveRun(first, first+n-1)
+		return
+	}
 	for i := 0; i < n; {
 		j := i + 1
-		for j < n && line(j) == line(j-1)+1 {
+		for j < n && lines[j] == lines[j-1]+1 {
 			j++
 		}
-		d.moveRun(line(i), line(j-1))
+		d.moveRun(int(lines[i]), int(lines[j-1]))
 		i = j
 	}
 }
@@ -562,12 +563,8 @@ func (d *Device) Psync() {
 // no shadow entry until its next store.
 func (d *Device) drainQueue() {
 	lines := d.queued.Lines()
-	if slices.ContainsFunc(d.shadow.lines, func(l int32) bool { return !d.queued.bits.test(int(l)) }) {
-		for _, line := range lines {
-			d.shadow.drop(int(line))
-		}
-	} else {
-		d.shadow.reset() // every entry drained, as after a bulk store: forget them at once
+	for i := len(lines) - 1; i >= 0; i-- { // latest first: entries captured in queue order drop off the end, moving nothing
+		d.shadow.drop(int(lines[i]))
 	}
 	d.stats.linesPersisted.Add(uint64(len(lines)))
 	d.queued.Reset()
@@ -588,8 +585,8 @@ func (d *Device) PersistAll() {
 
 // Persisted returns a copy of the persisted view: what the media holds now.
 func (d *Device) Persisted() []byte {
-	img := make([]byte, len(d.mem))
-	split(len(img), func(lo, hi int) { copy(img[lo:hi], d.mem[lo:hi]) })
+	img := uninitialized(len(d.mem))
+	copyAcross(img, d.mem)
 	d.shadow.overlay(img)
 	return img
 }
@@ -627,6 +624,26 @@ func split(n int, job func(lo, hi int)) {
 	}
 	job(0, size)
 	wg.Wait()
+}
+
+// uninitialized returns n heap bytes without make's clear, for a caller that
+// writes each byte before reading it: strings.Builder.Grow allocates without
+// it, and the string is dropped unread, so no string ever sees the writes.
+func uninitialized(n int) []byte {
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte(0)
+	return unsafe.Slice(unsafe.StringData(b.String()), n)
+}
+
+// copyAcross copies src into dst, which do not overlap, split across
+// processors; below twice splitMin it builds no job closure, which escapes.
+func copyAcross(dst, src []byte) {
+	if len(src) < 2*splitMin {
+		copy(dst, src)
+		return
+	}
+	split(len(src), func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) })
 }
 
 // Differs compares [dst, dst+n) with [src, src+n) in DiffChunk-byte chunks,
@@ -759,7 +776,7 @@ func FromImage(img []byte, model Model) *Device {
 		panic(fmt.Sprintf("pmem: image size %d is not a positive multiple of %d", len(img), LineSize))
 	}
 	mem := newImage(len(img), false)
-	split(len(mem), func(lo, hi int) { copy(mem[lo:hi], img[lo:hi]) })
+	copyAcross(mem, img)
 	return newDevice(mem, model)
 }
 

@@ -37,13 +37,12 @@ func (s *shadow) capture(first int, media []byte) {
 		s.lines = append(s.lines, int32(l))
 		s.slot[l] = int32(len(s.lines))
 	}
-	if len(media) < 2*splitMin {
-		s.data = append(s.data, media...)
-		return
-	}
 	at := len(s.data)
-	s.data = append(make([]byte, 0, at+len(media)), s.data...)[:at+len(media)]
-	split(len(media), func(lo, hi int) { copy(s.data[at+lo:at+hi], media[lo:hi]) })
+	if cap(s.data) < at+len(media) { // grown without make's clear, which a whole-prefix run would pay on one processor
+		s.data = append(uninitialized(max(2*cap(s.data), at+len(media)))[:0], s.data...)
+	}
+	s.data = s.data[:at+len(media)]
+	copyAcross(s.data[at:], media)
 }
 
 // drop forgets line's entry, if it has one: the line reached the media. The
